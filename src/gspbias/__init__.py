@@ -27,12 +27,10 @@ from .engine import (
 from .estimators import (
     CountWindow,
     PoolHyperParams,
-    SelectionPolicy,
     binomial_estimate,
     fit_pool,
     naive_contextual_estimate,
     pooled_estimate,
-    select_ad,
 )
 from .metrics import (
     BiasReport,
@@ -47,15 +45,12 @@ from .metrics import (
     selection_bias,
 )
 from .oracle import (
-    RankProbability,
+    CaseGrid,
     ScoreDistribution,
     SplitVerdict,
     check_splittable,
     conditional_mean_profile,
-    conditional_score_mean,
-    rank_marginal,
     rank_prob_given_score,
-    rank_probability,
     top_rank_decomposition,
 )
 
@@ -68,14 +63,13 @@ __all__ = [
     "ImpressionLog", "ImpressionRecord", "TrialResult",
     "conditional_rank_samples", "run_ab_experiment", "run_cpc_study",
     "sample_rank_stats",
-    "CountWindow", "PoolHyperParams", "SelectionPolicy",
+    "CountWindow", "PoolHyperParams",
     "binomial_estimate", "fit_pool", "naive_contextual_estimate",
-    "pooled_estimate", "select_ad",
+    "pooled_estimate",
     "BiasReport", "CalibrationReport", "Histogram",
     "bias_report", "build_histogram", "c_relative", "cpc_summary",
     "histogram_overlap", "rtv_rtc", "selection_bias",
-    "RankProbability", "ScoreDistribution", "SplitVerdict", "check_splittable",
-    "conditional_mean_profile", "conditional_score_mean", "rank_marginal",
-    "rank_prob_given_score", "rank_probability", "top_rank_decomposition",
+    "CaseGrid", "ScoreDistribution", "SplitVerdict", "check_splittable",
+    "conditional_mean_profile", "rank_prob_given_score", "top_rank_decomposition",
     "__version__",
 ]

@@ -43,6 +43,7 @@ from .errors import (
 )
 from .metrics import bias_report, build_histogram, c_relative, cpc_summary, rtv_rtc
 from .oracle import (
+    CaseGrid,
     check_splittable,
     conditional_density_profile,
     conditional_mean_profile,
@@ -185,9 +186,10 @@ def cmd_simulate_cpc(args) -> int:
 
 def _verify_case(dists, mc, case_pass_state: dict) -> list[dict]:
     m = len(dists)
+    grid = CaseGrid(dists)  # one CDF and PDF row per ad, freed when the case ends
     candidates = []
     for i in range(m):
-        profile = conditional_mean_profile(dists, i)
+        profile = conditional_mean_profile(grid, i)
         qmeans = profile.conditional_means
         ineq_checked = ineq_skipped = 0
         ineq_ok = True
@@ -213,7 +215,7 @@ def _verify_case(dists, mc, case_pass_state: dict) -> list[dict]:
                 mc_ok = False
         if m >= 2:
             try:
-                dec = top_rank_decomposition(dists, i)
+                dec = top_rank_decomposition(grid, i)
                 dec_ok = (abs(dec.residual) <= DECOMPOSITION_TOL
                           and dec.plus_monotone and dec.minus_monotone)
                 dec_entry = {"residual": dec.residual,
@@ -226,7 +228,7 @@ def _verify_case(dists, mc, case_pass_state: dict) -> list[dict]:
         else:
             dec_ok = True
             dec_entry = {"skipped": "single ad has no adjacent rank"}
-        grid, dens = conditional_density_profile(dists, i)
+        nodes, dens = conditional_density_profile(grid, i)
         split_entries = []
         split_ok = True
         for k in range(m - 1):
@@ -236,7 +238,7 @@ def _verify_case(dists, mc, case_pass_state: dict) -> list[dict]:
             verdict = check_splittable(dens[k], dens[k + 1], 0.0)
             entry = {"ranks": [k + 1, k + 2], "splittable": verdict.splittable}
             if verdict.splittable:
-                entry["split_at"] = float(grid[verdict.split_index])
+                entry["split_at"] = float(nodes[verdict.split_index])
             else:
                 split_ok = False
             split_entries.append(entry)
@@ -301,7 +303,7 @@ def cmd_ab_run(args) -> int:
     t0 = time.monotonic()
     loaded = _load(args, "ab-run")
     seed = _resolve_seed(args.seed, loaded.seed)
-    cfg: AbConfig = dataclasses.replace(loaded.payload, seed=seed, threads=args.threads)
+    cfg: AbConfig = dataclasses.replace(loaded.payload, seed=seed)
     arts = ArtifactSet(args.out)
     logs = run_ab_experiment(cfg)
     models = {}

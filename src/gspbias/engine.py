@@ -207,7 +207,6 @@ class AbConfig:
     window_days: int
     burn_in_days: int
     seed: int
-    threads: int = 1
 
     def __post_init__(self):
         if not self.ads:

@@ -21,10 +21,6 @@ class NoData(GspBiasError):
     """An estimator was queried for a key with no in-window impressions."""
 
 
-class CombinatorialLimit(GspBiasError):
-    """Exact rank-probability enumeration was requested for too many ads."""
-
-
 class RankUnreachable(GspBiasError):
     """A conditional-on-rank quantity was requested for a rank with (near-)zero mass."""
 

@@ -1,4 +1,4 @@
-"""CTR estimators and the exploration policy used to collect their data.
+"""CTR estimators and the sliding count window they read.
 
 Two serving models are provided.  The naive estimator is the raw click
 proportion per (ad, site, position) key over a sliding window of recent
@@ -9,13 +9,11 @@ from the population instead of reporting extreme proportions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Literal
+from dataclasses import dataclass
 
 import numpy as np
 
-from .auction import ScoredAd, rank_ads
-from .errors import EmptyAuction, NoData
+from .errors import NoData
 
 Key = tuple[int, int, int]  # (ad_id, site, pos)
 
@@ -163,35 +161,3 @@ def pooled_estimate(clicks: int, impressions: int, hyper: PoolHyperParams) -> fl
     if not 0 <= clicks <= impressions:
         raise ValueError(f"clicks {clicks} outside [0, {impressions}]")
     return (clicks + hyper.alpha) / (impressions + hyper.alpha + hyper.beta)
-
-
-@dataclass
-class SelectionPolicy:
-    """Epsilon-greedy display policy over a private random stream."""
-
-    epsilon: float
-    rng: np.random.Generator = field(repr=False)
-
-    def __post_init__(self):
-        if not 0.0 <= self.epsilon <= 1.0:
-            raise ValueError(f"epsilon must lie in [0, 1], got {self.epsilon}")
-
-
-Mode = Literal["greedy", "random"]
-
-
-def select_ad(policy: SelectionPolicy, scored: list[ScoredAd]) -> tuple[int, Mode]:
-    """Pick the displayed ad: uniform with probability epsilon, else top-ranked.
-
-    Always consumes exactly two values from the policy stream (the explore
-    coin and the uniform pick), so replays stay aligned regardless of which
-    branch is taken.
-    """
-    if not scored:
-        raise EmptyAuction("no participants")
-    u_explore = policy.rng.random()
-    u_pick = policy.rng.random()
-    if u_explore < policy.epsilon:
-        idx = min(int(u_pick * len(scored)), len(scored) - 1)
-        return scored[idx].ad_id, "random"
-    return rank_ads(scored)[0], "greedy"

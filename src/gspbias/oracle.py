@@ -1,15 +1,18 @@
 """Closed-form oracle for rank probabilities under independent ranking scores.
 
-When the m scores are drawn independently, the chance that candidate i holds
-rank k given its own score s is a finite sum over which k-1 rivals beat s:
+When the m scores are drawn independently, the number of rivals that beat
+candidate i at score s is a Poisson-binomial count with success chances
+1 - F_j(s), F_j the rival score CDFs.  ``rank_table`` gives the whole
+distribution P(rank = k | s), k = 1..m, by folding in one rival at a time,
+P_k <- P_k F_j + P_{k-1} (1 - F_j) (Hong 2013, CSDA 59:41-51), instead of
+summing over the C(m-1, k-1) sets of rivals that beat s.  Conditional score
+moments follow by fixed composite-Simpson quadrature against the
+candidate's own density.
 
-    P(rank = k | s) = sum over (k-1)-subsets E of rivals of
-                      prod_{l in E} (1 - F_l(s)) * prod_{j not in E} F_j(s)
-
-with F_j the rival score CDFs.  Conditional score moments follow by fixed
-composite-Simpson quadrature against the candidate's own density.  This
-module is the reference the Monte Carlo engine is checked against, so it
-favors exact enumeration and deterministic grids over speed.
+A ``CaseGrid`` holds the Simpson nodes and weights and every ad's CDF and
+PDF row on them, each evaluated once per case.  One candidate's rank table
+costs O(m^2 * grid) operations; a case holds O(m * grid) floats (the CDF and
+PDF rows plus one candidate's table), so there is no cap on m.
 
 Quadrature accuracy is ~1e-12 relative for smooth densities; a density
 jump interior to the shared grid (e.g. a uniform whose endpoints are not
@@ -19,14 +22,12 @@ grid nodes) degrades it to O(1/intervals), about 1e-5 relative.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 from scipy import stats
 
-from .errors import CombinatorialLimit, GridMismatch, RankUnreachable
+from .errors import GridMismatch, RankUnreachable
 
-MAX_EXACT_ADS = 12
 SIMPSON_INTERVALS = 2 ** 17
 MASS_FLOOR = 1e-12
 
@@ -144,32 +145,58 @@ class ScoreDistribution:
         return cls.from_grid(mids, dens)
 
 
-def _cdf_matrix(dists: list[ScoreDistribution], s: np.ndarray) -> np.ndarray:
-    return np.vstack([d.cdf(s) for d in dists])
+class CaseGrid:
+    """The Simpson grid of one case, with every ad's CDF and PDF row on it.
+
+    Each row is evaluated once, when the grid is built; every oracle
+    function that takes a case's distributions also accepts its CaseGrid.
+    ``len(grid)`` is the ad count m.
+    """
+
+    def __init__(self, dists: list[ScoreDistribution]):
+        upper = max(d.upper for d in dists)
+        self.s = np.linspace(0.0, upper, SIMPSON_INTERVALS + 1)
+        w = np.ones_like(self.s)
+        w[1:-1:2] = 4.0
+        w[2:-1:2] = 2.0
+        self.w = w * ((upper / SIMPSON_INTERVALS) / 3.0)
+        self.cdf = np.vstack([d.cdf(self.s) for d in dists])
+        self.pdf = np.vstack([d.pdf(self.s) for d in dists])
+
+    def __len__(self) -> int:
+        return len(self.cdf)
 
 
-def _rank_prob_from_cdfs(F: np.ndarray, candidate: int, rank: int) -> np.ndarray:
-    """P(candidate holds ``rank`` | score s) from rival CDF rows F at s."""
-    m = F.shape[0]
-    rivals = [j for j in range(m) if j != candidate]
-    out = np.zeros(F.shape[1])
-    for beat_set in combinations(rivals, rank - 1):
-        term = np.ones(F.shape[1])
-        for l in beat_set:
-            term = term * (1.0 - F[l])
-        for j in rivals:
-            if j not in beat_set:
-                term = term * F[j]
-        out += term
+def _case_grid(dists: list[ScoreDistribution] | CaseGrid) -> CaseGrid:
+    return dists if isinstance(dists, CaseGrid) else CaseGrid(dists)
+
+
+def rank_table(F: np.ndarray, candidate: int) -> np.ndarray:
+    """P(candidate holds rank k | score s) in row k-1, from the CDF rows F at s.
+
+    Poisson-binomial recursion (Hong 2013): rivals are folded in one at a
+    time, and after j of them row k holds the chance that exactly k of those
+    j beat s, P_k <- P_k F_j + P_{k-1} (1 - F_j).
+    """
+    out = np.zeros(F.shape)
+    out[0] = 1.0
+    seen = 0
+    for j, Fj in enumerate(F):
+        if j == candidate:
+            continue
+        seen += 1
+        beats = 1.0 - Fj
+        for k in range(seen, 0, -1):  # top down: row k-1 still holds its old value
+            out[k] *= Fj
+            out[k] += out[k - 1] * beats
+        out[0] *= Fj
     return out
 
 
-def _validate(dists: list[ScoreDistribution], candidate: int, rank: int) -> None:
+def _validate(dists, candidate: int, rank: int) -> None:
     m = len(dists)
     if m == 0:
         raise ValueError("need at least one distribution")
-    if m > MAX_EXACT_ADS:
-        raise CombinatorialLimit(f"exact enumeration capped at {MAX_EXACT_ADS} ads, got {m}")
     if not 0 <= candidate < m:
         raise ValueError(f"candidate index {candidate} outside 0..{m - 1}")
     if not 1 <= rank <= m:
@@ -181,44 +208,9 @@ def rank_prob_given_score(dists: list[ScoreDistribution], candidate: int,
     """P(candidate attains ``rank`` | its score equals s), s scalar or array."""
     _validate(dists, candidate, rank)
     s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-    F = _cdf_matrix(dists, s_arr)
-    out = _rank_prob_from_cdfs(F, candidate, rank)
+    F = np.vstack([d.cdf(s_arr) for d in dists])
+    out = rank_table(F, candidate)[rank - 1]
     return float(out[0]) if np.isscalar(s) or np.asarray(s).ndim == 0 else out
-
-
-@dataclass(frozen=True)
-class RankProbability:
-    """One candidate/rank pair: the score-conditional probability and its marginal."""
-
-    candidate: int
-    rank: int
-    conditional: object  # callable s -> P(rank | score = s)
-    marginal: float
-
-    def __call__(self, s):
-        return self.conditional(s)
-
-
-def rank_probability(dists: list[ScoreDistribution], candidate: int,
-                     rank: int) -> RankProbability:
-    """Bundle P(rank | score) as a reusable handle together with P(rank)."""
-    _validate(dists, candidate, rank)
-
-    def conditional(s):
-        return rank_prob_given_score(dists, candidate, rank, s)
-
-    return RankProbability(candidate=candidate, rank=rank, conditional=conditional,
-                           marginal=rank_marginal(dists, candidate, rank))
-
-
-def _simpson_grid(dists: list[ScoreDistribution]) -> tuple[np.ndarray, np.ndarray]:
-    upper = max(d.upper for d in dists)
-    s = np.linspace(0.0, upper, SIMPSON_INTERVALS + 1)
-    w = np.ones_like(s)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    w *= (upper / SIMPSON_INTERVALS) / 3.0
-    return s, w
 
 
 @dataclass(frozen=True)
@@ -230,25 +222,24 @@ class RankProfile:
     conditional_means: np.ndarray  # E[score | rank = k], NaN where unreachable
 
 
-def conditional_mean_profile(dists: list[ScoreDistribution], candidate: int) -> RankProfile:
-    """All ranks at once, sharing one CDF evaluation over the Simpson grid."""
+def conditional_mean_profile(dists: list[ScoreDistribution] | CaseGrid,
+                             candidate: int) -> RankProfile:
+    """P(rank = k) and E[score | rank = k] for every rank k, by Simpson quadrature."""
     _validate(dists, candidate, 1)
-    m = len(dists)
-    s, w = _simpson_grid(dists)
-    F = _cdf_matrix(dists, s)
-    density = dists[candidate].pdf(s)
-    marginals = np.empty(m)
-    means = np.full(m, np.nan)
-    for rank in range(1, m + 1):
-        pk = _rank_prob_from_cdfs(F, candidate, rank)
+    grid = _case_grid(dists)
+    s, w, density = grid.s, grid.w, grid.pdf[candidate]
+    table = rank_table(grid.cdf, candidate)
+    marginals = np.empty(len(table))
+    means = np.full(len(table), np.nan)
+    for k, pk in enumerate(table):
         mass = float(np.sum(w * density * pk))
-        marginals[rank - 1] = mass
+        marginals[k] = mass
         if mass >= MASS_FLOOR:
-            means[rank - 1] = float(np.sum(w * s * density * pk)) / mass
+            means[k] = float(np.sum(w * s * density * pk)) / mass
     return RankProfile(candidate=candidate, marginals=marginals, conditional_means=means)
 
 
-def conditional_density_profile(dists: list[ScoreDistribution], candidate: int
+def conditional_density_profile(dists: list[ScoreDistribution] | CaseGrid, candidate: int
                                 ) -> tuple[np.ndarray, np.ndarray]:
     """Conditional score densities given each rank, on the Simpson grid.
 
@@ -257,38 +248,16 @@ def conditional_density_profile(dists: list[ScoreDistribution], candidate: int
     mass are NaN.
     """
     _validate(dists, candidate, 1)
-    m = len(dists)
-    s, w = _simpson_grid(dists)
-    F = _cdf_matrix(dists, s)
-    density = dists[candidate].pdf(s)
-    out = np.full((m, len(s)), np.nan)
-    for rank in range(1, m + 1):
-        pk = _rank_prob_from_cdfs(F, candidate, rank)
+    grid = _case_grid(dists)
+    w, density = grid.w, grid.pdf[candidate]
+    out = rank_table(grid.cdf, candidate)
+    for k, pk in enumerate(out):
         mass = float(np.sum(w * density * pk))
         if mass >= MASS_FLOOR:
-            out[rank - 1] = density * pk / mass
-    return s, out
-
-
-def rank_marginal(dists: list[ScoreDistribution], candidate: int, rank: int) -> float:
-    """P(candidate attains ``rank``), integrating the conditional over its density."""
-    _validate(dists, candidate, rank)
-    s, w = _simpson_grid(dists)
-    pk = _rank_prob_from_cdfs(_cdf_matrix(dists, s), candidate, rank)
-    return float(np.sum(w * dists[candidate].pdf(s) * pk))
-
-
-def conditional_score_mean(dists: list[ScoreDistribution], candidate: int, rank: int) -> float:
-    """E[score | candidate attains ``rank``] by fixed-grid Simpson quadrature."""
-    _validate(dists, candidate, rank)
-    s, w = _simpson_grid(dists)
-    pk = _rank_prob_from_cdfs(_cdf_matrix(dists, s), candidate, rank)
-    density = dists[candidate].pdf(s)
-    mass = float(np.sum(w * density * pk))
-    if mass < MASS_FLOOR:
-        raise RankUnreachable(
-            f"candidate {candidate} reaches rank {rank} with mass {mass:.3e}")
-    return float(np.sum(w * s * density * pk)) / mass
+            out[k] = density * pk / mass
+        else:
+            out[k] = np.nan
+    return grid.s, out
 
 
 @dataclass(frozen=True)
@@ -358,40 +327,29 @@ class RankDecomposition:
     minus_monotone: bool
 
 
-def top_rank_decomposition(dists: list[ScoreDistribution], candidate: int,
+def top_rank_decomposition(dists: list[ScoreDistribution] | CaseGrid, candidate: int,
                            monotone_slack: float = 1e-12) -> RankDecomposition:
-    """Build the two monotone parts and verify their zero-integral property."""
+    """Build the two monotone parts and verify their zero-integral property.
+
+    With P1, P2 the rank-1 and rank-2 rows of the rank table and m ads, the
+    rivals' all-below product is P1 and its leave-one-out sum is
+    sum_l prod_{j != l} F_j = P2 + (m - 1) P1, so plus_part is
+    (1 + alpha (m - 1)) P1 and minus_part is alpha (P2 + (m - 1) P1).
+    """
     _validate(dists, candidate, 2 if len(dists) >= 2 else 1)
     if len(dists) < 2:
         raise RankUnreachable("rank 2 does not exist with a single ad")
-    s, w = _simpson_grid(dists)
-    F = _cdf_matrix(dists, s)
-    density = dists[candidate].pdf(s)
-    p1 = _rank_prob_from_cdfs(F, candidate, 1)
-    p2 = _rank_prob_from_cdfs(F, candidate, 2)
+    grid = _case_grid(dists)
+    w, density = grid.w, grid.pdf[candidate]
+    p1, p2 = rank_table(grid.cdf, candidate)[:2]
     mass1 = float(np.sum(w * density * p1))
     mass2 = float(np.sum(w * density * p2))
     if mass2 < MASS_FLOOR:
         raise RankUnreachable(f"rank 2 mass {mass2:.3e} too small for the contrast")
     alpha = mass1 / mass2
-    rivals = [j for j in range(len(dists)) if j != candidate]
-    prod_all = np.ones_like(s)
-    for j in rivals:
-        prod_all = prod_all * F[j]
-    # leave-one-out products prod_{j != candidate, l} F_j
-    loo = []
-    for l in rivals:
-        term = np.ones_like(s)
-        for j in rivals:
-            if j != l:
-                term = term * F[j]
-        loo.append(term)
-    sum_loo = np.sum(loo, axis=0)
-    sum_weighted = np.zeros_like(s)
-    for l, term in zip(rivals, loo):
-        sum_weighted += F[l] * term
-    plus_part = prod_all + alpha * sum_weighted
-    minus_part = alpha * sum_loo
+    rivals = len(grid) - 1
+    plus_part = p1 + alpha * (rivals * p1)
+    minus_part = alpha * (p2 + rivals * p1)
     residual = float(np.sum(w * density * (plus_part - minus_part)))
     plus_monotone = bool(np.all(np.diff(plus_part) >= -monotone_slack))
     minus_monotone = bool(np.all(np.diff(minus_part) >= -monotone_slack))

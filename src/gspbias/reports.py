@@ -31,7 +31,7 @@ def write_csv(path: Path, header: list[str], rows: Iterable[Iterable]) -> None:
 
 def write_json(path: Path, payload) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 

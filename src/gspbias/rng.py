@@ -42,11 +42,6 @@ def unit_uniforms(key: np.ndarray, start_unit: int, n_units: int,
     return gen.random((n_units, DOUBLES_PER_BLOCK * blocks_per_unit))
 
 
-def generator(key: np.ndarray) -> np.random.Generator:
-    """Sequential generator over the stream ``key``, starting at block 0."""
-    return np.random.Generator(np.random.Philox(key=key))
-
-
 def split_ranges(total: int, parts: int) -> list[tuple[int, int]]:
     """Split ``range(total)`` into at most ``parts`` contiguous chunks."""
     parts = max(1, min(parts, total)) if total else 1

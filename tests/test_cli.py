@@ -135,12 +135,29 @@ class TestConfigLoading:
         assert run_cli("ab-run", "--config", write_cfg(tmp_path, bad),
                        "--out", tmp_path / "out") == 3
 
-    def test_oversized_case_rejected(self, tmp_path):
-        bad = SMALL_THEOREMS.replace(
-            "dists = uniform:0:1, uniform:0:1",
-            "dists = " + ", ".join(["uniform:0:1"] * 13))
-        assert run_cli("verify-theorems", "--config", write_cfg(tmp_path, bad),
-                       "--out", tmp_path / "out") == 3
+    def test_thirteen_ad_case_loads(self, tmp_path):
+        """The oracle has no ad cap, so a 13-ad field loads and is verified."""
+        staggered = ", ".join(f"uniform:{0.01 * i}:{0.5 + 0.02 * i}" for i in range(13))
+        cfg = write_cfg(tmp_path, SMALL_THEOREMS.replace(
+            "dists = uniform:0:1, uniform:0:1", "dists = " + staggered))
+        out = tmp_path / "wide"
+        assert run_cli("verify-theorems", "--config", cfg, "--out", out,
+                       "--trials", "20000") in (0, 1)
+        report = json.loads((out / "theorem_report.json").read_text())
+        wide = {c["name"]: c for c in report["cases"]}["pair"]
+        assert wide["ads"] == 13
+        for cand in wide["candidates"]:
+            # density jumps between grid nodes cost ~1e-5 of quadrature accuracy
+            assert sum(cand["marginals"]) == pytest.approx(1.0, abs=1e-4)
+            assert cand["mean_inequality"]["passed"]
+
+    @pytest.mark.parametrize("ctrs", ["0.0, 0.05", "0.0, 0.0"])
+    def test_zero_ctr_rejected(self, tmp_path, capsys, ctrs):
+        bad = SMALL_CPC.replace("true_ctrs = 0.05, 0.05", f"true_ctrs = {ctrs}")
+        rc = run_cli("simulate-cpc", "--config", write_cfg(tmp_path, bad),
+                     "--out", tmp_path / "out")
+        assert rc == 3
+        assert "setting.a.true_ctrs" in capsys.readouterr().err
 
     def test_distribution_specs(self):
         assert parse_distribution("uniform:0:1").kind == "uniform"

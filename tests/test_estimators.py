@@ -2,17 +2,14 @@ import numpy as np
 import pytest
 from scipy import special
 
-from gspbias.auction import ScoredAd
-from gspbias.errors import EmptyAuction, NoData
+from gspbias.errors import NoData
 from gspbias.estimators import (
     CountWindow,
     PoolHyperParams,
-    SelectionPolicy,
     binomial_estimate,
     fit_pool,
     naive_contextual_estimate,
     pooled_estimate,
-    select_ad,
 )
 
 
@@ -182,61 +179,3 @@ class TestPooledEstimate:
             assert lo <= est <= hi
             if c / n != hyper.prior_mean:
                 assert lo < est < hi
-
-
-class TestSelectAd:
-    def ads(self, m):
-        return [ScoredAd.from_bid(i, 1.0, 0.01 * (m - i)) for i in range(m)]
-
-    def test_epsilon_zero_is_greedy_top1(self):
-        policy = SelectionPolicy(0.0, np.random.default_rng(25))
-        for _ in range(200):
-            winner, mode = select_ad(policy, self.ads(4))
-            assert (winner, mode) == (0, "greedy")
-
-    def test_empty_raises(self):
-        with pytest.raises(EmptyAuction):
-            select_ad(SelectionPolicy(0.5, np.random.default_rng(0)), [])
-
-    def test_epsilon_one_uniform_frequencies(self):
-        """Pure exploration spreads displays uniformly across the ads."""
-        m, draws = 4, 100_000
-        policy = SelectionPolicy(1.0, np.random.default_rng(26))
-        counts = np.zeros(m)
-        for _ in range(draws):
-            winner, mode = select_ad(policy, self.ads(m))
-            assert mode == "random"
-            counts[winner] += 1
-        p = 1 / m
-        band = 4 * np.sqrt(p * (1 - p) / draws)
-        np.testing.assert_allclose(counts / draws, p, atol=band)
-
-    def test_exploration_fraction(self):
-        draws, eps = 100_000, 0.1
-        policy = SelectionPolicy(eps, np.random.default_rng(27))
-        random_modes = sum(select_ad(policy, self.ads(2))[1] == "random"
-                           for _ in range(draws))
-        assert abs(random_modes / draws - eps) < 0.004
-
-    def test_consumes_exactly_two_draws(self):
-        """Greedy and random branches advance the stream identically."""
-
-        class CountingRng:
-            def __init__(self, values):
-                self.values = list(values)
-                self.calls = 0
-
-            def random(self):
-                self.calls += 1
-                return self.values.pop(0)
-
-        greedy = CountingRng([0.9, 0.2])
-        winner, mode = select_ad(SelectionPolicy(0.1, greedy), self.ads(3))
-        assert (mode, greedy.calls) == ("greedy", 2)
-        explore = CountingRng([0.05, 0.99])
-        winner, mode = select_ad(SelectionPolicy(0.1, explore), self.ads(3))
-        assert (winner, mode, explore.calls) == (2, "random", 2)
-
-    def test_epsilon_range_validated(self):
-        with pytest.raises(ValueError):
-            SelectionPolicy(1.5, np.random.default_rng(0))

@@ -1,21 +1,43 @@
+from itertools import combinations
+from math import comb
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gspbias.errors import CombinatorialLimit, GridMismatch, RankUnreachable
+from gspbias.errors import GridMismatch, RankUnreachable
 from gspbias.oracle import (
-    rank_probability,
+    CaseGrid,
     ScoreDistribution,
     check_splittable,
     conditional_density_profile,
     conditional_mean_profile,
-    conditional_score_mean,
-    rank_marginal,
     rank_prob_given_score,
+    rank_table,
     split_histogram_densities,
     top_rank_decomposition,
 )
 
 U01 = ScoreDistribution.uniform(0.0, 1.0)
+
+
+def enumerated_rank_prob(F: np.ndarray, candidate: int, rank: int) -> np.ndarray:
+    """Reference P(rank | s): sum over every set of rank-1 rivals that beat s."""
+    rivals = [j for j in range(F.shape[0]) if j != candidate]
+    out = np.zeros(F.shape[1])
+    for beat_set in combinations(rivals, rank - 1):
+        term = np.ones(F.shape[1])
+        for j in rivals:
+            term = term * ((1.0 - F[j]) if j in beat_set else F[j])
+        out += term
+    return out
+
+
+uniforms = st.tuples(st.floats(0.0, 1.0), st.floats(0.01, 1.0)).map(
+    lambda lw: ScoreDistribution.uniform(lw[0], lw[0] + lw[1]))
+betas = st.tuples(st.floats(0.5, 8.0), st.floats(0.5, 60.0), st.floats(0.1, 2.0)).map(
+    lambda abc: ScoreDistribution.scaled_beta(*abc))
 
 
 class TestScoreDistribution:
@@ -92,19 +114,64 @@ class TestRankProbGivenScore:
         total = sum(rank_prob_given_score(dists, 0, k, grid) for k in (1, 2, 3))
         np.testing.assert_allclose(total, 1.0, atol=1e-9)
 
-    def test_combinatorial_cap(self):
-        with pytest.raises(CombinatorialLimit):
-            rank_prob_given_score([U01] * 13, 0, 1, 0.5)
+    def test_thirteen_iid_uniform_closed_form(self):
+        """No ad cap: 13 iid uniforms give binomial rank chances and
+        E[score | rank k] = (m - k + 1) / (m + 1)."""
+        m, s = 13, 0.37
+        for k in range(1, m + 1):
+            expected = comb(m - 1, k - 1) * (1 - s) ** (k - 1) * s ** (m - k)
+            assert rank_prob_given_score([U01] * m, 0, k, s) == pytest.approx(expected,
+                                                                              abs=1e-14)
+        profile = conditional_mean_profile([U01] * m, 0)
+        np.testing.assert_allclose(profile.marginals, 1 / m, atol=1e-12)
+        np.testing.assert_allclose(profile.conditional_means,
+                                   [(m - k + 1) / (m + 1) for k in range(1, m + 1)],
+                                   atol=1e-12)
+
+    def test_values_are_probabilities_and_marginal_matches_profile(self):
+        grid = np.linspace(0, 1, 101)
+        values = rank_prob_given_score([U01, U01], 0, 1, grid)
+        assert np.all((0 <= values) & (values <= 1))
+        marginals = conditional_mean_profile([U01, U01], 0).marginals
+        assert marginals[0] == pytest.approx(0.5, abs=1e-9)
 
     def test_rank_out_of_range(self):
         with pytest.raises(ValueError):
             rank_prob_given_score([U01, U01], 0, 3, 0.5)
 
 
+class TestRankTable:
+    @settings(max_examples=150, deadline=None)
+    @given(dists=st.lists(st.one_of(uniforms, betas), min_size=1, max_size=8),
+           s=st.lists(st.floats(0.0, 2.5), min_size=1, max_size=5),
+           data=st.data())
+    def test_recursion_matches_enumeration(self, dists, s, data):
+        candidate = data.draw(st.integers(0, len(dists) - 1))
+        F = np.vstack([d.cdf(np.asarray(s)) for d in dists])
+        table = rank_table(F, candidate)
+        for rank in range(1, len(dists) + 1):
+            np.testing.assert_allclose(table[rank - 1],
+                                       enumerated_rank_prob(F, candidate, rank),
+                                       rtol=0, atol=1e-12)
+
+    def test_case_grid_matches_plain_list(self):
+        dists = [ScoreDistribution.scaled_beta(2, 38), ScoreDistribution.uniform(0, 0.12),
+                 ScoreDistribution.scaled_beta(4, 40, 0.9)]
+        grid = CaseGrid(dists)
+        assert len(grid) == 3
+        for i in range(3):
+            from_list = conditional_mean_profile(dists, i)
+            from_grid = conditional_mean_profile(grid, i)
+            np.testing.assert_array_equal(from_grid.marginals, from_list.marginals)
+            np.testing.assert_array_equal(from_grid.conditional_means,
+                                          from_list.conditional_means)
+            assert top_rank_decomposition(grid, i) == top_rank_decomposition(dists, i)
+
+
 class TestConditionalScoreMean:
     def test_two_iid_uniform_order_statistic_means(self):
-        assert conditional_score_mean([U01, U01], 0, 1) == pytest.approx(2 / 3, abs=1e-9)
-        assert conditional_score_mean([U01, U01], 0, 2) == pytest.approx(1 / 3, abs=1e-9)
+        means = conditional_mean_profile([U01, U01], 0).conditional_means
+        np.testing.assert_allclose(means, [2 / 3, 1 / 3], atol=1e-9)
 
     def test_non_overlapping_supports_are_deterministic(self):
         """With disjoint supports the rank is fixed, so conditioning changes nothing.
@@ -114,10 +181,12 @@ class TestConditionalScoreMean:
         """
         low = ScoreDistribution.uniform(0.0, 0.4)
         high = ScoreDistribution.uniform(0.6, 1.0)
-        assert conditional_score_mean([low, high], 0, 2) == pytest.approx(0.2, abs=2e-5)
-        assert conditional_score_mean([low, high], 1, 1) == pytest.approx(0.8, abs=2e-5)
-        with pytest.raises(RankUnreachable):
-            conditional_score_mean([low, high], 0, 1)
+        low_means = conditional_mean_profile([low, high], 0).conditional_means
+        high_means = conditional_mean_profile([low, high], 1).conditional_means
+        assert low_means[1] == pytest.approx(0.2, abs=2e-5)
+        assert high_means[0] == pytest.approx(0.8, abs=2e-5)
+        # rank 1 is unreachable for the low ad, rank 2 for the high one
+        assert np.isnan(low_means[0]) and np.isnan(high_means[1])
 
     def test_four_iid_beta_means_nonincreasing_in_rank(self):
         dists = [ScoreDistribution.scaled_beta(2, 38)] * 4
@@ -138,9 +207,9 @@ class TestConditionalScoreMean:
                  ScoreDistribution.scaled_beta(3, 37, 1.2)]
         profile = conditional_mean_profile(dists, 0)
         assert profile.marginals.sum() == pytest.approx(1.0, abs=1e-6)
-        for k in (1, 2):
-            assert rank_marginal(dists, 0, k) == pytest.approx(profile.marginals[k - 1],
-                                                               abs=1e-12)
+        # exactly one of the two ads is on top
+        other = conditional_mean_profile(dists, 1)
+        assert profile.marginals[0] + other.marginals[0] == pytest.approx(1.0, abs=1e-6)
 
 
 class TestCheckSplittable:
@@ -188,31 +257,38 @@ class TestCheckSplittable:
         assert verdict.splittable
 
 
+SIX_AD_FIELD = [ScoreDistribution.scaled_beta(2, 38), ScoreDistribution.scaled_beta(3, 37),
+                ScoreDistribution.scaled_beta(2.5, 40, 1.2), ScoreDistribution.uniform(0, 0.12),
+                ScoreDistribution.scaled_beta(2, 30, 0.8), ScoreDistribution.uniform(0.01, 0.09)]
+
+
 class TestTopRankDecomposition:
     @pytest.mark.parametrize("dists", [
         [U01, U01],
         [ScoreDistribution.scaled_beta(2, 38), ScoreDistribution.scaled_beta(3, 37, 1.2),
          ScoreDistribution.uniform(0, 0.12)],
+        SIX_AD_FIELD,
     ])
     def test_zero_residual_and_monotone_parts(self, dists):
+        grid = CaseGrid(dists)
         for i in range(len(dists)):
-            dec = top_rank_decomposition(dists, i)
+            dec = top_rank_decomposition(grid, i)
             assert abs(dec.residual) < 1e-6
             assert dec.plus_monotone and dec.minus_monotone
+
+    def test_leave_one_out_sum_from_ranks_one_and_two(self):
+        """sum_l prod_{j != l} F_j over the rivals equals P2 + (m - 1) P1."""
+        s = np.linspace(0, 1.3, 2001)
+        F = np.vstack([d.cdf(s) for d in SIX_AD_FIELD])
+        for i in range(len(SIX_AD_FIELD)):
+            rivals = [j for j in range(len(SIX_AD_FIELD)) if j != i]
+            loo = sum(np.prod(F[[j for j in rivals if j != l]], axis=0) for l in rivals)
+            p1, p2 = rank_table(F, i)[:2]
+            np.testing.assert_allclose(p2 + len(rivals) * p1, loo, rtol=0, atol=1e-14)
 
     def test_single_ad_unsupported(self):
         with pytest.raises(RankUnreachable):
             top_rank_decomposition([U01], 0)
-
-
-class TestRankProbabilityHandle:
-    def test_bundles_conditional_and_marginal(self):
-        handle = rank_probability([U01, U01], 0, 1)
-        assert handle(0.7) == pytest.approx(0.7)
-        assert handle.marginal == pytest.approx(0.5, abs=1e-9)
-        grid = np.linspace(0, 1, 101)
-        values = handle(grid)
-        assert np.all((0 <= values) & (values <= 1))
 
 
 class TestHistogramInterop:
