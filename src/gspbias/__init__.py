@@ -17,7 +17,6 @@ from .engine import (
     Context,
     CpcStudyConfig,
     ImpressionLog,
-    ImpressionRecord,
     TrialResult,
     conditional_rank_samples,
     run_ab_experiment,
@@ -60,7 +59,7 @@ __all__ = [
     "Ad", "AuctionOutcome", "ScoredAd", "SelectionEvent",
     "build_selection_event", "gsp_price", "rank_ads", "run_auction",
     "AbConfig", "AdSpec", "BucketSpec", "Context", "CpcStudyConfig",
-    "ImpressionLog", "ImpressionRecord", "TrialResult",
+    "ImpressionLog", "TrialResult",
     "conditional_rank_samples", "run_ab_experiment", "run_cpc_study",
     "sample_rank_stats",
     "CountWindow", "PoolHyperParams",

@@ -191,11 +191,15 @@ def _load_cpc(parser) -> tuple[CpcSuite, int | None]:
     suite_bids = bids * n_ads if len(bids) == 1 else bids
     if len(suite_bids) != n_ads:
         raise ConfigError("study.bids", f"need 1 or {n_ads} values, got {len(bids)}")
-    suite = CpcSuite(
-        settings=tuple(settings), bids=suite_bids, trials=trials,
-        cpc_hist_width=study.get_float("cpc_hist_width", default="0.01"),
-        score_hist_width=study.get_float("score_hist_width", default="0.0005"),
-    )
+    if any(not b >= 0 for b in suite_bids):
+        raise ConfigError("study.bids", f"must be >= 0, got {bids}")
+    cpc_width = study.get_float("cpc_hist_width", default="0.01")
+    score_width = study.get_float("score_hist_width", default="0.0005")
+    for key, width in (("cpc_hist_width", cpc_width), ("score_hist_width", score_width)):
+        if not width > 0:
+            raise ConfigError(f"study.{key}", f"must be > 0, got {width}")
+    suite = CpcSuite(settings=tuple(settings), bids=suite_bids, trials=trials,
+                     cpc_hist_width=cpc_width, score_hist_width=score_width)
     return suite, _seed_of(study)
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Iterator, Literal
+from typing import Literal
 
 import numpy as np
 from scipy import stats
@@ -236,22 +236,6 @@ class AbConfig:
         return np.clip(np.outer(base, mult), 0.0, 1.0)
 
 
-@dataclass(frozen=True)
-class ImpressionRecord:
-    """One display event."""
-
-    day: int
-    bucket: str
-    site: int
-    pos: int
-    ad_id: int
-    mode: str
-    pred_ctr: float
-    bid: float
-    cpc: float
-    click: int
-
-
 @dataclass
 class ImpressionLog:
     """Column-oriented impression records for one bucket, in access order."""
@@ -269,19 +253,6 @@ class ImpressionLog:
 
     def __len__(self) -> int:
         return len(self.day)
-
-    def __getitem__(self, i: int) -> ImpressionRecord:
-        return ImpressionRecord(
-            day=int(self.day[i]), bucket=self.bucket, site=int(self.site[i]),
-            pos=int(self.pos[i]), ad_id=int(self.ad_id[i]),
-            mode="random" if self.random_mode[i] else "greedy",
-            pred_ctr=float(self.pred_ctr[i]), bid=float(self.bid[i]),
-            cpc=float(self.cpc[i]), click=int(self.click[i]),
-        )
-
-    def __iter__(self) -> Iterator[ImpressionRecord]:
-        for i in range(len(self)):
-            yield self[i]
 
     def after_day(self, first_day: int) -> "ImpressionLog":
         """Records from ``first_day`` on (evaluation split after burn-in)."""

@@ -3,6 +3,15 @@
 All text files are UTF-8 with LF line endings and a mandatory header row for
 CSV.  Floats are written with shortest round-trip formatting so identical
 runs produce identical bytes.
+
+The impression writers format each distinct record of a log once.  An A/B
+log repeats heavily, since (day, context, ad, mode) fixes the predicted CTR,
+bid and CPC, so a 504,000-row bucket holds about 16,000 distinct records.
+The writers group identical rows by a stable sort over every column (floats
+by their bits), format one line per group, then write the file
+``CHUNK_ROWS`` rows at a time by indexing that table with each row's record
+id.  Beyond the log itself, memory is the record table, a few integer
+arrays of log length and one chunk of text, whatever the log length.
 """
 
 from __future__ import annotations
@@ -10,6 +19,8 @@ from __future__ import annotations
 import json
 from pathlib import Path
 from typing import Iterable
+
+import numpy as np
 
 from .engine import ImpressionLog, TrialResult
 from .metrics import Histogram
@@ -84,30 +95,59 @@ IMPRESSION_HEADER = ["day", "bucket", "site", "pos", "ad_id", "mode",
                      "pred_ctr", "bid", "cpc", "click"]
 
 
-def write_impressions_csv(path: Path, log: ImpressionLog) -> None:
+# rows joined into one write by the impression writers
+CHUNK_ROWS = 65536
+
+
+def _distinct_records(log: ImpressionLog) -> tuple[np.ndarray, np.ndarray]:
+    """Group identical records: (first row of each distinct record, record id per row).
+
+    Floats compare by their bits, so ``-0.0`` and ``0.0`` stay apart.
+    """
+    floats = (log.pred_ctr, log.bid, log.cpc)
+    keys = [log.day, log.site, log.pos, log.ad_id, log.random_mode, log.click,
+            *(np.asarray(col, dtype=np.float64).view(np.int64) for col in floats)]
+    order = np.lexsort(keys)
+    starts = np.zeros(len(order), dtype=bool)
+    starts[:1] = True
+    for key in keys:
+        ranked = key[order]
+        starts[1:] |= ranked[1:] != ranked[:-1]
+    ids = np.empty(len(order), dtype=np.int64)
+    ids[order] = np.cumsum(starts) - 1
+    return order[starts], ids
+
+
+def _write_records(path: Path, header: str, table: list[str], ids: np.ndarray) -> None:
+    lines = np.array(table, dtype=object)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(IMPRESSION_HEADER) + "\n")
-        day, site, pos = log.day.tolist(), log.site.tolist(), log.pos.tolist()
-        ad_id, click = log.ad_id.tolist(), log.click.tolist()
-        pred, bid, cpc = log.pred_ctr.tolist(), log.bid.tolist(), log.cpc.tolist()
-        for i in range(len(day)):
-            mode = "random" if log.random_mode[i] else "greedy"
-            fh.write(f"{day[i]},{log.bucket},{site[i]},{pos[i]},"
-                     f"{ad_id[i]},{mode},{pred[i]!r},{bid[i]!r},"
-                     f"{cpc[i]!r},{click[i]}\n")
+        fh.write(header)
+        for start in range(0, len(ids), CHUNK_ROWS):
+            fh.write("".join(lines[ids[start:start + CHUNK_ROWS]].tolist()))
+
+
+def write_impressions_csv(path: Path, log: ImpressionLog) -> None:
+    first, ids = _distinct_records(log)
+    columns = (log.day, log.site, log.pos, log.ad_id, log.random_mode,
+               log.pred_ctr, log.bid, log.cpc, log.click)
+    table = [f"{day},{log.bucket},{site},{pos},{ad_id},"
+             f"{'random' if random_mode else 'greedy'},{pred!r},{bid!r},{cpc!r},{click}\n"
+             for day, site, pos, ad_id, random_mode, pred, bid, cpc, click
+             in zip(*(col[first].tolist() for col in columns))]
+    _write_records(path, ",".join(IMPRESSION_HEADER) + "\n", table, ids)
 
 
 def write_impressions_jsonl(path: Path, log: ImpressionLog) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for i in range(len(log)):
-            fh.write(json.dumps({
-                "day": int(log.day[i]), "bucket": log.bucket,
-                "site": int(log.site[i]), "pos": int(log.pos[i]),
-                "ad_id": int(log.ad_id[i]),
-                "mode": "random" if log.random_mode[i] else "greedy",
-                "pred_ctr": float(log.pred_ctr[i]), "bid": float(log.bid[i]),
-                "cpc": float(log.cpc[i]), "click": int(log.click[i]),
-            }, sort_keys=True) + "\n")
+    first, ids = _distinct_records(log)
+    table = [json.dumps({
+        "day": int(log.day[i]), "bucket": log.bucket,
+        "site": int(log.site[i]), "pos": int(log.pos[i]),
+        "ad_id": int(log.ad_id[i]),
+        "mode": "random" if log.random_mode[i] else "greedy",
+        "pred_ctr": float(log.pred_ctr[i]), "bid": float(log.bid[i]),
+        "cpc": float(log.cpc[i]), "click": int(log.click[i]),
+    }, sort_keys=True) + "\n" for i in first.tolist()]
+    _write_records(path, "", table, ids)
 
 
 class ArtifactSet:

@@ -159,6 +159,22 @@ class TestConfigLoading:
         assert rc == 3
         assert "setting.a.true_ctrs" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, value", [("cpc_hist_width", "0.0"),
+                                              ("score_hist_width", "-0.001")])
+    def test_nonpositive_hist_width_rejected(self, tmp_path, capsys, field, value):
+        bad = SMALL_CPC.replace("bids = 1.0", f"bids = 1.0\n{field} = {value}")
+        rc = run_cli("simulate-cpc", "--config", write_cfg(tmp_path, bad),
+                     "--out", tmp_path / "out")
+        assert rc == 3
+        assert f"study.{field}" in capsys.readouterr().err
+
+    def test_negative_bid_rejected(self, tmp_path, capsys):
+        bad = SMALL_CPC.replace("bids = 1.0", "bids = -1.0")
+        rc = run_cli("simulate-cpc", "--config", write_cfg(tmp_path, bad),
+                     "--out", tmp_path / "out")
+        assert rc == 3
+        assert "study.bids" in capsys.readouterr().err
+
     def test_distribution_specs(self):
         assert parse_distribution("uniform:0:1").kind == "uniform"
         assert parse_distribution("beta:2:38:1.5").upper == 1.5
