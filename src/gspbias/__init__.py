@@ -17,7 +17,7 @@ from .engine import (
     Context,
     CpcStudyConfig,
     ImpressionLog,
-    TrialResult,
+    TrialTable,
     conditional_rank_samples,
     run_ab_experiment,
     run_cpc_study,
@@ -59,7 +59,7 @@ __all__ = [
     "Ad", "AuctionOutcome", "ScoredAd", "SelectionEvent",
     "build_selection_event", "gsp_price", "rank_ads", "run_auction",
     "AbConfig", "AdSpec", "BucketSpec", "Context", "CpcStudyConfig",
-    "ImpressionLog", "TrialResult",
+    "ImpressionLog", "TrialTable",
     "conditional_rank_samples", "run_ab_experiment", "run_cpc_study",
     "sample_rank_stats",
     "CountWindow", "PoolHyperParams",

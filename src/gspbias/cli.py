@@ -119,6 +119,7 @@ def cmd_simulate_cpc(args) -> int:
     seed = _resolve_seed(args.seed, loaded.seed)
     n_trials = args.trials if args.trials is not None else suite.trials
     arts = ArtifactSet(args.out)
+    bids = np.asarray(suite.bids)
     table_rows = []
     settings_payload = {}
     for idx, setting in enumerate(suite.settings):
@@ -129,28 +130,35 @@ def cmd_simulate_cpc(args) -> int:
         )
         trials = run_cpc_study(cfg)
         summary = cpc_summary(trials, setting.true_ctrs, suite.bids)
+        mean, ratio = _nn(summary.mean_observed_cpc), _nn(summary.ratio)
+        # an undefined value is an empty cell, as in calibration_table.csv
         table_rows.append((f"({setting.name})", summary.expected_cpc,
-                           summary.mean_observed_cpc, summary.ratio))
-        cpcs = [t.cpc for t in trials if not t.degenerate]
-        if cpcs:
+                           "" if mean is None else mean, "" if ratio is None else ratio))
+        cpcs = trials.cpc[~trials.degenerate]
+        if cpcs.size:
             write_histogram_csv(arts.path(f"cpc_hist_{setting.name}.csv"),
                                 build_histogram(cpcs, suite.cpc_hist_width))
-        m = len(setting.true_ctrs)
-        for rank in range(1, m + 1):
-            ordered = [t.estimates[t.ranking[rank - 1]] * suite.bids[t.ranking[rank - 1]]
-                       for t in trials]
+        for rank in range(1, len(setting.true_ctrs) + 1):
+            holders = trials.order[:, rank - 1]
+            ordered = trials.estimates[np.arange(len(trials)), holders] * bids[holders]
             write_histogram_csv(arts.path(f"ordstat_hist_{setting.name}_rank{rank}.csv"),
                                 build_histogram(ordered, suite.score_hist_width))
         entry = {
             "expected_cpc": summary.expected_cpc,
-            "mean_observed_cpc": _nn(summary.mean_observed_cpc),
-            "ratio": _nn(summary.ratio),
+            "mean_observed_cpc": mean,
+            "ratio": ratio,
             "observed_se": _nn(summary.observed_se),
             "ratio_of_means": _nn(summary.ratio_of_means),
             "ratio_of_means_se": _nn(summary.ratio_of_means_se),
             "degenerate_trials": summary.degenerate_trials,
             "trials": n_trials,
         }
+        if summary.trials_used == 0:
+            entry["ratio_undefined_reason"] = ("every trial is degenerate (top estimate 0), "
+                                               "so no price was observed")
+        elif ratio is None:
+            entry["ratio_undefined_reason"] = ("expected CPC is 0 "
+                                               "(no runner-up, or its true score is 0)")
         try:
             rep = bias_report(trials, setting.true_ctrs, suite.bids, suite.score_hist_width)
             entry["per_rank"] = [{

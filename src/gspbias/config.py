@@ -9,6 +9,7 @@ ConfigError with the dotted path of the offending field.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -174,7 +175,10 @@ def _load_cpc(parser) -> tuple[CpcSuite, int | None]:
         if any(not 0.0 < c <= 1.0 for c in ctrs):
             # a zero CTR leaves its bias factor and the expected CPC undefined
             raise ConfigError(f"{sec.name}.true_ctrs", f"CTRs must lie in (0, 1], got {ctrs}")
-        imps = tuple(int(x) for x in sec.get_floats("impressions"))
+        counts = sec.get_floats("impressions")
+        if not all(n.is_integer() for n in counts):  # also rejects nan and inf
+            raise ConfigError(f"{sec.name}.impressions", f"must be whole numbers, got {counts}")
+        imps = tuple(int(n) for n in counts)
         if len(imps) == 1:
             imps = imps * len(ctrs)
         if len(imps) != len(ctrs):
@@ -191,8 +195,8 @@ def _load_cpc(parser) -> tuple[CpcSuite, int | None]:
     suite_bids = bids * n_ads if len(bids) == 1 else bids
     if len(suite_bids) != n_ads:
         raise ConfigError("study.bids", f"need 1 or {n_ads} values, got {len(bids)}")
-    if any(not b >= 0 for b in suite_bids):
-        raise ConfigError("study.bids", f"must be >= 0, got {bids}")
+    if any(not 0 <= b < math.inf for b in suite_bids):
+        raise ConfigError("study.bids", f"must be finite and >= 0, got {bids}")
     cpc_width = study.get_float("cpc_hist_width", default="0.01")
     score_width = study.get_float("score_hist_width", default="0.0005")
     for key, width in (("cpc_hist_width", cpc_width), ("score_hist_width", score_width)):
@@ -247,8 +251,8 @@ def _load_ab(parser) -> tuple[AbConfig, int | None]:
             raise ConfigError(sec.name, "ad section suffix must be the integer ad id") from None
         bid = sec.get_float("bid")
         ctr = sec.get_float("base_ctr")
-        if bid < 0:
-            raise ConfigError(f"{sec.name}.bid", f"must be >= 0, got {bid}")
+        if not 0 <= bid < math.inf:
+            raise ConfigError(f"{sec.name}.bid", f"must be finite and >= 0, got {bid}")
         if not 0.0 <= ctr <= 1.0:
             raise ConfigError(f"{sec.name}.base_ctr", f"must lie in [0, 1], got {ctr}")
         ads.append(AdSpec(id=ad_id, bid=bid, base_ctr=ctr))

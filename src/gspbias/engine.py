@@ -71,17 +71,43 @@ class CpcStudyConfig:
             raise ValueError("trials must be >= 1")
 
 
-@dataclass(frozen=True)
-class TrialResult:
-    """One simulated auction: estimates, ranking, price."""
+# Named for its first caller, ab-run's per-context auctions; bench/tracer.py
+# patches it by this name.
+def rank_contexts(bids: np.ndarray, est: np.ndarray):
+    """Rank and price one auction per row of ``est`` (ads on columns).
 
-    trial: int
-    estimates: tuple[float, ...]
-    ranking: tuple[int, ...]   # ad indices, best first
-    winner: int
-    cpc: float                 # 0.0 on degenerate trials
-    ranks: tuple[int, ...]     # realized rank of each ad, 1-based
-    degenerate: bool           # top estimate was zero; excluded from price averages
+    Returns ``(order, cpc, degenerate)``: ad indices best first by bid x
+    estimate, score ties falling to the lower index as in ``rank_ads``; the
+    winner's GSP price, the runner-up's score over the winner's estimate; and
+    whether the winner's estimate is zero with rivals present, the case where
+    ``gsp_price`` raises DegeneratePrice.  Such an auction has no finite price
+    and prices at 0.  A single ad has no runner-up: it prices at 0 and is
+    never degenerate.
+    """
+    scores = est * bids
+    order = np.argsort(-scores, axis=1, kind="stable")
+    n, m = est.shape
+    if m == 1:
+        return order, np.zeros(n), np.zeros(n, dtype=bool)
+    rows = np.arange(n)
+    top_est = est[rows, order[:, 0]]
+    degenerate = top_est == 0.0
+    runner_score = scores[rows, order[:, 1]]
+    cpc = np.where(degenerate, 0.0, runner_score / np.where(degenerate, 1.0, top_est))
+    return order, cpc, degenerate
+
+
+@dataclass
+class TrialTable:
+    """All trials of one setting in columns; row t is trial t."""
+
+    estimates: np.ndarray = field(repr=False)   # (trials, ads)
+    order: np.ndarray = field(repr=False)       # (trials, ads) ad indices, best first
+    cpc: np.ndarray = field(repr=False)         # (trials,) 0.0 on degenerate trials
+    degenerate: np.ndarray = field(repr=False)  # (trials,) excluded from price averages
+
+    def __len__(self) -> int:
+        return len(self.cpc)
 
 
 def _cpc_chunk(config: CpcStudyConfig, key: np.ndarray, lo: int, hi: int):
@@ -93,24 +119,10 @@ def _cpc_chunk(config: CpcStudyConfig, key: np.ndarray, lo: int, hi: int):
         counts = stats.binom.ppf(np.maximum(u[:, j], _PPF_FLOOR),
                                  config.impressions[j], config.true_ctrs[j])
         est[:, j] = counts / config.impressions[j]
-    scores = est * np.asarray(config.bids)
-    order = np.argsort(-scores, axis=1, kind="stable")  # ties fall to the lower index
-    rows = np.arange(hi - lo)
-    top = order[:, 0]
-    top_est = est[rows, top]
-    degenerate = top_est == 0.0
-    if m > 1:
-        runner_score = scores[rows, order[:, 1]]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cpc = np.where(degenerate, 0.0, runner_score / np.where(degenerate, 1.0, top_est))
-    else:
-        cpc = np.zeros(hi - lo)
-        degenerate = np.zeros(hi - lo, dtype=bool)
-    ranks = np.argsort(order, axis=1) + 1
-    return est, order, cpc, ranks, degenerate
+    return (est, *rank_contexts(np.asarray(config.bids), est))
 
 
-def run_cpc_study(config: CpcStudyConfig) -> list[TrialResult]:
+def run_cpc_study(config: CpcStudyConfig) -> TrialTable:
     """All trials of one setting, in trial order.
 
     Trial t's draws come from blocks owned by unit t of the stream keyed
@@ -124,37 +136,20 @@ def run_cpc_study(config: CpcStudyConfig) -> list[TrialResult]:
             chunks = list(pool.map(lambda r: _cpc_chunk(config, key, *r), ranges))
     else:
         chunks = [_cpc_chunk(config, key, lo, hi) for lo, hi in ranges]
-    results: list[TrialResult] = []
-    for (lo, _hi), (est, order, cpc, ranks, degenerate) in zip(ranges, chunks):
-        # bulk array-to-list conversion; per-element tuple() is far slower
-        est_l = est.tolist()
-        order_l = order.tolist()
-        cpc_l = cpc.tolist()
-        ranks_l = ranks.tolist()
-        degen_l = degenerate.tolist()
-        for r in range(len(est_l)):
-            ranking = tuple(order_l[r])
-            results.append(TrialResult(
-                trial=lo + r,
-                estimates=tuple(est_l[r]),
-                ranking=ranking,
-                winner=ranking[0],
-                cpc=cpc_l[r],
-                ranks=tuple(ranks_l[r]),
-                degenerate=degen_l[r],
-            ))
-    return results
+    est, order, cpc, degenerate = (np.concatenate(col) for col in zip(*chunks))
+    return TrialTable(estimates=est, order=order, cpc=cpc, degenerate=degenerate)
 
 
-def conditional_rank_samples(trials: list[TrialResult], ad_index: int, rank: int,
+def conditional_rank_samples(trials: TrialTable, ad_index: int, rank: int,
                              bid: float = 1.0) -> np.ndarray:
     """Scores (bid x estimate) of one ad over the trials where it held ``rank``."""
-    if not trials:
+    if not len(trials):
         raise RankUnreachable("no trials")
-    picked = [t.estimates[ad_index] * bid for t in trials if t.ranks[ad_index] == rank]
-    if not picked:
-        raise RankUnreachable(f"ad {ad_index} never realized rank {rank}")
-    return np.asarray(picked)
+    if 1 <= rank <= trials.order.shape[1]:
+        picked = trials.estimates[trials.order[:, rank - 1] == ad_index, ad_index] * bid
+        if picked.size:
+            return picked
+    raise RankUnreachable(f"ad {ad_index} never realized rank {rank}")
 
 
 # ---------------------------------------------------------------------------
@@ -291,28 +286,6 @@ def estimate_matrix(estimator: EstimatorName, window: CountWindow,
     return est
 
 
-def rank_contexts(bids: np.ndarray, est: np.ndarray):
-    """Per-context greedy winner index, runner-up index, and winner CPC.
-
-    Auctions whose top score is zero (every estimate zero) price at 0
-    rather than erroring; they carry no information to price with.
-    """
-    scores = bids[:, None] * est
-    order = np.argsort(-scores, axis=0, kind="stable")
-    ctx_idx = np.arange(est.shape[1])
-    top = order[0]
-    if est.shape[0] > 1:
-        second = order[1]
-        top_est = est[top, ctx_idx]
-        runner_score = scores[second, ctx_idx]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cpc = np.where(top_est > 0.0, runner_score / np.where(top_est > 0.0, top_est, 1.0), 0.0)
-    else:
-        second = top
-        cpc = np.zeros(est.shape[1])
-    return top, second, cpc
-
-
 def _serve_day(config: AbConfig, estimator_code: int, day: int,
                est: np.ndarray, true_ctr: np.ndarray):
     """Vectorized traffic for one bucket-day.
@@ -323,13 +296,13 @@ def _serve_day(config: AbConfig, estimator_code: int, day: int,
     """
     m, n_ctx = est.shape
     bids = np.array([ad.bid for ad in config.ads])
-    top, _second, cpc_ctx = rank_contexts(bids, est)
+    order, cpc_ctx, _degenerate = rank_contexts(bids, est.T)
     key = rng.stream_key(config.seed, STREAM_AB, estimator_code, day)
     u = rng.unit_uniforms(key, 0, config.traffic_per_day)
     ctx = np.minimum((u[:, 0] * n_ctx).astype(np.int64), n_ctx - 1)
     explore = u[:, 1] < config.epsilon
     pick = np.minimum((u[:, 2] * m).astype(np.int64), m - 1)
-    winner = np.where(explore, pick, top[ctx])
+    winner = np.where(explore, pick, order[ctx, 0])
     click = (u[:, 3] < true_ctr[winner, ctx]).astype(np.int8)
     return ctx, explore, winner, click, np.where(explore, 0.0, cpc_ctx[ctx]), est[winner, ctx]
 

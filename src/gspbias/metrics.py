@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats as sp_stats
 
-from .engine import ImpressionLog, TrialResult, conditional_rank_samples
+from .engine import ImpressionLog, TrialTable
 from .errors import GridMismatch, RankUnreachable, UndefinedCalibration, UndefinedRatio
 
 MIN_BIAS_TRIALS = 100
@@ -30,37 +30,23 @@ def _true_ranking(true_ctrs, bids) -> list[int]:
 class BiasFactor:
     rank: int
     value: float
-    se: float | None
+    se: float
     trials_used: int
 
 
-def selection_bias(trials: list[TrialResult], true_ctrs: tuple[float, ...],
-                   rank: int, per_trial_attribution: bool = True,
-                   bids: tuple[float, ...] | None = None) -> BiasFactor:
+def selection_bias(trials: TrialTable, true_ctrs: tuple[float, ...], rank: int) -> BiasFactor:
     """Multiplicative bias of the rank-k CTR estimate against the true CTR.
 
-    With per-trial attribution (default) each trial's rank-k estimate is
-    divided by the true CTR of the ad holding rank k in that trial, then
-    averaged.  The alternative divides the averaged rank-k estimate by the
-    true CTR of the ad holding rank k under true-score ordering.
+    Each trial's rank-k estimate is divided by the true CTR of the ad holding
+    rank k in that trial, then averaged.
     """
-    bids = bids if bids is not None else (1.0,) * len(true_ctrs)
-    holders = np.array([t.ranking[rank - 1] for t in trials])
-    estimates = np.array([t.estimates[t.ranking[rank - 1]] for t in trials])
-    if len(trials) < MIN_BIAS_TRIALS:
-        raise RankUnreachable(
-            f"rank {rank} has {len(trials)} trials, need >= {MIN_BIAS_TRIALS}")
-    ctrs = np.asarray(true_ctrs)
-    if per_trial_attribution:
-        ratios = estimates / ctrs[holders]
-        value = float(ratios.mean())
-        se = float(ratios.std(ddof=1) / np.sqrt(len(ratios))) if len(ratios) > 1 else None
-    else:
-        fixed_ad = _true_ranking(true_ctrs, bids)[rank - 1]
-        value = float(estimates.mean() / ctrs[fixed_ad])
-        se = (float(estimates.std(ddof=1) / np.sqrt(len(estimates)) / ctrs[fixed_ad])
-              if len(estimates) > 1 else None)
-    return BiasFactor(rank=rank, value=value, se=se, trials_used=len(trials))
+    n = len(trials)
+    if n < MIN_BIAS_TRIALS:
+        raise RankUnreachable(f"rank {rank} has {n} trials, need >= {MIN_BIAS_TRIALS}")
+    holders = trials.order[:, rank - 1]
+    ratios = trials.estimates[np.arange(n), holders] / np.asarray(true_ctrs)[holders]
+    se = float(ratios.std(ddof=1) / np.sqrt(n))
+    return BiasFactor(rank=rank, value=float(ratios.mean()), se=se, trials_used=n)
 
 
 @dataclass(frozen=True)
@@ -77,7 +63,7 @@ class CpcSummary:
     trials_used: int
 
 
-def cpc_summary(trials: list[TrialResult], true_ctrs: tuple[float, ...],
+def cpc_summary(trials: TrialTable, true_ctrs: tuple[float, ...],
                 bids: tuple[float, ...] | None = None) -> CpcSummary:
     """Average realized price over non-degenerate trials, and its true target."""
     bids = bids if bids is not None else (1.0,) * len(true_ctrs)
@@ -86,38 +72,43 @@ def cpc_summary(trials: list[TrialResult], true_ctrs: tuple[float, ...],
         expected = (bids[order[1]] * true_ctrs[order[1]]) / true_ctrs[order[0]]
     else:
         expected = 0.0
-    ok = [t for t in trials if not t.degenerate]
-    degenerate = len(trials) - len(ok)
-    if not ok:
+    ok = ~trials.degenerate
+    used = int(ok.sum())
+    degenerate = len(trials) - used
+    if not used:
         return CpcSummary(expected_cpc=expected, mean_observed_cpc=float("nan"),
                           ratio=float("nan"), observed_se=None,
                           ratio_of_means=float("nan"), ratio_of_means_se=None,
                           degenerate_trials=degenerate, trials_used=0)
-    cpcs = np.array([t.cpc for t in ok])
+    cpcs = trials.cpc[ok]
     mean_cpc = float(cpcs.mean())
-    se = float(cpcs.std(ddof=1) / np.sqrt(len(cpcs))) if len(ok) > 1 else None
+    se = float(cpcs.std(ddof=1) / np.sqrt(used)) if used > 1 else None
     # numerator/denominator of the per-trial price, averaged separately
-    top_est = np.array([t.estimates[t.ranking[0]] for t in ok])
-    runner_score = np.array([t.estimates[t.ranking[1]] * bids[t.ranking[1]] for t in ok]) \
-        if len(true_ctrs) > 1 else np.zeros(len(ok))
-    if len(ok) and top_est.mean() > 0:
-        rom = float(runner_score.mean() / top_est.mean())
-        if len(ok) > 1:
-            mx, my = runner_score.mean(), top_est.mean()
-            vx = runner_score.var(ddof=1) / len(ok)
-            vy = top_est.var(ddof=1) / len(ok)
-            cxy = float(np.cov(runner_score, top_est, ddof=1)[0, 1]) / len(ok)
-            rom_se = abs(rom) * float(
-                np.sqrt(max(vx / mx ** 2 + vy / my ** 2 - 2 * cxy / (mx * my), 0.0)))
-        else:
-            rom_se = None
+    est, ranking, rows = trials.estimates[ok], trials.order[ok], np.arange(used)
+    top_est = est[rows, ranking[:, 0]]
+    if len(true_ctrs) > 1:
+        runner_score = est[rows, ranking[:, 1]] * np.asarray(bids)[ranking[:, 1]]
     else:
-        rom, rom_se = float("nan"), None
+        runner_score = np.zeros(used)
+    mx, my = runner_score.mean(), top_est.mean()
+    rom, rom_se = float("nan"), None
+    if my > 0:
+        rom = float(mx / my)
+        if used > 1:
+            vx = runner_score.var(ddof=1) / used
+            if mx == 0:
+                # every runner-up score is zero: the delta method's limit as mx -> 0
+                rom_se = float(np.sqrt(vx) / my)
+            else:
+                vy = top_est.var(ddof=1) / used
+                cxy = float(np.cov(runner_score, top_est, ddof=1)[0, 1]) / used
+                rom_se = abs(rom) * float(
+                    np.sqrt(max(vx / mx ** 2 + vy / my ** 2 - 2 * cxy / (mx * my), 0.0)))
     return CpcSummary(
         expected_cpc=expected, mean_observed_cpc=mean_cpc,
         ratio=mean_cpc / expected if expected > 0 else float("nan"),
         observed_se=se, ratio_of_means=rom, ratio_of_means_se=rom_se,
-        degenerate_trials=degenerate, trials_used=len(ok),
+        degenerate_trials=degenerate, trials_used=used,
     )
 
 
@@ -292,7 +283,7 @@ class BiasReport:
     degenerate_trials: int
 
 
-def bias_report(trials: list[TrialResult], true_ctrs: tuple[float, ...],
+def bias_report(trials: TrialTable, true_ctrs: tuple[float, ...],
                 bids: tuple[float, ...] | None = None,
                 hist_width: float = 0.0005) -> BiasReport:
     """Assemble bias factors, ordered-score moments, and splittability verdicts."""
@@ -303,12 +294,11 @@ def bias_report(trials: list[TrialResult], true_ctrs: tuple[float, ...],
     per_rank = []
     rank_scores = []
     for rank in range(1, m + 1):
-        factor = selection_bias(trials, true_ctrs, rank, bids=bids)
-        scores = np.concatenate([
-            conditional_rank_samples(trials, i, rank, bid=bids[i])
-            if any(t.ranks[i] == rank for t in trials) else np.empty(0)
-            for i in range(m)
-        ])
+        factor = selection_bias(trials, true_ctrs, rank)
+        holders = trials.order[:, rank - 1]
+        # grouped by ad, then in trial order
+        scores = np.concatenate([trials.estimates[holders == i, i] * bids[i]
+                                 for i in range(m)])
         rank_scores.append(scores)
         per_rank.append(RankBiasSummary(
             rank=rank, bias_factor=factor.value, bias_se=factor.se,
@@ -329,5 +319,5 @@ def bias_report(trials: list[TrialResult], true_ctrs: tuple[float, ...],
     return BiasReport(
         per_rank=tuple(per_rank),
         adjacent_splittable=tuple(splittable),
-        degenerate_trials=sum(1 for t in trials if t.degenerate),
+        degenerate_trials=int(trials.degenerate.sum()),
     )

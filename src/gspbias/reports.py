@@ -22,7 +22,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .engine import ImpressionLog, TrialResult
+from .engine import ImpressionLog, TrialTable
 from .metrics import Histogram
 
 
@@ -67,27 +67,34 @@ def read_histogram_csv(path: Path) -> tuple[list[float], list[float], list[int]]
     return lefts, rights, counts
 
 
-def write_trials_csv(path: Path, trials: list[TrialResult]) -> None:
-    if not trials:
+def _trial_columns(trials: TrialTable):
+    """Per-row lists: winner, cpc, degenerate, estimates, ranking, rank of each ad."""
+    ranks = np.argsort(trials.order, axis=1) + 1  # 1-based realized rank of each ad
+    return zip(trials.order[:, 0].tolist(), trials.cpc.tolist(), trials.degenerate.tolist(),
+               trials.estimates.tolist(), trials.order.tolist(), ranks.tolist())
+
+
+def write_trials_csv(path: Path, trials: TrialTable) -> None:
+    if not len(trials):
         raise ValueError("no trials to write")
-    m = len(trials[0].estimates)
+    m = trials.estimates.shape[1]
     header = (["trial", "winner", "cpc", "degenerate"]
               + [f"estimate_{i}" for i in range(m)]
               + [f"rank_{i}" for i in range(m)])
-    rows = ([t.trial, t.winner, t.cpc, int(t.degenerate)]
-            + [t.estimates[i] for i in range(m)]
-            + [t.ranks[i] for i in range(m)]
-            for t in trials)
+    rows = ([t, winner, cpc, int(degenerate), *estimates, *ranks]
+            for t, (winner, cpc, degenerate, estimates, _ranking, ranks)
+            in enumerate(_trial_columns(trials)))
     write_csv(path, header, rows)
 
 
-def write_trials_jsonl(path: Path, trials: list[TrialResult]) -> None:
+def write_trials_jsonl(path: Path, trials: TrialTable) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for t in trials:
+        for t, (winner, cpc, degenerate, estimates, ranking, ranks) in enumerate(
+                _trial_columns(trials)):
             fh.write(json.dumps({
-                "trial": t.trial, "winner": t.winner, "cpc": t.cpc,
-                "degenerate": t.degenerate, "estimates": list(t.estimates),
-                "ranking": list(t.ranking), "ranks": list(t.ranks),
+                "trial": t, "winner": winner, "cpc": cpc,
+                "degenerate": degenerate, "estimates": estimates,
+                "ranking": ranking, "ranks": ranks,
             }, sort_keys=True) + "\n")
 
 

@@ -131,8 +131,9 @@ def test_criterion_5_selection_bias_factors(table2_run):
     setting, trials, _summary = results["a"]
     b1 = selection_bias(trials, setting.true_ctrs, 1)
     b2 = selection_bias(trials, setting.true_ctrs, 2)
-    gaps = np.array([(t.estimates[t.ranking[0]] - t.estimates[t.ranking[1]]) / 0.05
-                     for t in trials])
+    rows = np.arange(len(trials))
+    gaps = (trials.estimates[rows, trials.order[:, 0]]
+            - trials.estimates[rows, trials.order[:, 1]]) / 0.05
     gap_se = gaps.std(ddof=1) / np.sqrt(len(gaps))
     ordered = b1.value >= b2.value and (b1.value - b2.value) > 5 * gap_se
     sep_cfg = CpcStudyConfig(name="sep", impressions=(20000, 20000),
@@ -286,13 +287,15 @@ def test_criterion_8_thread_determinism(tmp_path):
 
 def test_criterion_9_figure_shapes(table2_run):
     results, _ = table2_run
-    cpc_a = np.array([t.cpc for t in results["a"][1] if not t.degenerate])
+    trials_a = results["a"][1]
+    cpc_a = trials_a.cpc[~trials_a.degenerate]
     below, at_or_above = mass_split(cpc_a, 1.0)
     z = symmetry_z(cpc_a)
     skew_ok = below > at_or_above and abs(z) > 3.0
     trials_f = results["f"][1]
-    top = [t.estimates[t.ranking[0]] for t in trials_f]
-    second = [t.estimates[t.ranking[1]] for t in trials_f]
+    rows = np.arange(len(trials_f))
+    top = trials_f.estimates[rows, trials_f.order[:, 0]]
+    second = trials_f.estimates[rows, trials_f.order[:, 1]]
     overlap = histogram_overlap(build_histogram(top, 0.0005),
                                 build_histogram(second, 0.0005))
     report("9 figure-shapes", skew_ok and overlap < 0.01,

@@ -168,12 +168,28 @@ class TestConfigLoading:
         assert rc == 3
         assert f"study.{field}" in capsys.readouterr().err
 
-    def test_negative_bid_rejected(self, tmp_path, capsys):
-        bad = SMALL_CPC.replace("bids = 1.0", "bids = -1.0")
+    @pytest.mark.parametrize("field, value", [
+        ("study.bids", "-1.0"), ("study.bids", "inf"), ("study.bids", "1.0, nan"),
+        ("ad.2.bid", "-0.5"), ("ad.2.bid", "nan"), ("ad.2.bid", "inf"),
+    ])
+    def test_negative_bid_rejected(self, tmp_path, capsys, field, value):
+        """Negative and non-finite bids are config errors naming the field."""
+        if field == "study.bids":
+            command, text = "simulate-cpc", SMALL_CPC.replace("bids = 1.0", f"bids = {value}")
+        else:
+            command, text = "ab-run", SMALL_AB.replace("bid = 1.2", f"bid = {value}")
+        rc = run_cli(command, "--config", write_cfg(tmp_path, text), "--out", tmp_path / "out")
+        assert rc == 3
+        assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "2.7", "5000, -inf"])
+    def test_impressions_must_be_whole_numbers(self, tmp_path, capsys, value):
+        bad = SMALL_CPC.replace("impressions = 5000\ntrue_ctrs = 0.05, 0.04",
+                                f"impressions = {value}\ntrue_ctrs = 0.05, 0.04")
         rc = run_cli("simulate-cpc", "--config", write_cfg(tmp_path, bad),
                      "--out", tmp_path / "out")
         assert rc == 3
-        assert "study.bids" in capsys.readouterr().err
+        assert "setting.c.impressions" in capsys.readouterr().err
 
     def test_distribution_specs(self):
         assert parse_distribution("uniform:0:1").kind == "uniform"
@@ -252,13 +268,32 @@ class TestSimulateCpc:
 
     def test_emit_trials_formats(self, tmp_path):
         cfg = write_cfg(tmp_path, SMALL_CPC)
-        out = tmp_path / "fmt"
-        run_cli("simulate-cpc", "--config", cfg, "--out", out, "--trials", "20",
-                "--emit-trials", "--format", "both")
+        outs = {}
+        for threads in (1, 3):
+            outs[threads] = out = tmp_path / f"fmt{threads}"
+            assert run_cli("simulate-cpc", "--config", cfg, "--out", out, "--trials", "20",
+                           "--emit-trials", "--format", "both", "--threads", threads) == 0
+        out = outs[1]
         assert (out / "trials_a.csv").exists()
         lines = (out / "trials_a.jsonl").read_text().splitlines()
         assert len(lines) == 20
         assert json.loads(lines[0])["trial"] == 0
+        for name in ("trials_a.csv", "trials_a.jsonl", "trials_c.csv", "trials_c.jsonl"):
+            assert (out / name).read_bytes() == (outs[3] / name).read_bytes(), name
+
+    @pytest.mark.parametrize("bids", ["0.0", "1.0, 0.0"])
+    def test_zero_runner_up_bid_leaves_ratio_undefined(self, tmp_path, bids):
+        """A zero expected CPC gives an empty ratio cell and a reason, not NaN."""
+        cfg = write_cfg(tmp_path, SMALL_CPC.replace("bids = 1.0", f"bids = {bids}"))
+        out = tmp_path / "zero"
+        assert run_cli("simulate-cpc", "--config", cfg, "--out", out, "--trials", "300") == 0
+        table = (out / "table2.csv").read_text().splitlines()
+        assert table[1:] == ["(a),0.0,0.0,", "(c),0.0,0.0,"]
+        for entry in json.loads((out / "bias_report.json").read_text())["settings"].values():
+            assert entry["ratio"] is None
+            assert "expected CPC is 0" in entry["ratio_undefined_reason"]
+            assert entry["ratio_of_means"] == 0.0
+            assert entry["ratio_of_means_se"] == 0.0  # the delta method's limit at mx = 0
 
 
 class TestVerifyTheorems:

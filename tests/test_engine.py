@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gspbias.auction import ScoredAd, gsp_price, rank_ads
 from gspbias.engine import (
@@ -12,12 +14,13 @@ from gspbias.engine import (
     STREAM_AB,
     conditional_rank_samples,
     estimate_matrix,
+    rank_contexts,
     run_ab_experiment,
     run_cpc_study,
     sample_rank_stats,
 )
 from gspbias import rng
-from gspbias.errors import RankUnreachable
+from gspbias.errors import DegeneratePrice, RankUnreachable
 from gspbias.estimators import CountWindow
 from gspbias.oracle import ScoreDistribution
 
@@ -29,64 +32,73 @@ def study(trials=2000, seed=99, ctrs=(0.05, 0.04), n=(5000, 5000), bids=(1.0, 1.
                           threads=threads)
 
 
+def assert_tables_equal(a, b, rows=slice(None)):
+    """Table ``a`` equals rows ``rows`` of table ``b``, column by column."""
+    for col in ("estimates", "order", "cpc", "degenerate"):
+        np.testing.assert_array_equal(getattr(a, col), getattr(b, col)[rows], err_msg=col)
+
+
 class TestCpcStudy:
     def test_zero_variance_ctrs(self):
         """Certain clicks make every estimate 1 and every price the bid ratio."""
         trials = run_cpc_study(study(trials=50, ctrs=(1.0, 1.0), n=(10, 10)))
-        for t in trials:
-            assert t.estimates == (1.0, 1.0)
-            assert t.cpc == pytest.approx(1.0)
-            assert not t.degenerate
-            assert t.ranking == (0, 1)  # tie resolved to the lower index
+        assert len(trials) == 50
+        assert (trials.estimates == 1.0).all()
+        np.testing.assert_allclose(trials.cpc, 1.0)
+        assert not trials.degenerate.any()
+        assert (trials.order == [0, 1]).all()  # tie resolved to the lower index
 
     def test_trial_results_are_self_consistent(self):
-        for t in run_cpc_study(study(trials=500)):
-            assert sorted(t.ranking) == [0, 1]
-            assert t.winner == t.ranking[0]
-            assert t.ranks[t.ranking[0]] == 1 and t.ranks[t.ranking[1]] == 2
-            if not t.degenerate:
-                top, second = t.ranking
-                assert t.cpc == pytest.approx(t.estimates[second] / t.estimates[top])
-                assert t.cpc <= 1.0 + 1e-12  # unit bids: price capped by the bid
+        trials = run_cpc_study(study(trials=500))
+        est, order = trials.estimates, trials.order
+        assert est.shape == order.shape == (500, 2)
+        assert trials.cpc.shape == trials.degenerate.shape == (500,)
+        assert (np.sort(order, axis=1) == [0, 1]).all()
+        rows = np.arange(500)
+        ok = ~trials.degenerate
+        top, second = order[:, 0], order[:, 1]
+        np.testing.assert_allclose(trials.cpc[ok], est[rows, second][ok] / est[rows, top][ok])
+        assert (trials.cpc[ok] <= 1.0 + 1e-12).all()  # unit bids: price capped by the bid
 
     def test_matches_scalar_auction_ops(self):
         """The vectorized study agrees with rank_ads/gsp_price trial by trial."""
-        for t in run_cpc_study(study(trials=200, bids=(1.5, 0.7))):
+        trials = run_cpc_study(study(trials=200, bids=(1.5, 0.7)))
+        for est, order, cpc, degenerate in zip(trials.estimates.tolist(), trials.order.tolist(),
+                                               trials.cpc.tolist(), trials.degenerate.tolist()):
             scored = [ScoredAd.from_bid(i, b, e)
-                      for i, (b, e) in enumerate(zip((1.5, 0.7), t.estimates))]
-            assert list(t.ranking) == rank_ads(scored)
-            if not t.degenerate:
-                assert t.cpc == pytest.approx(gsp_price(list(t.ranking), scored))
+                      for i, (b, e) in enumerate(zip((1.5, 0.7), est))]
+            assert order == rank_ads(scored)
+            if not degenerate:
+                assert cpc == pytest.approx(gsp_price(order, scored))
 
     def test_trial_stream_is_position_independent(self):
         """Trial t sees the same draws no matter how many trials run."""
         short = run_cpc_study(study(trials=64))
         long = run_cpc_study(study(trials=512))
-        for a, b in zip(short, long):
-            assert a == b
+        assert_tables_equal(short, long, rows=slice(64))
 
     def test_thread_count_does_not_change_results(self):
         one = run_cpc_study(study(trials=700, threads=1))
         four = run_cpc_study(study(trials=700, threads=4))
-        assert one == four
+        assert_tables_equal(one, four)
 
     def test_settings_use_distinct_streams(self):
         a = run_cpc_study(study(trials=50, setting_index=0))
         b = run_cpc_study(study(trials=50, setting_index=1))
-        assert any(x.estimates != y.estimates for x, y in zip(a, b))
+        assert (a.estimates != b.estimates).any()
 
     def test_degenerate_trials_flagged(self):
         """Tiny impression counts make all-zero estimates likely; they are flagged."""
         trials = run_cpc_study(study(trials=4000, ctrs=(0.05, 0.05), n=(2, 2)))
-        degen = [t for t in trials if t.degenerate]
-        assert degen, "expected some all-zero-estimate trials at n=2"
-        for t in degen:
-            assert t.estimates[t.ranking[0]] == 0.0
-            assert t.cpc == 0.0
+        degen = trials.degenerate
+        assert degen.any(), "expected some all-zero-estimate trials at n=2"
+        top_est = trials.estimates[np.arange(len(trials)), trials.order[:, 0]]
+        assert (top_est[degen] == 0.0).all()
+        assert (trials.cpc[degen] == 0.0).all()
 
     def test_mean_binomial_estimates_unbiased(self):
         trials = run_cpc_study(study(trials=20000))
-        est = np.array([t.estimates for t in trials])
+        est = trials.estimates
         for j, (p, n) in enumerate(zip((0.05, 0.04), (5000, 5000))):
             se = np.sqrt(p * (1 - p) / n / len(trials))
             assert abs(est[:, j].mean() - p) < 4 * se
@@ -98,8 +110,9 @@ class TestConditionalRankSamples:
         trials = run_cpc_study(study(trials=2000, ctrs=(0.9, 0.01), n=(20000, 20000)))
         top = conditional_rank_samples(trials, 0, 1)
         assert len(top) == len(trials)
-        with pytest.raises(RankUnreachable):
-            conditional_rank_samples(trials, 0, 2)
+        for rank in (0, 2, 3):  # 0 and 3 are no rank of a two-ad auction
+            with pytest.raises(RankUnreachable):
+                conditional_rank_samples(trials, 0, rank)
 
     def test_rank_conditioning_orders_means(self):
         trials = run_cpc_study(study(trials=20000, ctrs=(0.05, 0.05)))
@@ -226,19 +239,44 @@ class TestAbExperiment:
 class TestRankContexts:
     def test_all_zero_estimates_price_zero(self):
         """An auction whose every estimate is zero has nothing to price with."""
-        from gspbias.engine import rank_contexts
         bids = np.array([1.0, 2.0, 0.5])
-        est = np.zeros((3, 2))
-        top, second, cpc = rank_contexts(bids, est)
-        np.testing.assert_array_equal(top, [0, 0])  # tie falls to the lowest id
+        est = np.zeros((2, 3))
+        order, cpc, degenerate = rank_contexts(bids, est)
+        np.testing.assert_array_equal(order[:, 0], [0, 0])  # tie falls to the lowest id
         np.testing.assert_array_equal(cpc, [0.0, 0.0])
+        np.testing.assert_array_equal(degenerate, [True, True])
 
     def test_zero_runner_up_prices_zero(self):
-        from gspbias.engine import rank_contexts
         bids = np.array([1.0, 1.0])
-        est = np.array([[0.1], [0.0]])
-        top, second, cpc = rank_contexts(bids, est)
-        assert top[0] == 0 and cpc[0] == 0.0
+        est = np.array([[0.1, 0.0]])
+        order, cpc, degenerate = rank_contexts(bids, est)
+        assert order[0, 0] == 0 and cpc[0] == 0.0 and not degenerate[0]
+
+    # a small pool makes ties and all-zero rows common
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), m=st.integers(1, 8))
+    def test_matches_scalar_reference(self, data, m):
+        """Row by row, the kernel ranks like rank_ads and prices like gsp_price."""
+        pool = st.sampled_from([0.0, 0.0, 0.01, 0.05, 0.1, 1 / 3, 1.0])
+        bids = data.draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 1.5, 7.0]),
+                                  min_size=m, max_size=m))
+        est = data.draw(st.lists(st.lists(pool, min_size=m, max_size=m),
+                                 min_size=1, max_size=6))
+        order, cpc, degenerate = rank_contexts(np.array(bids), np.array(est))
+        assert order.shape == (len(est), m)
+        assert cpc.shape == degenerate.shape == (len(est),)
+        for row, ranking, price, degen in zip(est, order.tolist(), cpc.tolist(),
+                                              degenerate.tolist()):
+            scored = [ScoredAd.from_bid(i, b, e) for i, (b, e) in enumerate(zip(bids, row))]
+            assert ranking == rank_ads(scored)
+            if m == 1:
+                assert price == 0.0 and not degen
+            try:
+                expected = gsp_price(ranking, scored)
+            except DegeneratePrice:
+                assert degen and price == 0.0
+            else:
+                assert not degen and price == expected
 
 
 class TestSampleRankStats:

@@ -8,6 +8,7 @@ from gspbias.engine import (
     Context,
     CpcStudyConfig,
     ImpressionLog,
+    TrialTable,
     run_ab_experiment,
     run_cpc_study,
 )
@@ -31,6 +32,17 @@ def run_setting(ctrs, n, trials=20000, seed=314, idx=0):
     cfg = CpcStudyConfig(name="x", impressions=(n, n), true_ctrs=ctrs,
                          bids=(1.0, 1.0), trials=trials, seed=seed, setting_index=idx)
     return run_cpc_study(cfg)
+
+
+def take(trials, rows):
+    """The trials at ``rows`` as a table of their own."""
+    return TrialTable(trials.estimates[rows], trials.order[rows],
+                      trials.cpc[rows], trials.degenerate[rows])
+
+
+def rank_estimates(trials, rank):
+    """Each trial's estimate at ``rank``, in trial order."""
+    return trials.estimates[np.arange(len(trials)), trials.order[:, rank - 1]]
 
 
 @pytest.fixture(scope="module")
@@ -74,9 +86,8 @@ class TestSelectionBias:
         b1 = selection_bias(trials_competitive, (0.05, 0.05), 1)
         b2 = selection_bias(trials_competitive, (0.05, 0.05), 2)
         assert b1.value > 1 > b2.value
-        gap_samples = np.array([
-            (t.estimates[t.ranking[0]] - t.estimates[t.ranking[1]]) / 0.05
-            for t in trials_competitive])
+        gap_samples = (rank_estimates(trials_competitive, 1)
+                       - rank_estimates(trials_competitive, 2)) / 0.05
         gap_se = gap_samples.std(ddof=1) / np.sqrt(len(gap_samples))
         assert b1.value - b2.value > 5 * gap_se
 
@@ -90,16 +101,9 @@ class TestSelectionBias:
             b = selection_bias(trials_tight, (0.05, 0.04), rank)
             assert abs(b.value - 1.0) < 2 * b.se
 
-    def test_fixed_ad_attribution_flag(self, trials_competitive):
-        per_trial = selection_bias(trials_competitive, (0.05, 0.05), 1)
-        fixed = selection_bias(trials_competitive, (0.05, 0.05), 1,
-                               per_trial_attribution=False)
-        # identical true CTRs: the two attributions coincide
-        assert fixed.value == pytest.approx(per_trial.value, rel=1e-12)
-
     def test_too_few_trials(self, trials_competitive):
         with pytest.raises(RankUnreachable):
-            selection_bias(trials_competitive[:50], (0.05, 0.05), 1)
+            selection_bias(take(trials_competitive, slice(50)), (0.05, 0.05), 1)
 
 
 class TestCpcSummary:
@@ -119,13 +123,13 @@ class TestCpcSummary:
         s = cpc_summary(trials, (0.05, 0.05))
         assert s.degenerate_trials > 0
         assert s.trials_used == len(trials) - s.degenerate_trials
-        kept = [t.cpc for t in trials if not t.degenerate]
+        kept = trials.cpc[~trials.degenerate]
         assert s.mean_observed_cpc == pytest.approx(np.mean(kept))
 
     def test_all_degenerate_trials_yield_nan_summary(self):
         trials = run_setting((0.01, 0.01), 1, trials=200, idx=5)
-        degen = [t for t in trials if t.degenerate]
-        assert degen
+        degen = take(trials, trials.degenerate)
+        assert len(degen)
         s = cpc_summary(degen, (0.01, 0.01))
         assert s.trials_used == 0
         assert np.isnan(s.mean_observed_cpc) and s.observed_se is None
@@ -237,14 +241,14 @@ class TestHistograms:
         assert histogram_overlap(h1, h2) == 0.0
 
     def test_competitive_price_distribution_left_skewed(self, trials_competitive):
-        cpcs = np.array([t.cpc for t in trials_competitive if not t.degenerate])
+        cpcs = trials_competitive.cpc[~trials_competitive.degenerate]
         below, at_or_above = mass_split(cpcs, 1.0)
         assert below > at_or_above
         assert symmetry_z(cpcs) < -3.0
 
     def test_separated_rank_histograms_disjoint(self, trials_tight):
-        top = [t.estimates[t.ranking[0]] for t in trials_tight]
-        second = [t.estimates[t.ranking[1]] for t in trials_tight]
+        top = rank_estimates(trials_tight, 1)
+        second = rank_estimates(trials_tight, 2)
         overlap = histogram_overlap(build_histogram(top, 0.0005),
                                     build_histogram(second, 0.0005))
         assert overlap < 0.01

@@ -8,8 +8,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gspbias import reports
-from gspbias.engine import ImpressionLog
-from gspbias.reports import IMPRESSION_HEADER, write_impressions_csv, write_impressions_jsonl
+from gspbias.engine import ImpressionLog, TrialTable
+from gspbias.reports import (
+    IMPRESSION_HEADER,
+    write_impressions_csv,
+    write_impressions_jsonl,
+    write_trials_csv,
+    write_trials_jsonl,
+)
 
 
 def reference_csv(path, log):
@@ -91,3 +97,63 @@ class TestImpressionWriters:
             reports.CHUNK_ROWS // (len(SIGNED_ZEROS) + 1) + 1)
         assert len(rows) > reports.CHUNK_ROWS
         assert_writers_match_reference(make_log('b"\\é', rows))
+
+
+def trial_rows(trials):
+    """Trial t's winner, cpc, degenerate flag, estimates, ranking and ranks, one row at a time."""
+    for t in range(len(trials)):
+        ranking = [int(i) for i in trials.order[t]]
+        ranks = [0] * len(ranking)
+        for k, i in enumerate(ranking):
+            ranks[i] = k + 1
+        yield (t, ranking[0], float(trials.cpc[t]), bool(trials.degenerate[t]),
+               [float(e) for e in trials.estimates[t]], ranking, ranks)
+
+
+def reference_trials_csv(path, trials):
+    """One formatted line per trial: the writer the column table replaced."""
+    m = trials.estimates.shape[1]
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(["trial", "winner", "cpc", "degenerate"]
+                          + [f"estimate_{i}" for i in range(m)]
+                          + [f"rank_{i}" for i in range(m)]) + "\n")
+        for t, winner, cpc, degenerate, estimates, _ranking, ranks in trial_rows(trials):
+            fh.write(",".join([str(t), str(winner), repr(cpc), str(int(degenerate))]
+                              + [repr(e) for e in estimates] + [str(r) for r in ranks]) + "\n")
+
+
+def reference_trials_jsonl(path, trials):
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for t, winner, cpc, degenerate, estimates, ranking, ranks in trial_rows(trials):
+            fh.write(json.dumps({
+                "trial": t, "winner": winner, "cpc": cpc, "degenerate": degenerate,
+                "estimates": estimates, "ranking": ranking, "ranks": ranks,
+            }, sort_keys=True) + "\n")
+
+
+@st.composite
+def trial_tables(draw):
+    m = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 30))
+    value = st.sampled_from([0.0, -0.0, 0.05, 1 / 3, 1.0, 5e-324, 0.04123456789012345])
+    return TrialTable(
+        estimates=np.array(draw(st.lists(st.lists(value, min_size=m, max_size=m),
+                                         min_size=n, max_size=n))).reshape(n, m),
+        order=np.array(draw(st.lists(st.permutations(range(m)), min_size=n, max_size=n)),
+                       dtype=np.int64).reshape(n, m),
+        cpc=np.array(draw(st.lists(value, min_size=n, max_size=n))),
+        degenerate=np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n))),
+    )
+
+
+class TestTrialWriters:
+    @settings(max_examples=150, deadline=None)
+    @given(trials=trial_tables())
+    def test_match_per_row_reference(self, trials):
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp)
+            for writer, reference in ((write_trials_csv, reference_trials_csv),
+                                      (write_trials_jsonl, reference_trials_jsonl)):
+                writer(out / "new", trials)
+                reference(out / "ref", trials)
+                assert (out / "new").read_bytes() == (out / "ref").read_bytes(), writer.__name__
