@@ -26,7 +26,6 @@ from .engine import (
 from .estimators import (
     CountWindow,
     PoolHyperParams,
-    binomial_estimate,
     fit_pool,
     naive_contextual_estimate,
     pooled_estimate,
@@ -63,8 +62,7 @@ __all__ = [
     "conditional_rank_samples", "run_ab_experiment", "run_cpc_study",
     "sample_rank_stats",
     "CountWindow", "PoolHyperParams",
-    "binomial_estimate", "fit_pool", "naive_contextual_estimate",
-    "pooled_estimate",
+    "fit_pool", "naive_contextual_estimate", "pooled_estimate",
     "BiasReport", "CalibrationReport", "Histogram",
     "bias_report", "build_histogram", "c_relative", "cpc_summary",
     "histogram_overlap", "rtv_rtc", "selection_bias",

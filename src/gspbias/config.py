@@ -241,8 +241,18 @@ def _load_ab(parser) -> tuple[AbConfig, int | None]:
         raise ConfigError("bucket", f"exactly two [bucket.NAME] sections required, got {len(buckets)}")
     contexts = []
     for sec in _sections(parser, "context"):
-        contexts.append(Context(site=sec.get_int("site"), pos=sec.get_int("pos"),
-                                multiplier=sec.get_float("multiplier")))
+        ctx = Context(site=sec.get_int("site"), pos=sec.get_int("pos"),
+                      multiplier=sec.get_float("multiplier"))
+        if not 0 <= ctx.multiplier < math.inf:
+            raise ConfigError(f"{sec.name}.multiplier",
+                              f"must be finite and >= 0, got {ctx.multiplier}")
+        if any((c.site, c.pos) == (ctx.site, ctx.pos) for c in contexts):
+            # the logs name a context only by (site, pos), so a repeat could not be told apart
+            raise ConfigError(sec.name, f"(site, pos) = ({ctx.site}, {ctx.pos}) repeats "
+                                        "an earlier context")
+        contexts.append(ctx)
+    if not contexts:
+        raise ConfigError("context", "at least one [context.N] section required")
     ads = []
     for sec in _sections(parser, "ad"):
         try:
@@ -256,6 +266,8 @@ def _load_ab(parser) -> tuple[AbConfig, int | None]:
         if not 0.0 <= ctr <= 1.0:
             raise ConfigError(f"{sec.name}.base_ctr", f"must lie in [0, 1], got {ctr}")
         ads.append(AdSpec(id=ad_id, bid=bid, base_ctr=ctr))
+    if not ads:
+        raise ConfigError("ad", "at least one [ad.N] section required")
     try:
         config = AbConfig(
             ads=tuple(ads),

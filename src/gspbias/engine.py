@@ -260,30 +260,18 @@ class ImpressionLog:
         )
 
 
-def estimate_matrix(estimator: EstimatorName, window: CountWindow,
-                    config: AbConfig) -> np.ndarray:
+def estimate_matrix(estimator: EstimatorName, window: CountWindow) -> np.ndarray:
     """Serve-time CTR estimates, shape (ads, contexts), from the window state."""
-    m, n_ctx = len(config.ads), len(config.contexts)
-    est = np.empty((m, n_ctx))
+    clicks, impressions = window.totals()
     if estimator == "naive":
-        for i, ad in enumerate(config.ads):
-            for c, ctx in enumerate(config.contexts):
-                try:
-                    est[i, c] = naive_contextual_estimate(window, ad.id, ctx.site, ctx.pos)
-                except NoData:
-                    est[i, c] = PoolHyperParams(*FALLBACK_HYPER).prior_mean
-    elif estimator == "pooled":
+        return naive_contextual_estimate(clicks, impressions)
+    if estimator == "pooled":
         try:
-            hyper = fit_pool(window.ad_totals())
+            hyper = fit_pool(*window.ad_totals())
         except NoData:
             hyper = PoolHyperParams(*FALLBACK_HYPER)
-        for i, ad in enumerate(config.ads):
-            for c, ctx in enumerate(config.contexts):
-                counts = window.totals((ad.id, ctx.site, ctx.pos))
-                est[i, c] = pooled_estimate(counts[0], counts[1], hyper)
-    else:
-        raise ValueError(f"unknown estimator {estimator!r}")
-    return est
+        return pooled_estimate(clicks, impressions, hyper)
+    raise ValueError(f"unknown estimator {estimator!r}")
 
 
 def _serve_day(config: AbConfig, estimator_code: int, day: int,
@@ -320,23 +308,21 @@ def run_ab_experiment(config: AbConfig) -> dict[str, ImpressionLog]:
     bids = np.array([ad.bid for ad in config.ads])
     sites = np.array([c.site for c in config.contexts])
     poss = np.array([c.pos for c in config.contexts])
+    m, n_ctx = len(ids), len(sites)
     logs: dict[str, ImpressionLog] = {}
     for bucket in config.buckets:
-        window = CountWindow(config.window_days)
+        window = CountWindow(config.window_days, m, n_ctx)
         cols: dict[str, list[np.ndarray]] = {k: [] for k in
                                              ("day", "ctx", "explore", "winner", "click", "cpc", "pred")}
         for day in range(config.days):
             window.advance_to(day)
-            est = estimate_matrix(bucket.estimator, window, config)
+            est = estimate_matrix(bucket.estimator, window)
             ctx, explore, winner, click, cpc, pred = _serve_day(
                 config, ESTIMATOR_CODES[bucket.estimator], day, est, true_ctr)
-            imp = np.zeros((len(ids), len(sites)), dtype=np.int64)
-            clk = np.zeros_like(imp)
-            np.add.at(imp, (winner, ctx), 1)
-            np.add.at(clk, (winner, ctx), click)
-            for i, c in zip(*np.nonzero(imp)):
-                window.add(day, (int(ids[i]), int(sites[c]), int(poss[c])),
-                           int(clk[i, c]), int(imp[i, c]))
+            cell = winner * n_ctx + ctx
+            imp = np.bincount(cell, minlength=m * n_ctx).reshape(m, n_ctx)
+            clk = np.bincount(cell[click == 1], minlength=m * n_ctx).reshape(m, n_ctx)
+            window.add(day, clk, imp)
             cols["day"].append(np.full(len(ctx), day, dtype=np.int64))
             cols["ctx"].append(ctx)
             cols["explore"].append(explore)

@@ -18,7 +18,7 @@ class DegeneratePrice(GspBiasError):
 
 
 class NoData(GspBiasError):
-    """An estimator was queried for a key with no in-window impressions."""
+    """An estimator was asked to fit from a window with no impressions."""
 
 
 class RankUnreachable(GspBiasError):

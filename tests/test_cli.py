@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -134,6 +135,27 @@ class TestConfigLoading:
         bad = SMALL_AB.replace("[bucket.B]\nestimator = pooled\n", "")
         assert run_cli("ab-run", "--config", write_cfg(tmp_path, bad),
                        "--out", tmp_path / "out") == 3
+
+    @pytest.mark.parametrize("section", ["ad", "context"])
+    def test_ab_needs_ads_and_contexts(self, tmp_path, capsys, section):
+        blocks = SMALL_AB.split("\n\n")
+        text = "\n\n".join(b for b in blocks if not b.startswith(f"[{section}."))
+        assert run_cli("ab-run", "--config", write_cfg(tmp_path, text),
+                       "--out", tmp_path / "out") == 3
+        assert f"config error: {section}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("old, new, field", [
+        ("multiplier = 0.8", "multiplier = nan", "context.2.multiplier"),
+        ("multiplier = 0.8", "multiplier = -0.1", "context.2.multiplier"),
+        ("multiplier = 0.8", "multiplier = inf", "context.2.multiplier"),
+        ("pos = 2", "pos = 1", "context.2:"),  # same (site, pos) as context.1
+    ], ids=["nan", "negative", "inf", "duplicate"])
+    def test_bad_context_rejected(self, tmp_path, capsys, old, new, field):
+        assert old in SMALL_AB
+        rc = run_cli("ab-run", "--config", write_cfg(tmp_path, SMALL_AB.replace(old, new)),
+                     "--out", tmp_path / "out")
+        assert rc == 3
+        assert f"config error: {field}" in capsys.readouterr().err
 
     def test_thirteen_ad_case_loads(self, tmp_path):
         """The oracle has no ad cap, so a 13-ad field loads and is verified."""
@@ -386,6 +408,56 @@ class TestAbRun:
         assert ((out / "impressions_A.csv").read_text().replace(",A,", ",B,")
                 == (out / "impressions_B.csv").read_text())
 
+
+
+def output_digests(out):
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in out.iterdir() if p.name != "manifest.json"}
+
+
+class TestAbOutputBytes:
+    """ab-run output bytes pinned across versions, not only across thread counts.
+
+    A change that moves any of these digests must say which outputs moved
+    and why in CHANGES.md, then update them here.
+    """
+
+    def test_small_config_both_formats(self, tmp_path):
+        out = tmp_path / "small"
+        assert run_cli("ab-run", "--config", write_cfg(tmp_path, SMALL_AB), "--out", out,
+                       "--format", "both") == 0
+        assert output_digests(out) == {
+            "calibration_report.json":
+                "88e142d5d910c253297ba9ed4c3f921f98c658b33a5e76d4d589bb6f93c7220e",
+            "calibration_table.csv":
+                "7c81c0df46bfc69ffb41a33b9bcb60d3c82b791ad5a4eb8da05550820d38dc7c",
+            "impressions_A.csv":
+                "c7d0bf0d5935798c5a2301a2a3adf1af4562b5b905d531656f23a7f5f5c2553e",
+            "impressions_A.jsonl":
+                "96568f704e1c7a46bbb0d143e8338172c22dddde715b7e3c036c3764437b76d0",
+            "impressions_B.csv":
+                "cbdfd84c8ff3b38104c18bd5a90959c12674611244fb118421a0fdc80e86db3d",
+            "impressions_B.jsonl":
+                "dfc8fcd9a5dd098994a8b904e739674c7bcf8a8064bdc484a1d33766a739faa9",
+            "rtv_rtc.json":
+                "9a5006d8c17f036d3257d43a61af0e699c565710e4803fe14ad1f751ada7d005",
+        }
+
+    def test_packaged_config_seed_1_csv(self, tmp_path):
+        out = tmp_path / "packaged"
+        assert run_cli("ab-run", "--out", out, "--seed", "1", "--format", "csv") == 0
+        assert output_digests(out) == {
+            "calibration_report.json":
+                "4ba2207bdbb93eaa2369e4c294b2172f55b6e9b0e032f904fae42c3456a7ad4a",
+            "calibration_table.csv":
+                "22f558801c91a186cc8db18918d96f9b9815c7d132a4ad7fcf2c6bf57575b1f7",
+            "impressions_A.csv":
+                "6ddd684a9a810b771207b97f5a87ff7c5f41f1fe1215c4f0c30006c438316aa7",
+            "impressions_B.csv":
+                "f14ff1da8113bec7e90debf3d1b03f2b892bc28ad6befed32fe6733ac8319fa9",
+            "rtv_rtc.json":
+                "ff665a39ab49e0f298f1026270cdc0e29a973d5fb9fccd45665e80d03d8369e8",
+        }
 
 class TestManifestReproducibility:
     def test_manifest_names_every_output(self, tmp_path):

@@ -198,11 +198,11 @@ class TestAbExperiment:
         true_ctr = cfg.true_ctr_matrix()
         for bucket_pos, bucket in enumerate(cfg.buckets):
             log = logs[bucket.name]
-            window = CountWindow(cfg.window_days)
+            window = CountWindow(cfg.window_days, len(cfg.ads), len(cfg.contexts))
             cursor = 0
             for day in range(cfg.days):
                 window.advance_to(day)
-                est = estimate_matrix(bucket.estimator, window, cfg)
+                est = estimate_matrix(bucket.estimator, window)
                 key = rng.stream_key(cfg.seed, STREAM_AB,
                                      ESTIMATOR_CODES[bucket.estimator], day)
                 u = rng.unit_uniforms(key, 0, cfg.traffic_per_day)
@@ -231,9 +231,11 @@ class TestAbExperiment:
                     ck = (widx, ctx)
                     imp, clk = day_counts.get(ck, (0, 0))
                     day_counts[ck] = (imp + 1, clk + click)
+                imps = np.zeros((len(cfg.ads), len(cfg.contexts)), dtype=np.int64)
+                clks = np.zeros_like(imps)
                 for (widx, ctx), (imp, clk) in day_counts.items():
-                    window.add(day, (cfg.ads[widx].id, cfg.contexts[ctx].site,
-                                     cfg.contexts[ctx].pos), clk, imp)
+                    imps[widx, ctx], clks[widx, ctx] = imp, clk
+                window.add(day, clks, imps)
 
 
 class TestRankContexts:
