@@ -184,7 +184,7 @@ def cmd_simulate_cpc(args) -> int:
     write_json(arts.path("bias_report.json"),
                {"seed": seed, "settings": settings_payload})
     arts.write_manifest("simulate-cpc", config_dict(loaded, seed), seed,
-                        time.monotonic() - t0, __version__)
+                        time.monotonic() - t0, __version__, args.threads)
     return 0
 
 
@@ -299,7 +299,7 @@ def cmd_verify_theorems(args) -> int:
         "cases": cases_payload,
     })
     arts.write_manifest("verify-theorems", config_dict(loaded, seed), seed,
-                        time.monotonic() - t0, __version__)
+                        time.monotonic() - t0, __version__, args.threads)
     return 0 if all_pass else 1
 
 
@@ -361,7 +361,7 @@ def cmd_ab_run(args) -> int:
     rel_payload.update({"baseline_bucket": base, "comparison_bucket": comp})
     write_json(arts.path("rtv_rtc.json"), rel_payload)
     arts.write_manifest("ab-run", config_dict(loaded, seed), seed,
-                        time.monotonic() - t0, __version__)
+                        time.monotonic() - t0, __version__, args.threads)
     return 0
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .engine import AbConfig, AdSpec, BucketSpec, Context
-from .errors import ConfigError
+from .errors import ConfigError, RepeatedContext
 from .oracle import ScoreDistribution
 
 SCHEMA_VERSION = 1
@@ -239,18 +239,14 @@ def _load_ab(parser) -> tuple[AbConfig, int | None]:
                                   estimator=sec.get_str("estimator", choices=("naive", "pooled"))))
     if len(buckets) != 2:
         raise ConfigError("bucket", f"exactly two [bucket.NAME] sections required, got {len(buckets)}")
+    context_sections = _sections(parser, "context")
     contexts = []
-    for sec in _sections(parser, "context"):
-        ctx = Context(site=sec.get_int("site"), pos=sec.get_int("pos"),
-                      multiplier=sec.get_float("multiplier"))
-        if not 0 <= ctx.multiplier < math.inf:
-            raise ConfigError(f"{sec.name}.multiplier",
-                              f"must be finite and >= 0, got {ctx.multiplier}")
-        if any((c.site, c.pos) == (ctx.site, ctx.pos) for c in contexts):
-            # the logs name a context only by (site, pos), so a repeat could not be told apart
-            raise ConfigError(sec.name, f"(site, pos) = ({ctx.site}, {ctx.pos}) repeats "
-                                        "an earlier context")
-        contexts.append(ctx)
+    for sec in context_sections:
+        try:
+            contexts.append(Context(site=sec.get_int("site"), pos=sec.get_int("pos"),
+                                    multiplier=sec.get_float("multiplier")))
+        except ValueError as exc:
+            raise ConfigError(f"{sec.name}.multiplier", str(exc)) from exc
     if not contexts:
         raise ConfigError("context", "at least one [context.N] section required")
     ads = []
@@ -280,6 +276,8 @@ def _load_ab(parser) -> tuple[AbConfig, int | None]:
             burn_in_days=exp.get_int("burn_in_days", default=str(days // 2), minimum=0),
             seed=0,  # engine seed is injected by the CLI after resolution
         )
+    except RepeatedContext as exc:
+        raise ConfigError(context_sections[exc.index].name, str(exc)) from exc
     except ValueError as exc:
         raise ConfigError("experiment", str(exc)) from exc
     return config, _seed_of(exp)

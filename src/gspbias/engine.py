@@ -16,13 +16,12 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Literal
+from typing import TYPE_CHECKING, Literal
 
 import numpy as np
-from scipy import stats
 
 from . import rng
-from .errors import EmptyAuction, NoData, RankUnreachable
+from .errors import EmptyAuction, NoData, RankUnreachable, RepeatedContext
 from .estimators import (
     FALLBACK_HYPER,
     CountWindow,
@@ -31,13 +30,24 @@ from .estimators import (
     naive_contextual_estimate,
     pooled_estimate,
 )
-from .oracle import ScoreDistribution
+
+if TYPE_CHECKING:
+    from .oracle import ScoreDistribution
 
 STREAM_CPC = 0
 STREAM_AB = 1
 STREAM_MC = 2
 
-_PPF_FLOOR = 1e-300  # binom.ppf maps u=0 to -1; clamp just above zero instead
+# binom.ppf maps u = 0 to -1, so u is clamped just above zero.  BinomialInverse
+# gives the smallest k with cdf(k) >= u; boost's binom.ppf gives the same k
+# except where u lies within rounding of a CDF value.  On the uniforms
+# Generator.random returns that is u = 1 - 2**-53, its largest, where the CDF
+# at several k rounds to u (binom.ppf 386, the table 385, at n = 5000,
+# p = 0.05; n = 20000 also differs at 1 - 2**-52), and u = 0 for settings
+# whose CDF crosses the floor in the far tail, where boost's root finder is
+# inexact (no packaged setting does).  Each such u has chance 2**-53 per draw.
+_PPF_FLOOR = 1e-300
+_CDF_TOP = 1.0 - 2.0 ** -53  # the largest uniform Generator.random returns
 
 
 # ---------------------------------------------------------------------------
@@ -110,15 +120,44 @@ class TrialTable:
         return len(self.cpc)
 
 
-def _cpc_chunk(config: CpcStudyConfig, key: np.ndarray, lo: int, hi: int):
+class BinomialInverse:
+    """Inverse CDF of binomial(n, p) from a table of its CDF.
+
+    ``cdf[i]`` is the CDF at ``lo + i``, from the boost CDF that scipy's
+    ``binom.ppf`` inverts.  The table covers only the counts a uniform in
+    [_PPF_FLOOR, 1) can map to: it starts at mean +- 40 sd and widens until
+    cdf(lo - 1) < _PPF_FLOOR and cdf(hi) >= the largest uniform, so its
+    size grows as sqrt(n), not n.
+    """
+
+    def __init__(self, n: int, p: float):
+        from scipy.special import _ufuncs  # loaded only by the price study
+
+        cdf = _ufuncs._binom_cdf
+        mean = n * p
+        margin = 40.0 * math.sqrt(mean * (1.0 - p)) + 1.0
+        while True:
+            lo = max(0, math.floor(mean - margin))
+            hi = min(n, math.ceil(mean + margin))
+            if ((lo == 0 or cdf(lo - 1, n, p) < _PPF_FLOOR)
+                    and (hi == n or cdf(hi, n, p) >= _CDF_TOP)):
+                break
+            margin *= 2.0
+        self.lo = lo
+        self.cdf = cdf(np.arange(lo, hi + 1, dtype=float), n, p)
+
+    def __call__(self, u: np.ndarray) -> np.ndarray:
+        """The smallest count k with cdf(k) >= u, for uniforms u in [0, 1)."""
+        return self.lo + np.searchsorted(self.cdf, np.maximum(u, _PPF_FLOOR), side="left")
+
+
+def _cpc_chunk(config: CpcStudyConfig, inverses, key: np.ndarray, lo: int, hi: int):
     m = len(config.true_ctrs)
     blocks = math.ceil(m / rng.DOUBLES_PER_BLOCK)
     u = rng.unit_uniforms(key, lo, hi - lo, blocks_per_unit=blocks)
     est = np.empty((hi - lo, m))
-    for j in range(m):
-        counts = stats.binom.ppf(np.maximum(u[:, j], _PPF_FLOOR),
-                                 config.impressions[j], config.true_ctrs[j])
-        est[:, j] = counts / config.impressions[j]
+    for j, inverse in enumerate(inverses):
+        est[:, j] = inverse(u[:, j]) / config.impressions[j]
     return (est, *rank_contexts(np.asarray(config.bids), est))
 
 
@@ -130,12 +169,13 @@ def run_cpc_study(config: CpcStudyConfig) -> TrialTable:
     trials, the chunking, or the thread count.
     """
     key = rng.stream_key(config.seed, STREAM_CPC, config.setting_index)
+    inverses = [BinomialInverse(n, p) for n, p in zip(config.impressions, config.true_ctrs)]
     ranges = rng.split_ranges(config.trials, max(1, config.threads) * 4)
     if config.threads > 1 and len(ranges) > 1:
         with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            chunks = list(pool.map(lambda r: _cpc_chunk(config, key, *r), ranges))
+            chunks = list(pool.map(lambda r: _cpc_chunk(config, inverses, key, *r), ranges))
     else:
-        chunks = [_cpc_chunk(config, key, lo, hi) for lo, hi in ranges]
+        chunks = [_cpc_chunk(config, inverses, key, lo, hi) for lo, hi in ranges]
     est, order, cpc, degenerate = (np.concatenate(col) for col in zip(*chunks))
     return TrialTable(estimates=est, order=order, cpc=cpc, degenerate=degenerate)
 
@@ -168,6 +208,10 @@ class Context:
     site: int
     pos: int
     multiplier: float
+
+    def __post_init__(self):
+        if not 0 <= self.multiplier < math.inf:
+            raise ValueError(f"multiplier must be finite and >= 0, got {self.multiplier}")
 
 
 EstimatorName = Literal["naive", "pooled"]
@@ -208,6 +252,12 @@ class AbConfig:
             raise EmptyAuction("no ads configured")
         if not self.contexts:
             raise ValueError("no contexts configured")
+        first = {}
+        for i, c in enumerate(self.contexts):
+            # the logs name a context only by (site, pos), so a repeat could not be told apart
+            if first.setdefault((c.site, c.pos), i) != i:
+                raise RepeatedContext(i, f"(site, pos) = ({c.site}, {c.pos}) repeats "
+                                         "an earlier context")
         if not self.buckets:
             raise ValueError("no buckets configured")
         ids = [ad.id for ad in self.ads]

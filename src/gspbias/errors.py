@@ -37,6 +37,14 @@ class UndefinedRatio(GspBiasError):
     """A relative value/cost ratio has a zero denominator."""
 
 
+class RepeatedContext(GspBiasError, ValueError):
+    """Two contexts of an A/B plan share a (site, pos) pair; `index` is the later one."""
+
+    def __init__(self, index: int, message: str):
+        self.index = index
+        super().__init__(message)
+
+
 class ConfigError(GspBiasError):
     """A run configuration failed validation; `field` names the offending entry."""
 

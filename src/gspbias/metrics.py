@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as sp_stats
 
 from .engine import ImpressionLog, TrialTable
 from .errors import GridMismatch, RankUnreachable, UndefinedCalibration, UndefinedRatio
@@ -256,12 +255,6 @@ def mass_split(samples, threshold: float) -> tuple[float, float]:
     samples = np.asarray(samples, dtype=float)
     below = float((samples < threshold).mean())
     return below, 1.0 - below
-
-
-def symmetry_z(samples) -> float:
-    """Skewness z-statistic; |z| > 3 rejects symmetry at the 3-sigma level."""
-    stat, _pvalue = sp_stats.skewtest(np.asarray(samples, dtype=float))
-    return float(stat)
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .errors import GridMismatch, RankUnreachable
 
@@ -83,14 +82,22 @@ class ScoreDistribution:
         if a <= 0 or b <= 0 or scale <= 0:
             raise ValueError(f"scaled_beta needs positive parameters, got ({a}, {b}, {scale})")
 
+        # the kernels scipy.stats.beta dispatches to, bit for bit, imported on
+        # first use so that loading a config does not import scipy
         def pdf(s):
-            return stats.beta.pdf(s / scale, a, b) / scale
+            from scipy.special import _ufuncs
+            x = s / scale
+            with np.errstate(over="ignore"):  # a < 1 or b < 1: infinite at an end
+                inside = _ufuncs._beta_pdf(np.clip(x, 0.0, 1.0), a, b)
+            return np.where((x >= 0.0) & (x <= 1.0), inside, 0.0) / scale
 
         def cdf(s):
-            return stats.beta.cdf(s / scale, a, b)
+            from scipy.special import _ufuncs
+            return _ufuncs.betainc(a, b, np.clip(s / scale, 0.0, 1.0))
 
         def ppf(u):
-            return stats.beta.ppf(u, a, b) * scale
+            from scipy.special import _ufuncs
+            return _ufuncs._beta_ppf(u, a, b) * scale
 
         return cls("scaled-beta", scale, pdf, cdf, ppf, f"beta({a}, {b}, scale={scale})")
 

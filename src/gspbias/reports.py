@@ -17,6 +17,7 @@ arrays of log length and one chunk of text, whatever the log length.
 from __future__ import annotations
 
 import json
+import platform
 from pathlib import Path
 from typing import Iterable
 
@@ -157,6 +158,16 @@ def write_impressions_jsonl(path: Path, log: ImpressionLog) -> None:
     _write_records(path, "", table, ids)
 
 
+def _dist_version(name: str) -> str | None:
+    # read from package metadata, so that recording scipy's version does not
+    # import it; importlib.metadata itself loads only when a manifest is written
+    from importlib import metadata
+    try:
+        return metadata.version(name)
+    except metadata.PackageNotFoundError:
+        return None
+
+
 class ArtifactSet:
     """Tracks files written during one command run and emits the manifest."""
 
@@ -170,12 +181,16 @@ class ArtifactSet:
         return self.out_dir / name
 
     def write_manifest(self, command: str, config: dict, seed: int,
-                       duration_seconds: float, version: str) -> Path:
+                       duration_seconds: float, version: str, threads: int) -> Path:
         manifest_path = self.out_dir / "manifest.json"
         write_json(manifest_path, {
             "command": command,
             "tool_version": version,
             "seed": seed,
+            "threads": threads,
+            "environment": {"python": platform.python_version(),
+                            "numpy": _dist_version("numpy"),
+                            "scipy": _dist_version("scipy")},
             "config": config,
             "outputs": sorted(self.names) + ["manifest.json"],
             "duration_seconds": round(duration_seconds, 3),

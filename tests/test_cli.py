@@ -1,10 +1,16 @@
 import hashlib
 import json
+import os
+import platform
+import subprocess
+import sys
+from importlib import metadata
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gspbias
 from gspbias.cli import main
 from gspbias.config import load_config, parse_distribution
 from gspbias.errors import ConfigError
@@ -469,6 +475,16 @@ class TestManifestReproducibility:
         assert set(manifest["outputs"]) == on_disk
         assert manifest["config"]["experiment"]["days"] == 4
 
+    def test_manifest_records_run_environment(self, tmp_path):
+        out = tmp_path / "env"
+        run_cli("ab-run", "--config", write_cfg(tmp_path, SMALL_AB), "--out", out,
+                "--threads", "3")
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["threads"] == 3
+        assert manifest["environment"] == {"python": platform.python_version(),
+                                           "numpy": np.__version__,
+                                           "scipy": metadata.version("scipy")}
+
     def test_rerun_with_manifest_seed_reproduces(self, tmp_path):
         cfg = write_cfg(tmp_path, SMALL_AB)
         run_cli("ab-run", "--config", cfg, "--out", tmp_path / "m1")
@@ -478,3 +494,41 @@ class TestManifestReproducibility:
                      "calibration_report.json", "rtv_rtc.json"):
             assert ((tmp_path / "m1" / name).read_bytes()
                     == (tmp_path / "m2" / name).read_bytes())
+
+
+# Prints the scipy modules loaded once cli.main returns (argv: the command line).
+IMPORT_PROBE = """
+import json, sys
+from gspbias.cli import main
+rc = main(sys.argv[1:]) if len(sys.argv) > 1 else 0
+print(json.dumps({"rc": rc, "scipy": sorted(m for m in sys.modules
+                                          if m == "scipy" or m.startswith("scipy."))}))
+"""
+
+
+class TestImportBoundary:
+    """scipy.stats costs about a second to import and no command needs it;
+    ab-run and loading the CLI need no scipy at all."""
+
+    @pytest.mark.parametrize("command, cfg, extra", [
+        (None, None, ()),
+        ("simulate-cpc", SMALL_CPC, ("--trials", "200")),
+        ("verify-theorems", SMALL_THEOREMS, ("--trials", "2000")),
+        ("ab-run", SMALL_AB, ()),
+    ], ids=["import", "simulate-cpc", "verify-theorems", "ab-run"])
+    def test_scipy_modules_loaded(self, tmp_path, command, cfg, extra):
+        argv = [] if command is None else [
+            command, "--config", str(write_cfg(tmp_path, cfg)), "--out", str(tmp_path / "out"),
+            "--threads", "1", *extra]
+        src = str(Path(gspbias.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, *argv], env=env,
+                              capture_output=True, text=True, timeout=120, check=True)
+        result = json.loads(proc.stdout.splitlines()[-1])
+        assert result["rc"] in (0, 1)
+        assert "scipy.stats" not in result["scipy"]
+        if command in (None, "ab-run"):
+            assert result["scipy"] == []
+        else:  # the binomial and beta inverses load scipy.special
+            assert "scipy.special" in result["scipy"]

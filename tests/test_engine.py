@@ -1,7 +1,12 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
+from scipy.special import _ufuncs
 
 from gspbias.auction import ScoredAd, gsp_price, rank_ads
 from gspbias.engine import (
@@ -12,6 +17,9 @@ from gspbias.engine import (
     CpcStudyConfig,
     ESTIMATOR_CODES,
     STREAM_AB,
+    STREAM_CPC,
+    _PPF_FLOOR,
+    BinomialInverse,
     conditional_rank_samples,
     estimate_matrix,
     rank_contexts,
@@ -20,7 +28,7 @@ from gspbias.engine import (
     sample_rank_stats,
 )
 from gspbias import rng
-from gspbias.errors import DegeneratePrice, RankUnreachable
+from gspbias.errors import DegeneratePrice, RankUnreachable, RepeatedContext
 from gspbias.estimators import CountWindow
 from gspbias.oracle import ScoreDistribution
 
@@ -104,6 +112,98 @@ class TestCpcStudy:
             assert abs(est[:, j].mean() - p) < 4 * se
 
 
+LATTICE = 2.0 ** -53  # Generator.random returns multiples of this in [0, 1)
+
+
+def binom_ppf(u, n, p):
+    """scipy's binom.ppf; boost warns where it cannot place the top few u."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        return stats.binom.ppf(u, n, p)
+
+
+def ppf_is_reference(u, k, n, p):
+    """Where scipy's binom.ppf must agree with the table's k for u.
+
+    binom.ppf places u with boost's own evaluation of the CDF (on the
+    complement for u > 1/2) and a root finder, so it may land on the
+    neighbouring k where that evaluation and the table's round differently.
+    Measured, and left out here:
+
+    - u within 2**-10 of the step's height from either end of the CDF step
+      [cdf(k - 1), cdf(k)] that holds it: up to 2**-40 of u in the middle of
+      the distribution, and the top few uniforms below 1, where the CDF at
+      several k rounds to u itself;
+    - steps that start in the deep tail, 0 < cdf(k - 1) < 1e-280: at n = 71,
+      p = 0.99999, binom.ppf(1e-300) is 8 although cdf(8) = 1.1e-305;
+    - p within 1e-9 of 0 or 1, but not at them: at n = 101, p = 1.9e-16,
+      binom.ppf(1 - 173 * 2**-53) is 0 although cdf(0) = 1 - 1.93e-14.
+    """
+    if 0.0 < p < 1e-9 or 1.0 - 1e-9 < p < 1.0:
+        return np.zeros(np.shape(u), dtype=bool)
+    upper = _ufuncs._binom_cdf(k, n, p)
+    lower = np.where(k > 0, _ufuncs._binom_cdf(k - 1, n, p), 0.0)
+    band = 2.0 ** -10 * (upper - lower)
+    return (upper - u > band) & (u - lower > band) & ((lower == 0.0) | (lower >= 1e-280))
+
+
+class TestBinomialInverse:
+    @settings(max_examples=400, deadline=None)
+    @given(n=st.one_of(st.integers(1, 50_000), st.sampled_from([5000, 20000])),
+           p=st.one_of(st.sampled_from([0.0, 1.0, 0.04, 0.045, 0.05]),
+                       st.floats(0.0, 1.0)),
+           data=st.data())
+    def test_matches_binom_ppf(self, n, p, data):
+        """The inverse gives the smallest k with cdf(k) >= u, and binom.ppf's
+        k wherever that is a reference (``ppf_is_reference``)."""
+        inverse = BinomialInverse(n, p)
+        top = 2 ** 53
+        steps = np.round(inverse.cdf / LATTICE).astype(np.int64)
+        index = st.one_of(
+            st.integers(0, top - 1),                          # anywhere
+            st.integers(top - 64, top - 1),                   # just below the top
+            st.integers(0, 64),                               # u = 0 (clamped) and just above
+            st.builds(lambda c, d: int(min(max(c + d, 0), top - 1)),
+                      st.sampled_from(steps.tolist()), st.integers(-3, 3)),  # at CDF steps
+        )
+        u = np.array(data.draw(st.lists(index, min_size=1, max_size=40))) * LATTICE
+        k = inverse(u)
+        u = np.maximum(u, _PPF_FLOOR)
+        assert (k <= n).all()
+        assert (_ufuncs._binom_cdf(k, n, p) >= u).all()
+        above = k > 0
+        assert (_ufuncs._binom_cdf(k[above] - 1, n, p) < u[above]).all()
+        checked = ppf_is_reference(u, k, n, p)
+        np.testing.assert_array_equal(k[checked], binom_ppf(u[checked], n, p))
+
+    def test_floor_and_top(self):
+        """u = 0 is read as _PPF_FLOOR; at the largest uniform, where the CDF
+        at several k rounds to u, binom.ppf answers a larger k."""
+        for n, p in ((5000, 0.05), (20000, 0.05), (5000, 0.0), (5000, 1.0)):
+            assert BinomialInverse(n, p)(0.0) == binom_ppf(_PPF_FLOOR, n, p)
+        top = 1.0 - LATTICE
+        assert (BinomialInverse(5000, 0.05)(top), binom_ppf(top, 5000, 0.05)) == (385, 386)
+
+    def test_billion_impressions_stay_windowed(self):
+        n, p = 10 ** 9, 0.05
+        inverse = BinomialInverse(n, p)
+        hi = inverse.lo + len(inverse.cdf) - 1
+        assert len(inverse.cdf) < 100 * math.sqrt(n * p * (1 - p))  # not n + 1 entries
+        assert _ufuncs._binom_cdf(inverse.lo - 1, n, p) < _PPF_FLOOR
+        assert inverse.cdf[-1] >= 1.0 - LATTICE and hi < n
+        u = np.random.default_rng(5).random(2000)
+        np.testing.assert_array_equal(inverse(u), binom_ppf(np.maximum(u, _PPF_FLOOR), n, p))
+
+    def test_study_draws_match_binom_ppf(self):
+        """Every trial's estimate is binom.ppf of its own uniform over n."""
+        cfg = study(trials=3000, ctrs=(0.05, 0.04), n=(5000, 20000), setting_index=2)
+        trials = run_cpc_study(cfg)
+        u = rng.unit_uniforms(rng.stream_key(cfg.seed, STREAM_CPC, 2), 0, cfg.trials)
+        for j, (n, p) in enumerate(zip(cfg.impressions, cfg.true_ctrs)):
+            expected = binom_ppf(np.maximum(u[:, j], _PPF_FLOOR), n, p) / n
+            np.testing.assert_array_equal(trials.estimates[:, j], expected)
+
+
 class TestConditionalRankSamples:
     def test_deterministic_ranking_keeps_all_trials(self):
         """Far-apart CTRs at high impression counts pin the ranking."""
@@ -146,6 +246,25 @@ def ab_config(**overrides):
     )
     base.update(overrides)
     return AbConfig(**base)
+
+
+class TestAbConfigValidation:
+    """Built in code, the plan keeps the rules config load enforces."""
+
+    @pytest.mark.parametrize("multiplier", [math.nan, -2.0, math.inf])
+    def test_bad_multiplier_rejected(self, multiplier):
+        with pytest.raises(ValueError, match="multiplier"):
+            Context(1, 1, multiplier)
+
+    def test_repeated_site_and_pos_rejected(self):
+        contexts = (Context(1, 1, 1.0), Context(2, 1, 0.7), Context(1, 1, 1.2))
+        with pytest.raises(RepeatedContext) as info:
+            ab_config(contexts=contexts)
+        assert info.value.index == 2
+        assert isinstance(info.value, ValueError)
+
+    def test_zero_multiplier_allowed(self):
+        assert ab_config(contexts=(Context(1, 1, 0.0),)).true_ctr_matrix().max() == 0.0
 
 
 class TestAbExperiment:

@@ -24,8 +24,8 @@ from gspbias.metrics import (
     mass_split,
     rtv_rtc,
     selection_bias,
-    symmetry_z,
 )
+from reference import symmetry_z
 
 
 def run_setting(ctrs, n, trials=20000, seed=314, idx=0):

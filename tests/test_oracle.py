@@ -1,3 +1,4 @@
+from importlib import resources
 from itertools import combinations
 from math import comb
 
@@ -5,7 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
+from gspbias.config import load_config, parse_distribution
 from gspbias.errors import GridMismatch, RankUnreachable
 from gspbias.oracle import (
     CaseGrid,
@@ -20,6 +23,10 @@ from gspbias.oracle import (
 )
 
 U01 = ScoreDistribution.uniform(0.0, 1.0)
+
+with resources.as_file(resources.files("gspbias") / "configs" / "theorems.cfg") as _path:
+    PACKAGED_BETAS = sorted({spec for case in load_config(_path).payload.cases
+                             for spec in case.dist_specs if spec.startswith("beta")})
 
 
 def enumerated_rank_prob(F: np.ndarray, candidate: int, rank: int) -> np.ndarray:
@@ -60,6 +67,23 @@ class TestScoreDistribution:
         assert cdf[0] == pytest.approx(0.0, abs=1e-9)
         assert cdf[-1] == pytest.approx(1.0, abs=1e-9)
         assert np.all(dist.pdf(s) >= 0)
+
+    # the packaged shapes, and three whose density is not 0 at an end of the
+    # support, where only the support mask keeps the density 0 beyond it
+    @pytest.mark.parametrize("spec", PACKAGED_BETAS + ["beta:0.8:3:1.3", "beta:2:0.7",
+                                                       "beta:1:1:2"])
+    def test_beta_matches_scipy_stats(self, spec):
+        """Bit for bit what scipy.stats.beta gives, on and off the support."""
+        a, b, *rest = (float(x) for x in spec.split(":")[1:])
+        scale = rest[0] if rest else 1.0
+        dist = parse_distribution(spec)
+        s = np.concatenate([np.linspace(-0.1 * scale, 1.1 * scale, 131_073),
+                            [0.0, scale, -scale, 2.0 * scale]])
+        u = np.concatenate([[0.0, 2.0 ** -53, 0.5, 1.0 - 2.0 ** -53],
+                            np.random.default_rng(3).random(50_000)])
+        np.testing.assert_array_equal(dist.pdf(s), stats.beta.pdf(s / scale, a, b) / scale)
+        np.testing.assert_array_equal(dist.cdf(s), stats.beta.cdf(s / scale, a, b))
+        np.testing.assert_array_equal(dist.ppf(u), stats.beta.ppf(u, a, b) * scale)
 
     def test_ppf_inverts_cdf(self):
         dist = ScoreDistribution.scaled_beta(2, 38, 1.2)
