@@ -87,17 +87,20 @@ def _load(args, command: str) -> LoadedConfig:
 
 
 def _resolve_seed(cli_seed: int | None, config_seed: int | None) -> int:
-    if cli_seed is not None:
-        return cli_seed
-    if config_seed is not None:
-        return config_seed
-    env = os.environ.get(ENV_SEED)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ConfigError("seed", f"{ENV_SEED} is not an integer: {env!r}") from None
-    raise ConfigError("seed", f"no seed given; use --seed, a config seed, or {ENV_SEED}")
+    if cli_seed is None and config_seed is not None:
+        return config_seed  # config load holds it >= 0
+    source, raw = "--seed", cli_seed
+    if cli_seed is None:
+        source, raw = ENV_SEED, os.environ.get(ENV_SEED)
+    if raw is None:
+        raise ConfigError("seed", f"no seed given; use --seed, a config seed, or {ENV_SEED}")
+    try:
+        seed = int(raw)
+    except ValueError:
+        raise ConfigError("seed", f"{ENV_SEED} is not an integer: {raw!r}") from None
+    if seed < 0:
+        raise ConfigError("seed", f"{source} must be >= 0, got {seed}")
+    return seed
 
 
 def _nn(x) -> float | None:
@@ -314,15 +317,15 @@ def cmd_ab_run(args) -> int:
     cfg: AbConfig = dataclasses.replace(loaded.payload, seed=seed)
     arts = ArtifactSet(args.out)
     logs = run_ab_experiment(cfg)
+    eval_logs = {name: log.after_day(cfg.burn_in_days) for name, log in logs.items()}
     models = {}
     table_rows = []
     for bucket in cfg.buckets:
-        eval_log = logs[bucket.name].after_day(cfg.burn_in_days)
         entry: dict = {"estimator": bucket.estimator,
                        "records": len(logs[bucket.name]),
-                       "evaluation_records": len(eval_log)}
+                       "evaluation_records": len(eval_logs[bucket.name])}
         try:
-            rep = c_relative(eval_log)
+            rep = c_relative(eval_logs[bucket.name])
             entry.update({
                 "calibration_greedy": rep.calibration_greedy,
                 "calibration_random": rep.calibration_random,
@@ -353,8 +356,7 @@ def cmd_ab_run(args) -> int:
     })
     base, comp = cfg.buckets[0].name, cfg.buckets[1].name
     try:
-        rel = rtv_rtc(logs[base].after_day(cfg.burn_in_days),
-                      logs[comp].after_day(cfg.burn_in_days))
+        rel = rtv_rtc(eval_logs[base], eval_logs[comp])
         rel_payload = {"rtv": rel.rtv, "rtc": rel.rtc}
     except UndefinedRatio as exc:
         rel_payload = {"rtv": None, "rtc": None, "undefined_reason": str(exc)}

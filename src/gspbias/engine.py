@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Literal
 
 import numpy as np
@@ -283,31 +283,46 @@ class AbConfig:
 
 @dataclass
 class ImpressionLog:
-    """Column-oriented impression records for one bucket, in access order."""
+    """One bucket's impressions as access codes, in access order.
+
+    Access i was served on ``day[i]`` (never decreasing) in context ``ctx[i]``
+    to ad index ``winner[i]``, explored when ``random_mode[i]``.  Those codes
+    fix every other field of its record, read from the specs and the day
+    tables: the (ads, contexts) estimates and each context's greedy price.
+    """
 
     bucket: str
+    ads: tuple[AdSpec, ...] = field(repr=False)
+    contexts: tuple[Context, ...] = field(repr=False)
+    estimates: np.ndarray = field(repr=False)    # (days, ads, contexts)
+    prices: np.ndarray = field(repr=False)       # (days, contexts)
     day: np.ndarray = field(repr=False)
-    site: np.ndarray = field(repr=False)
-    pos: np.ndarray = field(repr=False)
-    ad_id: np.ndarray = field(repr=False)
+    ctx: np.ndarray = field(repr=False)
+    winner: np.ndarray = field(repr=False)
     random_mode: np.ndarray = field(repr=False)
-    pred_ctr: np.ndarray = field(repr=False)
-    bid: np.ndarray = field(repr=False)
-    cpc: np.ndarray = field(repr=False)
     click: np.ndarray = field(repr=False)
+
+    # the other fields, one whole-column gather per read; explored displays
+    # are never charged
+    site = property(lambda self: np.array([c.site for c in self.contexts])[self.ctx])
+    pos = property(lambda self: np.array([c.pos for c in self.contexts])[self.ctx])
+    ad_id = property(lambda self: np.array([ad.id for ad in self.ads])[self.winner])
+    bid = property(lambda self: np.array([ad.bid for ad in self.ads])[self.winner])
+    pred_ctr = property(lambda self: self.estimates[self.day, self.winner, self.ctx])
+    cpc = property(lambda self: np.where(self.random_mode, 0.0, self.prices[self.day, self.ctx]))
 
     def __len__(self) -> int:
         return len(self.day)
 
+    def take(self, rows) -> "ImpressionLog":
+        """The accesses at ``rows`` (a slice or index array), sharing the day tables."""
+        return replace(
+            self, day=self.day[rows], ctx=self.ctx[rows], winner=self.winner[rows],
+            random_mode=self.random_mode[rows], click=self.click[rows])
+
     def after_day(self, first_day: int) -> "ImpressionLog":
-        """Records from ``first_day`` on (evaluation split after burn-in)."""
-        keep = self.day >= first_day
-        return ImpressionLog(
-            bucket=self.bucket, day=self.day[keep], site=self.site[keep],
-            pos=self.pos[keep], ad_id=self.ad_id[keep],
-            random_mode=self.random_mode[keep], pred_ctr=self.pred_ctr[keep],
-            bid=self.bid[keep], cpc=self.cpc[keep], click=self.click[keep],
-        )
+        """Records from ``first_day`` on (evaluation split after burn-in), as views."""
+        return self.take(slice(int(np.searchsorted(self.day, first_day)), None))
 
 
 def estimate_matrix(estimator: EstimatorName, window: CountWindow) -> np.ndarray:
@@ -326,7 +341,7 @@ def estimate_matrix(estimator: EstimatorName, window: CountWindow) -> np.ndarray
 
 def _serve_day(config: AbConfig, estimator_code: int, day: int,
                est: np.ndarray, true_ctr: np.ndarray):
-    """Vectorized traffic for one bucket-day.
+    """Vectorized traffic for one bucket-day: context prices, then access codes.
 
     Access a reads block a of the stream keyed (seed, experiment,
     estimator, day); its four uniforms drive, in order: context draw,
@@ -334,7 +349,7 @@ def _serve_day(config: AbConfig, estimator_code: int, day: int,
     """
     m, n_ctx = est.shape
     bids = np.array([ad.bid for ad in config.ads])
-    order, cpc_ctx, _degenerate = rank_contexts(bids, est.T)
+    order, prices, _degenerate = rank_contexts(bids, est.T)
     key = rng.stream_key(config.seed, STREAM_AB, estimator_code, day)
     u = rng.unit_uniforms(key, 0, config.traffic_per_day)
     ctx = np.minimum((u[:, 0] * n_ctx).astype(np.int64), n_ctx - 1)
@@ -342,7 +357,7 @@ def _serve_day(config: AbConfig, estimator_code: int, day: int,
     pick = np.minimum((u[:, 2] * m).astype(np.int64), m - 1)
     winner = np.where(explore, pick, order[ctx, 0])
     click = (u[:, 3] < true_ctr[winner, ctx]).astype(np.int8)
-    return ctx, explore, winner, click, np.where(explore, 0.0, cpc_ctx[ctx]), est[winner, ctx]
+    return prices, ctx, explore, winner, click
 
 
 def run_ab_experiment(config: AbConfig) -> dict[str, ImpressionLog]:
@@ -354,46 +369,30 @@ def run_ab_experiment(config: AbConfig) -> dict[str, ImpressionLog]:
     serve the day's accesses, then fold the day's counts into the window.
     """
     true_ctr = config.true_ctr_matrix()
-    ids = np.array([ad.id for ad in config.ads])
-    bids = np.array([ad.bid for ad in config.ads])
-    sites = np.array([c.site for c in config.contexts])
-    poss = np.array([c.pos for c in config.contexts])
-    m, n_ctx = len(ids), len(sites)
+    m, n_ctx = true_ctr.shape
+    days, traffic = config.days, config.traffic_per_day
+    n = days * traffic
     logs: dict[str, ImpressionLog] = {}
     for bucket in config.buckets:
         window = CountWindow(config.window_days, m, n_ctx)
-        cols: dict[str, list[np.ndarray]] = {k: [] for k in
-                                             ("day", "ctx", "explore", "winner", "click", "cpc", "pred")}
-        for day in range(config.days):
+        log = ImpressionLog(
+            bucket.name, config.ads, config.contexts,
+            estimates=np.empty((days, m, n_ctx)), prices=np.empty((days, n_ctx)),
+            day=np.repeat(np.arange(days), traffic), ctx=np.empty(n, np.int64),
+            winner=np.empty(n, np.int64), random_mode=np.empty(n, bool),
+            click=np.empty(n, np.int8))
+        for day in range(days):
             window.advance_to(day)
-            est = estimate_matrix(bucket.estimator, window)
-            ctx, explore, winner, click, cpc, pred = _serve_day(
-                config, ESTIMATOR_CODES[bucket.estimator], day, est, true_ctr)
-            cell = winner * n_ctx + ctx
+            est = log.estimates[day] = estimate_matrix(bucket.estimator, window)
+            rows = slice(day * traffic, (day + 1) * traffic)
+            (log.prices[day], log.ctx[rows], log.random_mode[rows], log.winner[rows],
+             log.click[rows]) = _serve_day(config, ESTIMATOR_CODES[bucket.estimator],
+                                           day, est, true_ctr)
+            cell = log.winner[rows] * n_ctx + log.ctx[rows]
             imp = np.bincount(cell, minlength=m * n_ctx).reshape(m, n_ctx)
-            clk = np.bincount(cell[click == 1], minlength=m * n_ctx).reshape(m, n_ctx)
+            clk = np.bincount(cell[log.click[rows] == 1], minlength=m * n_ctx).reshape(m, n_ctx)
             window.add(day, clk, imp)
-            cols["day"].append(np.full(len(ctx), day, dtype=np.int64))
-            cols["ctx"].append(ctx)
-            cols["explore"].append(explore)
-            cols["winner"].append(winner)
-            cols["click"].append(click)
-            cols["cpc"].append(cpc)
-            cols["pred"].append(pred)
-        ctx_all = np.concatenate(cols["ctx"])
-        winner_all = np.concatenate(cols["winner"])
-        logs[bucket.name] = ImpressionLog(
-            bucket=bucket.name,
-            day=np.concatenate(cols["day"]),
-            site=sites[ctx_all],
-            pos=poss[ctx_all],
-            ad_id=ids[winner_all],
-            random_mode=np.concatenate(cols["explore"]),
-            pred_ctr=np.concatenate(cols["pred"]),
-            bid=bids[winner_all],
-            cpc=np.concatenate(cols["cpc"]),
-            click=np.concatenate(cols["click"]).astype(np.int64),
-        )
+        logs[bucket.name] = log
     return logs
 
 

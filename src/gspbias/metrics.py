@@ -129,21 +129,22 @@ class CalibrationReport:
 
 def c_relative(log: ImpressionLog) -> CalibrationReport:
     """Calibration on greedy displays over calibration on random displays."""
-    greedy = ~log.random_mode
     random = log.random_mode
-    g_clicks = int(log.click[greedy].sum())
-    r_clicks = int(log.click[random].sum())
+    greedy = ~random
+    click, pred, bid = log.click, log.pred_ctr, log.bid
+    g_clicks = int(click[greedy].sum())
+    r_clicks = int(click[random].sum())
     if g_clicks == 0 or r_clicks == 0:
         raise UndefinedCalibration(
             f"need clicks on both traffic kinds, got greedy={g_clicks}, random={r_clicks}")
-    cal_g = float(log.pred_ctr[greedy].sum() / g_clicks)
-    cal_r = float(log.pred_ctr[random].sum() / r_clicks)
-    wg_den = float((log.bid[greedy] * log.click[greedy]).sum())
-    wr_den = float((log.bid[random] * log.click[random]).sum())
+    cal_g = float(pred[greedy].sum() / g_clicks)
+    cal_r = float(pred[random].sum() / r_clicks)
+    wg_den = float((bid[greedy] * click[greedy]).sum())
+    wr_den = float((bid[random] * click[random]).sum())
     if wg_den == 0.0 or wr_den == 0.0:
         raise UndefinedCalibration("bid-weighted clicked value is zero on one traffic kind")
-    wcal_g = float((log.bid[greedy] * log.pred_ctr[greedy]).sum() / wg_den)
-    wcal_r = float((log.bid[random] * log.pred_ctr[random]).sum() / wr_den)
+    wcal_g = float((bid[greedy] * pred[greedy]).sum() / wg_den)
+    wcal_r = float((bid[random] * pred[random]).sum() / wr_den)
     return CalibrationReport(
         calibration_greedy=cal_g, calibration_random=cal_r,
         c_relative=cal_g / cal_r,
@@ -161,15 +162,14 @@ def c_relative_log_se(log: ImpressionLog) -> float:
     the two calibration ratios; greedy and random groups are disjoint so
     their contributions add.
     """
+    pred, click = log.pred_ctr, log.click
     se_sq = 0.0
     for mask in (~log.random_mode, log.random_mode):
-        preds = log.pred_ctr[mask]
-        clicks = log.click[mask]
-        p_sum = float(preds.sum())
-        c_sum = float(clicks.sum())
+        p_sum = float(pred[mask].sum())
+        c_sum = float(click[mask].sum())
         if p_sum <= 0 or c_sum <= 0:
             raise UndefinedCalibration("cannot form a standard error without clicks")
-        influence = preds / p_sum - clicks / c_sum
+        influence = pred[mask] / p_sum - click[mask] / c_sum
         se_sq += float((influence ** 2).sum())
     return float(np.sqrt(se_sq))
 
@@ -182,12 +182,14 @@ class RelativeMetrics:
     rtc: float
 
 
+def _greedy_value_and_cost(log: ImpressionLog) -> tuple[float, float]:
+    greedy = ~log.random_mode
+    click = log.click[greedy]
+    return float((click * log.bid[greedy]).sum()), float((click * log.cpc[greedy]).sum())
+
+
 def rtv_rtc(log_a: ImpressionLog, log_b: ImpressionLog) -> RelativeMetrics:
-    ga, gb = ~log_a.random_mode, ~log_b.random_mode
-    value_a = float((log_a.click[ga] * log_a.bid[ga]).sum())
-    value_b = float((log_b.click[gb] * log_b.bid[gb]).sum())
-    cost_a = float((log_a.click[ga] * log_a.cpc[ga]).sum())
-    cost_b = float((log_b.click[gb] * log_b.cpc[gb]).sum())
+    (value_a, cost_a), (value_b, cost_b) = map(_greedy_value_and_cost, (log_a, log_b))
     if value_a == 0.0:
         raise UndefinedRatio("bucket A has zero clicked bid value")
     if cost_a == 0.0:

@@ -21,6 +21,7 @@ grid nodes) degrades it to O(1/intervals), about 1e-5 relative.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,8 +63,9 @@ class ScoreDistribution:
 
     @classmethod
     def uniform(cls, low: float, high: float) -> "ScoreDistribution":
-        if not 0.0 <= low < high:
-            raise ValueError(f"uniform support must satisfy 0 <= low < high, got [{low}, {high}]")
+        if not 0.0 <= low < high < math.inf:
+            raise ValueError("uniform support must satisfy 0 <= low < high < inf, "
+                             f"got [{low}, {high}]")
         width = high - low
 
         def pdf(s):
@@ -79,8 +81,9 @@ class ScoreDistribution:
 
     @classmethod
     def scaled_beta(cls, a: float, b: float, scale: float = 1.0) -> "ScoreDistribution":
-        if a <= 0 or b <= 0 or scale <= 0:
-            raise ValueError(f"scaled_beta needs positive parameters, got ({a}, {b}, {scale})")
+        if not all(0.0 < x < math.inf for x in (a, b, scale)):
+            raise ValueError("scaled_beta needs finite positive parameters, "
+                             f"got ({a}, {b}, {scale})")
 
         # the kernels scipy.stats.beta dispatches to, bit for bit, imported on
         # first use so that loading a config does not import scipy

@@ -4,14 +4,14 @@ All text files are UTF-8 with LF line endings and a mandatory header row for
 CSV.  Floats are written with shortest round-trip formatting so identical
 runs produce identical bytes.
 
-The impression writers format each distinct record of a log once.  An A/B
-log repeats heavily, since (day, context, ad, mode) fixes the predicted CTR,
-bid and CPC, so a 504,000-row bucket holds about 16,000 distinct records.
-The writers group identical rows by a stable sort over every column (floats
-by their bits), format one line per group, then write the file
-``CHUNK_ROWS`` rows at a time by indexing that table with each row's record
-id.  Beyond the log itself, memory is the record table, a few integer
-arrays of log length and one chunk of text, whatever the log length.
+The impression writers format each distinct record of a log once.  An
+access's (day, context, ad, mode, click) codes fix every field of its
+record, so a 504,000-row A/B bucket holds about 16,000 distinct records.
+The writers pack the codes into one integer per access, find the distinct
+ones with ``np.unique``, format one line per distinct record, then write
+``CHUNK_ROWS`` rows at a time by indexing that table with each access's
+record id.  Beyond the log, memory is the table, a few integer arrays of
+log length and one chunk of text, whatever the log length.
 """
 
 from __future__ import annotations
@@ -107,55 +107,45 @@ IMPRESSION_HEADER = ["day", "bucket", "site", "pos", "ad_id", "mode",
 CHUNK_ROWS = 65536
 
 
-def _distinct_records(log: ImpressionLog) -> tuple[np.ndarray, np.ndarray]:
-    """Group identical records: (first row of each distinct record, record id per row).
-
-    Floats compare by their bits, so ``-0.0`` and ``0.0`` stay apart.
-    """
-    floats = (log.pred_ctr, log.bid, log.cpc)
-    keys = [log.day, log.site, log.pos, log.ad_id, log.random_mode, log.click,
-            *(np.asarray(col, dtype=np.float64).view(np.int64) for col in floats)]
-    order = np.lexsort(keys)
-    starts = np.zeros(len(order), dtype=bool)
-    starts[:1] = True
-    for key in keys:
-        ranked = key[order]
-        starts[1:] |= ranked[1:] != ranked[:-1]
-    ids = np.empty(len(order), dtype=np.int64)
-    ids[order] = np.cumsum(starts) - 1
-    return order[starts], ids
+def _distinct_records(log: ImpressionLog) -> tuple[ImpressionLog, np.ndarray]:
+    """The log's distinct records, each at its first access, and the record id of each access."""
+    n_ctx, m = len(log.contexts), len(log.ads)
+    # the day tables hold days x ads x contexts entries, so the code cannot overflow
+    code = (((log.day * n_ctx + log.ctx) * m + log.winner) * 2 + log.random_mode) * 2 + log.click
+    _codes, first, ids = np.unique(code, return_index=True, return_inverse=True)
+    return log.take(first), ids
 
 
-def _write_records(path: Path, header: str, table: list[str], ids: np.ndarray) -> None:
-    lines = np.array(table, dtype=object)
+def _write_impressions(path: Path, header: str, log: ImpressionLog, line) -> None:
+    """Write ``header``, then one line per access; ``line`` formats a distinct record."""
+    records, ids = _distinct_records(log)
+    columns = (records.day, records.site, records.pos, records.ad_id, records.random_mode,
+               records.pred_ctr, records.bid, records.cpc, records.click)
+    table = np.array([line(*row) for row in zip(*(col.tolist() for col in columns))],
+                     dtype=object)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header)
         for start in range(0, len(ids), CHUNK_ROWS):
-            fh.write("".join(lines[ids[start:start + CHUNK_ROWS]].tolist()))
+            fh.write("".join(table[ids[start:start + CHUNK_ROWS]].tolist()))
 
 
 def write_impressions_csv(path: Path, log: ImpressionLog) -> None:
-    first, ids = _distinct_records(log)
-    columns = (log.day, log.site, log.pos, log.ad_id, log.random_mode,
-               log.pred_ctr, log.bid, log.cpc, log.click)
-    table = [f"{day},{log.bucket},{site},{pos},{ad_id},"
-             f"{'random' if random_mode else 'greedy'},{pred!r},{bid!r},{cpc!r},{click}\n"
-             for day, site, pos, ad_id, random_mode, pred, bid, cpc, click
-             in zip(*(col[first].tolist() for col in columns))]
-    _write_records(path, ",".join(IMPRESSION_HEADER) + "\n", table, ids)
+    def line(day, site, pos, ad_id, random_mode, pred, bid, cpc, click):
+        return (f"{day},{log.bucket},{site},{pos},{ad_id},"
+                f"{'random' if random_mode else 'greedy'},{pred!r},{bid!r},{cpc!r},{click}\n")
+
+    _write_impressions(path, ",".join(IMPRESSION_HEADER) + "\n", log, line)
 
 
 def write_impressions_jsonl(path: Path, log: ImpressionLog) -> None:
-    first, ids = _distinct_records(log)
-    table = [json.dumps({
-        "day": int(log.day[i]), "bucket": log.bucket,
-        "site": int(log.site[i]), "pos": int(log.pos[i]),
-        "ad_id": int(log.ad_id[i]),
-        "mode": "random" if log.random_mode[i] else "greedy",
-        "pred_ctr": float(log.pred_ctr[i]), "bid": float(log.bid[i]),
-        "cpc": float(log.cpc[i]), "click": int(log.click[i]),
-    }, sort_keys=True) + "\n" for i in first.tolist()]
-    _write_records(path, "", table, ids)
+    def line(day, site, pos, ad_id, random_mode, pred, bid, cpc, click):
+        return json.dumps({
+            "day": day, "bucket": log.bucket, "site": site, "pos": pos, "ad_id": ad_id,
+            "mode": "random" if random_mode else "greedy",
+            "pred_ctr": pred, "bid": bid, "cpc": cpc, "click": click,
+        }, sort_keys=True) + "\n"
+
+    _write_impressions(path, "", log, line)
 
 
 def _dist_version(name: str) -> str | None:

@@ -31,7 +31,7 @@ from gspbias.metrics import (
     selection_bias,
 )
 from gspbias.oracle import ScoreDistribution, conditional_mean_profile
-from reference import symmetry_z
+from reference import log_from_rows, symmetry_z
 
 TABLE2_MEANS = {"a": 0.934, "b": 0.894, "c": 0.803, "d": 0.966, "e": 0.900, "f": 0.800}
 TABLE2_RATIOS = {"a": 0.934, "b": 0.993, "c": 1.00, "d": 0.966, "e": 1.00, "f": 1.00}
@@ -180,13 +180,9 @@ def test_criterion_7_calibration_properties(ab_run):
     rng = np.random.default_rng(77)
     n = 400_000
     preds = rng.uniform(0.02, 0.15, n)
-    from gspbias.engine import ImpressionLog
-    null_log = ImpressionLog(
-        bucket="N", day=np.zeros(n, dtype=np.int64),
-        site=np.ones(n, dtype=np.int64), pos=np.ones(n, dtype=np.int64),
-        ad_id=np.ones(n, dtype=np.int64),
+    null_log = log_from_rows(
+        bucket="N", pred=preds, bid=np.ones(n), cpc=np.zeros(n),
         random_mode=rng.random(n) < 0.5,
-        pred_ctr=preds, bid=np.ones(n), cpc=np.zeros(n),
         click=rng.binomial(1, preds).astype(np.int64),
     )
     null_rep = c_relative(null_log)

@@ -225,6 +225,15 @@ class TestConfigLoading:
         with pytest.raises(ConfigError):
             parse_distribution("gamma:1:2")
 
+    @pytest.mark.parametrize("spec", ["uniform:0:inf", "beta:nan:2", "beta:2:2:inf"])
+    def test_non_finite_distribution_rejected(self, tmp_path, capsys, spec):
+        bad = SMALL_THEOREMS.replace("dists = beta:2:38", f"dists = {spec}")
+        rc = run_cli("verify-theorems", "--config", write_cfg(tmp_path, bad),
+                     "--out", tmp_path / "out", "--trials", "1000")
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "dists" in err and "Traceback" not in err
+
     def test_packaged_defaults_parse(self):
         from importlib import resources
         for name, command in (("table2.cfg", "simulate-cpc"),
@@ -250,6 +259,21 @@ class TestSeedResolution:
                        "--trials", "50") == 0
         manifest = json.loads((tmp_path / "o2" / "manifest.json").read_text())
         assert manifest["seed"] == 456
+
+    def test_negative_cli_seed_is_config_error(self, tmp_path, capsys):
+        rc = run_cli("simulate-cpc", "--config", write_cfg(tmp_path, SMALL_CPC),
+                     "--out", tmp_path / "o4", "--seed", "-1", "--trials", "50")
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "seed" in err and "Traceback" not in err
+
+    def test_negative_env_seed_is_config_error(self, tmp_path, monkeypatch, capsys):
+        cfg = write_cfg(tmp_path, SMALL_CPC.replace("seed = 123\n", ""))
+        monkeypatch.setenv("GSPBIAS_SEED", "-3")
+        assert run_cli("simulate-cpc", "--config", cfg, "--out", tmp_path / "o5",
+                       "--trials", "50") == 3
+        err = capsys.readouterr().err
+        assert "GSPBIAS_SEED" in err and "Traceback" not in err
 
     def test_no_seed_anywhere_is_config_error(self, tmp_path, monkeypatch):
         cfg = write_cfg(tmp_path, SMALL_CPC.replace("seed = 123\n", ""))
@@ -403,6 +427,19 @@ class TestAbRun:
         for model in report["models"].values():
             assert model["c_relative"] is None
             assert "undefined_reason" in model
+
+    def test_burn_in_covering_every_day_leaves_empty_evaluation(self, tmp_path):
+        cfg = write_cfg(tmp_path, SMALL_AB.replace("burn_in_days = 2", "burn_in_days = 4"))
+        out = tmp_path / "ab_burn"
+        assert run_cli("ab-run", "--config", cfg, "--out", out, "--format", "both") == 0
+        report = json.loads((out / "calibration_report.json").read_text())
+        for model in report["models"].values():
+            assert model["records"] == 4 * 1500 and model["evaluation_records"] == 0
+            assert model["c_relative"] is None and model["undefined_reason"]
+        assert (out / "calibration_table.csv").read_text().splitlines()[1:] == ["A,,", "B,,"]
+        rel = json.loads((out / "rtv_rtc.json").read_text())
+        assert rel["rtv"] is None and rel["rtc"] is None and rel["undefined_reason"]
+        assert len((out / "impressions_A.jsonl").read_text().splitlines()) == 4 * 1500
 
     def test_identical_estimators_rtv_rtc_one(self, tmp_path):
         cfg = write_cfg(tmp_path, SMALL_AB.replace("estimator = pooled",

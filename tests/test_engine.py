@@ -309,6 +309,20 @@ class TestAbExperiment:
         assert len(tail) == (cfg.days - cfg.burn_in_days) * cfg.traffic_per_day
         assert tail.day.min() == cfg.burn_in_days
 
+    def test_after_day_is_a_view(self):
+        """Each split is the mask split of every column, and copies no array."""
+        cfg = ab_config()
+        log = run_ab_experiment(cfg)["A"]
+        for first_day in range(cfg.days + 2):
+            tail = log.after_day(first_day)
+            keep = log.day >= first_day
+            for name in ("day", "ctx", "winner", "random_mode", "click"):
+                assert getattr(tail, name).base is getattr(log, name)
+            for name in ("day", "site", "pos", "ad_id", "random_mode",
+                         "pred_ctr", "bid", "cpc", "click"):
+                np.testing.assert_array_equal(getattr(tail, name), getattr(log, name)[keep])
+            assert tail.estimates is log.estimates and tail.prices is log.prices
+
     def test_matches_scalar_replay(self):
         """Replaying the per-access uniforms through the scalar auction ops
         reproduces the vectorized day exactly."""

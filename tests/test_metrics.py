@@ -7,7 +7,6 @@ from gspbias.engine import (
     BucketSpec,
     Context,
     CpcStudyConfig,
-    ImpressionLog,
     TrialTable,
     run_ab_experiment,
     run_cpc_study,
@@ -25,7 +24,7 @@ from gspbias.metrics import (
     rtv_rtc,
     selection_bias,
 )
-from reference import symmetry_z
+from reference import log_from_rows, symmetry_z
 
 
 def run_setting(ctrs, n, trials=20000, seed=314, idx=0):
@@ -65,20 +64,19 @@ def trials_tight():
 
 def make_log(preds, clicks, random_mode, bids=None, cpcs=None, bucket="T"):
     n = len(preds)
-    bids = np.ones(n) if bids is None else np.asarray(bids, dtype=float)
-    cpcs = np.zeros(n) if cpcs is None else np.asarray(cpcs, dtype=float)
-    return ImpressionLog(
-        bucket=bucket,
-        day=np.zeros(n, dtype=np.int64),
-        site=np.ones(n, dtype=np.int64),
-        pos=np.ones(n, dtype=np.int64),
-        ad_id=np.ones(n, dtype=np.int64),
-        random_mode=np.asarray(random_mode, dtype=bool),
-        pred_ctr=np.asarray(preds, dtype=float),
-        bid=bids,
-        cpc=cpcs,
-        click=np.asarray(clicks, dtype=np.int64),
-    )
+    return log_from_rows(preds, np.ones(n) if bids is None else bids,
+                         np.zeros(n) if cpcs is None else cpcs, random_mode, clicks, bucket)
+
+
+def test_log_from_rows_reads_back_each_row():
+    rows = {"pred_ctr": [0.1, 0.2, 0.3, 0.0], "bid": [4.0, 6.0, 4.0, 1.0],
+            "cpc": [2.0, 0.0, 9.0, 0.0], "random_mode": [False, True, False, True],
+            "click": [1, 0, 0, 1]}
+    log = log_from_rows(*rows.values())
+    for name, want in rows.items():
+        np.testing.assert_array_equal(getattr(log, name), want)
+    with pytest.raises(ValueError):
+        log_from_rows([0.1], [1.0], [0.5], [True], [1])
 
 
 class TestSelectionBias:

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gspbias import reports
-from gspbias.engine import ImpressionLog, TrialTable
+from gspbias.engine import AdSpec, Context, ImpressionLog, TrialTable
 from gspbias.reports import (
     IMPRESSION_HEADER,
     write_impressions_csv,
@@ -34,39 +34,63 @@ def reference_csv(path, log):
 
 def reference_jsonl(path, log):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for i in range(len(log)):
+        day, site, pos = log.day.tolist(), log.site.tolist(), log.pos.tolist()
+        ad_id, click = log.ad_id.tolist(), log.click.tolist()
+        pred, bid, cpc = log.pred_ctr.tolist(), log.bid.tolist(), log.cpc.tolist()
+        for i in range(len(day)):
             fh.write(json.dumps({
-                "day": int(log.day[i]), "bucket": log.bucket,
-                "site": int(log.site[i]), "pos": int(log.pos[i]),
-                "ad_id": int(log.ad_id[i]),
-                "mode": "random" if log.random_mode[i] else "greedy",
-                "pred_ctr": float(log.pred_ctr[i]), "bid": float(log.bid[i]),
-                "cpc": float(log.cpc[i]), "click": int(log.click[i]),
+                "day": day[i], "bucket": log.bucket, "site": site[i], "pos": pos[i],
+                "ad_id": ad_id[i], "mode": "random" if log.random_mode[i] else "greedy",
+                "pred_ctr": pred[i], "bid": bid[i], "cpc": cpc[i], "click": click[i],
             }, sort_keys=True) + "\n")
 
 
-# small pools so that rows repeat; cpc holds both zeros, which compare equal
-# as floats but print differently
-ROW = st.tuples(
-    st.sampled_from([0, 1, 29]), st.sampled_from([1, 2]), st.sampled_from([1, 3]),
-    st.sampled_from([1, 2, 7]), st.booleans(),
-    st.sampled_from([0.0, 0.05, 1 / 3, 5e-324]), st.sampled_from([0.9, 1.0, 1.2]),
-    st.sampled_from([0.0, -0.0, 0.04123456789012345, 1.0]), st.sampled_from([0, 1]),
-)
+# day-table values: both zeros, which compare equal as floats but print
+# differently, the smallest subnormal and two long reprs
+VALUE = st.sampled_from([0.0, -0.0, 5e-324, 1 / 3, 0.04123456789012345])
 # the second name needs JSON escapes: a quote, a backslash and a non-ASCII letter
 BUCKET = st.sampled_from(["A", 'b"\\é'])
 
 
-def make_log(bucket, rows):
-    cols = list(zip(*rows)) if rows else [()] * 9
-    ints = [np.array(c, dtype=np.int64) for c in cols[:4]]
+def code_log(bucket, ads, contexts, estimates, prices, rows):
+    """A log from (day, ctx, winner, random_mode, click) rows, days non-decreasing."""
+    cols = list(zip(*rows)) if rows else [()] * 5
     return ImpressionLog(
-        bucket, *ints, random_mode=np.array(cols[4], dtype=bool),
-        pred_ctr=np.array(cols[5], dtype=np.float64),
-        bid=np.array(cols[6], dtype=np.float64),
-        cpc=np.array(cols[7], dtype=np.float64),
-        click=np.array(cols[8], dtype=np.int64),
-    )
+        bucket, ads=ads, contexts=contexts,
+        estimates=np.array(estimates, dtype=np.float64).reshape(-1, len(ads), len(contexts)),
+        prices=np.array(prices, dtype=np.float64).reshape(-1, len(contexts)),
+        day=np.array(cols[0], dtype=np.int64), ctx=np.array(cols[1], dtype=np.int64),
+        winner=np.array(cols[2], dtype=np.int64), random_mode=np.array(cols[3], dtype=bool),
+        click=np.array(cols[4], dtype=np.int8))
+
+
+@st.composite
+def code_logs(draw):
+    m, n_ctx, days = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    ids = sorted(draw(st.lists(st.sampled_from([1, 2, 7, 29]), min_size=m, max_size=m,
+                               unique=True)))
+    ads = tuple(AdSpec(i, draw(VALUE), 0.05) for i in ids)
+    places = draw(st.lists(st.tuples(st.sampled_from([1, 2]), st.sampled_from([1, 3])),
+                           min_size=n_ctx, max_size=n_ctx, unique=True))
+    contexts = tuple(Context(site, pos, 1.0) for site, pos in places)
+    estimates = draw(st.lists(VALUE, min_size=days * m * n_ctx, max_size=days * m * n_ctx))
+    prices = draw(st.lists(VALUE, min_size=days * n_ctx, max_size=days * n_ctx))
+    # small pools so that records repeat; explore rows included
+    rows = draw(st.lists(st.tuples(st.integers(0, days - 1), st.integers(0, n_ctx - 1),
+                                   st.integers(0, m - 1), st.booleans(), st.integers(0, 1)),
+                         max_size=60))
+    rows.sort(key=lambda row: row[0])
+    return code_log(draw(BUCKET), ads, contexts, estimates, prices, rows)
+
+
+def signed_zero_log(repeats=1):
+    """Two days whose tables differ only in the sign of zeros, then an explore row."""
+    rows = [(0, 0, 0, False, 1), (1, 0, 0, False, 1), (1, 1, 1, True, 0)]
+    rows = sorted(rows * repeats, key=lambda row: row[0])
+    return code_log('b"\\é', (AdSpec(2, -0.0, 0.05), AdSpec(7, 1 / 3, 0.05)),
+                    (Context(1, 1, 1.0), Context(2, 3, 1.0)),
+                    [[[0.0, 5e-324], [-0.0, 1 / 3]], [[-0.0, 5e-324], [0.0, 1 / 3]]],
+                    [[0.0, -0.0], [-0.0, 0.04123456789012345]], rows)
 
 
 def assert_writers_match_reference(log):
@@ -79,24 +103,19 @@ def assert_writers_match_reference(log):
             assert (out / "new").read_bytes() == (out / "ref").read_bytes(), writer.__name__
 
 
-SIGNED_ZEROS = [(0, 1, 1, 2, False, 0.05, 1.0, cpc, 1) for cpc in (0.0, -0.0, 0.0, -0.0)]
-
-
 class TestImpressionWriters:
     @settings(max_examples=150, deadline=None)
-    @given(bucket=BUCKET, rows=st.lists(ROW, max_size=60),
-           chunk=st.sampled_from([1, 3, reports.CHUNK_ROWS]))
-    @example(bucket='b"\\é', rows=SIGNED_ZEROS, chunk=3)
-    def test_match_per_row_reference(self, bucket, rows, chunk):
+    @given(log=code_logs(), chunk=st.sampled_from([1, 3, reports.CHUNK_ROWS]))
+    @example(log=signed_zero_log(), chunk=3)
+    def test_match_per_row_reference(self, log, chunk):
         with mock.patch.object(reports, "CHUNK_ROWS", chunk):
-            assert_writers_match_reference(make_log(bucket, rows))
+            assert_writers_match_reference(log)
 
     def test_log_longer_than_a_chunk(self):
         """One full chunk at the module's own chunk size, then a partial one."""
-        rows = (SIGNED_ZEROS + [(1, 2, 3, 7, True, 1 / 3, 0.9, 0.0, 0)]) * (
-            reports.CHUNK_ROWS // (len(SIGNED_ZEROS) + 1) + 1)
-        assert len(rows) > reports.CHUNK_ROWS
-        assert_writers_match_reference(make_log('b"\\é', rows))
+        log = signed_zero_log(reports.CHUNK_ROWS // 3 + 1)
+        assert len(log) > reports.CHUNK_ROWS
+        assert_writers_match_reference(log)
 
 
 def trial_rows(trials):
