@@ -4,7 +4,8 @@ Subcommands: ``simulate-cpc`` (repeated-auction price study), ``verify-theorems`
 (quadrature oracle vs Monte Carlo rank sampling), ``ab-run`` (two-bucket
 traffic experiment).  Each writes its artifacts plus a manifest into --out.
 
-Exit codes: 0 success, 1 verification failure, 2 I/O error, 3 config error.
+Exit codes: 0 success, 1 verification failure, 2 I/O error, 3 config error
+(or another domain error that the config's values lead to).
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .engine import (
 )
 from .errors import (
     ConfigError,
+    GspBiasError,
     RankUnreachable,
     UndefinedCalibration,
     UndefinedRatio,
@@ -47,6 +49,7 @@ from .oracle import (
     check_splittable,
     conditional_density_profile,
     conditional_mean_profile,
+    rank_table,
     top_rank_decomposition,
 )
 from .reports import (
@@ -195,12 +198,13 @@ def cmd_simulate_cpc(args) -> int:
 # verify-theorems
 # ---------------------------------------------------------------------------
 
-def _verify_case(dists, mc, case_pass_state: dict) -> list[dict]:
-    m = len(dists)
-    grid = CaseGrid(dists)  # one CDF and PDF row per ad, freed when the case ends
+def _verify_case(grid: CaseGrid, mc, case_pass_state: dict) -> list[dict]:
+    m = len(grid)
     candidates = []
     for i in range(m):
-        profile = conditional_mean_profile(grid, i)
+        # one rank table per candidate; the density profile, last, normalizes it in place
+        table = rank_table(grid.cdf, i)
+        profile = conditional_mean_profile(grid, i, table)
         qmeans = profile.conditional_means
         ineq_checked = ineq_skipped = 0
         ineq_ok = True
@@ -226,7 +230,7 @@ def _verify_case(dists, mc, case_pass_state: dict) -> list[dict]:
                 mc_ok = False
         if m >= 2:
             try:
-                dec = top_rank_decomposition(grid, i)
+                dec = top_rank_decomposition(grid, i, table=table)
                 dec_ok = (abs(dec.residual) <= DECOMPOSITION_TOL
                           and dec.plus_monotone and dec.minus_monotone)
                 dec_entry = {"residual": dec.residual,
@@ -239,7 +243,7 @@ def _verify_case(dists, mc, case_pass_state: dict) -> list[dict]:
         else:
             dec_ok = True
             dec_entry = {"skipped": "single ad has no adjacent rank"}
-        nodes, dens = conditional_density_profile(grid, i)
+        nodes, dens = conditional_density_profile(grid, i, table)
         split_entries = []
         split_ok = True
         for k in range(m - 1):
@@ -283,15 +287,16 @@ def cmd_verify_theorems(args) -> int:
     cases_payload = []
     all_pass = True
     for idx, case in enumerate(suite.cases):
-        dists = case.distributions()
-        mc = sample_rank_stats(dists, draws, seed, case_index=idx, threads=args.threads)
+        grid = CaseGrid(case.distributions())  # CDF and PDF rows, dropped when the case ends
+        mc = sample_rank_stats(grid, draws, seed, case_index=idx, threads=args.threads)
         state = {"ok": True}
-        candidates = _verify_case(dists, mc, state)
+        candidates = _verify_case(grid, mc, state)
+        del grid
         all_pass = all_pass and state["ok"]
         cases_payload.append({
             "name": case.name,
             "dists": list(case.dist_specs),
-            "ads": len(dists),
+            "ads": len(candidates),
             "passed": state["ok"],
             "candidates": candidates,
         })
@@ -422,6 +427,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 2
+    except GspBiasError as exc:  # a domain error from config values, never exit 1
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -29,6 +29,10 @@ class GridMismatch(GspBiasError):
     """Two density grids that must share bin edges do not."""
 
 
+class HistogramTooWide(GspBiasError):
+    """Samples spread over more lattice bins than one histogram may hold."""
+
+
 class UndefinedCalibration(GspBiasError):
     """A calibration ratio has zero clicks in its denominator."""
 

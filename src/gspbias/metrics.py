@@ -15,9 +15,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import ImpressionLog, TrialTable
-from .errors import GridMismatch, RankUnreachable, UndefinedCalibration, UndefinedRatio
+from .errors import (
+    GridMismatch,
+    HistogramTooWide,
+    RankUnreachable,
+    UndefinedCalibration,
+    UndefinedRatio,
+)
 
 MIN_BIAS_TRIALS = 100
+MAX_HISTOGRAM_BINS = 1 << 20  # bins one histogram may span
 
 
 def _true_ranking(true_ctrs, bids) -> list[int]:
@@ -217,16 +224,23 @@ def build_histogram(samples, bin_width: float) -> Histogram:
     """Histogram whose edges are consecutive multiples of ``bin_width``.
 
     Anchoring edges to the width lattice means two histograms built with the
-    same width are always alignable bin-for-bin.
+    same width are always alignable bin-for-bin.  Raises HistogramTooWide
+    when the samples span more than MAX_HISTOGRAM_BINS bins, or lattice
+    indices that are not exact integers.
     """
     samples = np.asarray(samples, dtype=float)
     if samples.size == 0:
         raise ValueError("samples must be non-empty")
     if bin_width <= 0:
         raise ValueError("bin width must be positive")
-    idx = np.floor(samples / bin_width).astype(np.int64)
-    k_min, k_max = int(idx.min()), int(idx.max())
-    counts = np.bincount(idx - k_min, minlength=k_max - k_min + 1)
+    with np.errstate(over="ignore"):
+        k = np.floor(samples / bin_width)
+    lo, hi = k.min(), k.max()
+    if not (-2.0 ** 53 <= lo and hi <= 2.0 ** 53 and hi - lo < MAX_HISTOGRAM_BINS):
+        raise HistogramTooWide(f"samples from {samples.min()} to {samples.max()} at bin width "
+                               f"{bin_width} span more than {MAX_HISTOGRAM_BINS} bins")
+    k_min, k_max = int(lo), int(hi)
+    counts = np.bincount((k - lo).astype(np.int64), minlength=k_max - k_min + 1)
     edges = (k_min + np.arange(k_max - k_min + 2)) * bin_width
     return Histogram(edges=edges, counts=counts)
 

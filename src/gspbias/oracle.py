@@ -10,9 +10,13 @@ moments follow by fixed composite-Simpson quadrature against the
 candidate's own density.
 
 A ``CaseGrid`` holds the Simpson nodes and weights and every ad's CDF and
-PDF row on them, each evaluated once per case.  One candidate's rank table
-costs O(m^2 * grid) operations; a case holds O(m * grid) floats (the CDF and
-PDF rows plus one candidate's table), so there is no cap on m.
+PDF row on them, each evaluated once per case.  The same rows serve the
+case's Monte Carlo draws: ``CaseGrid.ppf`` inverts a beta ad's CDF row and
+refines the result with one Newton step.  One candidate's rank table costs
+O(m^2 * grid) operations and is built once, then read by the mean profile,
+the decomposition and, last, the density profile, which normalizes it in
+place.  A case holds O(m * grid) floats (the CDF and PDF rows plus one
+candidate's table), so there is no cap on m.
 
 Quadrature accuracy is ~1e-12 relative for smooth densities; a density
 jump interior to the shared grid (e.g. a uniform whose endpoints are not
@@ -30,6 +34,11 @@ from .errors import GridMismatch, RankUnreachable
 
 SIMPSON_INTERVALS = 2 ** 17
 MASS_FLOOR = 1e-12
+# CaseGrid.ppf keeps a Newton-refined draw only when its estimated error,
+# in units of the ad's scale, is at most _NEWTON_TOL; _CDF_REL_ERR bounds
+# the relative error of the beta CDF evaluation that the estimate allows for.
+_NEWTON_TOL = 1e-9
+_CDF_REL_ERR = 1e-14
 
 
 class ScoreDistribution:
@@ -40,13 +49,15 @@ class ScoreDistribution:
     on a point grid (CDF accumulated by the trapezoid rule and normalized).
     """
 
-    def __init__(self, kind: str, upper: float, pdf, cdf, ppf, label: str):
+    def __init__(self, kind: str, upper: float, pdf, cdf, ppf, label: str,
+                 params: tuple = ()):
         self.kind = kind
         self.upper = upper
         self._pdf = pdf
         self._cdf = cdf
         self._ppf = ppf
         self.label = label
+        self.params = params  # (a, b, scale) for a scaled beta
 
     def __repr__(self):
         return f"ScoreDistribution({self.label})"
@@ -102,7 +113,8 @@ class ScoreDistribution:
             from scipy.special import _ufuncs
             return _ufuncs._beta_ppf(u, a, b) * scale
 
-        return cls("scaled-beta", scale, pdf, cdf, ppf, f"beta({a}, {b}, scale={scale})")
+        return cls("scaled-beta", scale, pdf, cdf, ppf, f"beta({a}, {b}, scale={scale})",
+                   (a, b, scale))
 
     @classmethod
     def from_grid(cls, points, densities) -> "ScoreDistribution":
@@ -159,11 +171,13 @@ class CaseGrid:
     """The Simpson grid of one case, with every ad's CDF and PDF row on it.
 
     Each row is evaluated once, when the grid is built; every oracle
-    function that takes a case's distributions also accepts its CaseGrid.
+    function that takes a case's distributions also accepts its CaseGrid,
+    and so does the Monte Carlo sampler, which draws through ``ppf``.
     ``len(grid)`` is the ad count m.
     """
 
     def __init__(self, dists: list[ScoreDistribution]):
+        self.dists = dists
         upper = max(d.upper for d in dists)
         self.s = np.linspace(0.0, upper, SIMPSON_INTERVALS + 1)
         w = np.ones_like(self.s)
@@ -175,6 +189,45 @@ class CaseGrid:
 
     def __len__(self) -> int:
         return len(self.cdf)
+
+    def ppf(self, j: int, u: np.ndarray) -> np.ndarray:
+        """Ad j's scores at uniforms u in [0, 1).
+
+        Uniform ads invert in closed form.  A beta ad brackets u between two
+        nodes of its CDF row, F[i-1] <= u < F[i], interpolates linearly and
+        takes one Newton step with the exact CDF and density.  A draw takes
+        the exact inverse instead when its bracket is the first or last cell
+        of the support (CDF 0 at the lower node or 1 at the upper), its step
+        leaves the bracket, its density is not positive, or the estimated
+        error after the step, step^2 |f'/f| / 2 plus the shift a CDF error
+        of _CDF_REL_ERR * u causes, exceeds _NEWTON_TOL * scale.
+        """
+        dist = self.dists[j]
+        if dist.kind != "scaled-beta":
+            return dist.ppf(u)
+        from scipy.special import _ufuncs
+        a, b, scale = dist.params
+        F = self.cdf[j]
+        # sorted keys let searchsorted narrow each search from the last one
+        by_u = np.argsort(u)
+        hi = np.empty(len(u), dtype=np.intp)
+        hi[by_u] = np.searchsorted(F, u[by_u], side="right")
+        f_lo, f_hi = F[hi - 1], F[hi]
+        s_lo, s_hi = self.s[hi - 1], self.s[hi]
+        x = (s_lo + (u - f_lo) / (f_hi - f_lo) * (s_hi - s_lo)) / scale
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            # the density in closed form, a quarter of _beta_pdf's cost; its
+            # ~1e-13 relative error moves the step by as small a fraction
+            pdf = np.exp((a - 1.0) * np.log(x) + (b - 1.0) * np.log1p(-x) - _ufuncs.betaln(a, b))
+            step = (_ufuncs.betainc(a, b, x) - u) / pdf
+            err = (step * step * np.abs((a - 1.0) / x - (b - 1.0) / (1.0 - x)) / 2.0
+                   + _CDF_REL_ERR * u / pdf)
+        out = (x - step) * scale
+        exact = ((f_lo == 0.0) | (f_hi == 1.0) | ~(pdf > 0.0) | ~(err <= _NEWTON_TOL)
+                 | ~((s_lo <= out) & (out <= s_hi)))
+        if exact.any():
+            out[exact] = dist.ppf(u[exact])
+        return out
 
 
 def _case_grid(dists: list[ScoreDistribution] | CaseGrid) -> CaseGrid:
@@ -233,12 +286,17 @@ class RankProfile:
 
 
 def conditional_mean_profile(dists: list[ScoreDistribution] | CaseGrid,
-                             candidate: int) -> RankProfile:
-    """P(rank = k) and E[score | rank = k] for every rank k, by Simpson quadrature."""
+                             candidate: int, table: np.ndarray | None = None) -> RankProfile:
+    """P(rank = k) and E[score | rank = k] for every rank k, by Simpson quadrature.
+
+    ``table`` is the candidate's ``rank_table`` on the case grid, when the
+    caller already holds it.
+    """
     _validate(dists, candidate, 1)
     grid = _case_grid(dists)
     s, w, density = grid.s, grid.w, grid.pdf[candidate]
-    table = rank_table(grid.cdf, candidate)
+    if table is None:
+        table = rank_table(grid.cdf, candidate)
     marginals = np.empty(len(table))
     means = np.full(len(table), np.nan)
     for k, pk in enumerate(table):
@@ -249,18 +307,20 @@ def conditional_mean_profile(dists: list[ScoreDistribution] | CaseGrid,
     return RankProfile(candidate=candidate, marginals=marginals, conditional_means=means)
 
 
-def conditional_density_profile(dists: list[ScoreDistribution] | CaseGrid, candidate: int
+def conditional_density_profile(dists: list[ScoreDistribution] | CaseGrid, candidate: int,
+                                table: np.ndarray | None = None
                                 ) -> tuple[np.ndarray, np.ndarray]:
     """Conditional score densities given each rank, on the Simpson grid.
 
     Returns (grid, matrix) where row k-1 is the density of the candidate's
     score conditional on attaining rank k; rows for ranks with negligible
-    mass are NaN.
+    mass are NaN.  A given ``table`` (the candidate's ``rank_table``) is
+    normalized in place and returned as the matrix.
     """
     _validate(dists, candidate, 1)
     grid = _case_grid(dists)
     w, density = grid.w, grid.pdf[candidate]
-    out = rank_table(grid.cdf, candidate)
+    out = rank_table(grid.cdf, candidate) if table is None else table
     for k, pk in enumerate(out):
         mass = float(np.sum(w * density * pk))
         if mass >= MASS_FLOOR:
@@ -338,20 +398,22 @@ class RankDecomposition:
 
 
 def top_rank_decomposition(dists: list[ScoreDistribution] | CaseGrid, candidate: int,
-                           monotone_slack: float = 1e-12) -> RankDecomposition:
+                           monotone_slack: float = 1e-12,
+                           table: np.ndarray | None = None) -> RankDecomposition:
     """Build the two monotone parts and verify their zero-integral property.
 
     With P1, P2 the rank-1 and rank-2 rows of the rank table and m ads, the
     rivals' all-below product is P1 and its leave-one-out sum is
     sum_l prod_{j != l} F_j = P2 + (m - 1) P1, so plus_part is
     (1 + alpha (m - 1)) P1 and minus_part is alpha (P2 + (m - 1) P1).
+    ``table`` is the candidate's ``rank_table``, when the caller holds it.
     """
     _validate(dists, candidate, 2 if len(dists) >= 2 else 1)
     if len(dists) < 2:
         raise RankUnreachable("rank 2 does not exist with a single ad")
     grid = _case_grid(dists)
     w, density = grid.w, grid.pdf[candidate]
-    p1, p2 = rank_table(grid.cdf, candidate)[:2]
+    p1, p2 = (rank_table(grid.cdf, candidate) if table is None else table)[:2]
     mass1 = float(np.sum(w * density * p1))
     mass2 = float(np.sum(w * density * p2))
     if mass2 < MASS_FLOOR:

@@ -51,6 +51,21 @@ dists = uniform:0:1, uniform:0:1
 dists = beta:2:38
 """
 
+HUGE_BID_CPC = """
+[config]
+schema_version = 1
+command = simulate-cpc
+
+[study]
+seed = 123
+trials = 200
+bids = 1e200, 1e200
+
+[setting.a]
+impressions = 50
+true_ctrs = 0.05, 0.05
+"""
+
 SMALL_AB = """
 [config]
 schema_version = 1
@@ -333,6 +348,21 @@ class TestSimulateCpc:
         for name in ("trials_a.csv", "trials_a.jsonl", "trials_c.csv", "trials_c.jsonl"):
             assert (out / name).read_bytes() == (outs[3] / name).read_bytes(), name
 
+    def test_histogram_beyond_bin_cap_exits_three(self, tmp_path):
+        """Bids of 1e200 put prices ~1e202 bins of width 0.01 from zero: a
+        config error naming the width, not an OverflowError traceback."""
+        cfg = write_cfg(tmp_path, HUGE_BID_CPC)
+        src = str(Path(gspbias.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "gspbias.cli", "simulate-cpc",
+                               "--config", str(cfg), "--out", str(tmp_path / "huge"),
+                               "--threads", "1"],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 3
+        assert "Traceback" not in proc.stderr
+        assert "bin width 0.01" in proc.stderr
+
     @pytest.mark.parametrize("bids", ["0.0", "1.0, 0.0"])
     def test_zero_runner_up_bid_leaves_ratio_undefined(self, tmp_path, bids):
         """A zero expected CPC gives an empty ratio cell and a reason, not NaN."""
@@ -396,6 +426,24 @@ class TestVerifyTheorems:
         assert run_cli("verify-theorems", "--config", cfg, "--out", out) == 1
         report = json.loads((out / "theorem_report.json").read_text())
         assert report["passed"] is False
+
+    def test_one_rank_table_per_candidate(self, tmp_path, monkeypatch):
+        import gspbias.cli as cli_mod
+        from gspbias import oracle
+
+        real = oracle.rank_table
+        candidates = []
+
+        def counted(F, candidate):
+            candidates.append(candidate)
+            return real(F, candidate)
+
+        monkeypatch.setattr(oracle, "rank_table", counted)
+        monkeypatch.setattr(cli_mod, "rank_table", counted)
+        cfg = write_cfg(tmp_path, SMALL_THEOREMS)
+        assert run_cli("verify-theorems", "--config", cfg, "--out", tmp_path / "tables",
+                       "--trials", "2000") == 0
+        assert candidates == [0, 1, 0]  # case pair: candidates 0 and 1; case solo: 0
 
 
 class TestAbRun:
@@ -501,6 +549,25 @@ class TestAbOutputBytes:
             "rtv_rtc.json":
                 "ff665a39ab49e0f298f1026270cdc0e29a973d5fb9fccd45665e80d03d8369e8",
         }
+
+
+class TestTheoremOutputBytes:
+    """verify-theorems report bytes pinned across versions and thread counts.
+
+    A change that moves this digest must say which fields moved and why in
+    CHANGES.md, then update it here.
+    """
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_small_config(self, tmp_path, threads):
+        out = tmp_path / "thm"
+        assert run_cli("verify-theorems", "--config", write_cfg(tmp_path, SMALL_THEOREMS),
+                       "--out", out, "--threads", threads) == 0
+        assert output_digests(out) == {
+            "theorem_report.json":
+                "0610fea7292af00d644e3ac7f11b14ed858b5e369d5b77b4ddf15212c23b7620",
+        }
+
 
 class TestManifestReproducibility:
     def test_manifest_names_every_output(self, tmp_path):

@@ -30,7 +30,7 @@ from gspbias.engine import (
 from gspbias import rng
 from gspbias.errors import DegeneratePrice, RankUnreachable, RepeatedContext
 from gspbias.estimators import CountWindow
-from gspbias.oracle import ScoreDistribution
+from gspbias.oracle import CaseGrid, ScoreDistribution
 
 
 def study(trials=2000, seed=99, ctrs=(0.05, 0.04), n=(5000, 5000), bids=(1.0, 1.0),
@@ -422,6 +422,20 @@ class TestSampleRankStats:
         np.testing.assert_array_equal(one.means, four.means)
         np.testing.assert_array_equal(one.counts, four.counts)
         np.testing.assert_array_equal(one.std_errors, four.std_errors)
+
+    def test_beta_field_thread_invariant(self):
+        """Grid draws and bincount moments give the same bytes for any thread
+        count, and a list with a beta ad draws through the grid it builds."""
+        dists = [ScoreDistribution.scaled_beta(2, 38), ScoreDistribution.scaled_beta(3, 37, 1.2),
+                 ScoreDistribution.uniform(0, 0.1)]
+        runs = [sample_rank_stats(CaseGrid(dists), 100_000, seed=5, threads=1),
+                sample_rank_stats(CaseGrid(dists), 100_000, seed=5, threads=4),
+                sample_rank_stats(dists, 100_000, seed=5, threads=2)]
+        for other in runs[1:]:
+            np.testing.assert_array_equal(runs[0].means, other.means)
+            np.testing.assert_array_equal(runs[0].counts, other.counts)
+            np.testing.assert_array_equal(runs[0].std_errors, other.std_errors)
+        np.testing.assert_array_equal(runs[0].counts.sum(axis=0), 100_000)
 
     def test_uniform_pair_against_known_order_statistics(self):
         dists = [ScoreDistribution.uniform(0, 1)] * 2

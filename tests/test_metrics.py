@@ -11,10 +11,11 @@ from gspbias.engine import (
     run_ab_experiment,
     run_cpc_study,
 )
-from gspbias.errors import RankUnreachable, UndefinedCalibration, UndefinedRatio
+from gspbias.errors import HistogramTooWide, RankUnreachable, UndefinedCalibration, UndefinedRatio
 from gspbias.metrics import (
     align_histograms,
     bias_report,
+    MAX_HISTOGRAM_BINS,
     build_histogram,
     c_relative,
     c_relative_log_se,
@@ -232,6 +233,17 @@ class TestHistograms:
         edges, c1, c2 = align_histograms(h1, h2)
         assert len(edges) == len(c1) + 1 == len(c2) + 1
         assert histogram_overlap(h1, h2) == pytest.approx(1 / 3)
+
+    @pytest.mark.parametrize("samples, width", [
+        ([0.0, 1e200], 0.01), ([1e200, 1e200], 0.01), ([0.0, 1e308], 0.01),
+        ([0.0, MAX_HISTOGRAM_BINS * 0.5], 0.5)], ids=["span", "index", "overflow", "past-cap"])
+    def test_span_beyond_cap_raises(self, samples, width):
+        with pytest.raises(HistogramTooWide, match=f"bin width {width}"):
+            build_histogram(samples, width)
+
+    def test_span_at_cap_builds(self):
+        h = build_histogram([0.0, (MAX_HISTOGRAM_BINS - 0.5) * 0.5], 0.5)
+        assert len(h.counts) == MAX_HISTOGRAM_BINS and h.total == 2
 
     def test_disjoint_samples_no_overlap(self):
         h1 = build_histogram(np.linspace(0, 0.9, 100), 0.1)

@@ -1,3 +1,5 @@
+import statistics
+import warnings
 from importlib import resources
 from itertools import combinations
 from math import comb
@@ -7,8 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
+from scipy.special import _ufuncs
 
 from gspbias.config import load_config, parse_distribution
+from gspbias.engine import sample_rank_stats
 from gspbias.errors import GridMismatch, RankUnreachable
 from gspbias.oracle import (
     CaseGrid,
@@ -190,6 +194,91 @@ class TestRankTable:
             np.testing.assert_array_equal(from_grid.conditional_means,
                                           from_list.conditional_means)
             assert top_rank_decomposition(grid, i) == top_rank_decomposition(dists, i)
+
+    def test_shared_table_matches_own_tables(self):
+        """One table serves all three profiles with the bytes each builds alone."""
+        grid = CaseGrid([ScoreDistribution.scaled_beta(2, 38), ScoreDistribution.uniform(0, 0.12),
+                         ScoreDistribution.scaled_beta(4, 40, 0.9)])
+        for i in range(3):
+            table = rank_table(grid.cdf, i)
+            own, shared = conditional_mean_profile(grid, i), conditional_mean_profile(grid, i, table)
+            np.testing.assert_array_equal(shared.marginals, own.marginals)
+            np.testing.assert_array_equal(shared.conditional_means, own.conditional_means)
+            assert top_rank_decomposition(grid, i, table=table) == top_rank_decomposition(grid, i)
+            nodes, dens = conditional_density_profile(grid, i, table)
+            assert dens is table  # normalized in place
+            np.testing.assert_array_equal(dens, conditional_density_profile(grid, i)[1])
+
+
+# u values the grid draws must also get right: zero, far below the grid's
+# first CDF node, and the largest uniform Generator.random returns
+EXTREME_U = [0.0, 5e-324, 1e-300, 1e-12, 2.0 ** -53, 0.5, 1 - 1e-12, 1 - 2.0 ** -53]
+_SPREAD = np.random.default_rng(8)
+SPREAD_U = np.concatenate([_SPREAD.random(2000),
+                           np.exp(_SPREAD.uniform(np.log(1e-300), 0.0, 500)),
+                           np.minimum(1 - np.exp(_SPREAD.uniform(np.log(2.0 ** -53), 0.0, 500)),
+                                      1 - 2.0 ** -53)])
+
+
+class TestCaseGridPpf:
+    @settings(max_examples=40, deadline=None)
+    @given(a=st.floats(0.2, 80.0), b=st.floats(0.2, 80.0), scale=st.floats(0.05, 3.0),
+           stretch=st.floats(1.0, 3.0),
+           u=st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=50))
+    def test_draws_match_exact_inverse(self, a, b, scale, stretch, u):
+        beta = ScoreDistribution.scaled_beta(a, b, scale)
+        # a uniform rival stretches the case grid past the beta's scale
+        grid = CaseGrid([ScoreDistribution.uniform(0.0, scale * stretch), beta])
+        u = np.concatenate([u, EXTREME_U, SPREAD_U])
+        with warnings.catch_warnings():
+            # boost's root finder gives up on some shapes at u = 1e-300, with a
+            # warning, in the exact inverse that both sides then call
+            warnings.filterwarnings("ignore", "Error in function boost", RuntimeWarning)
+            drawn = grid.ppf(1, u)
+            exact = _ufuncs._beta_ppf(u, a, b) * scale
+        np.testing.assert_allclose(drawn, exact, rtol=0, atol=1e-7)
+
+    def test_uniform_ads_keep_closed_form(self):
+        uniform = ScoreDistribution.uniform(0.2, 0.7)
+        grid = CaseGrid([uniform, ScoreDistribution.scaled_beta(2, 38)])
+        np.testing.assert_array_equal(grid.ppf(0, SPREAD_U), uniform.ppf(SPREAD_U))
+
+    def test_packaged_betas_stay_on_the_newton_path(self, monkeypatch):
+        """Lattice uniforms on the packaged betas fall back to the exact inverse
+        only in the outermost cells."""
+        for spec in PACKAGED_BETAS:
+            dist = parse_distribution(spec)
+            grid = CaseGrid([dist])
+            fallbacks = []
+            monkeypatch.setattr(dist, "_ppf", lambda v, f=dist._ppf: fallbacks.append(v) or f(v))
+            u = np.random.default_rng(3).random(200_000)
+            grid.ppf(0, u)
+            assert sum(len(v) for v in fallbacks) <= 2, spec
+
+
+# A 16-ad field of mixed betas and staggered uniforms, and its seed, fixed
+# before the test was first run.
+SIXTEEN_ADS = ["beta:2:38", "uniform:0:0.1", "beta:3:37:1.2", "uniform:0.01:0.08",
+               "beta:2.5:40:0.8", "uniform:0:0.12", "beta:4:60:1.1", "uniform:0.02:0.1",
+               "beta:2:30:0.8", "uniform:0:0.09", "beta:5:45:1.5", "uniform:0.005:0.11",
+               "beta:4:36:0.9", "uniform:0.03:0.07", "beta:3:30:1.1", "uniform:0:0.1"]
+SIXTEEN_SEED = 16
+MC_FAMILY_FALSE_ALARM = 1e-4  # bench/run.py's Bonferroni gate
+
+
+def test_monte_carlo_agrees_with_quadrature_at_sixteen_ads():
+    grid = CaseGrid([parse_distribution(spec) for spec in SIXTEEN_ADS])
+    mc = sample_rank_stats(grid, 1 << 18, SIXTEEN_SEED)
+    deviations = []
+    for i in range(len(grid)):
+        means = conditional_mean_profile(grid, i).conditional_means
+        reachable = means[~np.isnan(means)]
+        assert np.all(np.diff(reachable) <= 1e-6), i  # E[score | rank] never rises
+        for k in np.flatnonzero(mc.counts[i] >= 1000):
+            deviations.append(abs(mc.means[i, k] - means[k]) / mc.std_errors[i, k])
+    bound = statistics.NormalDist().inv_cdf(1 - MC_FAMILY_FALSE_ALARM / (2 * len(deviations)))
+    assert len(deviations) >= 100
+    assert max(deviations) <= bound
 
 
 class TestConditionalScoreMean:
