@@ -285,13 +285,21 @@ def cmd_verify_theorems(args) -> int:
     draws = args.trials if args.trials is not None else suite.mc_draws
     arts = ArtifactSet(args.out)
     cases_payload = []
+    case_runs = []  # for the manifest
     all_pass = True
     for idx, case in enumerate(suite.cases):
+        t_grid = time.monotonic()
         grid = CaseGrid(case.distributions())  # CDF and PDF rows, dropped when the case ends
+        t_mc = time.monotonic()
         mc = sample_rank_stats(grid, draws, seed, case_index=idx, threads=args.threads)
+        t_check = time.monotonic()
         state = {"ok": True}
         candidates = _verify_case(grid, mc, state)
         del grid
+        case_runs.append({"name": case.name, "exact_draws": mc.exact_draws,
+                          "grid_seconds": round(t_mc - t_grid, 3),
+                          "mc_seconds": round(t_check - t_mc, 3),
+                          "check_seconds": round(time.monotonic() - t_check, 3)})
         all_pass = all_pass and state["ok"]
         cases_payload.append({
             "name": case.name,
@@ -307,7 +315,7 @@ def cmd_verify_theorems(args) -> int:
         "cases": cases_payload,
     })
     arts.write_manifest("verify-theorems", config_dict(loaded, seed), seed,
-                        time.monotonic() - t0, __version__, args.threads)
+                        time.monotonic() - t0, __version__, args.threads, cases=case_runs)
     return 0 if all_pass else 1
 
 

@@ -9,12 +9,11 @@ ConfigError with the dotted path of the offending field.
 from __future__ import annotations
 
 import configparser
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .engine import AbConfig, AdSpec, BucketSpec, Context
-from .errors import ConfigError, RepeatedContext
+from .engine import AbConfig, AdSpec, BucketSpec, Context, CpcStudyConfig
+from .errors import ConfigError, InvalidValue, RepeatedContext
 from .oracle import ScoreDistribution
 
 SCHEMA_VERSION = 1
@@ -184,8 +183,6 @@ def _load_cpc(parser) -> tuple[CpcSuite, int | None]:
         if len(imps) != len(ctrs):
             raise ConfigError(f"{sec.name}.impressions",
                               f"need 1 or {len(ctrs)} values, got {len(imps)}")
-        if any(n < 1 for n in imps):
-            raise ConfigError(f"{sec.name}.impressions", "must be >= 1")
         settings.append(CpcSetting(name=name, impressions=imps, true_ctrs=ctrs))
     if not settings:
         raise ConfigError("setting", "at least one [setting.NAME] section required")
@@ -195,8 +192,13 @@ def _load_cpc(parser) -> tuple[CpcSuite, int | None]:
     suite_bids = bids * n_ads if len(bids) == 1 else bids
     if len(suite_bids) != n_ads:
         raise ConfigError("study.bids", f"need 1 or {n_ads} values, got {len(bids)}")
-    if any(not 0 <= b < math.inf for b in suite_bids):
-        raise ConfigError("study.bids", f"must be finite and >= 0, got {bids}")
+    for idx, s in enumerate(settings):
+        try:  # the study's own rules, with the CLI's trials and seed left aside
+            CpcStudyConfig(name=s.name, impressions=s.impressions, true_ctrs=s.true_ctrs,
+                           bids=suite_bids, trials=trials, seed=0, setting_index=idx)
+        except InvalidValue as exc:
+            section = "study" if exc.field in ("bids", "trials") else f"setting.{s.name}"
+            raise ConfigError(f"{section}.{exc.field}", str(exc)) from exc
     cpc_width = study.get_float("cpc_hist_width", default="0.01")
     score_width = study.get_float("score_hist_width", default="0.0005")
     for key, width in (("cpc_hist_width", cpc_width), ("score_hist_width", score_width)):
@@ -245,8 +247,8 @@ def _load_ab(parser) -> tuple[AbConfig, int | None]:
         try:
             contexts.append(Context(site=sec.get_int("site"), pos=sec.get_int("pos"),
                                     multiplier=sec.get_float("multiplier")))
-        except ValueError as exc:
-            raise ConfigError(f"{sec.name}.multiplier", str(exc)) from exc
+        except InvalidValue as exc:
+            raise ConfigError(f"{sec.name}.{exc.field}", str(exc)) from exc
     if not contexts:
         raise ConfigError("context", "at least one [context.N] section required")
     ads = []
@@ -255,13 +257,11 @@ def _load_ab(parser) -> tuple[AbConfig, int | None]:
             ad_id = int(sec.name.split(".", 1)[1])
         except ValueError:
             raise ConfigError(sec.name, "ad section suffix must be the integer ad id") from None
-        bid = sec.get_float("bid")
-        ctr = sec.get_float("base_ctr")
-        if not 0 <= bid < math.inf:
-            raise ConfigError(f"{sec.name}.bid", f"must be finite and >= 0, got {bid}")
-        if not 0.0 <= ctr <= 1.0:
-            raise ConfigError(f"{sec.name}.base_ctr", f"must lie in [0, 1], got {ctr}")
-        ads.append(AdSpec(id=ad_id, bid=bid, base_ctr=ctr))
+        try:
+            ads.append(AdSpec(id=ad_id, bid=sec.get_float("bid"),
+                              base_ctr=sec.get_float("base_ctr")))
+        except InvalidValue as exc:
+            raise ConfigError(f"{sec.name}.{exc.field}", str(exc)) from exc
     if not ads:
         raise ConfigError("ad", "at least one [ad.N] section required")
     try:

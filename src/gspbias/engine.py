@@ -6,7 +6,8 @@ binomial click proportions, recording the realized price each time.
 differ only in their CTR estimator, logging one impression record per access.
 ``sample_rank_stats`` draws independent scores for the theorem check and
 reduces them to per-(ad, rank) moments; beta scores invert the CDF rows of
-the case's ``oracle.CaseGrid``, exact to within 1e-9 of each ad's scale.
+the case's ``oracle.CaseGrid`` by one Hermite-interpolant Newton step,
+exact to within 1e-9 of each ad's scale.
 
 All randomness is addressed by counter-based streams (see ``rng``): trial t
 of a study and access a of a bucket-day each own a fixed slice of their
@@ -24,7 +25,7 @@ from typing import Literal
 import numpy as np
 
 from . import rng
-from .errors import EmptyAuction, NoData, RankUnreachable, RepeatedContext
+from .errors import EmptyAuction, InvalidValue, NoData, RankUnreachable, RepeatedContext
 from .estimators import (
     FALLBACK_HYPER,
     CountWindow,
@@ -75,11 +76,13 @@ class CpcStudyConfig:
         if len(self.impressions) != m or len(self.bids) != m:
             raise ValueError("impressions, true_ctrs, and bids must have equal length")
         if any(n < 1 for n in self.impressions):
-            raise ValueError("impressions per estimate must be >= 1")
+            raise InvalidValue("impressions", f"must be >= 1, got {self.impressions}")
         if any(not 0.0 <= p <= 1.0 for p in self.true_ctrs):
-            raise ValueError("true CTRs must lie in [0, 1]")
+            raise InvalidValue("true_ctrs", f"must lie in [0, 1], got {self.true_ctrs}")
+        if any(not 0.0 <= b < math.inf for b in self.bids):
+            raise InvalidValue("bids", f"must be finite and >= 0, got {self.bids}")
         if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+            raise InvalidValue("trials", f"must be >= 1, got {self.trials}")
 
 
 # Named for its first caller, ab-run's per-context auctions; bench/tracer.py
@@ -203,6 +206,12 @@ class AdSpec:
     bid: float
     base_ctr: float
 
+    def __post_init__(self):
+        if not 0.0 <= self.bid < math.inf:
+            raise InvalidValue("bid", f"must be finite and >= 0, got {self.bid}")
+        if not 0.0 <= self.base_ctr <= 1.0:
+            raise InvalidValue("base_ctr", f"must lie in [0, 1], got {self.base_ctr}")
+
 
 @dataclass(frozen=True)
 class Context:
@@ -211,8 +220,8 @@ class Context:
     multiplier: float
 
     def __post_init__(self):
-        if not 0 <= self.multiplier < math.inf:
-            raise ValueError(f"multiplier must be finite and >= 0, got {self.multiplier}")
+        if not 0.0 <= self.multiplier < math.inf:
+            raise InvalidValue("multiplier", f"must be finite and >= 0, got {self.multiplier}")
 
 
 EstimatorName = Literal["naive", "pooled"]
@@ -409,15 +418,19 @@ class RankSampleStats:
     """Conditional-on-rank sample moments from independent score draws.
 
     Arrays are (ads, ranks); entries with zero count are NaN.
+    ``exact_draws`` counts the beta draws that took the exact inverse CDF
+    instead of the grid's Hermite step (``CaseGrid.draw``).
     """
 
     counts: np.ndarray
     means: np.ndarray
     std_errors: np.ndarray
+    exact_draws: int = 0
 
 
 def _mc_block(grid: CaseGrid, key: np.ndarray, lo: int, hi: int):
-    """Counts, sums and sums of squares of one block's draws, (ads, ranks) each.
+    """Counts, sums and sums of squares of one block's draws, (ads, ranks) each,
+    and the number of draws that took the exact inverse CDF.
 
     One argsort ranks each row; its ranks are scattered into one code per
     draw, ad * m + rank, and three bincounts over the codes give the moments.
@@ -426,8 +439,10 @@ def _mc_block(grid: CaseGrid, key: np.ndarray, lo: int, hi: int):
     blocks = math.ceil(m / rng.DOUBLES_PER_BLOCK)
     u = rng.unit_uniforms(key, lo, hi - lo, blocks_per_unit=blocks)
     draws = np.empty((hi - lo, m))
+    exact = 0
     for j in range(m):
-        draws[:, j] = grid.ppf(j, u[:, j])
+        draws[:, j], n_exact = grid.draw(j, u[:, j])
+        exact += n_exact
     del u
     order = np.argsort(-draws, axis=1, kind="stable")
     code = np.empty_like(order)
@@ -439,7 +454,7 @@ def _mc_block(grid: CaseGrid, key: np.ndarray, lo: int, hi: int):
     total = np.bincount(code, weights=draws.ravel(), minlength=m * m)
     np.square(draws, out=draws)
     total_sq = np.bincount(code, weights=draws.ravel(), minlength=m * m)
-    return count.reshape(m, m), total.reshape(m, m), total_sq.reshape(m, m)
+    return count.reshape(m, m), total.reshape(m, m), total_sq.reshape(m, m), exact
 
 
 def sample_rank_stats(dists: list[ScoreDistribution] | CaseGrid, draws: int, seed: int,
@@ -449,7 +464,7 @@ def sample_rank_stats(dists: list[ScoreDistribution] | CaseGrid, draws: int, see
     Draw t owns unit t of the stream keyed (seed, sampling, case); partial
     moments accumulate over fixed-size blocks merged in block order, so the
     result is bit-identical for any thread count.  Scores are drawn through
-    the case's ``CaseGrid`` (``CaseGrid.ppf``); given a list, the sampler
+    the case's ``CaseGrid`` (``CaseGrid.draw``); given a list, the sampler
     builds that grid itself.
     """
     grid = dists if isinstance(dists, CaseGrid) else CaseGrid(dists)
@@ -464,10 +479,12 @@ def sample_rank_stats(dists: list[ScoreDistribution] | CaseGrid, draws: int, see
     count = np.zeros((m, m))
     total = np.zeros((m, m))
     total_sq = np.zeros((m, m))
-    for c, t, t2 in parts:
+    exact = 0
+    for c, t, t2, n_exact in parts:
         count += c
         total += t
         total_sq += t2
+        exact += n_exact
     with np.errstate(divide="ignore", invalid="ignore"):
         means = np.where(count > 0, total / np.maximum(count, 1), np.nan)
         variance = np.where(count > 1,
@@ -475,4 +492,5 @@ def sample_rank_stats(dists: list[ScoreDistribution] | CaseGrid, draws: int, see
                             np.nan)
         std_errors = np.sqrt(np.maximum(variance, 0.0) / np.maximum(count, 1))
     std_errors = np.where(count > 1, std_errors, np.nan)
-    return RankSampleStats(counts=count, means=means, std_errors=std_errors)
+    return RankSampleStats(counts=count, means=means, std_errors=std_errors,
+                           exact_draws=exact)

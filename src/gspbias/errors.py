@@ -41,6 +41,14 @@ class UndefinedRatio(GspBiasError):
     """A relative value/cost ratio has a zero denominator."""
 
 
+class InvalidValue(GspBiasError, ValueError):
+    """A run-plan field holds a value outside its domain; `field` names the field."""
+
+    def __init__(self, field: str, message: str):
+        self.field = field
+        super().__init__(f"{field} {message}")
+
+
 class RepeatedContext(GspBiasError, ValueError):
     """Two contexts of an A/B plan share a (site, pos) pair; `index` is the later one."""
 

@@ -10,6 +10,7 @@ depend on how the ad earned its display.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,15 @@ from .errors import (
 
 MIN_BIAS_TRIALS = 100
 MAX_HISTOGRAM_BINS = 1 << 20  # bins one histogram may span
+
+
+def _pow2(x: np.ndarray) -> float:
+    """A power of two above every magnitude in x, so that the squares of
+    x / _pow2(x) stay finite.  Division by it is exact, so moments taken
+    over the scaled values and scaled back match the unscaled ones bit for
+    bit wherever those do not overflow."""
+    peak = float(np.max(np.abs(x)))
+    return math.ldexp(1.0, min(math.frexp(peak)[1], 1023)) if 0.0 < peak < math.inf else 1.0
 
 
 def _true_ranking(true_ctrs, bids) -> list[int]:
@@ -88,7 +98,8 @@ def cpc_summary(trials: TrialTable, true_ctrs: tuple[float, ...],
                           degenerate_trials=degenerate, trials_used=0)
     cpcs = trials.cpc[ok]
     mean_cpc = float(cpcs.mean())
-    se = float(cpcs.std(ddof=1) / np.sqrt(used)) if used > 1 else None
+    c = _pow2(cpcs)
+    se = float((cpcs / c).std(ddof=1) / np.sqrt(used)) * c if used > 1 else None
     # numerator/denominator of the per-trial price, averaged separately
     est, ranking, rows = trials.estimates[ok], trials.order[ok], np.arange(used)
     top_est = est[rows, ranking[:, 0]]
@@ -101,13 +112,18 @@ def cpc_summary(trials: TrialTable, true_ctrs: tuple[float, ...],
     if my > 0:
         rom = float(mx / my)
         if used > 1:
-            vx = runner_score.var(ddof=1) / used
+            # each side in units of its own power of two, which the relative
+            # variances below do not depend on
+            cx, cy = _pow2(runner_score), _pow2(top_est)
+            x, y = runner_score / cx, top_est / cy
+            mx, my = mx / cx, my / cy
+            vx = x.var(ddof=1) / used
             if mx == 0:
                 # every runner-up score is zero: the delta method's limit as mx -> 0
-                rom_se = float(np.sqrt(vx) / my)
+                rom_se = float(np.sqrt(vx) / my) * (cx / cy)
             else:
-                vy = top_est.var(ddof=1) / used
-                cxy = float(np.cov(runner_score, top_est, ddof=1)[0, 1]) / used
+                vy = y.var(ddof=1) / used
+                cxy = float(np.cov(x, y, ddof=1)[0, 1]) / used
                 rom_se = abs(rom) * float(
                     np.sqrt(max(vx / mx ** 2 + vy / my ** 2 - 2 * cxy / (mx * my), 0.0)))
     return CpcSummary(
@@ -309,10 +325,11 @@ def bias_report(trials: TrialTable, true_ctrs: tuple[float, ...],
         scores = np.concatenate([trials.estimates[holders == i, i] * bids[i]
                                  for i in range(m)])
         rank_scores.append(scores)
+        c = _pow2(scores)
         per_rank.append(RankBiasSummary(
             rank=rank, bias_factor=factor.value, bias_se=factor.se,
             conditional_score_mean=float(scores.mean()),
-            conditional_score_se=(float(scores.std(ddof=1) / np.sqrt(len(scores)))
+            conditional_score_se=(float((scores / c).std(ddof=1) / np.sqrt(len(scores))) * c
                                   if len(scores) > 1 else None),
             samples=len(scores),
         ))

@@ -11,8 +11,13 @@ candidate's own density.
 
 A ``CaseGrid`` holds the Simpson nodes and weights and every ad's CDF and
 PDF row on them, each evaluated once per case.  The same rows serve the
-case's Monte Carlo draws: ``CaseGrid.ppf`` inverts a beta ad's CDF row and
-refines the result with one Newton step.  One candidate's rank table costs
+case's Monte Carlo draws: ``CaseGrid.draw`` brackets a beta uniform in the
+ad's CDF row and takes one Newton step on the cubic Hermite interpolant of
+that cell's CDF and PDF node values (Hörmann & Leydold 2003, ACM TOMACS
+13(4)), so a draw evaluates no special function.  Which cells may keep
+that step is decided once per beta ad, when the grid is built; the rest
+take the exact inverse, ``_beta_ppf``.  The grid rows themselves come from
+``betainc`` and ``_beta_pdf``.  One candidate's rank table costs
 O(m^2 * grid) operations and is built once, then read by the mean profile,
 the decomposition and, last, the density profile, which normalizes it in
 place.  A case holds O(m * grid) floats (the CDF and PDF rows plus one
@@ -34,9 +39,9 @@ from .errors import GridMismatch, RankUnreachable
 
 SIMPSON_INTERVALS = 2 ** 17
 MASS_FLOOR = 1e-12
-# CaseGrid.ppf keeps a Newton-refined draw only when its estimated error,
-# in units of the ad's scale, is at most _NEWTON_TOL; _CDF_REL_ERR bounds
-# the relative error of the beta CDF evaluation that the estimate allows for.
+# A grid cell keeps its Hermite-Newton draws only when their estimated error,
+# in units of the ad's scale, is at most _NEWTON_TOL (``_hermite_safe_cells``);
+# _CDF_REL_ERR bounds the error of the CDF row values that the estimate allows for.
 _NEWTON_TOL = 1e-9
 _CDF_REL_ERR = 1e-14
 
@@ -172,7 +177,7 @@ class CaseGrid:
 
     Each row is evaluated once, when the grid is built; every oracle
     function that takes a case's distributions also accepts its CaseGrid,
-    and so does the Monte Carlo sampler, which draws through ``ppf``.
+    and so does the Monte Carlo sampler, which draws through ``draw``.
     ``len(grid)`` is the ad count m.
     """
 
@@ -186,48 +191,98 @@ class CaseGrid:
         self.w = w * ((upper / SIMPSON_INTERVALS) / 3.0)
         self.cdf = np.vstack([d.cdf(self.s) for d in dists])
         self.pdf = np.vstack([d.pdf(self.s) for d in dists])
+        # one flag per cell, for beta ads only, set before any draw
+        self.safe = [_hermite_safe_cells(d.params, self.s, F, f) if d.kind == "scaled-beta"
+                     else None for d, F, f in zip(dists, self.cdf, self.pdf)]
 
     def __len__(self) -> int:
         return len(self.cdf)
 
     def ppf(self, j: int, u: np.ndarray) -> np.ndarray:
-        """Ad j's scores at uniforms u in [0, 1).
+        """Ad j's scores at uniforms u in [0, 1); ``draw`` without the count."""
+        return self.draw(j, u)[0]
+
+    def draw(self, j: int, u: np.ndarray) -> tuple[np.ndarray, int]:
+        """Ad j's scores at uniforms u in [0, 1), and how many took the exact inverse.
 
         Uniform ads invert in closed form.  A beta ad brackets u between two
-        nodes of its CDF row, F[i-1] <= u < F[i], interpolates linearly and
-        takes one Newton step with the exact CDF and density.  A draw takes
-        the exact inverse instead when its bracket is the first or last cell
-        of the support (CDF 0 at the lower node or 1 at the upper), its step
-        leaves the bracket, its density is not positive, or the estimated
-        error after the step, step^2 |f'/f| / 2 plus the shift a CDF error
-        of _CDF_REL_ERR * u causes, exceeds _NEWTON_TOL * scale.
+        nodes of its CDF row, F[i-1] <= u < F[i], starts from the linear
+        interpolant and takes one Newton step on the cubic Hermite
+        interpolant of the cell, built from the node values of the CDF and
+        PDF rows: H(t) = F0 + t (f0 h + t (c2 + t c3)) for t in [0, 1].  A
+        draw takes the exact inverse instead when its cell is not marked
+        safe (see ``_hermite_safe_cells``) or its step leaves the cell.
         """
-        dist = self.dists[j]
-        if dist.kind != "scaled-beta":
-            return dist.ppf(u)
-        from scipy.special import _ufuncs
-        a, b, scale = dist.params
-        F = self.cdf[j]
-        # sorted keys let searchsorted narrow each search from the last one
+        dist, safe = self.dists[j], self.safe[j]
+        if safe is None:
+            return dist.ppf(u), 0
+        F, f, h = self.cdf[j], self.pdf[j], self.s[1]
+        # sorted keys let searchsorted narrow each search from the last one,
+        # and the row gathers then walk each row in order
         by_u = np.argsort(u)
-        hi = np.empty(len(u), dtype=np.intp)
-        hi[by_u] = np.searchsorted(F, u[by_u], side="right")
-        f_lo, f_hi = F[hi - 1], F[hi]
-        s_lo, s_hi = self.s[hi - 1], self.s[hi]
-        x = (s_lo + (u - f_lo) / (f_hi - f_lo) * (s_hi - s_lo)) / scale
+        us = u[by_u]
+        i = np.searchsorted(F, us, side="right")  # the cell between nodes i-1 and i
+        f_lo = F[i - 1]
+        rise = F[i] - f_lo
+        d_lo, d_hi = f[i - 1] * h, f[i] * h
+        c2 = 3.0 * rise - 2.0 * d_lo - d_hi
+        c3 = d_lo + d_hi - 2.0 * rise
+        gap = us - f_lo
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            # the density in closed form, a quarter of _beta_pdf's cost; its
-            # ~1e-13 relative error moves the step by as small a fraction
-            pdf = np.exp((a - 1.0) * np.log(x) + (b - 1.0) * np.log1p(-x) - _ufuncs.betaln(a, b))
-            step = (_ufuncs.betainc(a, b, x) - u) / pdf
-            err = (step * step * np.abs((a - 1.0) / x - (b - 1.0) / (1.0 - x)) / 2.0
-                   + _CDF_REL_ERR * u / pdf)
-        out = (x - step) * scale
-        exact = ((f_lo == 0.0) | (f_hi == 1.0) | ~(pdf > 0.0) | ~(err <= _NEWTON_TOL)
-                 | ~((s_lo <= out) & (out <= s_hi)))
-        if exact.any():
-            out[exact] = dist.ppf(u[exact])
-        return out
+            t = gap / rise  # the linear start
+            t -= (t * (d_lo + t * (c2 + t * c3)) - gap) / (d_lo + t * (2.0 * c2 + 3.0 * t * c3))
+            drawn = self.s[i - 1] + t * h
+        keep = safe[i] & (t >= 0.0) & (t <= 1.0)
+        n_exact = len(us) - int(np.count_nonzero(keep))
+        if n_exact:
+            exact = ~keep
+            drawn[exact] = dist.ppf(us[exact])
+        out = np.empty_like(drawn)
+        out[by_u] = drawn
+        return out, n_exact
+
+
+def _hermite_safe_cells(params: tuple, s: np.ndarray, F: np.ndarray,
+                        f: np.ndarray) -> np.ndarray:
+    """safe[i]: a draw in the cell between nodes i-1 and i may keep its Hermite step.
+
+    A cell is safe when its CDF node values lie strictly inside (0, 1), so
+    it is not an outermost cell; its density is positive and finite at both
+    nodes, which also excludes the singular ends when a < 1 or b < 1; and
+    its estimated error, in score units, is at most _NEWTON_TOL * scale.
+    With h the cell width and f0 the smaller node density, the estimate sums
+    the Hermite remainder h^4/384 max|f'''| / f0; the Newton term, a linear
+    start at most h^2 max|f'| / (8 f0) from the root, squared, times
+    max|f'| / (2 f0); and the CDF rounding term _CDF_REL_ERR / f0.  The
+    maxima are taken over the two nodes, with the derivatives in closed form
+    from psi = f'/f = ((a-1)/x - (b-1)/(1-x)) / scale: f'''/f is
+    psi'' + 3 psi psi' + psi^3.
+    """
+    a, b, scale = params
+    safe = np.zeros(len(s), dtype=bool)
+    # nodes first..last hold 0 < F < 1; only the cells between them can be safe
+    first = int(np.searchsorted(F, 0.0, side="right"))
+    last = int(np.searchsorted(F, 1.0, side="left")) - 1
+    if last <= first:
+        return safe
+    f = f[first:last + 1]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        inv_x = scale / s[first:last + 1]
+        inv_1mx = 1.0 / (1.0 - s[first:last + 1] / scale)
+        p, q = (a - 1.0) * inv_x, (b - 1.0) * inv_1mx
+        psi = p - q  # psi and its derivatives in x = s / scale; h4 holds the scale
+        dpsi = -(p * inv_x + q * inv_1mx)
+        d2psi = 2.0 * (p * inv_x * inv_x - q * inv_1mx * inv_1mx)
+        d1 = np.abs(psi) * f
+        d3 = np.abs(d2psi + psi * (3.0 * dpsi + psi * psi)) * f
+        f0 = np.minimum(f[:-1], f[1:])
+        m1 = np.maximum(d1[:-1], d1[1:]) / f0
+        m3 = np.maximum(d3[:-1], d3[1:]) / f0
+        h4 = (s[1] / scale) ** 4 * scale  # h^4 / scale^3
+        err = h4 * (m3 / 384.0 + m1 ** 3 / 128.0) + _CDF_REL_ERR / f0
+    # a zero or infinite node density leaves err infinite or NaN: never safe
+    safe[first + 1:last + 1] = err <= _NEWTON_TOL * scale
+    return safe
 
 
 def _case_grid(dists: list[ScoreDistribution] | CaseGrid) -> CaseGrid:

@@ -171,8 +171,11 @@ class ArtifactSet:
         return self.out_dir / name
 
     def write_manifest(self, command: str, config: dict, seed: int,
-                       duration_seconds: float, version: str, threads: int) -> Path:
+                       duration_seconds: float, version: str, threads: int,
+                       cases: list[dict] | None = None) -> Path:
+        """Write manifest.json; ``cases`` holds one timing entry per theorem case."""
         manifest_path = self.out_dir / "manifest.json"
+        extra = {} if cases is None else {"cases": cases}
         write_json(manifest_path, {
             "command": command,
             "tool_version": version,
@@ -184,5 +187,6 @@ class ArtifactSet:
             "config": config,
             "outputs": sorted(self.names) + ["manifest.json"],
             "duration_seconds": round(duration_seconds, 3),
+            **extra,
         })
         return manifest_path

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import platform
 import subprocess
@@ -13,7 +14,9 @@ import pytest
 import gspbias
 from gspbias.cli import main
 from gspbias.config import load_config, parse_distribution
+from gspbias.engine import sample_rank_stats
 from gspbias.errors import ConfigError
+from gspbias.oracle import CaseGrid
 from gspbias.reports import read_histogram_csv
 
 SMALL_CPC = """
@@ -117,6 +120,15 @@ def write_cfg(tmp_path, text, name="run.cfg"):
 
 def run_cli(*argv):
     return main([str(a) for a in argv])
+
+
+def run_cli_process(*argv):
+    """The CLI in a child interpreter, which shows its stderr and exit code whole."""
+    src = str(Path(gspbias.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "gspbias.cli", *map(str, argv)],
+                          env=env, capture_output=True, text=True, timeout=120)
 
 
 class TestConfigLoading:
@@ -352,16 +364,29 @@ class TestSimulateCpc:
         """Bids of 1e200 put prices ~1e202 bins of width 0.01 from zero: a
         config error naming the width, not an OverflowError traceback."""
         cfg = write_cfg(tmp_path, HUGE_BID_CPC)
-        src = str(Path(gspbias.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run([sys.executable, "-m", "gspbias.cli", "simulate-cpc",
-                               "--config", str(cfg), "--out", str(tmp_path / "huge"),
-                               "--threads", "1"],
-                              env=env, capture_output=True, text=True, timeout=120)
+        proc = run_cli_process("simulate-cpc", "--config", cfg, "--out", tmp_path / "huge",
+                               "--threads", "1")
         assert proc.returncode == 3
         assert "Traceback" not in proc.stderr
         assert "bin width 0.01" in proc.stderr
+
+    def test_huge_bids_keep_their_standard_errors(self, tmp_path):
+        """Bids of 1e200 with histogram widths to match: squaring raw prices
+        would overflow, so the moments run on power-of-two-scaled values."""
+        text = HUGE_BID_CPC.replace("trials = 200", "trials = 2000").replace(
+            "bids = 1e200, 1e200",
+            "bids = 1e200, 1e200\ncpc_hist_width = 1e198\nscore_hist_width = 1e196")
+        out = tmp_path / "huge"
+        proc = run_cli_process("simulate-cpc", "--config", write_cfg(tmp_path, text),
+                               "--out", out, "--threads", "1")
+        assert proc.returncode == 0
+        assert "RuntimeWarning" not in proc.stderr
+        setting = json.loads((out / "bias_report.json").read_text())["settings"]["a"]
+        errors = [setting["observed_se"], setting["ratio_of_means_se"],
+                  *(r["conditional_score_se"] for r in setting["per_rank"])]
+        assert len(errors) == 4
+        for se in errors:
+            assert isinstance(se, float) and math.isfinite(se) and se > 0.0
 
     @pytest.mark.parametrize("bids", ["0.0", "1.0, 0.0"])
     def test_zero_runner_up_bid_leaves_ratio_undefined(self, tmp_path, bids):
@@ -568,6 +593,20 @@ class TestTheoremOutputBytes:
                 "0610fea7292af00d644e3ac7f11b14ed858b5e369d5b77b4ddf15212c23b7620",
         }
 
+    def test_packaged_cases_without_monte_carlo_moments(self, tmp_path):
+        """The packaged cases' quadrature fields, mc_counts and verdicts, with
+        mc_means, mc_std_errors and max_sigma set aside: a change to how the
+        draws are computed may move those in the last digits, not these."""
+        out = tmp_path / "pk"
+        assert run_cli("verify-theorems", "--out", out, "--trials", "65536",
+                       "--threads", "2") == 0
+        report = json.loads((out / "theorem_report.json").read_text())
+        for case in report["cases"]:
+            for cand in case["candidates"]:
+                del cand["mc_means"], cand["mc_std_errors"], cand["mc_agreement"]["max_sigma"]
+        digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+        assert digest == "b40c397f04480e92c751b7d05e87c9c55a30f5fbb6bc8ed4ec414482ab11e2be"
+
 
 class TestManifestReproducibility:
     def test_manifest_names_every_output(self, tmp_path):
@@ -588,6 +627,23 @@ class TestManifestReproducibility:
         assert manifest["environment"] == {"python": platform.python_version(),
                                            "numpy": np.__version__,
                                            "scipy": metadata.version("scipy")}
+
+    def test_theorem_manifest_times_each_case(self, tmp_path):
+        """verify-theorems records, per case, its exact-inverse draw count and
+        the seconds spent on the grid, the Monte Carlo draws and the checks."""
+        # b < 1: the draws next to the beta's singular upper end take the exact inverse
+        dists = "beta:3:0.5:0.8, uniform:0:1"
+        text = SMALL_THEOREMS.replace("beta:2:38", dists)
+        out = tmp_path / "thm"
+        assert run_cli("verify-theorems", "--config", write_cfg(tmp_path, text), "--out", out,
+                       "--threads", "2") == 0
+        cases = json.loads((out / "manifest.json").read_text())["cases"]
+        assert [c["name"] for c in cases] == ["pair", "solo"]
+        grid = CaseGrid([parse_distribution(spec) for spec in dists.split(", ")])
+        expected = sample_rank_stats(grid, 40000, 5, case_index=1).exact_draws
+        assert [c["exact_draws"] for c in cases] == [0, expected] and expected > 0
+        for c in cases:
+            assert min(c["grid_seconds"], c["mc_seconds"], c["check_seconds"]) >= 0.0
 
     def test_rerun_with_manifest_seed_reproduces(self, tmp_path):
         cfg = write_cfg(tmp_path, SMALL_AB)

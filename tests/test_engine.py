@@ -18,6 +18,8 @@ from gspbias.engine import (
     ESTIMATOR_CODES,
     STREAM_AB,
     STREAM_CPC,
+    STREAM_MC,
+    _MC_BLOCK,
     _PPF_FLOOR,
     BinomialInverse,
     conditional_rank_samples,
@@ -84,6 +86,15 @@ class TestCpcStudy:
         short = run_cpc_study(study(trials=64))
         long = run_cpc_study(study(trials=512))
         assert_tables_equal(short, long, rows=slice(64))
+
+    @pytest.mark.parametrize("bids", [(1.0, -1.0), (math.inf, 1.0), (1.0, math.nan)])
+    def test_bad_bids_rejected(self, bids):
+        with pytest.raises(ValueError, match="bids") as info:
+            study(bids=bids)
+        assert info.value.field == "bids"
+
+    def test_zero_bids_allowed(self):
+        assert study(bids=(0.0, 0.0)).bids == (0.0, 0.0)
 
     def test_thread_count_does_not_change_results(self):
         one = run_cpc_study(study(trials=700, threads=1))
@@ -255,6 +266,19 @@ class TestAbConfigValidation:
     def test_bad_multiplier_rejected(self, multiplier):
         with pytest.raises(ValueError, match="multiplier"):
             Context(1, 1, multiplier)
+
+    @pytest.mark.parametrize("bid, base_ctr, field", [
+        (-0.5, 0.05, "bid"), (math.nan, 0.05, "bid"), (math.inf, 0.05, "bid"),
+        (1.0, -0.01, "base_ctr"), (1.0, 1.5, "base_ctr"), (1.0, math.nan, "base_ctr"),
+    ])
+    def test_bad_ad_rejected(self, bid, base_ctr, field):
+        with pytest.raises(ValueError, match=field) as info:
+            AdSpec(1, bid, base_ctr)
+        assert info.value.field == field
+
+    @pytest.mark.parametrize("bid, base_ctr", [(0.0, 0.0), (-0.0, 1.0), (1e300, 0.5)])
+    def test_edge_ads_allowed(self, bid, base_ctr):
+        assert AdSpec(1, bid, base_ctr).bid == bid
 
     def test_repeated_site_and_pos_rejected(self):
         contexts = (Context(1, 1, 1.0), Context(2, 1, 0.7), Context(1, 1, 1.2))
@@ -436,6 +460,21 @@ class TestSampleRankStats:
             np.testing.assert_array_equal(runs[0].counts, other.counts)
             np.testing.assert_array_equal(runs[0].std_errors, other.std_errors)
         np.testing.assert_array_equal(runs[0].counts.sum(axis=0), 100_000)
+
+    def test_exact_draw_count_sums_the_blocks(self):
+        """exact_draws adds up every block's fallbacks, the same for any thread
+        count; a beta with a < 1 sends its first cell's draws there."""
+        dists = [ScoreDistribution.scaled_beta(0.3, 2.0), ScoreDistribution.uniform(0, 1)]
+        grid = CaseGrid(dists)
+        key = rng.stream_key(5, STREAM_MC, 0)
+        u = rng.unit_uniforms(key, 0, 100_000)[:, 0]
+        expected = sum(grid.draw(0, u[lo:lo + _MC_BLOCK])[1]
+                       for lo in range(0, 100_000, _MC_BLOCK))
+        assert expected > 0
+        for threads in (1, 3):
+            stats = sample_rank_stats(grid, 100_000, seed=5, threads=threads)
+            assert stats.exact_draws == expected
+        assert sample_rank_stats(dists[1:], 1000, seed=5).exact_draws == 0
 
     def test_uniform_pair_against_known_order_statistics(self):
         dists = [ScoreDistribution.uniform(0, 1)] * 2

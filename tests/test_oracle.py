@@ -15,6 +15,8 @@ from gspbias.config import load_config, parse_distribution
 from gspbias.engine import sample_rank_stats
 from gspbias.errors import GridMismatch, RankUnreachable
 from gspbias.oracle import (
+    _CDF_REL_ERR,
+    _NEWTON_TOL,
     CaseGrid,
     ScoreDistribution,
     check_splittable,
@@ -254,6 +256,64 @@ class TestCaseGridPpf:
             u = np.random.default_rng(3).random(200_000)
             grid.ppf(0, u)
             assert sum(len(v) for v in fallbacks) <= 2, spec
+
+    def test_packaged_betas_make_no_betainc_call(self, monkeypatch):
+        """Once the grid is built, its beta draws never evaluate the beta CDF."""
+        for spec in PACKAGED_BETAS:
+            grid = CaseGrid([parse_distribution(spec)])
+            calls = []
+            monkeypatch.setattr(_ufuncs, "betainc",
+                                lambda *args, f=_ufuncs.betainc: calls.append(args) or f(*args))
+            grid.ppf(0, np.random.default_rng(4).random(200_000))
+            assert not calls, spec
+            grid.dists[0].cdf(0.05)  # the counter does see a CDF evaluation
+            assert len(calls) == 1
+            monkeypatch.undo()
+
+    @pytest.mark.parametrize("spec", PACKAGED_BETAS + [
+        "beta:0.3:0.5", "beta:0.2:30:2", "beta:60:0.4:0.7", "beta:80:80:0.05", "beta:1:1:3"])
+    def test_safe_cells_meet_the_newton_tolerance(self, spec):
+        """A draw from a safe cell leaves a CDF residual, over the density, of at
+        most _NEWTON_TOL of the ad's scale plus what CDF rounding allows."""
+        dist = parse_distribution(spec)
+        a, b, scale = dist.params
+        # a uniform rival stretches the case grid past the beta's scale
+        grid = CaseGrid([dist, ScoreDistribution.uniform(0.0, 1.5 * scale)])
+        u = np.concatenate([SPREAD_U, np.random.default_rng(5).random(100_000)])
+        from_safe = grid.safe[0][np.searchsorted(grid.cdf[0], u, side="right")]
+        assert from_safe.mean() > 0.5
+        with warnings.catch_warnings():
+            # boost's root finder gives up on some shapes at u = 1e-300, in the
+            # exact inverse that unsafe cells call
+            warnings.filterwarnings("ignore", "Error in function boost", RuntimeWarning)
+            x = grid.ppf(0, u)[from_safe] / scale
+        pdf = _ufuncs._beta_pdf(x, a, b)
+        residual = np.abs(_ufuncs.betainc(a, b, x) - u[from_safe]) / pdf
+        assert np.all(residual <= _NEWTON_TOL + _CDF_REL_ERR / pdf), residual.max()
+
+    @pytest.mark.parametrize("a, b, upper", [
+        (0.5, 3.0, 1.0), (3.0, 0.5, 1.0), (0.3, 0.4, 1.0), (2.0, 38.0, 1.0),
+        # a density positive and finite at a support end that is a grid node
+        (1.0, 3.0, 0.8), (3.0, 1.0, 0.8)])
+    def test_outermost_and_singular_cells_take_the_exact_inverse(self, a, b, upper):
+        dist = ScoreDistribution.scaled_beta(a, b, 0.8)
+        grid = CaseGrid([dist, ScoreDistribution.uniform(0.0, upper)])
+        F, safe = grid.cdf[0], grid.safe[0]
+        first = np.flatnonzero(F > 0.0)[0]       # cell `first` starts at a node with F = 0
+        top = np.flatnonzero(F < 1.0)[-1] + 1    # cell `top` ends at a node with F = 1
+        assert not safe[first] and not safe[top:].any()
+        # next to a singular end the density is unbounded and the error rule fails
+        assert a >= 1.0 or not safe[first + 1]
+        assert b >= 1.0 or not safe[top - 1]
+        u = np.concatenate([[0.0, 5e-324, 1e-300, 1.0 - 2.0 ** -53],
+                            np.linspace(0.0, F[first], 50, endpoint=False),
+                            np.minimum(np.linspace(F[top - 1], 1.0, 50), 1.0 - 2.0 ** -53)])
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "Error in function boost", RuntimeWarning)
+            drawn, n_exact = grid.draw(0, u)
+            exact = dist.ppf(u)
+        assert n_exact == len(u)
+        np.testing.assert_array_equal(drawn, exact)
 
 
 # A 16-ad field of mixed betas and staggered uniforms, and its seed, fixed
