@@ -198,83 +198,81 @@ def cmd_simulate_cpc(args) -> int:
 # verify-theorems
 # ---------------------------------------------------------------------------
 
-def _verify_case(grid: CaseGrid, mc, case_pass_state: dict) -> list[dict]:
+def _verify_candidate(grid: CaseGrid, mc, i: int) -> dict:
+    """Candidate i's report entry.  Its rank table is built here, once, and
+    dies on return, so a case holds one candidate's table at a time."""
     m = len(grid)
-    candidates = []
-    for i in range(m):
-        # one rank table per candidate; the density profile, last, normalizes it in place
-        table = rank_table(grid.cdf, i)
-        profile = conditional_mean_profile(grid, i, table)
-        qmeans = profile.conditional_means
-        ineq_checked = ineq_skipped = 0
-        ineq_ok = True
-        for k in range(m - 1):
-            if np.isnan(qmeans[k]) or np.isnan(qmeans[k + 1]):
-                ineq_skipped += 1
-                continue
-            ineq_checked += 1
-            if not qmeans[k] >= qmeans[k + 1] - MEAN_INEQUALITY_SLACK:
-                ineq_ok = False
-        mc_checked = mc_skipped = 0
-        mc_ok = True
-        max_sigma = 0.0
-        for k in range(m):
-            count = mc.counts[i, k]
-            if np.isnan(qmeans[k]) or count < MIN_MC_COUNT or np.isnan(mc.std_errors[i, k]):
-                mc_skipped += 1
-                continue
-            mc_checked += 1
-            sigma = abs(mc.means[i, k] - qmeans[k]) / mc.std_errors[i, k]
-            max_sigma = max(max_sigma, sigma)
-            if sigma > MC_AGREEMENT_SIGMA:
-                mc_ok = False
-        if m >= 2:
-            try:
-                dec = top_rank_decomposition(grid, i, table=table)
-                dec_ok = (abs(dec.residual) <= DECOMPOSITION_TOL
-                          and dec.plus_monotone and dec.minus_monotone)
-                dec_entry = {"residual": dec.residual,
-                             "plus_monotone": dec.plus_monotone,
-                             "minus_monotone": dec.minus_monotone,
-                             "passed": dec_ok}
-            except RankUnreachable as exc:
-                dec_ok = True
-                dec_entry = {"skipped": str(exc)}
-        else:
+    # the density profile, last, normalizes the table in place
+    table = rank_table(grid.cdf, i)
+    profile = conditional_mean_profile(grid, i, table)
+    qmeans = profile.conditional_means
+    ineq_checked = ineq_skipped = 0
+    ineq_ok = True
+    for k in range(m - 1):
+        if np.isnan(qmeans[k]) or np.isnan(qmeans[k + 1]):
+            ineq_skipped += 1
+            continue
+        ineq_checked += 1
+        if not qmeans[k] >= qmeans[k + 1] - MEAN_INEQUALITY_SLACK:
+            ineq_ok = False
+    mc_checked = mc_skipped = 0
+    mc_ok = True
+    max_sigma = 0.0
+    for k in range(m):
+        count = mc.counts[i, k]
+        if np.isnan(qmeans[k]) or count < MIN_MC_COUNT or np.isnan(mc.std_errors[i, k]):
+            mc_skipped += 1
+            continue
+        mc_checked += 1
+        sigma = abs(mc.means[i, k] - qmeans[k]) / mc.std_errors[i, k]
+        max_sigma = max(max_sigma, sigma)
+        if sigma > MC_AGREEMENT_SIGMA:
+            mc_ok = False
+    if m >= 2:
+        try:
+            dec = top_rank_decomposition(grid, i, table=table)
+            dec_ok = (abs(dec.residual) <= DECOMPOSITION_TOL
+                      and dec.plus_monotone and dec.minus_monotone)
+            dec_entry = {"residual": dec.residual,
+                         "plus_monotone": dec.plus_monotone,
+                         "minus_monotone": dec.minus_monotone,
+                         "passed": dec_ok}
+        except RankUnreachable as exc:
             dec_ok = True
-            dec_entry = {"skipped": "single ad has no adjacent rank"}
-        nodes, dens = conditional_density_profile(grid, i, table)
-        split_entries = []
-        split_ok = True
-        for k in range(m - 1):
-            if np.isnan(dens[k]).any() or np.isnan(dens[k + 1]).any():
-                split_entries.append({"ranks": [k + 1, k + 2], "skipped": "rank unreachable"})
-                continue
-            verdict = check_splittable(dens[k], dens[k + 1], 0.0)
-            entry = {"ranks": [k + 1, k + 2], "splittable": verdict.splittable}
-            if verdict.splittable:
-                entry["split_at"] = float(nodes[verdict.split_index])
-            else:
-                split_ok = False
-            split_entries.append(entry)
-        cand_pass = ineq_ok and mc_ok and dec_ok and split_ok
-        case_pass_state["ok"] = case_pass_state["ok"] and cand_pass
-        candidates.append({
-            "candidate": i,
-            "marginals": [float(x) for x in profile.marginals],
-            "quadrature_means": [_nn(x) for x in qmeans],
-            "mc_means": [_nn(x) for x in mc.means[i]],
-            "mc_std_errors": [_nn(x) for x in mc.std_errors[i]],
-            "mc_counts": [int(x) for x in mc.counts[i]],
-            "mean_inequality": {"passed": ineq_ok, "checked": ineq_checked,
-                                "skipped": ineq_skipped},
-            "mc_agreement": {"passed": mc_ok, "max_sigma": max_sigma,
-                             "checked": mc_checked, "skipped": mc_skipped},
-            "decomposition": dec_entry,
-            "splittability": {"passed": split_ok, "pairs": split_entries},
-            "passed": cand_pass,
-        })
-    return candidates
+            dec_entry = {"skipped": str(exc)}
+    else:
+        dec_ok = True
+        dec_entry = {"skipped": "single ad has no adjacent rank"}
+    nodes, dens = conditional_density_profile(grid, i, table)
+    split_entries = []
+    split_ok = True
+    for k in range(m - 1):
+        if np.isnan(dens[k]).any() or np.isnan(dens[k + 1]).any():
+            split_entries.append({"ranks": [k + 1, k + 2], "skipped": "rank unreachable"})
+            continue
+        verdict = check_splittable(dens[k], dens[k + 1], 0.0)
+        entry = {"ranks": [k + 1, k + 2], "splittable": verdict.splittable}
+        if verdict.splittable:
+            entry["split_at"] = float(nodes[verdict.split_index])
+        else:
+            split_ok = False
+        split_entries.append(entry)
+    cand_pass = ineq_ok and mc_ok and dec_ok and split_ok
+    return {
+        "candidate": i,
+        "marginals": [float(x) for x in profile.marginals],
+        "quadrature_means": [_nn(x) for x in qmeans],
+        "mc_means": [_nn(x) for x in mc.means[i]],
+        "mc_std_errors": [_nn(x) for x in mc.std_errors[i]],
+        "mc_counts": [int(x) for x in mc.counts[i]],
+        "mean_inequality": {"passed": ineq_ok, "checked": ineq_checked,
+                            "skipped": ineq_skipped},
+        "mc_agreement": {"passed": mc_ok, "max_sigma": max_sigma,
+                         "checked": mc_checked, "skipped": mc_skipped},
+        "decomposition": dec_entry,
+        "splittability": {"passed": split_ok, "pairs": split_entries},
+        "passed": cand_pass,
+    }
 
 
 def cmd_verify_theorems(args) -> int:
@@ -293,19 +291,19 @@ def cmd_verify_theorems(args) -> int:
         t_mc = time.monotonic()
         mc = sample_rank_stats(grid, draws, seed, case_index=idx, threads=args.threads)
         t_check = time.monotonic()
-        state = {"ok": True}
-        candidates = _verify_case(grid, mc, state)
+        candidates = [_verify_candidate(grid, mc, i) for i in range(len(grid))]
+        case_ok = all(c["passed"] for c in candidates)
         del grid
         case_runs.append({"name": case.name, "exact_draws": mc.exact_draws,
                           "grid_seconds": round(t_mc - t_grid, 3),
                           "mc_seconds": round(t_check - t_mc, 3),
                           "check_seconds": round(time.monotonic() - t_check, 3)})
-        all_pass = all_pass and state["ok"]
+        all_pass = all_pass and case_ok
         cases_payload.append({
             "name": case.name,
             "dists": list(case.dist_specs),
             "ads": len(candidates),
-            "passed": state["ok"],
+            "passed": case_ok,
             "candidates": candidates,
         })
     write_json(arts.path("theorem_report.json"), {

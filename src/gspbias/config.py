@@ -42,7 +42,10 @@ class TheoremCase:
     dist_specs: tuple[str, ...]
 
     def distributions(self) -> list[ScoreDistribution]:
-        return [parse_distribution(spec) for spec in self.dist_specs]
+        """One distribution per ad; ads with the same spec share one object,
+        so the case grid evaluates its rows once."""
+        made = {spec: parse_distribution(spec) for spec in dict.fromkeys(self.dist_specs)}
+        return [made[spec] for spec in self.dist_specs]
 
 
 @dataclass(frozen=True)
@@ -220,7 +223,11 @@ def _load_theorems(parser) -> tuple[TheoremSuite, int | None]:
         if not specs:
             raise ConfigError(f"{sec.name}.dists", "at least one distribution required")
         for spec in specs:
-            parse_distribution(spec)  # validate eagerly for a good error path
+            dist = parse_distribution(spec)  # validate eagerly for a good error path
+            # Simpson quadrature needs a density that is finite on the closed support
+            if dist.kind == "scaled-beta" and min(dist.params[:2]) < 1.0:
+                raise ConfigError(f"{sec.name}.dists",
+                                  f"beta shapes must be >= 1, got {spec!r}")
         cases.append(TheoremCase(name=name, dist_specs=specs))
     if not cases:
         raise ConfigError("case", "at least one [case.NAME] section required")

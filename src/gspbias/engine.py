@@ -428,12 +428,42 @@ class RankSampleStats:
     exact_draws: int = 0
 
 
+_PAIRWISE_MAX_ADS = 7  # pairwise comparison beats the argsort below 8 ads
+
+
+def _rank_codes(draws: np.ndarray) -> np.ndarray:
+    """ad * m + rank for each entry of the (draws, m) scores, rank 0-based.
+
+    Ad j's rank counts the ads that beat it: ad i < j beats j when
+    d_i >= d_j, and j beats i when d_j > d_i, which is the order of a
+    stable argsort of -d.  Up to _PAIRWISE_MAX_ADS ads the m (m - 1) / 2
+    comparisons are cheaper than that argsort.
+    """
+    m = draws.shape[1]
+    if m > _PAIRWISE_MAX_ADS:
+        order = np.argsort(-draws, axis=1, kind="stable")
+        code = np.empty_like(order)
+        np.put_along_axis(code, order, np.arange(m), axis=1)
+        code += np.arange(0, m * m, m)
+        return code
+    # ad j starts at j * m + j, as if each of the j ads before it beat it
+    code = np.empty(draws.shape, dtype=np.intp)
+    code[:] = np.arange(m) * (m + 1)
+    for j in range(1, m):
+        for i in range(j):
+            j_wins = draws[:, j] > draws[:, i]
+            code[:, i] += j_wins
+            code[:, j] -= j_wins
+    return code
+
+
 def _mc_block(grid: CaseGrid, key: np.ndarray, lo: int, hi: int):
     """Counts, sums and sums of squares of one block's draws, (ads, ranks) each,
     and the number of draws that took the exact inverse CDF.
 
-    One argsort ranks each row; its ranks are scattered into one code per
-    draw, ad * m + rank, and three bincounts over the codes give the moments.
+    Each draw of each ad gets one code, ad * m + rank with rank 0-based, and
+    three bincounts over the codes give the moments.  A higher score ranks
+    first and a tie goes to the lower ad index.
     """
     m = len(grid)
     blocks = math.ceil(m / rng.DOUBLES_PER_BLOCK)
@@ -444,12 +474,7 @@ def _mc_block(grid: CaseGrid, key: np.ndarray, lo: int, hi: int):
         draws[:, j], n_exact = grid.draw(j, u[:, j])
         exact += n_exact
     del u
-    order = np.argsort(-draws, axis=1, kind="stable")
-    code = np.empty_like(order)
-    np.put_along_axis(code, order, np.arange(m), axis=1)  # 0-based rank of each ad
-    del order
-    code += np.arange(0, m * m, m)
-    code = code.ravel()
+    code = _rank_codes(draws).ravel()
     count = np.bincount(code, minlength=m * m)
     total = np.bincount(code, weights=draws.ravel(), minlength=m * m)
     np.square(draws, out=draws)

@@ -10,18 +10,21 @@ moments follow by fixed composite-Simpson quadrature against the
 candidate's own density.
 
 A ``CaseGrid`` holds the Simpson nodes and weights and every ad's CDF and
-PDF row on them, each evaluated once per case.  The same rows serve the
-case's Monte Carlo draws: ``CaseGrid.draw`` brackets a beta uniform in the
-ad's CDF row and takes one Newton step on the cubic Hermite interpolant of
-that cell's CDF and PDF node values (Hörmann & Leydold 2003, ACM TOMACS
-13(4)), so a draw evaluates no special function.  Which cells may keep
-that step is decided once per beta ad, when the grid is built; the rest
-take the exact inverse, ``_beta_ppf``.  The grid rows themselves come from
-``betainc`` and ``_beta_pdf``.  One candidate's rank table costs
+PDF row on them, each evaluated once per distinct distribution in the
+case.  The same rows serve the case's Monte Carlo draws: ``CaseGrid.draw``
+brackets a beta uniform in the ad's CDF row through a guide table of the
+row (Chen & Asau 1974), with no sort of the uniforms, and takes one Newton
+step on the cubic Hermite interpolant of that cell's CDF and PDF node
+values (Hörmann & Leydold 2003, ACM TOMACS 13(4)), so a draw evaluates no
+special function.  Which cells may keep that step is decided once per beta
+ad, when the grid is built; the rest take the exact inverse,
+``_beta_ppf``.  The grid rows themselves come from ``betainc`` and
+``_beta_pdf``.  One candidate's rank table costs
 O(m^2 * grid) operations and is built once, then read by the mean profile,
 the decomposition and, last, the density profile, which normalizes it in
 place.  A case holds O(m * grid) floats (the CDF and PDF rows plus one
-candidate's table), so there is no cap on m.
+candidate's table) and one int32 guide table per beta ad, so there is no
+cap on m.
 
 Quadrature accuracy is ~1e-12 relative for smooth densities; a density
 jump interior to the shared grid (e.g. a uniform whose endpoints are not
@@ -175,7 +178,8 @@ class ScoreDistribution:
 class CaseGrid:
     """The Simpson grid of one case, with every ad's CDF and PDF row on it.
 
-    Each row is evaluated once, when the grid is built; every oracle
+    Each distinct distribution's rows are evaluated once, when the grid is
+    built, and ads that share a distribution object share them; every oracle
     function that takes a case's distributions also accepts its CaseGrid,
     and so does the Monte Carlo sampler, which draws through ``draw``.
     ``len(grid)`` is the ad count m.
@@ -189,11 +193,23 @@ class CaseGrid:
         w[1:-1:2] = 4.0
         w[2:-1:2] = 2.0
         self.w = w * ((upper / SIMPSON_INTERVALS) / 3.0)
-        self.cdf = np.vstack([d.cdf(self.s) for d in dists])
-        self.pdf = np.vstack([d.pdf(self.s) for d in dists])
-        # one flag per cell, for beta ads only, set before any draw
-        self.safe = [_hermite_safe_cells(d.params, self.s, F, f) if d.kind == "scaled-beta"
-                     else None for d, F, f in zip(dists, self.cdf, self.pdf)]
+        m = len(dists)
+        self.cdf = np.empty((m, len(self.s)))
+        self.pdf = np.empty((m, len(self.s)))
+        # for beta ads only, set before any draw: one flag per cell and the guide table
+        self.safe: list[np.ndarray | None] = [None] * m
+        self.guide: list[np.ndarray | None] = [None] * m
+        first = {}  # an object listed twice gets its rows once
+        for j, d in enumerate(dists):
+            k = first.setdefault(id(d), j)
+            if k < j:
+                self.cdf[j], self.pdf[j] = self.cdf[k], self.pdf[k]
+                self.safe[j], self.guide[j] = self.safe[k], self.guide[k]
+                continue
+            self.cdf[j], self.pdf[j] = d.cdf(self.s), d.pdf(self.s)
+            if d.kind == "scaled-beta":
+                self.safe[j] = _hermite_safe_cells(d.params, self.s, self.cdf[j], self.pdf[j])
+                self.guide[j] = _guide_table(self.cdf[j])
 
     def __len__(self) -> int:
         return len(self.cdf)
@@ -206,40 +222,64 @@ class CaseGrid:
         """Ad j's scores at uniforms u in [0, 1), and how many took the exact inverse.
 
         Uniform ads invert in closed form.  A beta ad brackets u between two
-        nodes of its CDF row, F[i-1] <= u < F[i], starts from the linear
-        interpolant and takes one Newton step on the cubic Hermite
-        interpolant of the cell, built from the node values of the CDF and
-        PDF rows: H(t) = F0 + t (f0 h + t (c2 + t c3)) for t in [0, 1].  A
-        draw takes the exact inverse instead when its cell is not marked
-        safe (see ``_hermite_safe_cells``) or its step leaves the cell.
+        nodes of its CDF row, F[i-1] <= u < F[i], through the row's guide
+        table (``_bracket``), starts from the linear interpolant and takes
+        one Newton step on the cubic Hermite interpolant of the cell, built
+        from the node values of the CDF and PDF rows:
+        H(t) = F0 + t (f0 h + t (c2 + t c3)) for t in [0, 1].  A draw takes
+        the exact inverse instead when its cell is not marked safe (see
+        ``_hermite_safe_cells``) or its step leaves the cell.
         """
         dist, safe = self.dists[j], self.safe[j]
         if safe is None:
             return dist.ppf(u), 0
         F, f, h = self.cdf[j], self.pdf[j], self.s[1]
-        # sorted keys let searchsorted narrow each search from the last one,
-        # and the row gathers then walk each row in order
-        by_u = np.argsort(u)
-        us = u[by_u]
-        i = np.searchsorted(F, us, side="right")  # the cell between nodes i-1 and i
+        i = _bracket(F, self.guide[j], u)  # the cell between nodes i-1 and i
         f_lo = F[i - 1]
         rise = F[i] - f_lo
         d_lo, d_hi = f[i - 1] * h, f[i] * h
         c2 = 3.0 * rise - 2.0 * d_lo - d_hi
         c3 = d_lo + d_hi - 2.0 * rise
-        gap = us - f_lo
+        gap = u - f_lo
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             t = gap / rise  # the linear start
             t -= (t * (d_lo + t * (c2 + t * c3)) - gap) / (d_lo + t * (2.0 * c2 + 3.0 * t * c3))
             drawn = self.s[i - 1] + t * h
         keep = safe[i] & (t >= 0.0) & (t <= 1.0)
-        n_exact = len(us) - int(np.count_nonzero(keep))
+        n_exact = len(u) - int(np.count_nonzero(keep))
         if n_exact:
             exact = ~keep
-            drawn[exact] = dist.ppf(us[exact])
-        out = np.empty_like(drawn)
-        out[by_u] = drawn
-        return out, n_exact
+            drawn[exact] = dist.ppf(u[exact])
+        return drawn, n_exact
+
+
+def _guide_table(F: np.ndarray) -> np.ndarray:
+    """guide[b]: how many entries of the CDF row F are <= b / K, b = 0..K-1.
+
+    K is SIMPSON_INTERVALS, a power of 2, so F * K and u * K are exact and
+    F <= b / K holds exactly when ceil(F * K) <= b.
+    """
+    K = SIMPSON_INTERVALS
+    keys = np.ceil(F * K).astype(np.intp)
+    return np.cumsum(np.bincount(keys, minlength=K + 1)[:K], dtype=np.int32)
+
+
+def _bracket(F: np.ndarray, guide: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(F, u, side="right")`` for u in [0, 1), exactly.
+
+    F is a non-decreasing CDF row whose last entry exceeds every u, and
+    guide its ``_guide_table``.  u's bucket floor(u * K) gives a start at
+    most the answer (the entries <= floor(u * K) / K <= u); two steps
+    forward settle almost every draw, and the draws still short, where
+    more than two nodes of F share u's bucket, take ``np.searchsorted``.
+    """
+    i = guide[(u * SIMPSON_INTERVALS).astype(np.intp)]
+    i += F[i] <= u
+    i += F[i] <= u
+    short = np.flatnonzero(F[i] <= u)
+    if len(short):
+        i[short] = np.searchsorted(F, u[short], side="right")
+    return i
 
 
 def _hermite_safe_cells(params: tuple, s: np.ndarray, F: np.ndarray,
@@ -354,11 +394,13 @@ def conditional_mean_profile(dists: list[ScoreDistribution] | CaseGrid,
         table = rank_table(grid.cdf, candidate)
     marginals = np.empty(len(table))
     means = np.full(len(table), np.nan)
+    # numpy multiplies left to right, so w * density * pk is wd * pk bit for bit
+    wd, wsd = w * density, w * s * density
     for k, pk in enumerate(table):
-        mass = float(np.sum(w * density * pk))
+        mass = float(np.sum(wd * pk))
         marginals[k] = mass
         if mass >= MASS_FLOOR:
-            means[k] = float(np.sum(w * s * density * pk)) / mass
+            means[k] = float(np.sum(wsd * pk)) / mass
     return RankProfile(candidate=candidate, marginals=marginals, conditional_means=means)
 
 
@@ -376,8 +418,9 @@ def conditional_density_profile(dists: list[ScoreDistribution] | CaseGrid, candi
     grid = _case_grid(dists)
     w, density = grid.w, grid.pdf[candidate]
     out = rank_table(grid.cdf, candidate) if table is None else table
+    wd = w * density
     for k, pk in enumerate(out):
-        mass = float(np.sum(w * density * pk))
+        mass = float(np.sum(wd * pk))
         if mass >= MASS_FLOOR:
             out[k] = density * pk / mass
         else:
@@ -469,15 +512,16 @@ def top_rank_decomposition(dists: list[ScoreDistribution] | CaseGrid, candidate:
     grid = _case_grid(dists)
     w, density = grid.w, grid.pdf[candidate]
     p1, p2 = (rank_table(grid.cdf, candidate) if table is None else table)[:2]
-    mass1 = float(np.sum(w * density * p1))
-    mass2 = float(np.sum(w * density * p2))
+    wd = w * density
+    mass1 = float(np.sum(wd * p1))
+    mass2 = float(np.sum(wd * p2))
     if mass2 < MASS_FLOOR:
         raise RankUnreachable(f"rank 2 mass {mass2:.3e} too small for the contrast")
     alpha = mass1 / mass2
     rivals = len(grid) - 1
     plus_part = p1 + alpha * (rivals * p1)
     minus_part = alpha * (p2 + rivals * p1)
-    residual = float(np.sum(w * density * (plus_part - minus_part)))
+    residual = float(np.sum(wd * (plus_part - minus_part)))
     plus_monotone = bool(np.all(np.diff(plus_part) >= -monotone_slack))
     minus_monotone = bool(np.all(np.diff(minus_part) >= -monotone_slack))
     return RankDecomposition(residual=residual,

@@ -261,6 +261,18 @@ class TestConfigLoading:
         err = capsys.readouterr().err
         assert "dists" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("spec", ["beta:0.4:3", "beta:3:0.5:0.8"])
+    def test_singular_beta_rejected(self, tmp_path, spec):
+        """A beta shape below 1 puts an infinite density at an end of the
+        support, where Simpson quadrature needs a finite one."""
+        bad = SMALL_THEOREMS.replace("dists = beta:2:38", f"dists = {spec}")
+        out = tmp_path / "out"
+        proc = run_cli_process("verify-theorems", "--config", write_cfg(tmp_path, bad),
+                               "--out", out, "--trials", "1000", "--threads", "1")
+        assert proc.returncode == 3
+        assert "case.solo.dists" in proc.stderr and "Traceback" not in proc.stderr
+        assert not (out / "theorem_report.json").exists()
+
     def test_packaged_defaults_parse(self):
         from importlib import resources
         for name, command in (("table2.cfg", "simulate-cpc"),
@@ -593,6 +605,17 @@ class TestTheoremOutputBytes:
                 "0610fea7292af00d644e3ac7f11b14ed858b5e369d5b77b4ddf15212c23b7620",
         }
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_packaged_config(self, tmp_path, threads):
+        """The whole packaged report, Monte Carlo moments included."""
+        out = tmp_path / "pk"
+        assert run_cli("verify-theorems", "--out", out, "--trials", "65536",
+                       "--threads", threads) == 0
+        assert output_digests(out) == {
+            "theorem_report.json":
+                "cc0722e0c21a1763e64fbb037458ee4f91bf43856504111c35724e7e1fee88d3",
+        }
+
     def test_packaged_cases_without_monte_carlo_moments(self, tmp_path):
         """The packaged cases' quadrature fields, mc_counts and verdicts, with
         mc_means, mc_std_errors and max_sigma set aside: a change to how the
@@ -631,8 +654,8 @@ class TestManifestReproducibility:
     def test_theorem_manifest_times_each_case(self, tmp_path):
         """verify-theorems records, per case, its exact-inverse draw count and
         the seconds spent on the grid, the Monte Carlo draws and the checks."""
-        # b < 1: the draws next to the beta's singular upper end take the exact inverse
-        dists = "beta:3:0.5:0.8, uniform:0:1"
+        # a narrow beta spans few grid cells; draws on its steep flanks take the exact inverse
+        dists = "beta:60:60:0.01, uniform:0:1"
         text = SMALL_THEOREMS.replace("beta:2:38", dists)
         out = tmp_path / "thm"
         assert run_cli("verify-theorems", "--config", write_cfg(tmp_path, text), "--out", out,

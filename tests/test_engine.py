@@ -22,6 +22,7 @@ from gspbias.engine import (
     _MC_BLOCK,
     _PPF_FLOOR,
     BinomialInverse,
+    _rank_codes,
     conditional_rank_samples,
     estimate_matrix,
     rank_contexts,
@@ -475,6 +476,19 @@ class TestSampleRankStats:
             stats = sample_rank_stats(grid, 100_000, seed=5, threads=threads)
             assert stats.exact_draws == expected
         assert sample_rank_stats(dists[1:], 1000, seed=5).exact_draws == 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), m=st.integers(1, 7))
+    def test_pairwise_rank_codes_match_stable_argsort(self, data, m):
+        """Below 8 ads the codes come from pairwise comparisons; with scores
+        from a 3-value set, ties are forced and go to the lower ad index."""
+        n = data.draw(st.integers(1, 40))
+        draws = np.array(data.draw(st.lists(st.sampled_from([0.1, 0.5, 0.9]),
+                                            min_size=n * m, max_size=n * m))).reshape(n, m)
+        order = np.argsort(-draws, axis=1, kind="stable")
+        expected = np.empty_like(order)
+        np.put_along_axis(expected, order, np.arange(m), axis=1)
+        np.testing.assert_array_equal(_rank_codes(draws), expected + np.arange(0, m * m, m))
 
     def test_uniform_pair_against_known_order_statistics(self):
         dists = [ScoreDistribution.uniform(0, 1)] * 2

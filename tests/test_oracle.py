@@ -11,14 +11,17 @@ from hypothesis import strategies as st
 from scipy import stats
 from scipy.special import _ufuncs
 
-from gspbias.config import load_config, parse_distribution
+from gspbias.config import TheoremCase, load_config, parse_distribution
 from gspbias.engine import sample_rank_stats
 from gspbias.errors import GridMismatch, RankUnreachable
 from gspbias.oracle import (
     _CDF_REL_ERR,
     _NEWTON_TOL,
+    SIMPSON_INTERVALS,
     CaseGrid,
     ScoreDistribution,
+    _bracket,
+    _guide_table,
     check_splittable,
     conditional_density_profile,
     conditional_mean_profile,
@@ -314,6 +317,64 @@ class TestCaseGridPpf:
             exact = dist.ppf(u)
         assert n_exact == len(u)
         np.testing.assert_array_equal(drawn, exact)
+
+
+K = SIMPSON_INTERVALS
+# CDF values: exact multiples of 1/K, their neighbours, and anything in [0, 1]
+cdf_values = st.one_of(st.integers(0, K).map(lambda k: k / K),
+                       st.integers(1, K - 1).map(lambda k: np.nextafter(k / K, 0.0)),
+                       st.floats(0.0, 1.0))
+
+
+class TestGuideBracket:
+    @settings(max_examples=80, deadline=None)
+    @given(runs=st.lists(st.tuples(cdf_values, st.integers(1, 6)), max_size=40),
+           zeros=st.integers(1, 5), ones=st.integers(1, 5))
+    def test_matches_searchsorted(self, runs, zeros, ones):
+        """Monotone rows with flat runs and plateaus at 0 and 1 bracket every
+        u exactly as searchsorted does, at every k/K and next to each node."""
+        values = np.array([v for v, _ in runs], dtype=float)
+        F = np.sort(np.concatenate([np.zeros(zeros), np.repeat(values, [n for _, n in runs]),
+                                    np.ones(ones)]))
+        inner = F[F < 1.0]
+        u = np.concatenate([np.arange(K) / K, [0.0, 5e-324, 1.0 - 2.0 ** -53], inner,
+                            np.nextafter(inner, 0.0).clip(0.0), np.nextafter(inner, 1.0)])
+        u = u[u < 1.0]
+        np.testing.assert_array_equal(_bracket(F, _guide_table(F), u),
+                                      np.searchsorted(F, u, side="right"))
+
+    def test_guide_counts_nodes_at_or_below_each_bucket(self):
+        F = np.array([0.0, 0.0, 0.5 / K, 1.0 / K, 1.0 / K, 3.5 / K, 0.5, 1.0])
+        guide = _guide_table(F)
+        assert guide.dtype == np.int32 and len(guide) == K
+        np.testing.assert_array_equal(guide[:5], [2, 5, 5, 5, 6])
+        assert guide[K // 2] == 7 and guide[-1] == 7
+
+
+class TestCaseGridRows:
+    def test_repeated_specs_evaluate_each_distribution_once(self, monkeypatch):
+        """Ads with the same spec share one object, and the grid evaluates its
+        CDF and PDF once, giving the rows separately parsed ads would get."""
+        case = TheoremCase("rep", ("beta:2:38", "uniform:0:1", "beta:2:38",
+                                   "beta:3:37:1.2", "uniform:0:1", "beta:2:38"))
+        dists = case.distributions()
+        assert dists[0] is dists[2] is dists[5] and dists[1] is dists[4]
+        calls = []
+        for d in {id(d): d for d in dists}.values():
+            for name in ("cdf", "pdf"):
+                monkeypatch.setattr(d, name, lambda s, f=getattr(d, name), key=(d.label, name):
+                                    calls.append(key) or f(s))
+        grid = CaseGrid(dists)
+        assert sorted(calls) == sorted({(d.label, name) for d in dists
+                                        for name in ("cdf", "pdf")})
+        own = CaseGrid([parse_distribution(spec) for spec in case.dist_specs])
+        np.testing.assert_array_equal(grid.cdf, own.cdf)
+        np.testing.assert_array_equal(grid.pdf, own.pdf)
+        for j in range(len(dists)):
+            for mine, theirs in ((grid.safe[j], own.safe[j]), (grid.guide[j], own.guide[j])):
+                assert (mine is None) == (theirs is None)
+                if mine is not None:
+                    np.testing.assert_array_equal(mine, theirs)
 
 
 # A 16-ad field of mixed betas and staggered uniforms, and its seed, fixed
