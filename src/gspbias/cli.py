@@ -19,6 +19,11 @@ import time
 from importlib import resources
 from pathlib import Path
 
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
+
 import numpy as np
 
 from . import __version__
@@ -35,6 +40,7 @@ from .engine import (
     run_ab_experiment,
     run_cpc_study,
     sample_rank_stats,
+    worker_map,
 )
 from .errors import (
     ConfigError,
@@ -198,12 +204,20 @@ def cmd_simulate_cpc(args) -> int:
 # verify-theorems
 # ---------------------------------------------------------------------------
 
-def _verify_candidate(grid: CaseGrid, mc, i: int) -> dict:
-    """Candidate i's report entry.  Its rank table is built here, once, and
-    dies on return, so a case holds one candidate's table at a time."""
+def _quadrature_key(dists, i: int) -> tuple:
+    """What candidate i's quadrature fields depend on: its own distribution
+    object and its rivals', in the order the rank table folds them in."""
+    ids = [id(d) for d in dists]
+    return ids[i], tuple(ids[:i] + ids[i + 1:])
+
+
+def _quadrature_checks(grid: CaseGrid, i: int, map=map) -> tuple[dict, np.ndarray, bool]:
+    """Candidate i's quadrature report fields, its conditional means and whether
+    its quadrature checks pass.  Its rank table is built here, once, and dies
+    on return, so a case holds one candidate's table at a time."""
     m = len(grid)
     # the density profile, last, normalizes the table in place
-    table = rank_table(grid.cdf, i)
+    table = rank_table(grid.cdf, i, map=map)
     profile = conditional_mean_profile(grid, i, table)
     qmeans = profile.conditional_means
     ineq_checked = ineq_skipped = 0
@@ -215,19 +229,6 @@ def _verify_candidate(grid: CaseGrid, mc, i: int) -> dict:
         ineq_checked += 1
         if not qmeans[k] >= qmeans[k + 1] - MEAN_INEQUALITY_SLACK:
             ineq_ok = False
-    mc_checked = mc_skipped = 0
-    mc_ok = True
-    max_sigma = 0.0
-    for k in range(m):
-        count = mc.counts[i, k]
-        if np.isnan(qmeans[k]) or count < MIN_MC_COUNT or np.isnan(mc.std_errors[i, k]):
-            mc_skipped += 1
-            continue
-        mc_checked += 1
-        sigma = abs(mc.means[i, k] - qmeans[k]) / mc.std_errors[i, k]
-        max_sigma = max(max_sigma, sigma)
-        if sigma > MC_AGREEMENT_SIGMA:
-            mc_ok = False
     if m >= 2:
         try:
             dec = top_rank_decomposition(grid, i, table=table)
@@ -257,25 +258,57 @@ def _verify_candidate(grid: CaseGrid, mc, i: int) -> dict:
         else:
             split_ok = False
         split_entries.append(entry)
-    cand_pass = ineq_ok and mc_ok and dec_ok and split_ok
-    return {
-        "candidate": i,
+    fields = {
         "marginals": [float(x) for x in profile.marginals],
         "quadrature_means": [_nn(x) for x in qmeans],
+        "mean_inequality": {"passed": ineq_ok, "checked": ineq_checked,
+                            "skipped": ineq_skipped},
+        "decomposition": dec_entry,
+        "splittability": {"passed": split_ok, "pairs": split_entries},
+    }
+    return fields, qmeans, ineq_ok and dec_ok and split_ok
+
+
+def _mc_agreement(qmeans: np.ndarray, mc, i: int) -> tuple[dict, bool]:
+    """Candidate i's Monte Carlo report fields and whether its moments agree
+    with the quadrature means ``qmeans``."""
+    mc_checked = mc_skipped = 0
+    mc_ok = True
+    max_sigma = 0.0
+    for k in range(len(qmeans)):
+        count = mc.counts[i, k]
+        if np.isnan(qmeans[k]) or count < MIN_MC_COUNT or np.isnan(mc.std_errors[i, k]):
+            mc_skipped += 1
+            continue
+        mc_checked += 1
+        sigma = abs(mc.means[i, k] - qmeans[k]) / mc.std_errors[i, k]
+        max_sigma = max(max_sigma, sigma)
+        if sigma > MC_AGREEMENT_SIGMA:
+            mc_ok = False
+    fields = {
         "mc_means": [_nn(x) for x in mc.means[i]],
         "mc_std_errors": [_nn(x) for x in mc.std_errors[i]],
         "mc_counts": [int(x) for x in mc.counts[i]],
-        "mean_inequality": {"passed": ineq_ok, "checked": ineq_checked,
-                            "skipped": ineq_skipped},
         "mc_agreement": {"passed": mc_ok, "max_sigma": max_sigma,
                          "checked": mc_checked, "skipped": mc_skipped},
-        "decomposition": dec_entry,
-        "splittability": {"passed": split_ok, "pairs": split_entries},
-        "passed": cand_pass,
     }
+    return fields, mc_ok
+
+
+def _peak_rss() -> dict:
+    """The process's peak resident set so far, in MB, or why it is unknown."""
+    if resource is None:
+        return {"peak_rss_mb": None,
+                "peak_rss_reason": "the resource module is not available on this platform"}
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    # ru_maxrss is in bytes on macOS and in KiB on Linux and the BSDs
+    return {"peak_rss_mb": round(peak / (2 ** 20 if sys.platform == "darwin" else 2 ** 10), 1)}
 
 
 def cmd_verify_theorems(args) -> int:
+    """Each case: its grid, its Monte Carlo moments, then its candidates'
+    checks.  The quadrature checks run once per distinct ``_quadrature_key``;
+    grid slices, MC blocks and rank-table slices share one worker map."""
     t0 = time.monotonic()
     loaded = _load(args, "verify-theorems")
     suite: TheoremSuite = loaded.payload
@@ -285,27 +318,40 @@ def cmd_verify_theorems(args) -> int:
     cases_payload = []
     case_runs = []  # for the manifest
     all_pass = True
-    for idx, case in enumerate(suite.cases):
-        t_grid = time.monotonic()
-        grid = CaseGrid(case.distributions())  # CDF and PDF rows, dropped when the case ends
-        t_mc = time.monotonic()
-        mc = sample_rank_stats(grid, draws, seed, case_index=idx, threads=args.threads)
-        t_check = time.monotonic()
-        candidates = [_verify_candidate(grid, mc, i) for i in range(len(grid))]
-        case_ok = all(c["passed"] for c in candidates)
-        del grid
-        case_runs.append({"name": case.name, "exact_draws": mc.exact_draws,
-                          "grid_seconds": round(t_mc - t_grid, 3),
-                          "mc_seconds": round(t_check - t_mc, 3),
-                          "check_seconds": round(time.monotonic() - t_check, 3)})
-        all_pass = all_pass and case_ok
-        cases_payload.append({
-            "name": case.name,
-            "dists": list(case.dist_specs),
-            "ads": len(candidates),
-            "passed": case_ok,
-            "candidates": candidates,
-        })
+    with worker_map(args.threads) as pmap:
+        for idx, case in enumerate(suite.cases):
+            t_grid = time.monotonic()
+            # CDF and PDF rows, dropped when the case ends
+            grid = CaseGrid(case.distributions(), pmap)
+            t_mc = time.monotonic()
+            mc = sample_rank_stats(grid, draws, seed, case_index=idx, map=pmap)
+            t_check = time.monotonic()
+            checks = {}
+            candidates = []
+            for i in range(len(grid)):
+                key = _quadrature_key(grid.dists, i)
+                if key not in checks:
+                    checks[key] = _quadrature_checks(grid, i, pmap)
+                fields, qmeans, quad_ok = checks[key]
+                mc_fields, mc_ok = _mc_agreement(qmeans, mc, i)
+                candidates.append({"candidate": i, **fields, **mc_fields,
+                                   "passed": quad_ok and mc_ok})
+            case_ok = all(c["passed"] for c in candidates)
+            del grid
+            case_runs.append({"name": case.name, "exact_draws": mc.exact_draws,
+                              "quadrature_candidates": len(checks),
+                              "grid_seconds": round(t_mc - t_grid, 3),
+                              "mc_seconds": round(t_check - t_mc, 3),
+                              "check_seconds": round(time.monotonic() - t_check, 3),
+                              **_peak_rss()})
+            all_pass = all_pass and case_ok
+            cases_payload.append({
+                "name": case.name,
+                "dists": list(case.dist_specs),
+                "ads": len(candidates),
+                "passed": case_ok,
+                "candidates": candidates,
+            })
     write_json(arts.path("theorem_report.json"), {
         "seed": seed,
         "mc_draws": draws,

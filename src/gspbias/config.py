@@ -62,8 +62,9 @@ class LoadedConfig:
     source: str
 
 
-def parse_distribution(spec: str) -> ScoreDistribution:
-    """Parse ``uniform:LOW:HIGH`` or ``beta:A:B[:SCALE]`` into a distribution."""
+def parse_distribution(spec: str, field: str = "dists") -> ScoreDistribution:
+    """Parse ``uniform:LOW:HIGH`` or ``beta:A:B[:SCALE]`` into a distribution;
+    a bad spec raises ConfigError on ``field``."""
     parts = [p.strip() for p in spec.split(":")]
     kind = parts[0].lower()
     try:
@@ -73,8 +74,8 @@ def parse_distribution(spec: str) -> ScoreDistribution:
             scale = float(parts[3]) if len(parts) == 4 else 1.0
             return ScoreDistribution.scaled_beta(float(parts[1]), float(parts[2]), scale)
     except ValueError as exc:
-        raise ConfigError("dists", f"bad distribution {spec!r}: {exc}") from exc
-    raise ConfigError("dists", f"unrecognized distribution spec {spec!r}")
+        raise ConfigError(field, f"bad distribution {spec!r}: {exc}") from exc
+    raise ConfigError(field, f"unrecognized distribution spec {spec!r}")
 
 
 class _Section:
@@ -223,7 +224,7 @@ def _load_theorems(parser) -> tuple[TheoremSuite, int | None]:
         if not specs:
             raise ConfigError(f"{sec.name}.dists", "at least one distribution required")
         for spec in specs:
-            dist = parse_distribution(spec)  # validate eagerly for a good error path
+            dist = parse_distribution(spec, f"{sec.name}.dists")  # validate eagerly
             # Simpson quadrature needs a density that is finite on the closed support
             if dist.kind == "scaled-beta" and min(dist.params[:2]) < 1.0:
                 raise ConfigError(f"{sec.name}.dists",

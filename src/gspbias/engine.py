@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field, replace
 from typing import Literal
 
@@ -50,6 +51,18 @@ STREAM_MC = 2
 # inexact (no packaged setting does).  Each such u has chance 2**-53 per draw.
 _PPF_FLOOR = 1e-300
 _CDF_TOP = 1.0 - 2.0 ** -53  # the largest uniform Generator.random returns
+
+
+@contextmanager
+def worker_map(threads: int):
+    """The ``map`` that runs a command's parallel steps on ``threads`` workers:
+    the builtin ``map`` for one, a thread pool's ``map``, live until the
+    block exits, for more."""
+    if threads <= 1:
+        yield map
+        return
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        yield pool.map
 
 
 # ---------------------------------------------------------------------------
@@ -175,11 +188,8 @@ def run_cpc_study(config: CpcStudyConfig) -> TrialTable:
     key = rng.stream_key(config.seed, STREAM_CPC, config.setting_index)
     inverses = [BinomialInverse(n, p) for n, p in zip(config.impressions, config.true_ctrs)]
     ranges = rng.split_ranges(config.trials, max(1, config.threads) * 4)
-    if config.threads > 1 and len(ranges) > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            chunks = list(pool.map(lambda r: _cpc_chunk(config, inverses, key, *r), ranges))
-    else:
-        chunks = [_cpc_chunk(config, inverses, key, lo, hi) for lo, hi in ranges]
+    with worker_map(config.threads) as map:
+        chunks = list(map(lambda r: _cpc_chunk(config, inverses, key, *r), ranges))
     est, order, cpc, degenerate = (np.concatenate(col) for col in zip(*chunks))
     return TrialTable(estimates=est, order=order, cpc=cpc, degenerate=degenerate)
 
@@ -483,23 +493,21 @@ def _mc_block(grid: CaseGrid, key: np.ndarray, lo: int, hi: int):
 
 
 def sample_rank_stats(dists: list[ScoreDistribution] | CaseGrid, draws: int, seed: int,
-                      case_index: int = 0, threads: int = 1) -> RankSampleStats:
+                      case_index: int = 0, threads: int = 1, map=None) -> RankSampleStats:
     """Monte Carlo conditional score means per (ad, rank), with standard errors.
 
     Draw t owns unit t of the stream keyed (seed, sampling, case); partial
     moments accumulate over fixed-size blocks merged in block order, so the
     result is bit-identical for any thread count.  Scores are drawn through
     the case's ``CaseGrid`` (``CaseGrid.draw``); given a list, the sampler
-    builds that grid itself.
+    builds that grid itself.  The blocks run through ``map``, a caller's
+    ``worker_map``; without one, through a ``worker_map(threads)`` of its own.
     """
-    grid = dists if isinstance(dists, CaseGrid) else CaseGrid(dists)
-    key = rng.stream_key(seed, STREAM_MC, case_index)
-    ranges = [(lo, min(lo + _MC_BLOCK, draws)) for lo in range(0, draws, _MC_BLOCK)]
-    if threads > 1 and len(ranges) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda r: _mc_block(grid, key, *r), ranges))
-    else:
-        parts = [_mc_block(grid, key, lo, hi) for lo, hi in ranges]
+    with worker_map(threads) if map is None else nullcontext(map) as map:
+        grid = dists if isinstance(dists, CaseGrid) else CaseGrid(dists, map)
+        key = rng.stream_key(seed, STREAM_MC, case_index)
+        ranges = [(lo, min(lo + _MC_BLOCK, draws)) for lo in range(0, draws, _MC_BLOCK)]
+        parts = list(map(lambda r: _mc_block(grid, key, *r), ranges))
     m = len(grid)
     count = np.zeros((m, m))
     total = np.zeros((m, m))

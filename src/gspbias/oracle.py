@@ -26,6 +26,14 @@ place.  A case holds O(m * grid) floats (the CDF and PDF rows plus one
 candidate's table) and one int32 guide table per beta ad, so there is no
 cap on m.
 
+The grid rows, their safe-cell flags and the rank table are filled
+NODE_SLICE nodes at a time, one task per slice, through a ``map`` callable:
+the builtin ``map`` runs the slices in turn, a thread pool's ``map`` runs
+them on its workers.  Each slice writes its own part of a preallocated
+array, so a worker's temporaries are slice-sized whatever the grid size,
+and the kernels are elementwise, so the bytes do not depend on the slicing
+or on the workers.
+
 Quadrature accuracy is ~1e-12 relative for smooth densities; a density
 jump interior to the shared grid (e.g. a uniform whose endpoints are not
 grid nodes) degrades it to O(1/intervals), about 1e-5 relative.
@@ -47,6 +55,12 @@ MASS_FLOOR = 1e-12
 # _CDF_REL_ERR bounds the error of the CDF row values that the estimate allows for.
 _NEWTON_TOL = 1e-9
 _CDF_REL_ERR = 1e-14
+NODE_SLICE = 1 << 14  # grid nodes per task when rows and rank tables are filled
+
+
+def _node_slices(lo: int, hi: int) -> list[tuple[int, int]]:
+    """[lo, hi) cut into consecutive NODE_SLICE-long (start, stop) pairs."""
+    return [(a, min(a + NODE_SLICE, hi)) for a in range(lo, hi, NODE_SLICE)]
 
 
 class ScoreDistribution:
@@ -182,10 +196,12 @@ class CaseGrid:
     built, and ads that share a distribution object share them; every oracle
     function that takes a case's distributions also accepts its CaseGrid,
     and so does the Monte Carlo sampler, which draws through ``draw``.
-    ``len(grid)`` is the ad count m.
+    ``len(grid)`` is the ad count m.  ``map`` runs the node slices of the
+    rows and of the beta ads' safe-cell flags; the guide tables are one
+    serial pass each.
     """
 
-    def __init__(self, dists: list[ScoreDistribution]):
+    def __init__(self, dists: list[ScoreDistribution], map=map):
         self.dists = dists
         upper = max(d.upper for d in dists)
         self.s = np.linspace(0.0, upper, SIMPSON_INTERVALS + 1)
@@ -200,16 +216,25 @@ class CaseGrid:
         self.safe: list[np.ndarray | None] = [None] * m
         self.guide: list[np.ndarray | None] = [None] * m
         first = {}  # an object listed twice gets its rows once
+        own = [j for j, d in enumerate(dists) if first.setdefault(id(d), j) == j]
+        list(map(self._fill_rows, [(j, lo, hi) for j in own
+                                   for lo, hi in _node_slices(0, len(self.s))]))
         for j, d in enumerate(dists):
-            k = first.setdefault(id(d), j)
+            k = first[id(d)]
             if k < j:
                 self.cdf[j], self.pdf[j] = self.cdf[k], self.pdf[k]
                 self.safe[j], self.guide[j] = self.safe[k], self.guide[k]
-                continue
-            self.cdf[j], self.pdf[j] = d.cdf(self.s), d.pdf(self.s)
-            if d.kind == "scaled-beta":
-                self.safe[j] = _hermite_safe_cells(d.params, self.s, self.cdf[j], self.pdf[j])
+            elif d.kind == "scaled-beta":
+                self.safe[j] = _hermite_safe_cells(d.params, self.s, self.cdf[j], self.pdf[j],
+                                                   map)
                 self.guide[j] = _guide_table(self.cdf[j])
+
+    def _fill_rows(self, task: tuple[int, int, int]) -> None:
+        """Ad j's CDF and PDF at nodes lo..hi-1, written into its rows."""
+        j, lo, hi = task
+        d, s = self.dists[j], self.s[lo:hi]
+        self.cdf[j, lo:hi] = d.cdf(s)
+        self.pdf[j, lo:hi] = d.pdf(s)
 
     def __len__(self) -> int:
         return len(self.cdf)
@@ -283,7 +308,7 @@ def _bracket(F: np.ndarray, guide: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def _hermite_safe_cells(params: tuple, s: np.ndarray, F: np.ndarray,
-                        f: np.ndarray) -> np.ndarray:
+                        f: np.ndarray, map=map) -> np.ndarray:
     """safe[i]: a draw in the cell between nodes i-1 and i may keep its Hermite step.
 
     A cell is safe when its CDF node values lie strictly inside (0, 1), so
@@ -296,32 +321,36 @@ def _hermite_safe_cells(params: tuple, s: np.ndarray, F: np.ndarray,
     max|f'| / (2 f0); and the CDF rounding term _CDF_REL_ERR / f0.  The
     maxima are taken over the two nodes, with the derivatives in closed form
     from psi = f'/f = ((a-1)/x - (b-1)/(1-x)) / scale: f'''/f is
-    psi'' + 3 psi psi' + psi^3.
+    psi'' + 3 psi psi' + psi^3.  The cells are flagged a node slice at a
+    time through ``map``, each slice reading one node before its first cell.
     """
     a, b, scale = params
     safe = np.zeros(len(s), dtype=bool)
     # nodes first..last hold 0 < F < 1; only the cells between them can be safe
     first = int(np.searchsorted(F, 0.0, side="right"))
     last = int(np.searchsorted(F, 1.0, side="left")) - 1
-    if last <= first:
-        return safe
-    f = f[first:last + 1]
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        inv_x = scale / s[first:last + 1]
-        inv_1mx = 1.0 / (1.0 - s[first:last + 1] / scale)
-        p, q = (a - 1.0) * inv_x, (b - 1.0) * inv_1mx
-        psi = p - q  # psi and its derivatives in x = s / scale; h4 holds the scale
-        dpsi = -(p * inv_x + q * inv_1mx)
-        d2psi = 2.0 * (p * inv_x * inv_x - q * inv_1mx * inv_1mx)
-        d1 = np.abs(psi) * f
-        d3 = np.abs(d2psi + psi * (3.0 * dpsi + psi * psi)) * f
-        f0 = np.minimum(f[:-1], f[1:])
-        m1 = np.maximum(d1[:-1], d1[1:]) / f0
-        m3 = np.maximum(d3[:-1], d3[1:]) / f0
-        h4 = (s[1] / scale) ** 4 * scale  # h^4 / scale^3
-        err = h4 * (m3 / 384.0 + m1 ** 3 / 128.0) + _CDF_REL_ERR / f0
-    # a zero or infinite node density leaves err infinite or NaN: never safe
-    safe[first + 1:last + 1] = err <= _NEWTON_TOL * scale
+    h4 = (s[1] / scale) ** 4 * scale  # h^4 / scale^3
+
+    def flag(cells: tuple[int, int]) -> None:  # cells lo..hi-1, from nodes lo-1..hi-1
+        lo, hi = cells
+        x, fx = s[lo - 1:hi], f[lo - 1:hi]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            inv_x = scale / x
+            inv_1mx = 1.0 / (1.0 - x / scale)
+            p, q = (a - 1.0) * inv_x, (b - 1.0) * inv_1mx
+            psi = p - q  # psi and its derivatives in x = s / scale; h4 holds the scale
+            dpsi = -(p * inv_x + q * inv_1mx)
+            d2psi = 2.0 * (p * inv_x * inv_x - q * inv_1mx * inv_1mx)
+            d1 = np.abs(psi) * fx
+            d3 = np.abs(d2psi + psi * (3.0 * dpsi + psi * psi)) * fx
+            f0 = np.minimum(fx[:-1], fx[1:])
+            m1 = np.maximum(d1[:-1], d1[1:]) / f0
+            m3 = np.maximum(d3[:-1], d3[1:]) / f0
+            err = h4 * (m3 / 384.0 + m1 ** 3 / 128.0) + _CDF_REL_ERR / f0
+        # a zero or infinite node density leaves err infinite or NaN: never safe
+        safe[lo:hi] = err <= _NEWTON_TOL * scale
+
+    list(map(flag, _node_slices(first + 1, last + 1)))
     return safe
 
 
@@ -329,25 +358,32 @@ def _case_grid(dists: list[ScoreDistribution] | CaseGrid) -> CaseGrid:
     return dists if isinstance(dists, CaseGrid) else CaseGrid(dists)
 
 
-def rank_table(F: np.ndarray, candidate: int) -> np.ndarray:
+def rank_table(F: np.ndarray, candidate: int, map=map) -> np.ndarray:
     """P(candidate holds rank k | score s) in row k-1, from the CDF rows F at s.
 
     Poisson-binomial recursion (Hong 2013): rivals are folded in one at a
     time, and after j of them row k holds the chance that exactly k of those
-    j beat s, P_k <- P_k F_j + P_{k-1} (1 - F_j).
+    j beat s, P_k <- P_k F_j + P_{k-1} (1 - F_j).  Each node slice is folded
+    into its columns of the one table, through ``map``.
     """
     out = np.zeros(F.shape)
-    out[0] = 1.0
-    seen = 0
-    for j, Fj in enumerate(F):
-        if j == candidate:
-            continue
-        seen += 1
-        beats = 1.0 - Fj
-        for k in range(seen, 0, -1):  # top down: row k-1 still holds its old value
-            out[k] *= Fj
-            out[k] += out[k - 1] * beats
-        out[0] *= Fj
+
+    def fold(nodes: tuple[int, int]) -> None:
+        lo, hi = nodes
+        part = out[:, lo:hi]
+        part[0] = 1.0
+        seen = 0
+        for j, Fj in enumerate(F[:, lo:hi]):
+            if j == candidate:
+                continue
+            seen += 1
+            beats = 1.0 - Fj
+            for k in range(seen, 0, -1):  # top down: row k-1 still holds its old value
+                part[k] *= Fj
+                part[k] += part[k - 1] * beats
+            part[0] *= Fj
+
+    list(map(fold, _node_slices(0, F.shape[1])))
     return out
 
 

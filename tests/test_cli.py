@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 import gspbias
-from gspbias.cli import main
-from gspbias.config import load_config, parse_distribution
+from gspbias.cli import _quadrature_checks, _quadrature_key, main
+from gspbias.config import TheoremCase, load_config, parse_distribution
 from gspbias.engine import sample_rank_stats
 from gspbias.errors import ConfigError
 from gspbias.oracle import CaseGrid
@@ -261,6 +261,15 @@ class TestConfigLoading:
         err = capsys.readouterr().err
         assert "dists" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("spec", ["beta:nan:3", "gauss:1:2"])
+    def test_bad_distribution_names_its_case(self, tmp_path, capsys, spec):
+        bad = SMALL_THEOREMS.replace("[case.solo]\ndists = beta:2:38", f"[case.x]\ndists = {spec}")
+        rc = run_cli("verify-theorems", "--config", write_cfg(tmp_path, bad),
+                     "--out", tmp_path / "out", "--trials", "1000")
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "case.x.dists" in err and spec in err
+
     @pytest.mark.parametrize("spec", ["beta:0.4:3", "beta:3:0.5:0.8"])
     def test_singular_beta_rejected(self, tmp_path, spec):
         """A beta shape below 1 puts an infinite density at an end of the
@@ -451,8 +460,8 @@ class TestVerifyTheorems:
 
         real = cli_mod.sample_rank_stats
 
-        def skewed(dists, draws, seed, case_index=0, threads=1):
-            stats = real(dists, draws, seed, case_index=case_index, threads=threads)
+        def skewed(dists, draws, seed, case_index=0, threads=1, map=None):
+            stats = real(dists, draws, seed, case_index=case_index, threads=threads, map=map)
             return RankSampleStats(counts=stats.counts,
                                    means=stats.means + 1.0,     # force disagreement
                                    std_errors=stats.std_errors)
@@ -471,16 +480,44 @@ class TestVerifyTheorems:
         real = oracle.rank_table
         candidates = []
 
-        def counted(F, candidate):
+        def counted(F, candidate, map=map):
             candidates.append(candidate)
-            return real(F, candidate)
+            return real(F, candidate, map)
 
         monkeypatch.setattr(oracle, "rank_table", counted)
         monkeypatch.setattr(cli_mod, "rank_table", counted)
         cfg = write_cfg(tmp_path, SMALL_THEOREMS)
         assert run_cli("verify-theorems", "--config", cfg, "--out", tmp_path / "tables",
                        "--trials", "2000") == 0
-        assert candidates == [0, 1, 0]  # case pair: candidates 0 and 1; case solo: 0
+        # case pair: its two iid candidates share one table; case solo: candidate 0
+        assert candidates == [0, 0]
+
+
+class TestQuadratureDeduplication:
+    """A candidate's quadrature checks run once per distinct (own distribution,
+    rivals in order) key, and each shared entry is the candidate's own."""
+
+    @pytest.mark.parametrize("specs, owners", [
+        (("beta:2:38", "beta:2:38", "uniform:0:0.1"), [0, 0, 2]),
+        # same distribution, but the rivals come in another order
+        (("beta:2:38", "uniform:0:0.1", "beta:2:38"), [0, 1, 2]),
+    ])
+    def test_keys_and_entries(self, tmp_path, specs, owners):
+        dists = TheoremCase("x", specs).distributions()
+        keys = [_quadrature_key(dists, i) for i in range(len(dists))]
+        assert [keys.index(key) for key in keys] == owners
+        text = SMALL_THEOREMS.replace("dists = beta:2:38", "dists = " + ", ".join(specs))
+        out = tmp_path / "dedup"
+        assert run_cli("verify-theorems", "--config", write_cfg(tmp_path, text), "--out", out,
+                       "--trials", "20000", "--threads", "2") == 0
+        report = json.loads((out / "theorem_report.json").read_text())
+        candidates = {c["name"]: c for c in report["cases"]}["solo"]["candidates"]
+        grid = CaseGrid(dists)
+        for i, cand in enumerate(candidates):
+            own = json.loads(json.dumps(_quadrature_checks(grid, i)[0]))
+            assert {name: cand[name] for name in own} == own
+        runs = json.loads((out / "manifest.json").read_text())["cases"]
+        assert [c["quadrature_candidates"] for c in runs] == [1, len(set(owners))]
 
 
 class TestAbRun:
@@ -595,7 +632,7 @@ class TestTheoremOutputBytes:
     CHANGES.md, then update it here.
     """
 
-    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("threads", [1, 2, 3])
     def test_small_config(self, tmp_path, threads):
         out = tmp_path / "thm"
         assert run_cli("verify-theorems", "--config", write_cfg(tmp_path, SMALL_THEOREMS),
@@ -652,8 +689,9 @@ class TestManifestReproducibility:
                                            "scipy": metadata.version("scipy")}
 
     def test_theorem_manifest_times_each_case(self, tmp_path):
-        """verify-theorems records, per case, its exact-inverse draw count and
-        the seconds spent on the grid, the Monte Carlo draws and the checks."""
+        """verify-theorems records, per case, its exact-inverse draw count, the
+        seconds spent on the grid, the Monte Carlo draws and the checks, how
+        many distinct quadrature checks ran, and the peak RSS so far."""
         # a narrow beta spans few grid cells; draws on its steep flanks take the exact inverse
         dists = "beta:60:60:0.01, uniform:0:1"
         text = SMALL_THEOREMS.replace("beta:2:38", dists)
@@ -665,8 +703,11 @@ class TestManifestReproducibility:
         grid = CaseGrid([parse_distribution(spec) for spec in dists.split(", ")])
         expected = sample_rank_stats(grid, 40000, 5, case_index=1).exact_draws
         assert [c["exact_draws"] for c in cases] == [0, expected] and expected > 0
+        # the iid pair needs one quadrature check, the two distinct ads two
+        assert [c["quadrature_candidates"] for c in cases] == [1, 2]
         for c in cases:
             assert min(c["grid_seconds"], c["mc_seconds"], c["check_seconds"]) >= 0.0
+            assert isinstance(c["peak_rss_mb"], float) and c["peak_rss_mb"] > 0.0
 
     def test_rerun_with_manifest_seed_reproduces(self, tmp_path):
         cfg = write_cfg(tmp_path, SMALL_AB)

@@ -1,5 +1,8 @@
 import statistics
+import sys
 import warnings
+from collections import defaultdict
+from contextlib import contextmanager
 from importlib import resources
 from itertools import combinations
 from math import comb
@@ -12,7 +15,8 @@ from scipy import stats
 from scipy.special import _ufuncs
 
 from gspbias.config import TheoremCase, load_config, parse_distribution
-from gspbias.engine import sample_rank_stats
+from gspbias import oracle
+from gspbias.engine import sample_rank_stats, worker_map
 from gspbias.errors import GridMismatch, RankUnreachable
 from gspbias.oracle import (
     _CDF_REL_ERR,
@@ -30,6 +34,7 @@ from gspbias.oracle import (
     split_histogram_densities,
     top_rank_decomposition,
 )
+from reference import hermite_safe_cells_whole_rows, rank_table_whole_rows
 
 U01 = ScoreDistribution.uniform(0.0, 1.0)
 
@@ -354,19 +359,22 @@ class TestGuideBracket:
 class TestCaseGridRows:
     def test_repeated_specs_evaluate_each_distribution_once(self, monkeypatch):
         """Ads with the same spec share one object, and the grid evaluates its
-        CDF and PDF once, giving the rows separately parsed ads would get."""
+        CDF and PDF once at each node, slice by slice, giving the rows
+        separately parsed ads would get."""
         case = TheoremCase("rep", ("beta:2:38", "uniform:0:1", "beta:2:38",
                                    "beta:3:37:1.2", "uniform:0:1", "beta:2:38"))
         dists = case.distributions()
         assert dists[0] is dists[2] is dists[5] and dists[1] is dists[4]
-        calls = []
+        calls = defaultdict(list)
         for d in {id(d): d for d in dists}.values():
             for name in ("cdf", "pdf"):
                 monkeypatch.setattr(d, name, lambda s, f=getattr(d, name), key=(d.label, name):
-                                    calls.append(key) or f(s))
+                                    calls[key].append(s) or f(s))
         grid = CaseGrid(dists)
         assert sorted(calls) == sorted({(d.label, name) for d in dists
                                         for name in ("cdf", "pdf")})
+        for nodes in calls.values():
+            np.testing.assert_array_equal(np.concatenate(nodes), grid.s)
         own = CaseGrid([parse_distribution(spec) for spec in case.dist_specs])
         np.testing.assert_array_equal(grid.cdf, own.cdf)
         np.testing.assert_array_equal(grid.pdf, own.pdf)
@@ -375,6 +383,62 @@ class TestCaseGridRows:
                 assert (mine is None) == (theirs is None)
                 if mine is not None:
                     np.testing.assert_array_equal(mine, theirs)
+
+
+# a uniform, a beta and a scaled beta, with the beta's tails, its flanks and
+# a slice edge inside the uniform's support
+SLICED_FIELD = ["uniform:0.01:0.08", "beta:2:38", "beta:3:37:1.2", "beta:2:38"]
+
+
+@contextmanager
+def contended_workers(threads):
+    """``worker_map(threads)`` with the interpreter switching threads as often
+    as it can, so that workers writing one array interleave."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with worker_map(threads) as map:
+            yield map
+    finally:
+        sys.setswitchinterval(interval)
+
+
+class TestNodeSlices:
+    """Rows, safe-cell flags, guide tables and rank tables filled a node slice
+    at a time, in turn or on more workers than cores, equal their whole-row
+    results."""
+
+    @pytest.mark.parametrize("node_slice", [oracle.NODE_SLICE, 1000])
+    @pytest.mark.parametrize("threads", [1, 4])
+    def test_case_grid_matches_whole_rows(self, monkeypatch, node_slice, threads):
+        case = TheoremCase("sliced", tuple(SLICED_FIELD))
+        dists = case.distributions()
+        monkeypatch.setattr(oracle, "NODE_SLICE", node_slice)
+        with contended_workers(threads) as map:
+            grid = CaseGrid(dists, map)
+        monkeypatch.undo()
+        s = grid.s
+        for j, d in enumerate(dists):
+            F, f = d.cdf(s), d.pdf(s)
+            np.testing.assert_array_equal(grid.cdf[j], F)
+            np.testing.assert_array_equal(grid.pdf[j], f)
+            if d.kind != "scaled-beta":
+                assert grid.safe[j] is None and grid.guide[j] is None
+                continue
+            whole = hermite_safe_cells_whole_rows(d.params, s, F, f, _NEWTON_TOL, _CDF_REL_ERR)
+            assert whole.any() and not whole.all()
+            np.testing.assert_array_equal(grid.safe[j], whole)
+            np.testing.assert_array_equal(grid.guide[j], _guide_table(F))
+
+    @pytest.mark.parametrize("node_slice", [oracle.NODE_SLICE, 1000])
+    @pytest.mark.parametrize("threads", [1, 4])
+    def test_rank_table_matches_whole_row_fold(self, monkeypatch, node_slice, threads):
+        grid = CaseGrid([parse_distribution(spec) for spec in SLICED_FIELD])
+        monkeypatch.setattr(oracle, "NODE_SLICE", node_slice)
+        with contended_workers(threads) as map:
+            for i in range(len(grid)):
+                np.testing.assert_array_equal(rank_table(grid.cdf, i, map),
+                                              rank_table_whole_rows(grid.cdf, i))
 
 
 # A 16-ad field of mixed betas and staggered uniforms, and its seed, fixed

@@ -118,6 +118,24 @@ class TestImpressionWriters:
         assert_writers_match_reference(log)
 
 
+class TestDistinctRecords:
+    @settings(max_examples=100, deadline=None)
+    @given(log=code_logs())
+    @example(log=signed_zero_log(5))
+    def test_grouping_matches_np_unique(self, log):
+        """Record ids number the distinct codes in code order, as np.unique's
+        inverse does, and each record is one of the accesses it stands for."""
+        n_ctx, m = len(log.contexts), len(log.ads)
+        code = (((log.day * n_ctx + log.ctx) * m + log.winner) * 2
+                + log.random_mode) * 2 + log.click
+        distinct, inverse = np.unique(code, return_inverse=True)
+        records, ids = reports._distinct_records(log)
+        np.testing.assert_array_equal(ids, inverse.ravel())
+        assert len(records) == len(distinct)
+        for column in ("day", "ctx", "winner", "random_mode", "click"):
+            np.testing.assert_array_equal(getattr(records, column)[ids], getattr(log, column))
+
+
 def trial_rows(trials):
     """Trial t's winner, cpc, degenerate flag, estimates, ranking and ranks, one row at a time."""
     for t in range(len(trials)):
