@@ -18,7 +18,6 @@ from .engine import (
     CpcStudyConfig,
     ImpressionLog,
     TrialTable,
-    conditional_rank_samples,
     run_ab_experiment,
     run_cpc_study,
     sample_rank_stats,
@@ -48,7 +47,7 @@ from .oracle import (
     SplitVerdict,
     check_splittable,
     conditional_mean_profile,
-    rank_prob_given_score,
+    rank_table,
     top_rank_decomposition,
 )
 
@@ -59,14 +58,13 @@ __all__ = [
     "build_selection_event", "gsp_price", "rank_ads", "run_auction",
     "AbConfig", "AdSpec", "BucketSpec", "Context", "CpcStudyConfig",
     "ImpressionLog", "TrialTable",
-    "conditional_rank_samples", "run_ab_experiment", "run_cpc_study",
-    "sample_rank_stats",
+    "run_ab_experiment", "run_cpc_study", "sample_rank_stats",
     "CountWindow", "PoolHyperParams",
     "fit_pool", "naive_contextual_estimate", "pooled_estimate",
     "BiasReport", "CalibrationReport", "Histogram",
     "bias_report", "build_histogram", "c_relative", "cpc_summary",
     "histogram_overlap", "rtv_rtc", "selection_bias",
     "CaseGrid", "ScoreDistribution", "SplitVerdict", "check_splittable",
-    "conditional_mean_profile", "rank_prob_given_score", "top_rank_decomposition",
+    "conditional_mean_profile", "rank_table", "top_rank_decomposition",
     "__version__",
 ]

@@ -134,63 +134,64 @@ def cmd_simulate_cpc(args) -> int:
     bids = np.asarray(suite.bids)
     table_rows = []
     settings_payload = {}
-    for idx, setting in enumerate(suite.settings):
-        cfg = CpcStudyConfig(
-            name=setting.name, impressions=setting.impressions,
-            true_ctrs=setting.true_ctrs, bids=suite.bids,
-            trials=n_trials, seed=seed, setting_index=idx, threads=args.threads,
-        )
-        trials = run_cpc_study(cfg)
-        summary = cpc_summary(trials, setting.true_ctrs, suite.bids)
-        mean, ratio = _nn(summary.mean_observed_cpc), _nn(summary.ratio)
-        # an undefined value is an empty cell, as in calibration_table.csv
-        table_rows.append((f"({setting.name})", summary.expected_cpc,
-                           "" if mean is None else mean, "" if ratio is None else ratio))
-        cpcs = trials.cpc[~trials.degenerate]
-        if cpcs.size:
-            write_histogram_csv(arts.path(f"cpc_hist_{setting.name}.csv"),
-                                build_histogram(cpcs, suite.cpc_hist_width))
-        for rank in range(1, len(setting.true_ctrs) + 1):
-            holders = trials.order[:, rank - 1]
-            ordered = trials.estimates[np.arange(len(trials)), holders] * bids[holders]
-            write_histogram_csv(arts.path(f"ordstat_hist_{setting.name}_rank{rank}.csv"),
-                                build_histogram(ordered, suite.score_hist_width))
-        entry = {
-            "expected_cpc": summary.expected_cpc,
-            "mean_observed_cpc": mean,
-            "ratio": ratio,
-            "observed_se": _nn(summary.observed_se),
-            "ratio_of_means": _nn(summary.ratio_of_means),
-            "ratio_of_means_se": _nn(summary.ratio_of_means_se),
-            "degenerate_trials": summary.degenerate_trials,
-            "trials": n_trials,
-        }
-        if summary.trials_used == 0:
-            entry["ratio_undefined_reason"] = ("every trial is degenerate (top estimate 0), "
-                                               "so no price was observed")
-        elif ratio is None:
-            entry["ratio_undefined_reason"] = ("expected CPC is 0 "
-                                               "(no runner-up, or its true score is 0)")
-        try:
-            rep = bias_report(trials, setting.true_ctrs, suite.bids, suite.score_hist_width)
-            entry["per_rank"] = [{
-                "rank": r.rank,
-                "bias_factor": r.bias_factor,
-                "bias_se": _nn(r.bias_se),
-                "conditional_score_mean": r.conditional_score_mean,
-                "conditional_score_se": _nn(r.conditional_score_se),
-                "samples": r.samples,
-            } for r in rep.per_rank]
-            entry["adjacent_splittable"] = list(rep.adjacent_splittable)
-        except RankUnreachable as exc:
-            entry["per_rank"] = None
-            entry["unavailable_reason"] = str(exc)
-        settings_payload[setting.name] = entry
-        if args.emit_trials:
-            if args.format in ("csv", "both"):
-                write_trials_csv(arts.path(f"trials_{setting.name}.csv"), trials)
-            if args.format in ("json", "both"):
-                write_trials_jsonl(arts.path(f"trials_{setting.name}.jsonl"), trials)
+    with worker_map(args.threads) as pmap:  # one pool for every setting
+        for idx, setting in enumerate(suite.settings):
+            cfg = CpcStudyConfig(
+                name=setting.name, impressions=setting.impressions,
+                true_ctrs=setting.true_ctrs, bids=suite.bids,
+                trials=n_trials, seed=seed, setting_index=idx,
+            )
+            trials = run_cpc_study(cfg, pmap)
+            summary = cpc_summary(trials, setting.true_ctrs, suite.bids)
+            mean, ratio = _nn(summary.mean_observed_cpc), _nn(summary.ratio)
+            # an undefined value is an empty cell, as in calibration_table.csv
+            table_rows.append((f"({setting.name})", summary.expected_cpc,
+                               "" if mean is None else mean, "" if ratio is None else ratio))
+            cpcs = trials.cpc[~trials.degenerate]
+            if cpcs.size:
+                write_histogram_csv(arts.path(f"cpc_hist_{setting.name}.csv"),
+                                    build_histogram(cpcs, suite.cpc_hist_width))
+            for rank in range(1, len(setting.true_ctrs) + 1):
+                holders = trials.order[:, rank - 1]
+                ordered = trials.estimates[np.arange(len(trials)), holders] * bids[holders]
+                write_histogram_csv(arts.path(f"ordstat_hist_{setting.name}_rank{rank}.csv"),
+                                    build_histogram(ordered, suite.score_hist_width))
+            entry = {
+                "expected_cpc": summary.expected_cpc,
+                "mean_observed_cpc": mean,
+                "ratio": ratio,
+                "observed_se": _nn(summary.observed_se),
+                "ratio_of_means": _nn(summary.ratio_of_means),
+                "ratio_of_means_se": _nn(summary.ratio_of_means_se),
+                "degenerate_trials": summary.degenerate_trials,
+                "trials": n_trials,
+            }
+            if summary.trials_used == 0:
+                entry["ratio_undefined_reason"] = ("every trial is degenerate (top estimate 0), "
+                                                   "so no price was observed")
+            elif ratio is None:
+                entry["ratio_undefined_reason"] = ("expected CPC is 0 "
+                                                   "(no runner-up, or its true score is 0)")
+            try:
+                rep = bias_report(trials, setting.true_ctrs, suite.bids, suite.score_hist_width)
+                entry["per_rank"] = [{
+                    "rank": r.rank,
+                    "bias_factor": r.bias_factor,
+                    "bias_se": _nn(r.bias_se),
+                    "conditional_score_mean": r.conditional_score_mean,
+                    "conditional_score_se": _nn(r.conditional_score_se),
+                    "samples": r.samples,
+                } for r in rep.per_rank]
+                entry["adjacent_splittable"] = list(rep.adjacent_splittable)
+            except RankUnreachable as exc:
+                entry["per_rank"] = None
+                entry["unavailable_reason"] = str(exc)
+            settings_payload[setting.name] = entry
+            if args.emit_trials:
+                if args.format in ("csv", "both"):
+                    write_trials_csv(arts.path(f"trials_{setting.name}.csv"), trials)
+                if args.format in ("json", "both"):
+                    write_trials_jsonl(arts.path(f"trials_{setting.name}.jsonl"), trials)
     write_csv(arts.path("table2.csv"),
               ["setting", "expected_cpc", "mean_observed_cpc", "ratio"], table_rows)
     write_json(arts.path("bias_report.json"),
@@ -211,13 +212,13 @@ def _quadrature_key(dists, i: int) -> tuple:
     return ids[i], tuple(ids[:i] + ids[i + 1:])
 
 
-def _quadrature_checks(grid: CaseGrid, i: int, map=map) -> tuple[dict, np.ndarray, bool]:
+def _quadrature_checks(grid: CaseGrid, i: int) -> tuple[dict, np.ndarray, bool]:
     """Candidate i's quadrature report fields, its conditional means and whether
     its quadrature checks pass.  Its rank table is built here, once, and dies
     on return, so a case holds one candidate's table at a time."""
     m = len(grid)
     # the density profile, last, normalizes the table in place
-    table = rank_table(grid.cdf, i, map=map)
+    table = rank_table(grid.cdf, i)
     profile = conditional_mean_profile(grid, i, table)
     qmeans = profile.conditional_means
     ineq_checked = ineq_skipped = 0
@@ -231,7 +232,7 @@ def _quadrature_checks(grid: CaseGrid, i: int, map=map) -> tuple[dict, np.ndarra
             ineq_ok = False
     if m >= 2:
         try:
-            dec = top_rank_decomposition(grid, i, table=table)
+            dec = top_rank_decomposition(grid, i, table)
             dec_ok = (abs(dec.residual) <= DECOMPOSITION_TOL
                       and dec.plus_monotone and dec.minus_monotone)
             dec_entry = {"residual": dec.residual,
@@ -308,7 +309,8 @@ def _peak_rss() -> dict:
 def cmd_verify_theorems(args) -> int:
     """Each case: its grid, its Monte Carlo moments, then its candidates'
     checks.  The quadrature checks run once per distinct ``_quadrature_key``;
-    grid slices, MC blocks and rank-table slices share one worker map."""
+    grid slices and MC blocks share one worker map, and rank tables are
+    folded in the calling thread."""
     t0 = time.monotonic()
     loaded = _load(args, "verify-theorems")
     suite: TheoremSuite = loaded.payload
@@ -318,11 +320,18 @@ def cmd_verify_theorems(args) -> int:
     cases_payload = []
     case_runs = []  # for the manifest
     all_pass = True
+    case_dists = [case.distributions() for case in suite.cases]
+    kernel_import_seconds = 0.0
+    if any(d.kind == "scaled-beta" for dists in case_dists for d in dists):
+        # the beta kernels' first import, timed apart from every case's grid
+        t_import = time.monotonic()
+        from scipy.special import _ufuncs  # noqa: F401
+        kernel_import_seconds = round(time.monotonic() - t_import, 3)
     with worker_map(args.threads) as pmap:
-        for idx, case in enumerate(suite.cases):
+        for idx, (case, dists) in enumerate(zip(suite.cases, case_dists)):
             t_grid = time.monotonic()
             # CDF and PDF rows, dropped when the case ends
-            grid = CaseGrid(case.distributions(), pmap)
+            grid = CaseGrid(dists, pmap)
             t_mc = time.monotonic()
             mc = sample_rank_stats(grid, draws, seed, case_index=idx, map=pmap)
             t_check = time.monotonic()
@@ -331,7 +340,7 @@ def cmd_verify_theorems(args) -> int:
             for i in range(len(grid)):
                 key = _quadrature_key(grid.dists, i)
                 if key not in checks:
-                    checks[key] = _quadrature_checks(grid, i, pmap)
+                    checks[key] = _quadrature_checks(grid, i)
                 fields, qmeans, quad_ok = checks[key]
                 mc_fields, mc_ok = _mc_agreement(qmeans, mc, i)
                 candidates.append({"candidate": i, **fields, **mc_fields,
@@ -359,7 +368,8 @@ def cmd_verify_theorems(args) -> int:
         "cases": cases_payload,
     })
     arts.write_manifest("verify-theorems", config_dict(loaded, seed), seed,
-                        time.monotonic() - t0, __version__, args.threads, cases=case_runs)
+                        time.monotonic() - t0, __version__, args.threads, cases=case_runs,
+                        kernel_import_seconds=kernel_import_seconds)
     return 0 if all_pass else 1
 
 

@@ -9,6 +9,7 @@ ConfigError with the dotted path of the offending field.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -206,8 +207,8 @@ def _load_cpc(parser) -> tuple[CpcSuite, int | None]:
     cpc_width = study.get_float("cpc_hist_width", default="0.01")
     score_width = study.get_float("score_hist_width", default="0.0005")
     for key, width in (("cpc_hist_width", cpc_width), ("score_hist_width", score_width)):
-        if not width > 0:
-            raise ConfigError(f"study.{key}", f"must be > 0, got {width}")
+        if not 0.0 < width < math.inf:
+            raise ConfigError(f"study.{key}", f"must be finite and > 0, got {width}")
     suite = CpcSuite(settings=tuple(settings), bids=suite_bids, trials=trials,
                      cpc_hist_width=cpc_width, score_hist_width=score_width)
     return suite, _seed_of(study)

@@ -12,21 +12,23 @@ exact to within 1e-9 of each ad's scale.
 All randomness is addressed by counter-based streams (see ``rng``): trial t
 of a study and access a of a bucket-day each own a fixed slice of their
 stream, so results are bit-identical for any worker count or chunking, and
-every random quantity is an inverse-CDF transform of those uniforms.
+every random quantity is an inverse-CDF transform of those uniforms.  The
+parallel steps run one task per fixed block of BLOCK trials or draws
+through the ``map`` of the command's ``worker_map``.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import Literal
 
 import numpy as np
 
 from . import rng
-from .errors import EmptyAuction, InvalidValue, NoData, RankUnreachable, RepeatedContext
+from .errors import EmptyAuction, InvalidValue, NoData, RepeatedContext
 from .estimators import (
     FALLBACK_HYPER,
     CountWindow,
@@ -35,11 +37,12 @@ from .estimators import (
     naive_contextual_estimate,
     pooled_estimate,
 )
-from .oracle import CaseGrid, ScoreDistribution
+from .oracle import CaseGrid
 
 STREAM_CPC = 0
 STREAM_AB = 1
 STREAM_MC = 2
+BLOCK = 1 << 14  # trials or draws per parallel task, whatever the thread count
 
 # binom.ppf maps u = 0 to -1, so u is clamped just above zero.  BinomialInverse
 # gives the smallest k with cdf(k) >= u; boost's binom.ppf gives the same k
@@ -80,7 +83,6 @@ class CpcStudyConfig:
     trials: int
     seed: int
     setting_index: int = 0
-    threads: int = 1
 
     def __post_init__(self):
         m = len(self.true_ctrs)
@@ -178,32 +180,20 @@ def _cpc_chunk(config: CpcStudyConfig, inverses, key: np.ndarray, lo: int, hi: i
     return (est, *rank_contexts(np.asarray(config.bids), est))
 
 
-def run_cpc_study(config: CpcStudyConfig) -> TrialTable:
+def run_cpc_study(config: CpcStudyConfig, map=map) -> TrialTable:
     """All trials of one setting, in trial order.
 
     Trial t's draws come from blocks owned by unit t of the stream keyed
     (seed, study, setting), so its result does not depend on the other
-    trials, the chunking, or the thread count.
+    trials, the chunking, or the thread count.  The trials run one BLOCK
+    at a time through ``map``, a command's ``worker_map``.
     """
     key = rng.stream_key(config.seed, STREAM_CPC, config.setting_index)
     inverses = [BinomialInverse(n, p) for n, p in zip(config.impressions, config.true_ctrs)]
-    ranges = rng.split_ranges(config.trials, max(1, config.threads) * 4)
-    with worker_map(config.threads) as map:
-        chunks = list(map(lambda r: _cpc_chunk(config, inverses, key, *r), ranges))
+    chunks = list(map(lambda r: _cpc_chunk(config, inverses, key, *r),
+                      rng.fixed_blocks(0, config.trials, BLOCK)))
     est, order, cpc, degenerate = (np.concatenate(col) for col in zip(*chunks))
     return TrialTable(estimates=est, order=order, cpc=cpc, degenerate=degenerate)
-
-
-def conditional_rank_samples(trials: TrialTable, ad_index: int, rank: int,
-                             bid: float = 1.0) -> np.ndarray:
-    """Scores (bid x estimate) of one ad over the trials where it held ``rank``."""
-    if not len(trials):
-        raise RankUnreachable("no trials")
-    if 1 <= rank <= trials.order.shape[1]:
-        picked = trials.estimates[trials.order[:, rank - 1] == ad_index, ad_index] * bid
-        if picked.size:
-            return picked
-    raise RankUnreachable(f"ad {ad_index} never realized rank {rank}")
 
 
 # ---------------------------------------------------------------------------
@@ -420,9 +410,6 @@ def run_ab_experiment(config: AbConfig) -> dict[str, ImpressionLog]:
 # Monte Carlo rank sampling against the quadrature oracle
 # ---------------------------------------------------------------------------
 
-_MC_BLOCK = 1 << 14  # fixed accumulation block so sums ignore the thread count
-
-
 @dataclass(frozen=True)
 class RankSampleStats:
     """Conditional-on-rank sample moments from independent score draws.
@@ -492,22 +479,18 @@ def _mc_block(grid: CaseGrid, key: np.ndarray, lo: int, hi: int):
     return count.reshape(m, m), total.reshape(m, m), total_sq.reshape(m, m), exact
 
 
-def sample_rank_stats(dists: list[ScoreDistribution] | CaseGrid, draws: int, seed: int,
-                      case_index: int = 0, threads: int = 1, map=None) -> RankSampleStats:
+def sample_rank_stats(grid: CaseGrid, draws: int, seed: int,
+                      case_index: int = 0, map=map) -> RankSampleStats:
     """Monte Carlo conditional score means per (ad, rank), with standard errors.
 
     Draw t owns unit t of the stream keyed (seed, sampling, case); partial
-    moments accumulate over fixed-size blocks merged in block order, so the
+    moments accumulate over BLOCK-draw blocks merged in block order, so the
     result is bit-identical for any thread count.  Scores are drawn through
-    the case's ``CaseGrid`` (``CaseGrid.draw``); given a list, the sampler
-    builds that grid itself.  The blocks run through ``map``, a caller's
-    ``worker_map``; without one, through a ``worker_map(threads)`` of its own.
+    the case's ``CaseGrid`` (``CaseGrid.draw``), and the blocks run through
+    ``map``, a command's ``worker_map``.
     """
-    with worker_map(threads) if map is None else nullcontext(map) as map:
-        grid = dists if isinstance(dists, CaseGrid) else CaseGrid(dists, map)
-        key = rng.stream_key(seed, STREAM_MC, case_index)
-        ranges = [(lo, min(lo + _MC_BLOCK, draws)) for lo in range(0, draws, _MC_BLOCK)]
-        parts = list(map(lambda r: _mc_block(grid, key, *r), ranges))
+    key = rng.stream_key(seed, STREAM_MC, case_index)
+    parts = list(map(lambda r: _mc_block(grid, key, *r), rng.fixed_blocks(0, draws, BLOCK)))
     m = len(grid)
     count = np.zeros((m, m))
     total = np.zeros((m, m))

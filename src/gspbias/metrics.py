@@ -23,6 +23,7 @@ from .errors import (
     UndefinedCalibration,
     UndefinedRatio,
 )
+from .oracle import SplitVerdict, check_splittable
 
 MIN_BIAS_TRIALS = 100
 MAX_HISTOGRAM_BINS = 1 << 20  # bins one histogram may span
@@ -228,10 +229,6 @@ class Histogram:
     counts: np.ndarray
 
     @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-    @property
     def width(self) -> float:
         return float(self.edges[1] - self.edges[0])
 
@@ -276,6 +273,25 @@ def align_histograms(h1: Histogram, h2: Histogram) -> tuple[np.ndarray, np.ndarr
     return (lo + np.arange(hi - lo + 1)) * w, c1, c2
 
 
+def split_histogram_densities(edges_f, counts_f, edges_g, counts_g) -> SplitVerdict:
+    """Splittability of two histograms sharing bin edges, at 3x the pooled
+    per-bin sampling standard error of the density estimates."""
+    edges_f = np.asarray(edges_f, dtype=float)
+    edges_g = np.asarray(edges_g, dtype=float)
+    if edges_f.shape != edges_g.shape or not np.allclose(edges_f, edges_g, atol=0, rtol=0):
+        raise GridMismatch("histograms do not share bin edges")
+    counts_f = np.asarray(counts_f, dtype=float)
+    counts_g = np.asarray(counts_g, dtype=float)
+    widths = np.diff(edges_f)
+    n_f, n_g = counts_f.sum(), counts_g.sum()
+    dens_f = counts_f / (n_f * widths)
+    dens_g = counts_g / (n_g * widths)
+    var_f = dens_f / (n_f * widths)
+    var_g = dens_g / (n_g * widths)
+    tolerance = 3.0 * float(np.sqrt(np.mean(var_f + var_g)))
+    return check_splittable(dens_f, dens_g, tolerance)
+
+
 def histogram_overlap(h1: Histogram, h2: Histogram) -> float:
     """Shared mass: sum over bins of min(fraction_1, fraction_2)."""
     _edges, c1, c2 = align_histograms(h1, h2)
@@ -312,8 +328,6 @@ def bias_report(trials: TrialTable, true_ctrs: tuple[float, ...],
                 bids: tuple[float, ...] | None = None,
                 hist_width: float = 0.0005) -> BiasReport:
     """Assemble bias factors, ordered-score moments, and splittability verdicts."""
-    from .oracle import split_histogram_densities  # local import to avoid a cycle
-
     bids = bids if bids is not None else (1.0,) * len(true_ctrs)
     m = len(true_ctrs)
     per_rank = []

@@ -26,13 +26,18 @@ place.  A case holds O(m * grid) floats (the CDF and PDF rows plus one
 candidate's table) and one int32 guide table per beta ad, so there is no
 cap on m.
 
-The grid rows, their safe-cell flags and the rank table are filled
-NODE_SLICE nodes at a time, one task per slice, through a ``map`` callable:
-the builtin ``map`` runs the slices in turn, a thread pool's ``map`` runs
-them on its workers.  Each slice writes its own part of a preallocated
-array, so a worker's temporaries are slice-sized whatever the grid size,
-and the kernels are elementwise, so the bytes do not depend on the slicing
-or on the workers.
+The grid rows and their safe-cell flags are filled NODE_SLICE nodes at a
+time, one task per slice, through a ``map`` callable: the builtin ``map``
+runs the slices in turn, a thread pool's ``map`` runs them on its workers.
+Each slice writes its own part of a preallocated array, so a worker's
+temporaries are slice-sized whatever the grid size, and the kernels are
+elementwise, so the bytes do not depend on the slicing or on the workers.
+The rank table is folded a slice at a time too, but always in the calling
+thread: its fold is many small in-place row operations, and on a pool each
+one's hand-off between threads costs more than the arithmetic it shares.
+
+Every oracle function takes the case's ``CaseGrid`` and, past the grid
+build, a candidate's ``rank_table`` on it, which the caller builds once.
 
 Quadrature accuracy is ~1e-12 relative for smooth densities; a density
 jump interior to the shared grid (e.g. a uniform whose endpoints are not
@@ -47,6 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridMismatch, RankUnreachable
+from .rng import fixed_blocks
 
 SIMPSON_INTERVALS = 2 ** 17
 MASS_FLOOR = 1e-12
@@ -58,17 +64,11 @@ _CDF_REL_ERR = 1e-14
 NODE_SLICE = 1 << 14  # grid nodes per task when rows and rank tables are filled
 
 
-def _node_slices(lo: int, hi: int) -> list[tuple[int, int]]:
-    """[lo, hi) cut into consecutive NODE_SLICE-long (start, stop) pairs."""
-    return [(a, min(a + NODE_SLICE, hi)) for a in range(lo, hi, NODE_SLICE)]
-
-
 class ScoreDistribution:
     """A non-negative score distribution with PDF, CDF, and inverse-CDF access.
 
-    Three kinds are supported: uniform on [a, b] with a >= 0, a beta
-    distribution stretched to [0, scale], and an empirical density sampled
-    on a point grid (CDF accumulated by the trapezoid rule and normalized).
+    Two kinds are supported: uniform on [a, b] with a >= 0 and a beta
+    distribution stretched to [0, scale].
     """
 
     def __init__(self, kind: str, upper: float, pdf, cdf, ppf, label: str,
@@ -138,64 +138,14 @@ class ScoreDistribution:
         return cls("scaled-beta", scale, pdf, cdf, ppf, f"beta({a}, {b}, scale={scale})",
                    (a, b, scale))
 
-    @classmethod
-    def from_grid(cls, points, densities) -> "ScoreDistribution":
-        points = np.asarray(points, dtype=float)
-        densities = np.asarray(densities, dtype=float)
-        if points.ndim != 1 or points.shape != densities.shape or len(points) < 2:
-            raise ValueError("grid needs matching 1-d points and densities, length >= 2")
-        if np.any(np.diff(points) <= 0):
-            raise ValueError("grid points must be strictly increasing")
-        if points[0] < 0:
-            raise ValueError("scores are non-negative; grid starts below 0")
-        if np.any(densities < 0):
-            raise ValueError("densities must be non-negative")
-        steps = np.diff(points)
-        cum = np.concatenate([[0.0], np.cumsum(steps * (densities[1:] + densities[:-1]) / 2.0)])
-        total = cum[-1]
-        if total <= 0:
-            raise ValueError("grid density integrates to zero")
-        densities = densities / total
-        cum = cum / total
-
-        def pdf(s):
-            return np.interp(s, points, densities, left=0.0, right=0.0)
-
-        def cdf(s):
-            return np.interp(s, points, cum, left=0.0, right=1.0)
-
-        def ppf(u):
-            return np.interp(u, cum, points)
-
-        return cls("empirical-grid", float(points[-1]), pdf, cdf, ppf,
-                   f"grid({len(points)} pts on [{points[0]}, {points[-1]}])")
-
-    @classmethod
-    def from_histogram(cls, bin_left, bin_right, count) -> "ScoreDistribution":
-        """Adapt a (bin_left, bin_right, count) histogram to a density grid."""
-        bin_left = np.asarray(bin_left, dtype=float)
-        bin_right = np.asarray(bin_right, dtype=float)
-        count = np.asarray(count, dtype=float)
-        if not (len(bin_left) == len(bin_right) == len(count)) or len(count) == 0:
-            raise ValueError("histogram columns must be equal-length and non-empty")
-        widths = bin_right - bin_left
-        if np.any(widths <= 0):
-            raise ValueError("histogram bins must have positive width")
-        total = count.sum()
-        if total <= 0:
-            raise ValueError("histogram holds no mass")
-        mids = (bin_left + bin_right) / 2.0
-        dens = count / (total * widths)
-        return cls.from_grid(mids, dens)
-
 
 class CaseGrid:
     """The Simpson grid of one case, with every ad's CDF and PDF row on it.
 
     Each distinct distribution's rows are evaluated once, when the grid is
-    built, and ads that share a distribution object share them; every oracle
-    function that takes a case's distributions also accepts its CaseGrid,
-    and so does the Monte Carlo sampler, which draws through ``draw``.
+    built, and ads that share a distribution object share them; the oracle
+    functions and the Monte Carlo sampler, which draws through ``draw``,
+    all read the case through it.
     ``len(grid)`` is the ad count m.  ``map`` runs the node slices of the
     rows and of the beta ads' safe-cell flags; the guide tables are one
     serial pass each.
@@ -218,7 +168,7 @@ class CaseGrid:
         first = {}  # an object listed twice gets its rows once
         own = [j for j, d in enumerate(dists) if first.setdefault(id(d), j) == j]
         list(map(self._fill_rows, [(j, lo, hi) for j in own
-                                   for lo, hi in _node_slices(0, len(self.s))]))
+                                   for lo, hi in fixed_blocks(0, len(self.s), NODE_SLICE)]))
         for j, d in enumerate(dists):
             k = first[id(d)]
             if k < j:
@@ -238,10 +188,6 @@ class CaseGrid:
 
     def __len__(self) -> int:
         return len(self.cdf)
-
-    def ppf(self, j: int, u: np.ndarray) -> np.ndarray:
-        """Ad j's scores at uniforms u in [0, 1); ``draw`` without the count."""
-        return self.draw(j, u)[0]
 
     def draw(self, j: int, u: np.ndarray) -> tuple[np.ndarray, int]:
         """Ad j's scores at uniforms u in [0, 1), and how many took the exact inverse.
@@ -350,26 +296,20 @@ def _hermite_safe_cells(params: tuple, s: np.ndarray, F: np.ndarray,
         # a zero or infinite node density leaves err infinite or NaN: never safe
         safe[lo:hi] = err <= _NEWTON_TOL * scale
 
-    list(map(flag, _node_slices(first + 1, last + 1)))
+    list(map(flag, fixed_blocks(first + 1, last + 1, NODE_SLICE)))
     return safe
 
 
-def _case_grid(dists: list[ScoreDistribution] | CaseGrid) -> CaseGrid:
-    return dists if isinstance(dists, CaseGrid) else CaseGrid(dists)
-
-
-def rank_table(F: np.ndarray, candidate: int, map=map) -> np.ndarray:
+def rank_table(F: np.ndarray, candidate: int) -> np.ndarray:
     """P(candidate holds rank k | score s) in row k-1, from the CDF rows F at s.
 
     Poisson-binomial recursion (Hong 2013): rivals are folded in one at a
     time, and after j of them row k holds the chance that exactly k of those
-    j beat s, P_k <- P_k F_j + P_{k-1} (1 - F_j).  Each node slice is folded
-    into its columns of the one table, through ``map``.
+    j beat s, P_k <- P_k F_j + P_{k-1} (1 - F_j).  The node slices are
+    folded in turn, each into its columns of the one table.
     """
     out = np.zeros(F.shape)
-
-    def fold(nodes: tuple[int, int]) -> None:
-        lo, hi = nodes
+    for lo, hi in fixed_blocks(0, F.shape[1], NODE_SLICE):
         part = out[:, lo:hi]
         part[0] = 1.0
         seen = 0
@@ -382,29 +322,7 @@ def rank_table(F: np.ndarray, candidate: int, map=map) -> np.ndarray:
                 part[k] *= Fj
                 part[k] += part[k - 1] * beats
             part[0] *= Fj
-
-    list(map(fold, _node_slices(0, F.shape[1])))
     return out
-
-
-def _validate(dists, candidate: int, rank: int) -> None:
-    m = len(dists)
-    if m == 0:
-        raise ValueError("need at least one distribution")
-    if not 0 <= candidate < m:
-        raise ValueError(f"candidate index {candidate} outside 0..{m - 1}")
-    if not 1 <= rank <= m:
-        raise ValueError(f"rank {rank} outside 1..{m}")
-
-
-def rank_prob_given_score(dists: list[ScoreDistribution], candidate: int,
-                          rank: int, s) -> np.ndarray | float:
-    """P(candidate attains ``rank`` | its score equals s), s scalar or array."""
-    _validate(dists, candidate, rank)
-    s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-    F = np.vstack([d.cdf(s_arr) for d in dists])
-    out = rank_table(F, candidate)[rank - 1]
-    return float(out[0]) if np.isscalar(s) or np.asarray(s).ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -416,18 +334,10 @@ class RankProfile:
     conditional_means: np.ndarray  # E[score | rank = k], NaN where unreachable
 
 
-def conditional_mean_profile(dists: list[ScoreDistribution] | CaseGrid,
-                             candidate: int, table: np.ndarray | None = None) -> RankProfile:
-    """P(rank = k) and E[score | rank = k] for every rank k, by Simpson quadrature.
-
-    ``table`` is the candidate's ``rank_table`` on the case grid, when the
-    caller already holds it.
-    """
-    _validate(dists, candidate, 1)
-    grid = _case_grid(dists)
+def conditional_mean_profile(grid: CaseGrid, candidate: int, table: np.ndarray) -> RankProfile:
+    """P(rank = k) and E[score | rank = k] for every rank k, by Simpson quadrature,
+    from the candidate's ``rank_table`` on the case grid."""
     s, w, density = grid.s, grid.w, grid.pdf[candidate]
-    if table is None:
-        table = rank_table(grid.cdf, candidate)
     marginals = np.empty(len(table))
     means = np.full(len(table), np.nan)
     # numpy multiplies left to right, so w * density * pk is wd * pk bit for bit
@@ -440,28 +350,24 @@ def conditional_mean_profile(dists: list[ScoreDistribution] | CaseGrid,
     return RankProfile(candidate=candidate, marginals=marginals, conditional_means=means)
 
 
-def conditional_density_profile(dists: list[ScoreDistribution] | CaseGrid, candidate: int,
-                                table: np.ndarray | None = None
-                                ) -> tuple[np.ndarray, np.ndarray]:
+def conditional_density_profile(grid: CaseGrid, candidate: int,
+                                table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Conditional score densities given each rank, on the Simpson grid.
 
-    Returns (grid, matrix) where row k-1 is the density of the candidate's
+    Returns (nodes, matrix) where row k-1 is the density of the candidate's
     score conditional on attaining rank k; rows for ranks with negligible
-    mass are NaN.  A given ``table`` (the candidate's ``rank_table``) is
-    normalized in place and returned as the matrix.
+    mass are NaN.  ``table``, the candidate's ``rank_table``, is normalized
+    in place and returned as the matrix, so read it for anything else first.
     """
-    _validate(dists, candidate, 1)
-    grid = _case_grid(dists)
     w, density = grid.w, grid.pdf[candidate]
-    out = rank_table(grid.cdf, candidate) if table is None else table
     wd = w * density
-    for k, pk in enumerate(out):
+    for k, pk in enumerate(table):
         mass = float(np.sum(wd * pk))
         if mass >= MASS_FLOOR:
-            out[k] = density * pk / mass
+            table[k] = density * pk / mass
         else:
-            out[k] = np.nan
-    return grid.s, out
+            table[k] = np.nan
+    return grid.s, table
 
 
 @dataclass(frozen=True)
@@ -496,25 +402,6 @@ def check_splittable(f, g, tolerance: float = 0.0) -> SplitVerdict:
     return SplitVerdict(True, int(np.argmax(valid)), tolerance)
 
 
-def split_histogram_densities(edges_f, counts_f, edges_g, counts_g) -> SplitVerdict:
-    """Splittability of two histograms sharing bin edges, at 3x the pooled
-    per-bin sampling standard error of the density estimates."""
-    edges_f = np.asarray(edges_f, dtype=float)
-    edges_g = np.asarray(edges_g, dtype=float)
-    if edges_f.shape != edges_g.shape or not np.allclose(edges_f, edges_g, atol=0, rtol=0):
-        raise GridMismatch("histograms do not share bin edges")
-    counts_f = np.asarray(counts_f, dtype=float)
-    counts_g = np.asarray(counts_g, dtype=float)
-    widths = np.diff(edges_f)
-    n_f, n_g = counts_f.sum(), counts_g.sum()
-    dens_f = counts_f / (n_f * widths)
-    dens_g = counts_g / (n_g * widths)
-    var_f = dens_f / (n_f * widths)
-    var_g = dens_g / (n_g * widths)
-    tolerance = 3.0 * float(np.sqrt(np.mean(var_f + var_g)))
-    return check_splittable(dens_f, dens_g, tolerance)
-
-
 @dataclass(frozen=True)
 class RankDecomposition:
     """Top-two-rank contrast split into two monotone parts of equal weight.
@@ -531,23 +418,21 @@ class RankDecomposition:
     minus_monotone: bool
 
 
-def top_rank_decomposition(dists: list[ScoreDistribution] | CaseGrid, candidate: int,
-                           monotone_slack: float = 1e-12,
-                           table: np.ndarray | None = None) -> RankDecomposition:
+def top_rank_decomposition(grid: CaseGrid, candidate: int,
+                           table: np.ndarray) -> RankDecomposition:
     """Build the two monotone parts and verify their zero-integral property.
 
-    With P1, P2 the rank-1 and rank-2 rows of the rank table and m ads, the
-    rivals' all-below product is P1 and its leave-one-out sum is
-    sum_l prod_{j != l} F_j = P2 + (m - 1) P1, so plus_part is
-    (1 + alpha (m - 1)) P1 and minus_part is alpha (P2 + (m - 1) P1).
-    ``table`` is the candidate's ``rank_table``, when the caller holds it.
+    With P1, P2 the rank-1 and rank-2 rows of the candidate's rank table
+    ``table`` and m ads, the rivals' all-below product is P1 and its
+    leave-one-out sum is sum_l prod_{j != l} F_j = P2 + (m - 1) P1, so
+    plus_part is (1 + alpha (m - 1)) P1 and minus_part is
+    alpha (P2 + (m - 1) P1).  The parts count as non-decreasing where no
+    step falls by more than 1e-12, the round-off of the products.
     """
-    _validate(dists, candidate, 2 if len(dists) >= 2 else 1)
-    if len(dists) < 2:
+    if len(grid) < 2:
         raise RankUnreachable("rank 2 does not exist with a single ad")
-    grid = _case_grid(dists)
     w, density = grid.w, grid.pdf[candidate]
-    p1, p2 = (rank_table(grid.cdf, candidate) if table is None else table)[:2]
+    p1, p2 = table[:2]
     wd = w * density
     mass1 = float(np.sum(wd * p1))
     mass2 = float(np.sum(wd * p2))
@@ -558,8 +443,8 @@ def top_rank_decomposition(dists: list[ScoreDistribution] | CaseGrid, candidate:
     plus_part = p1 + alpha * (rivals * p1)
     minus_part = alpha * (p2 + rivals * p1)
     residual = float(np.sum(wd * (plus_part - minus_part)))
-    plus_monotone = bool(np.all(np.diff(plus_part) >= -monotone_slack))
-    minus_monotone = bool(np.all(np.diff(minus_part) >= -monotone_slack))
+    plus_monotone = bool(np.all(np.diff(plus_part) >= -1e-12))
+    minus_monotone = bool(np.all(np.diff(minus_part) >= -1e-12))
     return RankDecomposition(residual=residual,
                              plus_monotone=plus_monotone,
                              minus_monotone=minus_monotone)

@@ -54,21 +54,6 @@ def write_histogram_csv(path: Path, hist: Histogram) -> None:
     write_csv(path, ["bin_left", "bin_right", "count"], rows)
 
 
-def read_histogram_csv(path: Path) -> tuple[list[float], list[float], list[int]]:
-    """Read the (bin_left, bin_right, count) schema back; shared with the oracle."""
-    lefts, rights, counts = [], [], []
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        if header != ["bin_left", "bin_right", "count"]:
-            raise ValueError(f"{path}: unexpected histogram header {header}")
-        for line in fh:
-            left, right, count = line.strip().split(",")
-            lefts.append(float(left))
-            rights.append(float(right))
-            counts.append(int(count))
-    return lefts, rights, counts
-
-
 def _trial_columns(trials: TrialTable):
     """Per-row lists: winner, cpc, degenerate, estimates, ranking, rank of each ad."""
     ranks = np.argsort(trials.order, axis=1) + 1  # 1-based realized rank of each ad
@@ -182,10 +167,10 @@ class ArtifactSet:
 
     def write_manifest(self, command: str, config: dict, seed: int,
                        duration_seconds: float, version: str, threads: int,
-                       cases: list[dict] | None = None) -> Path:
-        """Write manifest.json; ``cases`` holds one timing entry per theorem case."""
+                       **extra) -> Path:
+        """Write manifest.json; ``extra`` holds a command's own top-level fields,
+        such as verify-theorems' per-case timings."""
         manifest_path = self.out_dir / "manifest.json"
-        extra = {} if cases is None else {"cases": cases}
         write_json(manifest_path, {
             "command": command,
             "tool_version": version,

@@ -42,9 +42,7 @@ def unit_uniforms(key: np.ndarray, start_unit: int, n_units: int,
     return gen.random((n_units, DOUBLES_PER_BLOCK * blocks_per_unit))
 
 
-def split_ranges(total: int, parts: int) -> list[tuple[int, int]]:
-    """Split ``range(total)`` into at most ``parts`` contiguous chunks."""
-    parts = max(1, min(parts, total)) if total else 1
-    bounds = np.linspace(0, total, parts + 1).astype(int)
-    return [(int(bounds[i]), int(bounds[i + 1]))
-            for i in range(parts) if bounds[i + 1] > bounds[i]]
+def fixed_blocks(lo: int, hi: int, size: int) -> list[tuple[int, int]]:
+    """[lo, hi) cut into consecutive ``size``-long (start, stop) pairs, the last
+    one shorter: a cut that no thread count changes, one parallel task each."""
+    return [(a, min(a + size, hi)) for a in range(lo, hi, size)]

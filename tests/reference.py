@@ -8,6 +8,7 @@ import numpy as np
 from scipy import stats
 
 from gspbias.engine import AdSpec, Context, ImpressionLog
+from gspbias.oracle import rank_table
 
 
 def symmetry_z(samples) -> float:
@@ -38,6 +39,27 @@ def log_from_rows(pred, bid, cpc, random_mode, click, bucket="T") -> ImpressionL
         day=np.arange(n, dtype=np.int64), ctx=np.zeros(n, dtype=np.int64),
         winner=winner.astype(np.int64), random_mode=random_mode,
         click=np.asarray(click, dtype=np.int64))
+
+
+def rank_probs(dists, candidate, s):
+    """``rank_table`` at the scores s: row k-1 holds P(candidate holds rank k | s)."""
+    return rank_table(np.vstack([d.cdf(np.atleast_1d(np.asarray(s, float))) for d in dists]),
+                      candidate)
+
+
+def read_histogram_csv(path):
+    """Read a (bin_left, bin_right, count) histogram file back as three lists."""
+    lefts, rights, counts = [], [], []
+    with open(path, "r", encoding="utf-8") as fh:
+        header = fh.readline().strip().split(",")
+        if header != ["bin_left", "bin_right", "count"]:
+            raise ValueError(f"{path}: unexpected histogram header {header}")
+        for line in fh:
+            left, right, count = line.strip().split(",")
+            lefts.append(float(left))
+            rights.append(float(right))
+            counts.append(int(count))
+    return lefts, rights, counts
 
 
 def rank_table_whole_rows(F, candidate):

@@ -30,7 +30,7 @@ from gspbias.metrics import (
     mass_split,
     selection_bias,
 )
-from gspbias.oracle import ScoreDistribution, conditional_mean_profile
+from gspbias.oracle import CaseGrid, ScoreDistribution, conditional_mean_profile, rank_table
 from reference import log_from_rows, symmetry_z
 
 TABLE2_MEANS = {"a": 0.934, "b": 0.894, "c": 0.803, "d": 0.966, "e": 0.900, "f": 0.800}
@@ -99,9 +99,10 @@ def test_criterion_3_theorem_verification():
     monotone_ok = True
     for idx, case in enumerate(suite.cases):
         dists = case.distributions()
-        mc = sample_rank_stats(dists, suite.mc_draws, loaded.seed, case_index=idx)
+        grid = CaseGrid(dists)
+        mc = sample_rank_stats(grid, suite.mc_draws, loaded.seed, case_index=idx)
         for i in range(len(dists)):
-            qmeans = conditional_mean_profile(dists, i).conditional_means
+            qmeans = conditional_mean_profile(grid, i, rank_table(grid.cdf, i)).conditional_means
             for k in range(len(dists) - 1):
                 if not (np.isnan(qmeans[k]) or np.isnan(qmeans[k + 1])):
                     monotone_ok &= qmeans[k] >= qmeans[k + 1] - 1e-6
@@ -120,7 +121,8 @@ def test_criterion_3_theorem_verification():
 
 def test_criterion_4_closed_form_pair():
     dists = [ScoreDistribution.uniform(0, 1), ScoreDistribution.uniform(0, 1)]
-    means = conditional_mean_profile(dists, 0).conditional_means
+    grid = CaseGrid(dists)
+    means = conditional_mean_profile(grid, 0, rank_table(grid.cdf, 0)).conditional_means
     err = max(abs(means[0] - 2 / 3), abs(means[1] - 1 / 3))
     report("4 uniform-pair-closed-form", err <= 1e-4,
            f"means = ({means[0]:.6f}, {means[1]:.6f}), max err {err:.2e}")

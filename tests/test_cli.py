@@ -17,7 +17,7 @@ from gspbias.config import TheoremCase, load_config, parse_distribution
 from gspbias.engine import sample_rank_stats
 from gspbias.errors import ConfigError
 from gspbias.oracle import CaseGrid
-from gspbias.reports import read_histogram_csv
+from reference import read_histogram_csv
 
 SMALL_CPC = """
 [config]
@@ -215,8 +215,13 @@ class TestConfigLoading:
         assert "setting.a.true_ctrs" in capsys.readouterr().err
 
     @pytest.mark.parametrize("field, value", [("cpc_hist_width", "0.0"),
-                                              ("score_hist_width", "-0.001")])
+                                              ("score_hist_width", "-0.001"),
+                                              ("cpc_hist_width", "inf"),
+                                              ("score_hist_width", "inf"),
+                                              ("cpc_hist_width", "nan"),
+                                              ("score_hist_width", "nan")])
     def test_nonpositive_hist_width_rejected(self, tmp_path, capsys, field, value):
+        """A width must be finite and > 0; an infinite one made nan bins."""
         bad = SMALL_CPC.replace("bids = 1.0", f"bids = 1.0\n{field} = {value}")
         rc = run_cli("simulate-cpc", "--config", write_cfg(tmp_path, bad),
                      "--out", tmp_path / "out")
@@ -460,8 +465,8 @@ class TestVerifyTheorems:
 
         real = cli_mod.sample_rank_stats
 
-        def skewed(dists, draws, seed, case_index=0, threads=1, map=None):
-            stats = real(dists, draws, seed, case_index=case_index, threads=threads, map=map)
+        def skewed(grid, draws, seed, case_index=0, map=map):
+            stats = real(grid, draws, seed, case_index=case_index, map=map)
             return RankSampleStats(counts=stats.counts,
                                    means=stats.means + 1.0,     # force disagreement
                                    std_errors=stats.std_errors)
@@ -480,9 +485,9 @@ class TestVerifyTheorems:
         real = oracle.rank_table
         candidates = []
 
-        def counted(F, candidate, map=map):
+        def counted(F, candidate):
             candidates.append(candidate)
-            return real(F, candidate, map)
+            return real(F, candidate)
 
         monkeypatch.setattr(oracle, "rank_table", counted)
         monkeypatch.setattr(cli_mod, "rank_table", counted)
@@ -729,30 +734,71 @@ print(json.dumps({"rc": rc, "scipy": sorted(m for m in sys.modules
                                           if m == "scipy" or m.startswith("scipy."))}))
 """
 
+# Prints, for each CaseGrid the command builds, whether the beta kernels were
+# loaded by then.
+KERNEL_PROBE = """
+import json, sys
+from gspbias import cli
+real = cli.CaseGrid
+loaded = []
+def grid(*args):
+    loaded.append("scipy.special._ufuncs" in sys.modules)
+    return real(*args)
+cli.CaseGrid = grid
+print(json.dumps({"rc": cli.main(sys.argv[1:]), "loaded": loaded}))
+"""
+
+UNIFORM_THEOREMS = SMALL_THEOREMS.replace("dists = beta:2:38", "dists = uniform:0:0.5")
+
+
+def run_probe(probe, argv):
+    """``probe`` in a child interpreter on argv; the JSON of its last line."""
+    src = str(Path(gspbias.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", probe, *map(str, argv)], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    return json.loads(proc.stdout.splitlines()[-1])
+
 
 class TestImportBoundary:
     """scipy.stats costs about a second to import and no command needs it;
-    ab-run and loading the CLI need no scipy at all."""
+    ab-run, loading the CLI and a verify-theorems run without beta ads need
+    no scipy at all."""
 
     @pytest.mark.parametrize("command, cfg, extra", [
         (None, None, ()),
         ("simulate-cpc", SMALL_CPC, ("--trials", "200")),
         ("verify-theorems", SMALL_THEOREMS, ("--trials", "2000")),
         ("ab-run", SMALL_AB, ()),
-    ], ids=["import", "simulate-cpc", "verify-theorems", "ab-run"])
+        ("verify-theorems", UNIFORM_THEOREMS, ("--trials", "2000")),
+    ], ids=["import", "simulate-cpc", "verify-theorems", "ab-run", "verify-theorems-uniform"])
     def test_scipy_modules_loaded(self, tmp_path, command, cfg, extra):
         argv = [] if command is None else [
-            command, "--config", str(write_cfg(tmp_path, cfg)), "--out", str(tmp_path / "out"),
+            command, "--config", write_cfg(tmp_path, cfg), "--out", tmp_path / "out",
             "--threads", "1", *extra]
-        src = str(Path(gspbias.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, *argv], env=env,
-                              capture_output=True, text=True, timeout=120, check=True)
-        result = json.loads(proc.stdout.splitlines()[-1])
+        result = run_probe(IMPORT_PROBE, argv)
         assert result["rc"] in (0, 1)
         assert "scipy.stats" not in result["scipy"]
-        if command in (None, "ab-run"):
+        if command in (None, "ab-run") or cfg is UNIFORM_THEOREMS:
             assert result["scipy"] == []
         else:  # the binomial and beta inverses load scipy.special
             assert "scipy.special" in result["scipy"]
+        if command == "verify-theorems":  # the beta kernels' import time, 0.0 if not loaded
+            seconds = json.loads((tmp_path / "out" / "manifest.json").read_text())[
+                "kernel_import_seconds"]
+            assert (seconds > 0.0) == (cfg is SMALL_THEOREMS)
+
+    def test_beta_kernels_load_before_the_first_grid(self, tmp_path):
+        """The first case is uniform-only and the second has a beta ad: the
+        kernels are loaded before either grid is built, so their import time
+        is not the beta case's grid time."""
+        result = run_probe(KERNEL_PROBE, [
+            "verify-theorems", "--config", write_cfg(tmp_path, SMALL_THEOREMS),
+            "--out", tmp_path / "out", "--trials", "2000", "--threads", "1"])
+        assert result == {"rc": 0, "loaded": [True, True]}
+
+
+def test_every_exported_name_resolves():
+    for name in gspbias.__all__:
+        assert hasattr(gspbias, name), name

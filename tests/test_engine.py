@@ -10,6 +10,7 @@ from scipy.special import _ufuncs
 
 from gspbias.auction import ScoredAd, gsp_price, rank_ads
 from gspbias.engine import (
+    BLOCK,
     AbConfig,
     AdSpec,
     BucketSpec,
@@ -19,28 +20,26 @@ from gspbias.engine import (
     STREAM_AB,
     STREAM_CPC,
     STREAM_MC,
-    _MC_BLOCK,
     _PPF_FLOOR,
     BinomialInverse,
     _rank_codes,
-    conditional_rank_samples,
     estimate_matrix,
     rank_contexts,
     run_ab_experiment,
     run_cpc_study,
     sample_rank_stats,
+    worker_map,
 )
 from gspbias import rng
-from gspbias.errors import DegeneratePrice, RankUnreachable, RepeatedContext
+from gspbias.errors import DegeneratePrice, RepeatedContext
 from gspbias.estimators import CountWindow
 from gspbias.oracle import CaseGrid, ScoreDistribution
 
 
 def study(trials=2000, seed=99, ctrs=(0.05, 0.04), n=(5000, 5000), bids=(1.0, 1.0),
-          threads=1, setting_index=0):
+          setting_index=0):
     return CpcStudyConfig(name="t", impressions=n, true_ctrs=ctrs, bids=bids,
-                          trials=trials, seed=seed, setting_index=setting_index,
-                          threads=threads)
+                          trials=trials, seed=seed, setting_index=setting_index)
 
 
 def assert_tables_equal(a, b, rows=slice(None)):
@@ -98,9 +97,12 @@ class TestCpcStudy:
         assert study(bids=(0.0, 0.0)).bids == (0.0, 0.0)
 
     def test_thread_count_does_not_change_results(self):
-        one = run_cpc_study(study(trials=700, threads=1))
-        four = run_cpc_study(study(trials=700, threads=4))
-        assert_tables_equal(one, four)
+        """The builtin map and a 3-worker pool give the same bytes, with one
+        block, a block one short, a block and one more, and part of a block."""
+        with worker_map(3) as pool:
+            for trials in (1, BLOCK - 1, BLOCK + 1, 700):
+                cfg = study(trials=trials)
+                assert_tables_equal(run_cpc_study(cfg), run_cpc_study(cfg, pool))
 
     def test_settings_use_distinct_streams(self):
         a = run_cpc_study(study(trials=50, setting_index=0))
@@ -216,34 +218,30 @@ class TestBinomialInverse:
             np.testing.assert_array_equal(trials.estimates[:, j], expected)
 
 
+def rank_samples(trials, ad, rank):
+    """Ad ``ad``'s estimates over the trials where it held ``rank``."""
+    return trials.estimates[trials.order[:, rank - 1] == ad, ad]
+
+
 class TestConditionalRankSamples:
     def test_deterministic_ranking_keeps_all_trials(self):
         """Far-apart CTRs at high impression counts pin the ranking."""
         trials = run_cpc_study(study(trials=2000, ctrs=(0.9, 0.01), n=(20000, 20000)))
-        top = conditional_rank_samples(trials, 0, 1)
-        assert len(top) == len(trials)
-        for rank in (0, 2, 3):  # 0 and 3 are no rank of a two-ad auction
-            with pytest.raises(RankUnreachable):
-                conditional_rank_samples(trials, 0, rank)
+        assert len(rank_samples(trials, 0, 1)) == len(trials)
+        assert len(rank_samples(trials, 0, 2)) == 0
 
     def test_rank_conditioning_orders_means(self):
         trials = run_cpc_study(study(trials=20000, ctrs=(0.05, 0.05)))
-        win = conditional_rank_samples(trials, 0, 1)
-        lose = conditional_rank_samples(trials, 0, 2)
+        win = rank_samples(trials, 0, 1)
+        lose = rank_samples(trials, 0, 2)
         assert win.mean() > 0.05 > lose.mean()
-
-    def test_bid_scales_scores(self):
-        trials = run_cpc_study(study(trials=300))
-        s1 = conditional_rank_samples(trials, 0, 1, bid=1.0)
-        s2 = conditional_rank_samples(trials, 0, 1, bid=2.0)
-        np.testing.assert_allclose(s2, 2 * s1)
 
     def test_nearly_deterministic_ranking_leaves_means_unconditional(self):
         """When estimate spreads don't overlap, conditioning on rank is inert."""
         trials = run_cpc_study(study(trials=20000, ctrs=(0.05, 0.04),
                                      n=(20000, 20000), setting_index=8))
         for ad, rank, target in ((0, 1, 0.05), (1, 2, 0.04)):
-            samples = conditional_rank_samples(trials, ad, rank)
+            samples = rank_samples(trials, ad, rank)
             se = samples.std(ddof=1) / np.sqrt(len(samples))
             assert abs(samples.mean() - target) < 2 * se
 
@@ -441,21 +439,23 @@ class TestRankContexts:
 
 class TestSampleRankStats:
     def test_block_accumulation_thread_invariant(self):
-        dists = [ScoreDistribution.uniform(0, 1)] * 3
-        one = sample_rank_stats(dists, 200_000, seed=5, threads=1)
-        four = sample_rank_stats(dists, 200_000, seed=5, threads=4)
+        grid = CaseGrid([ScoreDistribution.uniform(0, 1)] * 3)
+        one = sample_rank_stats(grid, 200_000, seed=5)
+        with worker_map(4) as pool:
+            four = sample_rank_stats(grid, 200_000, seed=5, map=pool)
         np.testing.assert_array_equal(one.means, four.means)
         np.testing.assert_array_equal(one.counts, four.counts)
         np.testing.assert_array_equal(one.std_errors, four.std_errors)
 
     def test_beta_field_thread_invariant(self):
         """Grid draws and bincount moments give the same bytes for any thread
-        count, and a list with a beta ad draws through the grid it builds."""
+        count, with the grid itself built on the builtin map or on workers."""
         dists = [ScoreDistribution.scaled_beta(2, 38), ScoreDistribution.scaled_beta(3, 37, 1.2),
                  ScoreDistribution.uniform(0, 0.1)]
-        runs = [sample_rank_stats(CaseGrid(dists), 100_000, seed=5, threads=1),
-                sample_rank_stats(CaseGrid(dists), 100_000, seed=5, threads=4),
-                sample_rank_stats(dists, 100_000, seed=5, threads=2)]
+        runs = [sample_rank_stats(CaseGrid(dists), 100_000, seed=5)]
+        for threads in (4, 2):
+            with worker_map(threads) as pool:
+                runs.append(sample_rank_stats(CaseGrid(dists, pool), 100_000, seed=5, map=pool))
         for other in runs[1:]:
             np.testing.assert_array_equal(runs[0].means, other.means)
             np.testing.assert_array_equal(runs[0].counts, other.counts)
@@ -469,13 +469,12 @@ class TestSampleRankStats:
         grid = CaseGrid(dists)
         key = rng.stream_key(5, STREAM_MC, 0)
         u = rng.unit_uniforms(key, 0, 100_000)[:, 0]
-        expected = sum(grid.draw(0, u[lo:lo + _MC_BLOCK])[1]
-                       for lo in range(0, 100_000, _MC_BLOCK))
+        expected = sum(grid.draw(0, u[lo:lo + BLOCK])[1] for lo in range(0, 100_000, BLOCK))
         assert expected > 0
-        for threads in (1, 3):
-            stats = sample_rank_stats(grid, 100_000, seed=5, threads=threads)
-            assert stats.exact_draws == expected
-        assert sample_rank_stats(dists[1:], 1000, seed=5).exact_draws == 0
+        assert sample_rank_stats(grid, 100_000, seed=5).exact_draws == expected
+        with worker_map(3) as pool:
+            assert sample_rank_stats(grid, 100_000, seed=5, map=pool).exact_draws == expected
+        assert sample_rank_stats(CaseGrid(dists[1:]), 1000, seed=5).exact_draws == 0
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data(), m=st.integers(1, 7))
@@ -491,8 +490,8 @@ class TestSampleRankStats:
         np.testing.assert_array_equal(_rank_codes(draws), expected + np.arange(0, m * m, m))
 
     def test_uniform_pair_against_known_order_statistics(self):
-        dists = [ScoreDistribution.uniform(0, 1)] * 2
-        stats = sample_rank_stats(dists, 400_000, seed=6)
+        grid = CaseGrid([ScoreDistribution.uniform(0, 1)] * 2)
+        stats = sample_rank_stats(grid, 400_000, seed=6)
         for i in range(2):
             assert abs(stats.means[i, 0] - 2 / 3) < 4 * stats.std_errors[i, 0]
             assert abs(stats.means[i, 1] - 1 / 3) < 4 * stats.std_errors[i, 1]

@@ -219,13 +219,13 @@ class TestHistograms:
         h = build_histogram([0.5, 0.5, 1.0], 0.5)
         np.testing.assert_allclose(h.edges, [0.5, 1.0, 1.5])
         np.testing.assert_array_equal(h.counts, [2, 1])
-        assert h.total == 3
+        assert h.counts.sum() == 3
 
     def test_total_conservation(self):
         rng = np.random.default_rng(43)
         samples = rng.normal(0.05, 0.01, 5000)
         h = build_histogram(samples, 0.001)
-        assert h.total == 5000
+        assert h.counts.sum() == 5000
 
     def test_alignment_and_overlap(self):
         h1 = build_histogram([0.0, 0.1, 0.2], 0.1)
@@ -243,7 +243,7 @@ class TestHistograms:
 
     def test_span_at_cap_builds(self):
         h = build_histogram([0.0, (MAX_HISTOGRAM_BINS - 0.5) * 0.5], 0.5)
-        assert len(h.counts) == MAX_HISTOGRAM_BINS and h.total == 2
+        assert len(h.counts) == MAX_HISTOGRAM_BINS and h.counts.sum() == 2
 
     def test_disjoint_samples_no_overlap(self):
         h1 = build_histogram(np.linspace(0, 0.9, 100), 0.1)

@@ -18,6 +18,7 @@ from gspbias.config import TheoremCase, load_config, parse_distribution
 from gspbias import oracle
 from gspbias.engine import sample_rank_stats, worker_map
 from gspbias.errors import GridMismatch, RankUnreachable
+from gspbias.metrics import split_histogram_densities
 from gspbias.oracle import (
     _CDF_REL_ERR,
     _NEWTON_TOL,
@@ -29,18 +30,22 @@ from gspbias.oracle import (
     check_splittable,
     conditional_density_profile,
     conditional_mean_profile,
-    rank_prob_given_score,
     rank_table,
-    split_histogram_densities,
     top_rank_decomposition,
 )
-from reference import hermite_safe_cells_whole_rows, rank_table_whole_rows
+from reference import hermite_safe_cells_whole_rows, rank_probs, rank_table_whole_rows
 
 U01 = ScoreDistribution.uniform(0.0, 1.0)
 
 with resources.as_file(resources.files("gspbias") / "configs" / "theorems.cfg") as _path:
     PACKAGED_BETAS = sorted({spec for case in load_config(_path).payload.cases
                              for spec in case.dist_specs if spec.startswith("beta")})
+
+
+def mean_profile(dists, candidate):
+    """The candidate's conditional_mean_profile on a grid of its own."""
+    grid = CaseGrid(dists)
+    return conditional_mean_profile(grid, candidate, rank_table(grid.cdf, candidate))
 
 
 def enumerated_rank_prob(F: np.ndarray, candidate: int, rank: int) -> np.ndarray:
@@ -67,8 +72,6 @@ class TestScoreDistribution:
         ScoreDistribution.uniform(0.2, 0.8),
         ScoreDistribution.scaled_beta(2, 38),
         ScoreDistribution.scaled_beta(3, 30, 1.4),
-        ScoreDistribution.from_grid(np.linspace(0, 1, 201),
-                                    np.exp(-0.5 * ((np.linspace(0, 1, 201) - 0.4) / 0.1) ** 2)),
     ])
     def test_pdf_normalized_and_cdf_monotone(self, dist):
         s = np.linspace(0, dist.upper, 20001)
@@ -108,27 +111,21 @@ class TestScoreDistribution:
         with pytest.raises(ValueError):
             ScoreDistribution.uniform(-0.5, 1.0)
 
-    def test_from_histogram_matches_grid(self):
-        left = np.array([0.0, 0.1, 0.2])
-        right = left + 0.1
-        count = np.array([10, 30, 10])
-        dist = ScoreDistribution.from_histogram(left, right, count)
-        assert dist.cdf(0.301) == pytest.approx(1.0, abs=1e-9)
-        # mass concentrates in the middle bin
-        assert dist.pdf(0.15) > dist.pdf(0.05)
-
 
 class TestRankProbGivenScore:
+    """P(rank k | score s), row k-1 of ``rank_table``, against closed forms."""
+
     def test_no_competitors_always_rank_one(self):
-        assert rank_prob_given_score([U01], 0, 1, 0.3) == pytest.approx(1.0)
+        assert rank_probs([U01], 0, 0.3)[0, 0] == pytest.approx(1.0)
 
     def test_two_iid_uniform(self):
         # the only rival is below s with probability s
-        assert rank_prob_given_score([U01, U01], 0, 1, 0.7) == pytest.approx(0.7)
-        assert rank_prob_given_score([U01, U01], 0, 2, 0.7) == pytest.approx(0.3)
+        table = rank_probs([U01, U01], 0, 0.7)
+        assert table[0, 0] == pytest.approx(0.7)
+        assert table[1, 0] == pytest.approx(0.3)
 
     def test_three_iid_uniform_middle_rank(self):
-        value = rank_prob_given_score([U01] * 3, 0, 2, 0.5)
+        value = rank_probs([U01] * 3, 0, 0.5)[1, 0]
         assert value == pytest.approx(2 * 0.5 * 0.5)
 
     def test_three_iid_uniform_against_monte_carlo(self):
@@ -138,8 +135,9 @@ class TestRankProbGivenScore:
         s = 0.35
         draws[:, 0] = s
         ranks = np.argsort(np.argsort(-draws, axis=1, kind="stable"), axis=1)[:, 0]
+        table = rank_probs([U01] * 3, 0, s)
         for k in (1, 2, 3):
-            expected = rank_prob_given_score([U01] * 3, 0, k, s)
+            expected = table[k - 1, 0]
             freq = np.mean(ranks == k - 1)
             se = np.sqrt(expected * (1 - expected) / len(draws))
             assert abs(freq - expected) < 4 * max(se, 1e-6)
@@ -149,18 +147,18 @@ class TestRankProbGivenScore:
                  ScoreDistribution.uniform(0, 0.2),
                  ScoreDistribution.scaled_beta(4, 40, 0.9)]
         grid = np.linspace(0, 1.0, 1000)
-        total = sum(rank_prob_given_score(dists, 0, k, grid) for k in (1, 2, 3))
+        total = rank_probs(dists, 0, grid).sum(axis=0)
         np.testing.assert_allclose(total, 1.0, atol=1e-9)
 
     def test_thirteen_iid_uniform_closed_form(self):
         """No ad cap: 13 iid uniforms give binomial rank chances and
         E[score | rank k] = (m - k + 1) / (m + 1)."""
         m, s = 13, 0.37
+        table = rank_probs([U01] * m, 0, s)
         for k in range(1, m + 1):
             expected = comb(m - 1, k - 1) * (1 - s) ** (k - 1) * s ** (m - k)
-            assert rank_prob_given_score([U01] * m, 0, k, s) == pytest.approx(expected,
-                                                                              abs=1e-14)
-        profile = conditional_mean_profile([U01] * m, 0)
+            assert table[k - 1, 0] == pytest.approx(expected, abs=1e-14)
+        profile = mean_profile([U01] * m, 0)
         np.testing.assert_allclose(profile.marginals, 1 / m, atol=1e-12)
         np.testing.assert_allclose(profile.conditional_means,
                                    [(m - k + 1) / (m + 1) for k in range(1, m + 1)],
@@ -168,14 +166,10 @@ class TestRankProbGivenScore:
 
     def test_values_are_probabilities_and_marginal_matches_profile(self):
         grid = np.linspace(0, 1, 101)
-        values = rank_prob_given_score([U01, U01], 0, 1, grid)
+        values = rank_probs([U01, U01], 0, grid)[0]
         assert np.all((0 <= values) & (values <= 1))
-        marginals = conditional_mean_profile([U01, U01], 0).marginals
+        marginals = mean_profile([U01, U01], 0).marginals
         assert marginals[0] == pytest.approx(0.5, abs=1e-9)
-
-    def test_rank_out_of_range(self):
-        with pytest.raises(ValueError):
-            rank_prob_given_score([U01, U01], 0, 3, 0.5)
 
 
 class TestRankTable:
@@ -192,32 +186,24 @@ class TestRankTable:
                                        enumerated_rank_prob(F, candidate, rank),
                                        rtol=0, atol=1e-12)
 
-    def test_case_grid_matches_plain_list(self):
-        dists = [ScoreDistribution.scaled_beta(2, 38), ScoreDistribution.uniform(0, 0.12),
-                 ScoreDistribution.scaled_beta(4, 40, 0.9)]
-        grid = CaseGrid(dists)
-        assert len(grid) == 3
-        for i in range(3):
-            from_list = conditional_mean_profile(dists, i)
-            from_grid = conditional_mean_profile(grid, i)
-            np.testing.assert_array_equal(from_grid.marginals, from_list.marginals)
-            np.testing.assert_array_equal(from_grid.conditional_means,
-                                          from_list.conditional_means)
-            assert top_rank_decomposition(grid, i) == top_rank_decomposition(dists, i)
-
     def test_shared_table_matches_own_tables(self):
-        """One table serves all three profiles with the bytes each builds alone."""
+        """One table serves all three profiles: the mean profile and the
+        decomposition leave it as built, so each reads the bytes a table of
+        its own would hold, and the density profile normalizes it in place."""
         grid = CaseGrid([ScoreDistribution.scaled_beta(2, 38), ScoreDistribution.uniform(0, 0.12),
                          ScoreDistribution.scaled_beta(4, 40, 0.9)])
         for i in range(3):
             table = rank_table(grid.cdf, i)
-            own, shared = conditional_mean_profile(grid, i), conditional_mean_profile(grid, i, table)
-            np.testing.assert_array_equal(shared.marginals, own.marginals)
-            np.testing.assert_array_equal(shared.conditional_means, own.conditional_means)
-            assert top_rank_decomposition(grid, i, table=table) == top_rank_decomposition(grid, i)
+            conditional_mean_profile(grid, i, table)
+            top_rank_decomposition(grid, i, table)
+            np.testing.assert_array_equal(table, rank_table(grid.cdf, i))
             nodes, dens = conditional_density_profile(grid, i, table)
-            assert dens is table  # normalized in place
-            np.testing.assert_array_equal(dens, conditional_density_profile(grid, i)[1])
+            assert dens is table and nodes is grid.s
+            wd = grid.w * grid.pdf[i]
+            own = rank_table(grid.cdf, i)
+            for k in range(3):
+                np.testing.assert_array_equal(dens[k], grid.pdf[i] * own[k]
+                                              / float(np.sum(wd * own[k])))
 
 
 # u values the grid draws must also get right: zero, far below the grid's
@@ -244,14 +230,14 @@ class TestCaseGridPpf:
             # boost's root finder gives up on some shapes at u = 1e-300, with a
             # warning, in the exact inverse that both sides then call
             warnings.filterwarnings("ignore", "Error in function boost", RuntimeWarning)
-            drawn = grid.ppf(1, u)
+            drawn = grid.draw(1, u)[0]
             exact = _ufuncs._beta_ppf(u, a, b) * scale
         np.testing.assert_allclose(drawn, exact, rtol=0, atol=1e-7)
 
     def test_uniform_ads_keep_closed_form(self):
         uniform = ScoreDistribution.uniform(0.2, 0.7)
         grid = CaseGrid([uniform, ScoreDistribution.scaled_beta(2, 38)])
-        np.testing.assert_array_equal(grid.ppf(0, SPREAD_U), uniform.ppf(SPREAD_U))
+        np.testing.assert_array_equal(grid.draw(0, SPREAD_U)[0], uniform.ppf(SPREAD_U))
 
     def test_packaged_betas_stay_on_the_newton_path(self, monkeypatch):
         """Lattice uniforms on the packaged betas fall back to the exact inverse
@@ -262,7 +248,7 @@ class TestCaseGridPpf:
             fallbacks = []
             monkeypatch.setattr(dist, "_ppf", lambda v, f=dist._ppf: fallbacks.append(v) or f(v))
             u = np.random.default_rng(3).random(200_000)
-            grid.ppf(0, u)
+            grid.draw(0, u)
             assert sum(len(v) for v in fallbacks) <= 2, spec
 
     def test_packaged_betas_make_no_betainc_call(self, monkeypatch):
@@ -272,7 +258,7 @@ class TestCaseGridPpf:
             calls = []
             monkeypatch.setattr(_ufuncs, "betainc",
                                 lambda *args, f=_ufuncs.betainc: calls.append(args) or f(*args))
-            grid.ppf(0, np.random.default_rng(4).random(200_000))
+            grid.draw(0, np.random.default_rng(4).random(200_000))
             assert not calls, spec
             grid.dists[0].cdf(0.05)  # the counter does see a CDF evaluation
             assert len(calls) == 1
@@ -294,7 +280,7 @@ class TestCaseGridPpf:
             # boost's root finder gives up on some shapes at u = 1e-300, in the
             # exact inverse that unsafe cells call
             warnings.filterwarnings("ignore", "Error in function boost", RuntimeWarning)
-            x = grid.ppf(0, u)[from_safe] / scale
+            x = grid.draw(0, u)[0][from_safe] / scale
         pdf = _ufuncs._beta_pdf(x, a, b)
         residual = np.abs(_ufuncs.betainc(a, b, x) - u[from_safe]) / pdf
         assert np.all(residual <= _NEWTON_TOL + _CDF_REL_ERR / pdf), residual.max()
@@ -433,12 +419,16 @@ class TestNodeSlices:
     @pytest.mark.parametrize("node_slice", [oracle.NODE_SLICE, 1000])
     @pytest.mark.parametrize("threads", [1, 4])
     def test_rank_table_matches_whole_row_fold(self, monkeypatch, node_slice, threads):
-        grid = CaseGrid([parse_distribution(spec) for spec in SLICED_FIELD])
+        """As a command runs them: the grid rows filled on its workers, then each
+        candidate's table folded slice by slice in the calling thread, equal to
+        the whole-row fold over rows evaluated in one call each."""
+        dists = [parse_distribution(spec) for spec in SLICED_FIELD]
         monkeypatch.setattr(oracle, "NODE_SLICE", node_slice)
         with contended_workers(threads) as map:
-            for i in range(len(grid)):
-                np.testing.assert_array_equal(rank_table(grid.cdf, i, map),
-                                              rank_table_whole_rows(grid.cdf, i))
+            grid = CaseGrid(dists, map)
+        F = np.vstack([d.cdf(grid.s) for d in dists])
+        for i in range(len(grid)):
+            np.testing.assert_array_equal(rank_table(grid.cdf, i), rank_table_whole_rows(F, i))
 
 
 # A 16-ad field of mixed betas and staggered uniforms, and its seed, fixed
@@ -456,7 +446,7 @@ def test_monte_carlo_agrees_with_quadrature_at_sixteen_ads():
     mc = sample_rank_stats(grid, 1 << 18, SIXTEEN_SEED)
     deviations = []
     for i in range(len(grid)):
-        means = conditional_mean_profile(grid, i).conditional_means
+        means = conditional_mean_profile(grid, i, rank_table(grid.cdf, i)).conditional_means
         reachable = means[~np.isnan(means)]
         assert np.all(np.diff(reachable) <= 1e-6), i  # E[score | rank] never rises
         for k in np.flatnonzero(mc.counts[i] >= 1000):
@@ -468,7 +458,7 @@ def test_monte_carlo_agrees_with_quadrature_at_sixteen_ads():
 
 class TestConditionalScoreMean:
     def test_two_iid_uniform_order_statistic_means(self):
-        means = conditional_mean_profile([U01, U01], 0).conditional_means
+        means = mean_profile([U01, U01], 0).conditional_means
         np.testing.assert_allclose(means, [2 / 3, 1 / 3], atol=1e-9)
 
     def test_non_overlapping_supports_are_deterministic(self):
@@ -479,8 +469,8 @@ class TestConditionalScoreMean:
         """
         low = ScoreDistribution.uniform(0.0, 0.4)
         high = ScoreDistribution.uniform(0.6, 1.0)
-        low_means = conditional_mean_profile([low, high], 0).conditional_means
-        high_means = conditional_mean_profile([low, high], 1).conditional_means
+        low_means = mean_profile([low, high], 0).conditional_means
+        high_means = mean_profile([low, high], 1).conditional_means
         assert low_means[1] == pytest.approx(0.2, abs=2e-5)
         assert high_means[0] == pytest.approx(0.8, abs=2e-5)
         # rank 1 is unreachable for the low ad, rank 2 for the high one
@@ -488,7 +478,7 @@ class TestConditionalScoreMean:
 
     def test_four_iid_beta_means_nonincreasing_in_rank(self):
         dists = [ScoreDistribution.scaled_beta(2, 38)] * 4
-        profile = conditional_mean_profile(dists, 0)
+        profile = mean_profile(dists, 0)
         means = profile.conditional_means
         assert np.all(np.diff(means) <= 1e-9)
         # cross-check against Monte Carlo with 4-sigma bands
@@ -503,10 +493,10 @@ class TestConditionalScoreMean:
     def test_marginals_sum_to_one(self):
         dists = [ScoreDistribution.scaled_beta(2, 38),
                  ScoreDistribution.scaled_beta(3, 37, 1.2)]
-        profile = conditional_mean_profile(dists, 0)
+        profile = mean_profile(dists, 0)
         assert profile.marginals.sum() == pytest.approx(1.0, abs=1e-6)
         # exactly one of the two ads is on top
-        other = conditional_mean_profile(dists, 1)
+        other = mean_profile(dists, 1)
         assert profile.marginals[0] + other.marginals[0] == pytest.approx(1.0, abs=1e-6)
 
 
@@ -570,7 +560,7 @@ class TestTopRankDecomposition:
     def test_zero_residual_and_monotone_parts(self, dists):
         grid = CaseGrid(dists)
         for i in range(len(dists)):
-            dec = top_rank_decomposition(grid, i)
+            dec = top_rank_decomposition(grid, i, rank_table(grid.cdf, i))
             assert abs(dec.residual) < 1e-6
             assert dec.plus_monotone and dec.minus_monotone
 
@@ -586,34 +576,13 @@ class TestTopRankDecomposition:
 
     def test_single_ad_unsupported(self):
         with pytest.raises(RankUnreachable):
-            top_rank_decomposition([U01], 0)
-
-
-class TestHistogramInterop:
-    def test_oracle_consumes_emitted_histogram_files(self, tmp_path):
-        """Histogram CSVs written by the metrics side round-trip into a usable
-        score distribution for the oracle."""
-        from gspbias.metrics import build_histogram
-        from gspbias.reports import read_histogram_csv, write_histogram_csv
-
-        rng = np.random.default_rng(34)
-        samples = rng.beta(2, 38, 50_000)
-        hist = build_histogram(samples, 0.002)
-        path = tmp_path / "scores.csv"
-        write_histogram_csv(path, hist)
-        left, right, count = read_histogram_csv(path)
-        dist = ScoreDistribution.from_histogram(left, right, count)
-        grid = np.linspace(0, dist.upper, 4001)
-        assert np.trapezoid(dist.pdf(grid), grid) == pytest.approx(1.0, abs=1e-3)
-        # windowed mean of the rebuilt density tracks the sample mean
-        est_mean = np.trapezoid(grid * dist.pdf(grid), grid)
-        assert est_mean == pytest.approx(samples.mean(), abs=2e-3)
+            top_rank_decomposition(CaseGrid([U01]), 0, rank_probs([U01], 0, 0.5))
 
 
 class TestConditionalDensityProfile:
     def test_rows_integrate_to_one_and_split(self):
-        dists = [ScoreDistribution.scaled_beta(2, 38)] * 3
-        s, dens = conditional_density_profile(dists, 0)
+        grid = CaseGrid([ScoreDistribution.scaled_beta(2, 38)] * 3)
+        s, dens = conditional_density_profile(grid, 0, rank_table(grid.cdf, 0))
         for k in range(3):
             assert np.trapezoid(dens[k], s) == pytest.approx(1.0, abs=1e-6)
         for k in range(2):
