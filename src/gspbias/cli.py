@@ -56,6 +56,7 @@ from .oracle import (
     conditional_density_profile,
     conditional_mean_profile,
     rank_table,
+    special_kernels,
     top_rank_decomposition,
 )
 from .reports import (
@@ -120,6 +121,14 @@ def _nn(x) -> float | None:
     return x if math.isfinite(x) else None
 
 
+def _load_kernels() -> float:
+    """Load scipy's special-function kernels; the seconds that took, timed
+    apart so that no setting's or case's time includes the first import."""
+    t_import = time.monotonic()
+    special_kernels()
+    return round(time.monotonic() - t_import, 3)
+
+
 # ---------------------------------------------------------------------------
 # simulate-cpc
 # ---------------------------------------------------------------------------
@@ -134,8 +143,11 @@ def cmd_simulate_cpc(args) -> int:
     bids = np.asarray(suite.bids)
     table_rows = []
     settings_payload = {}
+    setting_runs = []  # for the manifest
+    kernel_import_seconds = _load_kernels()
     with worker_map(args.threads) as pmap:  # one pool for every setting
         for idx, setting in enumerate(suite.settings):
+            t_setting = time.monotonic()
             cfg = CpcStudyConfig(
                 name=setting.name, impressions=setting.impressions,
                 true_ctrs=setting.true_ctrs, bids=suite.bids,
@@ -192,12 +204,15 @@ def cmd_simulate_cpc(args) -> int:
                     write_trials_csv(arts.path(f"trials_{setting.name}.csv"), trials)
                 if args.format in ("json", "both"):
                     write_trials_jsonl(arts.path(f"trials_{setting.name}.jsonl"), trials)
+            setting_runs.append({"name": setting.name, "trials": n_trials,
+                                 "seconds": round(time.monotonic() - t_setting, 3)})
     write_csv(arts.path("table2.csv"),
               ["setting", "expected_cpc", "mean_observed_cpc", "ratio"], table_rows)
     write_json(arts.path("bias_report.json"),
                {"seed": seed, "settings": settings_payload})
     arts.write_manifest("simulate-cpc", config_dict(loaded, seed), seed,
-                        time.monotonic() - t0, __version__, args.threads)
+                        time.monotonic() - t0, __version__, args.threads,
+                        kernel_import_seconds=kernel_import_seconds, settings=setting_runs)
     return 0
 
 
@@ -323,10 +338,7 @@ def cmd_verify_theorems(args) -> int:
     case_dists = [case.distributions() for case in suite.cases]
     kernel_import_seconds = 0.0
     if any(d.kind == "scaled-beta" for dists in case_dists for d in dists):
-        # the beta kernels' first import, timed apart from every case's grid
-        t_import = time.monotonic()
-        from scipy.special import _ufuncs  # noqa: F401
-        kernel_import_seconds = round(time.monotonic() - t_import, 3)
+        kernel_import_seconds = _load_kernels()
     with worker_map(args.threads) as pmap:
         for idx, (case, dists) in enumerate(zip(suite.cases, case_dists)):
             t_grid = time.monotonic()

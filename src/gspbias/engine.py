@@ -37,7 +37,7 @@ from .estimators import (
     naive_contextual_estimate,
     pooled_estimate,
 )
-from .oracle import CaseGrid
+from .oracle import CaseGrid, special_kernels
 
 STREAM_CPC = 0
 STREAM_AB = 1
@@ -150,9 +150,7 @@ class BinomialInverse:
     """
 
     def __init__(self, n: int, p: float):
-        from scipy.special import _ufuncs  # loaded only by the price study
-
-        cdf = _ufuncs._binom_cdf
+        cdf = special_kernels()._binom_cdf
         mean = n * p
         margin = 40.0 * math.sqrt(mean * (1.0 - p)) + 1.0
         while True:

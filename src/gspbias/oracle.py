@@ -46,7 +46,11 @@ grid nodes) degrades it to O(1/intervals), about 1e-5 relative.
 
 from __future__ import annotations
 
+import importlib
+import importlib.util
 import math
+import sys
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,6 +66,36 @@ MASS_FLOOR = 1e-12
 _NEWTON_TOL = 1e-9
 _CDF_REL_ERR = 1e-14
 NODE_SLICE = 1 << 14  # grid nodes per task when rows and rank tables are filled
+
+_KERNELS = "scipy.special._ufuncs"
+_kernel_lock = threading.Lock()
+
+
+def special_kernels():
+    """scipy's compiled special-function kernels, ``scipy.special._ufuncs``.
+
+    When nothing has imported ``scipy.special`` yet, the extension is loaded
+    under an unexecuted placeholder of the package, which is removed again,
+    so the package ``__init__`` (about 0.3 s and 13 MB, most of it cloning
+    numpy for scipy's array-API layer) does not run; a later ``import
+    scipy.special`` runs it and reuses the loaded extension.  A scipy whose
+    ``_ufuncs`` needs its package ``__init__`` gets the ordinary import.
+    Either way the kernels are the same module object, so results do not
+    depend on the path taken.
+    """
+    with _kernel_lock:
+        if _KERNELS not in sys.modules and "scipy.special" not in sys.modules:
+            spec = importlib.util.find_spec("scipy.special")
+            sys.modules["scipy.special"] = importlib.util.module_from_spec(spec)
+            try:
+                importlib.import_module(_KERNELS)
+            except ImportError:
+                pass  # the ordinary import below
+            finally:
+                del sys.modules["scipy.special"]
+    # import_module, not sys.modules: it waits for a module that another
+    # thread is still initializing
+    return importlib.import_module(_KERNELS)
 
 
 class ScoreDistribution:
@@ -118,22 +152,19 @@ class ScoreDistribution:
             raise ValueError("scaled_beta needs finite positive parameters, "
                              f"got ({a}, {b}, {scale})")
 
-        # the kernels scipy.stats.beta dispatches to, bit for bit, imported on
+        # the kernels scipy.stats.beta dispatches to, bit for bit, loaded on
         # first use so that loading a config does not import scipy
         def pdf(s):
-            from scipy.special import _ufuncs
             x = s / scale
             with np.errstate(over="ignore"):  # a < 1 or b < 1: infinite at an end
-                inside = _ufuncs._beta_pdf(np.clip(x, 0.0, 1.0), a, b)
+                inside = special_kernels()._beta_pdf(np.clip(x, 0.0, 1.0), a, b)
             return np.where((x >= 0.0) & (x <= 1.0), inside, 0.0) / scale
 
         def cdf(s):
-            from scipy.special import _ufuncs
-            return _ufuncs.betainc(a, b, np.clip(s / scale, 0.0, 1.0))
+            return special_kernels().betainc(a, b, np.clip(s / scale, 0.0, 1.0))
 
         def ppf(u):
-            from scipy.special import _ufuncs
-            return _ufuncs._beta_ppf(u, a, b) * scale
+            return special_kernels()._beta_ppf(u, a, b) * scale
 
         return cls("scaled-beta", scale, pdf, cdf, ppf, f"beta({a}, {b}, scale={scale})",
                    (a, b, scale))

@@ -54,6 +54,8 @@ dists = uniform:0:1, uniform:0:1
 dists = beta:2:38
 """
 
+UNIFORM_THEOREMS = SMALL_THEOREMS.replace("dists = beta:2:38", "dists = uniform:0:0.5")
+
 HUGE_BID_CPC = """
 [config]
 schema_version = 1
@@ -683,10 +685,16 @@ class TestManifestReproducibility:
         assert set(manifest["outputs"]) == on_disk
         assert manifest["config"]["experiment"]["days"] == 4
 
-    def test_manifest_records_run_environment(self, tmp_path):
+    @pytest.mark.parametrize("command, cfg", [
+        ("simulate-cpc", SMALL_CPC),
+        ("verify-theorems", SMALL_THEOREMS),
+        ("verify-theorems", UNIFORM_THEOREMS),
+        ("ab-run", SMALL_AB),
+    ], ids=["simulate-cpc", "verify-theorems", "verify-theorems-uniform", "ab-run"])
+    def test_manifest_records_run_environment(self, tmp_path, command, cfg):
         out = tmp_path / "env"
-        run_cli("ab-run", "--config", write_cfg(tmp_path, SMALL_AB), "--out", out,
-                "--threads", "3")
+        assert run_cli(command, "--config", write_cfg(tmp_path, cfg), "--out", out,
+                       "--trials", "200", "--threads", "3") == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["threads"] == 3
         assert manifest["environment"] == {"python": platform.python_version(),
@@ -713,6 +721,18 @@ class TestManifestReproducibility:
         for c in cases:
             assert min(c["grid_seconds"], c["mc_seconds"], c["check_seconds"]) >= 0.0
             assert isinstance(c["peak_rss_mb"], float) and c["peak_rss_mb"] > 0.0
+
+    def test_cpc_manifest_times_each_setting(self, tmp_path):
+        """simulate-cpc records the kernels' import apart from the settings,
+        then each setting's name, trial count and seconds."""
+        out = tmp_path / "cpc"
+        assert run_cli("simulate-cpc", "--config", write_cfg(tmp_path, SMALL_CPC),
+                       "--out", out, "--trials", "300") == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["kernel_import_seconds"] >= 0.0
+        assert [(s["name"], s["trials"]) for s in manifest["settings"]] == [("a", 300),
+                                                                            ("c", 300)]
+        assert all(s["seconds"] >= 0.0 for s in manifest["settings"])
 
     def test_rerun_with_manifest_seed_reproduces(self, tmp_path):
         cfg = write_cfg(tmp_path, SMALL_AB)
@@ -748,7 +768,18 @@ cli.CaseGrid = grid
 print(json.dumps({"rc": cli.main(sys.argv[1:]), "loaded": loaded}))
 """
 
-UNIFORM_THEOREMS = SMALL_THEOREMS.replace("dists = beta:2:38", "dists = uniform:0:0.5")
+# Runs cli.main, then imports scipy.special and scipy.stats in the same
+# process; prints whether they use the kernels the command loaded.
+HEALTH_PROBE = """
+import json, sys
+from gspbias.cli import main
+rc = main(sys.argv[1:])
+import scipy.special, scipy.stats
+print(json.dumps({"rc": rc,
+                  "same": scipy.special.betainc is scipy.special._ufuncs.betainc,
+                  "cdf": [float(scipy.stats.beta.cdf(0.1, 2, 38)),
+                          float(scipy.special.betainc(2, 38, 0.1))]}))
+"""
 
 
 def run_probe(probe, argv):
@@ -782,8 +813,9 @@ class TestImportBoundary:
         assert "scipy.stats" not in result["scipy"]
         if command in (None, "ab-run") or cfg is UNIFORM_THEOREMS:
             assert result["scipy"] == []
-        else:  # the binomial and beta inverses load scipy.special
-            assert "scipy.special" in result["scipy"]
+        else:  # the binomial and beta kernels, without scipy.special's __init__
+            assert "scipy.special._ufuncs" in result["scipy"]
+            assert "scipy.special" not in result["scipy"]
         if command == "verify-theorems":  # the beta kernels' import time, 0.0 if not loaded
             seconds = json.loads((tmp_path / "out" / "manifest.json").read_text())[
                 "kernel_import_seconds"]
@@ -797,6 +829,30 @@ class TestImportBoundary:
             "verify-theorems", "--config", write_cfg(tmp_path, SMALL_THEOREMS),
             "--out", tmp_path / "out", "--trials", "2000", "--threads", "1"])
         assert result == {"rc": 0, "loaded": [True, True]}
+
+    def test_scipy_special_imports_after_a_command(self, tmp_path):
+        """After simulate-cpc loaded the kernels alone, importing scipy.special
+        and scipy.stats runs their package init on the same kernels."""
+        result = run_probe(HEALTH_PROBE, [
+            "simulate-cpc", "--config", write_cfg(tmp_path, SMALL_CPC),
+            "--out", tmp_path / "out", "--trials", "200", "--threads", "1"])
+        assert result["rc"] == 0 and result["same"]
+        assert result["cdf"][0] == result["cdf"][1]
+
+    def test_kernels_loaded_alone_write_the_same_bytes(self, tmp_path):
+        """pytest has imported scipy.special, so in process the kernels come
+        through the ordinary import; a child loads them alone.  Both runs
+        write the same bytes."""
+        for command, cfg, extra in (
+                ("simulate-cpc", SMALL_CPC, ("--emit-trials", "--format", "both")),
+                ("verify-theorems", SMALL_THEOREMS, ())):
+            argv = [command, "--config", write_cfg(tmp_path, cfg, f"{command}.cfg"),
+                    "--threads", "2", *extra]
+            child, here = tmp_path / f"child-{command}", tmp_path / f"here-{command}"
+            result = run_probe(IMPORT_PROBE, [*argv, "--out", child])
+            assert result["rc"] == 0 and "scipy.special" not in result["scipy"]
+            assert run_cli(*argv, "--out", here) == 0
+            assert output_digests(child) == output_digests(here), command
 
 
 def test_every_exported_name_resolves():

@@ -1,4 +1,7 @@
+import json
+import os
 import statistics
+import subprocess
 import sys
 import warnings
 from collections import defaultdict
@@ -6,6 +9,7 @@ from contextlib import contextmanager
 from importlib import resources
 from itertools import combinations
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +18,7 @@ from hypothesis import strategies as st
 from scipy import stats
 from scipy.special import _ufuncs
 
+import gspbias
 from gspbias.config import TheoremCase, load_config, parse_distribution
 from gspbias import oracle
 from gspbias.engine import sample_rank_stats, worker_map
@@ -110,6 +115,46 @@ class TestScoreDistribution:
     def test_negative_support_rejected(self):
         with pytest.raises(ValueError):
             ScoreDistribution.uniform(-0.5, 1.0)
+
+
+# A scipy whose _ufuncs imports only under scipy.special's executed __init__:
+# the first import of _ufuncs fails, as it would under the placeholder.
+FALLBACK_PROBE = """
+import json, sys
+class NeedsPackageInit:
+    refused = False
+    @classmethod
+    def find_spec(cls, name, path=None, target=None):
+        if name == "scipy.special._ufuncs" and not cls.refused:
+            cls.refused = True
+            raise ImportError("scipy.special._ufuncs needs its package init")
+        return None
+sys.meta_path.insert(0, NeedsPackageInit)
+from gspbias.oracle import special_kernels
+kernels = special_kernels()
+package = sys.modules.get("scipy.special")
+print(json.dumps({"refused": NeedsPackageInit.refused,
+                  "package_ran": hasattr(package, "betainc"),
+                  "same": kernels is sys.modules["scipy.special._ufuncs"],
+                  "cdf": float(kernels.betainc(2.0, 38.0, 0.1))}))
+"""
+
+
+class TestSpecialKernels:
+    def test_ordinary_import_when_the_bare_one_fails(self):
+        """The accessor still returns the kernels, and no placeholder package
+        is left in sys.modules: scipy.special is the executed package."""
+        src = str(Path(gspbias.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", FALLBACK_PROBE], env=env,
+                              capture_output=True, text=True, timeout=120, check=True)
+        result = json.loads(proc.stdout.splitlines()[-1])
+        assert result == {"refused": True, "package_ran": True, "same": True,
+                          "cdf": float(_ufuncs.betainc(2.0, 38.0, 0.1))}
+
+    def test_kernels_are_scipy_specials(self):
+        assert oracle.special_kernels() is _ufuncs
 
 
 class TestRankProbGivenScore:

@@ -183,14 +183,30 @@ def trial_tables(draw):
     )
 
 
+def assert_trial_writers_match_reference(trials):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        for writer, reference in ((write_trials_csv, reference_trials_csv),
+                                  (write_trials_jsonl, reference_trials_jsonl)):
+            writer(out / "new", trials)
+            reference(out / "ref", trials)
+            assert (out / "new").read_bytes() == (out / "ref").read_bytes(), writer.__name__
+
+
 class TestTrialWriters:
     @settings(max_examples=150, deadline=None)
-    @given(trials=trial_tables())
-    def test_match_per_row_reference(self, trials):
-        with tempfile.TemporaryDirectory() as tmp:
-            out = Path(tmp)
-            for writer, reference in ((write_trials_csv, reference_trials_csv),
-                                      (write_trials_jsonl, reference_trials_jsonl)):
-                writer(out / "new", trials)
-                reference(out / "ref", trials)
-                assert (out / "new").read_bytes() == (out / "ref").read_bytes(), writer.__name__
+    @given(trials=trial_tables(), chunk=st.sampled_from([1, 3, reports.CHUNK_ROWS]))
+    def test_match_per_row_reference(self, trials, chunk):
+        with mock.patch.object(reports, "CHUNK_ROWS", chunk):
+            assert_trial_writers_match_reference(trials)
+
+    def test_table_longer_than_a_chunk(self):
+        """One full chunk at the module's own chunk size, then a partial one,
+        with signed zeros, a subnormal and long reprs among the values."""
+        n = reports.CHUNK_ROWS + 3
+        values = np.array([0.0, -0.0, 5e-324, 1 / 3, 0.04123456789012345, 0.05])
+        order = np.array([[0, 1, 2], [2, 0, 1], [1, 2, 0]])[np.arange(n) % 3]
+        trials = TrialTable(estimates=values[np.arange(3 * n).reshape(n, 3) % 5],
+                            order=order, cpc=values[np.arange(n) % 6],
+                            degenerate=np.arange(n) % 7 == 0)
+        assert_trial_writers_match_reference(trials)
