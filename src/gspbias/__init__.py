@@ -14,6 +14,7 @@ from .engine import (
     AbConfig,
     AdSpec,
     BucketSpec,
+    BucketTables,
     Context,
     CpcStudyConfig,
     ImpressionLog,
@@ -37,7 +38,6 @@ from .metrics import (
     build_histogram,
     c_relative,
     cpc_summary,
-    histogram_overlap,
     rtv_rtc,
     selection_bias,
 )
@@ -56,14 +56,14 @@ __version__ = "0.1.0"
 __all__ = [
     "Ad", "AuctionOutcome", "ScoredAd", "SelectionEvent",
     "build_selection_event", "gsp_price", "rank_ads", "run_auction",
-    "AbConfig", "AdSpec", "BucketSpec", "Context", "CpcStudyConfig",
+    "AbConfig", "AdSpec", "BucketSpec", "BucketTables", "Context", "CpcStudyConfig",
     "ImpressionLog", "TrialTable",
     "run_ab_experiment", "run_cpc_study", "sample_rank_stats",
     "CountWindow", "PoolHyperParams",
     "fit_pool", "naive_contextual_estimate", "pooled_estimate",
     "BiasReport", "CalibrationReport", "Histogram",
     "bias_report", "build_histogram", "c_relative", "cpc_summary",
-    "histogram_overlap", "rtv_rtc", "selection_bias",
+    "rtv_rtc", "selection_bias",
     "CaseGrid", "ScoreDistribution", "SplitVerdict", "check_splittable",
     "conditional_mean_profile", "rank_table", "top_rank_decomposition",
     "__version__",

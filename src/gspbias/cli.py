@@ -5,12 +5,14 @@ Subcommands: ``simulate-cpc`` (repeated-auction price study), ``verify-theorems`
 traffic experiment).  Each writes its artifacts plus a manifest into --out.
 
 Exit codes: 0 success, 1 verification failure, 2 I/O error, 3 config error
-(or another domain error that the config's values lead to).
+(also a rejected command line, or another domain error that the config's
+values lead to).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import math
 import os
@@ -61,6 +63,7 @@ from .oracle import (
 )
 from .reports import (
     ArtifactSet,
+    open_impressions,
     write_csv,
     write_histogram_csv,
     write_impressions_csv,
@@ -390,21 +393,46 @@ def cmd_verify_theorems(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_ab_run(args) -> int:
+    """Serve both buckets, writing each block of impressions as it is served,
+    then report calibration and relative value from the day tables."""
     t0 = time.monotonic()
     loaded = _load(args, "ab-run")
     seed = _resolve_seed(args.seed, loaded.seed)
     cfg: AbConfig = dataclasses.replace(loaded.payload, seed=seed)
     arts = ArtifactSet(args.out)
-    logs = run_ab_experiment(cfg)
-    eval_logs = {name: log.after_day(cfg.burn_in_days) for name, log in logs.items()}
+    written = {}  # bucket name -> when its last block was written
+    with contextlib.ExitStack() as files:
+        sinks = {bucket.name: [] for bucket in cfg.buckets}  # (file, writer) pairs
+        for bucket in cfg.buckets:
+            for fmt, suffix, writer in (("csv", "csv", write_impressions_csv),
+                                        ("json", "jsonl", write_impressions_jsonl)):
+                if args.format in (fmt, "both"):
+                    path = arts.path(f"impressions_{bucket.name}.{suffix}")
+                    sinks[bucket.name].append(
+                        (files.enter_context(open_impressions(path, fmt)), writer))
+
+        def write(bucket: str, block) -> None:
+            for fh, writer in sinks[bucket]:
+                writer(fh, block)
+            written[bucket] = time.monotonic()
+
+        t_serve = time.monotonic()
+        tables = run_ab_experiment(cfg, write)
+    first_day = cfg.burn_in_days
+    bucket_runs = []  # for the manifest
     models = {}
     table_rows = []
     for bucket in cfg.buckets:
-        entry: dict = {"estimator": bucket.estimator,
-                       "records": len(logs[bucket.name]),
-                       "evaluation_records": len(eval_logs[bucket.name])}
+        bucket_tables = tables[bucket.name]
+        records = int(bucket_tables.impressions.sum())
+        # buckets run in turn: each one's time runs from the last block of the one before
+        bucket_runs.append({"name": bucket.name, "records": records,
+                            "seconds": round(written[bucket.name] - t_serve, 3)})
+        t_serve = written[bucket.name]
+        entry: dict = {"estimator": bucket.estimator, "records": records,
+                       "evaluation_records": int(bucket_tables.impressions[first_day:].sum())}
         try:
-            rep = c_relative(eval_logs[bucket.name])
+            rep = c_relative(bucket_tables, first_day)
             entry.update({
                 "calibration_greedy": rep.calibration_greedy,
                 "calibration_random": rep.calibration_random,
@@ -420,29 +448,23 @@ def cmd_ab_run(args) -> int:
             entry.update({"c_relative": None, "undefined_reason": str(exc)})
             table_rows.append((bucket.name, "", ""))
         models[bucket.name] = entry
-        if args.format in ("csv", "both"):
-            write_impressions_csv(arts.path(f"impressions_{bucket.name}.csv"),
-                                  logs[bucket.name])
-        if args.format in ("json", "both"):
-            write_impressions_jsonl(arts.path(f"impressions_{bucket.name}.jsonl"),
-                                    logs[bucket.name])
     write_csv(arts.path("calibration_table.csv"),
               ["model", "non_weighted", "bid_weighted"], table_rows)
     write_json(arts.path("calibration_report.json"), {
         "seed": seed,
-        "evaluation_first_day": cfg.burn_in_days,
+        "evaluation_first_day": first_day,
         "models": models,
     })
     base, comp = cfg.buckets[0].name, cfg.buckets[1].name
     try:
-        rel = rtv_rtc(eval_logs[base], eval_logs[comp])
+        rel = rtv_rtc(tables[base], tables[comp], first_day)
         rel_payload = {"rtv": rel.rtv, "rtc": rel.rtc}
     except UndefinedRatio as exc:
         rel_payload = {"rtv": None, "rtc": None, "undefined_reason": str(exc)}
     rel_payload.update({"baseline_bucket": base, "comparison_bucket": comp})
     write_json(arts.path("rtv_rtc.json"), rel_payload)
     arts.write_manifest("ab-run", config_dict(loaded, seed), seed,
-                        time.monotonic() - t0, __version__, args.threads)
+                        time.monotonic() - t0, __version__, args.threads, buckets=bucket_runs)
     return 0
 
 
@@ -450,8 +472,19 @@ def cmd_ab_run(args) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
+class _UsageError(Exception):
+    """A command line argparse rejects; its text is the usage and the reason."""
+
+
+class _Parser(argparse.ArgumentParser):
+    # argparse exits 2 on a usage error, the I/O error code; raise so that main exits 3
+    def error(self, message):
+        raise _UsageError(f"{self.format_usage()}config error: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """One subparser per command, each with only the flags its command reads."""
+    parser = _Parser(
         prog="gspbias",
         description="Selection-bias simulation lab for score-ranked second-price auctions.",
     )
@@ -459,25 +492,28 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     specs = [
         ("simulate-cpc", cmd_simulate_cpc,
-         "Run the repeated-auction price study and write its tables and histograms"),
+         "Run the repeated-auction price study and write its tables and histograms",
+         "override the study's trial count"),
         ("verify-theorems", cmd_verify_theorems,
-         "Check quadrature conditional means against Monte Carlo rank sampling"),
+         "Check quadrature conditional means against Monte Carlo rank sampling",
+         "override the Monte Carlo draw count"),
         ("ab-run", cmd_ab_run,
-         "Run the two-bucket traffic experiment and write calibration metrics"),
+         "Run the two-bucket traffic experiment and write calibration metrics", None),
     ]
-    for name, func, help_text in specs:
+    for name, func, help_text, trials_help in specs:
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--config", type=Path, default=None,
                         help="config file (defaults to the packaged config)")
         sp.add_argument("--out", type=Path, required=True, help="output directory")
         sp.add_argument("--seed", type=int, default=None,
                         help=f"master seed (overrides config; {ENV_SEED} is the fallback)")
-        sp.add_argument("--trials", type=int, default=None,
-                        help="override trial/draw count")
+        if trials_help is not None:
+            sp.add_argument("--trials", type=int, default=None, help=trials_help)
         sp.add_argument("--threads", type=int, default=os.cpu_count() or 1,
                         help="worker threads; never affects output bytes")
-        sp.add_argument("--format", choices=("csv", "json", "both"), default="csv",
-                        help="record log format")
+        if name != "verify-theorems":
+            sp.add_argument("--format", choices=("csv", "json", "both"), default="csv",
+                            help="record log format")
         if name == "simulate-cpc":
             sp.add_argument("--emit-trials", action="store_true",
                             help="also write per-trial logs")
@@ -486,8 +522,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    if args.trials is not None and args.trials < 1:
+    try:
+        args = build_parser().parse_args(argv)
+    except _UsageError as exc:
+        print(exc, file=sys.stderr)
+        return 3
+    if getattr(args, "trials", None) is not None and args.trials < 1:
         print("config error: trials must be >= 1", file=sys.stderr)
         return 3
     if args.threads < 1:

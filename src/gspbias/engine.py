@@ -3,7 +3,9 @@
 ``run_cpc_study`` repeats one auction between ads whose CTR estimates are
 binomial click proportions, recording the realized price each time.
 ``run_ab_experiment`` serves multi-day synthetic traffic to two buckets that
-differ only in their CTR estimator, logging one impression record per access.
+differ only in their CTR estimator, one fixed block of accesses at a time:
+each block goes to a caller's writer as an ``ImpressionLog`` and is then
+counted into small per-day tables, so memory does not grow with traffic.
 ``sample_rank_stats`` draws independent scores for the theorem check and
 reduces them to per-(ad, rank) moments; beta scores invert the CDF rows of
 the case's ``oracle.CaseGrid`` by one Hermite-interpolant Newton step,
@@ -20,6 +22,7 @@ through the ``map`` of the command's ``worker_map``.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
@@ -42,7 +45,7 @@ from .oracle import CaseGrid, special_kernels
 STREAM_CPC = 0
 STREAM_AB = 1
 STREAM_MC = 2
-BLOCK = 1 << 14  # trials or draws per parallel task, whatever the thread count
+BLOCK = 1 << 14  # trials or draws per parallel task, accesses per ab-run block
 
 # binom.ppf maps u = 0 to -1, so u is clamped just above zero.  BinomialInverse
 # gives the smallest k with cdf(k) >= u; boost's binom.ppf gives the same k
@@ -291,12 +294,14 @@ class AbConfig:
 
 @dataclass
 class ImpressionLog:
-    """One bucket's impressions as access codes, in access order.
+    """A run of one bucket's impressions as access codes, in access order.
 
     Access i was served on ``day[i]`` (never decreasing) in context ``ctx[i]``
     to ad index ``winner[i]``, explored when ``random_mode[i]``.  Those codes
     fix every other field of its record, read from the specs and the day
     tables: the (ads, contexts) estimates and each context's greedy price.
+    ``run_ab_experiment`` hands each served block over as one, sharing the
+    bucket's day tables.
     """
 
     bucket: str
@@ -328,9 +333,21 @@ class ImpressionLog:
             self, day=self.day[rows], ctx=self.ctx[rows], winner=self.winner[rows],
             random_mode=self.random_mode[rows], click=self.click[rows])
 
-    def after_day(self, first_day: int) -> "ImpressionLog":
-        """Records from ``first_day`` on (evaluation split after burn-in), as views."""
-        return self.take(slice(int(np.searchsorted(self.day, first_day)), None))
+
+@dataclass
+class BucketTables:
+    """What one bucket's traffic leaves for its metrics, per day, whatever the
+    traffic: the (ads, contexts) estimates served, each context's greedy
+    price, and the impressions and clicks per (mode, ad, context), mode 0
+    greedy and 1 explored."""
+
+    bucket: str
+    ads: tuple[AdSpec, ...] = field(repr=False)
+    contexts: tuple[Context, ...] = field(repr=False)
+    estimates: np.ndarray = field(repr=False)    # (days, ads, contexts)
+    prices: np.ndarray = field(repr=False)       # (days, contexts)
+    impressions: np.ndarray = field(repr=False)  # (days, 2, ads, contexts)
+    clicks: np.ndarray = field(repr=False)       # (days, 2, ads, contexts)
 
 
 def estimate_matrix(estimator: EstimatorName, window: CountWindow) -> np.ndarray:
@@ -347,61 +364,66 @@ def estimate_matrix(estimator: EstimatorName, window: CountWindow) -> np.ndarray
     raise ValueError(f"unknown estimator {estimator!r}")
 
 
-def _serve_day(config: AbConfig, estimator_code: int, day: int,
-               est: np.ndarray, true_ctr: np.ndarray):
-    """Vectorized traffic for one bucket-day: context prices, then access codes.
+def _serve_block(config: AbConfig, tables: BucketTables, key: np.ndarray, day: int,
+                 lo: int, hi: int, best: np.ndarray, true_ctr: np.ndarray) -> ImpressionLog:
+    """Accesses lo .. hi - 1 of one bucket-day, ``best`` holding each context's
+    greedy winner.
 
-    Access a reads block a of the stream keyed (seed, experiment,
-    estimator, day); its four uniforms drive, in order: context draw,
-    explore coin, uniform ad pick, click draw.
+    Access a reads unit a of the day's stream ``key``; its four uniforms
+    drive, in order: context draw, explore coin, uniform ad pick, click draw.
     """
-    m, n_ctx = est.shape
-    bids = np.array([ad.bid for ad in config.ads])
-    order, prices, _degenerate = rank_contexts(bids, est.T)
-    key = rng.stream_key(config.seed, STREAM_AB, estimator_code, day)
-    u = rng.unit_uniforms(key, 0, config.traffic_per_day)
+    m, n_ctx = true_ctr.shape
+    u = rng.unit_uniforms(key, lo, hi - lo)
     ctx = np.minimum((u[:, 0] * n_ctx).astype(np.int64), n_ctx - 1)
     explore = u[:, 1] < config.epsilon
     pick = np.minimum((u[:, 2] * m).astype(np.int64), m - 1)
-    winner = np.where(explore, pick, order[ctx, 0])
+    winner = np.where(explore, pick, best[ctx])
     click = (u[:, 3] < true_ctr[winner, ctx]).astype(np.int8)
-    return prices, ctx, explore, winner, click
+    return ImpressionLog(tables.bucket, tables.ads, tables.contexts, tables.estimates,
+                         tables.prices, day=np.full(hi - lo, day, dtype=np.int64), ctx=ctx,
+                         winner=winner, random_mode=explore, click=click)
 
 
-def run_ab_experiment(config: AbConfig) -> dict[str, ImpressionLog]:
-    """Serve every configured day to every bucket and return the full logs.
+def run_ab_experiment(config: AbConfig,
+                      write: Callable[[str, ImpressionLog], object]) -> dict[str, BucketTables]:
+    """Serve every configured day to every bucket, one BLOCK of accesses at a
+    time, and return each bucket's day tables.
 
     Buckets share the traffic plan (same per-day access count) but draw from
     distinct streams and hold independent count windows.  Each bucket-day:
-    refresh estimates from the window, resolve every context's auction,
-    serve the day's accesses, then fold the day's counts into the window.
+    refresh estimates from the window and resolve every context's auction;
+    then for each block, serve it, call ``write(bucket_name, block)`` with its
+    ``ImpressionLog`` and count it into the day's tables; then fold the day's
+    counts into the window.  No array grows with the traffic.
     """
     true_ctr = config.true_ctr_matrix()
     m, n_ctx = true_ctr.shape
-    days, traffic = config.days, config.traffic_per_day
-    n = days * traffic
-    logs: dict[str, ImpressionLog] = {}
+    days = config.days
+    bids = np.array([ad.bid for ad in config.ads])
+    out: dict[str, BucketTables] = {}
     for bucket in config.buckets:
         window = CountWindow(config.window_days, m, n_ctx)
-        log = ImpressionLog(
+        tables = BucketTables(
             bucket.name, config.ads, config.contexts,
             estimates=np.empty((days, m, n_ctx)), prices=np.empty((days, n_ctx)),
-            day=np.repeat(np.arange(days), traffic), ctx=np.empty(n, np.int64),
-            winner=np.empty(n, np.int64), random_mode=np.empty(n, bool),
-            click=np.empty(n, np.int8))
+            impressions=np.zeros((days, 2, m, n_ctx), np.int64),
+            clicks=np.zeros((days, 2, m, n_ctx), np.int64))
         for day in range(days):
             window.advance_to(day)
-            est = log.estimates[day] = estimate_matrix(bucket.estimator, window)
-            rows = slice(day * traffic, (day + 1) * traffic)
-            (log.prices[day], log.ctx[rows], log.random_mode[rows], log.winner[rows],
-             log.click[rows]) = _serve_day(config, ESTIMATOR_CODES[bucket.estimator],
-                                           day, est, true_ctr)
-            cell = log.winner[rows] * n_ctx + log.ctx[rows]
-            imp = np.bincount(cell, minlength=m * n_ctx).reshape(m, n_ctx)
-            clk = np.bincount(cell[log.click[rows] == 1], minlength=m * n_ctx).reshape(m, n_ctx)
-            window.add(day, clk, imp)
-        logs[bucket.name] = log
-    return logs
+            est = tables.estimates[day] = estimate_matrix(bucket.estimator, window)
+            order, tables.prices[day], _degenerate = rank_contexts(bids, est.T)
+            key = rng.stream_key(config.seed, STREAM_AB, ESTIMATOR_CODES[bucket.estimator], day)
+            for lo, hi in rng.fixed_blocks(0, config.traffic_per_day, BLOCK):
+                block = _serve_block(config, tables, key, day, lo, hi, order[:, 0], true_ctr)
+                write(bucket.name, block)
+                cell = (block.random_mode * m + block.winner) * n_ctx + block.ctx
+                tables.impressions[day] += np.bincount(
+                    cell, minlength=2 * m * n_ctx).reshape(2, m, n_ctx)
+                tables.clicks[day] += np.bincount(
+                    cell[block.click == 1], minlength=2 * m * n_ctx).reshape(2, m, n_ctx)
+            window.add(day, tables.clicks[day].sum(axis=0), tables.impressions[day].sum(axis=0))
+        out[bucket.name] = tables
+    return out
 
 
 # ---------------------------------------------------------------------------

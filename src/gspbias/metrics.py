@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import ImpressionLog, TrialTable
+from .engine import BucketTables, TrialTable
 from .errors import (
     GridMismatch,
     HistogramTooWide,
@@ -151,51 +151,43 @@ class CalibrationReport:
     random_clicks: int
 
 
-def c_relative(log: ImpressionLog) -> CalibrationReport:
-    """Calibration on greedy displays over calibration on random displays."""
-    random = log.random_mode
-    greedy = ~random
-    click, pred, bid = log.click, log.pred_ctr, log.bid
-    g_clicks = int(click[greedy].sum())
-    r_clicks = int(click[random].sum())
+def _bids(tables: BucketTables) -> np.ndarray:
+    return np.array([ad.bid for ad in tables.ads])
+
+
+def c_relative(tables: BucketTables, first_day: int) -> CalibrationReport:
+    """Calibration on greedy displays over calibration on random displays,
+    over the days from ``first_day`` on.
+
+    A display's predicted CTR is its day's estimate for its (ad, context),
+    so each traffic kind's predicted clicks are its impression counts
+    weighted by the estimates; the sums run over the day tables, whose shape
+    does not depend on the traffic.
+    """
+    imp, clk = tables.impressions[first_day:], tables.clicks[first_day:]
+    est = tables.estimates[first_day:, None]   # broadcast over the two modes
+    bid = _bids(tables)[:, None]
+    modes = (0, 2, 3)  # sum all but the mode axis: [greedy, random]
+    count, clicks = imp.sum(axis=modes), clk.sum(axis=modes)
+    g_clicks, r_clicks = int(clicks[0]), int(clicks[1])
     if g_clicks == 0 or r_clicks == 0:
         raise UndefinedCalibration(
             f"need clicks on both traffic kinds, got greedy={g_clicks}, random={r_clicks}")
-    cal_g = float(pred[greedy].sum() / g_clicks)
-    cal_r = float(pred[random].sum() / r_clicks)
-    wg_den = float((bid[greedy] * click[greedy]).sum())
-    wr_den = float((bid[random] * click[random]).sum())
-    if wg_den == 0.0 or wr_den == 0.0:
+    pred = (imp * est).sum(axis=modes)
+    w_den = (clk * bid).sum(axis=modes)
+    if w_den[0] == 0.0 or w_den[1] == 0.0:
         raise UndefinedCalibration("bid-weighted clicked value is zero on one traffic kind")
-    wcal_g = float((bid[greedy] * pred[greedy]).sum() / wg_den)
-    wcal_r = float((bid[random] * pred[random]).sum() / wr_den)
+    w_pred = (imp * (est * bid)).sum(axis=modes)
+    cal_g, cal_r = float(pred[0] / g_clicks), float(pred[1] / r_clicks)
+    wcal_g, wcal_r = float(w_pred[0] / w_den[0]), float(w_pred[1] / w_den[1])
     return CalibrationReport(
         calibration_greedy=cal_g, calibration_random=cal_r,
         c_relative=cal_g / cal_r,
         bid_weighted_greedy=wcal_g, bid_weighted_random=wcal_r,
         bid_weighted_c_relative=wcal_g / wcal_r,
-        greedy_count=int(greedy.sum()), random_count=int(random.sum()),
+        greedy_count=int(count[0]), random_count=int(count[1]),
         greedy_clicks=g_clicks, random_clicks=r_clicks,
     )
-
-
-def c_relative_log_se(log: ImpressionLog) -> float:
-    """Delta-method standard error of log C_relative.
-
-    Treats records as independent and propagates each record's influence on
-    the two calibration ratios; greedy and random groups are disjoint so
-    their contributions add.
-    """
-    pred, click = log.pred_ctr, log.click
-    se_sq = 0.0
-    for mask in (~log.random_mode, log.random_mode):
-        p_sum = float(pred[mask].sum())
-        c_sum = float(click[mask].sum())
-        if p_sum <= 0 or c_sum <= 0:
-            raise UndefinedCalibration("cannot form a standard error without clicks")
-        influence = pred[mask] / p_sum - click[mask] / c_sum
-        se_sq += float((influence ** 2).sum())
-    return float(np.sqrt(se_sq))
 
 
 @dataclass(frozen=True)
@@ -206,14 +198,17 @@ class RelativeMetrics:
     rtc: float
 
 
-def _greedy_value_and_cost(log: ImpressionLog) -> tuple[float, float]:
-    greedy = ~log.random_mode
-    click = log.click[greedy]
-    return float((click * log.bid[greedy]).sum()), float((click * log.cpc[greedy]).sum())
+def _greedy_value_and_cost(tables: BucketTables, first_day: int) -> tuple[float, float]:
+    clicks = tables.clicks[first_day:, 0]   # (days, ads, contexts), greedy displays
+    return (float((clicks * _bids(tables)[:, None]).sum()),
+            float((clicks * tables.prices[first_day:, None]).sum()))
 
 
-def rtv_rtc(log_a: ImpressionLog, log_b: ImpressionLog) -> RelativeMetrics:
-    (value_a, cost_a), (value_b, cost_b) = map(_greedy_value_and_cost, (log_a, log_b))
+def rtv_rtc(tables_a: BucketTables, tables_b: BucketTables, first_day: int) -> RelativeMetrics:
+    """Clicked value and clicked cost of bucket B over bucket A's, over the
+    days from ``first_day`` on."""
+    (value_a, cost_a), (value_b, cost_b) = (_greedy_value_and_cost(t, first_day)
+                                            for t in (tables_a, tables_b))
     if value_a == 0.0:
         raise UndefinedRatio("bucket A has zero clicked bid value")
     if cost_a == 0.0:
@@ -290,19 +285,6 @@ def split_histogram_densities(edges_f, counts_f, edges_g, counts_g) -> SplitVerd
     var_g = dens_g / (n_g * widths)
     tolerance = 3.0 * float(np.sqrt(np.mean(var_f + var_g)))
     return check_splittable(dens_f, dens_g, tolerance)
-
-
-def histogram_overlap(h1: Histogram, h2: Histogram) -> float:
-    """Shared mass: sum over bins of min(fraction_1, fraction_2)."""
-    _edges, c1, c2 = align_histograms(h1, h2)
-    return float(np.minimum(c1 / c1.sum(), c2 / c2.sum()).sum())
-
-
-def mass_split(samples, threshold: float) -> tuple[float, float]:
-    """Fractions of samples strictly below / at-or-above ``threshold``."""
-    samples = np.asarray(samples, dtype=float)
-    below = float((samples < threshold).mean())
-    return below, 1.0 - below
 
 
 @dataclass(frozen=True)

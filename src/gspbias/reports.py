@@ -9,15 +9,16 @@ formatted once (``_text``; a 20,000-trial packaged setting has about 115
 distinct estimates per ad), and ``_write_rows`` joins ``CHUNK_ROWS`` rows of
 that text with the format's fixed separators per write.
 
-The impression writers format each distinct record of a log once.  An
-access's (day, context, ad, mode, click) codes fix every field of its
-record, so a 504,000-row A/B bucket holds about 16,000 distinct records.
-The writers pack the codes into one integer per access, find the distinct
-ones by marking the codes present (``_distinct_records``), format one line
-per distinct record, then write ``CHUNK_ROWS`` rows at a time by indexing
-that table with each access's record id.  Beyond the log, memory is the
-table, a few integer arrays of log length and one chunk of text, whatever
-the log length.
+The impression writers append one block of a bucket's accesses at a time
+to a file opened once per bucket (``open_impressions``), and format each
+distinct record of the block once.  An access's (day, context, ad, mode,
+click) codes fix every field of its record, so a 16,384-access block of
+the packaged A/B run holds a few hundred distinct records.  The writers
+pack the codes into one integer per access, find the distinct ones by
+marking the codes present (``_distinct_records``), format one line per
+distinct record, then write ``CHUNK_ROWS`` rows at a time by indexing that
+table with each access's record id.  Memory is a few integer arrays of
+block length, the table and one chunk of text, whatever the run's length.
 """
 
 from __future__ import annotations
@@ -132,13 +133,14 @@ IMPRESSION_HEADER = ["day", "bucket", "site", "pos", "ad_id", "mode",
 def _distinct_records(log: ImpressionLog) -> tuple[ImpressionLog, np.ndarray]:
     """The log's distinct records in code order, and the record id of each access.
 
-    Codes lie below 4 x the day tables' days x ads x contexts entries, so
-    the codes present are marked over that range and numbered by a running
-    count, in one pass with no sort.
+    Codes count days from the log's first, so they lie below 4 x its days x
+    ads x contexts; the codes present are marked over that range and
+    numbered by a running count, in one pass with no sort.
     """
     n_ctx, m = len(log.contexts), len(log.ads)
+    day = log.day - log.day[0] if len(log) else log.day  # days never decrease
     # the day tables hold days x ads x contexts entries, so the code cannot overflow
-    code = (((log.day * n_ctx + log.ctx) * m + log.winner) * 2 + log.random_mode) * 2 + log.click
+    code = (((day * n_ctx + log.ctx) * m + log.winner) * 2 + log.random_mode) * 2 + log.click
     number = np.cumsum(np.bincount(code) > 0)
     ids = number[code] - 1
     # accesses that share an id share every field, so any one of them stands for the record
@@ -147,28 +149,35 @@ def _distinct_records(log: ImpressionLog) -> tuple[ImpressionLog, np.ndarray]:
     return log.take(rep), ids
 
 
-def _write_impressions(path: Path, header: str, log: ImpressionLog, line) -> None:
-    """Write ``header``, then one line per access; ``line`` formats a distinct record."""
+def open_impressions(path: Path, fmt: str):
+    """One bucket's impression file, open for the writers to append blocks to:
+    UTF-8 with LF line endings, and for ``fmt`` "csv" its header row written."""
+    fh = open(path, "w", encoding="utf-8", newline="\n")
+    if fmt == "csv":
+        fh.write(",".join(IMPRESSION_HEADER) + "\n")
+    return fh
+
+
+def _write_impressions(fh, log: ImpressionLog, line) -> None:
+    """Append one line per access to ``fh``; ``line`` formats a distinct record."""
     records, ids = _distinct_records(log)
     columns = (records.day, records.site, records.pos, records.ad_id, records.random_mode,
                records.pred_ctr, records.bid, records.cpc, records.click)
     table = np.array([line(*row) for row in zip(*(col.tolist() for col in columns))],
                      dtype=object)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header)
-        for start in range(0, len(ids), CHUNK_ROWS):
-            fh.write("".join(table[ids[start:start + CHUNK_ROWS]].tolist()))
+    for start in range(0, len(ids), CHUNK_ROWS):
+        fh.write("".join(table[ids[start:start + CHUNK_ROWS]].tolist()))
 
 
-def write_impressions_csv(path: Path, log: ImpressionLog) -> None:
+def write_impressions_csv(fh, log: ImpressionLog) -> None:
     def line(day, site, pos, ad_id, random_mode, pred, bid, cpc, click):
         return (f"{day},{log.bucket},{site},{pos},{ad_id},"
                 f"{'random' if random_mode else 'greedy'},{pred!r},{bid!r},{cpc!r},{click}\n")
 
-    _write_impressions(path, ",".join(IMPRESSION_HEADER) + "\n", log, line)
+    _write_impressions(fh, log, line)
 
 
-def write_impressions_jsonl(path: Path, log: ImpressionLog) -> None:
+def write_impressions_jsonl(fh, log: ImpressionLog) -> None:
     def line(day, site, pos, ad_id, random_mode, pred, bid, cpc, click):
         return json.dumps({
             "day": day, "bucket": log.bucket, "site": site, "pos": pos, "ad_id": ad_id,
@@ -176,7 +185,7 @@ def write_impressions_jsonl(path: Path, log: ImpressionLog) -> None:
             "pred_ctr": pred, "bid": bid, "cpc": cpc, "click": click,
         }, sort_keys=True) + "\n"
 
-    _write_impressions(path, "", log, line)
+    _write_impressions(fh, log, line)
 
 
 def _scipy_version() -> str | None:

@@ -4,10 +4,14 @@ The package's commands never need these, so they live here and may import
 ``scipy.stats``, which no module of the package loads.
 """
 
+from dataclasses import replace
+
 import numpy as np
 from scipy import stats
 
-from gspbias.engine import AdSpec, Context, ImpressionLog
+from gspbias.engine import AdSpec, BucketTables, Context, ImpressionLog, run_ab_experiment
+from gspbias.errors import UndefinedCalibration, UndefinedRatio
+from gspbias.metrics import CalibrationReport, RelativeMetrics, align_histograms
 from gspbias.oracle import rank_table
 
 
@@ -39,6 +43,115 @@ def log_from_rows(pred, bid, cpc, random_mode, click, bucket="T") -> ImpressionL
         day=np.arange(n, dtype=np.int64), ctx=np.zeros(n, dtype=np.int64),
         winner=winner.astype(np.int64), random_mode=random_mode,
         click=np.asarray(click, dtype=np.int64))
+
+
+def join_blocks(blocks) -> ImpressionLog:
+    """One log of the given blocks' accesses, in order; they share day tables."""
+    columns = ("day", "ctx", "winner", "random_mode", "click")
+    return replace(blocks[0], **{name: np.concatenate([getattr(b, name) for b in blocks])
+                                 for name in columns})
+
+
+def run_logged(config):
+    """``run_ab_experiment`` keeping every block it serves: each bucket's day
+    tables, and each bucket's blocks joined into one whole-run log."""
+    blocks = {bucket.name: [] for bucket in config.buckets}
+    tables = run_ab_experiment(config, lambda bucket, block: blocks[bucket].append(block))
+    return tables, {name: join_blocks(parts) for name, parts in blocks.items()}
+
+
+def after_day(log, first_day):
+    """The log's records from ``first_day`` on (the evaluation split after burn-in)."""
+    return log.take(log.day >= first_day)
+
+
+def tables_from_log(log) -> BucketTables:
+    """The day tables a log's accesses count into: impressions and clicks per
+    (day, mode, ad, context), mode 0 greedy and 1 explored."""
+    shape = (len(log.estimates), 2, len(log.ads), len(log.contexts))
+    impressions = np.zeros(shape, dtype=np.int64)
+    clicks = np.zeros(shape, dtype=np.int64)
+    cell = (log.day, log.random_mode.astype(np.intp), log.winner, log.ctx)
+    np.add.at(impressions, cell, 1)
+    np.add.at(clicks, cell, log.click)
+    return BucketTables(log.bucket, log.ads, log.contexts, log.estimates, log.prices,
+                        impressions=impressions, clicks=clicks)
+
+
+def c_relative_per_access(log) -> CalibrationReport:
+    """``metrics.c_relative`` summed over the log's accesses, one term each."""
+    random = log.random_mode
+    greedy = ~random
+    click, pred, bid = log.click, log.pred_ctr, log.bid
+    g_clicks = int(click[greedy].sum())
+    r_clicks = int(click[random].sum())
+    if g_clicks == 0 or r_clicks == 0:
+        raise UndefinedCalibration(
+            f"need clicks on both traffic kinds, got greedy={g_clicks}, random={r_clicks}")
+    cal_g = float(pred[greedy].sum() / g_clicks)
+    cal_r = float(pred[random].sum() / r_clicks)
+    wg_den = float((bid[greedy] * click[greedy]).sum())
+    wr_den = float((bid[random] * click[random]).sum())
+    if wg_den == 0.0 or wr_den == 0.0:
+        raise UndefinedCalibration("bid-weighted clicked value is zero on one traffic kind")
+    wcal_g = float((bid[greedy] * pred[greedy]).sum() / wg_den)
+    wcal_r = float((bid[random] * pred[random]).sum() / wr_den)
+    return CalibrationReport(
+        calibration_greedy=cal_g, calibration_random=cal_r,
+        c_relative=cal_g / cal_r,
+        bid_weighted_greedy=wcal_g, bid_weighted_random=wcal_r,
+        bid_weighted_c_relative=wcal_g / wcal_r,
+        greedy_count=int(greedy.sum()), random_count=int(random.sum()),
+        greedy_clicks=g_clicks, random_clicks=r_clicks,
+    )
+
+
+def c_relative_log_se(log) -> float:
+    """Delta-method standard error of log C_relative.
+
+    Treats records as independent and propagates each record's influence on
+    the two calibration ratios; greedy and random groups are disjoint so
+    their contributions add.
+    """
+    pred, click = log.pred_ctr, log.click
+    se_sq = 0.0
+    for mask in (~log.random_mode, log.random_mode):
+        p_sum = float(pred[mask].sum())
+        c_sum = float(click[mask].sum())
+        if p_sum <= 0 or c_sum <= 0:
+            raise UndefinedCalibration("cannot form a standard error without clicks")
+        influence = pred[mask] / p_sum - click[mask] / c_sum
+        se_sq += float((influence ** 2).sum())
+    return float(np.sqrt(se_sq))
+
+
+def _greedy_value_and_cost(log) -> tuple[float, float]:
+    greedy = ~log.random_mode
+    click = log.click[greedy]
+    return float((click * log.bid[greedy]).sum()), float((click * log.cpc[greedy]).sum())
+
+
+def rtv_rtc_per_access(log_a, log_b) -> RelativeMetrics:
+    """``metrics.rtv_rtc`` summed over the logs' accesses, one term each."""
+    (value_a, cost_a), (value_b, cost_b) = map(_greedy_value_and_cost, (log_a, log_b))
+    if value_a == 0.0:
+        raise UndefinedRatio("bucket A has zero clicked bid value")
+    if cost_a == 0.0:
+        raise UndefinedRatio("bucket A has zero clicked cost")
+    return RelativeMetrics(rtv=value_b / value_a, rtc=cost_b / cost_a)
+
+
+def histogram_overlap(h1, h2) -> float:
+    """Shared mass: sum over bins of min(fraction_1, fraction_2)."""
+    _edges, c1, c2 = align_histograms(h1, h2)
+    return float(np.minimum(c1 / c1.sum(), c2 / c2.sum()).sum())
+
+
+def mass_split(samples, threshold: float) -> tuple[float, float]:
+    """Fractions of samples strictly below / at-or-above ``threshold``."""
+    samples = np.asarray(samples, dtype=float)
+    below = float((samples < threshold).mean())
+    return below, 1.0 - below
 
 
 def rank_probs(dists, candidate, s):

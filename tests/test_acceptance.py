@@ -21,17 +21,16 @@ from gspbias.engine import (
     run_cpc_study,
     sample_rank_stats,
 )
-from gspbias.metrics import (
-    build_histogram,
-    c_relative,
-    c_relative_log_se,
-    cpc_summary,
-    histogram_overlap,
-    mass_split,
-    selection_bias,
-)
+from gspbias.metrics import build_histogram, c_relative, cpc_summary, selection_bias
 from gspbias.oracle import CaseGrid, ScoreDistribution, conditional_mean_profile, rank_table
-from reference import log_from_rows, symmetry_z
+from reference import (
+    c_relative_log_se,
+    histogram_overlap,
+    log_from_rows,
+    mass_split,
+    symmetry_z,
+    tables_from_log,
+)
 
 TABLE2_MEANS = {"a": 0.934, "b": 0.894, "c": 0.803, "d": 0.966, "e": 0.900, "f": 0.800}
 TABLE2_RATIOS = {"a": 0.934, "b": 0.993, "c": 1.00, "d": 0.966, "e": 1.00, "f": 1.00}
@@ -69,8 +68,8 @@ def ab_run():
     import dataclasses
     loaded = packaged("ab.cfg")
     cfg = dataclasses.replace(loaded.payload, seed=loaded.seed)
-    logs = run_ab_experiment(cfg)
-    return cfg, logs
+    tables = run_ab_experiment(cfg, lambda bucket, block: None)
+    return cfg, tables
 
 
 def test_criterion_1_table2_means(table2_run):
@@ -187,19 +186,19 @@ def test_criterion_7_calibration_properties(ab_run):
         random_mode=rng.random(n) < 0.5,
         click=rng.binomial(1, preds).astype(np.int64),
     )
-    null_rep = c_relative(null_log)
+    null_rep = c_relative(tables_from_log(null_log), 0)
     null_se = c_relative_log_se(null_log)
     null_ok = abs(np.log(null_rep.c_relative)) <= 3 * null_se
     # desk experiment: estimator with per-key noise inflates greedy calibration
-    cfg, logs = ab_run
-    total_accesses = sum(len(log) for log in logs.values())
-    by_est = {b.estimator: c_relative(logs[b.name].after_day(cfg.burn_in_days))
+    cfg, tables = ab_run
+    total_accesses = sum(int(t.impressions.sum()) for t in tables.values())
+    by_est = {b.estimator: c_relative(tables[b.name], cfg.burn_in_days)
               for b in cfg.buckets}
     chain_ok = by_est["naive"].c_relative > by_est["pooled"].c_relative > 1.0
     # directional desk outcome: the pooled bucket collects more clicked value
     from gspbias.metrics import rtv_rtc
-    rel = rtv_rtc(logs[cfg.buckets[0].name].after_day(cfg.burn_in_days),
-                  logs[cfg.buckets[1].name].after_day(cfg.burn_in_days))
+    rel = rtv_rtc(tables[cfg.buckets[0].name], tables[cfg.buckets[1].name],
+                  cfg.burn_in_days)
     report("7 calibration-properties",
            null_ok and chain_ok and rel.rtv > 1.0 and total_accesses >= 1_000_000,
            f"null C_rel={null_rep.c_relative:.4f} (|log|<=3SE={null_ok}); "
@@ -260,17 +259,18 @@ base_ctr = 0.06
 
 
 def test_criterion_8_thread_determinism(tmp_path):
-    combos = [("simulate-cpc", SMALL_CPC), ("verify-theorems", SMALL_THEOREMS),
-              ("ab-run", SMALL_AB)]
+    both = ("--format", "both")  # verify-theorems writes one report, with no --format
+    combos = [("simulate-cpc", SMALL_CPC, both), ("verify-theorems", SMALL_THEOREMS, ()),
+              ("ab-run", SMALL_AB, both)]
     identical = []
-    for command, text in combos:
+    for command, text, extra in combos:
         cfg = tmp_path / f"{command}.cfg"
         cfg.write_text(text, encoding="utf-8")
         outs = []
         for tag, threads in (("t1", "1"), ("tN", "3")):
             out = tmp_path / f"{command}-{tag}"
             rc = main([command, "--config", str(cfg), "--out", str(out),
-                       "--threads", threads, "--format", "both"])
+                       "--threads", threads, *extra])
             assert rc == 0
             outs.append(out)
         names = sorted(p.name for p in outs[0].iterdir() if p.name != "manifest.json")

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import platform
+import shutil
 import subprocess
 import sys
 from importlib import metadata
@@ -14,7 +15,7 @@ import pytest
 import gspbias
 from gspbias.cli import _quadrature_checks, _quadrature_key, main
 from gspbias.config import TheoremCase, load_config, parse_distribution
-from gspbias.engine import sample_rank_stats
+from gspbias.engine import BLOCK, sample_rank_stats
 from gspbias.errors import ConfigError
 from gspbias.oracle import CaseGrid
 from reference import read_histogram_csv
@@ -300,6 +301,29 @@ class TestConfigLoading:
             assert loaded.seed is not None
 
 
+class TestUsageErrors:
+    """A command line argparse rejects exits 3, the config-error code, with the
+    usage and the reason on stderr and no traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ("ab-run", "--trials", "200"),
+        ("verify-theorems", "--format", "json"),
+        ("simulate-cpc", "--format", "xml"),
+        ("ab-run", "--seed", "one"),
+        ("no-such-command",),
+        ("simulate-cpc", None),
+    ], ids=["ab-run-trials", "verify-theorems-format", "bad-choice", "bad-int",
+            "unknown-command", "missing-out"])
+    def test_exits_three(self, tmp_path, argv):
+        argv = [a for a in argv if a is not None] + (["--out", tmp_path / "out"]
+                                                     if None not in argv else [])
+        proc = run_cli_process(*argv)
+        assert proc.returncode == 3
+        assert "usage: gspbias" in proc.stderr and "config error: " in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "out").exists()
+
+
 class TestSeedResolution:
     def test_cli_seed_overrides_config(self, tmp_path):
         cfg = write_cfg(tmp_path, SMALL_CPC)
@@ -580,6 +604,58 @@ class TestAbRun:
         assert ((out / "impressions_A.csv").read_text().replace(",A,", ",B,")
                 == (out / "impressions_B.csv").read_text())
 
+    def test_thread_counts_write_the_same_bytes(self, tmp_path):
+        """Days of two blocks each: every output matches at --threads 1 and 3."""
+        cfg = write_cfg(tmp_path, SMALL_AB.replace("traffic_per_day = 1500",
+                                                   f"traffic_per_day = {BLOCK + 1}"))
+        digests = []
+        for threads in (1, 3):
+            out = tmp_path / f"t{threads}"
+            assert run_cli("ab-run", "--config", cfg, "--out", out, "--format", "both",
+                           "--threads", threads) == 0
+            digests.append(output_digests(out))
+        assert digests[0] == digests[1] and len(digests[0]) == 7
+
+
+# Runs argv in a child and prints its exit code and ru_maxrss.  Linux counts
+# in a child's peak RSS the memory of the process it was started from, so
+# this bare interpreter, not the test process, starts the CLI.
+RSS_PROBE = """
+import os, subprocess, sys
+proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+_pid, status, usage = os.wait4(proc.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def peak_rss(argv) -> int:
+    """The peak RSS of the CLI run on argv in a child interpreter, in the
+    units of ru_maxrss."""
+    src = str(Path(gspbias.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", RSS_PROBE, sys.executable, "-m", "gspbias.cli",
+                           *map(str, argv)], env=env, capture_output=True, text=True,
+                          timeout=120, check=True)
+    code, rss = map(int, proc.stdout.split())
+    assert code == 0
+    return rss
+
+
+@pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4 for a child's peak RSS")
+def test_ab_run_memory_does_not_grow_with_traffic(tmp_path):
+    """Ten times the accesses, the same peak RSS within 10%: ab-run holds one
+    block of accesses at a time, whatever traffic_per_day is."""
+    rss = []
+    for traffic in (20_000, 200_000):
+        text = SMALL_AB.replace("days = 4", "days = 2").replace(
+            "traffic_per_day = 1500", f"traffic_per_day = {traffic}")
+        out = tmp_path / "out"
+        rss.append(peak_rss(["ab-run", "--config", write_cfg(tmp_path, text), "--out", out,
+                             "--threads", "1"]))
+        shutil.rmtree(out)
+    assert rss[1] <= 1.1 * rss[0], rss
+
 
 
 def output_digests(out):
@@ -600,9 +676,9 @@ class TestAbOutputBytes:
                        "--format", "both") == 0
         assert output_digests(out) == {
             "calibration_report.json":
-                "88e142d5d910c253297ba9ed4c3f921f98c658b33a5e76d4d589bb6f93c7220e",
+                "de8e1446c4b27ea5e6020f33a4d2a728a8da486df8287291f7d68e17a38660cf",
             "calibration_table.csv":
-                "7c81c0df46bfc69ffb41a33b9bcb60d3c82b791ad5a4eb8da05550820d38dc7c",
+                "2165d3fb80ffb047a4f55970207f32119e2e2a24a18d50f32c9f662409c7bc31",
             "impressions_A.csv":
                 "c7d0bf0d5935798c5a2301a2a3adf1af4562b5b905d531656f23a7f5f5c2553e",
             "impressions_A.jsonl":
@@ -620,15 +696,15 @@ class TestAbOutputBytes:
         assert run_cli("ab-run", "--out", out, "--seed", "1", "--format", "csv") == 0
         assert output_digests(out) == {
             "calibration_report.json":
-                "4ba2207bdbb93eaa2369e4c294b2172f55b6e9b0e032f904fae42c3456a7ad4a",
+                "d53f6d5d0c3c58164e08aa0b403bb8ee5fd1e2268b23e0c89ff2026d16a09d88",
             "calibration_table.csv":
-                "22f558801c91a186cc8db18918d96f9b9815c7d132a4ad7fcf2c6bf57575b1f7",
+                "e26e9a477328fa6655843733b8318f06371d7c3bb833789f73f012f9e3ad5c4a",
             "impressions_A.csv":
                 "6ddd684a9a810b771207b97f5a87ff7c5f41f1fe1215c4f0c30006c438316aa7",
             "impressions_B.csv":
                 "f14ff1da8113bec7e90debf3d1b03f2b892bc28ad6befed32fe6733ac8319fa9",
             "rtv_rtc.json":
-                "ff665a39ab49e0f298f1026270cdc0e29a973d5fb9fccd45665e80d03d8369e8",
+                "a1e552560da71d81daeecf5d2cc9c14b1cebee4e9aa504e1dda0f6adaf376549",
         }
 
 
@@ -685,16 +761,16 @@ class TestManifestReproducibility:
         assert set(manifest["outputs"]) == on_disk
         assert manifest["config"]["experiment"]["days"] == 4
 
-    @pytest.mark.parametrize("command, cfg", [
-        ("simulate-cpc", SMALL_CPC),
-        ("verify-theorems", SMALL_THEOREMS),
-        ("verify-theorems", UNIFORM_THEOREMS),
-        ("ab-run", SMALL_AB),
+    @pytest.mark.parametrize("command, cfg, extra", [
+        ("simulate-cpc", SMALL_CPC, ("--trials", "200")),
+        ("verify-theorems", SMALL_THEOREMS, ("--trials", "200")),
+        ("verify-theorems", UNIFORM_THEOREMS, ("--trials", "200")),
+        ("ab-run", SMALL_AB, ()),
     ], ids=["simulate-cpc", "verify-theorems", "verify-theorems-uniform", "ab-run"])
-    def test_manifest_records_run_environment(self, tmp_path, command, cfg):
+    def test_manifest_records_run_environment(self, tmp_path, command, cfg, extra):
         out = tmp_path / "env"
         assert run_cli(command, "--config", write_cfg(tmp_path, cfg), "--out", out,
-                       "--trials", "200", "--threads", "3") == 0
+                       *extra, "--threads", "3") == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["threads"] == 3
         assert manifest["environment"] == {"python": platform.python_version(),
@@ -733,6 +809,17 @@ class TestManifestReproducibility:
         assert [(s["name"], s["trials"]) for s in manifest["settings"]] == [("a", 300),
                                                                             ("c", 300)]
         assert all(s["seconds"] >= 0.0 for s in manifest["settings"])
+
+    def test_ab_manifest_times_each_bucket(self, tmp_path):
+        """ab-run records each bucket's name, records served and seconds, in
+        config order."""
+        out = tmp_path / "ab"
+        assert run_cli("ab-run", "--config", write_cfg(tmp_path, SMALL_AB), "--out", out,
+                       "--format", "both") == 0
+        buckets = json.loads((out / "manifest.json").read_text())["buckets"]
+        assert [(b["name"], b["records"]) for b in buckets] == [("A", 4 * 1500),
+                                                                ("B", 4 * 1500)]
+        assert all(b["seconds"] >= 0.0 for b in buckets)
 
     def test_rerun_with_manifest_seed_reproduces(self, tmp_path):
         cfg = write_cfg(tmp_path, SMALL_AB)

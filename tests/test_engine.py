@@ -34,6 +34,7 @@ from gspbias import rng
 from gspbias.errors import DegeneratePrice, RepeatedContext
 from gspbias.estimators import CountWindow
 from gspbias.oracle import CaseGrid, ScoreDistribution
+from reference import run_logged
 
 
 def study(trials=2000, seed=99, ctrs=(0.05, 0.04), n=(5000, 5000), bids=(1.0, 1.0),
@@ -293,14 +294,14 @@ class TestAbConfigValidation:
 class TestAbExperiment:
     def test_record_conservation(self):
         cfg = ab_config()
-        logs = run_ab_experiment(cfg)
+        _tables, logs = run_logged(cfg)
         for log in logs.values():
             assert len(log) == cfg.days * cfg.traffic_per_day
             counts = np.bincount(log.day, minlength=cfg.days)
             assert (counts == cfg.traffic_per_day).all()
 
     def test_click_and_price_consistency(self):
-        logs = run_ab_experiment(ab_config())
+        _tables, logs = run_logged(ab_config())
         for log in logs.values():
             assert set(np.unique(log.click)) <= {0, 1}
             # exploration traffic is never charged
@@ -309,7 +310,7 @@ class TestAbExperiment:
 
     def test_epsilon_one_uniform_displays(self):
         cfg = ab_config(epsilon=1.0, days=1, traffic_per_day=10000, burn_in_days=0)
-        logs = run_ab_experiment(cfg)
+        _tables, logs = run_logged(cfg)
         for log in logs.values():
             assert log.random_mode.all()
             m = len(cfg.ads)
@@ -319,38 +320,46 @@ class TestAbExperiment:
 
     def test_identical_estimators_identical_logs(self):
         cfg = ab_config(buckets=(BucketSpec("A", "pooled"), BucketSpec("B", "pooled")))
-        logs = run_ab_experiment(cfg)
+        _tables, logs = run_logged(cfg)
         for field in ("day", "site", "pos", "ad_id", "random_mode",
                       "pred_ctr", "bid", "cpc", "click"):
             np.testing.assert_array_equal(getattr(logs["A"], field),
                                           getattr(logs["B"], field))
 
-    def test_after_day_splits_burn_in(self):
+    def test_day_tables_split_burn_in(self):
+        """Each day's tables count that day's accesses, so the slab from the
+        first evaluation day on holds exactly the evaluation traffic."""
         cfg = ab_config()
-        log = run_ab_experiment(cfg)["A"]
-        tail = log.after_day(cfg.burn_in_days)
-        assert len(tail) == (cfg.days - cfg.burn_in_days) * cfg.traffic_per_day
-        assert tail.day.min() == cfg.burn_in_days
+        tables = run_ab_experiment(cfg, lambda bucket, block: None)
+        for t in tables.values():
+            per_day = t.impressions.sum(axis=(1, 2, 3))
+            np.testing.assert_array_equal(per_day, cfg.traffic_per_day)
+            for first_day in range(cfg.days + 2):
+                evaluated = max(cfg.days - first_day, 0) * cfg.traffic_per_day
+                assert t.impressions[first_day:].sum() == evaluated
+            assert (t.clicks <= t.impressions).all()
 
-    def test_after_day_is_a_view(self):
-        """Each split is the mask split of every column, and copies no array."""
-        cfg = ab_config()
-        log = run_ab_experiment(cfg)["A"]
-        for first_day in range(cfg.days + 2):
-            tail = log.after_day(first_day)
-            keep = log.day >= first_day
-            for name in ("day", "ctx", "winner", "random_mode", "click"):
-                assert getattr(tail, name).base is getattr(log, name)
-            for name in ("day", "site", "pos", "ad_id", "random_mode",
-                         "pred_ctr", "bid", "cpc", "click"):
-                np.testing.assert_array_equal(getattr(tail, name), getattr(log, name)[keep])
-            assert tail.estimates is log.estimates and tail.prices is log.prices
+    def test_blocks_share_the_day_tables(self):
+        """Each day is served in the fixed BLOCK cuts, in order; every block
+        reads the bucket's own day tables, copying none."""
+        cfg = ab_config(days=2, traffic_per_day=2 * BLOCK + 5, burn_in_days=0)
+        blocks = []
+        tables = run_ab_experiment(cfg, lambda bucket, block: blocks.append((bucket, block)))
+        cuts = [hi - lo for lo, hi in rng.fixed_blocks(0, cfg.traffic_per_day, BLOCK)]
+        assert cuts == [BLOCK, BLOCK, 5]
+        assert [(bucket, int(block.day[0]), len(block)) for bucket, block in blocks] == [
+            (bucket.name, day, n) for bucket in cfg.buckets
+            for day in range(cfg.days) for n in cuts]
+        for bucket, block in blocks:
+            assert (block.day == block.day[0]).all() and block.bucket == bucket
+            assert block.estimates is tables[bucket].estimates
+            assert block.prices is tables[bucket].prices
 
     def test_matches_scalar_replay(self):
         """Replaying the per-access uniforms through the scalar auction ops
         reproduces the vectorized day exactly."""
         cfg = ab_config(days=2, traffic_per_day=300, burn_in_days=0)
-        logs = run_ab_experiment(cfg)
+        _tables, logs = run_logged(cfg)
         true_ctr = cfg.true_ctr_matrix()
         for bucket_pos, bucket in enumerate(cfg.buckets):
             log = logs[bucket.name]

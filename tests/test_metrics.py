@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from gspbias.engine import (
+    BLOCK,
     AbConfig,
     AdSpec,
     BucketSpec,
@@ -18,14 +19,22 @@ from gspbias.metrics import (
     MAX_HISTOGRAM_BINS,
     build_histogram,
     c_relative,
-    c_relative_log_se,
     cpc_summary,
-    histogram_overlap,
-    mass_split,
     rtv_rtc,
     selection_bias,
 )
-from reference import log_from_rows, symmetry_z
+from reference import (
+    after_day,
+    c_relative_log_se,
+    c_relative_per_access,
+    histogram_overlap,
+    log_from_rows,
+    mass_split,
+    run_logged,
+    rtv_rtc_per_access,
+    symmetry_z,
+    tables_from_log,
+)
 
 
 def run_setting(ctrs, n, trials=20000, seed=314, idx=0):
@@ -67,6 +76,11 @@ def make_log(preds, clicks, random_mode, bids=None, cpcs=None, bucket="T"):
     n = len(preds)
     return log_from_rows(preds, np.ones(n) if bids is None else bids,
                          np.zeros(n) if cpcs is None else cpcs, random_mode, clicks, bucket)
+
+
+def make_tables(*args, **kwargs):
+    """The day tables of ``make_log``'s log."""
+    return tables_from_log(make_log(*args, **kwargs))
 
 
 def test_log_from_rows_reads_back_each_row():
@@ -144,10 +158,10 @@ class TestCpcSummary:
 
 class TestCalibration:
     def test_direct_arithmetic(self):
-        log = make_log(preds=[0.1, 0.2, 0.3, 0.1, 0.1],
-                       clicks=[0, 1, 0, 1, 0],
-                       random_mode=[False, False, False, True, True])
-        rep = c_relative(log)
+        tables = make_tables(preds=[0.1, 0.2, 0.3, 0.1, 0.1],
+                             clicks=[0, 1, 0, 1, 0],
+                             random_mode=[False, False, False, True, True])
+        rep = c_relative(tables, 0)
         assert rep.calibration_greedy == pytest.approx(0.6)
         assert rep.calibration_random == pytest.approx(0.2)
         assert rep.c_relative == pytest.approx(3.0)
@@ -158,13 +172,13 @@ class TestCalibration:
         preds = rng.uniform(0.01, 0.2, n)
         clicks = rng.binomial(1, preds)
         modes = rng.random(n) < 0.5
-        rep = c_relative(make_log(preds, clicks, modes))
+        rep = c_relative(make_tables(preds, clicks, modes), 0)
         assert rep.bid_weighted_c_relative == pytest.approx(rep.c_relative, rel=1e-12)
 
     def test_zero_random_clicks_undefined(self):
-        log = make_log(preds=[0.1, 0.1], clicks=[1, 0], random_mode=[False, True])
+        tables = make_tables(preds=[0.1, 0.1], clicks=[1, 0], random_mode=[False, True])
         with pytest.raises(UndefinedCalibration):
-            c_relative(log)
+            c_relative(tables, 0)
 
     def test_calibrated_predictor_near_one(self):
         """When predictions equal the click probabilities and selection carries
@@ -175,7 +189,7 @@ class TestCalibration:
         clicks = rng.binomial(1, preds)
         modes = rng.random(n) < 0.5
         log = make_log(preds, clicks, modes)
-        rep = c_relative(log)
+        rep = c_relative(tables_from_log(log), 0)
         se = c_relative_log_se(log)
         assert abs(np.log(rep.c_relative)) < 3 * se
         assert se < 0.05
@@ -183,18 +197,18 @@ class TestCalibration:
 
 class TestRtvRtc:
     def test_direct_arithmetic(self):
-        a = make_log(preds=[0.1] * 3, clicks=[1, 1, 0], random_mode=[False] * 3,
-                     bids=[4.0, 6.0, 9.0], cpcs=[2.0, 3.0, 9.0])
-        b = make_log(preds=[0.1] * 3, clicks=[1, 1, 0], random_mode=[False] * 3,
-                     bids=[5.0, 5.4, 9.0], cpcs=[2.5, 3.0, 9.0])
-        rel = rtv_rtc(a, b)
+        a = make_tables(preds=[0.1] * 3, clicks=[1, 1, 0], random_mode=[False] * 3,
+                        bids=[4.0, 6.0, 9.0], cpcs=[2.0, 3.0, 9.0])
+        b = make_tables(preds=[0.1] * 3, clicks=[1, 1, 0], random_mode=[False] * 3,
+                        bids=[5.0, 5.4, 9.0], cpcs=[2.5, 3.0, 9.0])
+        rel = rtv_rtc(a, b, 0)
         assert rel.rtv == pytest.approx(10.4 / 10.0)
         assert rel.rtc == pytest.approx(5.5 / 5.0)
 
     def test_random_mode_records_excluded(self):
-        a = make_log(preds=[0.1, 0.1], clicks=[1, 1], random_mode=[False, True],
-                     bids=[2.0, 50.0], cpcs=[1.0, 0.0])
-        rel = rtv_rtc(a, a)
+        a = make_tables(preds=[0.1, 0.1], clicks=[1, 1], random_mode=[False, True],
+                        bids=[2.0, 50.0], cpcs=[1.0, 0.0])
+        rel = rtv_rtc(a, a, 0)
         assert rel.rtv == 1.0 and rel.rtc == 1.0
 
     def test_identical_buckets_exactly_one(self):
@@ -204,14 +218,97 @@ class TestRtvRtc:
             buckets=(BucketSpec("A", "naive"), BucketSpec("B", "naive")),
             days=4, traffic_per_day=3000, epsilon=0.2, window_days=2,
             burn_in_days=2, seed=9)
-        logs = run_ab_experiment(cfg)
-        rel = rtv_rtc(logs["A"].after_day(2), logs["B"].after_day(2))
+        tables = run_ab_experiment(cfg, lambda bucket, block: None)
+        rel = rtv_rtc(tables["A"], tables["B"], 2)
         assert rel.rtv == 1.0 and rel.rtc == 1.0
 
     def test_zero_denominator_undefined(self):
-        a = make_log(preds=[0.1], clicks=[0], random_mode=[False])
+        a = make_tables(preds=[0.1], clicks=[0], random_mode=[False])
         with pytest.raises(UndefinedRatio):
-            rtv_rtc(a, a)
+            rtv_rtc(a, a, 0)
+
+
+def random_ab_config(seed, traffic):
+    """A small A/B plan drawn from ``seed``: 1-4 ads, 1-3 contexts, 2-3 days."""
+    r = np.random.default_rng(seed)
+    m, n_ctx = int(r.integers(1, 5)), int(r.integers(1, 4))
+    estimators = ("naive", "pooled")
+    return AbConfig(
+        ads=tuple(AdSpec(i + 1, float(r.uniform(0.5, 2.0)), float(r.uniform(0.02, 0.3)))
+                  for i in range(m)),
+        contexts=tuple(Context(1, pos, float(r.uniform(0.5, 1.5)))
+                       for pos in range(1, n_ctx + 1)),
+        buckets=(BucketSpec("A", estimators[r.integers(2)]),
+                 BucketSpec("B", estimators[r.integers(2)])),
+        days=int(r.integers(2, 4)), traffic_per_day=traffic,
+        epsilon=float(r.uniform(0.05, 0.5)), window_days=int(r.integers(1, 3)),
+        burn_in_days=0, seed=seed)
+
+
+def outcome(metric, *args):
+    """The metric's report, or the type of the undefined-metric error it raised."""
+    try:
+        return metric(*args)
+    except (UndefinedCalibration, UndefinedRatio) as exc:
+        return type(exc)
+
+
+def assert_same_outcome(got, want):
+    """Equal counts and floats within rel 1e-12: the day tables sum the
+    same terms as the per-access reference, in another order."""
+    if isinstance(want, type):
+        assert got is want
+        return
+    for name, value in vars(want).items():
+        if isinstance(value, int):
+            assert getattr(got, name) == value, name
+        else:
+            assert getattr(got, name) == pytest.approx(value, rel=1e-12, abs=0), name
+
+
+class TestTablesMatchPerAccess:
+    """c_relative and rtv_rtc read the day tables; the per-access sums over
+    the whole-run logs are their reference."""
+
+    @pytest.mark.parametrize("traffic", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+    @pytest.mark.parametrize("seed", [3, 11, 29])
+    def test_served_runs(self, seed, traffic):
+        cfg = random_ab_config(seed, traffic)
+        tables, logs = run_logged(cfg)
+        for name, log in logs.items():
+            counted = tables_from_log(log)
+            np.testing.assert_array_equal(tables[name].impressions, counted.impressions)
+            np.testing.assert_array_equal(tables[name].clicks, counted.clicks)
+        for first_day in range(cfg.days + 1):
+            tail = {name: after_day(log, first_day) for name, log in logs.items()}
+            for name in logs:
+                assert_same_outcome(outcome(c_relative, tables[name], first_day),
+                                    outcome(c_relative_per_access, tail[name]))
+            assert_same_outcome(outcome(rtv_rtc, tables["A"], tables["B"], first_day),
+                                outcome(rtv_rtc_per_access, tail["A"], tail["B"]))
+        if traffic >= BLOCK:  # enough clicks that the comparison covers defined values
+            assert not isinstance(outcome(c_relative, tables["A"], 0), type)
+
+    @pytest.mark.parametrize("seed", [5, 6, 7])
+    def test_row_logs(self, seed):
+        r = np.random.default_rng(seed)
+        n = 3000
+        logs = []
+        for bucket in "AB":
+            modes = r.random(n) < 0.3
+            preds = r.uniform(0.01, 0.3, n)
+            logs.append(make_log(preds, r.binomial(1, preds), modes,
+                                 bids=r.choice([0.5, 1.25, 2.0], n),
+                                 cpcs=np.where(modes, 0.0, r.uniform(0.1, 2.0, n)),
+                                 bucket=bucket))
+        tables = [tables_from_log(log) for log in logs]
+        for first_day in (0, 1, n // 2, n - 1, n):
+            tail = [after_day(log, first_day) for log in logs]
+            for t, log in zip(tables, tail):
+                assert_same_outcome(outcome(c_relative, t, first_day),
+                                    outcome(c_relative_per_access, log))
+            assert_same_outcome(outcome(rtv_rtc, *tables, first_day),
+                                outcome(rtv_rtc_per_access, *tail))
 
 
 class TestHistograms:

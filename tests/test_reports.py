@@ -1,21 +1,34 @@
+import contextlib
 import json
 import tempfile
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gspbias import reports
-from gspbias.engine import AdSpec, Context, ImpressionLog, TrialTable
+from gspbias.engine import (
+    BLOCK,
+    AbConfig,
+    AdSpec,
+    BucketSpec,
+    Context,
+    ImpressionLog,
+    TrialTable,
+    run_ab_experiment,
+)
 from gspbias.reports import (
     IMPRESSION_HEADER,
+    open_impressions,
     write_impressions_csv,
     write_impressions_jsonl,
     write_trials_csv,
     write_trials_jsonl,
 )
+from reference import join_blocks
 
 
 def reference_csv(path, log):
@@ -93,23 +106,61 @@ def signed_zero_log(repeats=1):
                     [[0.0, -0.0], [-0.0, 0.04123456789012345]], rows)
 
 
-def assert_writers_match_reference(log):
+WRITERS = (("csv", write_impressions_csv, reference_csv),
+           ("json", write_impressions_jsonl, reference_jsonl))
+
+
+def assert_writers_match_reference(log, block=None):
+    """The writers, given the log whole or in consecutive ``block``-row
+    pieces, write the per-row reference's bytes."""
+    block = block or max(len(log), 1)
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
-        for writer, reference in ((write_impressions_csv, reference_csv),
-                                  (write_impressions_jsonl, reference_jsonl)):
-            writer(out / "new", log)
+        for fmt, writer, reference in WRITERS:
+            with open_impressions(out / "new", fmt) as fh:
+                for start in range(0, len(log), block):
+                    writer(fh, log.take(slice(start, start + block)))
             reference(out / "ref", log)
             assert (out / "new").read_bytes() == (out / "ref").read_bytes(), writer.__name__
 
 
 class TestImpressionWriters:
     @settings(max_examples=150, deadline=None)
-    @given(log=code_logs(), chunk=st.sampled_from([1, 3, reports.CHUNK_ROWS]))
-    @example(log=signed_zero_log(), chunk=3)
-    def test_match_per_row_reference(self, log, chunk):
+    @given(log=code_logs(), chunk=st.sampled_from([1, 3, reports.CHUNK_ROWS]),
+           block=st.sampled_from([1, 7, None]))
+    @example(log=signed_zero_log(), chunk=3, block=None)
+    def test_match_per_row_reference(self, log, chunk, block):
         with mock.patch.object(reports, "CHUNK_ROWS", chunk):
-            assert_writers_match_reference(log)
+            assert_writers_match_reference(log, block)
+
+    @pytest.mark.parametrize("traffic", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+    def test_served_blocks_match_per_row_reference(self, tmp_path, traffic):
+        """Each bucket's blocks, written as run_ab_experiment serves them, make
+        the file the per-row reference writes from the whole run's log."""
+        cfg = AbConfig(ads=(AdSpec(1, 1.0, 0.05), AdSpec(4, 1.3, 0.2), AdSpec(9, 0.7, 0.1)),
+                       contexts=(Context(1, 1, 1.0), Context(2, 1, 0.6)),
+                       buckets=(BucketSpec("A", "naive"), BucketSpec("B", "pooled")),
+                       days=2, traffic_per_day=traffic, epsilon=0.2, window_days=1,
+                       burn_in_days=0, seed=8)
+        blocks = {bucket.name: [] for bucket in cfg.buckets}
+        with contextlib.ExitStack() as files:
+            sinks = {(bucket.name, fmt): files.enter_context(
+                open_impressions(tmp_path / f"{bucket.name}.{fmt}", fmt))
+                for bucket in cfg.buckets for fmt, _writer, _reference in WRITERS}
+
+            def write(bucket, block):
+                blocks[bucket].append(block)
+                for fmt, writer, _reference in WRITERS:
+                    writer(sinks[bucket, fmt], block)
+
+            run_ab_experiment(cfg, write)
+        for name, parts in blocks.items():
+            log = join_blocks(parts)
+            assert len(log) == cfg.days * traffic
+            for fmt, _writer, reference in WRITERS:
+                reference(tmp_path / "ref", log)
+                assert ((tmp_path / f"{name}.{fmt}").read_bytes()
+                        == (tmp_path / "ref").read_bytes()), (name, fmt)
 
     def test_log_longer_than_a_chunk(self):
         """One full chunk at the module's own chunk size, then a partial one."""
