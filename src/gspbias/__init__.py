@@ -1,15 +1,5 @@
 """Selection-bias simulation lab for score-ranked second-price ad auctions."""
 
-from .auction import (
-    Ad,
-    AuctionOutcome,
-    ScoredAd,
-    SelectionEvent,
-    build_selection_event,
-    gsp_price,
-    rank_ads,
-    run_auction,
-)
 from .engine import (
     AbConfig,
     AdSpec,
@@ -54,8 +44,6 @@ from .oracle import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Ad", "AuctionOutcome", "ScoredAd", "SelectionEvent",
-    "build_selection_event", "gsp_price", "rank_ads", "run_auction",
     "AbConfig", "AdSpec", "BucketSpec", "BucketTables", "Context", "CpcStudyConfig",
     "ImpressionLog", "TrialTable",
     "run_ab_experiment", "run_cpc_study", "sample_rank_stats",

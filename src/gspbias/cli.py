@@ -38,7 +38,6 @@ from .config import (
 )
 from .engine import (
     AbConfig,
-    CpcStudyConfig,
     run_ab_experiment,
     run_cpc_study,
     sample_rank_stats,
@@ -141,36 +140,32 @@ def cmd_simulate_cpc(args) -> int:
     loaded = _load(args, "simulate-cpc")
     suite: CpcSuite = loaded.payload
     seed = _resolve_seed(args.seed, loaded.seed)
-    n_trials = args.trials if args.trials is not None else suite.trials
     arts = ArtifactSet(args.out)
-    bids = np.asarray(suite.bids)
     table_rows = []
     settings_payload = {}
     setting_runs = []  # for the manifest
     kernel_import_seconds = _load_kernels()
     with worker_map(args.threads) as pmap:  # one pool for every setting
-        for idx, setting in enumerate(suite.settings):
+        for setting in suite.settings:
             t_setting = time.monotonic()
-            cfg = CpcStudyConfig(
-                name=setting.name, impressions=setting.impressions,
-                true_ctrs=setting.true_ctrs, bids=suite.bids,
-                trials=n_trials, seed=seed, setting_index=idx,
-            )
+            cfg = dataclasses.replace(setting, seed=seed, trials=(
+                setting.trials if args.trials is None else args.trials))
             trials = run_cpc_study(cfg, pmap)
-            summary = cpc_summary(trials, setting.true_ctrs, suite.bids)
+            summary = cpc_summary(trials, cfg.true_ctrs, cfg.bids)
             mean, ratio = _nn(summary.mean_observed_cpc), _nn(summary.ratio)
             # an undefined value is an empty cell, as in calibration_table.csv
-            table_rows.append((f"({setting.name})", summary.expected_cpc,
+            table_rows.append((f"({cfg.name})", summary.expected_cpc,
                                "" if mean is None else mean, "" if ratio is None else ratio))
             cpcs = trials.cpc[~trials.degenerate]
             if cpcs.size:
-                write_histogram_csv(arts.path(f"cpc_hist_{setting.name}.csv"),
+                write_histogram_csv(arts.path(f"cpc_hist_{cfg.name}.csv"),
                                     build_histogram(cpcs, suite.cpc_hist_width))
-            for rank in range(1, len(setting.true_ctrs) + 1):
-                holders = trials.order[:, rank - 1]
-                ordered = trials.estimates[np.arange(len(trials)), holders] * bids[holders]
-                write_histogram_csv(arts.path(f"ordstat_hist_{setting.name}_rank{rank}.csv"),
-                                    build_histogram(ordered, suite.score_hist_width))
+            # column k: the bid x estimate at rank k + 1, histogrammed once for
+            # its file and the bias report
+            scores = np.take_along_axis(trials.estimates * cfg.bids, trials.order, axis=1)
+            rank_hists = [build_histogram(col, suite.score_hist_width) for col in scores.T]
+            for rank, hist in enumerate(rank_hists, 1):
+                write_histogram_csv(arts.path(f"ordstat_hist_{cfg.name}_rank{rank}.csv"), hist)
             entry = {
                 "expected_cpc": summary.expected_cpc,
                 "mean_observed_cpc": mean,
@@ -179,7 +174,7 @@ def cmd_simulate_cpc(args) -> int:
                 "ratio_of_means": _nn(summary.ratio_of_means),
                 "ratio_of_means_se": _nn(summary.ratio_of_means_se),
                 "degenerate_trials": summary.degenerate_trials,
-                "trials": n_trials,
+                "trials": cfg.trials,
             }
             if summary.trials_used == 0:
                 entry["ratio_undefined_reason"] = ("every trial is degenerate (top estimate 0), "
@@ -188,7 +183,7 @@ def cmd_simulate_cpc(args) -> int:
                 entry["ratio_undefined_reason"] = ("expected CPC is 0 "
                                                    "(no runner-up, or its true score is 0)")
             try:
-                rep = bias_report(trials, setting.true_ctrs, suite.bids, suite.score_hist_width)
+                rep = bias_report(trials, cfg.true_ctrs, cfg.bids, rank_hists)
                 entry["per_rank"] = [{
                     "rank": r.rank,
                     "bias_factor": r.bias_factor,
@@ -201,13 +196,13 @@ def cmd_simulate_cpc(args) -> int:
             except RankUnreachable as exc:
                 entry["per_rank"] = None
                 entry["unavailable_reason"] = str(exc)
-            settings_payload[setting.name] = entry
+            settings_payload[cfg.name] = entry
             if args.emit_trials:
                 if args.format in ("csv", "both"):
-                    write_trials_csv(arts.path(f"trials_{setting.name}.csv"), trials)
+                    write_trials_csv(arts.path(f"trials_{cfg.name}.csv"), trials)
                 if args.format in ("json", "both"):
-                    write_trials_jsonl(arts.path(f"trials_{setting.name}.jsonl"), trials)
-            setting_runs.append({"name": setting.name, "trials": n_trials,
+                    write_trials_jsonl(arts.path(f"trials_{cfg.name}.jsonl"), trials)
+            setting_runs.append({"name": cfg.name, "trials": cfg.trials,
                                  "seconds": round(time.monotonic() - t_setting, 3)})
     write_csv(arts.path("table2.csv"),
               ["setting", "expected_cpc", "mean_observed_cpc", "ratio"], table_rows)
@@ -315,7 +310,15 @@ def _mc_agreement(qmeans: np.ndarray, mc, i: int) -> tuple[dict, bool]:
 
 
 def _peak_rss() -> dict:
-    """The process's peak resident set so far, in MB, or why it is unknown."""
+    """The process's peak resident set so far, in MB, or why it is unknown.
+
+    Linux's ``VmHWM`` is this process's own peak; its ``ru_maxrss`` starts at
+    the peak of the process that launched it, so that is only the fallback.
+    """
+    with contextlib.suppress(OSError), open("/proc/self/status", encoding="ascii") as fh:
+        for line in fh:
+            if line.startswith("VmHWM:"):  # "VmHWM:   13660 kB"
+                return {"peak_rss_mb": round(int(line.split()[1]) / 2 ** 10, 1)}
     if resource is None:
         return {"peak_rss_mb": None,
                 "peak_rss_reason": "the resource module is not available on this platform"}
@@ -338,15 +341,14 @@ def cmd_verify_theorems(args) -> int:
     cases_payload = []
     case_runs = []  # for the manifest
     all_pass = True
-    case_dists = [case.distributions() for case in suite.cases]
     kernel_import_seconds = 0.0
-    if any(d.kind == "scaled-beta" for dists in case_dists for d in dists):
+    if any(d.kind == "scaled-beta" for case in suite.cases for d in case.dists):
         kernel_import_seconds = _load_kernels()
     with worker_map(args.threads) as pmap:
-        for idx, (case, dists) in enumerate(zip(suite.cases, case_dists)):
+        for idx, case in enumerate(suite.cases):
             t_grid = time.monotonic()
             # CDF and PDF rows, dropped when the case ends
-            grid = CaseGrid(dists, pmap)
+            grid = CaseGrid(case.dists, pmap)
             t_mc = time.monotonic()
             mc = sample_rank_stats(grid, draws, seed, case_index=idx, map=pmap)
             t_check = time.monotonic()

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import configparser
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -22,17 +23,10 @@ COMMANDS = ("simulate-cpc", "verify-theorems", "ab-run")
 
 
 @dataclass(frozen=True)
-class CpcSetting:
-    name: str
-    impressions: tuple[int, ...]
-    true_ctrs: tuple[float, ...]
-
-
-@dataclass(frozen=True)
 class CpcSuite:
-    settings: tuple[CpcSetting, ...]
-    bids: tuple[float, ...]
-    trials: int
+    # one study per [setting.NAME], with the file's trials and seed 0; the
+    # CLI replaces both
+    settings: tuple[CpcStudyConfig, ...]
     cpc_hist_width: float
     score_hist_width: float
 
@@ -41,12 +35,9 @@ class CpcSuite:
 class TheoremCase:
     name: str
     dist_specs: tuple[str, ...]
-
-    def distributions(self) -> list[ScoreDistribution]:
-        """One distribution per ad; ads with the same spec share one object,
-        so the case grid evaluates its rows once."""
-        made = {spec: parse_distribution(spec) for spec in dict.fromkeys(self.dist_specs)}
-        return [made[spec] for spec in self.dist_specs]
+    # one per ad; ads with the same spec share one object, so the case grid
+    # evaluates its rows once
+    dists: tuple[ScoreDistribution, ...]
 
 
 @dataclass(frozen=True)
@@ -63,7 +54,7 @@ class LoadedConfig:
     source: str
 
 
-def parse_distribution(spec: str, field: str = "dists") -> ScoreDistribution:
+def parse_distribution(spec: str, field: str) -> ScoreDistribution:
     """Parse ``uniform:LOW:HIGH`` or ``beta:A:B[:SCALE]`` into a distribution;
     a bad spec raises ConfigError on ``field``."""
     parts = [p.strip() for p in spec.split(":")]
@@ -132,6 +123,17 @@ def _sections(parser: configparser.ConfigParser, prefix: str) -> list[_Section]:
             if name.startswith(prefix + ".")]
 
 
+@contextmanager
+def _fields_of(section: str, **owners: str):
+    """An InvalidValue raised in the block, as a ConfigError on
+    ``<section>.<field>``, or on ``<owners[field]>.<field>`` for a field
+    read from another section."""
+    try:
+        yield
+    except InvalidValue as exc:
+        raise ConfigError(f"{owners.get(exc.field, section)}.{exc.field}", str(exc)) from exc
+
+
 def load_config(path: str | Path) -> LoadedConfig:
     """Read and validate one configuration file."""
     path = Path(path)
@@ -168,49 +170,37 @@ def _load_cpc(parser) -> tuple[CpcSuite, int | None]:
     if "study" not in parser:
         raise ConfigError("study", "missing [study] section")
     study = _Section("study", parser["study"])
-    trials = study.get_int("trials", minimum=1)
+    trials = study.get_int("trials")
     bids = study.get_floats("bids", default="1.0")
     settings = []
-    for sec in _sections(parser, "setting"):
-        name = sec.name.split(".", 1)[1]
+    for idx, sec in enumerate(_sections(parser, "setting")):
         ctrs = sec.get_floats("true_ctrs")
-        if not ctrs:
-            raise ConfigError(f"{sec.name}.true_ctrs", "at least one CTR required")
-        if any(not 0.0 < c <= 1.0 for c in ctrs):
-            # a zero CTR leaves its bias factor and the expected CPC undefined
-            raise ConfigError(f"{sec.name}.true_ctrs", f"CTRs must lie in (0, 1], got {ctrs}")
         counts = sec.get_floats("impressions")
         if not all(n.is_integer() for n in counts):  # also rejects nan and inf
             raise ConfigError(f"{sec.name}.impressions", f"must be whole numbers, got {counts}")
-        imps = tuple(int(n) for n in counts)
-        if len(imps) == 1:
-            imps = imps * len(ctrs)
+        # a single impression count or bid stands for every ad's
+        imps = tuple(int(n) for n in counts) * (len(ctrs) if len(counts) == 1 else 1)
         if len(imps) != len(ctrs):
             raise ConfigError(f"{sec.name}.impressions",
-                              f"need 1 or {len(ctrs)} values, got {len(imps)}")
-        settings.append(CpcSetting(name=name, impressions=imps, true_ctrs=ctrs))
+                              f"need 1 or {len(ctrs)} values, got {len(counts)}")
+        if settings and len(ctrs) != len(settings[0].true_ctrs):
+            raise ConfigError("setting", "all settings must have the same ad count")
+        ad_bids = bids * (len(ctrs) if len(bids) == 1 else 1)
+        if len(ad_bids) != len(ctrs):
+            raise ConfigError("study.bids", f"need 1 or {len(ctrs)} values, got {len(bids)}")
+        with _fields_of(sec.name, bids="study", trials="study"):
+            settings.append(CpcStudyConfig(
+                name=sec.name.split(".", 1)[1], impressions=imps, true_ctrs=ctrs,
+                bids=ad_bids, trials=trials, seed=0, setting_index=idx))
     if not settings:
         raise ConfigError("setting", "at least one [setting.NAME] section required")
-    n_ads = len(settings[0].true_ctrs)
-    if any(len(s.true_ctrs) != n_ads for s in settings):
-        raise ConfigError("setting", "all settings must have the same ad count")
-    suite_bids = bids * n_ads if len(bids) == 1 else bids
-    if len(suite_bids) != n_ads:
-        raise ConfigError("study.bids", f"need 1 or {n_ads} values, got {len(bids)}")
-    for idx, s in enumerate(settings):
-        try:  # the study's own rules, with the CLI's trials and seed left aside
-            CpcStudyConfig(name=s.name, impressions=s.impressions, true_ctrs=s.true_ctrs,
-                           bids=suite_bids, trials=trials, seed=0, setting_index=idx)
-        except InvalidValue as exc:
-            section = "study" if exc.field in ("bids", "trials") else f"setting.{s.name}"
-            raise ConfigError(f"{section}.{exc.field}", str(exc)) from exc
     cpc_width = study.get_float("cpc_hist_width", default="0.01")
     score_width = study.get_float("score_hist_width", default="0.0005")
     for key, width in (("cpc_hist_width", cpc_width), ("score_hist_width", score_width)):
         if not 0.0 < width < math.inf:
             raise ConfigError(f"study.{key}", f"must be finite and > 0, got {width}")
-    suite = CpcSuite(settings=tuple(settings), bids=suite_bids, trials=trials,
-                     cpc_hist_width=cpc_width, score_hist_width=score_width)
+    suite = CpcSuite(settings=tuple(settings), cpc_hist_width=cpc_width,
+                     score_hist_width=score_width)
     return suite, _seed_of(study)
 
 
@@ -224,13 +214,15 @@ def _load_theorems(parser) -> tuple[TheoremSuite, int | None]:
         specs = sec.get_strs("dists")
         if not specs:
             raise ConfigError(f"{sec.name}.dists", "at least one distribution required")
-        for spec in specs:
-            dist = parse_distribution(spec, f"{sec.name}.dists")  # validate eagerly
+        made = {}
+        for spec in dict.fromkeys(specs):
+            dist = made[spec] = parse_distribution(spec, f"{sec.name}.dists")
             # Simpson quadrature needs a density that is finite on the closed support
             if dist.kind == "scaled-beta" and min(dist.params[:2]) < 1.0:
                 raise ConfigError(f"{sec.name}.dists",
                                   f"beta shapes must be >= 1, got {spec!r}")
-        cases.append(TheoremCase(name=name, dist_specs=specs))
+        cases.append(TheoremCase(name=name, dist_specs=specs,
+                                 dists=tuple(made[spec] for spec in specs)))
     if not cases:
         raise ConfigError("case", "at least one [case.NAME] section required")
     suite = TheoremSuite(cases=tuple(cases),
@@ -242,7 +234,7 @@ def _load_ab(parser) -> tuple[AbConfig, int | None]:
     if "experiment" not in parser:
         raise ConfigError("experiment", "missing [experiment] section")
     exp = _Section("experiment", parser["experiment"])
-    days = exp.get_int("days", minimum=1)
+    days = exp.get_int("days")
     buckets = []
     for sec in _sections(parser, "bucket"):
         name = sec.name.split(".", 1)[1]
@@ -253,11 +245,9 @@ def _load_ab(parser) -> tuple[AbConfig, int | None]:
     context_sections = _sections(parser, "context")
     contexts = []
     for sec in context_sections:
-        try:
+        with _fields_of(sec.name):
             contexts.append(Context(site=sec.get_int("site"), pos=sec.get_int("pos"),
                                     multiplier=sec.get_float("multiplier")))
-        except InvalidValue as exc:
-            raise ConfigError(f"{sec.name}.{exc.field}", str(exc)) from exc
     if not contexts:
         raise ConfigError("context", "at least one [context.N] section required")
     ads = []
@@ -266,25 +256,24 @@ def _load_ab(parser) -> tuple[AbConfig, int | None]:
             ad_id = int(sec.name.split(".", 1)[1])
         except ValueError:
             raise ConfigError(sec.name, "ad section suffix must be the integer ad id") from None
-        try:
+        with _fields_of(sec.name):
             ads.append(AdSpec(id=ad_id, bid=sec.get_float("bid"),
                               base_ctr=sec.get_float("base_ctr")))
-        except InvalidValue as exc:
-            raise ConfigError(f"{sec.name}.{exc.field}", str(exc)) from exc
     if not ads:
         raise ConfigError("ad", "at least one [ad.N] section required")
     try:
-        config = AbConfig(
-            ads=tuple(ads),
-            contexts=tuple(contexts),
-            buckets=tuple(buckets),
-            days=days,
-            traffic_per_day=exp.get_int("traffic_per_day", minimum=1),
-            epsilon=exp.get_float("epsilon"),
-            window_days=exp.get_int("window_days", default="14", minimum=1),
-            burn_in_days=exp.get_int("burn_in_days", default=str(days // 2), minimum=0),
-            seed=0,  # engine seed is injected by the CLI after resolution
-        )
+        with _fields_of("experiment"):
+            config = AbConfig(
+                ads=tuple(ads),
+                contexts=tuple(contexts),
+                buckets=tuple(buckets),
+                days=days,
+                traffic_per_day=exp.get_int("traffic_per_day"),
+                epsilon=exp.get_float("epsilon"),
+                window_days=exp.get_int("window_days", default="14"),
+                burn_in_days=exp.get_int("burn_in_days", default=str(days // 2)),
+                seed=0,  # engine seed is injected by the CLI after resolution
+            )
     except RepeatedContext as exc:
         raise ConfigError(context_sections[exc.index].name, str(exc)) from exc
     except ValueError as exc:
@@ -298,8 +287,8 @@ def config_dict(loaded: LoadedConfig, seed: int) -> dict:
     out: dict = {"command": loaded.command, "seed": seed, "source": loaded.source}
     if isinstance(payload, CpcSuite):
         out["study"] = {
-            "trials": payload.trials,
-            "bids": list(payload.bids),
+            "trials": payload.settings[0].trials,
+            "bids": list(payload.settings[0].bids),
             "cpc_hist_width": payload.cpc_hist_width,
             "score_hist_width": payload.score_hist_width,
             "settings": [{"name": s.name, "impressions": list(s.impressions),

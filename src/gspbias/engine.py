@@ -46,6 +46,9 @@ STREAM_CPC = 0
 STREAM_AB = 1
 STREAM_MC = 2
 BLOCK = 1 << 14  # trials or draws per parallel task, accesses per ab-run block
+# the most impressions an estimate may count: a BinomialInverse table holds
+# about 80 binomial sd of counts, at most about 1.9M entries (15 MB) here
+MAX_IMPRESSIONS = 1 << 31
 
 # binom.ppf maps u = 0 to -1, so u is clamped just above zero.  BinomialInverse
 # gives the smallest k with cdf(k) >= u; boost's binom.ppf gives the same k
@@ -90,13 +93,15 @@ class CpcStudyConfig:
     def __post_init__(self):
         m = len(self.true_ctrs)
         if m == 0:
-            raise EmptyAuction("study needs at least one ad")
+            raise InvalidValue("true_ctrs", "needs at least one CTR")
         if len(self.impressions) != m or len(self.bids) != m:
             raise ValueError("impressions, true_ctrs, and bids must have equal length")
-        if any(n < 1 for n in self.impressions):
-            raise InvalidValue("impressions", f"must be >= 1, got {self.impressions}")
-        if any(not 0.0 <= p <= 1.0 for p in self.true_ctrs):
-            raise InvalidValue("true_ctrs", f"must lie in [0, 1], got {self.true_ctrs}")
+        if any(not 1 <= n <= MAX_IMPRESSIONS for n in self.impressions):
+            raise InvalidValue("impressions",
+                               f"must lie in [1, {MAX_IMPRESSIONS}], got {self.impressions}")
+        if any(not 0.0 < p <= 1.0 for p in self.true_ctrs):
+            # a zero CTR leaves its bias factor and the expected CPC undefined
+            raise InvalidValue("true_ctrs", f"must lie in (0, 1], got {self.true_ctrs}")
         if any(not 0.0 <= b < math.inf for b in self.bids):
             raise InvalidValue("bids", f"must be finite and >= 0, got {self.bids}")
         if self.trials < 1:
@@ -109,12 +114,11 @@ def rank_contexts(bids: np.ndarray, est: np.ndarray):
     """Rank and price one auction per row of ``est`` (ads on columns).
 
     Returns ``(order, cpc, degenerate)``: ad indices best first by bid x
-    estimate, score ties falling to the lower index as in ``rank_ads``; the
-    winner's GSP price, the runner-up's score over the winner's estimate; and
-    whether the winner's estimate is zero with rivals present, the case where
-    ``gsp_price`` raises DegeneratePrice.  Such an auction has no finite price
-    and prices at 0.  A single ad has no runner-up: it prices at 0 and is
-    never degenerate.
+    estimate, score ties falling to the lower index; the winner's GSP price,
+    the runner-up's score over the winner's estimate; and whether the
+    winner's estimate is zero with rivals present.  Such an auction has no
+    finite price and prices at 0.  A single ad has no runner-up: it prices at
+    0 and is never degenerate.
     """
     scores = est * bids
     order = np.argsort(-scores, axis=1, kind="stable")
@@ -244,8 +248,8 @@ class AbConfig:
     """Multi-day two-bucket experiment plan.
 
     Ads are kept sorted by id so that score ties resolve to the lowest id in
-    the vectorized ranking exactly as in ``rank_ads``.  Per-context true CTR
-    is base_ctr x multiplier, clipped to [0, 1].
+    the vectorized ranking.  Per-context true CTR is base_ctr x multiplier,
+    clipped to [0, 1].
     """
 
     ads: tuple[AdSpec, ...]
@@ -280,11 +284,12 @@ class AbConfig:
         if len(set(names)) != len(names):
             raise ValueError("bucket names must be unique")
         if not 0.0 <= self.epsilon <= 1.0:
-            raise ValueError("epsilon must lie in [0, 1]")
-        if self.days < 1 or self.traffic_per_day < 1 or self.window_days < 1:
-            raise ValueError("days, traffic_per_day, and window_days must be >= 1")
+            raise InvalidValue("epsilon", f"must lie in [0, 1], got {self.epsilon}")
+        for name in ("days", "traffic_per_day", "window_days"):
+            if getattr(self, name) < 1:
+                raise InvalidValue(name, f"must be >= 1, got {getattr(self, name)}")
         if not 0 <= self.burn_in_days <= self.days:
-            raise ValueError("burn_in_days must lie in [0, days]")
+            raise InvalidValue("burn_in_days", f"must lie in [0, days], got {self.burn_in_days}")
 
     def true_ctr_matrix(self) -> np.ndarray:
         base = np.array([ad.base_ctr for ad in self.ads])
@@ -394,7 +399,9 @@ def run_ab_experiment(config: AbConfig,
     refresh estimates from the window and resolve every context's auction;
     then for each block, serve it, call ``write(bucket_name, block)`` with its
     ``ImpressionLog`` and count it into the day's tables; then fold the day's
-    counts into the window.  No array grows with the traffic.
+    counts into the window.  No array grows with the traffic.  Moving the
+    window to day d empties day d's slot, so day d's estimates read days
+    d - window_days + 1 .. d - 1 only, and a one-day window serves the prior.
     """
     true_ctr = config.true_ctr_matrix()
     m, n_ctx = true_ctr.shape

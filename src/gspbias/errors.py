@@ -9,14 +9,6 @@ class EmptyAuction(GspBiasError):
     """An auction operation received no participants."""
 
 
-class InvalidScore(GspBiasError):
-    """A ranking score is NaN, infinite, or negative."""
-
-
-class DegeneratePrice(GspBiasError):
-    """The winner's estimated CTR is zero, so the second-price quotient is undefined."""
-
-
 class NoData(GspBiasError):
     """An estimator was asked to fit from a window with no impressions."""
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import BucketTables, TrialTable
+from .engine import BucketTables, TrialTable, rank_contexts
 from .errors import (
     GridMismatch,
     HistogramTooWide,
@@ -36,11 +36,6 @@ def _pow2(x: np.ndarray) -> float:
     bit wherever those do not overflow."""
     peak = float(np.max(np.abs(x)))
     return math.ldexp(1.0, min(math.frexp(peak)[1], 1023)) if 0.0 < peak < math.inf else 1.0
-
-
-def _true_ranking(true_ctrs, bids) -> list[int]:
-    scores = [b * c for b, c in zip(bids, true_ctrs)]
-    return sorted(range(len(scores)), key=lambda i: (-scores[i], i))
 
 
 @dataclass(frozen=True)
@@ -81,14 +76,10 @@ class CpcSummary:
 
 
 def cpc_summary(trials: TrialTable, true_ctrs: tuple[float, ...],
-                bids: tuple[float, ...] | None = None) -> CpcSummary:
-    """Average realized price over non-degenerate trials, and its true target."""
-    bids = bids if bids is not None else (1.0,) * len(true_ctrs)
-    order = _true_ranking(true_ctrs, bids)
-    if len(true_ctrs) > 1:
-        expected = (bids[order[1]] * true_ctrs[order[1]]) / true_ctrs[order[0]]
-    else:
-        expected = 0.0
+                bids: tuple[float, ...]) -> CpcSummary:
+    """Average realized price over non-degenerate trials, and its true target:
+    the price of the one auction ranked on the true CTRs."""
+    expected = float(rank_contexts(np.asarray(bids), np.asarray([true_ctrs]))[1][0])
     ok = ~trials.degenerate
     used = int(ok.sum())
     degenerate = len(trials) - used
@@ -268,16 +259,12 @@ def align_histograms(h1: Histogram, h2: Histogram) -> tuple[np.ndarray, np.ndarr
     return (lo + np.arange(hi - lo + 1)) * w, c1, c2
 
 
-def split_histogram_densities(edges_f, counts_f, edges_g, counts_g) -> SplitVerdict:
-    """Splittability of two histograms sharing bin edges, at 3x the pooled
-    per-bin sampling standard error of the density estimates."""
-    edges_f = np.asarray(edges_f, dtype=float)
-    edges_g = np.asarray(edges_g, dtype=float)
-    if edges_f.shape != edges_g.shape or not np.allclose(edges_f, edges_g, atol=0, rtol=0):
-        raise GridMismatch("histograms do not share bin edges")
+def split_histogram_densities(edges, counts_f, counts_g) -> SplitVerdict:
+    """Splittability of two histograms over the same bin edges, at 3x the
+    pooled per-bin sampling standard error of the density estimates."""
     counts_f = np.asarray(counts_f, dtype=float)
     counts_g = np.asarray(counts_g, dtype=float)
-    widths = np.diff(edges_f)
+    widths = np.diff(np.asarray(edges, dtype=float))
     n_f, n_g = counts_f.sum(), counts_g.sum()
     dens_f = counts_f / (n_f * widths)
     dens_g = counts_g / (n_g * widths)
@@ -307,20 +294,17 @@ class BiasReport:
 
 
 def bias_report(trials: TrialTable, true_ctrs: tuple[float, ...],
-                bids: tuple[float, ...] | None = None,
-                hist_width: float = 0.0005) -> BiasReport:
-    """Assemble bias factors, ordered-score moments, and splittability verdicts."""
-    bids = bids if bids is not None else (1.0,) * len(true_ctrs)
+                bids: tuple[float, ...], rank_hists: list[Histogram]) -> BiasReport:
+    """Assemble bias factors, ordered-score moments, and splittability
+    verdicts; ``rank_hists[k]`` is the histogram of rank k + 1's scores."""
     m = len(true_ctrs)
     per_rank = []
-    rank_scores = []
     for rank in range(1, m + 1):
         factor = selection_bias(trials, true_ctrs, rank)
         holders = trials.order[:, rank - 1]
         # grouped by ad, then in trial order
         scores = np.concatenate([trials.estimates[holders == i, i] * bids[i]
                                  for i in range(m)])
-        rank_scores.append(scores)
         c = _pow2(scores)
         per_rank.append(RankBiasSummary(
             rank=rank, bias_factor=factor.value, bias_se=factor.se,
@@ -331,12 +315,10 @@ def bias_report(trials: TrialTable, true_ctrs: tuple[float, ...],
         ))
     splittable = []
     for k in range(m - 1):
-        h_better = build_histogram(rank_scores[k], hist_width)
-        h_worse = build_histogram(rank_scores[k + 1], hist_width)
-        edges, c_better, c_worse = align_histograms(h_better, h_worse)
+        edges, c_better, c_worse = align_histograms(rank_hists[k], rank_hists[k + 1])
         # the better rank's scores should sit below the worse rank's density
         # at low scores and above it at high scores, crossing once
-        verdict = split_histogram_densities(edges, c_better, edges, c_worse)
+        verdict = split_histogram_densities(edges, c_better, c_worse)
         splittable.append(verdict.splittable)
     return BiasReport(
         per_rank=tuple(per_rank),

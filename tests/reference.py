@@ -4,13 +4,15 @@ The package's commands never need these, so they live here and may import
 ``scipy.stats``, which no module of the package loads.
 """
 
-from dataclasses import replace
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import stats
 
+from gspbias.config import TheoremCase, load_config
 from gspbias.engine import AdSpec, BucketTables, Context, ImpressionLog, run_ab_experiment
-from gspbias.errors import UndefinedCalibration, UndefinedRatio
+from gspbias.errors import EmptyAuction, GspBiasError, UndefinedCalibration, UndefinedRatio
 from gspbias.metrics import CalibrationReport, RelativeMetrics, align_histograms
 from gspbias.oracle import rank_table
 
@@ -154,6 +156,15 @@ def mass_split(samples, threshold: float) -> tuple[float, float]:
     return below, 1.0 - below
 
 
+def load_case(tmp_path, specs) -> TheoremCase:
+    """The one case of a verify-theorems config whose ads have ``specs``, as
+    ``load_config`` reads it."""
+    path = tmp_path / "case.cfg"
+    path.write_text("[config]\nschema_version = 1\ncommand = verify-theorems\n[verify]\n"
+                    f"[case.x]\ndists = {', '.join(specs)}\n", encoding="utf-8")
+    return load_config(path).payload.cases[0]
+
+
 def rank_probs(dists, candidate, s):
     """``rank_table`` at the scores s: row k-1 holds P(candidate holds rank k | s)."""
     return rank_table(np.vstack([d.cdf(np.atleast_1d(np.asarray(s, float))) for d in dists]),
@@ -220,3 +231,167 @@ def hermite_safe_cells_whole_rows(params, s, F, f, tol, cdf_rel_err):
         err = h4 * (m3 / 384.0 + m1 ** 3 / 128.0) + cdf_rel_err / f0
     safe[first + 1:last + 1] = err <= tol * scale
     return safe
+
+
+# ---------------------------------------------------------------------------
+# The scalar auction: one auction at a time, from score ranking to the
+# second-price CPC and the win event.  ``engine.rank_contexts`` is checked
+# against it row by row.
+#
+# Ads are ranked by score = bid x estimated CTR, the top ad is displayed, and
+# it pays the runner-up's score divided by its own estimated CTR per click.
+# ``build_selection_event`` expresses "candidate i ranks first" as a system of
+# linear constraints A y >= 0 on the vector of estimated CTRs, which is the
+# object the bias analysis conditions on.
+# ---------------------------------------------------------------------------
+
+class InvalidScore(GspBiasError):
+    """A ranking score is NaN, infinite, or negative."""
+
+
+class DegeneratePrice(GspBiasError):
+    """The winner's estimated CTR is zero, so the second-price quotient is undefined."""
+
+
+@dataclass(frozen=True)
+class Ad:
+    """One advertiser's entry: identifier, per-click bid, and true CTR."""
+
+    id: int
+    bid: float
+    true_ctr: float
+
+    def __post_init__(self):
+        if not (self.bid >= 0 and math.isfinite(self.bid)):
+            raise ValueError(f"ad {self.id}: bid must be finite and >= 0, got {self.bid}")
+        if not (0.0 <= self.true_ctr <= 1.0):
+            raise ValueError(f"ad {self.id}: true_ctr must lie in [0, 1], got {self.true_ctr}")
+
+
+@dataclass(frozen=True)
+class ScoredAd:
+    """An ad with its serve-time CTR estimate and ranking score.
+
+    The score is fixed at construction as bid x estimated_ctr and is never
+    recomputed downstream.
+    """
+
+    ad_id: int
+    estimated_ctr: float
+    score: float
+
+    def __post_init__(self):
+        if not (0.0 <= self.estimated_ctr <= 1.0):
+            raise ValueError(f"ad {self.ad_id}: estimated_ctr must lie in [0, 1]")
+        if math.isnan(self.score) or self.score < 0 or math.isinf(self.score):
+            raise InvalidScore(f"ad {self.ad_id}: score {self.score}")
+
+    @classmethod
+    def from_bid(cls, ad_id: int, bid: float, estimated_ctr: float) -> "ScoredAd":
+        return cls(ad_id=ad_id, estimated_ctr=estimated_ctr, score=bid * estimated_ctr)
+
+
+@dataclass(frozen=True)
+class AuctionOutcome:
+    """Resolved auction: ranking (ids, best first), winner, and its CPC."""
+
+    ranking: tuple[int, ...]
+    winner_id: int
+    cpc: float
+    winner_score: float
+    runner_up_score: float
+
+
+@dataclass(frozen=True)
+class SelectionEvent:
+    """Linear constraints A y >= 0 under which one candidate ranks first.
+
+    ``y`` lists estimated CTRs with the candidate first, followed by the
+    remaining participants in their input order (``participant_ids`` records
+    that ordering).  Row r encodes candidate_bid * y[0] >= bid_r * y[r + 1].
+    """
+
+    matrix: np.ndarray
+    candidate_id: int
+    participant_ids: tuple[int, ...]
+
+    def contains(self, y) -> bool:
+        """Whether the estimate vector (candidate first) satisfies A y >= 0."""
+        return bool(np.all(self.matrix @ np.asarray(y, dtype=float) >= 0.0))
+
+
+def _check_scored(scored: list[ScoredAd]) -> None:
+    if not scored:
+        raise EmptyAuction("no participants")
+    for ad in scored:
+        if math.isnan(ad.score) or ad.score < 0:
+            raise InvalidScore(f"ad {ad.ad_id}: score {ad.score}")
+    ids = [ad.ad_id for ad in scored]
+    if len(set(ids)) != len(ids):
+        raise ValueError(f"duplicate ad ids in auction: {sorted(ids)}")
+
+
+def rank_ads(scored: list[ScoredAd]) -> list[int]:
+    """Rank ad ids by score, highest first; equal scores break by ascending id."""
+    _check_scored(scored)
+    return [ad.ad_id for ad in sorted(scored, key=lambda a: (-a.score, a.ad_id))]
+
+
+def gsp_price(ranking: list[int], scored: list[ScoredAd]) -> float:
+    """Winner's cost per click: runner-up score / winner's estimated CTR.
+
+    A single-participant auction has no runner-up and prices at 0.  A winner
+    with estimated CTR 0 facing competition has no finite price and raises
+    DegeneratePrice rather than propagating infinity.
+    """
+    _check_scored(scored)
+    by_id = {ad.ad_id: ad for ad in scored}
+    winner = by_id[ranking[0]]
+    if len(ranking) == 1:
+        return 0.0
+    if winner.estimated_ctr == 0.0:
+        raise DegeneratePrice(f"winner ad {winner.ad_id} has estimated CTR 0")
+    runner_up = by_id[ranking[1]]
+    return runner_up.score / winner.estimated_ctr
+
+
+def run_auction(scored: list[ScoredAd]) -> AuctionOutcome:
+    """Rank, price, and package a full auction outcome."""
+    ranking = rank_ads(scored)
+    by_id = {ad.ad_id: ad for ad in scored}
+    cpc = gsp_price(ranking, scored)
+    runner_up_score = by_id[ranking[1]].score if len(ranking) > 1 else 0.0
+    return AuctionOutcome(
+        ranking=tuple(ranking),
+        winner_id=ranking[0],
+        cpc=cpc,
+        winner_score=by_id[ranking[0]].score,
+        runner_up_score=runner_up_score,
+    )
+
+
+def build_selection_event(ads: list[Ad], candidate_id: int) -> SelectionEvent:
+    """Constraint matrix for the event that ``candidate_id`` attains rank 1.
+
+    Requires at least two participants.  With the ascending-id tie break,
+    membership of a tie-free estimate vector in {y : A y >= 0} coincides with
+    the candidate winning the auction; boundary points (score ties) satisfy
+    the weak inequalities for every tied candidate.
+    """
+    if len(ads) < 2:
+        raise EmptyAuction(f"selection event needs >= 2 ads, got {len(ads)}")
+    ids = [ad.id for ad in ads]
+    if candidate_id not in ids:
+        raise ValueError(f"candidate {candidate_id} not among participants {ids}")
+    candidate = next(ad for ad in ads if ad.id == candidate_id)
+    others = [ad for ad in ads if ad.id != candidate_id]
+    m = len(ads)
+    matrix = np.zeros((m - 1, m))
+    for row, rival in enumerate(others):
+        matrix[row, 0] = candidate.bid
+        matrix[row, row + 1] = -rival.bid
+    return SelectionEvent(
+        matrix=matrix,
+        candidate_id=candidate_id,
+        participant_ids=(candidate_id,) + tuple(ad.id for ad in others),
+    )

@@ -5,6 +5,7 @@ Each test prints one ``ACCEPTANCE n ...: PASS/FAIL`` line (visible with
 test is the machine-readable version of the same line.
 """
 
+import dataclasses
 import time
 from importlib import resources
 from pathlib import Path
@@ -12,7 +13,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gspbias.auction import Ad, ScoredAd, build_selection_event, rank_ads
 from gspbias.cli import main
 from gspbias.config import load_config
 from gspbias.engine import (
@@ -24,10 +24,14 @@ from gspbias.engine import (
 from gspbias.metrics import build_histogram, c_relative, cpc_summary, selection_bias
 from gspbias.oracle import CaseGrid, ScoreDistribution, conditional_mean_profile, rank_table
 from reference import (
+    Ad,
+    ScoredAd,
+    build_selection_event,
     c_relative_log_se,
     histogram_overlap,
     log_from_rows,
     mass_split,
+    rank_ads,
     symmetry_z,
     tables_from_log,
 )
@@ -54,18 +58,15 @@ def table2_run():
     suite = loaded.payload
     start = time.monotonic()
     results = {}
-    for idx, setting in enumerate(suite.settings):
-        cfg = CpcStudyConfig(name=setting.name, impressions=setting.impressions,
-                             true_ctrs=setting.true_ctrs, bids=suite.bids,
-                             trials=suite.trials, seed=loaded.seed, setting_index=idx)
-        trials = run_cpc_study(cfg)
-        results[setting.name] = (setting, trials, cpc_summary(trials, setting.true_ctrs))
+    for setting in suite.settings:
+        trials = run_cpc_study(dataclasses.replace(setting, seed=loaded.seed))
+        results[setting.name] = (setting, trials,
+                                 cpc_summary(trials, setting.true_ctrs, setting.bids))
     return results, time.monotonic() - start
 
 
 @pytest.fixture(scope="module")
 def ab_run():
-    import dataclasses
     loaded = packaged("ab.cfg")
     cfg = dataclasses.replace(loaded.payload, seed=loaded.seed)
     tables = run_ab_experiment(cfg, lambda bucket, block: None)
@@ -97,7 +98,7 @@ def test_criterion_3_theorem_verification():
     worst_sigma = 0.0
     monotone_ok = True
     for idx, case in enumerate(suite.cases):
-        dists = case.distributions()
+        dists = case.dists
         grid = CaseGrid(dists)
         mc = sample_rank_stats(grid, suite.mc_draws, loaded.seed, case_index=idx)
         for i in range(len(dists)):

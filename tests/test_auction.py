@@ -1,15 +1,17 @@
 import numpy as np
 import pytest
 
-from gspbias.auction import (
+from gspbias.errors import EmptyAuction
+from reference import (
     Ad,
+    DegeneratePrice,
+    InvalidScore,
     ScoredAd,
     build_selection_event,
     gsp_price,
     rank_ads,
     run_auction,
 )
-from gspbias.errors import DegeneratePrice, EmptyAuction, InvalidScore
 
 
 def scored(*pairs):

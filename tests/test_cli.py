@@ -14,11 +14,11 @@ import pytest
 
 import gspbias
 from gspbias.cli import _quadrature_checks, _quadrature_key, main
-from gspbias.config import TheoremCase, load_config, parse_distribution
+from gspbias.config import load_config, parse_distribution
 from gspbias.engine import BLOCK, sample_rank_stats
 from gspbias.errors import ConfigError
 from gspbias.oracle import CaseGrid
-from reference import read_histogram_csv
+from reference import load_case, read_histogram_csv
 
 SMALL_CPC = """
 [config]
@@ -255,10 +255,10 @@ class TestConfigLoading:
         assert "setting.c.impressions" in capsys.readouterr().err
 
     def test_distribution_specs(self):
-        assert parse_distribution("uniform:0:1").kind == "uniform"
-        assert parse_distribution("beta:2:38:1.5").upper == 1.5
+        assert parse_distribution("uniform:0:1", "dists").kind == "uniform"
+        assert parse_distribution("beta:2:38:1.5", "dists").upper == 1.5
         with pytest.raises(ConfigError):
-            parse_distribution("gamma:1:2")
+            parse_distribution("gamma:1:2", "dists")
 
     @pytest.mark.parametrize("spec", ["uniform:0:inf", "beta:nan:2", "beta:2:2:inf"])
     def test_non_finite_distribution_rejected(self, tmp_path, capsys, spec):
@@ -534,7 +534,7 @@ class TestQuadratureDeduplication:
         (("beta:2:38", "uniform:0:0.1", "beta:2:38"), [0, 1, 2]),
     ])
     def test_keys_and_entries(self, tmp_path, specs, owners):
-        dists = TheoremCase("x", specs).distributions()
+        dists = load_case(tmp_path, specs).dists
         keys = [_quadrature_key(dists, i) for i in range(len(dists))]
         assert [keys.index(key) for key in keys] == owners
         text = SMALL_THEOREMS.replace("dists = beta:2:38", "dists = " + ", ".join(specs))
@@ -625,6 +625,14 @@ import os, subprocess, sys
 proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
 _pid, status, usage = os.wait4(proc.pid, 0)
 print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+# Holds about 200 MB, every page written, while it runs argv as a child.
+BIG_LAUNCHER = """
+import json, subprocess, sys
+held = b"\\x01" * (200 << 20)
+print(json.dumps(subprocess.run(sys.argv[1:]).returncode))
 """
 
 
@@ -789,7 +797,7 @@ class TestManifestReproducibility:
                        "--threads", "2") == 0
         cases = json.loads((out / "manifest.json").read_text())["cases"]
         assert [c["name"] for c in cases] == ["pair", "solo"]
-        grid = CaseGrid([parse_distribution(spec) for spec in dists.split(", ")])
+        grid = CaseGrid([parse_distribution(spec, "dists") for spec in dists.split(", ")])
         expected = sample_rank_stats(grid, 40000, 5, case_index=1).exact_draws
         assert [c["exact_draws"] for c in cases] == [0, expected] and expected > 0
         # the iid pair needs one quadrature check, the two distinct ads two
@@ -797,6 +805,18 @@ class TestManifestReproducibility:
         for c in cases:
             assert min(c["grid_seconds"], c["mc_seconds"], c["check_seconds"]) >= 0.0
             assert isinstance(c["peak_rss_mb"], float) and c["peak_rss_mb"] > 0.0
+
+    def test_theorem_manifest_peak_is_the_run_own(self, tmp_path):
+        """Started from a process holding about 200 MB, verify-theorems records
+        its own peak RSS, not its launcher's."""
+        out = tmp_path / "thm"
+        assert run_probe(BIG_LAUNCHER, [
+            sys.executable, "-m", "gspbias.cli", "verify-theorems", "--config",
+            write_cfg(tmp_path, SMALL_THEOREMS), "--out", out, "--trials", "2000",
+            "--threads", "1"]) == 0
+        cases = json.loads((out / "manifest.json").read_text())["cases"]
+        peaks = [c["peak_rss_mb"] for c in cases]
+        assert len(peaks) == 2 and all(0.0 < peak < 150.0 for peak in peaks), peaks
 
     def test_cpc_manifest_times_each_setting(self, tmp_path):
         """simulate-cpc records the kernels' import apart from the settings,
@@ -839,6 +859,12 @@ from gspbias.cli import main
 rc = main(sys.argv[1:]) if len(sys.argv) > 1 else 0
 print(json.dumps({"rc": rc, "scipy": sorted(m for m in sys.modules
                                           if m == "scipy" or m.startswith("scipy."))}))
+"""
+
+MODULES_PROBE = """
+import json, sys
+import gspbias.cli
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "gspbias")))
 """
 
 # Prints, for each CaseGrid the command builds, whether the beta kernels were
@@ -907,6 +933,14 @@ class TestImportBoundary:
             seconds = json.loads((tmp_path / "out" / "manifest.json").read_text())[
                 "kernel_import_seconds"]
             assert (seconds > 0.0) == (cfg is SMALL_THEOREMS)
+
+    def test_cli_loads_every_package_module(self):
+        """Every module of the package is one the CLI imports, so none is
+        reached by the tests alone."""
+        package = Path(gspbias.__file__).parent
+        modules = {"gspbias"} | {f"gspbias.{p.stem}" for p in package.glob("*.py")
+                                 if p.stem != "__init__"}
+        assert set(run_probe(MODULES_PROBE, [])) == modules
 
     def test_beta_kernels_load_before_the_first_grid(self, tmp_path):
         """The first case is uniform-only and the second has a beta ad: the

@@ -1,5 +1,6 @@
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from hypothesis import strategies as st
 from scipy import stats
 from scipy.special import _ufuncs
 
-from gspbias.auction import ScoredAd, gsp_price, rank_ads
 from gspbias.engine import (
     BLOCK,
     AbConfig,
@@ -17,6 +17,7 @@ from gspbias.engine import (
     Context,
     CpcStudyConfig,
     ESTIMATOR_CODES,
+    MAX_IMPRESSIONS,
     STREAM_AB,
     STREAM_CPC,
     STREAM_MC,
@@ -31,10 +32,10 @@ from gspbias.engine import (
     worker_map,
 )
 from gspbias import rng
-from gspbias.errors import DegeneratePrice, RepeatedContext
+from gspbias.errors import InvalidValue, RepeatedContext
 from gspbias.estimators import CountWindow
 from gspbias.oracle import CaseGrid, ScoreDistribution
-from reference import run_logged
+from reference import DegeneratePrice, ScoredAd, gsp_price, rank_ads, run_logged
 
 
 def study(trials=2000, seed=99, ctrs=(0.05, 0.04), n=(5000, 5000), bids=(1.0, 1.0),
@@ -96,6 +97,20 @@ class TestCpcStudy:
 
     def test_zero_bids_allowed(self):
         assert study(bids=(0.0, 0.0)).bids == (0.0, 0.0)
+
+    @pytest.mark.parametrize("n", [(0, 5000), (5000, MAX_IMPRESSIONS + 1), (10 ** 300, 1)])
+    def test_impressions_outside_range_rejected(self, n):
+        """A count past MAX_IMPRESSIONS would need a CDF table too large to hold."""
+        with pytest.raises(InvalidValue, match="impressions") as info:
+            study(n=n)
+        assert info.value.field == "impressions"
+
+    @pytest.mark.parametrize("ctrs", [(0.0, 0.05), (0.05, 0.0), (0.05, 1.5), ()])
+    def test_ctrs_outside_unit_interval_rejected(self, ctrs):
+        """A zero CTR leaves the bias factor and the expected CPC undefined."""
+        with pytest.raises(InvalidValue, match="true_ctrs") as info:
+            study(ctrs=ctrs, n=(5000,) * len(ctrs), bids=(1.0,) * len(ctrs))
+        assert info.value.field == "true_ctrs"
 
     def test_thread_count_does_not_change_results(self):
         """The builtin map and a 3-worker pool give the same bytes, with one
@@ -287,11 +302,41 @@ class TestAbConfigValidation:
         assert info.value.index == 2
         assert isinstance(info.value, ValueError)
 
+    @pytest.mark.parametrize("field, value", [
+        ("epsilon", -0.1), ("epsilon", 1.5), ("epsilon", math.nan),
+        ("days", 0), ("traffic_per_day", 0), ("traffic_per_day", -3), ("window_days", 0),
+        ("burn_in_days", -1), ("burn_in_days", 7),  # days is 6
+    ])
+    def test_bad_plan_value_rejected(self, field, value):
+        with pytest.raises(InvalidValue, match=field) as info:
+            ab_config(**{field: value})
+        assert info.value.field == field
+
     def test_zero_multiplier_allowed(self):
         assert ab_config(contexts=(Context(1, 1, 0.0),)).true_ctr_matrix().max() == 0.0
 
 
 class TestAbExperiment:
+    @pytest.mark.parametrize("window_days", [1, 2, 3])
+    def test_estimates_read_the_days_before_today(self, window_days):
+        """Day d's estimates read the counts of days d - window_days + 1 ..
+        d - 1 and no other: ``advance_to(d)`` empties today's slot before the
+        day is served, so a one-day window serves the prior every day."""
+        cfg = ab_config(days=6, traffic_per_day=600, window_days=window_days)
+        tables = run_ab_experiment(cfg, lambda bucket, block: None)
+        for bucket in cfg.buckets:
+            bucket_tables = tables[bucket.name]
+            for day in range(cfg.days):
+                read = slice(max(0, day - window_days + 1), day)
+                clicks = bucket_tables.clicks[read].sum(axis=(0, 1))
+                imps = bucket_tables.impressions[read].sum(axis=(0, 1))
+                counts = SimpleNamespace(totals=lambda: (clicks, imps),
+                                         ad_totals=lambda: (clicks.sum(axis=1), imps.sum(axis=1)))
+                np.testing.assert_array_equal(bucket_tables.estimates[day],
+                                              estimate_matrix(bucket.estimator, counts))
+            if window_days == 1:
+                assert (bucket_tables.estimates == 0.05).all()  # the prior mean
+
     def test_record_conservation(self):
         cfg = ab_config()
         _tables, logs = run_logged(cfg)

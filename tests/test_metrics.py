@@ -54,6 +54,12 @@ def rank_estimates(trials, rank):
     return trials.estimates[np.arange(len(trials)), trials.order[:, rank - 1]]
 
 
+def rank_histograms(trials, width=0.0005):
+    """Each rank's histogram of unit-bid scores, best rank first."""
+    return [build_histogram(rank_estimates(trials, rank), width)
+            for rank in range(1, trials.order.shape[1] + 1)]
+
+
 @pytest.fixture(scope="module")
 def trials_competitive():
     # both ads identical: noisy ranking, strongest ordering effect
@@ -121,19 +127,19 @@ class TestSelectionBias:
 
 class TestCpcSummary:
     def test_competitive_setting_prices_below_expectation(self, trials_competitive):
-        s = cpc_summary(trials_competitive, (0.05, 0.05))
+        s = cpc_summary(trials_competitive, (0.05, 0.05), (1.0, 1.0))
         assert s.expected_cpc == pytest.approx(1.0)
         assert s.mean_observed_cpc < 1.0
         assert s.ratio == pytest.approx(s.mean_observed_cpc)
 
     def test_zero_variance(self):
         trials = run_setting((1.0, 1.0), 10, trials=200, idx=2)
-        s = cpc_summary(trials, (1.0, 1.0))
+        s = cpc_summary(trials, (1.0, 1.0), (1.0, 1.0))
         assert (s.expected_cpc, s.mean_observed_cpc, s.ratio) == (1.0, 1.0, 1.0)
 
     def test_degenerate_trials_excluded_but_counted(self):
         trials = run_setting((0.05, 0.05), 2, trials=2000, idx=3)
-        s = cpc_summary(trials, (0.05, 0.05))
+        s = cpc_summary(trials, (0.05, 0.05), (1.0, 1.0))
         assert s.degenerate_trials > 0
         assert s.trials_used == len(trials) - s.degenerate_trials
         kept = trials.cpc[~trials.degenerate]
@@ -143,7 +149,7 @@ class TestCpcSummary:
         trials = run_setting((0.01, 0.01), 1, trials=200, idx=5)
         degen = take(trials, trials.degenerate)
         assert len(degen)
-        s = cpc_summary(degen, (0.01, 0.01))
+        s = cpc_summary(degen, (0.01, 0.01), (1.0, 1.0))
         assert s.trials_used == 0
         assert np.isnan(s.mean_observed_cpc) and s.observed_se is None
         assert s.degenerate_trials == len(degen)
@@ -151,7 +157,7 @@ class TestCpcSummary:
     def test_ratio_of_expectations_tracks_mean_price(self, trials_competitive):
         """The two price summaries differ only by correlated-ratio curvature,
         which the combined delta-method errors absorb at this trial count."""
-        s = cpc_summary(trials_competitive, (0.05, 0.05))
+        s = cpc_summary(trials_competitive, (0.05, 0.05), (1.0, 1.0))
         combined = np.sqrt(s.observed_se ** 2 + s.ratio_of_means_se ** 2)
         assert abs(s.ratio_of_means - s.mean_observed_cpc) < 3 * combined
 
@@ -363,7 +369,8 @@ class TestHistograms:
 
 class TestBiasReport:
     def test_report_shape_and_splittability(self, trials_competitive):
-        rep = bias_report(trials_competitive, (0.05, 0.05))
+        rep = bias_report(trials_competitive, (0.05, 0.05), (1.0, 1.0),
+                          rank_histograms(trials_competitive))
         assert len(rep.per_rank) == 2
         assert rep.per_rank[0].bias_factor > rep.per_rank[1].bias_factor
         assert rep.per_rank[0].conditional_score_mean > rep.per_rank[1].conditional_score_mean
@@ -377,7 +384,7 @@ class TestBiasReport:
         ctrs = (0.05, 0.05)
         b1 = selection_bias(trials_competitive, ctrs, 1)
         b2 = selection_bias(trials_competitive, ctrs, 2)
-        s = cpc_summary(trials_competitive, ctrs)
+        s = cpc_summary(trials_competitive, ctrs, (1.0, 1.0))
         predicted = (b2.value / b1.value) * (ctrs[1] / ctrs[0])
         combined = np.sqrt(s.observed_se ** 2 + s.ratio_of_means_se ** 2)
         assert abs(predicted - s.mean_observed_cpc) < 3 * combined

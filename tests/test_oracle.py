@@ -19,7 +19,7 @@ from scipy import stats
 from scipy.special import _ufuncs
 
 import gspbias
-from gspbias.config import TheoremCase, load_config, parse_distribution
+from gspbias.config import load_config, parse_distribution
 from gspbias import oracle
 from gspbias.engine import sample_rank_stats, worker_map
 from gspbias.errors import GridMismatch, RankUnreachable
@@ -38,7 +38,12 @@ from gspbias.oracle import (
     rank_table,
     top_rank_decomposition,
 )
-from reference import hermite_safe_cells_whole_rows, rank_probs, rank_table_whole_rows
+from reference import (
+    hermite_safe_cells_whole_rows,
+    load_case,
+    rank_probs,
+    rank_table_whole_rows,
+)
 
 U01 = ScoreDistribution.uniform(0.0, 1.0)
 
@@ -98,7 +103,7 @@ class TestScoreDistribution:
         """Bit for bit what scipy.stats.beta gives, on and off the support."""
         a, b, *rest = (float(x) for x in spec.split(":")[1:])
         scale = rest[0] if rest else 1.0
-        dist = parse_distribution(spec)
+        dist = parse_distribution(spec, "dists")
         s = np.concatenate([np.linspace(-0.1 * scale, 1.1 * scale, 131_073),
                             [0.0, scale, -scale, 2.0 * scale]])
         u = np.concatenate([[0.0, 2.0 ** -53, 0.5, 1.0 - 2.0 ** -53],
@@ -288,7 +293,7 @@ class TestCaseGridPpf:
         """Lattice uniforms on the packaged betas fall back to the exact inverse
         only in the outermost cells."""
         for spec in PACKAGED_BETAS:
-            dist = parse_distribution(spec)
+            dist = parse_distribution(spec, "dists")
             grid = CaseGrid([dist])
             fallbacks = []
             monkeypatch.setattr(dist, "_ppf", lambda v, f=dist._ppf: fallbacks.append(v) or f(v))
@@ -299,7 +304,7 @@ class TestCaseGridPpf:
     def test_packaged_betas_make_no_betainc_call(self, monkeypatch):
         """Once the grid is built, its beta draws never evaluate the beta CDF."""
         for spec in PACKAGED_BETAS:
-            grid = CaseGrid([parse_distribution(spec)])
+            grid = CaseGrid([parse_distribution(spec, "dists")])
             calls = []
             monkeypatch.setattr(_ufuncs, "betainc",
                                 lambda *args, f=_ufuncs.betainc: calls.append(args) or f(*args))
@@ -314,7 +319,7 @@ class TestCaseGridPpf:
     def test_safe_cells_meet_the_newton_tolerance(self, spec):
         """A draw from a safe cell leaves a CDF residual, over the density, of at
         most _NEWTON_TOL of the ad's scale plus what CDF rounding allows."""
-        dist = parse_distribution(spec)
+        dist = parse_distribution(spec, "dists")
         a, b, scale = dist.params
         # a uniform rival stretches the case grid past the beta's scale
         grid = CaseGrid([dist, ScoreDistribution.uniform(0.0, 1.5 * scale)])
@@ -388,13 +393,13 @@ class TestGuideBracket:
 
 
 class TestCaseGridRows:
-    def test_repeated_specs_evaluate_each_distribution_once(self, monkeypatch):
+    def test_repeated_specs_evaluate_each_distribution_once(self, monkeypatch, tmp_path):
         """Ads with the same spec share one object, and the grid evaluates its
         CDF and PDF once at each node, slice by slice, giving the rows
         separately parsed ads would get."""
-        case = TheoremCase("rep", ("beta:2:38", "uniform:0:1", "beta:2:38",
-                                   "beta:3:37:1.2", "uniform:0:1", "beta:2:38"))
-        dists = case.distributions()
+        case = load_case(tmp_path, ("beta:2:38", "uniform:0:1", "beta:2:38",
+                                    "beta:3:37:1.2", "uniform:0:1", "beta:2:38"))
+        dists = case.dists
         assert dists[0] is dists[2] is dists[5] and dists[1] is dists[4]
         calls = defaultdict(list)
         for d in {id(d): d for d in dists}.values():
@@ -406,7 +411,7 @@ class TestCaseGridRows:
                                         for name in ("cdf", "pdf")})
         for nodes in calls.values():
             np.testing.assert_array_equal(np.concatenate(nodes), grid.s)
-        own = CaseGrid([parse_distribution(spec) for spec in case.dist_specs])
+        own = CaseGrid([parse_distribution(spec, "dists") for spec in case.dist_specs])
         np.testing.assert_array_equal(grid.cdf, own.cdf)
         np.testing.assert_array_equal(grid.pdf, own.pdf)
         for j in range(len(dists)):
@@ -441,9 +446,8 @@ class TestNodeSlices:
 
     @pytest.mark.parametrize("node_slice", [oracle.NODE_SLICE, 1000])
     @pytest.mark.parametrize("threads", [1, 4])
-    def test_case_grid_matches_whole_rows(self, monkeypatch, node_slice, threads):
-        case = TheoremCase("sliced", tuple(SLICED_FIELD))
-        dists = case.distributions()
+    def test_case_grid_matches_whole_rows(self, monkeypatch, tmp_path, node_slice, threads):
+        dists = load_case(tmp_path, SLICED_FIELD).dists
         monkeypatch.setattr(oracle, "NODE_SLICE", node_slice)
         with contended_workers(threads) as map:
             grid = CaseGrid(dists, map)
@@ -467,7 +471,7 @@ class TestNodeSlices:
         """As a command runs them: the grid rows filled on its workers, then each
         candidate's table folded slice by slice in the calling thread, equal to
         the whole-row fold over rows evaluated in one call each."""
-        dists = [parse_distribution(spec) for spec in SLICED_FIELD]
+        dists = [parse_distribution(spec, "dists") for spec in SLICED_FIELD]
         monkeypatch.setattr(oracle, "NODE_SLICE", node_slice)
         with contended_workers(threads) as map:
             grid = CaseGrid(dists, map)
@@ -487,7 +491,7 @@ MC_FAMILY_FALSE_ALARM = 1e-4  # bench/run.py's Bonferroni gate
 
 
 def test_monte_carlo_agrees_with_quadrature_at_sixteen_ads():
-    grid = CaseGrid([parse_distribution(spec) for spec in SIXTEEN_ADS])
+    grid = CaseGrid([parse_distribution(spec, "dists") for spec in SIXTEEN_ADS])
     mc = sample_rank_stats(grid, 1 << 18, SIXTEEN_SEED)
     deviations = []
     for i in range(len(grid)):
@@ -574,11 +578,6 @@ class TestCheckSplittable:
         with pytest.raises(GridMismatch):
             check_splittable(np.ones(5), np.ones(6))
 
-    def test_histogram_wrapper_requires_shared_edges(self):
-        edges = np.linspace(0, 1, 11)
-        with pytest.raises(GridMismatch):
-            split_histogram_densities(edges, np.ones(10), edges + 0.01, np.ones(10))
-
     def test_histogram_wrapper_tolerates_sampling_noise(self):
         rng = np.random.default_rng(33)
         a = rng.normal(0.05, 0.003, 20000)
@@ -586,7 +585,7 @@ class TestCheckSplittable:
         edges = np.linspace(0.03, 0.07, 41)
         ca, _ = np.histogram(a, edges)
         cb, _ = np.histogram(b, edges)
-        verdict = split_histogram_densities(edges, ca, edges, cb)
+        verdict = split_histogram_densities(edges, ca, cb)
         assert verdict.splittable
 
 
