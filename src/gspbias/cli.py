@@ -85,7 +85,8 @@ MC_AGREEMENT_SIGMA = 4.0
 MIN_MC_COUNT = 1000
 
 
-def _load(args, command: str) -> LoadedConfig:
+def _load(args) -> LoadedConfig:
+    command = args.command
     if args.config is not None:
         loaded = load_config(args.config)
     else:
@@ -123,6 +124,18 @@ def _nn(x) -> float | None:
     return x if math.isfinite(x) else None
 
 
+def _record(result) -> dict:
+    """A result dataclass as a report record: each field under its own name,
+    floats through ``_nn``, tuples as lists and nested results as records."""
+    def value(v):
+        if isinstance(v, float):
+            return _nn(v)
+        if isinstance(v, tuple):
+            return [value(x) for x in v]
+        return _record(v) if dataclasses.is_dataclass(v) else v
+    return {f.name: value(getattr(result, f.name)) for f in dataclasses.fields(result)}
+
+
 def _load_kernels() -> float:
     """Load scipy's special-function kernels; the seconds that took, timed
     apart so that no setting's or case's time includes the first import."""
@@ -135,12 +148,7 @@ def _load_kernels() -> float:
 # simulate-cpc
 # ---------------------------------------------------------------------------
 
-def cmd_simulate_cpc(args) -> int:
-    t0 = time.monotonic()
-    loaded = _load(args, "simulate-cpc")
-    suite: CpcSuite = loaded.payload
-    seed = _resolve_seed(args.seed, loaded.seed)
-    arts = ArtifactSet(args.out)
+def cmd_simulate_cpc(args, suite: CpcSuite, seed: int, arts: ArtifactSet) -> tuple[int, dict]:
     table_rows = []
     settings_payload = {}
     setting_runs = []  # for the manifest
@@ -152,7 +160,8 @@ def cmd_simulate_cpc(args) -> int:
                 setting.trials if args.trials is None else args.trials))
             trials = run_cpc_study(cfg, pmap)
             summary = cpc_summary(trials, cfg.true_ctrs, cfg.bids)
-            mean, ratio = _nn(summary.mean_observed_cpc), _nn(summary.ratio)
+            entry = {**_record(summary), "trials": cfg.trials}
+            mean, ratio = entry["mean_observed_cpc"], entry["ratio"]
             # an undefined value is an empty cell, as in calibration_table.csv
             table_rows.append((f"({cfg.name})", summary.expected_cpc,
                                "" if mean is None else mean, "" if ratio is None else ratio))
@@ -166,33 +175,14 @@ def cmd_simulate_cpc(args) -> int:
             rank_hists = [build_histogram(col, suite.score_hist_width) for col in scores.T]
             for rank, hist in enumerate(rank_hists, 1):
                 write_histogram_csv(arts.path(f"ordstat_hist_{cfg.name}_rank{rank}.csv"), hist)
-            entry = {
-                "expected_cpc": summary.expected_cpc,
-                "mean_observed_cpc": mean,
-                "ratio": ratio,
-                "observed_se": _nn(summary.observed_se),
-                "ratio_of_means": _nn(summary.ratio_of_means),
-                "ratio_of_means_se": _nn(summary.ratio_of_means_se),
-                "degenerate_trials": summary.degenerate_trials,
-                "trials": cfg.trials,
-            }
-            if summary.trials_used == 0:
+            if summary.degenerate_trials == cfg.trials:
                 entry["ratio_undefined_reason"] = ("every trial is degenerate (top estimate 0), "
                                                    "so no price was observed")
             elif ratio is None:
                 entry["ratio_undefined_reason"] = ("expected CPC is 0 "
                                                    "(no runner-up, or its true score is 0)")
             try:
-                rep = bias_report(trials, cfg.true_ctrs, cfg.bids, rank_hists)
-                entry["per_rank"] = [{
-                    "rank": r.rank,
-                    "bias_factor": r.bias_factor,
-                    "bias_se": _nn(r.bias_se),
-                    "conditional_score_mean": r.conditional_score_mean,
-                    "conditional_score_se": _nn(r.conditional_score_se),
-                    "samples": r.samples,
-                } for r in rep.per_rank]
-                entry["adjacent_splittable"] = list(rep.adjacent_splittable)
+                entry.update(_record(bias_report(trials, cfg.true_ctrs, cfg.bids, rank_hists)))
             except RankUnreachable as exc:
                 entry["per_rank"] = None
                 entry["unavailable_reason"] = str(exc)
@@ -208,10 +198,7 @@ def cmd_simulate_cpc(args) -> int:
               ["setting", "expected_cpc", "mean_observed_cpc", "ratio"], table_rows)
     write_json(arts.path("bias_report.json"),
                {"seed": seed, "settings": settings_payload})
-    arts.write_manifest("simulate-cpc", config_dict(loaded, seed), seed,
-                        time.monotonic() - t0, __version__, args.threads,
-                        kernel_import_seconds=kernel_import_seconds, settings=setting_runs)
-    return 0
+    return 0, {"kernel_import_seconds": kernel_import_seconds, "settings": setting_runs}
 
 
 # ---------------------------------------------------------------------------
@@ -234,31 +221,18 @@ def _quadrature_checks(grid: CaseGrid, i: int) -> tuple[dict, np.ndarray, bool]:
     table = rank_table(grid.cdf, i)
     profile = conditional_mean_profile(grid, i, table)
     qmeans = profile.conditional_means
-    ineq_checked = ineq_skipped = 0
-    ineq_ok = True
-    for k in range(m - 1):
-        if np.isnan(qmeans[k]) or np.isnan(qmeans[k + 1]):
-            ineq_skipped += 1
-            continue
-        ineq_checked += 1
-        if not qmeans[k] >= qmeans[k + 1] - MEAN_INEQUALITY_SLACK:
-            ineq_ok = False
-    if m >= 2:
-        try:
-            dec = top_rank_decomposition(grid, i, table)
-            dec_ok = (abs(dec.residual) <= DECOMPOSITION_TOL
-                      and dec.plus_monotone and dec.minus_monotone)
-            dec_entry = {"residual": dec.residual,
-                         "plus_monotone": dec.plus_monotone,
-                         "minus_monotone": dec.minus_monotone,
-                         "passed": dec_ok}
-        except RankUnreachable as exc:
-            dec_ok = True
-            dec_entry = {"skipped": str(exc)}
-    else:
-        dec_ok = True
-        dec_entry = {"skipped": "single ad has no adjacent rank"}
-    nodes, dens = conditional_density_profile(grid, i, table)
+    # rank k against rank k + 1, where both are reachable
+    better, worse = qmeans[:-1], qmeans[1:]
+    reached = ~(np.isnan(better) | np.isnan(worse))
+    ineq_checked = int(reached.sum())
+    ineq_ok = bool(np.all(better[reached] >= worse[reached] - MEAN_INEQUALITY_SLACK))
+    try:
+        dec = top_rank_decomposition(grid, i, table, profile.marginals)
+        dec_entry = {**_record(dec), "passed": (abs(dec.residual) <= DECOMPOSITION_TOL
+                                                and dec.plus_monotone and dec.minus_monotone)}
+    except RankUnreachable as exc:
+        dec_entry = {"skipped": str(exc)}
+    nodes, dens = conditional_density_profile(grid, i, table, profile.marginals)
     split_entries = []
     split_ok = True
     for k in range(m - 1):
@@ -276,35 +250,27 @@ def _quadrature_checks(grid: CaseGrid, i: int) -> tuple[dict, np.ndarray, bool]:
         "marginals": [float(x) for x in profile.marginals],
         "quadrature_means": [_nn(x) for x in qmeans],
         "mean_inequality": {"passed": ineq_ok, "checked": ineq_checked,
-                            "skipped": ineq_skipped},
+                            "skipped": m - 1 - ineq_checked},
         "decomposition": dec_entry,
         "splittability": {"passed": split_ok, "pairs": split_entries},
     }
-    return fields, qmeans, ineq_ok and dec_ok and split_ok
+    return fields, qmeans, ineq_ok and dec_entry.get("passed", True) and split_ok
 
 
 def _mc_agreement(qmeans: np.ndarray, mc, i: int) -> tuple[dict, bool]:
     """Candidate i's Monte Carlo report fields and whether its moments agree
     with the quadrature means ``qmeans``."""
-    mc_checked = mc_skipped = 0
-    mc_ok = True
-    max_sigma = 0.0
-    for k in range(len(qmeans)):
-        count = mc.counts[i, k]
-        if np.isnan(qmeans[k]) or count < MIN_MC_COUNT or np.isnan(mc.std_errors[i, k]):
-            mc_skipped += 1
-            continue
-        mc_checked += 1
-        sigma = abs(mc.means[i, k] - qmeans[k]) / mc.std_errors[i, k]
-        max_sigma = max(max_sigma, sigma)
-        if sigma > MC_AGREEMENT_SIGMA:
-            mc_ok = False
+    means, std_errors = mc.means[i], mc.std_errors[i]
+    checked = ~np.isnan(qmeans) & (mc.counts[i] >= MIN_MC_COUNT) & ~np.isnan(std_errors)
+    sigma = np.abs(means[checked] - qmeans[checked]) / std_errors[checked]
+    mc_ok = not np.any(sigma > MC_AGREEMENT_SIGMA)
+    n_checked = int(checked.sum())
     fields = {
-        "mc_means": [_nn(x) for x in mc.means[i]],
-        "mc_std_errors": [_nn(x) for x in mc.std_errors[i]],
+        "mc_means": [_nn(x) for x in means],
+        "mc_std_errors": [_nn(x) for x in std_errors],
         "mc_counts": [int(x) for x in mc.counts[i]],
-        "mc_agreement": {"passed": mc_ok, "max_sigma": max_sigma,
-                         "checked": mc_checked, "skipped": mc_skipped},
+        "mc_agreement": {"passed": mc_ok, "max_sigma": _nn(np.max(sigma, initial=0.0)),
+                         "checked": n_checked, "skipped": len(qmeans) - n_checked},
     }
     return fields, mc_ok
 
@@ -327,17 +293,13 @@ def _peak_rss() -> dict:
     return {"peak_rss_mb": round(peak / (2 ** 20 if sys.platform == "darwin" else 2 ** 10), 1)}
 
 
-def cmd_verify_theorems(args) -> int:
+def cmd_verify_theorems(args, suite: TheoremSuite, seed: int,
+                        arts: ArtifactSet) -> tuple[int, dict]:
     """Each case: its grid, its Monte Carlo moments, then its candidates'
     checks.  The quadrature checks run once per distinct ``_quadrature_key``;
     grid slices and MC blocks share one worker map, and rank tables are
     folded in the calling thread."""
-    t0 = time.monotonic()
-    loaded = _load(args, "verify-theorems")
-    suite: TheoremSuite = loaded.payload
-    seed = _resolve_seed(args.seed, loaded.seed)
     draws = args.trials if args.trials is not None else suite.mc_draws
-    arts = ArtifactSet(args.out)
     cases_payload = []
     case_runs = []  # for the manifest
     all_pass = True
@@ -384,24 +346,18 @@ def cmd_verify_theorems(args) -> int:
         "passed": all_pass,
         "cases": cases_payload,
     })
-    arts.write_manifest("verify-theorems", config_dict(loaded, seed), seed,
-                        time.monotonic() - t0, __version__, args.threads, cases=case_runs,
-                        kernel_import_seconds=kernel_import_seconds)
-    return 0 if all_pass else 1
+    return (0 if all_pass else 1), {"cases": case_runs,
+                                    "kernel_import_seconds": kernel_import_seconds}
 
 
 # ---------------------------------------------------------------------------
 # ab-run
 # ---------------------------------------------------------------------------
 
-def cmd_ab_run(args) -> int:
+def cmd_ab_run(args, plan: AbConfig, seed: int, arts: ArtifactSet) -> tuple[int, dict]:
     """Serve both buckets, writing each block of impressions as it is served,
     then report calibration and relative value from the day tables."""
-    t0 = time.monotonic()
-    loaded = _load(args, "ab-run")
-    seed = _resolve_seed(args.seed, loaded.seed)
-    cfg: AbConfig = dataclasses.replace(loaded.payload, seed=seed)
-    arts = ArtifactSet(args.out)
+    cfg = dataclasses.replace(plan, seed=seed)
     written = {}  # bucket name -> when its last block was written
     with contextlib.ExitStack() as files:
         sinks = {bucket.name: [] for bucket in cfg.buckets}  # (file, writer) pairs
@@ -435,16 +391,7 @@ def cmd_ab_run(args) -> int:
                        "evaluation_records": int(bucket_tables.impressions[first_day:].sum())}
         try:
             rep = c_relative(bucket_tables, first_day)
-            entry.update({
-                "calibration_greedy": rep.calibration_greedy,
-                "calibration_random": rep.calibration_random,
-                "c_relative": rep.c_relative,
-                "bid_weighted_greedy": rep.bid_weighted_greedy,
-                "bid_weighted_random": rep.bid_weighted_random,
-                "bid_weighted_c_relative": rep.bid_weighted_c_relative,
-                "greedy_clicks": rep.greedy_clicks,
-                "random_clicks": rep.random_clicks,
-            })
+            entry.update(_record(rep))
             table_rows.append((bucket.name, rep.c_relative, rep.bid_weighted_c_relative))
         except UndefinedCalibration as exc:
             entry.update({"c_relative": None, "undefined_reason": str(exc)})
@@ -459,15 +406,12 @@ def cmd_ab_run(args) -> int:
     })
     base, comp = cfg.buckets[0].name, cfg.buckets[1].name
     try:
-        rel = rtv_rtc(tables[base], tables[comp], first_day)
-        rel_payload = {"rtv": rel.rtv, "rtc": rel.rtc}
+        rel_payload = _record(rtv_rtc(tables[base], tables[comp], first_day))
     except UndefinedRatio as exc:
         rel_payload = {"rtv": None, "rtc": None, "undefined_reason": str(exc)}
     rel_payload.update({"baseline_bucket": base, "comparison_bucket": comp})
     write_json(arts.path("rtv_rtc.json"), rel_payload)
-    arts.write_manifest("ab-run", config_dict(loaded, seed), seed,
-                        time.monotonic() - t0, __version__, args.threads, buckets=bucket_runs)
-    return 0
+    return 0, {"buckets": bucket_runs}
 
 
 # ---------------------------------------------------------------------------
@@ -524,6 +468,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command: load its config, resolve the seed, call the command
+    with ``(args, payload, seed, artifacts)``, then write the manifest with
+    the command's own fields and the run's duration.  Returns the exit code."""
     try:
         args = build_parser().parse_args(argv)
     except _UsageError as exc:
@@ -536,7 +483,14 @@ def main(argv=None) -> int:
         print("config error: threads must be >= 1", file=sys.stderr)
         return 3
     try:
-        return args.func(args)
+        t0 = time.monotonic()
+        loaded = _load(args)
+        seed = _resolve_seed(args.seed, loaded.seed)
+        arts = ArtifactSet(args.out)
+        code, manifest_extra = args.func(args, loaded.payload, seed, arts)
+        arts.write_manifest(args.command, config_dict(loaded, seed), seed,
+                            time.monotonic() - t0, __version__, args.threads, **manifest_extra)
+        return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 3

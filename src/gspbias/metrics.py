@@ -43,7 +43,6 @@ class BiasFactor:
     rank: int
     value: float
     se: float
-    trials_used: int
 
 
 def selection_bias(trials: TrialTable, true_ctrs: tuple[float, ...], rank: int) -> BiasFactor:
@@ -58,7 +57,7 @@ def selection_bias(trials: TrialTable, true_ctrs: tuple[float, ...], rank: int) 
     holders = trials.order[:, rank - 1]
     ratios = trials.estimates[np.arange(n), holders] / np.asarray(true_ctrs)[holders]
     se = float(ratios.std(ddof=1) / np.sqrt(n))
-    return BiasFactor(rank=rank, value=float(ratios.mean()), se=se, trials_used=n)
+    return BiasFactor(rank=rank, value=float(ratios.mean()), se=se)
 
 
 @dataclass(frozen=True)
@@ -72,7 +71,6 @@ class CpcSummary:
     ratio_of_means: float        # mean runner-up score / mean winner estimate
     ratio_of_means_se: float | None
     degenerate_trials: int
-    trials_used: int
 
 
 def cpc_summary(trials: TrialTable, true_ctrs: tuple[float, ...],
@@ -87,7 +85,7 @@ def cpc_summary(trials: TrialTable, true_ctrs: tuple[float, ...],
         return CpcSummary(expected_cpc=expected, mean_observed_cpc=float("nan"),
                           ratio=float("nan"), observed_se=None,
                           ratio_of_means=float("nan"), ratio_of_means_se=None,
-                          degenerate_trials=degenerate, trials_used=0)
+                          degenerate_trials=degenerate)
     cpcs = trials.cpc[ok]
     mean_cpc = float(cpcs.mean())
     c = _pow2(cpcs)
@@ -122,7 +120,7 @@ def cpc_summary(trials: TrialTable, true_ctrs: tuple[float, ...],
         expected_cpc=expected, mean_observed_cpc=mean_cpc,
         ratio=mean_cpc / expected if expected > 0 else float("nan"),
         observed_se=se, ratio_of_means=rom, ratio_of_means_se=rom_se,
-        degenerate_trials=degenerate, trials_used=used,
+        degenerate_trials=degenerate,
     )
 
 
@@ -136,8 +134,6 @@ class CalibrationReport:
     bid_weighted_greedy: float
     bid_weighted_random: float
     bid_weighted_c_relative: float
-    greedy_count: int
-    random_count: int
     greedy_clicks: int
     random_clicks: int
 
@@ -153,13 +149,15 @@ def c_relative(tables: BucketTables, first_day: int) -> CalibrationReport:
     A display's predicted CTR is its day's estimate for its (ad, context),
     so each traffic kind's predicted clicks are its impression counts
     weighted by the estimates; the sums run over the day tables, whose shape
-    does not depend on the traffic.
+    does not depend on the traffic.  Raises UndefinedCalibration when either
+    traffic kind has no clicks or no clicked bid value, or when the random
+    traffic's predicted clicks or bid-weighted predicted value is zero.
     """
     imp, clk = tables.impressions[first_day:], tables.clicks[first_day:]
     est = tables.estimates[first_day:, None]   # broadcast over the two modes
     bid = _bids(tables)[:, None]
     modes = (0, 2, 3)  # sum all but the mode axis: [greedy, random]
-    count, clicks = imp.sum(axis=modes), clk.sum(axis=modes)
+    clicks = clk.sum(axis=modes)
     g_clicks, r_clicks = int(clicks[0]), int(clicks[1])
     if g_clicks == 0 or r_clicks == 0:
         raise UndefinedCalibration(
@@ -171,12 +169,14 @@ def c_relative(tables: BucketTables, first_day: int) -> CalibrationReport:
     w_pred = (imp * (est * bid)).sum(axis=modes)
     cal_g, cal_r = float(pred[0] / g_clicks), float(pred[1] / r_clicks)
     wcal_g, wcal_r = float(w_pred[0] / w_den[0]), float(w_pred[1] / w_den[1])
+    if cal_r == 0.0 or wcal_r == 0.0:
+        raise UndefinedCalibration("random traffic has zero predicted clicks "
+                                   "or zero bid-weighted predicted value")
     return CalibrationReport(
         calibration_greedy=cal_g, calibration_random=cal_r,
         c_relative=cal_g / cal_r,
         bid_weighted_greedy=wcal_g, bid_weighted_random=wcal_r,
         bid_weighted_c_relative=wcal_g / wcal_r,
-        greedy_count=int(count[0]), random_count=int(count[1]),
         greedy_clicks=g_clicks, random_clicks=r_clicks,
     )
 
@@ -290,7 +290,6 @@ class BiasReport:
 
     per_rank: tuple[RankBiasSummary, ...]
     adjacent_splittable: tuple[bool, ...]   # rank k vs k+1 ordered-score histograms
-    degenerate_trials: int
 
 
 def bias_report(trials: TrialTable, true_ctrs: tuple[float, ...],
@@ -320,8 +319,4 @@ def bias_report(trials: TrialTable, true_ctrs: tuple[float, ...],
         # at low scores and above it at high scores, crossing once
         verdict = split_histogram_densities(edges, c_better, c_worse)
         splittable.append(verdict.splittable)
-    return BiasReport(
-        per_rank=tuple(per_rank),
-        adjacent_splittable=tuple(splittable),
-        degenerate_trials=int(trials.degenerate.sum()),
-    )
+    return BiasReport(per_rank=tuple(per_rank), adjacent_splittable=tuple(splittable))

@@ -37,7 +37,9 @@ thread: its fold is many small in-place row operations, and on a pool each
 one's hand-off between threads costs more than the arithmetic it shares.
 
 Every oracle function takes the case's ``CaseGrid`` and, past the grid
-build, a candidate's ``rank_table`` on it, which the caller builds once.
+build, a candidate's ``rank_table`` on it, which the caller builds once;
+the density profile and the decomposition also take the rank masses that
+the mean profile computed from that table, so each mass is summed once.
 
 Quadrature accuracy is ~1e-12 relative for smooth densities; a density
 jump interior to the shared grid (e.g. a uniform whose endpoints are not
@@ -360,7 +362,6 @@ def rank_table(F: np.ndarray, candidate: int) -> np.ndarray:
 class RankProfile:
     """Quadrature results for one candidate: per-rank mass and conditional mean."""
 
-    candidate: int
     marginals: np.ndarray      # P(rank = k), index k-1
     conditional_means: np.ndarray  # E[score | rank = k], NaN where unreachable
 
@@ -378,22 +379,22 @@ def conditional_mean_profile(grid: CaseGrid, candidate: int, table: np.ndarray) 
         marginals[k] = mass
         if mass >= MASS_FLOOR:
             means[k] = float(np.sum(wsd * pk)) / mass
-    return RankProfile(candidate=candidate, marginals=marginals, conditional_means=means)
+    return RankProfile(marginals=marginals, conditional_means=means)
 
 
-def conditional_density_profile(grid: CaseGrid, candidate: int,
-                                table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def conditional_density_profile(grid: CaseGrid, candidate: int, table: np.ndarray,
+                                marginals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Conditional score densities given each rank, on the Simpson grid.
 
     Returns (nodes, matrix) where row k-1 is the density of the candidate's
     score conditional on attaining rank k; rows for ranks with negligible
-    mass are NaN.  ``table``, the candidate's ``rank_table``, is normalized
-    in place and returned as the matrix, so read it for anything else first.
+    mass are NaN.  ``marginals`` are the rank masses of the candidate's
+    ``conditional_mean_profile`` on ``table``, its ``rank_table``, which is
+    normalized in place and returned as the matrix, so read it for anything
+    else first.
     """
-    w, density = grid.w, grid.pdf[candidate]
-    wd = w * density
-    for k, pk in enumerate(table):
-        mass = float(np.sum(wd * pk))
+    density = grid.pdf[candidate]
+    for k, (pk, mass) in enumerate(zip(table, marginals)):
         if mass >= MASS_FLOOR:
             table[k] = density * pk / mass
         else:
@@ -407,7 +408,6 @@ class SplitVerdict:
 
     splittable: bool
     split_index: int | None
-    tolerance: float
 
 
 def check_splittable(f, g, tolerance: float = 0.0) -> SplitVerdict:
@@ -429,8 +429,8 @@ def check_splittable(f, g, tolerance: float = 0.0) -> SplitVerdict:
     suffix_ok = np.logical_and.accumulate(above_ok[::-1])[::-1]
     valid = prefix_ok & suffix_ok
     if not valid.any():
-        return SplitVerdict(False, None, tolerance)
-    return SplitVerdict(True, int(np.argmax(valid)), tolerance)
+        return SplitVerdict(False, None)
+    return SplitVerdict(True, int(np.argmax(valid)))
 
 
 @dataclass(frozen=True)
@@ -449,31 +449,29 @@ class RankDecomposition:
     minus_monotone: bool
 
 
-def top_rank_decomposition(grid: CaseGrid, candidate: int,
-                           table: np.ndarray) -> RankDecomposition:
+def top_rank_decomposition(grid: CaseGrid, candidate: int, table: np.ndarray,
+                           marginals: np.ndarray) -> RankDecomposition:
     """Build the two monotone parts and verify their zero-integral property.
 
     With P1, P2 the rank-1 and rank-2 rows of the candidate's rank table
-    ``table`` and m ads, the rivals' all-below product is P1 and its
-    leave-one-out sum is sum_l prod_{j != l} F_j = P2 + (m - 1) P1, so
-    plus_part is (1 + alpha (m - 1)) P1 and minus_part is
-    alpha (P2 + (m - 1) P1).  The parts count as non-decreasing where no
+    ``table``, ``marginals`` their masses from the candidate's
+    ``conditional_mean_profile``, and m ads, the rivals' all-below product
+    is P1 and its leave-one-out sum is sum_l prod_{j != l} F_j =
+    P2 + (m - 1) P1, so plus_part is (1 + alpha (m - 1)) P1 and minus_part
+    is alpha (P2 + (m - 1) P1).  The parts count as non-decreasing where no
     step falls by more than 1e-12, the round-off of the products.
     """
     if len(grid) < 2:
-        raise RankUnreachable("rank 2 does not exist with a single ad")
-    w, density = grid.w, grid.pdf[candidate]
-    p1, p2 = table[:2]
-    wd = w * density
-    mass1 = float(np.sum(wd * p1))
-    mass2 = float(np.sum(wd * p2))
+        raise RankUnreachable("single ad has no adjacent rank")
+    mass1, mass2 = marginals[:2]
     if mass2 < MASS_FLOOR:
         raise RankUnreachable(f"rank 2 mass {mass2:.3e} too small for the contrast")
     alpha = mass1 / mass2
     rivals = len(grid) - 1
+    p1, p2 = table[:2]
     plus_part = p1 + alpha * (rivals * p1)
     minus_part = alpha * (p2 + rivals * p1)
-    residual = float(np.sum(wd * (plus_part - minus_part)))
+    residual = float(np.sum(grid.w * grid.pdf[candidate] * (plus_part - minus_part)))
     plus_monotone = bool(np.all(np.diff(plus_part) >= -1e-12))
     minus_monotone = bool(np.all(np.diff(minus_part) >= -1e-12))
     return RankDecomposition(residual=residual,

@@ -98,12 +98,13 @@ def c_relative_per_access(log) -> CalibrationReport:
         raise UndefinedCalibration("bid-weighted clicked value is zero on one traffic kind")
     wcal_g = float((bid[greedy] * pred[greedy]).sum() / wg_den)
     wcal_r = float((bid[random] * pred[random]).sum() / wr_den)
+    if cal_r == 0.0 or wcal_r == 0.0:
+        raise UndefinedCalibration("random traffic predicts no clicks or no bid-weighted value")
     return CalibrationReport(
         calibration_greedy=cal_g, calibration_random=cal_r,
         c_relative=cal_g / cal_r,
         bid_weighted_greedy=wcal_g, bid_weighted_random=wcal_r,
         bid_weighted_c_relative=wcal_g / wcal_r,
-        greedy_count=int(greedy.sum()), random_count=int(random.sum()),
         greedy_clicks=g_clicks, random_clicks=r_clicks,
     )
 

@@ -115,6 +115,38 @@ base_ctr = 0.04
 """
 
 
+# One ad in one context, so every display is that ad; at --seed 18 every
+# prediction bucket A serves to its random traffic is 0.
+ONE_AD_AB = """
+[config]
+schema_version = 1
+command = ab-run
+
+[experiment]
+seed = 17
+days = 3
+burn_in_days = 1
+window_days = 2
+traffic_per_day = 20
+epsilon = 0.5
+
+[bucket.A]
+estimator = naive
+
+[bucket.B]
+estimator = pooled
+
+[context.1]
+site = 1
+pos = 1
+multiplier = 1.0
+
+[ad.1]
+bid = 1.0
+base_ctr = 0.05
+"""
+
+
 def write_cfg(tmp_path, text, name="run.cfg"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
@@ -470,6 +502,18 @@ class TestVerifyTheorems:
         assert solo["mean_inequality"] == {"passed": True, "checked": 0, "skipped": 0}
         assert "skipped" in solo["decomposition"]
 
+    def test_single_ad_case(self, tmp_path):
+        """A one-ad case has no adjacent rank: its decomposition is skipped with
+        the oracle's reason and it has no splittability pairs."""
+        out = tmp_path / "solo"
+        assert run_cli("verify-theorems", "--config", write_cfg(tmp_path, SMALL_THEOREMS),
+                       "--out", out, "--trials", "2000") == 0
+        report = json.loads((out / "theorem_report.json").read_text())
+        (solo,) = {c["name"]: c for c in report["cases"]}["solo"]["candidates"]
+        assert solo["decomposition"] == {"skipped": "single ad has no adjacent rank"}
+        assert solo["splittability"] == {"passed": True, "pairs": []}
+        assert solo["passed"] is True
+
     def test_unreachable_ranks_skipped_not_failed(self, tmp_path):
         """Disjoint supports pin the ranking; the impossible ranks are skipped."""
         cfg_text = SMALL_THEOREMS.replace(
@@ -580,6 +624,16 @@ class TestAbRun:
         for model in report["models"].values():
             assert model["c_relative"] is None
             assert "undefined_reason" in model
+
+    def test_zero_random_predictions_surface_undefined_calibration(self, tmp_path):
+        """Random traffic with clicks but only zero predictions has no
+        calibration to divide by: a null with its reason, not a traceback."""
+        out = tmp_path / "one_ad"
+        assert run_cli("ab-run", "--config", write_cfg(tmp_path, ONE_AD_AB), "--out", out,
+                       "--seed", "18") == 0
+        model = json.loads((out / "calibration_report.json").read_text())["models"]["A"]
+        assert model["c_relative"] is None
+        assert "zero predicted clicks" in model["undefined_reason"]
 
     def test_burn_in_covering_every_day_leaves_empty_evaluation(self, tmp_path):
         cfg = write_cfg(tmp_path, SMALL_AB.replace("burn_in_days = 2", "burn_in_days = 4"))
@@ -714,6 +768,55 @@ class TestAbOutputBytes:
             "rtv_rtc.json":
                 "a1e552560da71d81daeecf5d2cc9c14b1cebee4e9aa504e1dda0f6adaf376549",
         }
+
+
+class TestCpcOutputBytes:
+    """simulate-cpc output bytes, trial logs included, pinned across versions.
+
+    A change that moves any of these digests must say which outputs moved
+    and why in CHANGES.md, then update them here.
+    """
+
+    def test_small_config_both_formats(self, tmp_path):
+        out = tmp_path / "small"
+        assert run_cli("simulate-cpc", "--config", write_cfg(tmp_path, SMALL_CPC), "--out", out,
+                       "--emit-trials", "--format", "both") == 0
+        assert output_digests(out) == {
+            "bias_report.json":
+                "e40ebd41a12e94edb519e71caddf626109414d525f59a76a8a37392f100df54b",
+            "cpc_hist_a.csv":
+                "1a93dd474a28356c1d931d19f3373fb87ed238b013c6f145ec7c6eeba94bc608",
+            "cpc_hist_c.csv":
+                "d5f8534f870b334b3cbffd705c1fe41a3559faf3a2a8ceb30093fb4dd77887a9",
+            "ordstat_hist_a_rank1.csv":
+                "824bf9726b3ac42c732366777a80dd0fb5059e7daaed68b4f160ac7e17388fba",
+            "ordstat_hist_a_rank2.csv":
+                "cb6c1e75dc3676dbda84cbeb2f84e587977bfa5656749a8166971762d30d4e49",
+            "ordstat_hist_c_rank1.csv":
+                "b1a35f458123a5a84731d7a7dfd0858e4c0453b115dc4468d8e225dedcbf8dfe",
+            "ordstat_hist_c_rank2.csv":
+                "b68e89e57e2cfa7c6a1de9223ff72cd5411b7afe783d827e92b1b25e54d33b24",
+            "table2.csv":
+                "764a76394512961a776fd7e5740f68a009629f248594e8618c3a48479e5bfafd",
+            "trials_a.csv":
+                "0b57a3d0e2cae54b4ca0e099247a70e742ec2f32b7f8960886d0c1c50635d536",
+            "trials_a.jsonl":
+                "e0c07f57a51c663cfc1d645b409dc6408b6e85038bef4f44ff29b9ede09d56e2",
+            "trials_c.csv":
+                "eb0d0806460d9000b00bbc5aa17235c13a24fe909b745ac32aa1facd057f1fa3",
+            "trials_c.jsonl":
+                "1af1284e0928be13ad641f700612b0ffdc88a5b5118a448d88e7a3250ebec5c1",
+        }
+
+    def test_packaged_config_2000_trials(self, tmp_path):
+        """All 32 outputs of the six packaged settings, as one digest of their digests."""
+        out = tmp_path / "packaged"
+        assert run_cli("simulate-cpc", "--out", out, "--trials", "2000",
+                       "--emit-trials", "--format", "both") == 0
+        digests = output_digests(out)
+        assert len(digests) == 32
+        assert (hashlib.sha256(json.dumps(digests, sort_keys=True).encode()).hexdigest()
+                == "2f816212dd03a164da4bdafc845ae6d88b211c38c98f7f0717a0ac59c49b0d3a")
 
 
 class TestTheoremOutputBytes:
@@ -974,6 +1077,23 @@ class TestImportBoundary:
             assert result["rc"] == 0 and "scipy.special" not in result["scipy"]
             assert run_cli(*argv, "--out", here) == 0
             assert output_digests(child) == output_digests(here), command
+
+
+# Installs every wrapper of the benchmark's tracer (argv: the bench directory).
+TRACER_PROBE = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import tracer
+tracer.install()
+print(json.dumps("installed"))
+"""
+
+
+def test_bench_tracer_installs():
+    """bench/tracer.py wraps package names by attribute; each one it patches
+    still exists, so a traced benchmark run can start."""
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    assert run_probe(TRACER_PROBE, [bench]) == "installed"
 
 
 def test_every_exported_name_resolves():

@@ -58,6 +58,12 @@ def mean_profile(dists, candidate):
     return conditional_mean_profile(grid, candidate, rank_table(grid.cdf, candidate))
 
 
+def table_and_marginals(grid, candidate):
+    """The candidate's rank table on the grid and its mean profile's rank masses."""
+    table = rank_table(grid.cdf, candidate)
+    return table, conditional_mean_profile(grid, candidate, table).marginals
+
+
 def enumerated_rank_prob(F: np.ndarray, candidate: int, rank: int) -> np.ndarray:
     """Reference P(rank | s): sum over every set of rank-1 rivals that beat s."""
     rivals = [j for j in range(F.shape[0]) if j != candidate]
@@ -244,10 +250,10 @@ class TestRankTable:
                          ScoreDistribution.scaled_beta(4, 40, 0.9)])
         for i in range(3):
             table = rank_table(grid.cdf, i)
-            conditional_mean_profile(grid, i, table)
-            top_rank_decomposition(grid, i, table)
+            marginals = conditional_mean_profile(grid, i, table).marginals
+            top_rank_decomposition(grid, i, table, marginals)
             np.testing.assert_array_equal(table, rank_table(grid.cdf, i))
-            nodes, dens = conditional_density_profile(grid, i, table)
+            nodes, dens = conditional_density_profile(grid, i, table, marginals)
             assert dens is table and nodes is grid.s
             wd = grid.w * grid.pdf[i]
             own = rank_table(grid.cdf, i)
@@ -604,7 +610,7 @@ class TestTopRankDecomposition:
     def test_zero_residual_and_monotone_parts(self, dists):
         grid = CaseGrid(dists)
         for i in range(len(dists)):
-            dec = top_rank_decomposition(grid, i, rank_table(grid.cdf, i))
+            dec = top_rank_decomposition(grid, i, *table_and_marginals(grid, i))
             assert abs(dec.residual) < 1e-6
             assert dec.plus_monotone and dec.minus_monotone
 
@@ -619,14 +625,15 @@ class TestTopRankDecomposition:
             np.testing.assert_allclose(p2 + len(rivals) * p1, loo, rtol=0, atol=1e-14)
 
     def test_single_ad_unsupported(self):
-        with pytest.raises(RankUnreachable):
-            top_rank_decomposition(CaseGrid([U01]), 0, rank_probs([U01], 0, 0.5))
+        grid = CaseGrid([U01])
+        with pytest.raises(RankUnreachable, match="single ad has no adjacent rank"):
+            top_rank_decomposition(grid, 0, *table_and_marginals(grid, 0))
 
 
 class TestConditionalDensityProfile:
     def test_rows_integrate_to_one_and_split(self):
         grid = CaseGrid([ScoreDistribution.scaled_beta(2, 38)] * 3)
-        s, dens = conditional_density_profile(grid, 0, rank_table(grid.cdf, 0))
+        s, dens = conditional_density_profile(grid, 0, *table_and_marginals(grid, 0))
         for k in range(3):
             assert np.trapezoid(dens[k], s) == pytest.approx(1.0, abs=1e-6)
         for k in range(2):
