@@ -29,13 +29,7 @@ except ImportError:  # not on Windows
 import numpy as np
 
 from . import __version__
-from .config import (
-    CpcSuite,
-    LoadedConfig,
-    TheoremSuite,
-    config_dict,
-    load_config,
-)
+from .config import CpcSuite, LoadedConfig, TheoremSuite, load_config
 from .engine import (
     AbConfig,
     run_ab_experiment,
@@ -181,6 +175,10 @@ def cmd_simulate_cpc(args, suite: CpcSuite, seed: int, arts: ArtifactSet) -> tup
             elif ratio is None:
                 entry["ratio_undefined_reason"] = ("expected CPC is 0 "
                                                    "(no runner-up, or its true score is 0)")
+            if summary.observed_se is None:  # so is ratio_of_means_se
+                entry["se_undefined_reason"] = (
+                    "standard errors need at least 2 non-degenerate trials, got "
+                    f"{cfg.trials - summary.degenerate_trials}")
             try:
                 entry.update(_record(bias_report(trials, cfg.true_ctrs, cfg.bids, rank_hists)))
             except RankUnreachable as exc:
@@ -204,13 +202,6 @@ def cmd_simulate_cpc(args, suite: CpcSuite, seed: int, arts: ArtifactSet) -> tup
 # ---------------------------------------------------------------------------
 # verify-theorems
 # ---------------------------------------------------------------------------
-
-def _quadrature_key(dists, i: int) -> tuple:
-    """What candidate i's quadrature fields depend on: its own distribution
-    object and its rivals', in the order the rank table folds them in."""
-    ids = [id(d) for d in dists]
-    return ids[i], tuple(ids[:i] + ids[i + 1:])
-
 
 def _quadrature_checks(grid: CaseGrid, i: int) -> tuple[dict, np.ndarray, bool]:
     """Candidate i's quadrature report fields, its conditional means and whether
@@ -296,9 +287,10 @@ def _peak_rss() -> dict:
 def cmd_verify_theorems(args, suite: TheoremSuite, seed: int,
                         arts: ArtifactSet) -> tuple[int, dict]:
     """Each case: its grid, its Monte Carlo moments, then its candidates'
-    checks.  The quadrature checks run once per distinct ``_quadrature_key``;
-    grid slices and MC blocks share one worker map, and rank tables are
-    folded in the calling thread."""
+    checks.  A candidate's quadrature checks depend on its own distribution
+    and on its rivals' in the order the rank table folds them in, so they
+    run once per distinct pair of those; grid slices and MC blocks share one
+    worker map, and rank tables are folded in the calling thread."""
     draws = args.trials if args.trials is not None else suite.mc_draws
     cases_payload = []
     case_runs = []  # for the manifest
@@ -316,8 +308,8 @@ def cmd_verify_theorems(args, suite: TheoremSuite, seed: int,
             t_check = time.monotonic()
             checks = {}
             candidates = []
-            for i in range(len(grid)):
-                key = _quadrature_key(grid.dists, i)
+            for i, own in enumerate(case.dists):
+                key = own, case.dists[:i] + case.dists[i + 1:]
                 if key not in checks:
                     checks[key] = _quadrature_checks(grid, i)
                 fields, qmeans, quad_ok = checks[key]
@@ -488,7 +480,7 @@ def main(argv=None) -> int:
         seed = _resolve_seed(args.seed, loaded.seed)
         arts = ArtifactSet(args.out)
         code, manifest_extra = args.func(args, loaded.payload, seed, arts)
-        arts.write_manifest(args.command, config_dict(loaded, seed), seed,
+        arts.write_manifest(args.command, {**_record(loaded), "seed": seed}, seed,
                             time.monotonic() - t0, __version__, args.threads, **manifest_extra)
         return code
     except ConfigError as exc:

@@ -35,9 +35,7 @@ class CpcSuite:
 class TheoremCase:
     name: str
     dist_specs: tuple[str, ...]
-    # one per ad; ads with the same spec share one object, so the case grid
-    # evaluates its rows once
-    dists: tuple[ScoreDistribution, ...]
+    dists: tuple[ScoreDistribution, ...]  # one per ad
 
 
 @dataclass(frozen=True)
@@ -214,15 +212,15 @@ def _load_theorems(parser) -> tuple[TheoremSuite, int | None]:
         specs = sec.get_strs("dists")
         if not specs:
             raise ConfigError(f"{sec.name}.dists", "at least one distribution required")
-        made = {}
-        for spec in dict.fromkeys(specs):
-            dist = made[spec] = parse_distribution(spec, f"{sec.name}.dists")
+        dists = []
+        for spec in specs:
+            dist = parse_distribution(spec, f"{sec.name}.dists")
             # Simpson quadrature needs a density that is finite on the closed support
             if dist.kind == "scaled-beta" and min(dist.params[:2]) < 1.0:
                 raise ConfigError(f"{sec.name}.dists",
                                   f"beta shapes must be >= 1, got {spec!r}")
-        cases.append(TheoremCase(name=name, dist_specs=specs,
-                                 dists=tuple(made[spec] for spec in specs)))
+            dists.append(dist)
+        cases.append(TheoremCase(name=name, dist_specs=specs, dists=tuple(dists)))
     if not cases:
         raise ConfigError("case", "at least one [case.NAME] section required")
     suite = TheoremSuite(cases=tuple(cases),
@@ -280,35 +278,3 @@ def _load_ab(parser) -> tuple[AbConfig, int | None]:
         raise ConfigError("experiment", str(exc)) from exc
     return config, _seed_of(exp)
 
-
-def config_dict(loaded: LoadedConfig, seed: int) -> dict:
-    """JSON-ready view of a resolved configuration, for the run manifest."""
-    payload = loaded.payload
-    out: dict = {"command": loaded.command, "seed": seed, "source": loaded.source}
-    if isinstance(payload, CpcSuite):
-        out["study"] = {
-            "trials": payload.settings[0].trials,
-            "bids": list(payload.settings[0].bids),
-            "cpc_hist_width": payload.cpc_hist_width,
-            "score_hist_width": payload.score_hist_width,
-            "settings": [{"name": s.name, "impressions": list(s.impressions),
-                          "true_ctrs": list(s.true_ctrs)} for s in payload.settings],
-        }
-    elif isinstance(payload, TheoremSuite):
-        out["verify"] = {
-            "mc_draws": payload.mc_draws,
-            "cases": [{"name": c.name, "dists": list(c.dist_specs)} for c in payload.cases],
-        }
-    else:
-        out["experiment"] = {
-            "days": payload.days,
-            "traffic_per_day": payload.traffic_per_day,
-            "epsilon": payload.epsilon,
-            "window_days": payload.window_days,
-            "burn_in_days": payload.burn_in_days,
-            "buckets": [{"name": b.name, "estimator": b.estimator} for b in payload.buckets],
-            "contexts": [{"site": c.site, "pos": c.pos, "multiplier": c.multiplier}
-                         for c in payload.contexts],
-            "ads": [{"id": a.id, "bid": a.bid, "base_ctr": a.base_ctr} for a in payload.ads],
-        }
-    return out

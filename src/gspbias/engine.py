@@ -516,24 +516,17 @@ def sample_rank_stats(grid: CaseGrid, draws: int, seed: int,
     the case's ``CaseGrid`` (``CaseGrid.draw``), and the blocks run through
     ``map``, a command's ``worker_map``.
     """
+    if draws < 1:
+        raise InvalidValue("draws", f"must be >= 1, got {draws}")
     key = rng.stream_key(seed, STREAM_MC, case_index)
     parts = list(map(lambda r: _mc_block(grid, key, *r), rng.fixed_blocks(0, draws, BLOCK)))
-    m = len(grid)
-    count = np.zeros((m, m))
-    total = np.zeros((m, m))
-    total_sq = np.zeros((m, m))
-    exact = 0
-    for c, t, t2, n_exact in parts:
-        count += c
-        total += t
-        total_sq += t2
-        exact += n_exact
+    count, total, total_sq, exact = (sum(p) for p in zip(*parts))
     with np.errstate(divide="ignore", invalid="ignore"):
         means = np.where(count > 0, total / np.maximum(count, 1), np.nan)
         variance = np.where(count > 1,
                             (total_sq - count * means ** 2) / np.maximum(count - 1, 1),
                             np.nan)
+        # where count < 2 the variance is NaN, and np.maximum and sqrt keep it NaN
         std_errors = np.sqrt(np.maximum(variance, 0.0) / np.maximum(count, 1))
-    std_errors = np.where(count > 1, std_errors, np.nan)
     return RankSampleStats(counts=count, means=means, std_errors=std_errors,
                            exact_draws=exact)

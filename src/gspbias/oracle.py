@@ -100,83 +100,76 @@ def special_kernels():
     return importlib.import_module(_KERNELS)
 
 
+@dataclass(frozen=True)
 class ScoreDistribution:
-    """A non-negative score distribution with PDF, CDF, and inverse-CDF access.
+    """A non-negative score distribution, as a value, with PDF, CDF and
+    inverse-CDF access.
 
-    Two kinds are supported: uniform on [a, b] with a >= 0 and a beta
-    distribution stretched to [0, scale].
+    Two kinds are supported: ``uniform`` on [low, high] with low >= 0,
+    params (low, high), and ``scaled-beta``, a beta distribution stretched
+    to [0, scale], params (a, b, scale).  Equal kinds and params are equal,
+    hashable values, so ads with the same distribution share work however
+    they were built.  The beta methods call the kernels scipy.stats.beta
+    dispatches to, bit for bit, loaded on first use so that loading a
+    config does not import scipy.
     """
 
-    def __init__(self, kind: str, upper: float, pdf, cdf, ppf, label: str,
-                 params: tuple = ()):
-        self.kind = kind
-        self.upper = upper
-        self._pdf = pdf
-        self._cdf = cdf
-        self._ppf = ppf
-        self.label = label
-        self.params = params  # (a, b, scale) for a scaled beta
-
-    def __repr__(self):
-        return f"ScoreDistribution({self.label})"
-
-    def pdf(self, s):
-        return self._pdf(np.asarray(s, dtype=float))
-
-    def cdf(self, s):
-        return self._cdf(np.asarray(s, dtype=float))
-
-    def ppf(self, u):
-        """Inverse CDF; maps uniforms on [0, 1) to score draws."""
-        return self._ppf(np.asarray(u, dtype=float))
+    kind: str
+    params: tuple[float, ...]
 
     @classmethod
     def uniform(cls, low: float, high: float) -> "ScoreDistribution":
         if not 0.0 <= low < high < math.inf:
             raise ValueError("uniform support must satisfy 0 <= low < high < inf, "
                              f"got [{low}, {high}]")
-        width = high - low
-
-        def pdf(s):
-            return np.where((s >= low) & (s <= high), 1.0 / width, 0.0)
-
-        def cdf(s):
-            return np.clip((s - low) / width, 0.0, 1.0)
-
-        def ppf(u):
-            return low + u * width
-
-        return cls("uniform", high, pdf, cdf, ppf, f"uniform({low}, {high})")
+        return cls("uniform", (low, high))
 
     @classmethod
     def scaled_beta(cls, a: float, b: float, scale: float = 1.0) -> "ScoreDistribution":
         if not all(0.0 < x < math.inf for x in (a, b, scale)):
             raise ValueError("scaled_beta needs finite positive parameters, "
                              f"got ({a}, {b}, {scale})")
+        return cls("scaled-beta", (a, b, scale))
 
-        # the kernels scipy.stats.beta dispatches to, bit for bit, loaded on
-        # first use so that loading a config does not import scipy
-        def pdf(s):
-            x = s / scale
-            with np.errstate(over="ignore"):  # a < 1 or b < 1: infinite at an end
-                inside = special_kernels()._beta_pdf(np.clip(x, 0.0, 1.0), a, b)
-            return np.where((x >= 0.0) & (x <= 1.0), inside, 0.0) / scale
+    @property
+    def upper(self) -> float:
+        """The top of the support: a uniform's high, a beta's scale."""
+        return self.params[-1]
 
-        def cdf(s):
-            return special_kernels().betainc(a, b, np.clip(s / scale, 0.0, 1.0))
+    def pdf(self, s):
+        s = np.asarray(s, dtype=float)
+        if self.kind == "uniform":
+            low, high = self.params
+            return np.where((s >= low) & (s <= high), 1.0 / (high - low), 0.0)
+        a, b, scale = self.params
+        x = s / scale
+        with np.errstate(over="ignore"):  # a < 1 or b < 1: infinite at an end
+            inside = special_kernels()._beta_pdf(np.clip(x, 0.0, 1.0), a, b)
+        return np.where((x >= 0.0) & (x <= 1.0), inside, 0.0) / scale
 
-        def ppf(u):
-            return special_kernels()._beta_ppf(u, a, b) * scale
+    def cdf(self, s):
+        s = np.asarray(s, dtype=float)
+        if self.kind == "uniform":
+            low, high = self.params
+            return np.clip((s - low) / (high - low), 0.0, 1.0)
+        a, b, scale = self.params
+        return special_kernels().betainc(a, b, np.clip(s / scale, 0.0, 1.0))
 
-        return cls("scaled-beta", scale, pdf, cdf, ppf, f"beta({a}, {b}, scale={scale})",
-                   (a, b, scale))
+    def ppf(self, u):
+        """Inverse CDF; maps uniforms on [0, 1) to score draws."""
+        u = np.asarray(u, dtype=float)
+        if self.kind == "uniform":
+            low, high = self.params
+            return low + u * (high - low)
+        a, b, scale = self.params
+        return special_kernels()._beta_ppf(u, a, b) * scale
 
 
 class CaseGrid:
     """The Simpson grid of one case, with every ad's CDF and PDF row on it.
 
     Each distinct distribution's rows are evaluated once, when the grid is
-    built, and ads that share a distribution object share them; the oracle
+    built, and ads with equal distributions share them; the oracle
     functions and the Monte Carlo sampler, which draws through ``draw``,
     all read the case through it.
     ``len(grid)`` is the ad count m.  ``map`` runs the node slices of the
@@ -198,12 +191,12 @@ class CaseGrid:
         # for beta ads only, set before any draw: one flag per cell and the guide table
         self.safe: list[np.ndarray | None] = [None] * m
         self.guide: list[np.ndarray | None] = [None] * m
-        first = {}  # an object listed twice gets its rows once
-        own = [j for j, d in enumerate(dists) if first.setdefault(id(d), j) == j]
+        first = {}  # a distribution listed twice gets its rows once
+        own = [j for j, d in enumerate(dists) if first.setdefault(d, j) == j]
         list(map(self._fill_rows, [(j, lo, hi) for j in own
                                    for lo, hi in fixed_blocks(0, len(self.s), NODE_SLICE)]))
         for j, d in enumerate(dists):
-            k = first[id(d)]
+            k = first[d]
             if k < j:
                 self.cdf[j], self.pdf[j] = self.cdf[k], self.pdf[k]
                 self.safe[j], self.guide[j] = self.safe[k], self.guide[k]

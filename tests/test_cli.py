@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import gspbias
-from gspbias.cli import _quadrature_checks, _quadrature_key, main
+from gspbias.cli import _quadrature_checks, _record, main
 from gspbias.config import load_config, parse_distribution
 from gspbias.engine import BLOCK, sample_rank_stats
 from gspbias.errors import ConfigError
@@ -486,6 +486,23 @@ class TestSimulateCpc:
             assert entry["ratio_of_means"] == 0.0
             assert entry["ratio_of_means_se"] == 0.0  # the delta method's limit at mx = 0
 
+    def test_single_trial_gives_standard_errors_a_reason(self, tmp_path):
+        """One trial leaves both standard errors undefined: null, with a reason.
+        Two trials define them, and the reason is not written."""
+        cfg = write_cfg(tmp_path, SMALL_CPC.replace("0.05, 0.04", "0.05, 0.045"))
+        for trials in (1, 2):
+            out = tmp_path / str(trials)
+            assert run_cli("simulate-cpc", "--config", cfg, "--out", out,
+                           "--trials", trials, "--seed", "1") == 0
+            entry = json.loads((out / "bias_report.json").read_text())["settings"]["c"]
+            if trials == 1:
+                assert entry["observed_se"] is None and entry["ratio_of_means_se"] is None
+                assert entry["se_undefined_reason"] == (
+                    "standard errors need at least 2 non-degenerate trials, got 1")
+            else:
+                assert entry["observed_se"] > 0.0 and entry["ratio_of_means_se"] > 0.0
+                assert "se_undefined_reason" not in entry
+
 
 class TestVerifyTheorems:
     def test_report_structure_and_pass(self, tmp_path):
@@ -570,7 +587,8 @@ class TestVerifyTheorems:
 
 class TestQuadratureDeduplication:
     """A candidate's quadrature checks run once per distinct (own distribution,
-    rivals in order) key, and each shared entry is the candidate's own."""
+    rivals in order) pair, compared by value, and each shared entry is the
+    candidate's own."""
 
     @pytest.mark.parametrize("specs, owners", [
         (("beta:2:38", "beta:2:38", "uniform:0:0.1"), [0, 0, 2]),
@@ -579,7 +597,7 @@ class TestQuadratureDeduplication:
     ])
     def test_keys_and_entries(self, tmp_path, specs, owners):
         dists = load_case(tmp_path, specs).dists
-        keys = [_quadrature_key(dists, i) for i in range(len(dists))]
+        keys = [(dists[i], dists[:i] + dists[i + 1:]) for i in range(len(dists))]
         assert [keys.index(key) for key in keys] == owners
         text = SMALL_THEOREMS.replace("dists = beta:2:38", "dists = " + ", ".join(specs))
         out = tmp_path / "dedup"
@@ -593,6 +611,25 @@ class TestQuadratureDeduplication:
             assert {name: cand[name] for name in own} == own
         runs = json.loads((out / "manifest.json").read_text())["cases"]
         assert [c["quadrature_candidates"] for c in runs] == [1, len(set(owners))]
+
+    @pytest.mark.parametrize("specs, canonical", [
+        ("uniform:0:1, uniform:0.0:1.0", "uniform:0:1, uniform:0:1"),
+        ("beta:2:38, beta:2:38:1", "beta:2:38, beta:2:38"),
+    ])
+    def test_spellings_of_one_distribution_share_a_check(self, tmp_path, specs, canonical):
+        """Specs spelled apart that give equal distributions run one quadrature
+        check, and report what the canonical spelling reports."""
+        reports = {}
+        for text in (specs, canonical):
+            cfg = SMALL_THEOREMS.replace("dists = beta:2:38", "dists = " + text)
+            out = tmp_path / str(len(reports))
+            assert run_cli("verify-theorems", "--config", write_cfg(tmp_path, cfg), "--out", out,
+                           "--trials", "2000") == 0
+            runs = json.loads((out / "manifest.json").read_text())["cases"]
+            assert [c["quadrature_candidates"] for c in runs] == [1, 1]
+            report = json.loads((out / "theorem_report.json").read_text())
+            reports[text] = {c["name"]: c for c in report["cases"]}["solo"]["candidates"]
+        assert reports[specs] == reports[canonical]
 
 
 class TestAbRun:
@@ -870,7 +907,23 @@ class TestManifestReproducibility:
         manifest = json.loads((out / "manifest.json").read_text())
         on_disk = {p.name for p in out.iterdir()}
         assert set(manifest["outputs"]) == on_disk
-        assert manifest["config"]["experiment"]["days"] == 4
+        assert manifest["config"]["payload"]["days"] == 4
+
+    @pytest.mark.parametrize("command, name, extra, seed", [
+        ("simulate-cpc", "table2.cfg", ("--trials", "200", "--seed", "9"), 9),
+        ("verify-theorems", "theorems.cfg", ("--trials", "2000"), None),
+        ("ab-run", "ab.cfg", (), None),
+    ], ids=["simulate-cpc", "verify-theorems", "ab-run"])
+    def test_manifest_config_is_the_loaded_payload(self, tmp_path, command, name, extra, seed):
+        """The manifest's config block is the loaded config's record, with the
+        resolved seed on top; the run plans keep the loader's seed 0."""
+        loaded = load_config(Path(gspbias.__file__).parent / "configs" / name)
+        out = tmp_path / "man"
+        assert run_cli(command, "--out", out, "--threads", "1", *extra) == 0
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        assert config["payload"] == json.loads(json.dumps(_record(loaded.payload)))
+        assert config["seed"] == (loaded.seed if seed is None else seed)
+        assert config["command"] == command
 
     @pytest.mark.parametrize("command, cfg, extra", [
         ("simulate-cpc", SMALL_CPC, ("--trials", "200")),
@@ -1094,6 +1147,25 @@ def test_bench_tracer_installs():
     still exists, so a traced benchmark run can start."""
     bench = Path(__file__).resolve().parents[1] / "bench"
     assert run_probe(TRACER_PROBE, [bench]) == "installed"
+
+
+def test_bench_tracer_records_distribution_spans(tmp_path):
+    """A traced verify-theorems run exits 0 and records spans from the
+    wrappers the tracer puts on ``ScoreDistribution``'s methods, so they
+    still fire on the grid rows and the uniform ad's draws."""
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    text = SMALL_THEOREMS.replace("mc_draws = 40000", "mc_draws = 2000").split("[case.pair]")[0]
+    cfg = write_cfg(tmp_path, text + "[case.pair]\ndists = beta:2:38, uniform:0:0.1\n")
+    spans = tmp_path / "spans.json"
+    src = str(Path(gspbias.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, bench / "tracer.py", spans, "--", "verify-theorems",
+                           "--config", cfg, "--out", tmp_path / "out", "--threads", "1"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    names = {span[0] for span in json.loads(spans.read_text())["spans"]}
+    assert {"oracle.cdf", "oracle.pdf", "engine.invcdf"} <= names
 
 
 def test_every_exported_name_resolves():

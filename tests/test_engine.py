@@ -530,6 +530,11 @@ class TestSampleRankStats:
             assert sample_rank_stats(grid, 100_000, seed=5, map=pool).exact_draws == expected
         assert sample_rank_stats(CaseGrid(dists[1:]), 1000, seed=5).exact_draws == 0
 
+    def test_no_draws_is_rejected(self):
+        grid = CaseGrid([ScoreDistribution.uniform(0, 1)] * 2)
+        with pytest.raises(InvalidValue, match="draws must be >= 1, got 0"):
+            sample_rank_stats(grid, 0, seed=5)
+
     @settings(max_examples=300, deadline=None)
     @given(data=st.data(), m=st.integers(1, 7))
     def test_pairwise_rank_codes_match_stable_argsort(self, data, m):

@@ -24,6 +24,7 @@ from gspbias import oracle
 from gspbias.engine import sample_rank_stats, worker_map
 from gspbias.errors import GridMismatch, RankUnreachable
 from gspbias.metrics import split_histogram_densities
+from gspbias.rng import fixed_blocks
 from gspbias.oracle import (
     _CDF_REL_ERR,
     _NEWTON_TOL,
@@ -298,11 +299,12 @@ class TestCaseGridPpf:
     def test_packaged_betas_stay_on_the_newton_path(self, monkeypatch):
         """Lattice uniforms on the packaged betas fall back to the exact inverse
         only in the outermost cells."""
+        fallbacks = []
+        monkeypatch.setattr(ScoreDistribution, "ppf", lambda self, v, f=ScoreDistribution.ppf:
+                            fallbacks.append(v) or f(self, v))
         for spec in PACKAGED_BETAS:
-            dist = parse_distribution(spec, "dists")
-            grid = CaseGrid([dist])
-            fallbacks = []
-            monkeypatch.setattr(dist, "_ppf", lambda v, f=dist._ppf: fallbacks.append(v) or f(v))
+            grid = CaseGrid([parse_distribution(spec, "dists")])
+            fallbacks.clear()
             u = np.random.default_rng(3).random(200_000)
             grid.draw(0, u)
             assert sum(len(v) for v in fallbacks) <= 2, spec
@@ -398,23 +400,29 @@ class TestGuideBracket:
         assert guide[K // 2] == 7 and guide[-1] == 7
 
 
+def record_row_calls(monkeypatch) -> dict:
+    """Every CDF and PDF evaluation from here on: the nodes of each call,
+    listed under (distribution, method name)."""
+    calls = defaultdict(list)
+    for name in ("cdf", "pdf"):
+        f = getattr(ScoreDistribution, name)
+        monkeypatch.setattr(ScoreDistribution, name,
+                            lambda d, s, f=f, name=name: calls[d, name].append(s) or f(d, s))
+    return calls
+
+
 class TestCaseGridRows:
     def test_repeated_specs_evaluate_each_distribution_once(self, monkeypatch, tmp_path):
-        """Ads with the same spec share one object, and the grid evaluates its
-        CDF and PDF once at each node, slice by slice, giving the rows
-        separately parsed ads would get."""
+        """Ads with the same spec have equal distributions, and the grid
+        evaluates each one's CDF and PDF once at each node, slice by slice,
+        giving the rows separately parsed ads would get."""
         case = load_case(tmp_path, ("beta:2:38", "uniform:0:1", "beta:2:38",
                                     "beta:3:37:1.2", "uniform:0:1", "beta:2:38"))
         dists = case.dists
-        assert dists[0] is dists[2] is dists[5] and dists[1] is dists[4]
-        calls = defaultdict(list)
-        for d in {id(d): d for d in dists}.values():
-            for name in ("cdf", "pdf"):
-                monkeypatch.setattr(d, name, lambda s, f=getattr(d, name), key=(d.label, name):
-                                    calls[key].append(s) or f(s))
+        assert dists[0] == dists[2] == dists[5] and dists[1] == dists[4]
+        calls = record_row_calls(monkeypatch)
         grid = CaseGrid(dists)
-        assert sorted(calls) == sorted({(d.label, name) for d in dists
-                                        for name in ("cdf", "pdf")})
+        assert set(calls) == {(d, name) for d in dists for name in ("cdf", "pdf")}
         for nodes in calls.values():
             np.testing.assert_array_equal(np.concatenate(nodes), grid.s)
         own = CaseGrid([parse_distribution(spec, "dists") for spec in case.dist_specs])
@@ -426,6 +434,25 @@ class TestCaseGridRows:
                 if mine is not None:
                     np.testing.assert_array_equal(mine, theirs)
 
+
+    @pytest.mark.parametrize("dists", [
+        [ScoreDistribution.uniform(0, 1), ScoreDistribution.uniform(0, 1)],
+        [parse_distribution(spec, "dists") for spec in ("uniform:0:1", "uniform:0.0:1.0")],
+        [parse_distribution(spec, "dists") for spec in ("beta:2:38", "beta:2:38:1")],
+    ], ids=["built-twice", "uniform-spellings", "beta-spellings"])
+    def test_equal_distributions_share_rows_by_value(self, monkeypatch, dists):
+        """Two equal distributions built apart share one set of rows: each of
+        CDF and PDF is evaluated once per node slice."""
+        assert dists[0] == dists[1] and dists[0] is not dists[1]
+        calls = record_row_calls(monkeypatch)
+        grid = CaseGrid(dists)
+        assert set(calls) == {(dists[0], "cdf"), (dists[0], "pdf")}
+        slices = len(fixed_blocks(0, len(grid.s), oracle.NODE_SLICE))
+        for nodes in calls.values():
+            assert len(nodes) == slices
+            np.testing.assert_array_equal(np.concatenate(nodes), grid.s)
+        np.testing.assert_array_equal(grid.cdf[0], grid.cdf[1])
+        np.testing.assert_array_equal(grid.pdf[0], grid.pdf[1])
 
 # a uniform, a beta and a scaled beta, with the beta's tails, its flanks and
 # a slice edge inside the uniform's support
