@@ -176,20 +176,12 @@ def _load_cpc(parser) -> tuple[CpcSuite, int | None]:
         counts = sec.get_floats("impressions")
         if not all(n.is_integer() for n in counts):  # also rejects nan and inf
             raise ConfigError(f"{sec.name}.impressions", f"must be whole numbers, got {counts}")
-        # a single impression count or bid stands for every ad's
-        imps = tuple(int(n) for n in counts) * (len(ctrs) if len(counts) == 1 else 1)
-        if len(imps) != len(ctrs):
-            raise ConfigError(f"{sec.name}.impressions",
-                              f"need 1 or {len(ctrs)} values, got {len(counts)}")
         if settings and len(ctrs) != len(settings[0].true_ctrs):
             raise ConfigError("setting", "all settings must have the same ad count")
-        ad_bids = bids * (len(ctrs) if len(bids) == 1 else 1)
-        if len(ad_bids) != len(ctrs):
-            raise ConfigError("study.bids", f"need 1 or {len(ctrs)} values, got {len(bids)}")
         with _fields_of(sec.name, bids="study", trials="study"):
             settings.append(CpcStudyConfig(
-                name=sec.name.split(".", 1)[1], impressions=imps, true_ctrs=ctrs,
-                bids=ad_bids, trials=trials, seed=0, setting_index=idx))
+                name=sec.name.split(".", 1)[1], impressions=tuple(int(n) for n in counts),
+                true_ctrs=ctrs, bids=bids, trials=trials, seed=0, setting_index=idx))
     if not settings:
         raise ConfigError("setting", "at least one [setting.NAME] section required")
     cpc_width = study.get_float("cpc_hist_width", default="0.01")

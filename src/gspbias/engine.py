@@ -80,7 +80,8 @@ def worker_map(threads: int):
 
 @dataclass(frozen=True)
 class CpcStudyConfig:
-    """One parameter setting of the repeated two-(or more-)ad price study."""
+    """One parameter setting of the repeated two-(or more-)ad price study;
+    a single impression count or bid stands for every ad's."""
 
     name: str
     impressions: tuple[int, ...]
@@ -94,8 +95,12 @@ class CpcStudyConfig:
         m = len(self.true_ctrs)
         if m == 0:
             raise InvalidValue("true_ctrs", "needs at least one CTR")
-        if len(self.impressions) != m or len(self.bids) != m:
-            raise ValueError("impressions, true_ctrs, and bids must have equal length")
+        for name in ("impressions", "bids"):
+            values = getattr(self, name)
+            if len(values) == 1:
+                object.__setattr__(self, name, values * m)
+            elif len(values) != m:
+                raise InvalidValue(name, f"needs 1 or {m} values, got {len(values)}")
         if any(not 1 <= n <= MAX_IMPRESSIONS for n in self.impressions):
             raise InvalidValue("impressions",
                                f"must lie in [1, {MAX_IMPRESSIONS}], got {self.impressions}")
@@ -108,29 +113,56 @@ class CpcStudyConfig:
             raise InvalidValue("trials", f"must be >= 1, got {self.trials}")
 
 
+_PAIRWISE_MAX_ADS = 7  # pairwise comparison beats the argsort below 8 ads
+
+
+def score_ranks(scores: np.ndarray) -> np.ndarray:
+    """Each entry's 0-based rank in its row of ``scores``, the number of
+    columns that beat it: i < j beats j when s_i >= s_j, and j beats i when
+    s_j > s_i, so a higher score ranks first and a tie goes to the lower
+    column, as in a stable argsort of -s.  Up to _PAIRWISE_MAX_ADS columns
+    the m (m - 1) / 2 comparisons are cheaper than that argsort."""
+    m = scores.shape[1]
+    rank = np.empty(scores.shape, dtype=np.intp)
+    if m > _PAIRWISE_MAX_ADS:
+        order = np.argsort(-scores, axis=1, kind="stable")
+        np.put_along_axis(rank, order, np.arange(m), axis=1)
+        return rank
+    # column j starts at j, as if each of the j columns before it beat it
+    rank[:] = np.arange(m)
+    for j in range(1, m):
+        for i in range(j):
+            j_wins = scores[:, j] > scores[:, i]
+            rank[:, i] += j_wins
+            rank[:, j] -= j_wins
+    return rank
+
+
 # Named for its first caller, ab-run's per-context auctions; bench/tracer.py
 # patches it by this name.
 def rank_contexts(bids: np.ndarray, est: np.ndarray):
     """Rank and price one auction per row of ``est`` (ads on columns).
 
-    Returns ``(order, cpc, degenerate)``: ad indices best first by bid x
-    estimate, score ties falling to the lower index; the winner's GSP price,
-    the runner-up's score over the winner's estimate; and whether the
-    winner's estimate is zero with rivals present.  Such an auction has no
-    finite price and prices at 0.  A single ad has no runner-up: it prices at
-    0 and is never degenerate.
+    Returns ``(rank, order, cpc, degenerate)``: each ad's 0-based rank by
+    bid x estimate (``score_ranks``) and the ad indices best first; the
+    winner's GSP price, the runner-up's score over the winner's estimate;
+    and whether the winner's estimate is zero with rivals present.  Such an
+    auction has no finite price and prices at 0.  A single ad has no
+    runner-up: it prices at 0 and is never degenerate.
     """
     scores = est * bids
-    order = np.argsort(-scores, axis=1, kind="stable")
+    rank = score_ranks(scores)
     n, m = est.shape
+    order = np.empty_like(rank)
+    np.put_along_axis(order, rank, np.arange(m), axis=1)
     if m == 1:
-        return order, np.zeros(n), np.zeros(n, dtype=bool)
+        return rank, order, np.zeros(n), np.zeros(n, dtype=bool)
     rows = np.arange(n)
     top_est = est[rows, order[:, 0]]
     degenerate = top_est == 0.0
     runner_score = scores[rows, order[:, 1]]
     cpc = np.where(degenerate, 0.0, runner_score / np.where(degenerate, 1.0, top_est))
-    return order, cpc, degenerate
+    return rank, order, cpc, degenerate
 
 
 @dataclass
@@ -138,6 +170,7 @@ class TrialTable:
     """All trials of one setting in columns; row t is trial t."""
 
     estimates: np.ndarray = field(repr=False)   # (trials, ads)
+    rank: np.ndarray = field(repr=False)        # (trials, ads) 0-based rank of each ad
     order: np.ndarray = field(repr=False)       # (trials, ads) ad indices, best first
     cpc: np.ndarray = field(repr=False)         # (trials,) 0.0 on degenerate trials
     degenerate: np.ndarray = field(repr=False)  # (trials,) excluded from price averages
@@ -197,8 +230,7 @@ def run_cpc_study(config: CpcStudyConfig, map=map) -> TrialTable:
     inverses = [BinomialInverse(n, p) for n, p in zip(config.impressions, config.true_ctrs)]
     chunks = list(map(lambda r: _cpc_chunk(config, inverses, key, *r),
                       rng.fixed_blocks(0, config.trials, BLOCK)))
-    est, order, cpc, degenerate = (np.concatenate(col) for col in zip(*chunks))
-    return TrialTable(estimates=est, order=order, cpc=cpc, degenerate=degenerate)
+    return TrialTable(*(np.concatenate(col) for col in zip(*chunks)))
 
 
 # ---------------------------------------------------------------------------
@@ -298,48 +330,6 @@ class AbConfig:
 
 
 @dataclass
-class ImpressionLog:
-    """A run of one bucket's impressions as access codes, in access order.
-
-    Access i was served on ``day[i]`` (never decreasing) in context ``ctx[i]``
-    to ad index ``winner[i]``, explored when ``random_mode[i]``.  Those codes
-    fix every other field of its record, read from the specs and the day
-    tables: the (ads, contexts) estimates and each context's greedy price.
-    ``run_ab_experiment`` hands each served block over as one, sharing the
-    bucket's day tables.
-    """
-
-    bucket: str
-    ads: tuple[AdSpec, ...] = field(repr=False)
-    contexts: tuple[Context, ...] = field(repr=False)
-    estimates: np.ndarray = field(repr=False)    # (days, ads, contexts)
-    prices: np.ndarray = field(repr=False)       # (days, contexts)
-    day: np.ndarray = field(repr=False)
-    ctx: np.ndarray = field(repr=False)
-    winner: np.ndarray = field(repr=False)
-    random_mode: np.ndarray = field(repr=False)
-    click: np.ndarray = field(repr=False)
-
-    # the other fields, one whole-column gather per read; explored displays
-    # are never charged
-    site = property(lambda self: np.array([c.site for c in self.contexts])[self.ctx])
-    pos = property(lambda self: np.array([c.pos for c in self.contexts])[self.ctx])
-    ad_id = property(lambda self: np.array([ad.id for ad in self.ads])[self.winner])
-    bid = property(lambda self: np.array([ad.bid for ad in self.ads])[self.winner])
-    pred_ctr = property(lambda self: self.estimates[self.day, self.winner, self.ctx])
-    cpc = property(lambda self: np.where(self.random_mode, 0.0, self.prices[self.day, self.ctx]))
-
-    def __len__(self) -> int:
-        return len(self.day)
-
-    def take(self, rows) -> "ImpressionLog":
-        """The accesses at ``rows`` (a slice or index array), sharing the day tables."""
-        return replace(
-            self, day=self.day[rows], ctx=self.ctx[rows], winner=self.winner[rows],
-            random_mode=self.random_mode[rows], click=self.click[rows])
-
-
-@dataclass
 class BucketTables:
     """What one bucket's traffic leaves for its metrics, per day, whatever the
     traffic: the (ads, contexts) estimates served, each context's greedy
@@ -353,6 +343,46 @@ class BucketTables:
     prices: np.ndarray = field(repr=False)       # (days, contexts)
     impressions: np.ndarray = field(repr=False)  # (days, 2, ads, contexts)
     clicks: np.ndarray = field(repr=False)       # (days, 2, ads, contexts)
+
+
+@dataclass
+class ImpressionLog:
+    """A run of one bucket's impressions as access codes, in access order.
+
+    Access i was served on ``day[i]`` (never decreasing) in context ``ctx[i]``
+    to ad index ``winner[i]``, explored when ``random_mode[i]``.  Those codes
+    fix every other field of its record, read from the bucket's ``tables``:
+    the specs, the (ads, contexts) estimates and each context's greedy
+    price.  ``run_ab_experiment`` hands each served block over as one,
+    referencing the bucket's day tables.
+    """
+
+    tables: BucketTables
+    day: np.ndarray = field(repr=False)
+    ctx: np.ndarray = field(repr=False)
+    winner: np.ndarray = field(repr=False)
+    random_mode: np.ndarray = field(repr=False)
+    click: np.ndarray = field(repr=False)
+
+    # the other fields, one whole-column gather per read; explored displays
+    # are never charged
+    bucket = property(lambda self: self.tables.bucket)
+    site = property(lambda self: np.array([c.site for c in self.tables.contexts])[self.ctx])
+    pos = property(lambda self: np.array([c.pos for c in self.tables.contexts])[self.ctx])
+    ad_id = property(lambda self: np.array([ad.id for ad in self.tables.ads])[self.winner])
+    bid = property(lambda self: np.array([ad.bid for ad in self.tables.ads])[self.winner])
+    pred_ctr = property(lambda self: self.tables.estimates[self.day, self.winner, self.ctx])
+    cpc = property(lambda self: np.where(self.random_mode, 0.0,
+                                         self.tables.prices[self.day, self.ctx]))
+
+    def __len__(self) -> int:
+        return len(self.day)
+
+    def take(self, rows) -> "ImpressionLog":
+        """The accesses at ``rows`` (a slice or index array), with the same tables."""
+        return replace(
+            self, day=self.day[rows], ctx=self.ctx[rows], winner=self.winner[rows],
+            random_mode=self.random_mode[rows], click=self.click[rows])
 
 
 def estimate_matrix(estimator: EstimatorName, window: CountWindow) -> np.ndarray:
@@ -384,8 +414,7 @@ def _serve_block(config: AbConfig, tables: BucketTables, key: np.ndarray, day: i
     pick = np.minimum((u[:, 2] * m).astype(np.int64), m - 1)
     winner = np.where(explore, pick, best[ctx])
     click = (u[:, 3] < true_ctr[winner, ctx]).astype(np.int8)
-    return ImpressionLog(tables.bucket, tables.ads, tables.contexts, tables.estimates,
-                         tables.prices, day=np.full(hi - lo, day, dtype=np.int64), ctx=ctx,
+    return ImpressionLog(tables, day=np.full(hi - lo, day, dtype=np.int64), ctx=ctx,
                          winner=winner, random_mode=explore, click=click)
 
 
@@ -418,7 +447,7 @@ def run_ab_experiment(config: AbConfig,
         for day in range(days):
             window.advance_to(day)
             est = tables.estimates[day] = estimate_matrix(bucket.estimator, window)
-            order, tables.prices[day], _degenerate = rank_contexts(bids, est.T)
+            _rank, order, tables.prices[day], _degenerate = rank_contexts(bids, est.T)
             key = rng.stream_key(config.seed, STREAM_AB, ESTIMATOR_CODES[bucket.estimator], day)
             for lo, hi in rng.fixed_blocks(0, config.traffic_per_day, BLOCK):
                 block = _serve_block(config, tables, key, day, lo, hi, order[:, 0], true_ctr)
@@ -452,42 +481,12 @@ class RankSampleStats:
     exact_draws: int = 0
 
 
-_PAIRWISE_MAX_ADS = 7  # pairwise comparison beats the argsort below 8 ads
-
-
-def _rank_codes(draws: np.ndarray) -> np.ndarray:
-    """ad * m + rank for each entry of the (draws, m) scores, rank 0-based.
-
-    Ad j's rank counts the ads that beat it: ad i < j beats j when
-    d_i >= d_j, and j beats i when d_j > d_i, which is the order of a
-    stable argsort of -d.  Up to _PAIRWISE_MAX_ADS ads the m (m - 1) / 2
-    comparisons are cheaper than that argsort.
-    """
-    m = draws.shape[1]
-    if m > _PAIRWISE_MAX_ADS:
-        order = np.argsort(-draws, axis=1, kind="stable")
-        code = np.empty_like(order)
-        np.put_along_axis(code, order, np.arange(m), axis=1)
-        code += np.arange(0, m * m, m)
-        return code
-    # ad j starts at j * m + j, as if each of the j ads before it beat it
-    code = np.empty(draws.shape, dtype=np.intp)
-    code[:] = np.arange(m) * (m + 1)
-    for j in range(1, m):
-        for i in range(j):
-            j_wins = draws[:, j] > draws[:, i]
-            code[:, i] += j_wins
-            code[:, j] -= j_wins
-    return code
-
-
 def _mc_block(grid: CaseGrid, key: np.ndarray, lo: int, hi: int):
     """Counts, sums and sums of squares of one block's draws, (ads, ranks) each,
     and the number of draws that took the exact inverse CDF.
 
-    Each draw of each ad gets one code, ad * m + rank with rank 0-based, and
-    three bincounts over the codes give the moments.  A higher score ranks
-    first and a tie goes to the lower ad index.
+    Each draw of each ad gets one code, ad * m + rank with rank 0-based
+    (``score_ranks``), and three bincounts over the codes give the moments.
     """
     m = len(grid)
     blocks = math.ceil(m / rng.DOUBLES_PER_BLOCK)
@@ -498,7 +497,7 @@ def _mc_block(grid: CaseGrid, key: np.ndarray, lo: int, hi: int):
         draws[:, j], n_exact = grid.draw(j, u[:, j])
         exact += n_exact
     del u
-    code = _rank_codes(draws).ravel()
+    code = (score_ranks(draws) + np.arange(0, m * m, m)).ravel()
     count = np.bincount(code, minlength=m * m)
     total = np.bincount(code, weights=draws.ravel(), minlength=m * m)
     np.square(draws, out=draws)

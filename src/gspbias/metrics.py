@@ -38,6 +38,15 @@ def _pow2(x: np.ndarray) -> float:
     return math.ldexp(1.0, min(math.frexp(peak)[1], 1023)) if 0.0 < peak < math.inf else 1.0
 
 
+def _mean_se(x: np.ndarray) -> tuple[float, float | None]:
+    """The mean of x and its standard error, None below two values; the
+    deviations are taken in units of _pow2(x), so the SE is the unscaled
+    one bit for bit wherever that does not overflow."""
+    c = _pow2(x)
+    se = float((x / c).std(ddof=1) / np.sqrt(len(x))) * c if len(x) > 1 else None
+    return float(x.mean()), se
+
+
 @dataclass(frozen=True)
 class BiasFactor:
     rank: int
@@ -56,8 +65,8 @@ def selection_bias(trials: TrialTable, true_ctrs: tuple[float, ...], rank: int) 
         raise RankUnreachable(f"rank {rank} has {n} trials, need >= {MIN_BIAS_TRIALS}")
     holders = trials.order[:, rank - 1]
     ratios = trials.estimates[np.arange(n), holders] / np.asarray(true_ctrs)[holders]
-    se = float(ratios.std(ddof=1) / np.sqrt(n))
-    return BiasFactor(rank=rank, value=float(ratios.mean()), se=se)
+    value, se = _mean_se(ratios)
+    return BiasFactor(rank=rank, value=value, se=se)
 
 
 @dataclass(frozen=True)
@@ -77,7 +86,7 @@ def cpc_summary(trials: TrialTable, true_ctrs: tuple[float, ...],
                 bids: tuple[float, ...]) -> CpcSummary:
     """Average realized price over non-degenerate trials, and its true target:
     the price of the one auction ranked on the true CTRs."""
-    expected = float(rank_contexts(np.asarray(bids), np.asarray([true_ctrs]))[1][0])
+    expected = float(rank_contexts(np.asarray(bids), np.asarray([true_ctrs]))[2][0])
     ok = ~trials.degenerate
     used = int(ok.sum())
     degenerate = len(trials) - used
@@ -86,10 +95,7 @@ def cpc_summary(trials: TrialTable, true_ctrs: tuple[float, ...],
                           ratio=float("nan"), observed_se=None,
                           ratio_of_means=float("nan"), ratio_of_means_se=None,
                           degenerate_trials=degenerate)
-    cpcs = trials.cpc[ok]
-    mean_cpc = float(cpcs.mean())
-    c = _pow2(cpcs)
-    se = float((cpcs / c).std(ddof=1) / np.sqrt(used)) * c if used > 1 else None
+    mean_cpc, se = _mean_se(trials.cpc[ok])
     # numerator/denominator of the per-trial price, averaged separately
     est, ranking, rows = trials.estimates[ok], trials.order[ok], np.arange(used)
     top_est = est[rows, ranking[:, 0]]
@@ -300,17 +306,13 @@ def bias_report(trials: TrialTable, true_ctrs: tuple[float, ...],
     per_rank = []
     for rank in range(1, m + 1):
         factor = selection_bias(trials, true_ctrs, rank)
-        holders = trials.order[:, rank - 1]
         # grouped by ad, then in trial order
-        scores = np.concatenate([trials.estimates[holders == i, i] * bids[i]
+        scores = np.concatenate([trials.estimates[trials.rank[:, i] == rank - 1, i] * bids[i]
                                  for i in range(m)])
-        c = _pow2(scores)
+        mean, se = _mean_se(scores)
         per_rank.append(RankBiasSummary(
             rank=rank, bias_factor=factor.value, bias_se=factor.se,
-            conditional_score_mean=float(scores.mean()),
-            conditional_score_se=(float((scores / c).std(ddof=1) / np.sqrt(len(scores))) * c
-                                  if len(scores) > 1 else None),
-            samples=len(scores),
+            conditional_score_mean=mean, conditional_score_se=se, samples=len(scores),
         ))
     splittable = []
     for k in range(m - 1):

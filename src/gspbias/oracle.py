@@ -109,7 +109,8 @@ class ScoreDistribution:
     params (low, high), and ``scaled-beta``, a beta distribution stretched
     to [0, scale], params (a, b, scale).  Equal kinds and params are equal,
     hashable values, so ads with the same distribution share work however
-    they were built.  The beta methods call the kernels scipy.stats.beta
+    they were built; building one checks its kind, param count and ranges
+    (ValueError).  The beta methods call the kernels scipy.stats.beta
     dispatches to, bit for bit, loaded on first use so that loading a
     config does not import scipy.
     """
@@ -117,18 +118,23 @@ class ScoreDistribution:
     kind: str
     params: tuple[float, ...]
 
+    def __post_init__(self):
+        if len(self.params) != {"uniform": 2, "scaled-beta": 3}.get(self.kind):
+            raise ValueError("a distribution is uniform (low, high) or scaled-beta "
+                             f"(a, b, scale), got {self.kind!r} with {len(self.params)} params")
+        if self.kind == "uniform" and not 0.0 <= self.params[0] < self.params[1] < math.inf:
+            raise ValueError("uniform support must satisfy 0 <= low < high < inf, "
+                             "got [{}, {}]".format(*self.params))
+        if self.kind == "scaled-beta" and not all(0.0 < x < math.inf for x in self.params):
+            raise ValueError("scaled_beta needs finite positive parameters, "
+                             "got ({}, {}, {})".format(*self.params))
+
     @classmethod
     def uniform(cls, low: float, high: float) -> "ScoreDistribution":
-        if not 0.0 <= low < high < math.inf:
-            raise ValueError("uniform support must satisfy 0 <= low < high < inf, "
-                             f"got [{low}, {high}]")
         return cls("uniform", (low, high))
 
     @classmethod
     def scaled_beta(cls, a: float, b: float, scale: float = 1.0) -> "ScoreDistribution":
-        if not all(0.0 < x < math.inf for x in (a, b, scale)):
-            raise ValueError("scaled_beta needs finite positive parameters, "
-                             f"got ({a}, {b}, {scale})")
         return cls("scaled-beta", (a, b, scale))
 
     @property

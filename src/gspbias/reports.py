@@ -91,10 +91,6 @@ def _write_rows(fh, separators: list[str], columns: list[np.ndarray]) -> None:
         fh.write("".join(block.ravel().tolist()))
 
 
-def _ranks(trials: TrialTable) -> np.ndarray:
-    return np.argsort(trials.order, axis=1) + 1  # 1-based realized rank of each ad
-
-
 def write_trials_csv(path: Path, trials: TrialTable) -> None:
     if not len(trials):
         raise ValueError("no trials to write")
@@ -104,7 +100,7 @@ def write_trials_csv(path: Path, trials: TrialTable) -> None:
               + [f"rank_{i}" for i in range(m)])
     columns = [_text(np.arange(len(trials)), str), _text(trials.order[:, 0], str),
                _text(trials.cpc, repr), _text(trials.degenerate.astype(np.int8), str),
-               *_text(trials.estimates, repr).T, *_text(_ranks(trials), str).T]
+               *_text(trials.estimates, repr).T, *_text(trials.rank + 1, str).T]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         _write_rows(fh, ["", *[","] * (len(columns) - 1), "\n"], columns)
@@ -116,7 +112,7 @@ def write_trials_jsonl(path: Path, trials: TrialTable) -> None:
     ranking = _text(trials.order, str)
     columns = [_text(trials.cpc, json.dumps), _text(trials.degenerate, json.dumps),
                *_text(trials.estimates, json.dumps).T, *ranking.T,
-               *_text(_ranks(trials), str).T, _text(np.arange(len(trials)), str),
+               *_text(trials.rank + 1, str).T, _text(np.arange(len(trials)), str),
                ranking[:, 0]]
     items = [", "] * (m - 1)  # between the m items of a list
     separators = ['{"cpc": ', ', "degenerate": ', ', "estimates": [', *items,
@@ -137,7 +133,7 @@ def _distinct_records(log: ImpressionLog) -> tuple[ImpressionLog, np.ndarray]:
     ads x contexts; the codes present are marked over that range and
     numbered by a running count, in one pass with no sort.
     """
-    n_ctx, m = len(log.contexts), len(log.ads)
+    n_ctx, m = len(log.tables.contexts), len(log.tables.ads)
     day = log.day - log.day[0] if len(log) else log.day  # days never decrease
     # the day tables hold days x ads x contexts entries, so the code cannot overflow
     code = (((day * n_ctx + log.ctx) * m + log.winner) * 2 + log.random_mode) * 2 + log.click

@@ -39,10 +39,12 @@ def log_from_rows(pred, bid, cpc, random_mode, click, bucket="T") -> ImpressionL
     n = len(pred)
     estimates = np.zeros((n, len(bids), 1))
     estimates[np.arange(n), winner, 0] = pred
+    counts = np.zeros((n, 2, len(bids), 1), dtype=np.int64)
+    tables = BucketTables(bucket, tuple(AdSpec(i + 1, b, 0.0) for i, b in enumerate(bids.tolist())),
+                          (Context(1, 1, 1.0),), estimates, cpc.reshape(n, 1),
+                          impressions=counts, clicks=counts)
     return ImpressionLog(
-        bucket=bucket, ads=tuple(AdSpec(i + 1, b, 0.0) for i, b in enumerate(bids.tolist())),
-        contexts=(Context(1, 1, 1.0),), estimates=estimates, prices=cpc.reshape(n, 1),
-        day=np.arange(n, dtype=np.int64), ctx=np.zeros(n, dtype=np.int64),
+        tables, day=np.arange(n, dtype=np.int64), ctx=np.zeros(n, dtype=np.int64),
         winner=winner.astype(np.int64), random_mode=random_mode,
         click=np.asarray(click, dtype=np.int64))
 
@@ -70,14 +72,14 @@ def after_day(log, first_day):
 def tables_from_log(log) -> BucketTables:
     """The day tables a log's accesses count into: impressions and clicks per
     (day, mode, ad, context), mode 0 greedy and 1 explored."""
-    shape = (len(log.estimates), 2, len(log.ads), len(log.contexts))
+    t = log.tables
+    shape = (len(t.estimates), 2, len(t.ads), len(t.contexts))
     impressions = np.zeros(shape, dtype=np.int64)
     clicks = np.zeros(shape, dtype=np.int64)
     cell = (log.day, log.random_mode.astype(np.intp), log.winner, log.ctx)
     np.add.at(impressions, cell, 1)
     np.add.at(clicks, cell, log.click)
-    return BucketTables(log.bucket, log.ads, log.contexts, log.estimates, log.prices,
-                        impressions=impressions, clicks=clicks)
+    return replace(t, impressions=impressions, clicks=clicks)
 
 
 def c_relative_per_access(log) -> CalibrationReport:

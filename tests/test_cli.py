@@ -277,6 +277,20 @@ class TestConfigLoading:
         assert rc == 3
         assert field in capsys.readouterr().err
 
+    @pytest.mark.parametrize("old, new, message", [
+        ("impressions = 5000\ntrue_ctrs = 0.05, 0.05", "impressions = 1, 2, 3\n"
+         "true_ctrs = 0.05, 0.05", "setting.a.impressions: impressions needs 1 or 2 values, "
+         "got 3"),
+        ("bids = 1.0", "bids = 1.0, 1.0, 1.0", "study.bids: bids needs 1 or 2 values, got 3"),
+    ], ids=["impressions", "bids"])
+    def test_per_ad_lists_need_one_value_or_one_per_ad(self, tmp_path, capsys, old, new,
+                                                       message):
+        assert old in SMALL_CPC
+        rc = run_cli("simulate-cpc", "--config",
+                     write_cfg(tmp_path, SMALL_CPC.replace(old, new)), "--out", tmp_path / "out")
+        assert rc == 3
+        assert f"config error: {message}\n" in capsys.readouterr().err
+
     @pytest.mark.parametrize("value", ["nan", "inf", "2.7", "5000, -inf"])
     def test_impressions_must_be_whole_numbers(self, tmp_path, capsys, value):
         bad = SMALL_CPC.replace("impressions = 5000\ntrue_ctrs = 0.05, 0.04",

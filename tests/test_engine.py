@@ -21,14 +21,15 @@ from gspbias.engine import (
     STREAM_AB,
     STREAM_CPC,
     STREAM_MC,
+    _PAIRWISE_MAX_ADS,
     _PPF_FLOOR,
     BinomialInverse,
-    _rank_codes,
     estimate_matrix,
     rank_contexts,
     run_ab_experiment,
     run_cpc_study,
     sample_rank_stats,
+    score_ranks,
     worker_map,
 )
 from gspbias import rng
@@ -46,7 +47,7 @@ def study(trials=2000, seed=99, ctrs=(0.05, 0.04), n=(5000, 5000), bids=(1.0, 1.
 
 def assert_tables_equal(a, b, rows=slice(None)):
     """Table ``a`` equals rows ``rows`` of table ``b``, column by column."""
-    for col in ("estimates", "order", "cpc", "degenerate"):
+    for col in ("estimates", "rank", "order", "cpc", "degenerate"):
         np.testing.assert_array_equal(getattr(a, col), getattr(b, col)[rows], err_msg=col)
 
 
@@ -82,6 +83,14 @@ class TestCpcStudy:
             assert order == rank_ads(scored)
             if not degenerate:
                 assert cpc == pytest.approx(gsp_price(order, scored))
+
+    def test_rank_inverts_order(self):
+        """Each trial's rank column is the inverse permutation of its order."""
+        trials = run_cpc_study(study(trials=500, ctrs=(0.05, 0.05), n=(200, 200)))
+        rows = np.arange(500)[:, None]
+        assert (trials.rank[rows, trials.order] == [0, 1]).all()
+        assert (trials.order[rows, trials.rank] == [0, 1]).all()
+        assert (trials.order != [0, 1]).any(), "expected some trials won by ad 1"
 
     def test_trial_stream_is_position_independent(self):
         """Trial t sees the same draws no matter how many trials run."""
@@ -397,8 +406,7 @@ class TestAbExperiment:
             for day in range(cfg.days) for n in cuts]
         for bucket, block in blocks:
             assert (block.day == block.day[0]).all() and block.bucket == bucket
-            assert block.estimates is tables[bucket].estimates
-            assert block.prices is tables[bucket].prices
+            assert block.tables is tables[bucket]
 
     def test_matches_scalar_replay(self):
         """Replaying the per-access uniforms through the scalar auction ops
@@ -453,7 +461,7 @@ class TestRankContexts:
         """An auction whose every estimate is zero has nothing to price with."""
         bids = np.array([1.0, 2.0, 0.5])
         est = np.zeros((2, 3))
-        order, cpc, degenerate = rank_contexts(bids, est)
+        _rank, order, cpc, degenerate = rank_contexts(bids, est)
         np.testing.assert_array_equal(order[:, 0], [0, 0])  # tie falls to the lowest id
         np.testing.assert_array_equal(cpc, [0.0, 0.0])
         np.testing.assert_array_equal(degenerate, [True, True])
@@ -461,7 +469,7 @@ class TestRankContexts:
     def test_zero_runner_up_prices_zero(self):
         bids = np.array([1.0, 1.0])
         est = np.array([[0.1, 0.0]])
-        order, cpc, degenerate = rank_contexts(bids, est)
+        _rank, order, cpc, degenerate = rank_contexts(bids, est)
         assert order[0, 0] == 0 and cpc[0] == 0.0 and not degenerate[0]
 
     # a small pool makes ties and all-zero rows common
@@ -474,7 +482,7 @@ class TestRankContexts:
                                   min_size=m, max_size=m))
         est = data.draw(st.lists(st.lists(pool, min_size=m, max_size=m),
                                  min_size=1, max_size=6))
-        order, cpc, degenerate = rank_contexts(np.array(bids), np.array(est))
+        _rank, order, cpc, degenerate = rank_contexts(np.array(bids), np.array(est))
         assert order.shape == (len(est), m)
         assert cpc.shape == degenerate.shape == (len(est),)
         for row, ranking, price, degen in zip(est, order.tolist(), cpc.tolist(),
@@ -489,6 +497,22 @@ class TestRankContexts:
                 assert degen and price == 0.0
             else:
                 assert not degen and price == expected
+
+
+class TestScoreRanks:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), m=st.integers(1, _PAIRWISE_MAX_ADS + 5))
+    def test_match_stable_argsort_on_both_sides_of_the_switch(self, data, m):
+        """Up to _PAIRWISE_MAX_ADS columns the ranks come from pairwise
+        comparisons, above it from an argsort; with scores from a 3-value set,
+        ties are forced and go to the lower column."""
+        n = data.draw(st.integers(1, 40))
+        scores = np.array(data.draw(st.lists(st.sampled_from([0.1, 0.5, 0.9]),
+                                             min_size=n * m, max_size=n * m))).reshape(n, m)
+        order = np.argsort(-scores, axis=1, kind="stable")
+        expected = np.empty_like(order)
+        np.put_along_axis(expected, order, np.arange(m), axis=1)
+        np.testing.assert_array_equal(score_ranks(scores), expected)
 
 
 class TestSampleRankStats:
@@ -534,19 +558,6 @@ class TestSampleRankStats:
         grid = CaseGrid([ScoreDistribution.uniform(0, 1)] * 2)
         with pytest.raises(InvalidValue, match="draws must be >= 1, got 0"):
             sample_rank_stats(grid, 0, seed=5)
-
-    @settings(max_examples=300, deadline=None)
-    @given(data=st.data(), m=st.integers(1, 7))
-    def test_pairwise_rank_codes_match_stable_argsort(self, data, m):
-        """Below 8 ads the codes come from pairwise comparisons; with scores
-        from a 3-value set, ties are forced and go to the lower ad index."""
-        n = data.draw(st.integers(1, 40))
-        draws = np.array(data.draw(st.lists(st.sampled_from([0.1, 0.5, 0.9]),
-                                            min_size=n * m, max_size=n * m))).reshape(n, m)
-        order = np.argsort(-draws, axis=1, kind="stable")
-        expected = np.empty_like(order)
-        np.put_along_axis(expected, order, np.arange(m), axis=1)
-        np.testing.assert_array_equal(_rank_codes(draws), expected + np.arange(0, m * m, m))
 
     def test_uniform_pair_against_known_order_statistics(self):
         grid = CaseGrid([ScoreDistribution.uniform(0, 1)] * 2)

@@ -14,6 +14,7 @@ from gspbias.engine import (
 )
 from gspbias.errors import HistogramTooWide, RankUnreachable, UndefinedCalibration, UndefinedRatio
 from gspbias.metrics import (
+    _mean_se,
     align_histograms,
     bias_report,
     MAX_HISTOGRAM_BINS,
@@ -45,7 +46,7 @@ def run_setting(ctrs, n, trials=20000, seed=314, idx=0):
 
 def take(trials, rows):
     """The trials at ``rows`` as a table of their own."""
-    return TrialTable(trials.estimates[rows], trials.order[rows],
+    return TrialTable(trials.estimates[rows], trials.rank[rows], trials.order[rows],
                       trials.cpc[rows], trials.degenerate[rows])
 
 
@@ -98,6 +99,23 @@ def test_log_from_rows_reads_back_each_row():
         np.testing.assert_array_equal(getattr(log, name), want)
     with pytest.raises(ValueError):
         log_from_rows([0.1], [1.0], [0.5], [True], [1])
+
+
+class TestMeanSe:
+    @pytest.mark.parametrize("x", [[0.05, 0.045, 0.051, 0.0], [1 / 3, 2.0, -7.5, 1e-3, 0.1],
+                                   [3.0, 3.0]])
+    def test_equals_the_unscaled_moments(self, x):
+        """On moderate values the power-of-two units change no bit."""
+        x = np.array(x)
+        assert _mean_se(x) == (float(x.mean()), float(x.std(ddof=1) / np.sqrt(len(x))))
+
+    def test_finite_where_squares_overflow(self):
+        x = np.array([1e200, 2e200, 4e200])
+        with np.errstate(over="ignore"):
+            assert np.isinf(x.std(ddof=1))  # the unscaled squares reach 1e400
+        mean, se = _mean_se(x)
+        assert mean == pytest.approx(7e200 / 3)
+        assert se == pytest.approx(np.std([1.0, 2.0, 4.0], ddof=1) / np.sqrt(3) * 1e200)
 
 
 class TestSelectionBias:

@@ -128,6 +128,19 @@ class TestScoreDistribution:
         with pytest.raises(ValueError):
             ScoreDistribution.uniform(-0.5, 1.0)
 
+    @pytest.mark.parametrize("kind, params, message", [
+        ("uniform", (0.8, 0.2), "uniform support must satisfy"),
+        ("scaled-beta", (2.0, 0.0, 1.0), "scaled_beta needs finite positive parameters"),
+        ("normal", (0.0, 1.0), "got 'normal' with 2 params"),
+        ("uniform", (0.0, 1.0, 2.0), "got 'uniform' with 3 params"),
+        ("scaled-beta", (2.0, 38.0), "got 'scaled-beta' with 2 params"),
+    ])
+    def test_direct_construction_is_checked(self, kind, params, message):
+        """Built directly, not through ``uniform`` or ``scaled_beta``, a
+        distribution still holds only a known kind with params in range."""
+        with pytest.raises(ValueError, match=message):
+            ScoreDistribution(kind, params)
+
 
 # A scipy whose _ufuncs imports only under scipy.special's executed __init__:
 # the first import of _ufuncs fails, as it would under the placeholder.

@@ -15,6 +15,7 @@ from gspbias.engine import (
     AbConfig,
     AdSpec,
     BucketSpec,
+    BucketTables,
     Context,
     ImpressionLog,
     TrialTable,
@@ -68,11 +69,13 @@ BUCKET = st.sampled_from(["A", 'b"\\é'])
 def code_log(bucket, ads, contexts, estimates, prices, rows):
     """A log from (day, ctx, winner, random_mode, click) rows, days non-decreasing."""
     cols = list(zip(*rows)) if rows else [()] * 5
+    estimates = np.array(estimates, dtype=np.float64).reshape(-1, len(ads), len(contexts))
+    counts = np.zeros((len(estimates), 2, len(ads), len(contexts)), dtype=np.int64)
+    tables = BucketTables(bucket, ads, contexts, estimates,
+                          np.array(prices, dtype=np.float64).reshape(-1, len(contexts)),
+                          impressions=counts, clicks=counts)
     return ImpressionLog(
-        bucket, ads=ads, contexts=contexts,
-        estimates=np.array(estimates, dtype=np.float64).reshape(-1, len(ads), len(contexts)),
-        prices=np.array(prices, dtype=np.float64).reshape(-1, len(contexts)),
-        day=np.array(cols[0], dtype=np.int64), ctx=np.array(cols[1], dtype=np.int64),
+        tables, day=np.array(cols[0], dtype=np.int64), ctx=np.array(cols[1], dtype=np.int64),
         winner=np.array(cols[2], dtype=np.int64), random_mode=np.array(cols[3], dtype=bool),
         click=np.array(cols[4], dtype=np.int8))
 
@@ -176,7 +179,7 @@ class TestDistinctRecords:
     def test_grouping_matches_np_unique(self, log):
         """Record ids number the distinct codes in code order, as np.unique's
         inverse does, and each record is one of the accesses it stands for."""
-        n_ctx, m = len(log.contexts), len(log.ads)
+        n_ctx, m = len(log.tables.contexts), len(log.tables.ads)
         code = (((log.day * n_ctx + log.ctx) * m + log.winner) * 2
                 + log.random_mode) * 2 + log.click
         distinct, inverse = np.unique(code, return_inverse=True)
@@ -224,11 +227,12 @@ def trial_tables(draw):
     m = draw(st.integers(1, 5))
     n = draw(st.integers(1, 30))
     value = st.sampled_from([0.0, -0.0, 0.05, 1 / 3, 1.0, 5e-324, 0.04123456789012345])
+    order = np.array(draw(st.lists(st.permutations(range(m)), min_size=n, max_size=n)),
+                     dtype=np.int64).reshape(n, m)
     return TrialTable(
         estimates=np.array(draw(st.lists(st.lists(value, min_size=m, max_size=m),
                                          min_size=n, max_size=n))).reshape(n, m),
-        order=np.array(draw(st.lists(st.permutations(range(m)), min_size=n, max_size=n)),
-                       dtype=np.int64).reshape(n, m),
+        rank=np.argsort(order, axis=1), order=order,
         cpc=np.array(draw(st.lists(value, min_size=n, max_size=n))),
         degenerate=np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n))),
     )
@@ -258,6 +262,7 @@ class TestTrialWriters:
         values = np.array([0.0, -0.0, 5e-324, 1 / 3, 0.04123456789012345, 0.05])
         order = np.array([[0, 1, 2], [2, 0, 1], [1, 2, 0]])[np.arange(n) % 3]
         trials = TrialTable(estimates=values[np.arange(3 * n).reshape(n, 3) % 5],
-                            order=order, cpc=values[np.arange(n) % 6],
+                            rank=np.argsort(order, axis=1), order=order,
+                            cpc=values[np.arange(n) % 6],
                             degenerate=np.arange(n) % 7 == 0)
         assert_trial_writers_match_reference(trials)
