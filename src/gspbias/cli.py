@@ -186,7 +186,7 @@ def cmd_simulate_cpc(args, suite: CpcSuite, seed: int, arts: ArtifactSet) -> tup
                 entry["unavailable_reason"] = str(exc)
             settings_payload[cfg.name] = entry
             if args.emit_trials:
-                if args.format in ("csv", "both"):
+                if args.format in (None, "csv", "both"):
                     write_trials_csv(arts.path(f"trials_{cfg.name}.csv"), trials)
                 if args.format in ("json", "both"):
                     write_trials_jsonl(arts.path(f"trials_{cfg.name}.jsonl"), trials)
@@ -450,8 +450,10 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--threads", type=int, default=os.cpu_count() or 1,
                         help="worker threads; never affects output bytes")
         if name != "verify-theorems":
-            sp.add_argument("--format", choices=("csv", "json", "both"), default="csv",
-                            help="record log format")
+            # None until given for simulate-cpc: main rejects it without --emit-trials
+            sp.add_argument("--format", choices=("csv", "json", "both"),
+                            default="csv" if name == "ab-run" else None,
+                            help="record log format (simulate-cpc: with --emit-trials)")
         if name == "simulate-cpc":
             sp.add_argument("--emit-trials", action="store_true",
                             help="also write per-trial logs")
@@ -473,6 +475,9 @@ def main(argv=None) -> int:
         return 3
     if args.threads < 1:
         print("config error: threads must be >= 1", file=sys.stderr)
+        return 3
+    if args.command == "simulate-cpc" and args.format is not None and not args.emit_trials:
+        print("config error: --format applies only with --emit-trials", file=sys.stderr)
         return 3
     try:
         t0 = time.monotonic()

@@ -241,11 +241,14 @@ def _load_ab(parser) -> tuple[AbConfig, int | None]:
     if not contexts:
         raise ConfigError("context", "at least one [context.N] section required")
     ads = []
+    sections = {}  # ad id -> the section that first gave it
     for sec in _sections(parser, "ad"):
         try:
             ad_id = int(sec.name.split(".", 1)[1])
         except ValueError:
             raise ConfigError(sec.name, "ad section suffix must be the integer ad id") from None
+        if sections.setdefault(ad_id, sec.name) != sec.name:
+            raise ConfigError(sec.name, f"ad id {ad_id} repeats [{sections[ad_id]}]")
         with _fields_of(sec.name):
             ads.append(AdSpec(id=ad_id, bid=sec.get_float("bid"),
                               base_ctr=sec.get_float("base_ctr")))

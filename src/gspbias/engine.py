@@ -424,13 +424,12 @@ def run_ab_experiment(config: AbConfig,
     time, and return each bucket's day tables.
 
     Buckets share the traffic plan (same per-day access count) but draw from
-    distinct streams and hold independent count windows.  Each bucket-day:
-    refresh estimates from the window and resolve every context's auction;
-    then for each block, serve it, call ``write(bucket_name, block)`` with its
-    ``ImpressionLog`` and count it into the day's tables; then fold the day's
-    counts into the window.  No array grows with the traffic.  Moving the
-    window to day d empties day d's slot, so day d's estimates read days
-    d - window_days + 1 .. d - 1 only, and a one-day window serves the prior.
+    distinct streams.  Each bucket-day: refresh estimates from the bucket's
+    ``CountWindow``, a view of its day tables, and resolve every context's
+    auction; then for each block, serve it, call ``write(bucket_name, block)``
+    with its ``ImpressionLog`` and count it into the day's tables.  No array
+    grows with the traffic.  Day d's estimates read days d - window_days + 1
+    .. d - 1 only, so a one-day window serves the prior.
     """
     true_ctr = config.true_ctr_matrix()
     m, n_ctx = true_ctr.shape
@@ -438,12 +437,12 @@ def run_ab_experiment(config: AbConfig,
     bids = np.array([ad.bid for ad in config.ads])
     out: dict[str, BucketTables] = {}
     for bucket in config.buckets:
-        window = CountWindow(config.window_days, m, n_ctx)
         tables = BucketTables(
             bucket.name, config.ads, config.contexts,
             estimates=np.empty((days, m, n_ctx)), prices=np.empty((days, n_ctx)),
             impressions=np.zeros((days, 2, m, n_ctx), np.int64),
             clicks=np.zeros((days, 2, m, n_ctx), np.int64))
+        window = CountWindow(config.window_days, tables.clicks, tables.impressions)
         for day in range(days):
             window.advance_to(day)
             est = tables.estimates[day] = estimate_matrix(bucket.estimator, window)
@@ -452,12 +451,7 @@ def run_ab_experiment(config: AbConfig,
             for lo, hi in rng.fixed_blocks(0, config.traffic_per_day, BLOCK):
                 block = _serve_block(config, tables, key, day, lo, hi, order[:, 0], true_ctr)
                 write(bucket.name, block)
-                cell = (block.random_mode * m + block.winner) * n_ctx + block.ctx
-                tables.impressions[day] += np.bincount(
-                    cell, minlength=2 * m * n_ctx).reshape(2, m, n_ctx)
-                tables.clicks[day] += np.bincount(
-                    cell[block.click == 1], minlength=2 * m * n_ctx).reshape(2, m, n_ctx)
-            window.add(day, tables.clicks[day].sum(axis=0), tables.impressions[day].sum(axis=0))
+                window.add(block.random_mode, block.winner, block.ctx, block.click)
         out[bucket.name] = tables
     return out
 

@@ -1,7 +1,8 @@
-"""CTR estimators and the sliding count window they read.
+"""CTR estimators and the trailing window of day counts they read.
 
 Two serving models are provided.  The naive estimator is the raw click
-proportion per (ad, context) cell over a sliding window of recent days.
+proportion per (ad, context) cell over a trailing window of recent days,
+read in place from the bucket's per-day count tables (``CountWindow``).
 The pooled estimator shrinks each cell's proportion toward a prior fitted
 across all ads at once, so sparsely observed cells borrow strength from the
 population instead of reporting extreme proportions.  Both work on whole
@@ -20,58 +21,53 @@ FALLBACK_HYPER = (1.0, 19.0)  # prior mean 0.05, matching the simulated CTR scal
 
 
 class CountWindow:
-    """Per-day click/impression counts per (ad, context) cell over the trailing L days.
+    """The trailing window of one bucket's day tables that its estimates read.
 
-    Two ``int64`` arrays of shape (L, ads, contexts) form a ring of day slots;
-    day d lives in slot d % L.  Advancing to a new day zeroes the slot of
-    every day that enters the window, so each slot holds exactly one day in
-    (head - L, head] and evicted days can never contribute to a total.
-    Counts may only be added for days currently inside the window.
+    ``clicks`` and ``impressions`` are the bucket's int64 ``(days, 2, ads,
+    contexts)`` tables, referenced, not copied.  ``add`` counts into the head
+    day; the totals sum days head - L + 1 .. head - 1 over days and modes.
     """
 
-    def __init__(self, length_days: int, ads: int, contexts: int):
+    def __init__(self, length_days: int, clicks: np.ndarray, impressions: np.ndarray):
         if length_days < 1:
             raise ValueError("window length must be >= 1 day")
         self.length_days = length_days
-        self.clicks = np.zeros((length_days, ads, contexts), dtype=np.int64)
-        self.impressions = np.zeros_like(self.clicks)
-        self._current_day = -1
+        self.clicks, self.impressions = clicks, impressions
+        self.head = 0
 
     def advance_to(self, day: int) -> None:
-        """Move the window head to ``day``, evicting days that fall out."""
-        if day < self._current_day:
-            raise ValueError(f"cannot move window backwards ({self._current_day} -> {day})")
-        first = max(self._current_day + 1, day - self.length_days + 1)
-        slots = np.arange(first, day + 1) % self.length_days
-        self.clicks[slots] = 0
-        self.impressions[slots] = 0
-        self._current_day = day
+        """Move the window head to ``day``."""
+        if day < self.head:
+            raise ValueError(f"cannot move window backwards ({self.head} -> {day})")
+        self.head = day
 
-    def add(self, day: int, clicks: np.ndarray, impressions: np.ndarray) -> None:
-        """Fold one day's (ads, contexts) click and impression counts into its slot."""
-        if day > self._current_day or day <= self._current_day - self.length_days:
-            raise ValueError(f"day {day} outside window ending at {self._current_day}")
-        if clicks.shape != self.clicks.shape[1:] or impressions.shape != clicks.shape:
-            raise ValueError(f"counts must have shape {self.clicks.shape[1:]}, "
-                             f"got {clicks.shape} and {impressions.shape}")
-        if np.any(clicks < 0) or np.any(clicks > impressions):
-            raise ValueError("clicks outside [0, impressions]")
-        slot = day % self.length_days
-        self.clicks[slot] += clicks
-        self.impressions[slot] += impressions
+    def add(self, mode: np.ndarray, ad: np.ndarray, ctx: np.ndarray,
+            click: np.ndarray) -> None:
+        """Count accesses into the head day: access i showed ad ``ad[i]`` in
+        context ``ctx[i]``, explored when ``mode[i]``, and was clicked when
+        ``click[i]`` is 1.  A cell outside the tables raises ValueError."""
+        imps, clicks = self.impressions[self.head], self.clicks[self.head]
+        cell = np.ravel_multi_index((mode, ad, ctx), imps.shape)
+        imps += np.bincount(cell, minlength=imps.size).reshape(imps.shape)
+        clicks += np.bincount(cell[click == 1], minlength=imps.size).reshape(imps.shape)
+
+    def _days(self) -> slice:
+        return slice(max(0, self.head - self.length_days + 1), self.head)
 
     def totals(self) -> tuple[np.ndarray, np.ndarray]:
         """In-window (clicks, impressions), each of shape (ads, contexts)."""
-        return self.clicks.sum(axis=0), self.impressions.sum(axis=0)
+        days = self._days()
+        return self.clicks[days].sum(axis=(0, 1)), self.impressions[days].sum(axis=(0, 1))
 
     def ad_totals(self) -> tuple[np.ndarray, np.ndarray]:
         """In-window (clicks, impressions) per ad, summed over contexts."""
-        return self.clicks.sum(axis=(0, 2)), self.impressions.sum(axis=(0, 2))
+        days = self._days()
+        return self.clicks[days].sum(axis=(0, 1, 3)), self.impressions[days].sum(axis=(0, 1, 3))
 
     # only bench/tracer.py calls this, patching it by name; the (ad, context)
     # cells that hold in-window impressions
     def keys(self) -> np.ndarray:
-        return np.argwhere(self.impressions.sum(axis=0) > 0)
+        return np.argwhere(self.totals()[1] > 0)
 
 
 def naive_contextual_estimate(clicks: np.ndarray, impressions: np.ndarray) -> np.ndarray:

@@ -261,8 +261,8 @@ base_ctr = 0.06
 
 def test_criterion_8_thread_determinism(tmp_path):
     both = ("--format", "both")  # verify-theorems writes one report, with no --format
-    combos = [("simulate-cpc", SMALL_CPC, both), ("verify-theorems", SMALL_THEOREMS, ()),
-              ("ab-run", SMALL_AB, both)]
+    combos = [("simulate-cpc", SMALL_CPC, ("--emit-trials", *both)),
+              ("verify-theorems", SMALL_THEOREMS, ()), ("ab-run", SMALL_AB, both)]
     identical = []
     for command, text, extra in combos:
         cfg = tmp_path / f"{command}.cfg"

@@ -225,6 +225,13 @@ class TestConfigLoading:
         assert rc == 3
         assert f"config error: {field}" in capsys.readouterr().err
 
+    def test_repeated_ad_id_names_its_section(self, tmp_path, capsys):
+        """[ad.1] and [ad.01] give one ad id; the error is on the second."""
+        text = SMALL_AB + "\n[ad.01]\nbid = 1.0\nbase_ctr = 0.05\n"
+        rc = run_cli("ab-run", "--config", write_cfg(tmp_path, text), "--out", tmp_path / "out")
+        assert rc == 3
+        assert "config error: ad.01: ad id 1 repeats [ad.1]\n" in capsys.readouterr().err
+
     def test_thirteen_ad_case_loads(self, tmp_path):
         """The oracle has no ad cap, so a 13-ad field loads and is verified."""
         staggered = ", ".join(f"uniform:{0.01 * i}:{0.5 + 0.02 * i}" for i in range(13))
@@ -457,6 +464,21 @@ class TestSimulateCpc:
         assert json.loads(lines[0])["trial"] == 0
         for name in ("trials_a.csv", "trials_a.jsonl", "trials_c.csv", "trials_c.jsonl"):
             assert (out / name).read_bytes() == (outs[3] / name).read_bytes(), name
+
+    def test_format_needs_emit_trials(self, tmp_path, capsys):
+        """--format sets only the trial log format, so alone it is rejected."""
+        out = tmp_path / "fmt"
+        assert run_cli("simulate-cpc", "--config", write_cfg(tmp_path, SMALL_CPC),
+                       "--out", out, "--trials", "20", "--format", "json") == 3
+        assert "config error: --format applies only with --emit-trials\n" in (
+            capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_emit_trials_alone_writes_csv(self, tmp_path):
+        out = tmp_path / "csv"
+        assert run_cli("simulate-cpc", "--config", write_cfg(tmp_path, SMALL_CPC),
+                       "--out", out, "--trials", "20", "--emit-trials") == 0
+        assert {p.name for p in out.glob("trials_*")} == {"trials_a.csv", "trials_c.csv"}
 
     def test_histogram_beyond_bin_cap_exits_three(self, tmp_path):
         """Bids of 1e200 put prices ~1e202 bins of width 0.01 from zero: a
@@ -1163,23 +1185,37 @@ def test_bench_tracer_installs():
     assert run_probe(TRACER_PROBE, [bench]) == "installed"
 
 
-def test_bench_tracer_records_distribution_spans(tmp_path):
-    """A traced verify-theorems run exits 0 and records spans from the
-    wrappers the tracer puts on ``ScoreDistribution``'s methods, so they
-    still fire on the grid rows and the uniform ad's draws."""
+def traced_span_names(tmp_path, command, cfg):
+    """The span names of one ``--threads 1`` run of ``command`` under
+    bench/tracer.py in a child, after asserting that it exits 0."""
     bench = Path(__file__).resolve().parents[1] / "bench"
-    text = SMALL_THEOREMS.replace("mc_draws = 40000", "mc_draws = 2000").split("[case.pair]")[0]
-    cfg = write_cfg(tmp_path, text + "[case.pair]\ndists = beta:2:38, uniform:0:0.1\n")
     spans = tmp_path / "spans.json"
     src = str(Path(gspbias.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, bench / "tracer.py", spans, "--", "verify-theorems",
+    proc = subprocess.run([sys.executable, bench / "tracer.py", spans, "--", command,
                            "--config", cfg, "--out", tmp_path / "out", "--threads", "1"],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    names = {span[0] for span in json.loads(spans.read_text())["spans"]}
+    return {span[0] for span in json.loads(spans.read_text())["spans"]}
+
+
+def test_bench_tracer_records_distribution_spans(tmp_path):
+    """A traced verify-theorems run exits 0 and records spans from the
+    wrappers the tracer puts on ``ScoreDistribution``'s methods, so they
+    still fire on the grid rows and the uniform ad's draws."""
+    text = SMALL_THEOREMS.replace("mc_draws = 40000", "mc_draws = 2000").split("[case.pair]")[0]
+    cfg = write_cfg(tmp_path, text + "[case.pair]\ndists = beta:2:38, uniform:0:0.1\n")
+    names = traced_span_names(tmp_path, "verify-theorems", cfg)
     assert {"oracle.cdf", "oracle.pdf", "engine.invcdf"} <= names
+
+
+def test_bench_tracer_records_ab_run_spans(tmp_path):
+    """A traced two-day, two-ad ab-run exits 0 and records spans from the
+    wrappers the tracer puts on the window, the estimate matrix and the run."""
+    text = SMALL_AB.replace("days = 4", "days = 2").replace("burn_in_days = 2", "burn_in_days = 1")
+    names = traced_span_names(tmp_path, "ab-run", write_cfg(tmp_path, text.split("[ad.3]")[0]))
+    assert {"estimators.window", "engine.estimate_matrix", "engine.ab"} <= names
 
 
 def test_every_exported_name_resolves():

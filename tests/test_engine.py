@@ -416,7 +416,8 @@ class TestAbExperiment:
         true_ctr = cfg.true_ctr_matrix()
         for bucket_pos, bucket in enumerate(cfg.buckets):
             log = logs[bucket.name]
-            window = CountWindow(cfg.window_days, len(cfg.ads), len(cfg.contexts))
+            counts = np.zeros((cfg.days, 2, len(cfg.ads), len(cfg.contexts)), dtype=np.int64)
+            window = CountWindow(cfg.window_days, counts, counts.copy())
             cursor = 0
             for day in range(cfg.days):
                 window.advance_to(day)
@@ -424,7 +425,7 @@ class TestAbExperiment:
                 key = rng.stream_key(cfg.seed, STREAM_AB,
                                      ESTIMATOR_CODES[bucket.estimator], day)
                 u = rng.unit_uniforms(key, 0, cfg.traffic_per_day)
-                day_counts = {}
+                served = []  # (mode, ad index, context, click) per access
                 for a in range(cfg.traffic_per_day):
                     ctx = min(int(u[a, 0] * len(cfg.contexts)), len(cfg.contexts) - 1)
                     scored = [ScoredAd.from_bid(ad.id, ad.bid, est[i, ctx])
@@ -446,14 +447,8 @@ class TestAbExperiment:
                     assert log.cpc[cursor] == pytest.approx(cpc, rel=1e-12)
                     assert log.click[cursor] == click
                     cursor += 1
-                    ck = (widx, ctx)
-                    imp, clk = day_counts.get(ck, (0, 0))
-                    day_counts[ck] = (imp + 1, clk + click)
-                imps = np.zeros((len(cfg.ads), len(cfg.contexts)), dtype=np.int64)
-                clks = np.zeros_like(imps)
-                for (widx, ctx), (imp, clk) in day_counts.items():
-                    imps[widx, ctx], clks[widx, ctx] = imp, clk
-                window.add(day, clks, imps)
+                    served.append((int(mode == "random"), widx, ctx, click))
+                window.add(*map(np.array, zip(*served)))
 
 
 class TestRankContexts:

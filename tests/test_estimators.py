@@ -20,8 +20,8 @@ PRIOR_MEAN = PoolHyperParams(*FALLBACK_HYPER).prior_mean
 
 # ---------------------------------------------------------------------------
 # Reference: the ring of per-day dicts keyed (ad_id, site, pos) and the
-# per-key estimator loops that the dense window and the whole-matrix
-# estimators replaced.
+# per-key estimator loops that the window over the day tables and the
+# whole-matrix estimators replaced.
 # ---------------------------------------------------------------------------
 
 class DictWindow:
@@ -94,7 +94,7 @@ def reference_estimate_matrix(estimator, window, ids, contexts):
                 est[i, c] = clicks / n if n else PRIOR_MEAN
     else:
         try:
-            # in ad-id order, as the dense window sums them
+            # in ad-id order, as the window sums them
             hyper = reference_fit_pool(dict(sorted(window.ad_totals().items())))
         except NoData:
             hyper = PoolHyperParams(*FALLBACK_HYPER)
@@ -106,53 +106,81 @@ def reference_estimate_matrix(estimator, window, ids, contexts):
 
 
 def day_counts(data, ads, contexts):
-    """One day's (clicks, impressions) matrices; small pools keep empty cells common."""
+    """One day's (clicks, impressions) per (mode, ad, context); small pools
+    keep empty cells common."""
+    size = 2 * ads * contexts
     imp = np.array(data.draw(st.lists(st.sampled_from([0, 0, 1, 3, 40]),
-                                      min_size=ads * contexts, max_size=ads * contexts)),
-                   dtype=np.int64).reshape(ads, contexts)
+                                      min_size=size, max_size=size)),
+                   dtype=np.int64).reshape(2, ads, contexts)
     clk = np.array([data.draw(st.integers(0, int(n))) for n in imp.ravel()],
-                   dtype=np.int64).reshape(ads, contexts)
+                   dtype=np.int64).reshape(imp.shape)
     return clk, imp
 
 
-def one_cell(clicks, impressions, ads=1, contexts=1, ad=0, ctx=0):
-    clk = np.zeros((ads, contexts), dtype=np.int64)
+def accesses(clicks, impressions, seed=0):
+    """Access columns (mode, ad, context, click), in a shuffled order, that
+    count to the given per-(mode, ad, context) clicks and impressions."""
+    n = impressions.ravel()
+    cell = np.repeat(np.arange(n.size), n)
+    nth = np.arange(cell.size) - np.repeat(np.cumsum(n) - n, n)
+    click = (nth < np.repeat(clicks.ravel(), n)).astype(np.int8)
+    order = np.random.default_rng(seed).permutation(cell.size)
+    return (*np.unravel_index(cell[order], impressions.shape), click[order])
+
+
+def window(length, days, ads=1, contexts=1):
+    """A window over fresh zero day tables of the given size."""
+    clicks = np.zeros((days, 2, ads, contexts), dtype=np.int64)
+    return CountWindow(length, clicks, np.zeros_like(clicks))
+
+
+def one_cell(clicks, impressions, ads=1, contexts=1, ad=0, ctx=0, mode=0):
+    """Access columns for one (mode, ad, context) cell."""
+    clk = np.zeros((2, ads, contexts), dtype=np.int64)
     imp = np.zeros_like(clk)
-    clk[ad, ctx], imp[ad, ctx] = clicks, impressions
-    return clk, imp
+    clk[mode, ad, ctx], imp[mode, ad, ctx] = clicks, impressions
+    return accesses(clk, imp)
 
 
 class TestCountWindow:
     def test_direct_aggregation(self):
-        w = CountWindow(14, 1, 1)
+        w = window(14, 3)
         w.advance_to(0)
-        w.add(0, *one_cell(2, 100))
+        w.add(*one_cell(2, 100))
         w.advance_to(1)
-        w.add(1, *one_cell(1, 100))
+        w.add(*one_cell(1, 100, mode=1))
+        w.advance_to(2)
         assert naive_contextual_estimate(*w.totals())[0, 0] == pytest.approx(3 / 200)
 
     def test_eviction_leaves_no_data(self):
-        w = CountWindow(14, 1, 1)
+        """Day 0 is read through head L - 1 and not from head L on."""
+        w = window(14, 21)
         w.advance_to(0)
-        w.add(0, *one_cell(2, 100))
-        w.advance_to(20)  # day 0 left the window
+        w.add(*one_cell(2, 100))
+        w.advance_to(13)
+        assert w.totals()[1][0, 0] == 100
+        w.advance_to(14)
+        assert w.totals()[1][0, 0] == 0
+        w.advance_to(20)
         clicks, impressions = w.totals()
         assert impressions[0, 0] == 0
         assert naive_contextual_estimate(clicks, impressions)[0, 0] == PRIOR_MEAN
 
     def test_streaming_matches_bruteforce_log(self):
-        """After 30 streamed days the window equals a sum over the last 14 only."""
+        """After 31 streamed days the window equals a sum over the 13 days
+        before the head only."""
         rng = np.random.default_rng(22)
-        log = []  # (day, clicks, impressions), each (ads, contexts)
-        w = CountWindow(14, 2, 2)
+        log = []  # (day, clicks, impressions), each (2, ads, contexts)
+        w = window(14, 32, 2, 2)
         for day in range(31):
             w.advance_to(day)
-            imp = rng.integers(0, 50, size=(2, 2))
+            imp = rng.integers(0, 50, size=(2, 2, 2))
             clk = rng.binomial(imp, 0.05)
-            w.add(day, clk, imp)
-            log.append((day, clk, imp))
-        c_ref = sum(c for d, c, n in log if 17 <= d <= 30)
-        n_ref = sum(n for d, c, n in log if 17 <= d <= 30)
+            w.add(*accesses(clk, imp, seed=day))
+            log.append((day, clk.sum(axis=0), imp.sum(axis=0)))
+        w.advance_to(31)
+        c_ref = sum(c for d, c, n in log if 18 <= d <= 30)
+        n_ref = sum(n for d, c, n in log if 18 <= d <= 30)
         clicks, impressions = w.totals()
         np.testing.assert_array_equal(clicks, c_ref)
         np.testing.assert_array_equal(impressions, n_ref)
@@ -161,27 +189,24 @@ class TestCountWindow:
                                    c_ref[seen] / n_ref[seen])
 
     def test_same_day_order_does_not_matter(self):
-        events = [one_cell(1, 30, 2), one_cell(0, 20, 2), one_cell(2, 40, 2, ad=1)]
-        w1, w2 = CountWindow(7, 2, 1), CountWindow(7, 2, 1)
+        events = [one_cell(1, 30, 2), one_cell(0, 20, 2, mode=1), one_cell(2, 40, 2, ad=1)]
+        w1, w2 = window(7, 7, 2), window(7, 7, 2)
         for w, order in ((w1, events), (w2, events[::-1])):
             w.advance_to(5)
-            for clk, imp in order:
-                w.add(5, clk, imp)
+            for cols in order:
+                w.add(*cols)
+            w.advance_to(6)
+        np.testing.assert_array_equal(w1.clicks, w2.clicks)
+        np.testing.assert_array_equal(w1.impressions, w2.impressions)
         for a, b in zip(w1.totals(), w2.totals()):
             np.testing.assert_array_equal(a, b)
 
-    def test_add_outside_window_rejected(self):
-        w = CountWindow(3, 1, 1)
-        w.advance_to(10)
-        with pytest.raises(ValueError):
-            w.add(7, *one_cell(0, 5))
-        with pytest.raises(ValueError):
-            w.add(11, *one_cell(0, 5))
-
     def test_ad_totals_pool_contexts(self):
-        w = CountWindow(7, 2, 2)
+        w = window(7, 2, 2, 2)
         w.advance_to(0)
-        w.add(0, np.array([[1, 2], [0, 0]]), np.array([[10, 30], [5, 0]]))
+        w.add(*accesses(np.array([[[1, 2], [0, 0]], [[0, 0], [0, 0]]]),
+                        np.array([[[10, 20], [5, 0]], [[0, 10], [0, 0]]])))
+        w.advance_to(1)
         clicks, impressions = w.ad_totals()
         assert clicks.tolist() == [3, 0] and impressions.tolist() == [40, 5]
 
@@ -189,52 +214,51 @@ class TestCountWindow:
     @given(data=st.data(), length=st.integers(1, 4), ads=st.integers(1, 3),
            contexts=st.integers(1, 3))
     def test_matches_per_day_log(self, data, length, ads, contexts):
-        """Jumps, late adds and rejected adds against a brute-force per-day log."""
-        w = CountWindow(length, ads, contexts)
-        log = []  # (day, clicks, impressions)
-        head = data.draw(st.integers(0, 2 * length))
-        w.advance_to(head)
+        """Random day tables read through random head jumps against
+        brute-force sums over the days before the head; adds land in the
+        head day, and an out-of-range cell raises ValueError and counts
+        nothing."""
+        days = 8 * length + 1
+        tables = [day_counts(data, ads, contexts) for _ in range(days)]
+        clicks = np.array([c for c, n in tables])
+        impressions = np.array([n for c, n in tables])
+        w = CountWindow(length, clicks, impressions)
+        head = 0
         for _ in range(data.draw(st.integers(1, 8))):
-            action = data.draw(st.sampled_from(["advance", "add", "reject"]))
-            if action == "advance":
-                # gaps reach 2L, past the whole window
-                head += data.draw(st.integers(0, 2 * length))
-                w.advance_to(head)
-            elif action == "add":
-                day = head - data.draw(st.integers(0, length - 1))
-                clk, imp = day_counts(data, ads, contexts)
-                w.add(day, clk, imp)
-                log.append((day, clk, imp))
-            else:
-                clk, imp = day_counts(data, ads, contexts)
-                day = head
-                bad = data.draw(st.sampled_from(["late", "future", "clicks", "negative",
-                                                 "shape"]))
-                if bad == "late":
-                    day = head - length - data.draw(st.integers(0, length))
-                elif bad == "future":
-                    day = head + 1
-                elif bad == "clicks":
-                    clk[0, 0] = imp[0, 0] + 1
-                elif bad == "negative":
-                    clk[-1, -1], imp[-1, -1] = -1, -1
-                else:
-                    clk, imp = np.zeros((ads, contexts + 1), dtype=np.int64), imp
-                with pytest.raises(ValueError):
-                    w.add(day, clk, imp)
-            live = [(c, n) for d, c, n in log if head - length < d <= head]
-            c_ref = sum((c for c, n in live), np.zeros((ads, contexts), dtype=np.int64))
-            n_ref = sum((n for c, n in live), np.zeros((ads, contexts), dtype=np.int64))
-            clicks, impressions = w.totals()
-            np.testing.assert_array_equal(clicks, c_ref)
-            np.testing.assert_array_equal(impressions, n_ref)
+            # gaps reach 2L, past the whole window
+            head = min(days - 1, head + data.draw(st.integers(0, 2 * length)))
+            w.advance_to(head)
+            c_ref = np.zeros((ads, contexts), dtype=np.int64)
+            n_ref = np.zeros_like(c_ref)
+            for day in range(head - length + 1, head):
+                if day >= 0:
+                    c_ref += clicks[day, 0] + clicks[day, 1]
+                    n_ref += impressions[day, 0] + impressions[day, 1]
+            got_clicks, got_impressions = w.totals()
+            np.testing.assert_array_equal(got_clicks, c_ref)
+            np.testing.assert_array_equal(got_impressions, n_ref)
             ad_clicks, ad_impressions = w.ad_totals()
             np.testing.assert_array_equal(ad_clicks, c_ref.sum(axis=1))
             np.testing.assert_array_equal(ad_impressions, n_ref.sum(axis=1))
             assert set(map(tuple, w.keys().tolist())) == set(zip(*np.nonzero(n_ref)))
+            want_clicks, want_impressions = clicks.copy(), impressions.copy()
+            if data.draw(st.booleans()):
+                clk, imp = day_counts(data, ads, contexts)
+                w.add(*accesses(clk, imp))
+                want_clicks[head] += clk
+                want_impressions[head] += imp
+            else:
+                # one clicked access with one coordinate just outside the tables
+                cell = [np.zeros(1, dtype=np.intp) for _ in range(3)]
+                axis = data.draw(st.integers(0, 2))
+                cell[axis][0] = data.draw(st.sampled_from([-1, (2, ads, contexts)[axis]]))
+                with pytest.raises(ValueError):
+                    w.add(*cell, np.ones(1, dtype=np.int8))
+            np.testing.assert_array_equal(clicks, want_clicks)
+            np.testing.assert_array_equal(impressions, want_impressions)
 
     def test_window_cannot_move_backwards(self):
-        w = CountWindow(3, 1, 1)
+        w = window(3, 5)
         w.advance_to(4)
         with pytest.raises(ValueError):
             w.advance_to(3)
@@ -248,7 +272,7 @@ class TestEstimateMatrix:
         """Whole-matrix estimates equal the per-key loops over the dict window."""
         ids = list(range(3, 3 + 2 * ads, 2))
         sites_pos = [(1 + c % 2, 1 + c // 2) for c in range(contexts)]
-        dense, ref = CountWindow(length, ads, contexts), DictWindow(length)
+        dense, ref = window(length, 6 * (length + 1), ads, contexts), DictWindow(length)
         day = -1
         for _ in range(data.draw(st.integers(1, 6))):
             day += data.draw(st.integers(1, length + 1))
@@ -258,13 +282,14 @@ class TestEstimateMatrix:
             want = reference_estimate_matrix(estimator, ref, ids, sites_pos)
             assert (got == want).all()
             clk, imp = day_counts(data, ads, contexts)
-            dense.add(day, clk, imp)
+            dense.add(*accesses(clk, imp))
+            clk, imp = clk.sum(axis=0), imp.sum(axis=0)
             for i, c in zip(*np.nonzero(imp)):
                 ref.add(day, (ids[i], *sites_pos[c]), int(clk[i, c]), int(imp[i, c]))
 
     def test_unknown_estimator_rejected(self):
         with pytest.raises(ValueError):
-            estimate_matrix("oracle", CountWindow(2, 1, 1))
+            estimate_matrix("oracle", window(2, 1))
 
 
 def grid_mle_mean(counts):
