@@ -57,6 +57,7 @@ from .oracle import (
 from .reports import (
     ArtifactSet,
     open_impressions,
+    record_codes,
     write_csv,
     write_histogram_csv,
     write_impressions_csv,
@@ -351,6 +352,7 @@ def cmd_ab_run(args, plan: AbConfig, seed: int, arts: ArtifactSet) -> tuple[int,
     then report calibration and relative value from the day tables."""
     cfg = dataclasses.replace(plan, seed=seed)
     written = {}  # bucket name -> when its last block was written
+    write_seconds = dict.fromkeys((bucket.name for bucket in cfg.buckets), 0.0)
     with contextlib.ExitStack() as files:
         sinks = {bucket.name: [] for bucket in cfg.buckets}  # (file, writer) pairs
         for bucket in cfg.buckets:
@@ -362,9 +364,12 @@ def cmd_ab_run(args, plan: AbConfig, seed: int, arts: ArtifactSet) -> tuple[int,
                         (files.enter_context(open_impressions(path, fmt)), writer))
 
         def write(bucket: str, block) -> None:
-            for fh, writer in sinks[bucket]:
-                writer(fh, block)
+            t_write = time.monotonic()
+            code = record_codes(block)
+            for sink, writer in sinks[bucket]:
+                writer(sink, block, code)
             written[bucket] = time.monotonic()
+            write_seconds[bucket] += written[bucket] - t_write
 
         t_serve = time.monotonic()
         tables = run_ab_experiment(cfg, write)
@@ -377,7 +382,8 @@ def cmd_ab_run(args, plan: AbConfig, seed: int, arts: ArtifactSet) -> tuple[int,
         records = int(bucket_tables.impressions.sum())
         # buckets run in turn: each one's time runs from the last block of the one before
         bucket_runs.append({"name": bucket.name, "records": records,
-                            "seconds": round(written[bucket.name] - t_serve, 3)})
+                            "seconds": round(written[bucket.name] - t_serve, 3),
+                            "write_seconds": round(write_seconds[bucket.name], 3)})
         t_serve = written[bucket.name]
         entry: dict = {"estimator": bucket.estimator, "records": records,
                        "evaluation_records": int(bucket_tables.impressions[first_day:].sum())}

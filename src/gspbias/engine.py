@@ -25,7 +25,7 @@ import math
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Literal
 
 import numpy as np
@@ -364,25 +364,8 @@ class ImpressionLog:
     random_mode: np.ndarray = field(repr=False)
     click: np.ndarray = field(repr=False)
 
-    # the other fields, one whole-column gather per read; explored displays
-    # are never charged
-    bucket = property(lambda self: self.tables.bucket)
-    site = property(lambda self: np.array([c.site for c in self.tables.contexts])[self.ctx])
-    pos = property(lambda self: np.array([c.pos for c in self.tables.contexts])[self.ctx])
-    ad_id = property(lambda self: np.array([ad.id for ad in self.tables.ads])[self.winner])
-    bid = property(lambda self: np.array([ad.bid for ad in self.tables.ads])[self.winner])
-    pred_ctr = property(lambda self: self.tables.estimates[self.day, self.winner, self.ctx])
-    cpc = property(lambda self: np.where(self.random_mode, 0.0,
-                                         self.tables.prices[self.day, self.ctx]))
-
     def __len__(self) -> int:
         return len(self.day)
-
-    def take(self, rows) -> "ImpressionLog":
-        """The accesses at ``rows`` (a slice or index array), with the same tables."""
-        return replace(
-            self, day=self.day[rows], ctx=self.ctx[rows], winner=self.winner[rows],
-            random_mode=self.random_mode[rows], click=self.click[rows])
 
 
 def estimate_matrix(estimator: EstimatorName, window: CountWindow) -> np.ndarray:

@@ -10,20 +10,27 @@ distinct estimates per ad), and ``_write_rows`` joins ``CHUNK_ROWS`` rows of
 that text with the format's fixed separators per write.
 
 The impression writers append one block of a bucket's accesses at a time
-to a file opened once per bucket (``open_impressions``), and format each
-distinct record of the block once.  An access's (day, context, ad, mode,
-click) codes fix every field of its record, so a 16,384-access block of
-the packaged A/B run holds a few hundred distinct records.  The writers
-pack the codes into one integer per access, find the distinct ones by
-marking the codes present (``_distinct_records``), format one line per
-distinct record, then write ``CHUNK_ROWS`` rows at a time by indexing that
-table with each access's record id.  Memory is a few integer arrays of
-block length, the table and one chunk of text, whatever the run's length.
+to a file opened once per bucket and format (``open_impressions``).  An
+access's record code (``record_codes``: its context, ad, mode and click)
+fixes its whole line on a given day, so each file keeps one line per code,
+4 x ads x contexts in all, and clears them when the day changes.  A block
+marks the codes it holds and formats only those the table lacks, so each
+record is formatted once per bucket-day (about 570 of 18,000 accesses a
+day in the packaged A/B run).  A line joins per-field text made once per
+file (bucket, site, pos, ad_id, bid, mode, click) or day (day, pred_ctr,
+cpc) with the format's fixed separators: commas for CSV, and for JSONL the
+keys in sorted order, each value's text from ``json.dumps``, so that a line
+equals ``json.dumps(record, sort_keys=True)``.  Lines are kept as UTF-8
+bytes and written ``CHUNK_ROWS`` at a time.  Memory is the table, a few
+integer arrays of block length and one chunk of text, whatever the run's
+length.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import json
+import math
 import platform
 import sys
 from pathlib import Path
@@ -31,7 +38,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .engine import ImpressionLog, TrialTable
+from .engine import BucketTables, ImpressionLog, TrialTable
 from .metrics import Histogram
 
 
@@ -61,8 +68,10 @@ def write_histogram_csv(path: Path, hist: Histogram) -> None:
     write_csv(path, ["bin_left", "bin_right", "count"], rows)
 
 
-# rows joined into one write by the trial and impression writers
-CHUNK_ROWS = 65536
+# rows joined into one write by the trial and impression writers; joining a
+# megabyte or more per write (65,536 rows, or a whole 16,384-access block)
+# measured slower on the packaged runs than chunks of a few hundred KB
+CHUNK_ROWS = 2048
 
 
 def _text(values: np.ndarray, fmt) -> np.ndarray:
@@ -126,75 +135,144 @@ IMPRESSION_HEADER = ["day", "bucket", "site", "pos", "ad_id", "mode",
                      "pred_ctr", "bid", "cpc", "click"]
 
 
-def _distinct_records(log: ImpressionLog) -> tuple[ImpressionLog, np.ndarray]:
-    """The log's distinct records in code order, and the record id of each access.
+def record_codes(log: ImpressionLog) -> np.ndarray:
+    """Each access's record code, ((ctx * ads + winner) * 2 + mode) * 2 + click,
+    which with its day fixes the access's whole line; codes lie below
+    4 x ads x contexts."""
+    return ((log.ctx * len(log.tables.ads) + log.winner) * 2 + log.random_mode) * 2 + log.click
 
-    Codes count days from the log's first, so they lie below 4 x its days x
-    ads x contexts; the codes present are marked over that range and
-    numbered by a running count, in one pass with no sort.
+
+class ImpressionFile:
+    """One bucket's impression file, open for one format's writer to append
+    blocks of the bucket's log to.  It keeps the text of the fields of its
+    current day tables and day, and ``lines``, each record code's line as
+    UTF-8 bytes, set where ``known``: the codes formatted on that day so far."""
+
+    def __init__(self, path: Path, header: str):
+        self.fh = open(path, "wb")
+        self.fh.write(header.encode())
+        self.tables = self.specs = self.day = self.pieces = self.lines = self.known = None
+
+    def __enter__(self) -> "ImpressionFile":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.fh.close()
+
+
+def open_impressions(path: Path, fmt: str) -> ImpressionFile:
+    """One bucket's impression file, open for the ``fmt`` writer to append
+    blocks to: UTF-8 with LF line endings, and for "csv" its header row written."""
+    return ImpressionFile(path, ",".join(IMPRESSION_HEADER) + "\n" if fmt == "csv" else "")
+
+
+def _axes(values, shape, text) -> np.ndarray:
+    """``text`` of each value, laid along the axes of the record code,
+    (ctx, ad, mode, click), that the values vary with."""
+    return np.array([text(v) for v in values], dtype=object).reshape(shape)
+
+
+def _spec_fields(tables: BucketTables, text) -> dict[str, np.ndarray]:
+    """The fields that do not change with the day, as ``_axes``."""
+    n_ctx, m = len(tables.contexts), len(tables.ads)
+    ctx, ad = (n_ctx, 1, 1, 1), (1, m, 1, 1)
+    return {"bucket": _axes([tables.bucket], 1, text),
+            "site": _axes([c.site for c in tables.contexts], ctx, text),
+            "pos": _axes([c.pos for c in tables.contexts], ctx, text),
+            "ad_id": _axes([ad.id for ad in tables.ads], ad, text),
+            "mode": _axes(["greedy", "random"], (1, 1, 2, 1), text),
+            "bid": _axes(np.array([ad.bid for ad in tables.ads]).tolist(), ad, text),
+            "click": _axes([0, 1], (1, 1, 1, 2), text)}
+
+
+def _day_fields(tables: BucketTables, day: int, text) -> dict[str, np.ndarray]:
+    """The fields of ``day``'s records that the day changes, as ``_axes``;
+    explored displays are never charged."""
+    n_ctx, m = len(tables.contexts), len(tables.ads)
+    cpc = np.stack([tables.prices[day], np.zeros(n_ctx)], axis=1)
+    return {"day": _axes([day], 1, text),
+            "pred_ctr": _text(tables.estimates[day].T, text).reshape(n_ctx, m, 1, 1),
+            "cpc": _axes(cpc.ravel().tolist(), (n_ctx, 1, 2, 1), text)}
+
+
+def _lines(pieces: list[np.ndarray], shape, codes: np.ndarray) -> list[bytes]:
+    """The UTF-8 line of each record code: its text from each of the day's
+    pieces, laid along the code's axes of ``shape``, joined."""
+    at = np.unravel_index(codes, shape)
+    columns = [np.broadcast_to(piece, shape)[at].tolist() for piece in pieces]
+    return ["".join(line).encode() for line in zip(*columns)]
+
+
+def _append(sink: ImpressionFile, log: ImpressionLog, code, fmt) -> None:
+    """Append one line per access of ``log`` to ``sink``.  ``code`` holds each
+    access's record code (``record_codes``; computed when None), and ``fmt``
+    is the line format: the ``text`` of one value, the field names in line
+    order, and the separators before each field and at the line's end.
+
+    Each record is formatted once per file and day: the file keeps one line
+    per code, 4 x ads x contexts in all, and clears them when the day changes.
     """
-    n_ctx, m = len(log.tables.contexts), len(log.tables.ads)
-    day = log.day - log.day[0] if len(log) else log.day  # days never decrease
-    # the day tables hold days x ads x contexts entries, so the code cannot overflow
-    code = (((day * n_ctx + log.ctx) * m + log.winner) * 2 + log.random_mode) * 2 + log.click
-    number = np.cumsum(np.bincount(code) > 0)
-    ids = number[code] - 1
-    # accesses that share an id share every field, so any one of them stands for the record
-    rep = np.empty(number[-1] if len(number) else 0, dtype=np.intp)
-    rep[ids] = np.arange(len(ids))
-    return log.take(rep), ids
+    if not len(log):
+        return
+    text, names, separators = fmt
+    tables = log.tables
+    if code is None:
+        code = record_codes(log)
+    shape = (len(tables.contexts), len(tables.ads), 2, 2)
+    size = math.prod(shape)
+    if sink.tables is not tables:
+        sink.tables, sink.specs, sink.day = tables, _spec_fields(tables, text), None
+    cuts = [0, *(np.flatnonzero(np.diff(log.day)) + 1).tolist(), len(log)]
+    for lo, hi in zip(cuts, cuts[1:]):  # one day at a time
+        day = int(log.day[lo])
+        if sink.day != day:
+            fields = {**sink.specs, **_day_fields(tables, day, text)}
+            sink.day = day
+            sink.pieces = [sep + fields[name] for sep, name in zip(separators, names)]
+            sink.pieces[-1] = sink.pieces[-1] + separators[-1]
+            sink.lines = np.empty(size, dtype=object)
+            sink.known = np.zeros(size, dtype=bool)
+        new = np.zeros(size, dtype=bool)
+        new[code[lo:hi]] = True
+        new = np.flatnonzero(new & ~sink.known)
+        sink.lines[new] = _lines(sink.pieces, shape, new)
+        sink.known[new] = True
+        for start in range(lo, hi, CHUNK_ROWS):
+            sink.fh.write(b"".join(sink.lines[code[start:min(start + CHUNK_ROWS, hi)]].tolist()))
 
 
-def open_impressions(path: Path, fmt: str):
-    """One bucket's impression file, open for the writers to append blocks to:
-    UTF-8 with LF line endings, and for ``fmt`` "csv" its header row written."""
-    fh = open(path, "w", encoding="utf-8", newline="\n")
-    if fmt == "csv":
-        fh.write(",".join(IMPRESSION_HEADER) + "\n")
-    return fh
+_CSV = (_fmt, IMPRESSION_HEADER, ["", *[","] * (len(IMPRESSION_HEADER) - 1), "\n"])
+# json.dumps(record, sort_keys=True): the same fields in key order
+_JSONL = (json.dumps, sorted(IMPRESSION_HEADER),
+          [("{" if i == 0 else ", ") + json.dumps(name) + ": "
+           for i, name in enumerate(sorted(IMPRESSION_HEADER))] + ["}\n"])
 
 
-def _write_impressions(fh, log: ImpressionLog, line) -> None:
-    """Append one line per access to ``fh``; ``line`` formats a distinct record."""
-    records, ids = _distinct_records(log)
-    columns = (records.day, records.site, records.pos, records.ad_id, records.random_mode,
-               records.pred_ctr, records.bid, records.cpc, records.click)
-    table = np.array([line(*row) for row in zip(*(col.tolist() for col in columns))],
-                     dtype=object)
-    for start in range(0, len(ids), CHUNK_ROWS):
-        fh.write("".join(table[ids[start:start + CHUNK_ROWS]].tolist()))
+def write_impressions_csv(sink: ImpressionFile, log: ImpressionLog, code=None) -> None:
+    """Append ``log``'s lines to a file opened by ``open_impressions`` for "csv"."""
+    _append(sink, log, code, _CSV)
 
 
-def write_impressions_csv(fh, log: ImpressionLog) -> None:
-    def line(day, site, pos, ad_id, random_mode, pred, bid, cpc, click):
-        return (f"{day},{log.bucket},{site},{pos},{ad_id},"
-                f"{'random' if random_mode else 'greedy'},{pred!r},{bid!r},{cpc!r},{click}\n")
-
-    _write_impressions(fh, log, line)
-
-
-def write_impressions_jsonl(fh, log: ImpressionLog) -> None:
-    def line(day, site, pos, ad_id, random_mode, pred, bid, cpc, click):
-        return json.dumps({
-            "day": day, "bucket": log.bucket, "site": site, "pos": pos, "ad_id": ad_id,
-            "mode": "random" if random_mode else "greedy",
-            "pred_ctr": pred, "bid": bid, "cpc": cpc, "click": click,
-        }, sort_keys=True) + "\n"
-
-    _write_impressions(fh, log, line)
+def write_impressions_jsonl(sink: ImpressionFile, log: ImpressionLog, code=None) -> None:
+    """Append ``log``'s lines to a file opened by ``open_impressions`` for "json"."""
+    _append(sink, log, code, _JSONL)
 
 
 def _scipy_version() -> str | None:
-    """scipy's version; from its package metadata when the command has not
-    loaded scipy, so that recording the version does not import it."""
+    """scipy's version: ``scipy.__version__`` when the command has loaded
+    scipy, else the ``version`` of scipy's ``version.py``, the module that
+    attribute comes from, run alone so that scipy's package init never runs."""
     scipy = sys.modules.get("scipy")
     if scipy is not None:
         return scipy.__version__
-    from importlib import metadata
-    try:
-        return metadata.version("scipy")
-    except metadata.PackageNotFoundError:
+    package = importlib.util.find_spec("scipy")
+    if package is None:
         return None
+    spec = importlib.util.spec_from_file_location(
+        "scipy.version", Path(package.submodule_search_locations[0]) / "version.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.version
 
 
 class ArtifactSet:

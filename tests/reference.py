@@ -6,6 +6,7 @@ The package's commands never need these, so they live here and may import
 
 import math
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
 
 import numpy as np
 from scipy import stats
@@ -49,6 +50,29 @@ def log_from_rows(pred, bid, cpc, random_mode, click, bucket="T") -> ImpressionL
         click=np.asarray(click, dtype=np.int64))
 
 
+def record_columns(log) -> SimpleNamespace:
+    """Every field of the log's impression records, one array each (the
+    bucket name once), read from its codes and day tables; explored
+    displays are never charged."""
+    t = log.tables
+    return SimpleNamespace(
+        day=log.day, bucket=t.bucket,
+        site=np.array([c.site for c in t.contexts])[log.ctx],
+        pos=np.array([c.pos for c in t.contexts])[log.ctx],
+        ad_id=np.array([ad.id for ad in t.ads])[log.winner],
+        random_mode=log.random_mode,
+        pred_ctr=t.estimates[log.day, log.winner, log.ctx],
+        bid=np.array([ad.bid for ad in t.ads])[log.winner],
+        cpc=np.where(log.random_mode, 0.0, t.prices[log.day, log.ctx]),
+        click=log.click)
+
+
+def take(log, rows) -> ImpressionLog:
+    """The log's accesses at ``rows`` (a slice or index array), with the same tables."""
+    return replace(log, day=log.day[rows], ctx=log.ctx[rows], winner=log.winner[rows],
+                   random_mode=log.random_mode[rows], click=log.click[rows])
+
+
 def join_blocks(blocks) -> ImpressionLog:
     """One log of the given blocks' accesses, in order; they share day tables."""
     columns = ("day", "ctx", "winner", "random_mode", "click")
@@ -66,7 +90,7 @@ def run_logged(config):
 
 def after_day(log, first_day):
     """The log's records from ``first_day`` on (the evaluation split after burn-in)."""
-    return log.take(log.day >= first_day)
+    return take(log, log.day >= first_day)
 
 
 def tables_from_log(log) -> BucketTables:
@@ -86,7 +110,8 @@ def c_relative_per_access(log) -> CalibrationReport:
     """``metrics.c_relative`` summed over the log's accesses, one term each."""
     random = log.random_mode
     greedy = ~random
-    click, pred, bid = log.click, log.pred_ctr, log.bid
+    columns = record_columns(log)
+    click, pred, bid = log.click, columns.pred_ctr, columns.bid
     g_clicks = int(click[greedy].sum())
     r_clicks = int(click[random].sum())
     if g_clicks == 0 or r_clicks == 0:
@@ -118,7 +143,7 @@ def c_relative_log_se(log) -> float:
     the two calibration ratios; greedy and random groups are disjoint so
     their contributions add.
     """
-    pred, click = log.pred_ctr, log.click
+    pred, click = record_columns(log).pred_ctr, log.click
     se_sq = 0.0
     for mask in (~log.random_mode, log.random_mode):
         p_sum = float(pred[mask].sum())
@@ -132,8 +157,9 @@ def c_relative_log_se(log) -> float:
 
 def _greedy_value_and_cost(log) -> tuple[float, float]:
     greedy = ~log.random_mode
-    click = log.click[greedy]
-    return float((click * log.bid[greedy]).sum()), float((click * log.cpc[greedy]).sum())
+    click, columns = log.click[greedy], record_columns(log)
+    return (float((click * columns.bid[greedy]).sum()),
+            float((click * columns.cpc[greedy]).sum()))
 
 
 def rtv_rtc_per_access(log_a, log_b) -> RelativeMetrics:

@@ -18,6 +18,7 @@ from gspbias.config import load_config, parse_distribution
 from gspbias.engine import BLOCK, sample_rank_stats
 from gspbias.errors import ConfigError
 from gspbias.oracle import CaseGrid
+from gspbias.reports import _scipy_version
 from reference import load_case, read_histogram_csv
 
 SMALL_CPC = """
@@ -842,6 +843,27 @@ class TestAbOutputBytes:
                 "a1e552560da71d81daeecf5d2cc9c14b1cebee4e9aa504e1dda0f6adaf376549",
         }
 
+    def test_packaged_config_seed_1_both_formats(self, tmp_path):
+        """The packaged run's JSONL logs at full scale, next to the same CSV bytes."""
+        out = tmp_path / "packaged"
+        assert run_cli("ab-run", "--out", out, "--seed", "1", "--format", "both") == 0
+        assert output_digests(out) == {
+            "calibration_report.json":
+                "d53f6d5d0c3c58164e08aa0b403bb8ee5fd1e2268b23e0c89ff2026d16a09d88",
+            "calibration_table.csv":
+                "e26e9a477328fa6655843733b8318f06371d7c3bb833789f73f012f9e3ad5c4a",
+            "impressions_A.csv":
+                "6ddd684a9a810b771207b97f5a87ff7c5f41f1fe1215c4f0c30006c438316aa7",
+            "impressions_A.jsonl":
+                "0c4d40341a450176e4104b25b2ab7d528a5be55e63065495d868b97164be2d03",
+            "impressions_B.csv":
+                "f14ff1da8113bec7e90debf3d1b03f2b892bc28ad6befed32fe6733ac8319fa9",
+            "impressions_B.jsonl":
+                "14cdb939b7109d2e43463902a58b3b9e7301dc8a522bbd4834d17974d9dd7b9c",
+            "rtv_rtc.json":
+                "a1e552560da71d81daeecf5d2cc9c14b1cebee4e9aa504e1dda0f6adaf376549",
+        }
+
 
 class TestCpcOutputBytes:
     """simulate-cpc output bytes, trial logs included, pinned across versions.
@@ -1023,15 +1045,15 @@ class TestManifestReproducibility:
         assert all(s["seconds"] >= 0.0 for s in manifest["settings"])
 
     def test_ab_manifest_times_each_bucket(self, tmp_path):
-        """ab-run records each bucket's name, records served and seconds, in
-        config order."""
+        """ab-run records each bucket's name, records served, seconds and the
+        part of them spent in the impression writers, in config order."""
         out = tmp_path / "ab"
         assert run_cli("ab-run", "--config", write_cfg(tmp_path, SMALL_AB), "--out", out,
                        "--format", "both") == 0
         buckets = json.loads((out / "manifest.json").read_text())["buckets"]
         assert [(b["name"], b["records"]) for b in buckets] == [("A", 4 * 1500),
                                                                 ("B", 4 * 1500)]
-        assert all(b["seconds"] >= 0.0 for b in buckets)
+        assert all(0.0 <= b["write_seconds"] <= b["seconds"] for b in buckets)
 
     def test_rerun_with_manifest_seed_reproduces(self, tmp_path):
         cfg = write_cfg(tmp_path, SMALL_AB)
@@ -1086,6 +1108,18 @@ print(json.dumps({"rc": rc,
                           float(scipy.special.betainc(2, 38, 0.1))]}))
 """
 
+# Prints scipy's version as the manifest records it in a process that has
+# not loaded scipy, the scipy modules loaded afterwards, and the version in
+# scipy's package metadata.
+VERSION_PROBE = """
+import json, sys
+from gspbias.reports import _scipy_version
+version = _scipy_version()
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+from importlib import metadata
+print(json.dumps({"version": version, "scipy": loaded, "metadata": metadata.version("scipy")}))
+"""
+
 
 def run_probe(probe, argv):
     """``probe`` in a child interpreter on argv; the JSON of its last line."""
@@ -1125,6 +1159,13 @@ class TestImportBoundary:
             seconds = json.loads((tmp_path / "out" / "manifest.json").read_text())[
                 "kernel_import_seconds"]
             assert (seconds > 0.0) == (cfg is SMALL_THEOREMS)
+
+    def test_scipy_version_without_loading_scipy(self):
+        """The manifest's scipy version, read where scipy is not loaded, is
+        the version in scipy's package metadata, and loads no scipy module."""
+        result = run_probe(VERSION_PROBE, [])
+        assert result["version"] == result["metadata"] and result["scipy"] == []
+        assert _scipy_version() == metadata.version("scipy")  # scipy loaded here
 
     def test_cli_loads_every_package_module(self):
         """Every module of the package is one the CLI imports, so none is

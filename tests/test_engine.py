@@ -36,7 +36,7 @@ from gspbias import rng
 from gspbias.errors import InvalidValue, RepeatedContext
 from gspbias.estimators import CountWindow
 from gspbias.oracle import CaseGrid, ScoreDistribution
-from reference import DegeneratePrice, ScoredAd, gsp_price, rank_ads, run_logged
+from reference import DegeneratePrice, ScoredAd, gsp_price, rank_ads, record_columns, run_logged
 
 
 def study(trials=2000, seed=99, ctrs=(0.05, 0.04), n=(5000, 5000), bids=(1.0, 1.0),
@@ -359,8 +359,9 @@ class TestAbExperiment:
         for log in logs.values():
             assert set(np.unique(log.click)) <= {0, 1}
             # exploration traffic is never charged
-            assert (log.cpc[log.random_mode] == 0).all()
-            assert (log.pred_ctr >= 0).all() and (log.pred_ctr <= 1).all()
+            columns = record_columns(log)
+            assert (columns.cpc[log.random_mode] == 0).all()
+            assert (columns.pred_ctr >= 0).all() and (columns.pred_ctr <= 1).all()
 
     def test_epsilon_one_uniform_displays(self):
         cfg = ab_config(epsilon=1.0, days=1, traffic_per_day=10000, burn_in_days=0)
@@ -368,7 +369,7 @@ class TestAbExperiment:
         for log in logs.values():
             assert log.random_mode.all()
             m = len(cfg.ads)
-            freq = np.bincount(log.ad_id - 1, minlength=m) / len(log)
+            freq = np.bincount(record_columns(log).ad_id - 1, minlength=m) / len(log)
             band = 4 * np.sqrt((1 / m) * (1 - 1 / m) / len(log))
             np.testing.assert_allclose(freq, 1 / m, atol=band)
 
@@ -377,8 +378,8 @@ class TestAbExperiment:
         _tables, logs = run_logged(cfg)
         for field in ("day", "site", "pos", "ad_id", "random_mode",
                       "pred_ctr", "bid", "cpc", "click"):
-            np.testing.assert_array_equal(getattr(logs["A"], field),
-                                          getattr(logs["B"], field))
+            np.testing.assert_array_equal(getattr(record_columns(logs["A"]), field),
+                                          getattr(record_columns(logs["B"]), field))
 
     def test_day_tables_split_burn_in(self):
         """Each day's tables count that day's accesses, so the slab from the
@@ -405,7 +406,7 @@ class TestAbExperiment:
             (bucket.name, day, n) for bucket in cfg.buckets
             for day in range(cfg.days) for n in cuts]
         for bucket, block in blocks:
-            assert (block.day == block.day[0]).all() and block.bucket == bucket
+            assert (block.day == block.day[0]).all() and block.tables.bucket == bucket
             assert block.tables is tables[bucket]
 
     def test_matches_scalar_replay(self):
@@ -416,6 +417,7 @@ class TestAbExperiment:
         true_ctr = cfg.true_ctr_matrix()
         for bucket_pos, bucket in enumerate(cfg.buckets):
             log = logs[bucket.name]
+            columns = record_columns(log)
             counts = np.zeros((cfg.days, 2, len(cfg.ads), len(cfg.contexts)), dtype=np.int64)
             window = CountWindow(cfg.window_days, counts, counts.copy())
             cursor = 0
@@ -441,10 +443,11 @@ class TestAbExperiment:
                         cpc = gsp_price(ranking, scored) if top_est > 0 else 0.0
                     click = int(u[a, 3] < true_ctr[widx, ctx])
                     log_mode = "random" if log.random_mode[cursor] else "greedy"
-                    assert (log.day[cursor], log.ad_id[cursor], log_mode) == (day, widx + 1, mode)
-                    assert log.site[cursor] == cfg.contexts[ctx].site
-                    assert log.pred_ctr[cursor] == pytest.approx(est[widx, ctx], abs=0)
-                    assert log.cpc[cursor] == pytest.approx(cpc, rel=1e-12)
+                    assert ((log.day[cursor], columns.ad_id[cursor], log_mode)
+                            == (day, widx + 1, mode))
+                    assert columns.site[cursor] == cfg.contexts[ctx].site
+                    assert columns.pred_ctr[cursor] == pytest.approx(est[widx, ctx], abs=0)
+                    assert columns.cpc[cursor] == pytest.approx(cpc, rel=1e-12)
                     assert log.click[cursor] == click
                     cursor += 1
                     served.append((int(mode == "random"), widx, ctx, click))

@@ -31,6 +31,7 @@ from reference import (
     histogram_overlap,
     log_from_rows,
     mass_split,
+    record_columns,
     run_logged,
     rtv_rtc_per_access,
     symmetry_z,
@@ -94,9 +95,9 @@ def test_log_from_rows_reads_back_each_row():
     rows = {"pred_ctr": [0.1, 0.2, 0.3, 0.0], "bid": [4.0, 6.0, 4.0, 1.0],
             "cpc": [2.0, 0.0, 9.0, 0.0], "random_mode": [False, True, False, True],
             "click": [1, 0, 0, 1]}
-    log = log_from_rows(*rows.values())
+    columns = record_columns(log_from_rows(*rows.values()))
     for name, want in rows.items():
-        np.testing.assert_array_equal(getattr(log, name), want)
+        np.testing.assert_array_equal(getattr(columns, name), want)
     with pytest.raises(ValueError):
         log_from_rows([0.1], [1.0], [0.5], [True], [1])
 

@@ -24,16 +24,18 @@ from gspbias.engine import (
 from gspbias.reports import (
     IMPRESSION_HEADER,
     open_impressions,
+    record_codes,
     write_impressions_csv,
     write_impressions_jsonl,
     write_trials_csv,
     write_trials_jsonl,
 )
-from reference import join_blocks
+from reference import join_blocks, record_columns, take
 
 
 def reference_csv(path, log):
     """One formatted line per access: the writer the record table replaced."""
+    log = record_columns(log)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(IMPRESSION_HEADER) + "\n")
         day, site, pos = log.day.tolist(), log.site.tolist(), log.pos.tolist()
@@ -47,6 +49,7 @@ def reference_csv(path, log):
 
 
 def reference_jsonl(path, log):
+    log = record_columns(log)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         day, site, pos = log.day.tolist(), log.site.tolist(), log.pos.tolist()
         ad_id, click = log.ad_id.tolist(), log.click.tolist()
@@ -122,7 +125,7 @@ def assert_writers_match_reference(log, block=None):
         for fmt, writer, reference in WRITERS:
             with open_impressions(out / "new", fmt) as fh:
                 for start in range(0, len(log), block):
-                    writer(fh, log.take(slice(start, start + block)))
+                    writer(fh, take(log, slice(start, start + block)))
             reference(out / "ref", log)
             assert (out / "new").read_bytes() == (out / "ref").read_bytes(), writer.__name__
 
@@ -172,22 +175,69 @@ class TestImpressionWriters:
         assert_writers_match_reference(log)
 
 
-class TestDistinctRecords:
+class TestLineTable:
+    """Each file formats a record once per day, from a table of 4 x ads x
+    contexts lines that the next day clears."""
+
+    def test_day_change_clears_the_table(self, tmp_path):
+        """Days 0 and 1 share a record code, and their tables differ only in
+        the sign of zeros: each day's line carries its own day's values."""
+        log = signed_zero_log()
+        code = record_codes(log)
+        assert code[0] == code[1] and log.day[0] != log.day[1]
+        expected = {"csv": ['0,b"\\é,1,1,2,greedy,0.0,-0.0,0.0,1',
+                            '1,b"\\é,1,1,2,greedy,-0.0,-0.0,-0.0,1'],
+                    "json": [{"pred_ctr": "0.0", "cpc": "0.0"},
+                             {"pred_ctr": "-0.0", "cpc": "-0.0"}]}
+        for fmt, writer, _reference in WRITERS:
+            with open_impressions(tmp_path / fmt, fmt) as sink:
+                writer(sink, log)
+            lines = (tmp_path / fmt).read_text(encoding="utf-8").splitlines()
+            if fmt == "csv":
+                assert lines[1:3] == expected["csv"]
+            else:  # the zeros' text, as json.loads would lose their sign
+                for line, values in zip(lines[:2], expected["json"]):
+                    for key, text in values.items():
+                        assert f'"{key}": {text},' in line
+
+    @pytest.mark.parametrize("block", [3, 4])
+    def test_block_across_a_day_boundary(self, block):
+        """Days 0, 0, 1, 1, 1 in blocks of ``block`` rows: the first block
+        spans the day change, and the second goes on with day 1, whose
+        lines the first one began."""
+        rows = [(0, 0, 0, False, 1), (0, 1, 1, True, 0), (1, 0, 0, False, 1),
+                (1, 1, 1, True, 0), (1, 0, 0, False, 1)]
+        log = code_log("A", (AdSpec(1, 0.5, 0.05), AdSpec(2, 1 / 3, 0.05)),
+                       (Context(1, 1, 1.0), Context(1, 2, 1.0)),
+                       [[[0.1, 0.2], [0.3, 0.4]], [[0.5, -0.0], [0.0, 1 / 3]]],
+                       [[0.25, 0.5], [-0.0, 0.75]], rows)
+        assert_writers_match_reference(log, block)
+
     @settings(max_examples=100, deadline=None)
-    @given(log=code_logs())
-    @example(log=signed_zero_log(5))
-    def test_grouping_matches_np_unique(self, log):
-        """Record ids number the distinct codes in code order, as np.unique's
-        inverse does, and each record is one of the accesses it stands for."""
-        n_ctx, m = len(log.tables.contexts), len(log.tables.ads)
-        code = (((log.day * n_ctx + log.ctx) * m + log.winner) * 2
-                + log.random_mode) * 2 + log.click
-        distinct, inverse = np.unique(code, return_inverse=True)
-        records, ids = reports._distinct_records(log)
-        np.testing.assert_array_equal(ids, inverse.ravel())
-        assert len(records) == len(distinct)
-        for column in ("day", "ctx", "winner", "random_mode", "click"):
-            np.testing.assert_array_equal(getattr(records, column)[ids], getattr(log, column))
+    @given(log=code_logs(), block=st.sampled_from([1, 7, None]))
+    @example(log=signed_zero_log(5), block=4)
+    def test_formats_each_record_once_per_day_in_a_bounded_table(self, tmp_path_factory,
+                                                                 log, block):
+        """Lines formatted equal the distinct (day, code) pairs of the log,
+        and the table never holds more than 4 x ads x contexts lines."""
+        size = 4 * len(log.tables.ads) * len(log.tables.contexts)
+        pairs = len(set(zip(log.day.tolist(), record_codes(log).tolist())))
+        block = block or max(len(log), 1)
+        out = tmp_path_factory.mktemp("lines")
+        real = reports._lines
+        for fmt, writer, _reference in WRITERS:
+            formatted = []
+
+            def counted(pieces, shape, codes):
+                formatted.extend(codes.tolist())
+                return real(pieces, shape, codes)
+
+            with mock.patch.object(reports, "_lines", counted), \
+                    open_impressions(out / fmt, fmt) as sink:
+                for start in range(0, len(log), block):
+                    writer(sink, take(log, slice(start, start + block)))
+                    assert len(sink.lines) == size and sink.known.sum() <= size
+            assert len(formatted) == pairs, fmt
 
 
 def trial_rows(trials):
