@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Literal
@@ -70,6 +69,7 @@ def worker_map(threads: int):
     if threads <= 1:
         yield map
         return
+    from concurrent.futures import ThreadPoolExecutor  # only a pool needs it, and it loads logging
     with ThreadPoolExecutor(max_workers=threads) as pool:
         yield pool.map
 

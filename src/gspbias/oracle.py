@@ -53,7 +53,7 @@ import importlib.util
 import math
 import sys
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -62,6 +62,7 @@ from .rng import fixed_blocks
 
 SIMPSON_INTERVALS = 2 ** 17
 MASS_FLOOR = 1e-12
+DECOMPOSITION_TOL = 1e-6  # the largest |residual| a passing decomposition may have
 # A grid cell keeps its Hermite-Newton draws only when their estimated error,
 # in units of the ad's scale, is at most _NEWTON_TOL (``_hermite_safe_cells``);
 # _CDF_REL_ERR bounds the error of the CDF row values that the estimate allows for.
@@ -434,18 +435,25 @@ def check_splittable(f, g, tolerance: float = 0.0) -> SplitVerdict:
 
 @dataclass(frozen=True)
 class RankDecomposition:
-    """Top-two-rank contrast split into two monotone parts of equal weight.
+    """Top-two-rank contrast split into two monotone parts of equal weight,
+    and its verdict.
 
     P(rank 1 | s) - alpha * P(rank 2 | s) with alpha = P(rank 1)/P(rank 2)
     equals plus_part(s) - minus_part(s) where both parts are non-decreasing
     in s and integrate to the same value against the candidate's density.
     ``residual`` is that integral difference (ideally zero) and the
-    monotonicity flags report grid-level checks of the two parts.
+    monotonicity flags report grid-level checks of the two parts; ``passed``
+    holds when |residual| <= DECOMPOSITION_TOL and both parts are monotone.
     """
 
     residual: float
     plus_monotone: bool
     minus_monotone: bool
+    passed: bool = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "passed", bool(abs(self.residual) <= DECOMPOSITION_TOL
+                                                and self.plus_monotone and self.minus_monotone))
 
 
 def top_rank_decomposition(grid: CaseGrid, candidate: int, table: np.ndarray,
@@ -473,6 +481,4 @@ def top_rank_decomposition(grid: CaseGrid, candidate: int, table: np.ndarray,
     residual = float(np.sum(grid.w * grid.pdf[candidate] * (plus_part - minus_part)))
     plus_monotone = bool(np.all(np.diff(plus_part) >= -1e-12))
     minus_monotone = bool(np.all(np.diff(minus_part) >= -1e-12))
-    return RankDecomposition(residual=residual,
-                             plus_monotone=plus_monotone,
-                             minus_monotone=minus_monotone)
+    return RankDecomposition(residual, plus_monotone, minus_monotone)

@@ -205,9 +205,9 @@ def _lines(pieces: list[np.ndarray], shape, codes: np.ndarray) -> list[bytes]:
 
 def _append(sink: ImpressionFile, log: ImpressionLog, code, fmt) -> None:
     """Append one line per access of ``log`` to ``sink``.  ``code`` holds each
-    access's record code (``record_codes``; computed when None), and ``fmt``
-    is the line format: the ``text`` of one value, the field names in line
-    order, and the separators before each field and at the line's end.
+    access's record code (``record_codes``), and ``fmt`` is the line format:
+    the ``text`` of one value, the field names in line order, and the
+    separators before each field and at the line's end.
 
     Each record is formatted once per file and day: the file keeps one line
     per code, 4 x ads x contexts in all, and clears them when the day changes.
@@ -216,8 +216,6 @@ def _append(sink: ImpressionFile, log: ImpressionLog, code, fmt) -> None:
         return
     text, names, separators = fmt
     tables = log.tables
-    if code is None:
-        code = record_codes(log)
     shape = (len(tables.contexts), len(tables.ads), 2, 2)
     size = math.prod(shape)
     if sink.tables is not tables:
@@ -248,12 +246,12 @@ _JSONL = (json.dumps, sorted(IMPRESSION_HEADER),
            for i, name in enumerate(sorted(IMPRESSION_HEADER))] + ["}\n"])
 
 
-def write_impressions_csv(sink: ImpressionFile, log: ImpressionLog, code=None) -> None:
+def write_impressions_csv(sink: ImpressionFile, log: ImpressionLog, code: np.ndarray) -> None:
     """Append ``log``'s lines to a file opened by ``open_impressions`` for "csv"."""
     _append(sink, log, code, _CSV)
 
 
-def write_impressions_jsonl(sink: ImpressionFile, log: ImpressionLog, code=None) -> None:
+def write_impressions_jsonl(sink: ImpressionFile, log: ImpressionLog, code: np.ndarray) -> None:
     """Append ``log``'s lines to a file opened by ``open_impressions`` for "json"."""
     _append(sink, log, code, _JSONL)
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import gspbias
-from gspbias.cli import _quadrature_checks, _record, main
+from gspbias.cli import _mc_agreement, _quadrature_checks, _record, main
 from gspbias.config import load_config, parse_distribution
 from gspbias.engine import BLOCK, sample_rank_stats
 from gspbias.errors import ConfigError
@@ -57,6 +57,10 @@ dists = beta:2:38
 """
 
 UNIFORM_THEOREMS = SMALL_THEOREMS.replace("dists = beta:2:38", "dists = uniform:0:0.5")
+
+# Disjoint supports pin the pair's ranking, so its impossible ranks are skipped.
+DISJOINT_THEOREMS = SMALL_THEOREMS.replace("dists = uniform:0:1, uniform:0:1",
+                                           "dists = uniform:0:0.4, uniform:0.6:1")
 
 HUGE_BID_CPC = """
 [config]
@@ -552,6 +556,10 @@ class TestVerifyTheorems:
         pair = by_name["pair"]["candidates"][0]
         assert pair["quadrature_means"][0] == pytest.approx(2 / 3, abs=1e-4)
         assert pair["mean_inequality"]["checked"] == 1
+        # both ranks of each pair candidate and the solo ad's one rank
+        assert report["mc_comparisons"] == sum(c["mc_agreement"]["checked"] for case in
+                                               report["cases"] for c in case["candidates"]) == 5
+        assert report["mc_expected_exceedances"] == 5 * math.erfc(4.0 / math.sqrt(2))
         solo = by_name["solo"]["candidates"][0]
         assert solo["mean_inequality"] == {"passed": True, "checked": 0, "skipped": 0}
         assert "skipped" in solo["decomposition"]
@@ -570,10 +578,7 @@ class TestVerifyTheorems:
 
     def test_unreachable_ranks_skipped_not_failed(self, tmp_path):
         """Disjoint supports pin the ranking; the impossible ranks are skipped."""
-        cfg_text = SMALL_THEOREMS.replace(
-            "dists = uniform:0:1, uniform:0:1",
-            "dists = uniform:0:0.4, uniform:0.6:1")
-        cfg = write_cfg(tmp_path, cfg_text)
+        cfg = write_cfg(tmp_path, DISJOINT_THEOREMS)
         out = tmp_path / "skip"
         assert run_cli("verify-theorems", "--config", cfg, "--out", out) == 0
         report = json.loads((out / "theorem_report.json").read_text())
@@ -602,6 +607,26 @@ class TestVerifyTheorems:
         report = json.loads((out / "theorem_report.json").read_text())
         assert report["passed"] is False
 
+    def test_unsplittable_pair_fails(self, tmp_path, monkeypatch):
+        """A pair whose densities do not cross once is reported with no split
+        point; its candidates and the run fail, and the run exits 1."""
+        import gspbias.cli as cli_mod
+        from gspbias.oracle import SplitVerdict
+
+        monkeypatch.setattr(cli_mod, "check_splittable",
+                            lambda f, g, tolerance=0.0: SplitVerdict(False, None))
+        out = tmp_path / "nosplit"
+        assert run_cli("verify-theorems", "--config", write_cfg(tmp_path, SMALL_THEOREMS),
+                       "--out", out, "--trials", "2000") == 1
+        report = json.loads((out / "theorem_report.json").read_text())
+        assert report["passed"] is False
+        pair = {c["name"]: c for c in report["cases"]}["pair"]
+        assert pair["passed"] is False
+        for cand in pair["candidates"]:
+            assert cand["splittability"] == {"passed": False,
+                                             "pairs": [{"ranks": [1, 2], "splittable": False}]}
+            assert cand["passed"] is False
+
     def test_one_rank_table_per_candidate(self, tmp_path, monkeypatch):
         import gspbias.cli as cli_mod
         from gspbias import oracle
@@ -620,6 +645,22 @@ class TestVerifyTheorems:
                        "--trials", "2000") == 0
         # case pair: its two iid candidates share one table; case solo: candidate 0
         assert candidates == [0, 0]
+
+
+class TestMcAgreement:
+    def test_compares_where_defined_and_counted(self):
+        """A rank is compared where its reference and standard error are
+        defined and at least MIN_MC_COUNT draws held it, and agrees within
+        MC_AGREEMENT_SIGMA standard errors, the bound included."""
+        nan = float("nan")
+        reference = np.array([1.0, 1.0, nan, 1.0, 1.0])
+        means = np.array([1.5, 0.75, 1.0, 9.0, 9.0])
+        errors = np.array([0.125, 0.25, 0.1, 0.1, nan])
+        counts = np.array([1000, 5000, 5000, 999, 5000])
+        assert _mc_agreement(reference, means, errors, counts) == {
+            "passed": True, "checked": 2, "skipped": 3, "max_sigma": 4.0}
+        means[0] = np.nextafter(1.5, 2.0)
+        assert _mc_agreement(reference, means, errors, counts)["passed"] is False
 
 
 class TestQuadratureDeduplication:
@@ -644,7 +685,7 @@ class TestQuadratureDeduplication:
         candidates = {c["name"]: c for c in report["cases"]}["solo"]["candidates"]
         grid = CaseGrid(dists)
         for i, cand in enumerate(candidates):
-            own = json.loads(json.dumps(_quadrature_checks(grid, i)[0]))
+            own = json.loads(json.dumps(_quadrature_checks(grid, i)))
             assert {name: cand[name] for name in own} == own
         runs = json.loads((out / "manifest.json").read_text())["cases"]
         assert [c["quadrature_candidates"] for c in runs] == [1, len(set(owners))]
@@ -928,7 +969,20 @@ class TestTheoremOutputBytes:
                        "--out", out, "--threads", threads) == 0
         assert output_digests(out) == {
             "theorem_report.json":
-                "0610fea7292af00d644e3ac7f11b14ed858b5e369d5b77b4ddf15212c23b7620",
+                "1966ac0927104334bf1df60b07b37c8230d07a4ac50b1a549fe7a3784def8654",
+        }
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_skip_shapes(self, tmp_path, threads):
+        """Disjoint supports in the pair: both decomposition skip reasons,
+        unreachable splittability pairs, null quadrature and Monte Carlo
+        means, and skipped Monte Carlo comparisons."""
+        out = tmp_path / "skip"
+        assert run_cli("verify-theorems", "--config", write_cfg(tmp_path, DISJOINT_THEOREMS),
+                       "--out", out, "--threads", threads) == 0
+        assert output_digests(out) == {
+            "theorem_report.json":
+                "a380898ce9080a2607cb99288c00f7c8b2de90401b967f6de07d093e0c04b8d8",
         }
 
     @pytest.mark.parametrize("threads", [1, 2])
@@ -939,7 +993,7 @@ class TestTheoremOutputBytes:
                        "--threads", threads) == 0
         assert output_digests(out) == {
             "theorem_report.json":
-                "cc0722e0c21a1763e64fbb037458ee4f91bf43856504111c35724e7e1fee88d3",
+                "9d3e052ecfa1392101bea06cbe7bd4b4c075abd31144779f49cc323ff8f8e108",
         }
 
     def test_packaged_cases_without_monte_carlo_moments(self, tmp_path):
@@ -954,7 +1008,7 @@ class TestTheoremOutputBytes:
             for cand in case["candidates"]:
                 del cand["mc_means"], cand["mc_std_errors"], cand["mc_agreement"]["max_sigma"]
         digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
-        assert digest == "b40c397f04480e92c751b7d05e87c9c55a30f5fbb6bc8ed4ec414482ab11e2be"
+        assert digest == "44b77c69a71c4f7c131678645e5b27362e7c304914ef1ba154e42bfeaeeb9115"
 
 
 class TestManifestReproducibility:
@@ -1066,13 +1120,15 @@ class TestManifestReproducibility:
                     == (tmp_path / "m2" / name).read_bytes())
 
 
-# Prints the scipy modules loaded once cli.main returns (argv: the command line).
+# Prints the scipy modules loaded once cli.main returns, and whether the
+# thread pool's module is (argv: the command line).
 IMPORT_PROBE = """
 import json, sys
 from gspbias.cli import main
 rc = main(sys.argv[1:]) if len(sys.argv) > 1 else 0
 print(json.dumps({"rc": rc, "scipy": sorted(m for m in sys.modules
-                                          if m == "scipy" or m.startswith("scipy."))}))
+                                          if m == "scipy" or m.startswith("scipy.")),
+                  "futures": "concurrent.futures" in sys.modules}))
 """
 
 MODULES_PROBE = """
@@ -1134,7 +1190,8 @@ def run_probe(probe, argv):
 class TestImportBoundary:
     """scipy.stats costs about a second to import and no command needs it;
     ab-run, loading the CLI and a verify-theorems run without beta ads need
-    no scipy at all."""
+    no scipy at all, and only a run that opens a thread pool loads
+    concurrent.futures."""
 
     @pytest.mark.parametrize("command, cfg, extra", [
         (None, None, ()),
@@ -1150,6 +1207,7 @@ class TestImportBoundary:
         result = run_probe(IMPORT_PROBE, argv)
         assert result["rc"] in (0, 1)
         assert "scipy.stats" not in result["scipy"]
+        assert not result["futures"]  # one thread needs no pool
         if command in (None, "ab-run") or cfg is UNIFORM_THEOREMS:
             assert result["scipy"] == []
         else:  # the binomial and beta kernels, without scipy.special's __init__
@@ -1159,6 +1217,18 @@ class TestImportBoundary:
             seconds = json.loads((tmp_path / "out" / "manifest.json").read_text())[
                 "kernel_import_seconds"]
             assert (seconds > 0.0) == (cfg is SMALL_THEOREMS)
+
+    @pytest.mark.parametrize("command, cfg, extra, pool", [
+        ("ab-run", SMALL_AB, (), False),
+        ("verify-theorems", UNIFORM_THEOREMS, ("--trials", "2000"), True),
+    ], ids=["ab-run", "verify-theorems"])
+    def test_thread_pool_loaded_only_for_a_pool(self, tmp_path, command, cfg, extra, pool):
+        """ab-run never opens a thread pool, so even at --threads 2 it does
+        not load concurrent.futures; a command that opens one does."""
+        result = run_probe(IMPORT_PROBE, [
+            command, "--config", write_cfg(tmp_path, cfg), "--out", tmp_path / "out",
+            "--threads", "2", *extra])
+        assert result["rc"] == 0 and result["futures"] is pool
 
     def test_scipy_version_without_loading_scipy(self):
         """The manifest's scipy version, read where scipy is not loaded, is
@@ -1244,11 +1314,15 @@ def traced_span_names(tmp_path, command, cfg):
 def test_bench_tracer_records_distribution_spans(tmp_path):
     """A traced verify-theorems run exits 0 and records spans from the
     wrappers the tracer puts on ``ScoreDistribution``'s methods, so they
-    still fire on the grid rows and the uniform ad's draws."""
+    still fire on the grid rows and the uniform ad's draws, and from those
+    on the oracle checks that ``gspbias.cli`` calls."""
     text = SMALL_THEOREMS.replace("mc_draws = 40000", "mc_draws = 2000").split("[case.pair]")[0]
     cfg = write_cfg(tmp_path, text + "[case.pair]\ndists = beta:2:38, uniform:0:0.1\n")
     names = traced_span_names(tmp_path, "verify-theorems", cfg)
     assert {"oracle.cdf", "oracle.pdf", "engine.invcdf"} <= names
+    # the four checks' wrappers sit on cli's names, so the checks must call through them
+    assert {"oracle.mean_profile", "oracle.density_profile", "oracle.decomposition",
+            "oracle.splittable"} <= names
 
 
 def test_bench_tracer_records_ab_run_spans(tmp_path):

@@ -28,8 +28,10 @@ from gspbias.rng import fixed_blocks
 from gspbias.oracle import (
     _CDF_REL_ERR,
     _NEWTON_TOL,
+    DECOMPOSITION_TOL,
     SIMPSON_INTERVALS,
     CaseGrid,
+    RankDecomposition,
     ScoreDistribution,
     _bracket,
     _guide_table,
@@ -652,7 +654,19 @@ class TestTopRankDecomposition:
         for i in range(len(dists)):
             dec = top_rank_decomposition(grid, i, *table_and_marginals(grid, i))
             assert abs(dec.residual) < 1e-6
-            assert dec.plus_monotone and dec.minus_monotone
+            assert dec.plus_monotone and dec.minus_monotone and dec.passed
+
+    @pytest.mark.parametrize("residual, plus, minus, passed", [
+        (DECOMPOSITION_TOL, True, True, True),
+        (-DECOMPOSITION_TOL, True, True, True),
+        (np.nextafter(DECOMPOSITION_TOL, 1.0), True, True, False),
+        (0.0, False, True, False),
+        (0.0, True, False, False),
+    ])
+    def test_verdict(self, residual, plus, minus, passed):
+        """A decomposition passes when |residual| <= DECOMPOSITION_TOL and
+        both parts are monotone."""
+        assert RankDecomposition(residual, plus, minus).passed is passed
 
     def test_leave_one_out_sum_from_ranks_one_and_two(self):
         """sum_l prod_{j != l} F_j over the rivals equals P2 + (m - 1) P1."""

@@ -125,7 +125,8 @@ def assert_writers_match_reference(log, block=None):
         for fmt, writer, reference in WRITERS:
             with open_impressions(out / "new", fmt) as fh:
                 for start in range(0, len(log), block):
-                    writer(fh, take(log, slice(start, start + block)))
+                    part = take(log, slice(start, start + block))
+                    writer(fh, part, record_codes(part))
             reference(out / "ref", log)
             assert (out / "new").read_bytes() == (out / "ref").read_bytes(), writer.__name__
 
@@ -157,7 +158,7 @@ class TestImpressionWriters:
             def write(bucket, block):
                 blocks[bucket].append(block)
                 for fmt, writer, _reference in WRITERS:
-                    writer(sinks[bucket, fmt], block)
+                    writer(sinks[bucket, fmt], block, record_codes(block))
 
             run_ab_experiment(cfg, write)
         for name, parts in blocks.items():
@@ -191,7 +192,7 @@ class TestLineTable:
                              {"pred_ctr": "-0.0", "cpc": "-0.0"}]}
         for fmt, writer, _reference in WRITERS:
             with open_impressions(tmp_path / fmt, fmt) as sink:
-                writer(sink, log)
+                writer(sink, log, code)
             lines = (tmp_path / fmt).read_text(encoding="utf-8").splitlines()
             if fmt == "csv":
                 assert lines[1:3] == expected["csv"]
@@ -235,7 +236,8 @@ class TestLineTable:
             with mock.patch.object(reports, "_lines", counted), \
                     open_impressions(out / fmt, fmt) as sink:
                 for start in range(0, len(log), block):
-                    writer(sink, take(log, slice(start, start + block)))
+                    part = take(log, slice(start, start + block))
+                    writer(sink, part, record_codes(part))
                     assert len(sink.lines) == size and sink.known.sum() <= size
             assert len(formatted) == pairs, fmt
 
