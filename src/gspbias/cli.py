@@ -220,19 +220,21 @@ def _mc_agreement(reference, means, std_errors, counts) -> dict:
 
 def _quadrature_checks(grid: CaseGrid, i: int) -> dict:
     """Candidate i's quadrature record: its rank masses, conditional means
-    and the verdicts on them.  Its rank table is built here, once, and dies
-    on return, so a case holds one candidate's table at a time."""
+    and the verdicts on them.  Its rank table and its density row (a
+    uniform's is evaluated here) are built once and die on return, so a
+    case holds one candidate's of each at a time."""
     # the density profile, last, normalizes the table in place
     table = rank_table(grid.cdf, i)
-    profile = conditional_mean_profile(grid, i, table)
+    density = grid.density(i)
+    profile = conditional_mean_profile(grid, i, table, density)
     # rank k against rank k + 1, where both are reachable
     better, worse = profile.conditional_means[:-1], profile.conditional_means[1:]
     reached = ~(np.isnan(better) | np.isnan(worse))
     try:
-        decomposition = top_rank_decomposition(grid, i, table, profile.marginals)
+        decomposition = top_rank_decomposition(grid, i, table, profile.marginals, density)
     except RankUnreachable as exc:
         decomposition = {"skipped": str(exc)}
-    nodes, dens = conditional_density_profile(grid, i, table, profile.marginals)
+    nodes, dens = conditional_density_profile(grid, i, table, profile.marginals, density)
     pairs = [{"ranks": (k, k + 1)} for k in range(1, len(grid))]
     for k, pair in enumerate(pairs):  # ranks k + 1 and k + 2
         if np.isnan(dens[k]).any() or np.isnan(dens[k + 1]).any():
@@ -287,10 +289,11 @@ def cmd_verify_theorems(args, suite: TheoremSuite, seed: int,
     with worker_map(args.threads) as pmap:
         for idx, case in enumerate(suite.cases):
             t_grid = time.monotonic()
-            # CDF and PDF rows, dropped when the case ends
+            # the rows, dropped when the case ends; the draw tables live only in the MC
             grid = CaseGrid(case.dists, pmap)
             t_mc = time.monotonic()
             mc = sample_rank_stats(grid, draws, seed, case_index=idx, map=pmap)
+            grid_mb = round((grid.nbytes + mc.table_bytes) / 2 ** 20, 3)
             t_check = time.monotonic()
             checks = {}
             candidates = []
@@ -309,7 +312,7 @@ def cmd_verify_theorems(args, suite: TheoremSuite, seed: int,
                     v.get("passed", True) for v in candidate.values() if isinstance(v, dict))})
             del grid
             case_runs.append({"name": case.name, "exact_draws": mc.exact_draws,
-                              "quadrature_candidates": len(checks),
+                              "quadrature_candidates": len(checks), "grid_mb": grid_mb,
                               "grid_seconds": round(t_mc - t_grid, 3),
                               "mc_seconds": round(t_check - t_mc, 3),
                               "check_seconds": round(time.monotonic() - t_check, 3),

@@ -9,7 +9,8 @@ counted into small per-day tables, so memory does not grow with traffic.
 ``sample_rank_stats`` draws independent scores for the theorem check and
 reduces them to per-(ad, rank) moments; beta scores invert the CDF rows of
 the case's ``oracle.CaseGrid`` by one Hermite-interpolant Newton step,
-exact to within 1e-9 of each ad's scale.
+exact to within 1e-9 of each ad's scale, through an ``oracle.CaseSampler``
+whose tables live only while it draws.
 
 All randomness is addressed by counter-based streams (see ``rng``): trial t
 of a study and access a of a bucket-day each own a fixed slice of their
@@ -39,7 +40,7 @@ from .estimators import (
     naive_contextual_estimate,
     pooled_estimate,
 )
-from .oracle import CaseGrid, special_kernels
+from .oracle import CaseGrid, CaseSampler, special_kernels
 
 STREAM_CPC = 0
 STREAM_AB = 1
@@ -449,29 +450,31 @@ class RankSampleStats:
 
     Arrays are (ads, ranks); entries with zero count are NaN.
     ``exact_draws`` counts the beta draws that took the exact inverse CDF
-    instead of the grid's Hermite step (``CaseGrid.draw``).
+    instead of the grid's Hermite step (``CaseSampler.draw``), and
+    ``table_bytes`` is what the sampler's draw tables held.
     """
 
     counts: np.ndarray
     means: np.ndarray
     std_errors: np.ndarray
     exact_draws: int = 0
+    table_bytes: int = 0
 
 
-def _mc_block(grid: CaseGrid, key: np.ndarray, lo: int, hi: int):
+def _mc_block(sampler: CaseSampler, key: np.ndarray, lo: int, hi: int):
     """Counts, sums and sums of squares of one block's draws, (ads, ranks) each,
     and the number of draws that took the exact inverse CDF.
 
     Each draw of each ad gets one code, ad * m + rank with rank 0-based
     (``score_ranks``), and three bincounts over the codes give the moments.
     """
-    m = len(grid)
+    m = len(sampler.grid)
     blocks = math.ceil(m / rng.DOUBLES_PER_BLOCK)
     u = rng.unit_uniforms(key, lo, hi - lo, blocks_per_unit=blocks)
     draws = np.empty((hi - lo, m))
     exact = 0
     for j in range(m):
-        draws[:, j], n_exact = grid.draw(j, u[:, j])
+        draws[:, j], n_exact = sampler.draw(j, u[:, j])
         exact += n_exact
     del u
     code = (score_ranks(draws) + np.arange(0, m * m, m)).ravel()
@@ -489,13 +492,15 @@ def sample_rank_stats(grid: CaseGrid, draws: int, seed: int,
     Draw t owns unit t of the stream keyed (seed, sampling, case); partial
     moments accumulate over BLOCK-draw blocks merged in block order, so the
     result is bit-identical for any thread count.  Scores are drawn through
-    the case's ``CaseGrid`` (``CaseGrid.draw``), and the blocks run through
+    a ``CaseSampler`` of the case's ``CaseGrid``, built here, so its draw
+    tables are gone on return; its table slices and the blocks run through
     ``map``, a command's ``worker_map``.
     """
     if draws < 1:
         raise InvalidValue("draws", f"must be >= 1, got {draws}")
     key = rng.stream_key(seed, STREAM_MC, case_index)
-    parts = list(map(lambda r: _mc_block(grid, key, *r), rng.fixed_blocks(0, draws, BLOCK)))
+    sampler = CaseSampler(grid, map)
+    parts = list(map(lambda r: _mc_block(sampler, key, *r), rng.fixed_blocks(0, draws, BLOCK)))
     count, total, total_sq, exact = (sum(p) for p in zip(*parts))
     with np.errstate(divide="ignore", invalid="ignore"):
         means = np.where(count > 0, total / np.maximum(count, 1), np.nan)
@@ -505,4 +510,4 @@ def sample_rank_stats(grid: CaseGrid, draws: int, seed: int,
         # where count < 2 the variance is NaN, and np.maximum and sqrt keep it NaN
         std_errors = np.sqrt(np.maximum(variance, 0.0) / np.maximum(count, 1))
     return RankSampleStats(counts=count, means=means, std_errors=std_errors,
-                           exact_draws=exact)
+                           exact_draws=exact, table_bytes=sampler.nbytes)

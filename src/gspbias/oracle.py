@@ -9,24 +9,27 @@ summing over the C(m-1, k-1) sets of rivals that beat s.  Conditional score
 moments follow by fixed composite-Simpson quadrature against the
 candidate's own density.
 
-A ``CaseGrid`` holds the Simpson nodes and weights and every ad's CDF and
-PDF row on them, each evaluated once per distinct distribution in the
-case.  The same rows serve the case's Monte Carlo draws: ``CaseGrid.draw``
-brackets a beta uniform in the ad's CDF row through a guide table of the
-row (Chen & Asau 1974), with no sort of the uniforms, and takes one Newton
-step on the cubic Hermite interpolant of that cell's CDF and PDF node
-values (Hörmann & Leydold 2003, ACM TOMACS 13(4)), so a draw evaluates no
-special function.  Which cells may keep that step is decided once per beta
-ad, when the grid is built; the rest take the exact inverse,
-``_beta_ppf``.  The grid rows themselves come from ``betainc`` and
-``_beta_pdf``.  One candidate's rank table costs
-O(m^2 * grid) operations and is built once, then read by the mean profile,
-the decomposition and, last, the density profile, which normalizes it in
-place.  A case holds O(m * grid) floats (the CDF and PDF rows plus one
-candidate's table) and one int32 guide table per beta ad, so there is no
-cap on m.
+A ``CaseGrid`` holds the Simpson nodes and weights and, once per distinct
+distribution in the case, its CDF row on them and, for a beta, its PDF
+row; ads with equal distributions share the row objects.  A uniform's
+density is evaluated where a candidate's checks read it, once per
+candidate, and dropped with its rank table.  The Monte Carlo draws go
+through a ``CaseSampler``, which holds the draw tables and lives only
+while the draws run: ``CaseSampler.draw`` brackets a beta uniform in the
+ad's CDF row through a guide table of the row (Chen & Asau 1974), with no
+sort of the uniforms, and takes one Newton step on the cubic Hermite
+interpolant of that cell's CDF and PDF node values (Hörmann & Leydold
+2003, ACM TOMACS 13(4)), so a draw evaluates no special function.  Which
+cells may keep that step is decided once per beta distribution, when the
+sampler is built; the rest take the exact inverse, ``_beta_ppf``.  The grid
+rows themselves come from ``betainc`` and ``_beta_pdf``.  One candidate's
+rank table costs O(m^2 * grid) operations and is built once, then read by
+the mean profile, the decomposition and, last, the density profile, which
+normalizes it in place; their temporaries are a few reused rows.  While
+its checks run, a case holds its distinct rows, one candidate's table and
+density, and those few rows, O(m * grid) floats, so there is no cap on m.
 
-The grid rows and their safe-cell flags are filled NODE_SLICE nodes at a
+The grid rows and the safe-cell flags are filled NODE_SLICE nodes at a
 time, one task per slice, through a ``map`` callable: the builtin ``map``
 runs the slices in turn, a thread pool's ``map`` runs them on its workers.
 Each slice writes its own part of a preallocated array, so a worker's
@@ -39,7 +42,9 @@ one's hand-off between threads costs more than the arithmetic it shares.
 Every oracle function takes the case's ``CaseGrid`` and, past the grid
 build, a candidate's ``rank_table`` on it, which the caller builds once;
 the density profile and the decomposition also take the rank masses that
-the mean profile computed from that table, so each mass is summed once.
+the mean profile computed from that table, so each mass is summed once,
+and all three take the candidate's ``CaseGrid.density`` row when the caller
+has it, so a uniform's is evaluated once.
 
 Quadrature accuracy is ~1e-12 relative for smooth densities; a density
 jump interior to the shared grid (e.g. a uniform whose endpoints are not
@@ -173,15 +178,18 @@ class ScoreDistribution:
 
 
 class CaseGrid:
-    """The Simpson grid of one case, with every ad's CDF and PDF row on it.
+    """The Simpson grid of one case, with every ad's CDF row on it and each
+    beta ad's PDF row.
 
     Each distinct distribution's rows are evaluated once, when the grid is
-    built, and ads with equal distributions share them; the oracle
-    functions and the Monte Carlo sampler, which draws through ``draw``,
-    all read the case through it.
-    ``len(grid)`` is the ad count m.  ``map`` runs the node slices of the
-    rows and of the beta ads' safe-cell flags; the guide tables are one
-    serial pass each.
+    built, and held once: ``cdf[j]`` and ``pdf[j]`` are the row objects of
+    ad j's distribution, so ads with equal distributions share them
+    (``grid.cdf[j] is grid.cdf[k]``).  A uniform ad stores no PDF row
+    (``pdf[j]`` is None): only a beta ad's draws read one, and ``density``
+    evaluates a uniform's where a candidate's checks read it.  The oracle
+    functions and the Monte Carlo sampler (``CaseSampler``) read the case
+    through it.  ``len(grid)`` is the ad count m, and ``map`` runs the node
+    slices of the rows.
     """
 
     def __init__(self, dists: list[ScoreDistribution], map=map):
@@ -192,35 +200,60 @@ class CaseGrid:
         w[1:-1:2] = 4.0
         w[2:-1:2] = 2.0
         self.w = w * ((upper / SIMPSON_INTERVALS) / 3.0)
-        m = len(dists)
-        self.cdf = np.empty((m, len(self.s)))
-        self.pdf = np.empty((m, len(self.s)))
-        # for beta ads only, set before any draw: one flag per cell and the guide table
-        self.safe: list[np.ndarray | None] = [None] * m
-        self.guide: list[np.ndarray | None] = [None] * m
-        first = {}  # a distribution listed twice gets its rows once
-        own = [j for j, d in enumerate(dists) if first.setdefault(d, j) == j]
-        list(map(self._fill_rows, [(j, lo, hi) for j in own
-                                   for lo, hi in fixed_blocks(0, len(self.s), NODE_SLICE)]))
-        for j, d in enumerate(dists):
-            k = first[d]
-            if k < j:
-                self.cdf[j], self.pdf[j] = self.cdf[k], self.pdf[k]
-                self.safe[j], self.guide[j] = self.safe[k], self.guide[k]
-            elif d.kind == "scaled-beta":
-                self.safe[j] = _hermite_safe_cells(d.params, self.s, self.cdf[j], self.pdf[j],
-                                                   map)
-                self.guide[j] = _guide_table(self.cdf[j])
+        # one row per distinct distribution, in order of first appearance
+        cdf = {d: np.empty(len(self.s)) for d in dict.fromkeys(dists)}
+        pdf = {d: np.empty(len(self.s)) for d in cdf if d.kind == "scaled-beta"}
 
-    def _fill_rows(self, task: tuple[int, int, int]) -> None:
-        """Ad j's CDF and PDF at nodes lo..hi-1, written into its rows."""
-        j, lo, hi = task
-        d, s = self.dists[j], self.s[lo:hi]
-        self.cdf[j, lo:hi] = d.cdf(s)
-        self.pdf[j, lo:hi] = d.pdf(s)
+        def fill(task: tuple[ScoreDistribution, int, int]) -> None:
+            d, lo, hi = task  # nodes lo..hi-1 of d's rows
+            s = self.s[lo:hi]
+            cdf[d][lo:hi] = d.cdf(s)
+            if d in pdf:
+                pdf[d][lo:hi] = d.pdf(s)
+
+        list(map(fill, [(d, lo, hi) for d in cdf
+                        for lo, hi in fixed_blocks(0, len(self.s), NODE_SLICE)]))
+        self.cdf = [cdf[d] for d in dists]
+        self.pdf = [pdf.get(d) for d in dists]
 
     def __len__(self) -> int:
-        return len(self.cdf)
+        return len(self.dists)
+
+    def density(self, j: int) -> np.ndarray:
+        """Ad j's PDF row: a beta ad's stored row, a uniform ad's evaluated
+        here, on the same nodes, so with the same bits."""
+        row = self.pdf[j]
+        return self.dists[j].pdf(self.s) if row is None else row
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the distinct arrays the grid holds: nodes, weights and rows."""
+        return _distinct_nbytes([self.s, self.w, *self.cdf, *self.pdf])
+
+
+class CaseSampler:
+    """A case grid's Monte Carlo draw path: for each beta ad, one flag per
+    grid cell and a guide table of its CDF row.
+
+    The tables are built once per distinct beta distribution, the safe-cell
+    flags a node slice at a time through ``map`` and each guide table in
+    one serial pass, and live as long as the sampler, which
+    ``sample_rank_stats`` holds only while it draws.
+    """
+
+    def __init__(self, grid: CaseGrid, map=map):
+        self.grid = grid
+        tables = {}
+        for d, F, f in zip(grid.dists, grid.cdf, grid.pdf):
+            if f is not None and d not in tables:
+                tables[d] = _hermite_safe_cells(d.params, grid.s, F, f, map), _guide_table(F)
+        self.safe = [tables[d][0] if d in tables else None for d in grid.dists]
+        self.guide = [tables[d][1] if d in tables else None for d in grid.dists]
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the distinct tables the sampler holds."""
+        return _distinct_nbytes(self.safe + self.guide)
 
     def draw(self, j: int, u: np.ndarray) -> tuple[np.ndarray, int]:
         """Ad j's scores at uniforms u in [0, 1), and how many took the exact inverse.
@@ -234,10 +267,11 @@ class CaseGrid:
         the exact inverse instead when its cell is not marked safe (see
         ``_hermite_safe_cells``) or its step leaves the cell.
         """
-        dist, safe = self.dists[j], self.safe[j]
+        grid = self.grid
+        dist, safe = grid.dists[j], self.safe[j]
         if safe is None:
             return dist.ppf(u), 0
-        F, f, h = self.cdf[j], self.pdf[j], self.s[1]
+        F, f, h = grid.cdf[j], grid.pdf[j], grid.s[1]
         i = _bracket(F, self.guide[j], u)  # the cell between nodes i-1 and i
         f_lo = F[i - 1]
         rise = F[i] - f_lo
@@ -248,13 +282,18 @@ class CaseGrid:
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             t = gap / rise  # the linear start
             t -= (t * (d_lo + t * (c2 + t * c3)) - gap) / (d_lo + t * (2.0 * c2 + 3.0 * t * c3))
-            drawn = self.s[i - 1] + t * h
+            drawn = grid.s[i - 1] + t * h
         keep = safe[i] & (t >= 0.0) & (t <= 1.0)
         n_exact = len(u) - int(np.count_nonzero(keep))
         if n_exact:
             exact = ~keep
             drawn[exact] = dist.ppf(u[exact])
         return drawn, n_exact
+
+
+def _distinct_nbytes(arrays) -> int:
+    """The bytes of the arrays, each array object counted once; None holds none."""
+    return sum({id(a): a.nbytes for a in arrays if a is not None}.values())
 
 
 def _guide_table(F: np.ndarray) -> np.ndarray:
@@ -333,23 +372,25 @@ def _hermite_safe_cells(params: tuple, s: np.ndarray, F: np.ndarray,
     return safe
 
 
-def rank_table(F: np.ndarray, candidate: int) -> np.ndarray:
+def rank_table(F, candidate: int) -> np.ndarray:
     """P(candidate holds rank k | score s) in row k-1, from the CDF rows F at s.
 
-    Poisson-binomial recursion (Hong 2013): rivals are folded in one at a
-    time, and after j of them row k holds the chance that exactly k of those
-    j beat s, P_k <- P_k F_j + P_{k-1} (1 - F_j).  The node slices are
-    folded in turn, each into its columns of the one table.
+    F is a sequence of equal-length rows, one per ad (a ``CaseGrid``'s
+    ``cdf``, or a 2-D array).  Poisson-binomial recursion (Hong 2013):
+    rivals are folded in one at a time, and after j of them row k holds the
+    chance that exactly k of those j beat s, P_k <- P_k F_j + P_{k-1} (1 - F_j).
+    The node slices are folded in turn, each into its columns of the one table.
     """
-    out = np.zeros(F.shape)
-    for lo, hi in fixed_blocks(0, F.shape[1], NODE_SLICE):
+    out = np.zeros((len(F), len(F[0])))
+    for lo, hi in fixed_blocks(0, out.shape[1], NODE_SLICE):
         part = out[:, lo:hi]
         part[0] = 1.0
         seen = 0
-        for j, Fj in enumerate(F[:, lo:hi]):
+        for j, row in enumerate(F):
             if j == candidate:
                 continue
             seen += 1
+            Fj = row[lo:hi]
             beats = 1.0 - Fj
             for k in range(seen, 0, -1):  # top down: row k-1 still holds its old value
                 part[k] *= Fj
@@ -366,24 +407,31 @@ class RankProfile:
     conditional_means: np.ndarray  # E[score | rank = k], NaN where unreachable
 
 
-def conditional_mean_profile(grid: CaseGrid, candidate: int, table: np.ndarray) -> RankProfile:
+def conditional_mean_profile(grid: CaseGrid, candidate: int, table: np.ndarray,
+                             density: np.ndarray | None = None) -> RankProfile:
     """P(rank = k) and E[score | rank = k] for every rank k, by Simpson quadrature,
-    from the candidate's ``rank_table`` on the case grid."""
-    s, w, density = grid.s, grid.w, grid.pdf[candidate]
+    from the candidate's ``rank_table`` on the case grid and its ``density``
+    row (``grid.density(candidate)`` when not given)."""
+    if density is None:
+        density = grid.density(candidate)
     marginals = np.empty(len(table))
     means = np.full(len(table), np.nan)
     # numpy multiplies left to right, so w * density * pk is wd * pk bit for bit
-    wd, wsd = w * density, w * s * density
+    wd = grid.w * density
+    wsd = np.multiply(grid.w, grid.s)
+    wsd *= density
+    product = np.empty_like(wd)  # each rank's integrand, in turn
     for k, pk in enumerate(table):
-        mass = float(np.sum(wd * pk))
+        mass = float(np.sum(np.multiply(wd, pk, out=product)))
         marginals[k] = mass
         if mass >= MASS_FLOOR:
-            means[k] = float(np.sum(wsd * pk)) / mass
+            means[k] = float(np.sum(np.multiply(wsd, pk, out=product))) / mass
     return RankProfile(marginals=marginals, conditional_means=means)
 
 
 def conditional_density_profile(grid: CaseGrid, candidate: int, table: np.ndarray,
-                                marginals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                                marginals: np.ndarray, density: np.ndarray | None = None
+                                ) -> tuple[np.ndarray, np.ndarray]:
     """Conditional score densities given each rank, on the Simpson grid.
 
     Returns (nodes, matrix) where row k-1 is the density of the candidate's
@@ -391,14 +439,17 @@ def conditional_density_profile(grid: CaseGrid, candidate: int, table: np.ndarra
     mass are NaN.  ``marginals`` are the rank masses of the candidate's
     ``conditional_mean_profile`` on ``table``, its ``rank_table``, which is
     normalized in place and returned as the matrix, so read it for anything
-    else first.
+    else first.  ``density`` is the candidate's PDF row, as for the mean
+    profile.
     """
-    density = grid.pdf[candidate]
-    for k, (pk, mass) in enumerate(zip(table, marginals)):
+    if density is None:
+        density = grid.density(candidate)
+    for pk, mass in zip(table, marginals):
         if mass >= MASS_FLOOR:
-            table[k] = density * pk / mass
+            np.multiply(density, pk, out=pk)
+            pk /= mass
         else:
-            table[k] = np.nan
+            pk[:] = np.nan
     return grid.s, table
 
 
@@ -422,15 +473,22 @@ def check_splittable(f, g, tolerance: float = 0.0) -> SplitVerdict:
         raise GridMismatch(f"grids differ in shape: {f.shape} vs {g.shape}")
     if tolerance < 0:
         raise ValueError("tolerance must be >= 0")
-    below_ok = f <= g + tolerance   # admissible as a pre-split bin
-    above_ok = f >= g - tolerance   # admissible as a post-split bin
-    # prefix_ok[v]: every bin strictly below v is admissible pre-split
-    prefix_ok = np.concatenate(([True], np.logical_and.accumulate(below_ok)[:-1]))
-    suffix_ok = np.logical_and.accumulate(above_ok[::-1])[::-1]
-    valid = prefix_ok & suffix_ok
-    if not valid.any():
+    bound = np.subtract(g, tolerance)
+    above_ok = f >= bound   # admissible as a post-split bin
+    np.add(g, tolerance, out=bound)
+    below_ok = f <= bound   # admissible as a pre-split bin
+    # the split is one past the last bin inadmissible post-split; every bin
+    # below it must be admissible pre-split, and at least one bin lies above it
+    split = len(f) - _first_false(above_ok[::-1])
+    if split > min(_first_false(below_ok), len(f) - 1):
         return SplitVerdict(False, None)
-    return SplitVerdict(True, int(np.argmax(valid)))
+    return SplitVerdict(True, split)
+
+
+def _first_false(ok: np.ndarray) -> int:
+    """The index of ok's first False entry, or len(ok) when it has none."""
+    first = int(np.argmin(ok)) if len(ok) else 0
+    return first if first < len(ok) and not ok[first] else len(ok)
 
 
 @dataclass(frozen=True)
@@ -457,7 +515,8 @@ class RankDecomposition:
 
 
 def top_rank_decomposition(grid: CaseGrid, candidate: int, table: np.ndarray,
-                           marginals: np.ndarray) -> RankDecomposition:
+                           marginals: np.ndarray,
+                           density: np.ndarray | None = None) -> RankDecomposition:
     """Build the two monotone parts and verify their zero-integral property.
 
     With P1, P2 the rank-1 and rank-2 rows of the candidate's rank table
@@ -467,18 +526,29 @@ def top_rank_decomposition(grid: CaseGrid, candidate: int, table: np.ndarray,
     P2 + (m - 1) P1, so plus_part is (1 + alpha (m - 1)) P1 and minus_part
     is alpha (P2 + (m - 1) P1).  The parts count as non-decreasing where no
     step falls by more than 1e-12, the round-off of the products.
+    ``density`` is the candidate's PDF row, as for the mean profile.  The
+    parts, their steps and the residual's integrand share three row buffers.
     """
     if len(grid) < 2:
         raise RankUnreachable("single ad has no adjacent rank")
     mass1, mass2 = marginals[:2]
     if mass2 < MASS_FLOOR:
         raise RankUnreachable(f"rank 2 mass {mass2:.3e} too small for the contrast")
+    if density is None:
+        density = grid.density(candidate)
     alpha = mass1 / mass2
     rivals = len(grid) - 1
     p1, p2 = table[:2]
-    plus_part = p1 + alpha * (rivals * p1)
-    minus_part = alpha * (p2 + rivals * p1)
-    residual = float(np.sum(grid.w * grid.pdf[candidate] * (plus_part - minus_part)))
-    plus_monotone = bool(np.all(np.diff(plus_part) >= -1e-12))
-    minus_monotone = bool(np.all(np.diff(minus_part) >= -1e-12))
+    minus_part = np.multiply(rivals, p1)
+    plus_part = np.multiply(alpha, minus_part)
+    np.add(p1, plus_part, out=plus_part)  # p1 + alpha * (rivals * p1)
+    np.add(p2, minus_part, out=minus_part)
+    np.multiply(alpha, minus_part, out=minus_part)  # alpha * (p2 + rivals * p1)
+    step = np.empty_like(p1)[1:]
+    plus_monotone = bool(np.all(np.subtract(plus_part[1:], plus_part[:-1], out=step) >= -1e-12))
+    minus_monotone = bool(np.all(np.subtract(minus_part[1:], minus_part[:-1], out=step)
+                                 >= -1e-12))
+    np.subtract(plus_part, minus_part, out=minus_part)
+    weighted = np.multiply(grid.w, density, out=plus_part)
+    residual = float(np.sum(np.multiply(weighted, minus_part, out=minus_part)))
     return RankDecomposition(residual, plus_monotone, minus_monotone)

@@ -5,6 +5,7 @@ The package's commands never need these, so they live here and may import
 """
 
 import math
+import weakref
 from dataclasses import dataclass, replace
 from types import SimpleNamespace
 
@@ -15,6 +16,7 @@ from gspbias.config import TheoremCase, load_config
 from gspbias.engine import AdSpec, BucketTables, Context, ImpressionLog, run_ab_experiment
 from gspbias.errors import EmptyAuction, GspBiasError, UndefinedCalibration, UndefinedRatio
 from gspbias.metrics import CalibrationReport, RelativeMetrics, align_histograms
+from gspbias import oracle
 from gspbias.oracle import rank_table
 
 
@@ -231,6 +233,33 @@ def rank_table_whole_rows(F, candidate):
             out[k] += out[k - 1] * beats
         out[0] *= Fj
     return out
+
+
+def watch_draw_tables(monkeypatch) -> list:
+    """Weak references to every guide table and safe-cell flag array the
+    oracle builds from here on, in build order."""
+    refs = []
+    for name in ("_guide_table", "_hermite_safe_cells"):
+        def built(*args, f=getattr(oracle, name)):
+            out = f(*args)
+            refs.append(weakref.ref(out))
+            return out
+        monkeypatch.setattr(oracle, name, built)
+    return refs
+
+
+def split_index_by_accumulation(f, g, tolerance):
+    """``oracle.check_splittable``'s split index from whole prefix and suffix
+    scans, or None: the smallest v with f <= g + tolerance at every index
+    below v and f >= g - tolerance at every index from v on, v < len(f)."""
+    f, g = np.asarray(f, dtype=float), np.asarray(g, dtype=float)
+    below_ok = f <= g + tolerance
+    above_ok = f >= g - tolerance
+    # prefix_ok[v]: every bin strictly below v is admissible pre-split
+    prefix_ok = np.concatenate(([True], np.logical_and.accumulate(below_ok)[:-1]))
+    suffix_ok = np.logical_and.accumulate(above_ok[::-1])[::-1]
+    valid = prefix_ok & suffix_ok
+    return int(np.argmax(valid)) if valid.any() else None
 
 
 def hermite_safe_cells_whole_rows(params, s, F, f, tol, cdf_rel_err):

@@ -17,9 +17,9 @@ from gspbias.cli import _mc_agreement, _quadrature_checks, _record, main
 from gspbias.config import load_config, parse_distribution
 from gspbias.engine import BLOCK, sample_rank_stats
 from gspbias.errors import ConfigError
-from gspbias.oracle import CaseGrid
+from gspbias.oracle import SIMPSON_INTERVALS, CaseGrid
 from gspbias.reports import _scipy_version
-from reference import load_case, read_histogram_csv
+from reference import load_case, read_histogram_csv, watch_draw_tables
 
 SMALL_CPC = """
 [config]
@@ -61,6 +61,21 @@ UNIFORM_THEOREMS = SMALL_THEOREMS.replace("dists = beta:2:38", "dists = uniform:
 # Disjoint supports pin the pair's ranking, so its impossible ranks are skipped.
 DISJOINT_THEOREMS = SMALL_THEOREMS.replace("dists = uniform:0:1, uniform:0:1",
                                            "dists = uniform:0:0.4, uniform:0.6:1")
+
+# theorems-wide's field: eight staggered uniforms, no two exchangeable.
+WIDE_THEOREMS = """
+[config]
+schema_version = 1
+command = verify-theorems
+
+[verify]
+seed = 7
+mc_draws = 8192
+
+[case.u8_staggered]
+dists = {}
+""".format("uniform:0:0.1, uniform:0.01:0.08, uniform:0:0.12, uniform:0.02:0.1, "
+           "uniform:0:0.09, uniform:0.005:0.11, uniform:0.03:0.07, uniform:0:0.1")
 
 HUGE_BID_CPC = """
 [config]
@@ -647,6 +662,44 @@ class TestVerifyTheorems:
         assert candidates == [0, 0]
 
 
+    def test_no_draw_table_alive_during_the_checks(self, tmp_path, monkeypatch):
+        """Every guide table and safe-cell flag array of a case is gone by the
+        time its first rank table is built."""
+        import gspbias.cli as cli_mod
+        from gspbias import oracle
+
+        alive = watch_draw_tables(monkeypatch)
+        seen = []
+
+        def checked(F, candidate, real=oracle.rank_table):
+            seen.append([ref() is None for ref in alive])
+            return real(F, candidate)
+
+        monkeypatch.setattr(cli_mod, "rank_table", checked)
+        text = SMALL_THEOREMS.replace("dists = beta:2:38", "dists = beta:2:38, beta:3:37:1.2")
+        assert run_cli("verify-theorems", "--config", write_cfg(tmp_path, text), "--out",
+                       tmp_path / "thm", "--trials", "2000", "--threads", "2") == 0
+        # the pair's one table, then the solo case's two, after its four draw tables
+        assert len(alive) == 4 and seen == [[], [True] * 4, [True] * 4]
+
+    def test_uniform_density_evaluated_once_per_candidate(self, monkeypatch):
+        """A uniform candidate's density is evaluated once per quadrature
+        check, on the whole grid, and a beta candidate's not at all."""
+        from gspbias.oracle import ScoreDistribution
+
+        dists = [ScoreDistribution.uniform(0.0, 0.1), ScoreDistribution.scaled_beta(2, 38),
+                 ScoreDistribution.uniform(0.01, 0.08)]
+        grid = CaseGrid(dists)
+        calls = []
+        real = ScoreDistribution.pdf
+        monkeypatch.setattr(ScoreDistribution, "pdf",
+                            lambda d, s: calls.append((d, len(s))) or real(d, s))
+        for i, d in enumerate(dists):
+            calls.clear()
+            _quadrature_checks(grid, i)
+            assert calls == ([] if d.kind == "scaled-beta" else [(d, len(grid.s))])
+
+
 class TestMcAgreement:
     def test_compares_where_defined_and_counted(self):
         """A rank is compared where its reference and standard error are
@@ -986,6 +1039,18 @@ class TestTheoremOutputBytes:
         }
 
     @pytest.mark.parametrize("threads", [1, 2])
+    def test_wide_uniform_field(self, tmp_path, threads):
+        """theorems-wide's eight staggered uniforms at 8,192 draws: every
+        rank of every candidate, through the uniform rows alone."""
+        out = tmp_path / "wide"
+        assert run_cli("verify-theorems", "--config", write_cfg(tmp_path, WIDE_THEOREMS),
+                       "--out", out, "--threads", threads) == 0
+        assert output_digests(out) == {
+            "theorem_report.json":
+                "8761d90b27dbf70052cb152db117a67f97d6308386be196c08b170073241eebf",
+        }
+
+    @pytest.mark.parametrize("threads", [1, 2])
     def test_packaged_config(self, tmp_path, threads):
         """The whole packaged report, Monte Carlo moments included."""
         out = tmp_path / "pk"
@@ -1073,6 +1138,25 @@ class TestManifestReproducibility:
         for c in cases:
             assert min(c["grid_seconds"], c["mc_seconds"], c["check_seconds"]) >= 0.0
             assert isinstance(c["peak_rss_mb"], float) and c["peak_rss_mb"] > 0.0
+
+    def test_theorem_manifest_counts_grid_bytes(self, tmp_path):
+        """Each case's grid_mb counts each array its grid and draw tables hold
+        once: eight iid uniforms hold nodes, weights and one CDF row;
+        theorems-wide's eight ads hold seven CDF rows (the first and last are
+        both uniform:0:0.1) and no PDF row; a beta ad adds its PDF row, its
+        safe-cell flags and its int32 guide table."""
+        iid = ", ".join(["uniform:0:1"] * 8)
+        text = (WIDE_THEOREMS.replace("mc_draws = 8192", "mc_draws = 2000")
+                + f"\n[case.iid]\ndists = {iid}\n[case.solo]\ndists = beta:2:38\n")
+        out = tmp_path / "thm"
+        assert run_cli("verify-theorems", "--config", write_cfg(tmp_path, text), "--out", out,
+                       "--threads", "1") == 0
+        cases = json.loads((out / "manifest.json").read_text())["cases"]
+        nodes = SIMPSON_INTERVALS + 1
+        rows = {"u8_staggered": 9 * nodes * 8, "iid": 3 * nodes * 8,
+                "solo": 4 * nodes * 8 + nodes + SIMPSON_INTERVALS * 4}
+        assert {c["name"]: c["grid_mb"] for c in cases} == {
+            name: round(size / 2 ** 20, 3) for name, size in rows.items()}
 
     def test_theorem_manifest_peak_is_the_run_own(self, tmp_path):
         """Started from a process holding about 200 MB, verify-theorems records

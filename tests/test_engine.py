@@ -35,7 +35,7 @@ from gspbias.engine import (
 from gspbias import rng
 from gspbias.errors import InvalidValue, RepeatedContext
 from gspbias.estimators import CountWindow
-from gspbias.oracle import CaseGrid, ScoreDistribution
+from gspbias.oracle import CaseGrid, CaseSampler, ScoreDistribution
 from reference import DegeneratePrice, ScoredAd, gsp_price, rank_ads, record_columns, run_logged
 
 
@@ -545,7 +545,8 @@ class TestSampleRankStats:
         grid = CaseGrid(dists)
         key = rng.stream_key(5, STREAM_MC, 0)
         u = rng.unit_uniforms(key, 0, 100_000)[:, 0]
-        expected = sum(grid.draw(0, u[lo:lo + BLOCK])[1] for lo in range(0, 100_000, BLOCK))
+        sampler = CaseSampler(grid)
+        expected = sum(sampler.draw(0, u[lo:lo + BLOCK])[1] for lo in range(0, 100_000, BLOCK))
         assert expected > 0
         assert sample_rank_stats(grid, 100_000, seed=5).exact_draws == expected
         with worker_map(3) as pool:

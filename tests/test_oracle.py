@@ -31,8 +31,10 @@ from gspbias.oracle import (
     DECOMPOSITION_TOL,
     SIMPSON_INTERVALS,
     CaseGrid,
+    CaseSampler,
     RankDecomposition,
     ScoreDistribution,
+    SplitVerdict,
     _bracket,
     _guide_table,
     check_splittable,
@@ -46,6 +48,8 @@ from reference import (
     load_case,
     rank_probs,
     rank_table_whole_rows,
+    split_index_by_accumulation,
+    watch_draw_tables,
 )
 
 U01 = ScoreDistribution.uniform(0.0, 1.0)
@@ -271,10 +275,11 @@ class TestRankTable:
             np.testing.assert_array_equal(table, rank_table(grid.cdf, i))
             nodes, dens = conditional_density_profile(grid, i, table, marginals)
             assert dens is table and nodes is grid.s
-            wd = grid.w * grid.pdf[i]
+            density = grid.dists[i].pdf(grid.s)
+            wd = grid.w * density
             own = rank_table(grid.cdf, i)
             for k in range(3):
-                np.testing.assert_array_equal(dens[k], grid.pdf[i] * own[k]
+                np.testing.assert_array_equal(dens[k], density * own[k]
                                               / float(np.sum(wd * own[k])))
 
 
@@ -296,20 +301,20 @@ class TestCaseGridPpf:
     def test_draws_match_exact_inverse(self, a, b, scale, stretch, u):
         beta = ScoreDistribution.scaled_beta(a, b, scale)
         # a uniform rival stretches the case grid past the beta's scale
-        grid = CaseGrid([ScoreDistribution.uniform(0.0, scale * stretch), beta])
+        sampler = CaseSampler(CaseGrid([ScoreDistribution.uniform(0.0, scale * stretch), beta]))
         u = np.concatenate([u, EXTREME_U, SPREAD_U])
         with warnings.catch_warnings():
             # boost's root finder gives up on some shapes at u = 1e-300, with a
             # warning, in the exact inverse that both sides then call
             warnings.filterwarnings("ignore", "Error in function boost", RuntimeWarning)
-            drawn = grid.draw(1, u)[0]
+            drawn = sampler.draw(1, u)[0]
             exact = _ufuncs._beta_ppf(u, a, b) * scale
         np.testing.assert_allclose(drawn, exact, rtol=0, atol=1e-7)
 
     def test_uniform_ads_keep_closed_form(self):
         uniform = ScoreDistribution.uniform(0.2, 0.7)
-        grid = CaseGrid([uniform, ScoreDistribution.scaled_beta(2, 38)])
-        np.testing.assert_array_equal(grid.draw(0, SPREAD_U)[0], uniform.ppf(SPREAD_U))
+        sampler = CaseSampler(CaseGrid([uniform, ScoreDistribution.scaled_beta(2, 38)]))
+        np.testing.assert_array_equal(sampler.draw(0, SPREAD_U)[0], uniform.ppf(SPREAD_U))
 
     def test_packaged_betas_stay_on_the_newton_path(self, monkeypatch):
         """Lattice uniforms on the packaged betas fall back to the exact inverse
@@ -318,20 +323,22 @@ class TestCaseGridPpf:
         monkeypatch.setattr(ScoreDistribution, "ppf", lambda self, v, f=ScoreDistribution.ppf:
                             fallbacks.append(v) or f(self, v))
         for spec in PACKAGED_BETAS:
-            grid = CaseGrid([parse_distribution(spec, "dists")])
+            sampler = CaseSampler(CaseGrid([parse_distribution(spec, "dists")]))
             fallbacks.clear()
             u = np.random.default_rng(3).random(200_000)
-            grid.draw(0, u)
+            sampler.draw(0, u)
             assert sum(len(v) for v in fallbacks) <= 2, spec
 
     def test_packaged_betas_make_no_betainc_call(self, monkeypatch):
-        """Once the grid is built, its beta draws never evaluate the beta CDF."""
+        """Once the grid and its sampler are built, its beta draws never
+        evaluate the beta CDF."""
         for spec in PACKAGED_BETAS:
             grid = CaseGrid([parse_distribution(spec, "dists")])
+            sampler = CaseSampler(grid)
             calls = []
             monkeypatch.setattr(_ufuncs, "betainc",
                                 lambda *args, f=_ufuncs.betainc: calls.append(args) or f(*args))
-            grid.draw(0, np.random.default_rng(4).random(200_000))
+            sampler.draw(0, np.random.default_rng(4).random(200_000))
             assert not calls, spec
             grid.dists[0].cdf(0.05)  # the counter does see a CDF evaluation
             assert len(calls) == 1
@@ -346,14 +353,15 @@ class TestCaseGridPpf:
         a, b, scale = dist.params
         # a uniform rival stretches the case grid past the beta's scale
         grid = CaseGrid([dist, ScoreDistribution.uniform(0.0, 1.5 * scale)])
+        sampler = CaseSampler(grid)
         u = np.concatenate([SPREAD_U, np.random.default_rng(5).random(100_000)])
-        from_safe = grid.safe[0][np.searchsorted(grid.cdf[0], u, side="right")]
+        from_safe = sampler.safe[0][np.searchsorted(grid.cdf[0], u, side="right")]
         assert from_safe.mean() > 0.5
         with warnings.catch_warnings():
             # boost's root finder gives up on some shapes at u = 1e-300, in the
             # exact inverse that unsafe cells call
             warnings.filterwarnings("ignore", "Error in function boost", RuntimeWarning)
-            x = grid.draw(0, u)[0][from_safe] / scale
+            x = sampler.draw(0, u)[0][from_safe] / scale
         pdf = _ufuncs._beta_pdf(x, a, b)
         residual = np.abs(_ufuncs.betainc(a, b, x) - u[from_safe]) / pdf
         assert np.all(residual <= _NEWTON_TOL + _CDF_REL_ERR / pdf), residual.max()
@@ -365,7 +373,8 @@ class TestCaseGridPpf:
     def test_outermost_and_singular_cells_take_the_exact_inverse(self, a, b, upper):
         dist = ScoreDistribution.scaled_beta(a, b, 0.8)
         grid = CaseGrid([dist, ScoreDistribution.uniform(0.0, upper)])
-        F, safe = grid.cdf[0], grid.safe[0]
+        sampler = CaseSampler(grid)
+        F, safe = grid.cdf[0], sampler.safe[0]
         first = np.flatnonzero(F > 0.0)[0]       # cell `first` starts at a node with F = 0
         top = np.flatnonzero(F < 1.0)[-1] + 1    # cell `top` ends at a node with F = 1
         assert not safe[first] and not safe[top:].any()
@@ -377,7 +386,7 @@ class TestCaseGridPpf:
                             np.minimum(np.linspace(F[top - 1], 1.0, 50), 1.0 - 2.0 ** -53)])
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "Error in function boost", RuntimeWarning)
-            drawn, n_exact = grid.draw(0, u)
+            drawn, n_exact = sampler.draw(0, u)
             exact = dist.ppf(u)
         assert n_exact == len(u)
         np.testing.assert_array_equal(drawn, exact)
@@ -429,25 +438,29 @@ def record_row_calls(monkeypatch) -> dict:
 class TestCaseGridRows:
     def test_repeated_specs_evaluate_each_distribution_once(self, monkeypatch, tmp_path):
         """Ads with the same spec have equal distributions, and the grid
-        evaluates each one's CDF and PDF once at each node, slice by slice,
-        giving the rows separately parsed ads would get."""
+        evaluates each one's CDF, and a beta's PDF, once at each node, slice
+        by slice, giving the rows and draw tables separately parsed ads would
+        get."""
         case = load_case(tmp_path, ("beta:2:38", "uniform:0:1", "beta:2:38",
                                     "beta:3:37:1.2", "uniform:0:1", "beta:2:38"))
         dists = case.dists
         assert dists[0] == dists[2] == dists[5] and dists[1] == dists[4]
         calls = record_row_calls(monkeypatch)
         grid = CaseGrid(dists)
-        assert set(calls) == {(d, name) for d in dists for name in ("cdf", "pdf")}
+        assert set(calls) == ({(d, "cdf") for d in dists}
+                              | {(d, "pdf") for d in dists if d.kind == "scaled-beta"})
         for nodes in calls.values():
             np.testing.assert_array_equal(np.concatenate(nodes), grid.s)
         own = CaseGrid([parse_distribution(spec, "dists") for spec in case.dist_specs])
-        np.testing.assert_array_equal(grid.cdf, own.cdf)
-        np.testing.assert_array_equal(grid.pdf, own.pdf)
+        mine, theirs = CaseSampler(grid), CaseSampler(own)
+        assert len(grid) == len(own) == len(dists)
         for j in range(len(dists)):
-            for mine, theirs in ((grid.safe[j], own.safe[j]), (grid.guide[j], own.guide[j])):
-                assert (mine is None) == (theirs is None)
-                if mine is not None:
-                    np.testing.assert_array_equal(mine, theirs)
+            np.testing.assert_array_equal(grid.cdf[j], own.cdf[j])
+            for row, other in ((grid.pdf[j], own.pdf[j]), (mine.safe[j], theirs.safe[j]),
+                               (mine.guide[j], theirs.guide[j])):
+                assert (row is None) == (other is None) == (dists[j].kind == "uniform")
+                if row is not None:
+                    np.testing.assert_array_equal(row, other)
 
 
     @pytest.mark.parametrize("dists", [
@@ -456,18 +469,60 @@ class TestCaseGridRows:
         [parse_distribution(spec, "dists") for spec in ("beta:2:38", "beta:2:38:1")],
     ], ids=["built-twice", "uniform-spellings", "beta-spellings"])
     def test_equal_distributions_share_rows_by_value(self, monkeypatch, dists):
-        """Two equal distributions built apart share one set of rows: each of
-        CDF and PDF is evaluated once per node slice."""
+        """Two equal distributions built apart share one set of row objects:
+        the CDF, and a beta's PDF, is evaluated once per node slice."""
         assert dists[0] == dists[1] and dists[0] is not dists[1]
         calls = record_row_calls(monkeypatch)
         grid = CaseGrid(dists)
-        assert set(calls) == {(dists[0], "cdf"), (dists[0], "pdf")}
+        beta = dists[0].kind == "scaled-beta"
+        assert set(calls) == {(dists[0], "cdf")} | ({(dists[0], "pdf")} if beta else set())
         slices = len(fixed_blocks(0, len(grid.s), oracle.NODE_SLICE))
         for nodes in calls.values():
             assert len(nodes) == slices
             np.testing.assert_array_equal(np.concatenate(nodes), grid.s)
-        np.testing.assert_array_equal(grid.cdf[0], grid.cdf[1])
-        np.testing.assert_array_equal(grid.pdf[0], grid.pdf[1])
+        assert grid.cdf[0] is grid.cdf[1] and grid.pdf[0] is grid.pdf[1]
+        assert (grid.pdf[0] is None) != beta
+
+    def test_equal_specs_share_row_objects(self, tmp_path):
+        """However a distribution is spelled, its ads hold one CDF row object,
+        one PDF row object for a beta and one set of draw tables, and the
+        grid's bytes count each once."""
+        case = load_case(tmp_path, ("uniform:0:1", "beta:2:38", "uniform:0.0:1.0",
+                                    "beta:2:38:1", "beta:3:37:1.2"))
+        grid = CaseGrid(case.dists)
+        sampler = CaseSampler(grid)
+        assert grid.cdf[0] is grid.cdf[2] and grid.cdf[1] is grid.cdf[3]
+        assert grid.pdf[1] is grid.pdf[3] and grid.pdf[1] is not grid.pdf[4]
+        assert sampler.safe[1] is sampler.safe[3] and sampler.guide[1] is sampler.guide[3]
+        assert len({id(row) for row in grid.cdf}) == 3
+        # nodes, weights, three CDF rows and two beta PDF rows
+        assert grid.nbytes == 7 * len(grid.s) * 8
+        assert sampler.nbytes == 2 * (len(grid.s) + SIMPSON_INTERVALS * 4)
+
+    def test_uniform_ads_store_no_pdf_row(self):
+        """A uniform ad's density is evaluated on demand, bit for bit the
+        distribution's PDF on the nodes; a beta ad's is its stored row."""
+        dists = [ScoreDistribution.uniform(0.01, 0.08), ScoreDistribution.scaled_beta(2, 38),
+                 ScoreDistribution.uniform(0.0, 0.12)]
+        grid = CaseGrid(dists)
+        assert grid.pdf[0] is None and grid.pdf[2] is None
+        assert grid.density(1) is grid.pdf[1]
+        for j, d in enumerate(dists):
+            assert grid.density(j).tobytes() == d.pdf(grid.s).tobytes()
+
+    def test_draw_tables_die_with_the_sampling(self, monkeypatch):
+        """No guide table or safe-cell flag array outlives ``sample_rank_stats``."""
+        alive = watch_draw_tables(monkeypatch)
+        dists = [ScoreDistribution.scaled_beta(2, 38), ScoreDistribution.uniform(0, 0.1),
+                 ScoreDistribution.scaled_beta(2, 38)]
+        grid = CaseGrid(dists)
+        for threads in (1, 2):
+            alive.clear()
+            with worker_map(threads) as map:
+                stats = sample_rank_stats(grid, 40_000, seed=3, map=map)
+            assert len(alive) == 2 and all(ref() is None for ref in alive)
+            assert stats.table_bytes == len(grid.s) + SIMPSON_INTERVALS * 4
+
 
 # a uniform, a beta and a scaled beta, with the beta's tails, its flanks and
 # a slice edge inside the uniform's support
@@ -499,19 +554,22 @@ class TestNodeSlices:
         monkeypatch.setattr(oracle, "NODE_SLICE", node_slice)
         with contended_workers(threads) as map:
             grid = CaseGrid(dists, map)
+            sampler = CaseSampler(grid, map)
         monkeypatch.undo()
         s = grid.s
         for j, d in enumerate(dists):
             F, f = d.cdf(s), d.pdf(s)
             np.testing.assert_array_equal(grid.cdf[j], F)
-            np.testing.assert_array_equal(grid.pdf[j], f)
+            np.testing.assert_array_equal(grid.density(j), f)
             if d.kind != "scaled-beta":
-                assert grid.safe[j] is None and grid.guide[j] is None
+                assert grid.pdf[j] is None
+                assert sampler.safe[j] is None and sampler.guide[j] is None
                 continue
+            np.testing.assert_array_equal(grid.pdf[j], f)
             whole = hermite_safe_cells_whole_rows(d.params, s, F, f, _NEWTON_TOL, _CDF_REL_ERR)
             assert whole.any() and not whole.all()
-            np.testing.assert_array_equal(grid.safe[j], whole)
-            np.testing.assert_array_equal(grid.guide[j], _guide_table(F))
+            np.testing.assert_array_equal(sampler.safe[j], whole)
+            np.testing.assert_array_equal(sampler.guide[j], _guide_table(F))
 
     @pytest.mark.parametrize("node_slice", [oracle.NODE_SLICE, 1000])
     @pytest.mark.parametrize("threads", [1, 4])
@@ -621,6 +679,19 @@ class TestCheckSplittable:
         crossings = np.count_nonzero(np.diff(diff_signs[diff_signs != 0]))
         assert crossings >= 3  # construction sanity: direct scan sees 3+ sign changes
         assert not check_splittable(f, g).splittable
+
+    @settings(max_examples=400, deadline=None)
+    @given(pairs=st.lists(st.tuples(*[st.sampled_from([0.0, 0.25, 0.5, 1.0, np.nan])] * 2),
+                          max_size=12),
+           tolerance=st.sampled_from([0.0, 0.25, 0.5, 2.0]))
+    def test_matches_prefix_and_suffix_scans(self, pairs, tolerance):
+        """The split from the two failure positions is the whole-scan split,
+        with ties, NaNs, empty rows and a positive tolerance."""
+        f = np.array([p[0] for p in pairs], dtype=float)
+        g = np.array([p[1] for p in pairs], dtype=float)
+        verdict = check_splittable(f, g, tolerance)
+        expected = split_index_by_accumulation(f, g, tolerance)
+        assert verdict == SplitVerdict(expected is not None, expected)
 
     def test_grid_mismatch(self):
         with pytest.raises(GridMismatch):
