@@ -21,8 +21,12 @@ sort of the uniforms, and takes one Newton step on the cubic Hermite
 interpolant of that cell's CDF and PDF node values (Hörmann & Leydold
 2003, ACM TOMACS 13(4)), so a draw evaluates no special function.  Which
 cells may keep that step is decided once per beta distribution, when the
-sampler is built; the rest take the exact inverse, ``_beta_ppf``.  The grid
-rows themselves come from ``betainc`` and ``_beta_pdf``.  One candidate's
+sampler is built; the rest take the exact inverse, ``_beta_ppf``.  A draw
+call takes a contiguous row of one ad's uniforms, gathers each node value it
+needs once, with intp indices, and works the step in a few reused rows.  The
+grid rows themselves come from ``betainc`` and ``_beta_pdf``, called only at
+the nodes inside the distribution's support; past it a row holds the 1 and 0
+the kernels return there.  One candidate's
 rank table costs O(m^2 * grid) operations and is built once, then read by
 the mean profile, the decomposition and, last, the density profile, which
 normalizes it in place; their temporaries are a few reused rows.  While
@@ -182,7 +186,9 @@ class CaseGrid:
     beta ad's PDF row.
 
     Each distinct distribution's rows are evaluated once, when the grid is
-    built, and held once: ``cdf[j]`` and ``pdf[j]`` are the row objects of
+    built, at the nodes up to its ``upper`` (the case's grid may run past a
+    beta's scale; there the rows hold CDF 1 and PDF 0, the kernels' own
+    values), and held once: ``cdf[j]`` and ``pdf[j]`` are the row objects of
     ad j's distribution, so ads with equal distributions share them
     (``grid.cdf[j] is grid.cdf[k]``).  A uniform ad stores no PDF row
     (``pdf[j]`` is None): only a beta ad's draws read one, and ``density``
@@ -206,10 +212,17 @@ class CaseGrid:
 
         def fill(task: tuple[ScoreDistribution, int, int]) -> None:
             d, lo, hi = task  # nodes lo..hi-1 of d's rows
-            s = self.s[lo:hi]
-            cdf[d][lo:hi] = d.cdf(s)
+            # past the support the kernels return CDF 1 and PDF 0, so they are
+            # called up to it: s <= upper exactly where s / upper <= 1, their own
+            # test, since no double above upper divides by it to 1
+            cut = lo + int(np.searchsorted(self.s[lo:hi], d.upper, side="right"))
+            cdf[d][cut:hi] = 1.0
             if d in pdf:
-                pdf[d][lo:hi] = d.pdf(s)
+                pdf[d][cut:hi] = 0.0
+            if cut > lo:  # a slice wholly past the support calls no kernel
+                cdf[d][lo:cut] = d.cdf(self.s[lo:cut])
+                if d in pdf:
+                    pdf[d][lo:cut] = d.pdf(self.s[lo:cut])
 
         list(map(fill, [(d, lo, hi) for d in cdf
                         for lo, hi in fixed_blocks(0, len(self.s), NODE_SLICE)]))
@@ -265,7 +278,12 @@ class CaseSampler:
         from the node values of the CDF and PDF rows:
         H(t) = F0 + t (f0 h + t (c2 + t c3)) for t in [0, 1].  A draw takes
         the exact inverse instead when its cell is not marked safe (see
-        ``_hermite_safe_cells``) or its step leaves the cell.
+        ``_hermite_safe_cells``) or its step leaves the cell.  Each node
+        value is gathered once, and the step is worked in place in six rows,
+        each holding several quantities in turn.  Every operation groups its
+        operands as the commented formula does, and floating-point addition
+        and multiplication commute exactly, so the bits are the formula's;
+        on a contiguous u each operation is one sequential pass.
         """
         grid = self.grid
         dist, safe = grid.dists[j], self.safe[j]
@@ -273,17 +291,44 @@ class CaseSampler:
             return dist.ppf(u), 0
         F, f, h = grid.cdf[j], grid.pdf[j], grid.s[1]
         i = _bracket(F, self.guide[j], u)  # the cell between nodes i-1 and i
-        f_lo = F[i - 1]
-        rise = F[i] - f_lo
-        d_lo, d_hi = f[i - 1] * h, f[i] * h
-        c2 = 3.0 * rise - 2.0 * d_lo - d_hi
-        c3 = d_lo + d_hi - 2.0 * rise
-        gap = u - f_lo
+        # "clip" clips nothing, every index being a node; with it, take
+        # writes straight into its out row
+        rise, d_lo, d_hi, gap, c2, work = (np.empty(len(u)) for _ in range(6))
+        keep = safe.take(i, mode="clip")
+        F.take(i, out=rise, mode="clip")
+        f.take(i, out=d_hi, mode="clip")
+        i -= 1
+        F.take(i, out=gap, mode="clip")
+        f.take(i, out=d_lo, mode="clip")
+        rise -= gap  # F[i] - F[i-1]
+        np.subtract(u, gap, out=gap)  # u - F[i-1]
+        d_lo *= h
+        d_hi *= h
+        np.multiply(3.0, rise, out=c2)
+        c2 -= np.multiply(2.0, d_lo, out=work)
+        c2 -= d_hi  # 3 rise - 2 d_lo - d_hi
+        c3 = d_hi
+        c3 += d_lo
+        c3 -= np.multiply(2.0, rise, out=work)  # d_lo + d_hi - 2 rise
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            t = gap / rise  # the linear start
-            t -= (t * (d_lo + t * (c2 + t * c3)) - gap) / (d_lo + t * (2.0 * c2 + 3.0 * t * c3))
-            drawn = grid.s[i - 1] + t * h
-        keep = safe[i] & (t >= 0.0) & (t <= 1.0)
+            t = np.divide(gap, rise, out=rise)  # the linear start
+            step = np.multiply(t, c3, out=work)
+            step += c2
+            step *= t
+            step += d_lo
+            step *= t
+            step -= gap  # t (d_lo + t (c2 + t c3)) - gap
+            slope = np.multiply(3.0, t, out=gap)
+            slope *= c3
+            slope += np.multiply(2.0, c2, out=c2)
+            slope *= t
+            slope += d_lo  # d_lo + t (2 c2 + 3 t c3)
+            step /= slope
+            t -= step
+            drawn = grid.s.take(i, out=c2, mode="clip")
+            drawn += np.multiply(t, h, out=work)  # s[i-1] + t h
+        keep &= t >= 0.0
+        keep &= t <= 1.0
         n_exact = len(u) - int(np.count_nonzero(keep))
         if n_exact:
             exact = ~keep
@@ -312,14 +357,18 @@ def _bracket(F: np.ndarray, guide: np.ndarray, u: np.ndarray) -> np.ndarray:
 
     F is a non-decreasing CDF row whose last entry exceeds every u, and
     guide its ``_guide_table``.  u's bucket floor(u * K) gives a start at
-    most the answer (the entries <= floor(u * K) / K <= u); two steps
-    forward settle almost every draw, and the draws still short, where
-    more than two nodes of F share u's bucket, take ``np.searchsorted``.
+    most the answer (the entries <= floor(u * K) / K <= u); one step
+    forward settles almost every draw (over 99% on the packaged betas), and
+    the draws still short, where more than one node of F shares u's bucket,
+    take ``np.searchsorted``.  The indices are intp, which numpy gathers
+    without converting them, and every gather writes into one reused row.
     """
-    i = guide[(u * SIMPSON_INTERVALS).astype(np.intp)]
-    i += F[i] <= u
-    i += F[i] <= u
-    short = np.flatnonzero(F[i] <= u)
+    node = np.multiply(u, SIMPSON_INTERVALS)
+    i = node.astype(np.intp)
+    i[:] = guide.take(i, mode="clip")  # "clip" clips nothing: every index is in range
+    ahead = np.less_equal(F.take(i, out=node, mode="clip"), u)
+    i += ahead
+    short = np.flatnonzero(np.less_equal(F.take(i, out=node, mode="clip"), u, out=ahead))
     if len(short):
         i[short] = np.searchsorted(F, u[short], side="right")
     return i
@@ -382,8 +431,10 @@ def rank_table(F, candidate: int) -> np.ndarray:
     The node slices are folded in turn, each into its columns of the one table.
     """
     out = np.zeros((len(F), len(F[0])))
+    rows = np.empty((2, min(NODE_SLICE, out.shape[1])))  # 1 - F_j, and each product
     for lo, hi in fixed_blocks(0, out.shape[1], NODE_SLICE):
         part = out[:, lo:hi]
+        beats, product = rows[:, :hi - lo]
         part[0] = 1.0
         seen = 0
         for j, row in enumerate(F):
@@ -391,10 +442,10 @@ def rank_table(F, candidate: int) -> np.ndarray:
                 continue
             seen += 1
             Fj = row[lo:hi]
-            beats = 1.0 - Fj
+            np.subtract(1.0, Fj, out=beats)
             for k in range(seen, 0, -1):  # top down: row k-1 still holds its old value
                 part[k] *= Fj
-                part[k] += part[k - 1] * beats
+                part[k] += np.multiply(part[k - 1], beats, out=product)
             part[0] *= Fj
     return out
 

@@ -13,10 +13,17 @@ import numpy as np
 from scipy import stats
 
 from gspbias.config import TheoremCase, load_config
-from gspbias.engine import AdSpec, BucketTables, Context, ImpressionLog, run_ab_experiment
+from gspbias.engine import (
+    AdSpec,
+    BucketTables,
+    Context,
+    ImpressionLog,
+    run_ab_experiment,
+    score_ranks,
+)
 from gspbias.errors import EmptyAuction, GspBiasError, UndefinedCalibration, UndefinedRatio
 from gspbias.metrics import CalibrationReport, RelativeMetrics, align_histograms
-from gspbias import oracle
+from gspbias import oracle, rng
 from gspbias.oracle import rank_table
 
 
@@ -289,6 +296,52 @@ def hermite_safe_cells_whole_rows(params, s, F, f, tol, cdf_rel_err):
         err = h4 * (m3 / 384.0 + m1 ** 3 / 128.0) + cdf_rel_err / f0
     safe[first + 1:last + 1] = err <= tol * scale
     return safe
+
+
+def hermite_draw(sampler, j, u):
+    """``CaseSampler.draw`` as first written, with whole-array temporaries and
+    the bracket from ``np.searchsorted``: ad j's scores at the uniforms u, and
+    how many took the exact inverse.  The sampler's draws must equal these
+    bit for bit."""
+    grid = sampler.grid
+    dist, safe = grid.dists[j], sampler.safe[j]
+    if safe is None:
+        return dist.ppf(u), 0
+    F, f, h = grid.cdf[j], grid.pdf[j], grid.s[1]
+    i = np.searchsorted(F, u, side="right")
+    f_lo = F[i - 1]
+    rise = F[i] - f_lo
+    d_lo, d_hi = f[i - 1] * h, f[i] * h
+    c2 = 3.0 * rise - 2.0 * d_lo - d_hi
+    c3 = d_lo + d_hi - 2.0 * rise
+    gap = u - f_lo
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        t = gap / rise
+        t -= (t * (d_lo + t * (c2 + t * c3)) - gap) / (d_lo + t * (2.0 * c2 + 3.0 * t * c3))
+        drawn = grid.s[i - 1] + t * h
+    keep = safe[i] & (t >= 0.0) & (t <= 1.0)
+    n_exact = len(u) - int(np.count_nonzero(keep))
+    if n_exact:
+        drawn[~keep] = dist.ppf(u[~keep])
+    return drawn, n_exact
+
+
+def mc_block_trial_major(sampler, key, lo, hi):
+    """``engine._mc_block`` as first written: draws in a (draws, ads) array,
+    one strided column per ad, from ``hermite_draw``; returns the (ads,
+    ranks) counts, sums and sums of squares and the exact-inverse count."""
+    m = len(sampler.grid)
+    u = rng.unit_uniforms(key, lo, hi - lo, blocks_per_unit=math.ceil(m / rng.DOUBLES_PER_BLOCK))
+    draws = np.empty((hi - lo, m))
+    exact = 0
+    for j in range(m):
+        draws[:, j], n_exact = hermite_draw(sampler, j, u[:, j])
+        exact += n_exact
+    code = (score_ranks(draws) + np.arange(0, m * m, m)).ravel()
+    count = np.bincount(code, minlength=m * m)
+    total = np.bincount(code, weights=draws.ravel(), minlength=m * m)
+    total_sq = np.bincount(code, weights=np.square(draws).ravel(), minlength=m * m)
+    return count.reshape(m, m), total.reshape(m, m), total_sq.reshape(m, m), exact
 
 
 # ---------------------------------------------------------------------------

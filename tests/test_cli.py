@@ -77,6 +77,14 @@ dists = {}
 """.format("uniform:0:0.1, uniform:0.01:0.08, uniform:0:0.12, uniform:0.02:0.1, "
            "uniform:0:0.09, uniform:0.005:0.11, uniform:0.03:0.07, uniform:0:0.1")
 
+# nine mixed beta and uniform ads: the argsort rank branch, Hermite draws and,
+# on the narrow beta's flanks, exact-inverse draws, on a grid past every
+# other ad's support (the last beta's scale is 1.5)
+MIXED_THEOREMS = WIDE_THEOREMS.split("[case.")[0] + """[case.mixed9]
+dists = beta:2:38, uniform:0:0.12, beta:60:60:0.05, beta:3:1:0.1, uniform:0.01:0.08, \
+beta:1:3:0.09, beta:1.5:20:0.2, uniform:0:0.1, beta:5:45:1.5
+"""
+
 HUGE_BID_CPC = """
 [config]
 schema_version = 1
@@ -1048,6 +1056,18 @@ class TestTheoremOutputBytes:
         assert output_digests(out) == {
             "theorem_report.json":
                 "8761d90b27dbf70052cb152db117a67f97d6308386be196c08b170073241eebf",
+        }
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_mixed_nine_ad_field(self, tmp_path, threads):
+        """Nine mixed beta and uniform ads at 8,192 draws: the argsort rank
+        branch, the Hermite draws and exact-inverse fallbacks under one digest."""
+        out = tmp_path / "mixed"
+        assert run_cli("verify-theorems", "--config", write_cfg(tmp_path, MIXED_THEOREMS),
+                       "--out", out, "--threads", threads) == 0
+        assert output_digests(out) == {
+            "theorem_report.json":
+                "6b7abb3b4035ad5c25bbed6f1416d16d22ceff3bc9f87ef31cb0f1cbb27a66f4",
         }
 
     @pytest.mark.parametrize("threads", [1, 2])

@@ -24,6 +24,7 @@ from gspbias.engine import (
     _PAIRWISE_MAX_ADS,
     _PPF_FLOOR,
     BinomialInverse,
+    _mc_block,
     estimate_matrix,
     rank_contexts,
     run_ab_experiment,
@@ -33,10 +34,19 @@ from gspbias.engine import (
     worker_map,
 )
 from gspbias import rng
+from gspbias.config import parse_distribution
 from gspbias.errors import InvalidValue, RepeatedContext
 from gspbias.estimators import CountWindow
 from gspbias.oracle import CaseGrid, CaseSampler, ScoreDistribution
-from reference import DegeneratePrice, ScoredAd, gsp_price, rank_ads, record_columns, run_logged
+from reference import (
+    DegeneratePrice,
+    ScoredAd,
+    gsp_price,
+    mc_block_trial_major,
+    rank_ads,
+    record_columns,
+    run_logged,
+)
 
 
 def study(trials=2000, seed=99, ctrs=(0.05, 0.04), n=(5000, 5000), bids=(1.0, 1.0),
@@ -511,6 +521,44 @@ class TestScoreRanks:
         expected = np.empty_like(order)
         np.put_along_axis(expected, order, np.arange(m), axis=1)
         np.testing.assert_array_equal(score_ranks(scores), expected)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), m=st.integers(1, _PAIRWISE_MAX_ADS + 3))
+    def test_ad_major_view_ranks_as_its_copy(self, data, m):
+        """On the transpose of an (ads, draws) array the ranks equal those of
+        its contiguous copy, ties included, and come back in its memory order."""
+        n = data.draw(st.integers(1, 40))
+        x = np.array(data.draw(st.lists(st.sampled_from([0.1, 0.5, 0.9]),
+                                        min_size=n * m, max_size=n * m))).reshape(m, n)
+        rank = score_ranks(x.T)
+        np.testing.assert_array_equal(rank, score_ranks(np.ascontiguousarray(x.T)))
+        assert rank.T.flags.c_contiguous
+
+
+# every path of a draw: uniforms, Hermite betas and, from three ads on, the
+# exact inverse, in the outermost cell of a beta whose density is positive at 0
+BLOCK_FIELD = [parse_distribution(spec, "dists") for spec in (
+    "uniform:0:0.12", "beta:5:45:1.5", "beta:1:3:0.09", "beta:60:60:0.05", "beta:2:38",
+    "uniform:0.01:0.08", "beta:3:37:1.2", "uniform:0:0.1", "beta:2:38")]
+
+
+class TestMcBlock:
+    @pytest.mark.parametrize("m", [1, 2, 3, 6, 9])
+    def test_moments_match_the_trial_major_reference(self, m):
+        """A block's counts, sums and squared sums, and its exact-draw count,
+        equal the trial-major reference's bit for bit, for a full block and a
+        short last one, on both rank branches (m = 9 takes the argsort)."""
+        sampler = CaseSampler(CaseGrid(BLOCK_FIELD[:m]))
+        key = rng.stream_key(5, STREAM_MC, m)
+        exact = 0
+        for lo, hi in [(0, BLOCK), (BLOCK, BLOCK + 3001)]:
+            got = _mc_block(sampler, key, lo, hi)
+            expected = mc_block_trial_major(sampler, key, lo, hi)
+            for a, b in zip(got[:3], expected[:3]):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+            assert got[3] == expected[3]
+            exact += got[3]
+        assert (exact > 0) == (m >= 3)
 
 
 class TestSampleRankStats:

@@ -44,6 +44,7 @@ from gspbias.oracle import (
     top_rank_decomposition,
 )
 from reference import (
+    hermite_draw,
     hermite_safe_cells_whole_rows,
     load_case,
     rank_probs,
@@ -424,6 +425,70 @@ class TestGuideBracket:
         assert guide[K // 2] == 7 and guide[-1] == 7
 
 
+def draw_test_uniforms(F, nodes, floats) -> np.ndarray:
+    """Uniforms in [0, 1) for a draw test on the CDF row F: 0, the smallest
+    and largest doubles of [0, 1), the row at the given node indices and its
+    neighbours, the row in its tails, where nodes crowd into one guide
+    bucket, and the given floats."""
+    inner = np.flatnonzero((F > 0.0) & (F < 1.0))
+    tails = np.concatenate([inner[:30], inner[-30:]])
+    at = F[np.concatenate([np.asarray(nodes, dtype=np.intp), tails])]
+    u = np.concatenate([[0.0, 5e-324, 1.0 - 2.0 ** -53], at, np.nextafter(at, 0.0),
+                        np.nextafter(at, 1.0), floats])
+    return u[(u >= 0.0) & (u < 1.0)]
+
+
+def crowded(F, guide, u) -> np.ndarray:
+    """Which uniforms have more than one node of F in their guide bucket
+    below them, so that the bracket's step leaves them to searchsorted."""
+    return np.searchsorted(F, u, side="right") - guide[(u * K).astype(np.intp)] > 1
+
+
+class TestDrawArithmetic:
+    """``CaseSampler.draw`` gives the reference formula's bits (``hermite_draw``)."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(a=st.floats(0.3, 80.0), b=st.floats(0.3, 80.0), scale=st.floats(0.05, 3.0),
+           stretch=st.floats(1.0, 3.0), nodes=st.lists(st.integers(0, K), max_size=40),
+           floats=st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=40))
+    def test_matches_the_reference_formula(self, a, b, scale, stretch, nodes, floats):
+        # a uniform rival stretches the case grid past the beta's scale
+        sampler = CaseSampler(CaseGrid([ScoreDistribution.uniform(0.0, scale * stretch),
+                                        ScoreDistribution.scaled_beta(a, b, scale)]))
+        u = draw_test_uniforms(sampler.grid.cdf[1], nodes, floats)
+        with warnings.catch_warnings():
+            # boost's root finder gives up on some shapes near u = 0, with a
+            # warning, in the exact inverse that both sides then call
+            warnings.filterwarnings("ignore", "Error in function boost", RuntimeWarning)
+            drawn, n_exact = sampler.draw(1, u)
+            expected, n_expected = hermite_draw(sampler, 1, u)
+        assert n_exact == n_expected
+        assert drawn.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("dist", [parse_distribution(spec, "dists") for spec in PACKAGED_BETAS]
+                             + [ScoreDistribution.scaled_beta(0.5, 3.0, 0.8),
+                                ScoreDistribution.scaled_beta(60.0, 60.0, 0.01)],
+                             ids=lambda d: ":".join(f"{p:g}" for p in d.params))
+    def test_reaches_every_path(self, dist):
+        """On the packaged betas, one with a singular end and a narrow one, the
+        test uniforms reach the searchsorted fallback and the exact inverse,
+        and a strided column draws as its contiguous copy does."""
+        grid = CaseGrid([dist, U01])
+        sampler = CaseSampler(grid)
+        F, guide = grid.cdf[0], sampler.guide[0]
+        u = draw_test_uniforms(F, range(0, K + 1, 997),
+                               np.random.default_rng(7).random(20_000))
+        assert crowded(F, guide, u).any()
+        columns = np.stack([u, u])
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "Error in function boost", RuntimeWarning)
+            drawn, n_exact = sampler.draw(0, u)
+            expected, n_expected = hermite_draw(sampler, 0, u)
+            strided = sampler.draw(0, columns.T[:, 1])[0]
+        assert n_exact == n_expected > 0
+        assert drawn.tobytes() == expected.tobytes() == strided.tobytes()
+
+
 def record_row_calls(monkeypatch) -> dict:
     """Every CDF and PDF evaluation from here on: the nodes of each call,
     listed under (distribution, method name)."""
@@ -438,9 +503,9 @@ def record_row_calls(monkeypatch) -> dict:
 class TestCaseGridRows:
     def test_repeated_specs_evaluate_each_distribution_once(self, monkeypatch, tmp_path):
         """Ads with the same spec have equal distributions, and the grid
-        evaluates each one's CDF, and a beta's PDF, once at each node, slice
-        by slice, giving the rows and draw tables separately parsed ads would
-        get."""
+        evaluates each one's CDF, and a beta's PDF, once at each node up to
+        its support's top, slice by slice, giving the rows and draw tables
+        separately parsed ads would get."""
         case = load_case(tmp_path, ("beta:2:38", "uniform:0:1", "beta:2:38",
                                     "beta:3:37:1.2", "uniform:0:1", "beta:2:38"))
         dists = case.dists
@@ -449,8 +514,8 @@ class TestCaseGridRows:
         grid = CaseGrid(dists)
         assert set(calls) == ({(d, "cdf") for d in dists}
                               | {(d, "pdf") for d in dists if d.kind == "scaled-beta"})
-        for nodes in calls.values():
-            np.testing.assert_array_equal(np.concatenate(nodes), grid.s)
+        for (d, _name), nodes in calls.items():
+            np.testing.assert_array_equal(np.concatenate(nodes), grid.s[grid.s <= d.upper])
         own = CaseGrid([parse_distribution(spec, "dists") for spec in case.dist_specs])
         mine, theirs = CaseSampler(grid), CaseSampler(own)
         assert len(grid) == len(own) == len(dists)
@@ -482,6 +547,32 @@ class TestCaseGridRows:
             np.testing.assert_array_equal(np.concatenate(nodes), grid.s)
         assert grid.cdf[0] is grid.cdf[1] and grid.pdf[0] is grid.pdf[1]
         assert (grid.pdf[0] is None) != beta
+
+    @pytest.mark.parametrize("dists", [
+        # scales at a node of the uniform's grid, k / K, and one double either
+        # side, for a density positive at the top of its support
+        [U01, ScoreDistribution.scaled_beta(2.0, 1.0, 0.25)],
+        [U01, ScoreDistribution.scaled_beta(2.0, 1.0, np.nextafter(0.25, 1.0))],
+        [U01, ScoreDistribution.scaled_beta(2.0, 1.0, np.nextafter(0.25, 0.0))],
+        # the beta's support ends in the first node slice; the later ones lie past it
+        [ScoreDistribution.scaled_beta(2.0, 38.0, 0.05), U01],
+        [ScoreDistribution.scaled_beta(3.0, 1.0, 0.4), ScoreDistribution.uniform(0.1, 0.9)],
+        [ScoreDistribution.scaled_beta(1.0, 3.0, 0.4), U01,
+         ScoreDistribution.scaled_beta(3.0, 1.0, 0.7)],
+    ], ids=["at-node", "above-node", "below-node", "slices-past", "beta-3-1", "beta-1-3"])
+    def test_rows_past_the_support_equal_the_kernels(self, monkeypatch, dists):
+        """Where the case's grid runs past a beta's scale, the rows still equal
+        the whole-row CDF and PDF bit for bit, and no CDF or PDF call is given
+        a node past its distribution's support, by the kernels' own test."""
+        calls = record_row_calls(monkeypatch)
+        grid = CaseGrid(dists)
+        monkeypatch.undo()
+        assert calls and all(len(s) and (s / d.upper <= 1.0).all()
+                             for (d, _name), nodes in calls.items() for s in nodes)
+        assert grid.s[-1] > min(d.upper for d in dists)
+        for j, d in enumerate(dists):
+            assert grid.cdf[j].tobytes() == d.cdf(grid.s).tobytes()
+            assert grid.density(j).tobytes() == d.pdf(grid.s).tobytes()
 
     def test_equal_specs_share_row_objects(self, tmp_path):
         """However a distribution is spelled, its ads hold one CDF row object,
