@@ -218,23 +218,34 @@ def _mc_agreement(reference, means, std_errors, counts) -> dict:
     return _verdict(sigma <= MC_AGREEMENT_SIGMA, made, max_sigma=np.max(sigma, initial=0.0))
 
 
+def _mass_agreement(reference, counts, draws: int) -> dict:
+    """Monte Carlo rank counts against the rank masses ``reference``, rank
+    by rank: z = (count / N - p) / sqrt(p (1 - p) / N) within
+    MC_AGREEMENT_SIGMA, for N draws, compared where N p and N (1 - p) are
+    both at least MIN_MC_COUNT.  A scale error in a rank-table row cancels
+    in the conditional means and densities, but not here."""
+    made = (draws * reference >= MIN_MC_COUNT) & (draws * (1.0 - reference) >= MIN_MC_COUNT)
+    p = reference[made]
+    sigma = np.abs(counts[made] / draws - p) / np.sqrt(p * (1.0 - p) / draws)
+    return _verdict(sigma <= MC_AGREEMENT_SIGMA, made, max_sigma=np.max(sigma, initial=0.0))
+
+
 def _quadrature_checks(grid: CaseGrid, i: int) -> dict:
     """Candidate i's quadrature record: its rank masses, conditional means
-    and the verdicts on them.  Its rank table and its density row (a
-    uniform's is evaluated here) are built once and die on return, so a
-    case holds one candidate's of each at a time."""
+    and the verdicts on them.  Its rank table is built once and dies on
+    return, so a case holds one candidate's at a time; the checks read it
+    a leaf at a time."""
     # the density profile, last, normalizes the table in place
-    table = rank_table(grid.cdf, i)
-    density = grid.density(i)
-    profile = conditional_mean_profile(grid, i, table, density)
+    table = rank_table(grid, i)
+    profile = conditional_mean_profile(grid, i, table)
     # rank k against rank k + 1, where both are reachable
     better, worse = profile.conditional_means[:-1], profile.conditional_means[1:]
     reached = ~(np.isnan(better) | np.isnan(worse))
     try:
-        decomposition = top_rank_decomposition(grid, i, table, profile.marginals, density)
+        decomposition = top_rank_decomposition(grid, i, table, profile.marginals)
     except RankUnreachable as exc:
         decomposition = {"skipped": str(exc)}
-    nodes, dens = conditional_density_profile(grid, i, table, profile.marginals, density)
+    nodes, dens = conditional_density_profile(grid, i, table, profile.marginals)
     pairs = [{"ranks": (k, k + 1)} for k in range(1, len(grid))]
     for k, pair in enumerate(pairs):  # ranks k + 1 and k + 2
         if np.isnan(dens[k]).any() or np.isnan(dens[k + 1]).any():
@@ -303,10 +314,12 @@ def cmd_verify_theorems(args, suite: TheoremSuite, seed: int,
                     checks[key] = _quadrature_checks(grid, i)
                 means, errors, counts = mc.means[i], mc.std_errors[i], mc.counts[i]
                 reference = np.array(checks[key]["quadrature_means"], dtype=float)
-                agreement = _mc_agreement(reference, means, errors, counts)
-                candidate = _record({"candidate": i, **checks[key], "mc_means": means,
-                                     "mc_std_errors": errors, "mc_counts": counts,
-                                     "mc_agreement": agreement})
+                masses = np.array(checks[key]["marginals"], dtype=float)
+                candidate = _record({
+                    "candidate": i, **checks[key], "mc_means": means, "mc_std_errors": errors,
+                    "mc_counts": counts,
+                    "mc_agreement": _mc_agreement(reference, means, errors, counts),
+                    "mass_agreement": _mass_agreement(masses, counts, draws)})
                 # it passes when each of its verdicts does; a skipped one has no "passed"
                 candidates.append({**candidate, "passed": all(
                     v.get("passed", True) for v in candidate.values() if isinstance(v, dict))})
@@ -325,8 +338,8 @@ def cmd_verify_theorems(args, suite: TheoremSuite, seed: int,
                 "candidates": candidates,
             })
     all_pass = all(case["passed"] for case in cases_payload)
-    comparisons = sum(c["mc_agreement"]["checked"]
-                      for case in cases_payload for c in case["candidates"])
+    comparisons = sum(c[name]["checked"] for case in cases_payload for c in case["candidates"]
+                      for name in ("mc_agreement", "mass_agreement"))
     write_json(arts.path("theorem_report.json"), {
         "seed": seed,
         "mc_draws": draws,

@@ -115,27 +115,37 @@ class CpcStudyConfig:
 
 
 _PAIRWISE_MAX_ADS = 7  # pairwise comparison beats the argsort below 8 ads
+# ...and on column-contiguous scores (an ad-major block's transpose) from
+# _PAIRWISE_ROW_FACTOR * m^2 rows on.  Measured on 2 vCPUs, pairwise against
+# the argsort: 0.95 against 3.3 ms on 16,384 x 8, 8.8 against 13.0 ms on
+# 16,384 x 24; pairwise breaks even at 5-11 m^2 rows for m = 8 to 48, and
+# loses on row-major scores.  ab-run's 12 x 40 auctions stay on the argsort.
+_PAIRWISE_ROW_FACTOR = 16
 
 
 def score_ranks(scores: np.ndarray) -> np.ndarray:
     """Each entry's 0-based rank in its row of ``scores``, the number of
     columns that beat it: i < j beats j when s_i >= s_j, and j beats i when
     s_j > s_i, so a higher score ranks first and a tie goes to the lower
-    column, as in a stable argsort of -s.  Up to _PAIRWISE_MAX_ADS columns
-    the m (m - 1) / 2 comparisons are cheaper than that argsort.  The ranks
-    take the memory order of ``scores``, so on the transpose of an
-    ad-major array each comparison reads and writes contiguous columns."""
-    m = scores.shape[1]
+    column, as in a stable argsort of -s.  The m (m - 1) / 2 comparisons
+    are cheaper than that argsort up to _PAIRWISE_MAX_ADS columns, and on
+    column-contiguous scores with at least _PAIRWISE_ROW_FACTOR * m^2
+    rows, where each comparison reads and writes contiguous columns and
+    needs no copy of the scores, no order and no scatter.  The ranks take
+    the memory order of ``scores``."""
+    n, m = scores.shape
     rank = np.empty_like(scores, dtype=np.intp)
-    if m > _PAIRWISE_MAX_ADS:
+    if m > _PAIRWISE_MAX_ADS and not (scores.flags.f_contiguous
+                                      and n >= _PAIRWISE_ROW_FACTOR * m * m):
         order = np.argsort(-scores, axis=1, kind="stable")
         np.put_along_axis(rank, order, np.arange(m), axis=1)
         return rank
     # column j starts at j, as if each of the j columns before it beat it
     rank[:] = np.arange(m)
+    j_wins = np.empty(n, dtype=bool)
     for j in range(1, m):
         for i in range(j):
-            j_wins = scores[:, j] > scores[:, i]
+            np.greater(scores[:, j], scores[:, i], out=j_wins)
             rank[:, i] += j_wins
             rank[:, j] -= j_wins
     return rank

@@ -10,28 +10,36 @@ moments follow by fixed composite-Simpson quadrature against the
 candidate's own density.
 
 A ``CaseGrid`` holds the Simpson nodes and weights and, once per distinct
-distribution in the case, its CDF row on them and, for a beta, its PDF
-row; ads with equal distributions share the row objects.  A uniform's
-density is evaluated where a candidate's checks read it, once per
-candidate, and dropped with its rank table.  The Monte Carlo draws go
-through a ``CaseSampler``, which holds the draw tables and lives only
-while the draws run: ``CaseSampler.draw`` brackets a beta uniform in the
-ad's CDF row through a guide table of the row (Chen & Asau 1974), with no
-sort of the uniforms, and takes one Newton step on the cubic Hermite
-interpolant of that cell's CDF and PDF node values (Hörmann & Leydold
-2003, ACM TOMACS 13(4)), so a draw evaluates no special function.  Which
-cells may keep that step is decided once per beta distribution, when the
-sampler is built; the rest take the exact inverse, ``_beta_ppf``.  A draw
-call takes a contiguous row of one ad's uniforms, gathers each node value it
-needs once, with intp indices, and works the step in a few reused rows.  The
-grid rows themselves come from ``betainc`` and ``_beta_pdf``, called only at
-the nodes inside the distribution's support; past it a row holds the 1 and 0
-the kernels return there.  One candidate's
-rank table costs O(m^2 * grid) operations and is built once, then read by
-the mean profile, the decomposition and, last, the density profile, which
-normalizes it in place; their temporaries are a few reused rows.  While
-its checks run, a case holds its distinct rows, one candidate's table and
-density, and those few rows, O(m * grid) floats, so there is no cap on m.
+beta distribution in the case, its CDF and PDF rows on them; ads with
+equal distributions share the row objects.  A uniform ad stores no row:
+its CDF and density are evaluated a slice at a time where the fold and
+the checks read them, with the bits of a whole-row evaluation.  The Monte
+Carlo draws go through a ``CaseSampler``, which holds the draw tables and
+lives only while the draws run: ``CaseSampler.draw`` brackets a beta
+uniform in the ad's CDF row through a guide table of the row (Chen & Asau
+1974), with no sort of the uniforms, and takes one Newton step on the
+cubic Hermite interpolant of that cell's CDF and PDF node values (Hörmann
+& Leydold 2003, ACM TOMACS 13(4)), so a draw evaluates no special
+function.  Which cells may keep that step is decided once per beta
+distribution, when the sampler is built; the rest take the exact inverse,
+``_beta_ppf``.  A draw call takes a contiguous row of one ad's uniforms,
+gathers each node value it needs once, with intp indices, and works the
+step in a few reused rows.  The grid rows themselves come from
+``betainc`` and ``_beta_pdf``, called only at the nodes inside the
+distribution's support; past it a row holds the 1 and 0 the kernels
+return there.
+
+One candidate's rank table costs O(m^2 * grid) operations and is built
+once, then read by the mean profile, the decomposition and, last, the
+density profile, which normalizes it in place.  Each of them walks the
+table a leaf at a time: the leaves are numpy's own pairwise-sum split of
+the nodes (``_leaves``), stopped at NODE_SLICE + 1 nodes, and each leaf's
+``np.sum`` combined along that split (``_pairwise_total``) is the
+whole-row ``np.sum`` bit for bit, so every sum, and every check result,
+is what whole rows give.  Their temporaries are a few leaf-sized rows,
+and so are ``check_splittable``'s.  While its checks run, a case holds
+its beta rows, one candidate's table and those rows, O(m * grid) floats,
+so there is no cap on m.
 
 The grid rows and the safe-cell flags are filled NODE_SLICE nodes at a
 time, one task per slice, through a ``map`` callable: the builtin ``map``
@@ -39,16 +47,14 @@ runs the slices in turn, a thread pool's ``map`` runs them on its workers.
 Each slice writes its own part of a preallocated array, so a worker's
 temporaries are slice-sized whatever the grid size, and the kernels are
 elementwise, so the bytes do not depend on the slicing or on the workers.
-The rank table is folded a slice at a time too, but always in the calling
+The rank table is folded a leaf at a time too, but always in the calling
 thread: its fold is many small in-place row operations, and on a pool each
 one's hand-off between threads costs more than the arithmetic it shares.
 
-Every oracle function takes the case's ``CaseGrid`` and, past the grid
+Every check function takes the case's ``CaseGrid`` and, past the grid
 build, a candidate's ``rank_table`` on it, which the caller builds once;
 the density profile and the decomposition also take the rank masses that
-the mean profile computed from that table, so each mass is summed once,
-and all three take the candidate's ``CaseGrid.density`` row when the caller
-has it, so a uniform's is evaluated once.
+the mean profile computed from that table, so each mass is summed once.
 
 Quadrature accuracy is ~1e-12 relative for smooth densities; a density
 jump interior to the shared grid (e.g. a uniform whose endpoints are not
@@ -182,20 +188,19 @@ class ScoreDistribution:
 
 
 class CaseGrid:
-    """The Simpson grid of one case, with every ad's CDF row on it and each
-    beta ad's PDF row.
+    """The Simpson grid of one case, with each beta ad's CDF and PDF rows on it.
 
-    Each distinct distribution's rows are evaluated once, when the grid is
-    built, at the nodes up to its ``upper`` (the case's grid may run past a
-    beta's scale; there the rows hold CDF 1 and PDF 0, the kernels' own
-    values), and held once: ``cdf[j]`` and ``pdf[j]`` are the row objects of
-    ad j's distribution, so ads with equal distributions share them
-    (``grid.cdf[j] is grid.cdf[k]``).  A uniform ad stores no PDF row
-    (``pdf[j]`` is None): only a beta ad's draws read one, and ``density``
-    evaluates a uniform's where a candidate's checks read it.  The oracle
-    functions and the Monte Carlo sampler (``CaseSampler``) read the case
-    through it.  ``len(grid)`` is the ad count m, and ``map`` runs the node
-    slices of the rows.
+    Each distinct beta distribution's rows are evaluated once, when the grid
+    is built, at the nodes up to its ``upper`` (the case's grid may run past
+    a beta's scale; there the rows hold CDF 1 and PDF 0, the kernels' own
+    values), and held once: ``cdf[j]`` and ``pdf[j]`` are the row objects
+    of ad j's distribution, so ads with equal distributions share them
+    (``grid.cdf[j] is grid.cdf[k]``).  A uniform ad stores no row
+    (``cdf[j]`` and ``pdf[j]`` are None): ``cumulative`` and ``density``
+    evaluate its CDF and PDF on the nodes a caller reads, a slice at a time.
+    The oracle functions and the Monte Carlo sampler (``CaseSampler``) read
+    the case through it.  ``len(grid)`` is the ad count m, and ``map`` runs
+    the node slices of the rows.
     """
 
     def __init__(self, dists: list[ScoreDistribution], map=map):
@@ -206,37 +211,42 @@ class CaseGrid:
         w[1:-1:2] = 4.0
         w[2:-1:2] = 2.0
         self.w = w * ((upper / SIMPSON_INTERVALS) / 3.0)
-        # one row per distinct distribution, in order of first appearance
-        cdf = {d: np.empty(len(self.s)) for d in dict.fromkeys(dists)}
-        pdf = {d: np.empty(len(self.s)) for d in cdf if d.kind == "scaled-beta"}
+        # one pair of rows per distinct beta distribution, in order of first appearance
+        rows = {d: (np.empty(len(self.s)), np.empty(len(self.s)))
+                for d in dict.fromkeys(dists) if d.kind == "scaled-beta"}
 
         def fill(task: tuple[ScoreDistribution, int, int]) -> None:
             d, lo, hi = task  # nodes lo..hi-1 of d's rows
+            cdf, pdf = rows[d]
             # past the support the kernels return CDF 1 and PDF 0, so they are
             # called up to it: s <= upper exactly where s / upper <= 1, their own
             # test, since no double above upper divides by it to 1
             cut = lo + int(np.searchsorted(self.s[lo:hi], d.upper, side="right"))
-            cdf[d][cut:hi] = 1.0
-            if d in pdf:
-                pdf[d][cut:hi] = 0.0
+            cdf[cut:hi] = 1.0
+            pdf[cut:hi] = 0.0
             if cut > lo:  # a slice wholly past the support calls no kernel
-                cdf[d][lo:cut] = d.cdf(self.s[lo:cut])
-                if d in pdf:
-                    pdf[d][lo:cut] = d.pdf(self.s[lo:cut])
+                cdf[lo:cut] = d.cdf(self.s[lo:cut])
+                pdf[lo:cut] = d.pdf(self.s[lo:cut])
 
-        list(map(fill, [(d, lo, hi) for d in cdf
+        list(map(fill, [(d, lo, hi) for d in rows
                         for lo, hi in fixed_blocks(0, len(self.s), NODE_SLICE)]))
-        self.cdf = [cdf[d] for d in dists]
-        self.pdf = [pdf.get(d) for d in dists]
+        self.cdf = [rows[d][0] if d in rows else None for d in dists]
+        self.pdf = [rows[d][1] if d in rows else None for d in dists]
 
     def __len__(self) -> int:
         return len(self.dists)
 
-    def density(self, j: int) -> np.ndarray:
-        """Ad j's PDF row: a beta ad's stored row, a uniform ad's evaluated
-        here, on the same nodes, so with the same bits."""
+    def cumulative(self, j: int, lo: int = 0, hi: int | None = None) -> np.ndarray:
+        """Ad j's CDF at nodes lo..hi-1: a view of a beta ad's stored row, a
+        uniform ad's evaluated here on those nodes, with the bits of the
+        whole row, since the uniform CDF is elementwise."""
+        row = self.cdf[j]
+        return self.dists[j].cdf(self.s[lo:hi]) if row is None else row[lo:hi]
+
+    def density(self, j: int, lo: int = 0, hi: int | None = None) -> np.ndarray:
+        """Ad j's PDF at nodes lo..hi-1, as ``cumulative`` gives its CDF."""
         row = self.pdf[j]
-        return self.dists[j].pdf(self.s) if row is None else row
+        return self.dists[j].pdf(self.s[lo:hi]) if row is None else row[lo:hi]
 
     @property
     def nbytes(self) -> int:
@@ -421,27 +431,66 @@ def _hermite_safe_cells(params: tuple, s: np.ndarray, F: np.ndarray,
     return safe
 
 
-def rank_table(F, candidate: int) -> np.ndarray:
-    """P(candidate holds rank k | score s) in row k-1, from the CDF rows F at s.
+def _split(n: int) -> int:
+    """Where numpy's pairwise sum splits a run of n terms: at n // 2 rounded
+    down to a multiple of 8.  A run of at most NODE_SLICE + 1 nodes is a
+    leaf, 0 here.  numpy splits every run of more than 128 terms this way,
+    and a leaf is longer than that, so the runs above the leaves split as
+    in the whole row's ``np.sum``, and a leaf's ``np.sum`` is that run's."""
+    return 0 if n <= NODE_SLICE + 1 else n // 2 - (n // 2) % 8
 
-    F is a sequence of equal-length rows, one per ad (a ``CaseGrid``'s
-    ``cdf``, or a 2-D array).  Poisson-binomial recursion (Hong 2013):
-    rivals are folded in one at a time, and after j of them row k holds the
-    chance that exactly k of those j beat s, P_k <- P_k F_j + P_{k-1} (1 - F_j).
-    The node slices are folded in turn, each into its columns of the one table.
+
+def _leaves(lo: int, hi: int) -> list[tuple[int, int]]:
+    """The (lo, hi) bounds of the leaves of nodes lo..hi-1, in order: on the
+    131,073-node grid, seven of 16,384 nodes and one of 16,385."""
+    half = _split(hi - lo)
+    if not half:
+        return [(lo, hi)]
+    return _leaves(lo, lo + half) + _leaves(lo + half, hi)
+
+
+def _pairwise_total(sums, n: int):
+    """The leaf sums of n nodes, in leaf order, added up as numpy's pairwise
+    sum adds its halves, so that each leaf's ``np.sum`` gives the whole
+    row's ``np.sum`` bit for bit.  A leaf sum may be an array, added
+    elementwise with the same rounding."""
+    sums = iter(sums)
+
+    def total(n: int):
+        half = _split(n)
+        if not half:
+            return next(sums)
+        left = total(half)
+        return left + total(n - half)
+    return total(n)
+
+
+def rank_table(F, candidate: int) -> np.ndarray:
+    """P(candidate holds rank k | score s) in row k-1, from the ads' CDFs at s.
+
+    F is a ``CaseGrid``, read at its nodes through ``CaseGrid.cumulative``,
+    or a sequence of equal-length CDF rows, one per ad (a 2-D array).
+    Poisson-binomial recursion (Hong 2013): rivals are folded in one at a
+    time, and after j of them row k holds the chance that exactly k of
+    those j beat s, P_k <- P_k F_j + P_{k-1} (1 - F_j).  The leaves are
+    folded in turn, each into its columns of the one table, so a uniform
+    rival's CDF is evaluated a leaf at a time.
     """
-    out = np.zeros((len(F), len(F[0])))
-    rows = np.empty((2, min(NODE_SLICE, out.shape[1])))  # 1 - F_j, and each product
-    for lo, hi in fixed_blocks(0, out.shape[1], NODE_SLICE):
+    if isinstance(F, CaseGrid):
+        n, cdf = len(F.s), F.cumulative
+    else:
+        n, cdf = len(F[0]), lambda j, lo, hi: F[j][lo:hi]
+    out = np.zeros((len(F), n))
+    for lo, hi in _leaves(0, n):
         part = out[:, lo:hi]
-        beats, product = rows[:, :hi - lo]
+        beats, product = np.empty((2, hi - lo))  # 1 - F_j, and each product
         part[0] = 1.0
         seen = 0
-        for j, row in enumerate(F):
+        for j in range(len(F)):
             if j == candidate:
                 continue
             seen += 1
-            Fj = row[lo:hi]
+            Fj = cdf(j, lo, hi)
             np.subtract(1.0, Fj, out=beats)
             for k in range(seen, 0, -1):  # top down: row k-1 still holds its old value
                 part[k] *= Fj
@@ -458,49 +507,49 @@ class RankProfile:
     conditional_means: np.ndarray  # E[score | rank = k], NaN where unreachable
 
 
-def conditional_mean_profile(grid: CaseGrid, candidate: int, table: np.ndarray,
-                             density: np.ndarray | None = None) -> RankProfile:
+def conditional_mean_profile(grid: CaseGrid, candidate: int, table: np.ndarray) -> RankProfile:
     """P(rank = k) and E[score | rank = k] for every rank k, by Simpson quadrature,
-    from the candidate's ``rank_table`` on the case grid and its ``density``
-    row (``grid.density(candidate)`` when not given)."""
-    if density is None:
-        density = grid.density(candidate)
-    marginals = np.empty(len(table))
+    from the candidate's ``rank_table`` on the case grid, a leaf at a time."""
+    n = len(grid.s)
+    masses, moments = [], []  # per leaf, one sum per rank
+    for lo, hi in _leaves(0, n):
+        density = grid.density(candidate, lo, hi)
+        # numpy multiplies left to right, so w * density * pk is wd * pk bit for bit
+        wd = grid.w[lo:hi] * density
+        wsd = np.multiply(grid.w[lo:hi], grid.s[lo:hi])
+        wsd *= density
+        product = np.empty_like(wd)  # each rank's integrand, in turn
+        masses.append(np.array([np.sum(np.multiply(wd, pk, out=product))
+                                for pk in table[:, lo:hi]]))
+        moments.append(np.array([np.sum(np.multiply(wsd, pk, out=product))
+                                 for pk in table[:, lo:hi]]))
+    marginals = _pairwise_total(masses, n)
+    moments = _pairwise_total(moments, n)
     means = np.full(len(table), np.nan)
-    # numpy multiplies left to right, so w * density * pk is wd * pk bit for bit
-    wd = grid.w * density
-    wsd = np.multiply(grid.w, grid.s)
-    wsd *= density
-    product = np.empty_like(wd)  # each rank's integrand, in turn
-    for k, pk in enumerate(table):
-        mass = float(np.sum(np.multiply(wd, pk, out=product)))
-        marginals[k] = mass
-        if mass >= MASS_FLOOR:
-            means[k] = float(np.sum(np.multiply(wsd, pk, out=product))) / mass
+    reached = marginals >= MASS_FLOOR
+    means[reached] = moments[reached] / marginals[reached]
     return RankProfile(marginals=marginals, conditional_means=means)
 
 
 def conditional_density_profile(grid: CaseGrid, candidate: int, table: np.ndarray,
-                                marginals: np.ndarray, density: np.ndarray | None = None
-                                ) -> tuple[np.ndarray, np.ndarray]:
+                                marginals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Conditional score densities given each rank, on the Simpson grid.
 
     Returns (nodes, matrix) where row k-1 is the density of the candidate's
     score conditional on attaining rank k; rows for ranks with negligible
     mass are NaN.  ``marginals`` are the rank masses of the candidate's
     ``conditional_mean_profile`` on ``table``, its ``rank_table``, which is
-    normalized in place and returned as the matrix, so read it for anything
-    else first.  ``density`` is the candidate's PDF row, as for the mean
-    profile.
+    normalized in place, a leaf at a time, and returned as the matrix, so
+    read it for anything else first.
     """
-    if density is None:
-        density = grid.density(candidate)
-    for pk, mass in zip(table, marginals):
-        if mass >= MASS_FLOOR:
-            np.multiply(density, pk, out=pk)
-            pk /= mass
-        else:
-            pk[:] = np.nan
+    for lo, hi in _leaves(0, len(grid.s)):
+        density = grid.density(candidate, lo, hi)
+        for pk, mass in zip(table[:, lo:hi], marginals):
+            if mass >= MASS_FLOOR:
+                np.multiply(density, pk, out=pk)
+                pk /= mass
+            else:
+                pk[:] = np.nan
     return grid.s, table
 
 
@@ -517,6 +566,7 @@ def check_splittable(f, g, tolerance: float = 0.0) -> SplitVerdict:
 
     Returns the smallest index v with f <= g + tol strictly below v and
     f >= g - tol at and above v, or a negative verdict if no such v exists.
+    f and g are compared a leaf at a time.
     """
     f = np.asarray(f, dtype=float)
     g = np.asarray(g, dtype=float)
@@ -524,14 +574,20 @@ def check_splittable(f, g, tolerance: float = 0.0) -> SplitVerdict:
         raise GridMismatch(f"grids differ in shape: {f.shape} vs {g.shape}")
     if tolerance < 0:
         raise ValueError("tolerance must be >= 0")
-    bound = np.subtract(g, tolerance)
-    above_ok = f >= bound   # admissible as a post-split bin
-    np.add(g, tolerance, out=bound)
-    below_ok = f <= bound   # admissible as a pre-split bin
     # the split is one past the last bin inadmissible post-split; every bin
     # below it must be admissible pre-split, and at least one bin lies above it
-    split = len(f) - _first_false(above_ok[::-1])
-    if split > min(_first_false(below_ok), len(f) - 1):
+    split, below = 0, len(f)  # and the first bin inadmissible pre-split
+    for lo, hi in _leaves(0, len(f)):
+        bound = np.subtract(g[lo:hi], tolerance)
+        trailing = _first_false((f[lo:hi] >= bound)[::-1])  # admissible post-split at its end
+        if trailing < hi - lo:
+            split = hi - trailing
+        if below == len(f):
+            np.add(g[lo:hi], tolerance, out=bound)
+            leading = _first_false(f[lo:hi] <= bound)  # admissible pre-split at its start
+            if leading < hi - lo:
+                below = lo + leading
+    if split > min(below, len(f) - 1):
         return SplitVerdict(False, None)
     return SplitVerdict(True, split)
 
@@ -566,8 +622,7 @@ class RankDecomposition:
 
 
 def top_rank_decomposition(grid: CaseGrid, candidate: int, table: np.ndarray,
-                           marginals: np.ndarray,
-                           density: np.ndarray | None = None) -> RankDecomposition:
+                           marginals: np.ndarray) -> RankDecomposition:
     """Build the two monotone parts and verify their zero-integral property.
 
     With P1, P2 the rank-1 and rank-2 rows of the candidate's rank table
@@ -576,30 +631,34 @@ def top_rank_decomposition(grid: CaseGrid, candidate: int, table: np.ndarray,
     is P1 and its leave-one-out sum is sum_l prod_{j != l} F_j =
     P2 + (m - 1) P1, so plus_part is (1 + alpha (m - 1)) P1 and minus_part
     is alpha (P2 + (m - 1) P1).  The parts count as non-decreasing where no
-    step falls by more than 1e-12, the round-off of the products.
-    ``density`` is the candidate's PDF row, as for the mean profile.  The
-    parts, their steps and the residual's integrand share three row buffers.
+    step falls by more than 1e-12, the round-off of the products.  The
+    parts are built a leaf at a time, each leaf's first step taken from the
+    previous leaf's last node, and their steps and the residual's integrand
+    share the leaf's two rows.
     """
     if len(grid) < 2:
         raise RankUnreachable("single ad has no adjacent rank")
     mass1, mass2 = marginals[:2]
     if mass2 < MASS_FLOOR:
         raise RankUnreachable(f"rank 2 mass {mass2:.3e} too small for the contrast")
-    if density is None:
-        density = grid.density(candidate)
     alpha = mass1 / mass2
     rivals = len(grid) - 1
-    p1, p2 = table[:2]
-    minus_part = np.multiply(rivals, p1)
-    plus_part = np.multiply(alpha, minus_part)
-    np.add(p1, plus_part, out=plus_part)  # p1 + alpha * (rivals * p1)
-    np.add(p2, minus_part, out=minus_part)
-    np.multiply(alpha, minus_part, out=minus_part)  # alpha * (p2 + rivals * p1)
-    step = np.empty_like(p1)[1:]
-    plus_monotone = bool(np.all(np.subtract(plus_part[1:], plus_part[:-1], out=step) >= -1e-12))
-    minus_monotone = bool(np.all(np.subtract(minus_part[1:], minus_part[:-1], out=step)
-                                 >= -1e-12))
-    np.subtract(plus_part, minus_part, out=minus_part)
-    weighted = np.multiply(grid.w, density, out=plus_part)
-    residual = float(np.sum(np.multiply(weighted, minus_part, out=minus_part)))
-    return RankDecomposition(residual, plus_monotone, minus_monotone)
+    n = len(grid.s)
+    monotone = [True, True]
+    before = None  # the parts at the previous leaf's last node
+    residuals = []
+    for lo, hi in _leaves(0, n):
+        p1, p2 = table[:2, lo:hi]
+        minus_part = np.multiply(rivals, p1)
+        plus_part = np.multiply(alpha, minus_part)
+        np.add(p1, plus_part, out=plus_part)  # p1 + alpha * (rivals * p1)
+        np.add(p2, minus_part, out=minus_part)
+        np.multiply(alpha, minus_part, out=minus_part)  # alpha * (p2 + rivals * p1)
+        for q, part in enumerate((plus_part, minus_part)):
+            monotone[q] = bool(monotone[q] and np.all(part[1:] - part[:-1] >= -1e-12)
+                               and (before is None or part[0] - before[q] >= -1e-12))
+        before = plus_part[-1], minus_part[-1]
+        np.subtract(plus_part, minus_part, out=minus_part)
+        weighted = np.multiply(grid.w[lo:hi], grid.density(candidate, lo, hi), out=plus_part)
+        residuals.append(np.sum(np.multiply(weighted, minus_part, out=minus_part)))
+    return RankDecomposition(float(_pairwise_total(residuals, n)), *monotone)

@@ -21,10 +21,22 @@ from gspbias.engine import (
     run_ab_experiment,
     score_ranks,
 )
-from gspbias.errors import EmptyAuction, GspBiasError, UndefinedCalibration, UndefinedRatio
+from gspbias.errors import (
+    EmptyAuction,
+    GspBiasError,
+    RankUnreachable,
+    UndefinedCalibration,
+    UndefinedRatio,
+)
 from gspbias.metrics import CalibrationReport, RelativeMetrics, align_histograms
 from gspbias import oracle, rng
-from gspbias.oracle import rank_table
+from gspbias.oracle import (
+    MASS_FLOOR,
+    RankDecomposition,
+    RankProfile,
+    SplitVerdict,
+    rank_table,
+)
 
 
 def symmetry_z(samples) -> float:
@@ -240,6 +252,59 @@ def rank_table_whole_rows(F, candidate):
             out[k] += out[k - 1] * beats
         out[0] *= Fj
     return out
+
+
+def whole_row_checks(grid) -> dict:
+    """The rank table and the four oracle checks as first written, over
+    whole rows: CDF and density rows evaluated in one call each, whole-row
+    temporaries and whole-row ``np.sum``.  Keyed by the names ``gspbias.cli``
+    calls them by, so that a command's checks can be run through them."""
+    F = np.vstack([d.cdf(grid.s) for d in grid.dists])
+
+    def density(candidate):
+        return grid.dists[candidate].pdf(grid.s)
+
+    def mean_profile(grid, candidate, table):
+        marginals = np.empty(len(table))
+        means = np.full(len(table), np.nan)
+        wd = grid.w * density(candidate)
+        wsd = grid.w * grid.s * density(candidate)
+        for k, pk in enumerate(table):
+            mass = float(np.sum(wd * pk))
+            marginals[k] = mass
+            if mass >= MASS_FLOOR:
+                means[k] = float(np.sum(wsd * pk)) / mass
+        return RankProfile(marginals=marginals, conditional_means=means)
+
+    def decomposition(grid, candidate, table, marginals):
+        if len(grid) < 2:
+            raise RankUnreachable("single ad has no adjacent rank")
+        mass1, mass2 = marginals[:2]
+        if mass2 < MASS_FLOOR:
+            raise RankUnreachable(f"rank 2 mass {mass2:.3e} too small for the contrast")
+        alpha = mass1 / mass2
+        rivals = len(grid) - 1
+        p1, p2 = table[:2]
+        plus_part = p1 + alpha * (rivals * p1)
+        minus_part = alpha * (p2 + rivals * p1)
+        residual = float(np.sum(grid.w * density(candidate) * (plus_part - minus_part)))
+        return RankDecomposition(residual, bool(np.all(np.diff(plus_part) >= -1e-12)),
+                                 bool(np.all(np.diff(minus_part) >= -1e-12)))
+
+    def density_profile(grid, candidate, table, marginals):
+        for pk, mass in zip(table, marginals):
+            pk[:] = density(candidate) * pk / mass if mass >= MASS_FLOOR else np.nan
+        return grid.s, table
+
+    def splittable(f, g, tolerance=0.0):
+        split = split_index_by_accumulation(f, g, tolerance)
+        return SplitVerdict(split is not None, split)
+
+    return {"rank_table": lambda grid, candidate: rank_table_whole_rows(F, candidate),
+            "conditional_mean_profile": mean_profile,
+            "top_rank_decomposition": decomposition,
+            "conditional_density_profile": density_profile,
+            "check_splittable": splittable}
 
 
 def watch_draw_tables(monkeypatch) -> list:

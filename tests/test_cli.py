@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import gspbias
-from gspbias.cli import _mc_agreement, _quadrature_checks, _record, main
+from gspbias.cli import _mass_agreement, _mc_agreement, _quadrature_checks, _record, main
 from gspbias.config import load_config, parse_distribution
 from gspbias.engine import BLOCK, sample_rank_stats
 from gspbias.errors import ConfigError
@@ -579,10 +579,12 @@ class TestVerifyTheorems:
         pair = by_name["pair"]["candidates"][0]
         assert pair["quadrature_means"][0] == pytest.approx(2 / 3, abs=1e-4)
         assert pair["mean_inequality"]["checked"] == 1
-        # both ranks of each pair candidate and the solo ad's one rank
-        assert report["mc_comparisons"] == sum(c["mc_agreement"]["checked"] for case in
-                                               report["cases"] for c in case["candidates"]) == 5
-        assert report["mc_expected_exceedances"] == 5 * math.erfc(4.0 / math.sqrt(2))
+        # means: both ranks of each pair candidate and the solo ad's one rank;
+        # masses: both ranks of each pair candidate, not the solo ad's mass of 1
+        assert report["mc_comparisons"] == sum(
+            c[name]["checked"] for case in report["cases"] for c in case["candidates"]
+            for name in ("mc_agreement", "mass_agreement")) == 9
+        assert report["mc_expected_exceedances"] == 9 * math.erfc(4.0 / math.sqrt(2))
         solo = by_name["solo"]["candidates"][0]
         assert solo["mean_inequality"] == {"passed": True, "checked": 0, "skipped": 0}
         assert "skipped" in solo["decomposition"]
@@ -690,10 +692,11 @@ class TestVerifyTheorems:
         # the pair's one table, then the solo case's two, after its four draw tables
         assert len(alive) == 4 and seen == [[], [True] * 4, [True] * 4]
 
-    def test_uniform_density_evaluated_once_per_candidate(self, monkeypatch):
-        """A uniform candidate's density is evaluated once per quadrature
-        check, on the whole grid, and a beta candidate's not at all."""
-        from gspbias.oracle import ScoreDistribution
+    def test_uniform_density_evaluated_a_leaf_at_a_time(self, monkeypatch):
+        """A uniform candidate's density is evaluated a leaf at a time, once
+        per leaf by each of the mean profile, the decomposition and the
+        density normalisation, and a beta candidate's not at all."""
+        from gspbias.oracle import NODE_SLICE, ScoreDistribution
 
         dists = [ScoreDistribution.uniform(0.0, 0.1), ScoreDistribution.scaled_beta(2, 38),
                  ScoreDistribution.uniform(0.01, 0.08)]
@@ -701,11 +704,17 @@ class TestVerifyTheorems:
         calls = []
         real = ScoreDistribution.pdf
         monkeypatch.setattr(ScoreDistribution, "pdf",
-                            lambda d, s: calls.append((d, len(s))) or real(d, s))
+                            lambda d, s: calls.append((d, s)) or real(d, s))
         for i, d in enumerate(dists):
             calls.clear()
             _quadrature_checks(grid, i)
-            assert calls == ([] if d.kind == "scaled-beta" else [(d, len(grid.s))])
+            if d.kind == "scaled-beta":
+                assert calls == []
+                continue
+            assert {c for c, _ in calls} == {d}
+            assert all(len(s) <= NODE_SLICE + 1 for _, s in calls)
+            np.testing.assert_array_equal(np.concatenate([s for _, s in calls]),
+                                          np.tile(grid.s, 3))
 
 
 class TestMcAgreement:
@@ -722,6 +731,50 @@ class TestMcAgreement:
             "passed": True, "checked": 2, "skipped": 3, "max_sigma": 4.0}
         means[0] = np.nextafter(1.5, 2.0)
         assert _mc_agreement(reference, means, errors, counts)["passed"] is False
+
+
+class TestMassAgreement:
+    def test_compares_where_both_counts_are_large(self):
+        """A rank mass p is compared where N p and N (1 - p) are both at least
+        MIN_MC_COUNT, and agrees when its count is within MC_AGREEMENT_SIGMA
+        binomial standard errors, the bound included."""
+        nan = float("nan")
+        reference = np.array([0.5, 0.125, 0.05, nan, 0.96875])
+        counts = np.array([8448, 2048, 900, 10, 16000])
+        # 8448 / 2^14 = 0.5 + 4 * sqrt(0.25 / 2^14), exactly
+        assert _mass_agreement(reference, counts, 1 << 14) == {
+            "passed": True, "checked": 2, "skipped": 3, "max_sigma": 4.0}
+        counts[0] += 1
+        assert _mass_agreement(reference, counts, 1 << 14)["passed"] is False
+
+    def test_scaled_rank_row_exits_one(self, tmp_path, monkeypatch):
+        """A rank table whose rank-1 row is 1% high cancels in the conditional
+        means, the densities and the decomposition, but not in the rank-1 mass
+        of two iid uniforms at 262,144 draws: 0.505, about 5.1 standard errors
+        from 1/2.  The two ads' rank-1 counts add up to the draws, so their
+        noise moves one z up by what it takes off the other, and the run
+        exits 1 on the mass agreement alone, whatever the seed."""
+        import gspbias.cli as cli_mod
+
+        cfg = write_cfg(tmp_path, SMALL_THEOREMS)
+        reports = []
+        for scale in (1.0, 1.01):
+            def scaled(grid, candidate, real=cli_mod.rank_table, scale=scale):
+                table = real(grid, candidate)
+                table[0] *= scale
+                return table
+
+            monkeypatch.setattr(cli_mod, "rank_table", scaled)
+            out = tmp_path / str(scale)
+            code = run_cli("verify-theorems", "--config", cfg, "--out", out,
+                           "--trials", "262144")
+            reports.append((code, json.loads((out / "theorem_report.json").read_text())))
+        assert reports[0][0] == 0 and reports[1][0] == 1
+        pair = {c["name"]: c for c in reports[1][1]["cases"]}["pair"]["candidates"]
+        failed = {name for cand in pair for name, v in cand.items()
+                  if isinstance(v, dict) and v.get("passed") is False}
+        assert failed == {"mass_agreement"}
+        assert max(cand["mass_agreement"]["max_sigma"] for cand in pair) > 5.0
 
 
 class TestQuadratureDeduplication:
@@ -1030,7 +1083,7 @@ class TestTheoremOutputBytes:
                        "--out", out, "--threads", threads) == 0
         assert output_digests(out) == {
             "theorem_report.json":
-                "1966ac0927104334bf1df60b07b37c8230d07a4ac50b1a549fe7a3784def8654",
+                "64803aeabb7c8611d80e4929ea65f4cbb746acaa6a9b5e6fbbfa24d4630c692b",
         }
 
     @pytest.mark.parametrize("threads", [1, 2])
@@ -1043,7 +1096,7 @@ class TestTheoremOutputBytes:
                        "--out", out, "--threads", threads) == 0
         assert output_digests(out) == {
             "theorem_report.json":
-                "a380898ce9080a2607cb99288c00f7c8b2de90401b967f6de07d093e0c04b8d8",
+                "0bb557f8c3cc9ee8fc6e325d75e26d5e41ed259b1cfc4b8b8ee2405903093cda",
         }
 
     @pytest.mark.parametrize("threads", [1, 2])
@@ -1055,7 +1108,7 @@ class TestTheoremOutputBytes:
                        "--out", out, "--threads", threads) == 0
         assert output_digests(out) == {
             "theorem_report.json":
-                "8761d90b27dbf70052cb152db117a67f97d6308386be196c08b170073241eebf",
+                "2683b0c21c13e7826eaada62caddb5a09cedebba363c5fd21cbf8cc9d6719d89",
         }
 
     @pytest.mark.parametrize("threads", [1, 2])
@@ -1067,7 +1120,7 @@ class TestTheoremOutputBytes:
                        "--out", out, "--threads", threads) == 0
         assert output_digests(out) == {
             "theorem_report.json":
-                "6b7abb3b4035ad5c25bbed6f1416d16d22ceff3bc9f87ef31cb0f1cbb27a66f4",
+                "959eeaa8680a6b69577b7b640209f33cb867d2bf23f04692dd401186dd643c59",
         }
 
     @pytest.mark.parametrize("threads", [1, 2])
@@ -1078,7 +1131,7 @@ class TestTheoremOutputBytes:
                        "--threads", threads) == 0
         assert output_digests(out) == {
             "theorem_report.json":
-                "9d3e052ecfa1392101bea06cbe7bd4b4c075abd31144779f49cc323ff8f8e108",
+                "3e9ce73ecbe35947ca3e53ea4eb5a2319deac519ab7501340e47d7884b3d21d5",
         }
 
     def test_packaged_cases_without_monte_carlo_moments(self, tmp_path):
@@ -1093,7 +1146,7 @@ class TestTheoremOutputBytes:
             for cand in case["candidates"]:
                 del cand["mc_means"], cand["mc_std_errors"], cand["mc_agreement"]["max_sigma"]
         digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
-        assert digest == "44b77c69a71c4f7c131678645e5b27362e7c304914ef1ba154e42bfeaeeb9115"
+        assert digest == "7c40ea23e90c325ea7fcb544aa6054a2dfdbd65720bcd724eb2615c63ecb2026"
 
 
 class TestManifestReproducibility:
@@ -1161,10 +1214,9 @@ class TestManifestReproducibility:
 
     def test_theorem_manifest_counts_grid_bytes(self, tmp_path):
         """Each case's grid_mb counts each array its grid and draw tables hold
-        once: eight iid uniforms hold nodes, weights and one CDF row;
-        theorems-wide's eight ads hold seven CDF rows (the first and last are
-        both uniform:0:0.1) and no PDF row; a beta ad adds its PDF row, its
-        safe-cell flags and its int32 guide table."""
+        once: eight iid uniforms, and theorems-wide's eight uniforms, hold
+        nodes and weights and no row; a beta ad adds its CDF and PDF rows,
+        its safe-cell flags and its int32 guide table."""
         iid = ", ".join(["uniform:0:1"] * 8)
         text = (WIDE_THEOREMS.replace("mc_draws = 8192", "mc_draws = 2000")
                 + f"\n[case.iid]\ndists = {iid}\n[case.solo]\ndists = beta:2:38\n")
@@ -1173,7 +1225,7 @@ class TestManifestReproducibility:
                        "--threads", "1") == 0
         cases = json.loads((out / "manifest.json").read_text())["cases"]
         nodes = SIMPSON_INTERVALS + 1
-        rows = {"u8_staggered": 9 * nodes * 8, "iid": 3 * nodes * 8,
+        rows = {"u8_staggered": 2 * nodes * 8, "iid": 2 * nodes * 8,
                 "solo": 4 * nodes * 8 + nodes + SIMPSON_INTERVALS * 4}
         assert {c["name"]: c["grid_mb"] for c in cases} == {
             name: round(size / 2 ** 20, 3) for name, size in rows.items()}

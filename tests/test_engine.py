@@ -22,6 +22,7 @@ from gspbias.engine import (
     STREAM_CPC,
     STREAM_MC,
     _PAIRWISE_MAX_ADS,
+    _PAIRWISE_ROW_FACTOR,
     _PPF_FLOOR,
     BinomialInverse,
     _mc_block,
@@ -507,29 +508,42 @@ class TestRankContexts:
                 assert not degen and price == expected
 
 
+def tied_scores(data, shape) -> np.ndarray:
+    """Scores from a 3-value set, so that ties are forced, in the given shape."""
+    seed = data.draw(st.integers(0, 2 ** 32 - 1))
+    return np.random.default_rng(seed).choice([0.1, 0.5, 0.9], size=shape)
+
+
+def rows_around_the_rule(data, m) -> int:
+    """A row count below 40, or within 3 of where column-contiguous scores
+    of m columns switch from the argsort to pairwise comparisons."""
+    switch = _PAIRWISE_ROW_FACTOR * m * m
+    return data.draw(st.one_of(st.integers(1, 40), st.integers(max(switch - 3, 1), switch + 3)))
+
+
 class TestScoreRanks:
     @settings(max_examples=300, deadline=None)
     @given(data=st.data(), m=st.integers(1, _PAIRWISE_MAX_ADS + 5))
     def test_match_stable_argsort_on_both_sides_of_the_switch(self, data, m):
         """Up to _PAIRWISE_MAX_ADS columns the ranks come from pairwise
-        comparisons, above it from an argsort; with scores from a 3-value set,
-        ties are forced and go to the lower column."""
-        n = data.draw(st.integers(1, 40))
-        scores = np.array(data.draw(st.lists(st.sampled_from([0.1, 0.5, 0.9]),
-                                             min_size=n * m, max_size=n * m))).reshape(n, m)
+        comparisons, above it from an argsort, or from pairwise comparisons
+        again on column-contiguous scores with _PAIRWISE_ROW_FACTOR * m^2
+        rows or more; with scores from a 3-value set, ties are forced and go
+        to the lower column, in either memory order."""
+        scores = tied_scores(data, (rows_around_the_rule(data, m), m))
         order = np.argsort(-scores, axis=1, kind="stable")
         expected = np.empty_like(order)
         np.put_along_axis(expected, order, np.arange(m), axis=1)
         np.testing.assert_array_equal(score_ranks(scores), expected)
+        np.testing.assert_array_equal(score_ranks(np.asfortranarray(scores)), expected)
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(), m=st.integers(1, _PAIRWISE_MAX_ADS + 3))
     def test_ad_major_view_ranks_as_its_copy(self, data, m):
         """On the transpose of an (ads, draws) array the ranks equal those of
-        its contiguous copy, ties included, and come back in its memory order."""
-        n = data.draw(st.integers(1, 40))
-        x = np.array(data.draw(st.lists(st.sampled_from([0.1, 0.5, 0.9]),
-                                        min_size=n * m, max_size=n * m))).reshape(m, n)
+        its contiguous copy, ties included, and come back in its memory order,
+        on both sides of the row count where pairwise comparisons take over."""
+        x = tied_scores(data, (m, rows_around_the_rule(data, m)))
         rank = score_ranks(x.T)
         np.testing.assert_array_equal(rank, score_ranks(np.ascontiguousarray(x.T)))
         assert rank.T.flags.c_contiguous

@@ -3,6 +3,7 @@ import os
 import statistics
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from collections import defaultdict
 from contextlib import contextmanager
@@ -13,14 +14,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 from scipy.special import _ufuncs
 
 import gspbias
 from gspbias.config import load_config, parse_distribution
-from gspbias import oracle
+from gspbias import cli, oracle
 from gspbias.engine import sample_rank_stats, worker_map
 from gspbias.errors import GridMismatch, RankUnreachable
 from gspbias.metrics import split_histogram_densities
@@ -51,6 +52,7 @@ from reference import (
     rank_table_whole_rows,
     split_index_by_accumulation,
     watch_draw_tables,
+    whole_row_checks,
 )
 
 U01 = ScoreDistribution.uniform(0.0, 1.0)
@@ -63,12 +65,12 @@ with resources.as_file(resources.files("gspbias") / "configs" / "theorems.cfg") 
 def mean_profile(dists, candidate):
     """The candidate's conditional_mean_profile on a grid of its own."""
     grid = CaseGrid(dists)
-    return conditional_mean_profile(grid, candidate, rank_table(grid.cdf, candidate))
+    return conditional_mean_profile(grid, candidate, rank_table(grid, candidate))
 
 
 def table_and_marginals(grid, candidate):
     """The candidate's rank table on the grid and its mean profile's rank masses."""
-    table = rank_table(grid.cdf, candidate)
+    table = rank_table(grid, candidate)
     return table, conditional_mean_profile(grid, candidate, table).marginals
 
 
@@ -270,15 +272,15 @@ class TestRankTable:
         grid = CaseGrid([ScoreDistribution.scaled_beta(2, 38), ScoreDistribution.uniform(0, 0.12),
                          ScoreDistribution.scaled_beta(4, 40, 0.9)])
         for i in range(3):
-            table = rank_table(grid.cdf, i)
+            table = rank_table(grid, i)
             marginals = conditional_mean_profile(grid, i, table).marginals
             top_rank_decomposition(grid, i, table, marginals)
-            np.testing.assert_array_equal(table, rank_table(grid.cdf, i))
+            np.testing.assert_array_equal(table, rank_table(grid, i))
             nodes, dens = conditional_density_profile(grid, i, table, marginals)
             assert dens is table and nodes is grid.s
             density = grid.dists[i].pdf(grid.s)
             wd = grid.w * density
-            own = rank_table(grid.cdf, i)
+            own = rank_table(grid, i)
             for k in range(3):
                 np.testing.assert_array_equal(dens[k], density * own[k]
                                               / float(np.sum(wd * own[k])))
@@ -503,26 +505,25 @@ def record_row_calls(monkeypatch) -> dict:
 class TestCaseGridRows:
     def test_repeated_specs_evaluate_each_distribution_once(self, monkeypatch, tmp_path):
         """Ads with the same spec have equal distributions, and the grid
-        evaluates each one's CDF, and a beta's PDF, once at each node up to
-        its support's top, slice by slice, giving the rows and draw tables
-        separately parsed ads would get."""
+        evaluates each beta's CDF and PDF once at each node up to its
+        support's top, slice by slice, and a uniform's not at all, giving
+        the rows and draw tables separately parsed ads would get."""
         case = load_case(tmp_path, ("beta:2:38", "uniform:0:1", "beta:2:38",
                                     "beta:3:37:1.2", "uniform:0:1", "beta:2:38"))
         dists = case.dists
         assert dists[0] == dists[2] == dists[5] and dists[1] == dists[4]
         calls = record_row_calls(monkeypatch)
         grid = CaseGrid(dists)
-        assert set(calls) == ({(d, "cdf") for d in dists}
-                              | {(d, "pdf") for d in dists if d.kind == "scaled-beta"})
+        assert set(calls) == {(d, name) for d in dists if d.kind == "scaled-beta"
+                              for name in ("cdf", "pdf")}
         for (d, _name), nodes in calls.items():
             np.testing.assert_array_equal(np.concatenate(nodes), grid.s[grid.s <= d.upper])
         own = CaseGrid([parse_distribution(spec, "dists") for spec in case.dist_specs])
         mine, theirs = CaseSampler(grid), CaseSampler(own)
         assert len(grid) == len(own) == len(dists)
         for j in range(len(dists)):
-            np.testing.assert_array_equal(grid.cdf[j], own.cdf[j])
-            for row, other in ((grid.pdf[j], own.pdf[j]), (mine.safe[j], theirs.safe[j]),
-                               (mine.guide[j], theirs.guide[j])):
+            for row, other in ((grid.cdf[j], own.cdf[j]), (grid.pdf[j], own.pdf[j]),
+                               (mine.safe[j], theirs.safe[j]), (mine.guide[j], theirs.guide[j])):
                 assert (row is None) == (other is None) == (dists[j].kind == "uniform")
                 if row is not None:
                     np.testing.assert_array_equal(row, other)
@@ -535,18 +536,19 @@ class TestCaseGridRows:
     ], ids=["built-twice", "uniform-spellings", "beta-spellings"])
     def test_equal_distributions_share_rows_by_value(self, monkeypatch, dists):
         """Two equal distributions built apart share one set of row objects:
-        the CDF, and a beta's PDF, is evaluated once per node slice."""
+        a beta's CDF and PDF are evaluated once per node slice, and a
+        uniform, which stores no row, is not evaluated."""
         assert dists[0] == dists[1] and dists[0] is not dists[1]
         calls = record_row_calls(monkeypatch)
         grid = CaseGrid(dists)
         beta = dists[0].kind == "scaled-beta"
-        assert set(calls) == {(dists[0], "cdf")} | ({(dists[0], "pdf")} if beta else set())
+        assert set(calls) == ({(dists[0], "cdf"), (dists[0], "pdf")} if beta else set())
         slices = len(fixed_blocks(0, len(grid.s), oracle.NODE_SLICE))
         for nodes in calls.values():
             assert len(nodes) == slices
             np.testing.assert_array_equal(np.concatenate(nodes), grid.s)
         assert grid.cdf[0] is grid.cdf[1] and grid.pdf[0] is grid.pdf[1]
-        assert (grid.pdf[0] is None) != beta
+        assert (grid.cdf[0] is None) != beta and (grid.pdf[0] is None) != beta
 
     @pytest.mark.parametrize("dists", [
         # scales at a node of the uniform's grid, k / K, and one double either
@@ -563,41 +565,46 @@ class TestCaseGridRows:
     def test_rows_past_the_support_equal_the_kernels(self, monkeypatch, dists):
         """Where the case's grid runs past a beta's scale, the rows still equal
         the whole-row CDF and PDF bit for bit, and no CDF or PDF call is given
-        a node past its distribution's support, by the kernels' own test."""
+        a node past its distribution's support, by the kernels' own test.  A
+        uniform's CDF and PDF, evaluated a node slice at a time, equal its
+        whole-row CDF and PDF too."""
         calls = record_row_calls(monkeypatch)
         grid = CaseGrid(dists)
         monkeypatch.undo()
         assert calls and all(len(s) and (s / d.upper <= 1.0).all()
                              for (d, _name), nodes in calls.items() for s in nodes)
         assert grid.s[-1] > min(d.upper for d in dists)
+        slices = fixed_blocks(0, len(grid.s), oracle.NODE_SLICE)
         for j, d in enumerate(dists):
-            assert grid.cdf[j].tobytes() == d.cdf(grid.s).tobytes()
-            assert grid.density(j).tobytes() == d.pdf(grid.s).tobytes()
+            for rows, whole in ((grid.cumulative, d.cdf), (grid.density, d.pdf)):
+                sliced = np.concatenate([rows(j, lo, hi) for lo, hi in slices])
+                assert rows(j).tobytes() == sliced.tobytes() == whole(grid.s).tobytes()
 
     def test_equal_specs_share_row_objects(self, tmp_path):
-        """However a distribution is spelled, its ads hold one CDF row object,
-        one PDF row object for a beta and one set of draw tables, and the
-        grid's bytes count each once."""
+        """However a distribution is spelled, a beta's ads hold one CDF row
+        object, one PDF row object and one set of draw tables, a uniform's
+        hold none, and the grid's bytes count each row once."""
         case = load_case(tmp_path, ("uniform:0:1", "beta:2:38", "uniform:0.0:1.0",
                                     "beta:2:38:1", "beta:3:37:1.2"))
         grid = CaseGrid(case.dists)
         sampler = CaseSampler(grid)
-        assert grid.cdf[0] is grid.cdf[2] and grid.cdf[1] is grid.cdf[3]
+        assert grid.cdf[0] is grid.cdf[2] is None and grid.cdf[1] is grid.cdf[3]
         assert grid.pdf[1] is grid.pdf[3] and grid.pdf[1] is not grid.pdf[4]
         assert sampler.safe[1] is sampler.safe[3] and sampler.guide[1] is sampler.guide[3]
-        assert len({id(row) for row in grid.cdf}) == 3
-        # nodes, weights, three CDF rows and two beta PDF rows
-        assert grid.nbytes == 7 * len(grid.s) * 8
+        assert len({id(row) for row in grid.cdf if row is not None}) == 2
+        # nodes, weights, and two beta CDF rows and PDF rows
+        assert grid.nbytes == 6 * len(grid.s) * 8
         assert sampler.nbytes == 2 * (len(grid.s) + SIMPSON_INTERVALS * 4)
 
     def test_uniform_ads_store_no_pdf_row(self):
         """A uniform ad's density is evaluated on demand, bit for bit the
-        distribution's PDF on the nodes; a beta ad's is its stored row."""
+        distribution's PDF on the nodes; a beta ad's is a view of its stored
+        row."""
         dists = [ScoreDistribution.uniform(0.01, 0.08), ScoreDistribution.scaled_beta(2, 38),
                  ScoreDistribution.uniform(0.0, 0.12)]
         grid = CaseGrid(dists)
         assert grid.pdf[0] is None and grid.pdf[2] is None
-        assert grid.density(1) is grid.pdf[1]
+        assert grid.density(1).base is grid.pdf[1]
         for j, d in enumerate(dists):
             assert grid.density(j).tobytes() == d.pdf(grid.s).tobytes()
 
@@ -650,10 +657,10 @@ class TestNodeSlices:
         s = grid.s
         for j, d in enumerate(dists):
             F, f = d.cdf(s), d.pdf(s)
-            np.testing.assert_array_equal(grid.cdf[j], F)
+            np.testing.assert_array_equal(grid.cumulative(j), F)
             np.testing.assert_array_equal(grid.density(j), f)
             if d.kind != "scaled-beta":
-                assert grid.pdf[j] is None
+                assert grid.cdf[j] is None and grid.pdf[j] is None
                 assert sampler.safe[j] is None and sampler.guide[j] is None
                 continue
             np.testing.assert_array_equal(grid.pdf[j], f)
@@ -674,7 +681,7 @@ class TestNodeSlices:
             grid = CaseGrid(dists, map)
         F = np.vstack([d.cdf(grid.s) for d in dists])
         for i in range(len(grid)):
-            np.testing.assert_array_equal(rank_table(grid.cdf, i), rank_table_whole_rows(F, i))
+            np.testing.assert_array_equal(rank_table(grid, i), rank_table_whole_rows(F, i))
 
 
 # A 16-ad field of mixed betas and staggered uniforms, and its seed, fixed
@@ -692,7 +699,7 @@ def test_monte_carlo_agrees_with_quadrature_at_sixteen_ads():
     mc = sample_rank_stats(grid, 1 << 18, SIXTEEN_SEED)
     deviations = []
     for i in range(len(grid)):
-        means = conditional_mean_profile(grid, i, rank_table(grid.cdf, i)).conditional_means
+        means = conditional_mean_profile(grid, i, rank_table(grid, i)).conditional_means
         reachable = means[~np.isnan(means)]
         assert np.all(np.diff(reachable) <= 1e-6), i  # E[score | rank] never rises
         for k in np.flatnonzero(mc.counts[i] >= 1000):
@@ -700,6 +707,109 @@ def test_monte_carlo_agrees_with_quadrature_at_sixteen_ads():
     bound = statistics.NormalDist().inv_cdf(1 - MC_FAMILY_FALSE_ALARM / (2 * len(deviations)))
     assert len(deviations) >= 100
     assert max(deviations) <= bound
+
+
+class TestLeafChecks:
+    """The checks walk a candidate's rank table a leaf at a time, with the
+    bytes of whole-row checks and leaf-sized temporaries."""
+
+    @pytest.mark.parametrize("node_slice", [oracle.NODE_SLICE, 1000])
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.sampled_from([1, 8, 9, 16_385, 33_003, 131_073]),
+           seed=st.integers(0, 2 ** 32 - 1),
+           head=st.lists(st.floats(-1e300, 1e300), max_size=9))
+    def test_leaf_sums_add_up_to_numpy_sum(self, node_slice, n, seed, head):
+        """The leaves cover the nodes in order, and their ``np.sum``s, added
+        along numpy's own pairwise split, give the whole row's ``np.sum`` bit
+        for bit, on values of mixed sign and magnitude: numpy behaviour the
+        checks' bytes rest on.  33,003 nodes split off 16,496, not 16,501."""
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal(n) * 10.0 ** rng.integers(-30, 30, n)
+        x[:len(head)] = head[:n]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oracle, "NODE_SLICE", node_slice)
+            leaves = oracle._leaves(0, n)
+            total = oracle._pairwise_total([np.sum(x[lo:hi]) for lo, hi in leaves], n)
+        assert [lo for lo, _ in leaves] == [0] + [hi for _, hi in leaves[:-1]]
+        assert leaves[-1][1] == n and all(hi - lo <= node_slice + 1 for lo, hi in leaves)
+        assert total.tobytes() == np.sum(x).tobytes()
+
+    def test_grid_leaves(self):
+        """On the Simpson grid: seven leaves of 16,384 nodes and one of 16,385."""
+        sizes = [hi - lo for lo, hi in oracle._leaves(0, SIMPSON_INTERVALS + 1)]
+        assert sizes == [16_384] * 7 + [16_385]
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 1500), data=st.data(), tolerance=st.sampled_from([0.0, 0.25]))
+    def test_split_across_leaves(self, n, data, tolerance):
+        """With leaves of at most 201 nodes, the split is still the whole-scan
+        split wherever the bins inadmissible before it (f above g), after it
+        (f below g) or on both sides (NaN) fall."""
+        f, g = np.full(n, 0.5), np.full(n, 0.5)
+        for value, other in ((1.0, 0.0), (0.0, 1.0), (np.nan, 0.5)):
+            at = data.draw(st.lists(st.integers(0, n - 1), max_size=3))
+            f[at], g[at] = value, other
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oracle, "NODE_SLICE", 200)
+            verdict = check_splittable(f, g, tolerance)
+        expected = split_index_by_accumulation(f, g, tolerance)
+        assert verdict == SplitVerdict(expected is not None, expected)
+
+    @pytest.mark.parametrize("drop", [16_384, 16_385, 60_000, 114_688])
+    def test_decomposition_steps_across_leaf_edges(self, drop):
+        """Both parts fall where a table's rows halve, and the decomposition
+        sees the fall whether it lies inside a leaf or at a leaf's first node,
+        16,384 and 114,688 here, as the whole-row decomposition does."""
+        grid = CaseGrid([U01, U01])
+        table = rank_table(grid, 0)
+        table[:, drop:] *= 0.5
+        marginals = conditional_mean_profile(grid, 0, table).marginals
+        expected = whole_row_checks(grid)["top_rank_decomposition"](grid, 0, table, marginals)
+        assert not (expected.plus_monotone or expected.minus_monotone)
+        assert top_rank_decomposition(grid, 0, table, marginals) == expected
+
+    @settings(max_examples=25, deadline=None)
+    @given(dists=st.lists(st.one_of(uniforms, betas), min_size=1, max_size=9))
+    @example(dists=[U01])
+    @example(dists=[ScoreDistribution.uniform(0.0, 0.4), ScoreDistribution.uniform(0.6, 1.0),
+                    ScoreDistribution.scaled_beta(0.5, 3.0, 0.3)])
+    def test_records_match_whole_row_checks(self, dists):
+        """A candidate's quadrature record, from the leaf-wise rank table and
+        checks, is byte for byte the one whole-row checks give, on fields of
+        mixed uniforms and betas with disjoint supports (unreachable ranks,
+        NaN rows) and singular beta ends."""
+        grid = CaseGrid(dists)
+        with warnings.catch_warnings(), pytest.MonkeyPatch.context() as mp:
+            # a beta density infinite at a support end meets zero weights and
+            # probabilities there, and both sides warn of the NaNs they make
+            warnings.simplefilter("ignore", RuntimeWarning)
+            leafwise = [json.dumps(cli._quadrature_checks(grid, i)) for i in range(len(dists))]
+            for name, check in whole_row_checks(grid).items():
+                mp.setattr(cli, name, check)
+            whole = [json.dumps(cli._quadrature_checks(grid, i)) for i in range(len(dists))]
+        assert leafwise == whole
+
+    @pytest.mark.parametrize("specs", [
+        ["uniform:0:0.1", "uniform:0.01:0.08", "uniform:0:0.12", "uniform:0.02:0.1"],
+        ["uniform:0.01:0.08", "beta:2:38", "beta:3:37:1.2", "uniform:0:0.1"],
+    ], ids=["uniforms", "mixed"])
+    def test_checks_hold_one_table_and_leaf_rows(self, specs):
+        """One candidate's checks allocate its rank table and at most eight
+        leaf-sized rows beside it; a grid stores no row for a uniform."""
+        dists = [parse_distribution(spec, "dists") for spec in specs]
+        grid = CaseGrid(dists)
+        beta_rows = 2 * len({d for d in dists if d.kind == "scaled-beta"})
+        assert grid.nbytes == (2 + beta_rows) * len(grid.s) * 8
+        table = len(dists) * len(grid.s) * 8
+        leaf = (oracle.NODE_SLICE + 1) * 8
+        for i in range(len(dists)):
+            tracemalloc.start()
+            try:
+                cli._quadrature_checks(grid, i)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert table < peak <= table + 8 * leaf, (i, (peak - table) / leaf)
 
 
 class TestConditionalScoreMean:
