@@ -245,7 +245,7 @@ def _quadrature_checks(grid: CaseGrid, i: int) -> dict:
         decomposition = top_rank_decomposition(grid, i, table, profile.marginals)
     except RankUnreachable as exc:
         decomposition = {"skipped": str(exc)}
-    nodes, dens = conditional_density_profile(grid, i, table, profile.marginals)
+    dens = conditional_density_profile(grid, i, table, profile.marginals)
     pairs = [{"ranks": (k, k + 1)} for k in range(1, len(grid))]
     for k, pair in enumerate(pairs):  # ranks k + 1 and k + 2
         if np.isnan(dens[k]).any() or np.isnan(dens[k + 1]).any():
@@ -254,7 +254,7 @@ def _quadrature_checks(grid: CaseGrid, i: int) -> dict:
         verdict = check_splittable(dens[k], dens[k + 1], 0.0)
         pair["splittable"] = verdict.splittable
         if verdict.splittable:
-            pair["split_at"] = nodes[verdict.split_index]
+            pair["split_at"] = grid.s[verdict.split_index]
     return _record({
         "marginals": profile.marginals,
         "quadrature_means": profile.conditional_means,

@@ -35,7 +35,6 @@ from gspbias.oracle import (
     RankDecomposition,
     RankProfile,
     SplitVerdict,
-    rank_table,
 )
 
 
@@ -216,9 +215,9 @@ def load_case(tmp_path, specs) -> TheoremCase:
 
 
 def rank_probs(dists, candidate, s):
-    """``rank_table`` at the scores s: row k-1 holds P(candidate holds rank k | s)."""
-    return rank_table(np.vstack([d.cdf(np.atleast_1d(np.asarray(s, float))) for d in dists]),
-                      candidate)
+    """The rank table at the scores s: row k-1 holds P(candidate holds rank k | s)."""
+    return rank_table_whole_rows(
+        np.vstack([d.cdf(np.atleast_1d(np.asarray(s, float))) for d in dists]), candidate)
 
 
 def read_histogram_csv(path):
@@ -254,21 +253,47 @@ def rank_table_whole_rows(F, candidate):
     return out
 
 
+def uniform_field_profile(dists, candidate):
+    """A candidate's rank masses and score moments, E[score; rank = k], in a
+    field of uniforms, exactly: on each piece between the sorted support
+    endpoints every CDF is linear, so each integrand is a polynomial of
+    degree at most m, which Gauss-Legendre with m + 4 points integrates
+    exactly."""
+    m = len(dists)
+    low, high = dists[candidate].params
+    ends = sorted({x for d in dists for x in d.params if low < x < high} | {low, high})
+    x, wx = np.polynomial.legendre.leggauss(m + 4)
+    masses, moments = np.zeros(m), np.zeros(m)
+    for a, b in zip(ends[:-1], ends[1:]):
+        s = (a + b) / 2 + (b - a) / 2 * x
+        weights = (b - a) / 2 * wx / (high - low)
+        table = rank_table_whole_rows(np.vstack([d.cdf(s) for d in dists]), candidate)
+        masses += table @ weights
+        moments += table @ (weights * s)
+    return masses, moments
+
+
 def whole_row_checks(grid) -> dict:
     """The rank table and the four oracle checks as first written, over
-    whole rows: CDF and density rows evaluated in one call each, whole-row
-    temporaries and whole-row ``np.sum``.  Keyed by the names ``gspbias.cli``
-    calls them by, so that a command's checks can be run through them."""
+    whole rows: CDF and density rows evaluated in one call each, the
+    candidate's quadrature weights (``CaseGrid.quadrature``) taken over the
+    whole grid, whole-row temporaries and whole-row ``np.sum``.  Keyed by
+    the names ``gspbias.cli`` calls them by, so that a command's checks can
+    be run through them."""
     F = np.vstack([d.cdf(grid.s) for d in grid.dists])
 
     def density(candidate):
         return grid.dists[candidate].pdf(grid.s)
 
+    def quadrature(candidate):
+        return grid.quadrature(candidate, 0, len(grid.s))
+
     def mean_profile(grid, candidate, table):
         marginals = np.empty(len(table))
         means = np.full(len(table), np.nan)
-        wd = grid.w * density(candidate)
-        wsd = grid.w * grid.s * density(candidate)
+        w, dens = quadrature(candidate)
+        wd = w * dens
+        wsd = w * grid.s * dens
         for k, pk in enumerate(table):
             mass = float(np.sum(wd * pk))
             marginals[k] = mass
@@ -287,14 +312,15 @@ def whole_row_checks(grid) -> dict:
         p1, p2 = table[:2]
         plus_part = p1 + alpha * (rivals * p1)
         minus_part = alpha * (p2 + rivals * p1)
-        residual = float(np.sum(grid.w * density(candidate) * (plus_part - minus_part)))
+        w, dens = quadrature(candidate)
+        residual = float(np.sum(w * dens * (plus_part - minus_part)))
         return RankDecomposition(residual, bool(np.all(np.diff(plus_part) >= -1e-12)),
                                  bool(np.all(np.diff(minus_part) >= -1e-12)))
 
     def density_profile(grid, candidate, table, marginals):
         for pk, mass in zip(table, marginals):
             pk[:] = density(candidate) * pk / mass if mass >= MASS_FLOOR else np.nan
-        return grid.s, table
+        return table
 
     def splittable(f, g, tolerance=0.0):
         split = split_index_by_accumulation(f, g, tolerance)
@@ -368,11 +394,10 @@ def hermite_draw(sampler, j, u):
     the bracket from ``np.searchsorted``: ad j's scores at the uniforms u, and
     how many took the exact inverse.  The sampler's draws must equal these
     bit for bit."""
-    grid = sampler.grid
-    dist, safe = grid.dists[j], sampler.safe[j]
-    if safe is None:
+    grid, dist = sampler.grid, sampler.grid.dists[j]
+    if dist.kind == "uniform":
         return dist.ppf(u), 0
-    F, f, h = grid.cdf[j], grid.pdf[j], grid.s[1]
+    (F, f), (safe, _guide), h = grid.rows[dist], sampler.tables[dist], grid.s[1]
     i = np.searchsorted(F, u, side="right")
     f_lo = F[i - 1]
     rise = F[i] - f_lo

@@ -693,9 +693,10 @@ class TestVerifyTheorems:
         assert len(alive) == 4 and seen == [[], [True] * 4, [True] * 4]
 
     def test_uniform_density_evaluated_a_leaf_at_a_time(self, monkeypatch):
-        """A uniform candidate's density is evaluated a leaf at a time, once
-        per leaf by each of the mean profile, the decomposition and the
-        density normalisation, and a beta candidate's not at all."""
+        """A uniform candidate's density is evaluated a node slice at a time,
+        once at each node, by the density normalisation: the mean profile and
+        the decomposition read its constant density through
+        ``CaseGrid.quadrature``.  A beta candidate's is not evaluated at all."""
         from gspbias.oracle import NODE_SLICE, ScoreDistribution
 
         dists = [ScoreDistribution.uniform(0.0, 0.1), ScoreDistribution.scaled_beta(2, 38),
@@ -712,9 +713,8 @@ class TestVerifyTheorems:
                 assert calls == []
                 continue
             assert {c for c, _ in calls} == {d}
-            assert all(len(s) <= NODE_SLICE + 1 for _, s in calls)
-            np.testing.assert_array_equal(np.concatenate([s for _, s in calls]),
-                                          np.tile(grid.s, 3))
+            assert all(len(s) <= NODE_SLICE for _, s in calls)
+            np.testing.assert_array_equal(np.concatenate([s for _, s in calls]), grid.s)
 
 
 class TestMcAgreement:
@@ -1096,7 +1096,7 @@ class TestTheoremOutputBytes:
                        "--out", out, "--threads", threads) == 0
         assert output_digests(out) == {
             "theorem_report.json":
-                "0bb557f8c3cc9ee8fc6e325d75e26d5e41ed259b1cfc4b8b8ee2405903093cda",
+                "748b0f730ef83fd6be98b6edd27fd8332cc3e4ade5100bedf58797abf7695b88",
         }
 
     @pytest.mark.parametrize("threads", [1, 2])
@@ -1108,7 +1108,7 @@ class TestTheoremOutputBytes:
                        "--out", out, "--threads", threads) == 0
         assert output_digests(out) == {
             "theorem_report.json":
-                "2683b0c21c13e7826eaada62caddb5a09cedebba363c5fd21cbf8cc9d6719d89",
+                "d3ad29c6076a65bf77f8f7b47785b338c3c8b9b2ab9b42a82a5a02dcc4e4f360",
         }
 
     @pytest.mark.parametrize("threads", [1, 2])
@@ -1120,7 +1120,7 @@ class TestTheoremOutputBytes:
                        "--out", out, "--threads", threads) == 0
         assert output_digests(out) == {
             "theorem_report.json":
-                "959eeaa8680a6b69577b7b640209f33cb867d2bf23f04692dd401186dd643c59",
+                "45dea0b0472e11ea19965d93531e394af9a44017370a4117ef61a63d362883c7",
         }
 
     @pytest.mark.parametrize("threads", [1, 2])
@@ -1131,7 +1131,7 @@ class TestTheoremOutputBytes:
                        "--threads", threads) == 0
         assert output_digests(out) == {
             "theorem_report.json":
-                "3e9ce73ecbe35947ca3e53ea4eb5a2319deac519ab7501340e47d7884b3d21d5",
+                "41fd6fe7fa07a152db6e0f346ed066cfc323742345e047672e7c667c11644799",
         }
 
     def test_packaged_cases_without_monte_carlo_moments(self, tmp_path):
@@ -1146,7 +1146,7 @@ class TestTheoremOutputBytes:
             for cand in case["candidates"]:
                 del cand["mc_means"], cand["mc_std_errors"], cand["mc_agreement"]["max_sigma"]
         digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
-        assert digest == "7c40ea23e90c325ea7fcb544aa6054a2dfdbd65720bcd724eb2615c63ecb2026"
+        assert digest == "338d08268bb673c69044179b21c8966eafcaa8107a9abd382c595639acc745e5"
 
 
 class TestManifestReproducibility:

@@ -51,6 +51,7 @@ from reference import (
     rank_probs,
     rank_table_whole_rows,
     split_index_by_accumulation,
+    uniform_field_profile,
     watch_draw_tables,
     whole_row_checks,
 )
@@ -254,12 +255,17 @@ class TestRankProbGivenScore:
 class TestRankTable:
     @settings(max_examples=150, deadline=None)
     @given(dists=st.lists(st.one_of(uniforms, betas), min_size=1, max_size=8),
-           s=st.lists(st.floats(0.0, 2.5), min_size=1, max_size=5),
+           nodes=st.lists(st.integers(0, SIMPSON_INTERVALS), min_size=1, max_size=5),
            data=st.data())
-    def test_recursion_matches_enumeration(self, dists, s, data):
+    def test_recursion_matches_enumeration(self, dists, nodes, data):
+        """At any nodes of the case grid, the fold is the sum over rival
+        subsets, and the whole table is the whole-row fold's, bit for bit."""
         candidate = data.draw(st.integers(0, len(dists) - 1))
-        F = np.vstack([d.cdf(np.asarray(s)) for d in dists])
-        table = rank_table(F, candidate)
+        grid = CaseGrid(dists)
+        F = np.vstack([grid.cumulative(j) for j in range(len(dists))])
+        whole = rank_table(grid, candidate)
+        assert whole.tobytes() == rank_table_whole_rows(F, candidate).tobytes()
+        table, F = whole[:, nodes], F[:, nodes]
         for rank in range(1, len(dists) + 1):
             np.testing.assert_allclose(table[rank - 1],
                                        enumerated_rank_prob(F, candidate, rank),
@@ -276,10 +282,10 @@ class TestRankTable:
             marginals = conditional_mean_profile(grid, i, table).marginals
             top_rank_decomposition(grid, i, table, marginals)
             np.testing.assert_array_equal(table, rank_table(grid, i))
-            nodes, dens = conditional_density_profile(grid, i, table, marginals)
-            assert dens is table and nodes is grid.s
+            dens = conditional_density_profile(grid, i, table, marginals)
+            assert dens is table
             density = grid.dists[i].pdf(grid.s)
-            wd = grid.w * density
+            wd = np.multiply(*grid.quadrature(i, 0, len(grid.s)))
             own = rank_table(grid, i)
             for k in range(3):
                 np.testing.assert_array_equal(dens[k], density * own[k]
@@ -358,7 +364,8 @@ class TestCaseGridPpf:
         grid = CaseGrid([dist, ScoreDistribution.uniform(0.0, 1.5 * scale)])
         sampler = CaseSampler(grid)
         u = np.concatenate([SPREAD_U, np.random.default_rng(5).random(100_000)])
-        from_safe = sampler.safe[0][np.searchsorted(grid.cdf[0], u, side="right")]
+        from_safe = sampler.tables[dist][0][np.searchsorted(grid.rows[dist][0], u,
+                                                            side="right")]
         assert from_safe.mean() > 0.5
         with warnings.catch_warnings():
             # boost's root finder gives up on some shapes at u = 1e-300, in the
@@ -377,7 +384,7 @@ class TestCaseGridPpf:
         dist = ScoreDistribution.scaled_beta(a, b, 0.8)
         grid = CaseGrid([dist, ScoreDistribution.uniform(0.0, upper)])
         sampler = CaseSampler(grid)
-        F, safe = grid.cdf[0], sampler.safe[0]
+        F, safe = grid.rows[dist][0], sampler.tables[dist][0]
         first = np.flatnonzero(F > 0.0)[0]       # cell `first` starts at a node with F = 0
         top = np.flatnonzero(F < 1.0)[-1] + 1    # cell `top` ends at a node with F = 1
         assert not safe[first] and not safe[top:].any()
@@ -457,7 +464,7 @@ class TestDrawArithmetic:
         # a uniform rival stretches the case grid past the beta's scale
         sampler = CaseSampler(CaseGrid([ScoreDistribution.uniform(0.0, scale * stretch),
                                         ScoreDistribution.scaled_beta(a, b, scale)]))
-        u = draw_test_uniforms(sampler.grid.cdf[1], nodes, floats)
+        u = draw_test_uniforms(sampler.grid.cumulative(1), nodes, floats)
         with warnings.catch_warnings():
             # boost's root finder gives up on some shapes near u = 0, with a
             # warning, in the exact inverse that both sides then call
@@ -477,7 +484,7 @@ class TestDrawArithmetic:
         and a strided column draws as its contiguous copy does."""
         grid = CaseGrid([dist, U01])
         sampler = CaseSampler(grid)
-        F, guide = grid.cdf[0], sampler.guide[0]
+        F, guide = grid.rows[dist][0], sampler.tables[dist][1]
         u = draw_test_uniforms(F, range(0, K + 1, 997),
                                np.random.default_rng(7).random(20_000))
         assert crowded(F, guide, u).any()
@@ -521,12 +528,13 @@ class TestCaseGridRows:
         own = CaseGrid([parse_distribution(spec, "dists") for spec in case.dist_specs])
         mine, theirs = CaseSampler(grid), CaseSampler(own)
         assert len(grid) == len(own) == len(dists)
-        for j in range(len(dists)):
-            for row, other in ((grid.cdf[j], own.cdf[j]), (grid.pdf[j], own.pdf[j]),
-                               (mine.safe[j], theirs.safe[j]), (mine.guide[j], theirs.guide[j])):
-                assert (row is None) == (other is None) == (dists[j].kind == "uniform")
-                if row is not None:
-                    np.testing.assert_array_equal(row, other)
+        betas = [dists[0], dists[3]]  # each beta once, in order of first appearance
+        assert list(grid.rows) == list(own.rows) == list(mine.tables) == list(theirs.tables) \
+            == betas
+        for d in betas:
+            for rows, other in ((grid.rows[d], own.rows[d]), (mine.tables[d], theirs.tables[d])):
+                for row, expected in zip(rows, other, strict=True):
+                    np.testing.assert_array_equal(row, expected)
 
 
     @pytest.mark.parametrize("dists", [
@@ -547,8 +555,11 @@ class TestCaseGridRows:
         for nodes in calls.values():
             assert len(nodes) == slices
             np.testing.assert_array_equal(np.concatenate(nodes), grid.s)
-        assert grid.cdf[0] is grid.cdf[1] and grid.pdf[0] is grid.pdf[1]
-        assert (grid.cdf[0] is None) != beta and (grid.pdf[0] is None) != beta
+        assert list(grid.rows) == ([dists[0]] if beta else [])
+        if beta:
+            F, f = grid.rows[dists[0]]
+            assert grid.cumulative(0).base is grid.cumulative(1).base is F
+            assert grid.density(0).base is grid.density(1).base is f
 
     @pytest.mark.parametrize("dists", [
         # scales at a node of the uniform's grid, k / K, and one double either
@@ -588,10 +599,12 @@ class TestCaseGridRows:
                                     "beta:2:38:1", "beta:3:37:1.2"))
         grid = CaseGrid(case.dists)
         sampler = CaseSampler(grid)
-        assert grid.cdf[0] is grid.cdf[2] is None and grid.cdf[1] is grid.cdf[3]
-        assert grid.pdf[1] is grid.pdf[3] and grid.pdf[1] is not grid.pdf[4]
-        assert sampler.safe[1] is sampler.safe[3] and sampler.guide[1] is sampler.guide[3]
-        assert len({id(row) for row in grid.cdf if row is not None}) == 2
+        dists = case.dists
+        assert list(grid.rows) == list(sampler.tables) == [dists[1], dists[4]]
+        assert dists[1] == dists[3] and dists[0] == dists[2]
+        for rows in (grid.cumulative, grid.density):
+            assert rows(1).base is rows(3).base is not rows(4).base
+            assert rows(0).base is None and rows(2).base is None  # evaluated, not stored
         # nodes, weights, and two beta CDF rows and PDF rows
         assert grid.nbytes == 6 * len(grid.s) * 8
         assert sampler.nbytes == 2 * (len(grid.s) + SIMPSON_INTERVALS * 4)
@@ -603,8 +616,8 @@ class TestCaseGridRows:
         dists = [ScoreDistribution.uniform(0.01, 0.08), ScoreDistribution.scaled_beta(2, 38),
                  ScoreDistribution.uniform(0.0, 0.12)]
         grid = CaseGrid(dists)
-        assert grid.pdf[0] is None and grid.pdf[2] is None
-        assert grid.density(1).base is grid.pdf[1]
+        assert list(grid.rows) == [dists[1]]
+        assert grid.density(1).base is grid.rows[dists[1]][1]
         for j, d in enumerate(dists):
             assert grid.density(j).tobytes() == d.pdf(grid.s).tobytes()
 
@@ -655,19 +668,19 @@ class TestNodeSlices:
             sampler = CaseSampler(grid, map)
         monkeypatch.undo()
         s = grid.s
+        betas = [d for d in dict.fromkeys(dists) if d.kind == "scaled-beta"]
+        assert list(grid.rows) == list(sampler.tables) == betas
         for j, d in enumerate(dists):
             F, f = d.cdf(s), d.pdf(s)
             np.testing.assert_array_equal(grid.cumulative(j), F)
             np.testing.assert_array_equal(grid.density(j), f)
-            if d.kind != "scaled-beta":
-                assert grid.cdf[j] is None and grid.pdf[j] is None
-                assert sampler.safe[j] is None and sampler.guide[j] is None
+            if d not in betas:
                 continue
-            np.testing.assert_array_equal(grid.pdf[j], f)
+            np.testing.assert_array_equal(grid.rows[d][1], f)
             whole = hermite_safe_cells_whole_rows(d.params, s, F, f, _NEWTON_TOL, _CDF_REL_ERR)
             assert whole.any() and not whole.all()
-            np.testing.assert_array_equal(sampler.safe[j], whole)
-            np.testing.assert_array_equal(sampler.guide[j], _guide_table(F))
+            np.testing.assert_array_equal(sampler.tables[d][0], whole)
+            np.testing.assert_array_equal(sampler.tables[d][1], _guide_table(F))
 
     @pytest.mark.parametrize("node_slice", [oracle.NODE_SLICE, 1000])
     @pytest.mark.parametrize("threads", [1, 4])
@@ -726,23 +739,29 @@ class TestLeafChecks:
         rng = np.random.default_rng(seed)
         x = rng.standard_normal(n) * 10.0 ** rng.integers(-30, 30, n)
         x[:len(head)] = head[:n]
+        leaves = []
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(oracle, "NODE_SLICE", node_slice)
-            leaves = oracle._leaves(0, n)
-            total = oracle._pairwise_total([np.sum(x[lo:hi]) for lo, hi in leaves], n)
+            total = oracle._pairwise_sum(lambda lo, hi: leaves.append((lo, hi))
+                                         or np.sum(x[lo:hi]), 0, n)
         assert [lo for lo, _ in leaves] == [0] + [hi for _, hi in leaves[:-1]]
         assert leaves[-1][1] == n and all(hi - lo <= node_slice + 1 for lo, hi in leaves)
         assert total.tobytes() == np.sum(x).tobytes()
 
     def test_grid_leaves(self):
-        """On the Simpson grid: seven leaves of 16,384 nodes and one of 16,385."""
-        sizes = [hi - lo for lo, hi in oracle._leaves(0, SIMPSON_INTERVALS + 1)]
-        assert sizes == [16_384] * 7 + [16_385]
+        """On the Simpson grid the leaves are visited left to right: seven of
+        16,384 nodes and one of 16,385, and the leaf results are added as
+        numpy adds its halves, left first."""
+        calls = []
+        total = oracle._pairwise_sum(lambda lo, hi: calls.append((lo, hi)) or [(lo, hi)],
+                                     0, SIMPSON_INTERVALS + 1)
+        edges = [16_384 * i for i in range(8)] + [SIMPSON_INTERVALS + 1]
+        assert calls == total == list(zip(edges[:-1], edges[1:]))
 
     @settings(max_examples=200, deadline=None)
     @given(n=st.integers(1, 1500), data=st.data(), tolerance=st.sampled_from([0.0, 0.25]))
     def test_split_across_leaves(self, n, data, tolerance):
-        """With leaves of at most 201 nodes, the split is still the whole-scan
+        """With node slices of 200, the split is still the whole-scan
         split wherever the bins inadmissible before it (f above g), after it
         (f below g) or on both sides (NaN) fall."""
         f, g = np.full(n, 0.5), np.full(n, 0.5)
@@ -831,6 +850,42 @@ class TestConditionalScoreMean:
         assert high_means[0] == pytest.approx(0.8, abs=2e-5)
         # rank 1 is unreachable for the low ad, rank 2 for the high one
         assert np.isnan(low_means[0]) and np.isnan(high_means[1])
+
+    @settings(max_examples=25, deadline=None)
+    @given(dists=st.lists(uniforms, min_size=2, max_size=10))
+    @example(dists=[parse_distribution(spec, "dists") for spec in
+                    ("uniform:0:0.1", "uniform:0.01:0.08", "uniform:0:0.12", "uniform:0.02:0.1",
+                     "uniform:0:0.09", "uniform:0.005:0.11", "uniform:0.03:0.07", "uniform:0:0.1")])
+    @example(dists=[U01, ScoreDistribution.uniform(0.2, 0.8)])
+    def test_uniform_fields_match_exact_integrals(self, dists):
+        """A uniform candidate's rank masses and conditional means are within
+        1e-10 relative of the exact integrals (theorems-wide and u2_skewed
+        are examples), plus what its rivals' CDF kinks may cost: its own
+        density jumps cost nothing.  Simpson's rule, or a cut panel's
+        quadratics, across a kink where an integrand's slope jumps by J is
+        off by at most h^2 J / 6, and rival j's kinks change the slope of
+        P(rank k | s) by at most 1 / width_j, and that of s P(rank k | s) by
+        at most s / width_j.  A kink counts where the panels the candidate
+        reads can hold it, within 2 h of its support."""
+        grid = CaseGrid(dists)
+        h = grid.s[1]
+        for i, d in enumerate(dists):
+            low, high = d.params
+            masses, moments = uniform_field_profile(dists, i)
+            kinks = [(x, 1.0 / (r.params[1] - r.params[0])) for j, r in enumerate(dists)
+                     if j != i for x in r.params if low - 2 * h <= x <= high + 2 * h]
+            cost = h * h / 6.0 / (high - low)
+            mass_slack = cost * sum(jump for _, jump in kinks)
+            moment_slack = cost * sum((x + 2 * h) * jump for x, jump in kinks)
+            profile = conditional_mean_profile(grid, i, rank_table(grid, i))
+            error = np.abs(profile.marginals - masses)
+            assert np.all(error <= 1e-10 * masses + mass_slack), (i, error / masses)
+            # where the mass is known to within half of itself, and so bounds the mean
+            reached = ~np.isnan(profile.conditional_means) & (masses > 2 * mass_slack)
+            means = moments[reached] / masses[reached]
+            mean_slack = (moment_slack + means * mass_slack) / (masses[reached] - mass_slack)
+            error = np.abs(profile.conditional_means[reached] - means)
+            assert np.all(error <= 1e-10 * means + mean_slack), (i, error / means)
 
     def test_four_iid_beta_means_nonincreasing_in_rank(self):
         dists = [ScoreDistribution.scaled_beta(2, 38)] * 4
@@ -947,7 +1002,7 @@ class TestTopRankDecomposition:
         for i in range(len(SIX_AD_FIELD)):
             rivals = [j for j in range(len(SIX_AD_FIELD)) if j != i]
             loo = sum(np.prod(F[[j for j in rivals if j != l]], axis=0) for l in rivals)
-            p1, p2 = rank_table(F, i)[:2]
+            p1, p2 = rank_table_whole_rows(F, i)[:2]
             np.testing.assert_allclose(p2 + len(rivals) * p1, loo, rtol=0, atol=1e-14)
 
     def test_single_ad_unsupported(self):
@@ -959,7 +1014,7 @@ class TestTopRankDecomposition:
 class TestConditionalDensityProfile:
     def test_rows_integrate_to_one_and_split(self):
         grid = CaseGrid([ScoreDistribution.scaled_beta(2, 38)] * 3)
-        s, dens = conditional_density_profile(grid, 0, *table_and_marginals(grid, 0))
+        s, dens = grid.s, conditional_density_profile(grid, 0, *table_and_marginals(grid, 0))
         for k in range(3):
             assert np.trapezoid(dens[k], s) == pytest.approx(1.0, abs=1e-6)
         for k in range(2):
