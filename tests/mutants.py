@@ -2,9 +2,9 @@
 """Mutation gate: each mutant is one exact edit of a file under ``src/``,
 and the tests named for it must fail on the edited copy.
 
-    python3 tests/mutants.py [--out MUTANTS.json] [--jobs 2] [NAME ...]
+    python3 tests/mutants.py
 
-For each mutant (all of them, or those named), ``src/``, ``tests/`` and
+For each mutant, two at a time, ``src/``, ``tests/`` and
 ``pyproject.toml`` are copied to a fresh temporary directory and the one
 edit is applied there.  All three are copied because pytest's
 ``pythonpath = ["src"]`` is read from the rootdir, so only a copied
@@ -12,8 +12,9 @@ edit is applied there.  All three are copied because pytest's
 Only the mutant's target tests run, stopping at the first failure.  A
 mutant is killed when pytest reports a failed test (exit code 1).  A
 survivor, and a mutant whose tests could not run at all, is reported by
-name, and the runner then exits 1.  The output file records, for each
-mutant, whether it was killed, pytest's exit code and the seconds taken.
+name, and the runner then exits 1.  ``MUTANTS.json``, at the repository
+root, records for each mutant whether it was killed, pytest's exit code
+and the seconds taken.
 
 pytest does not collect this file: its name does not start with ``test_``.
 ``tests/test_mutants.py`` checks, in tier-1, that every mutant's old text
@@ -23,7 +24,6 @@ The comments group the mutants by the change whose tests they check.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import shutil
@@ -134,6 +134,10 @@ MUTANTS = [
            "lambda t: t ** 3 / 6.0 - 0.75 * t * t + t",
            "lambda t: t ** 3 / 6.0 - 0.7 * t * t + t",
            (EXACT_UNIFORMS,)),
+    Mutant("cut-panel-leaf-start-dropped", ORACLE,
+           "                if lo <= p + q < hi:\n",
+           "                if lo < p + q < hi:\n",
+           (LEAF_CHECKS + "::test_records_match_whole_row_checks",)),
     # a scaled rank row, ties sent the wrong way, the window bound and the MC gate
     Mutant("rank-one-row-scaled", ORACLE,
            "            part[0] *= Fj\n    return out\n",
@@ -183,24 +187,15 @@ def run_mutant(mutant: Mutant) -> dict:
             "pytest": tail, "seconds": round(time.perf_counter() - start, 2)}
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("names", nargs="*", help="run only these mutants")
-    parser.add_argument("--out", default="MUTANTS.json", help="where to write the results")
-    parser.add_argument("--jobs", type=int, default=2, help="mutants run at once")
-    args = parser.parse_args(argv)
-    chosen = [m for m in MUTANTS if not args.names or m.name in args.names]
-    unknown = set(args.names) - {m.name for m in MUTANTS}
-    if unknown:
-        parser.error(f"no such mutants: {sorted(unknown)}")
+def main() -> int:
     start = time.perf_counter()
-    with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
-        results = list(pool.map(run_mutant, chosen))
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        results = list(pool.map(run_mutant, MUTANTS))
     survivors = [r["name"] for r in results if not r["killed"]]
     summary = {"mutants": len(results), "killed": len(results) - len(survivors),
-               "survivors": survivors, "jobs": args.jobs,
-               "seconds": round(time.perf_counter() - start, 1), "results": results}
-    Path(args.out).write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
+               "survivors": survivors, "seconds": round(time.perf_counter() - start, 1),
+               "results": results}
+    (ROOT / "MUTANTS.json").write_text(json.dumps(summary, indent=2) + "\n", encoding="utf-8")
     for r in results:
         print(f"{'killed ' if r['killed'] else 'SURVIVED'} {r['name']} ({r['seconds']} s): "
               f"{r['pytest']}")

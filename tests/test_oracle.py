@@ -193,7 +193,12 @@ class TestSpecialKernels:
 
 
 class TestRankProbGivenScore:
-    """P(rank k | score s), row k-1 of ``rank_table``, against closed forms."""
+    """P(rank k | score s), row k-1 of a rank table, against closed forms.
+
+    These pin the reference fold, ``rank_probs`` (``rank_table_whole_rows``),
+    which ``TestRankTable::test_recursion_matches_enumeration`` ties to
+    ``rank_table`` bit for bit; the 13-uniform closed form also reads
+    ``rank_table`` itself."""
 
     def test_no_competitors_always_rank_one(self):
         assert rank_probs([U01], 0, 0.3)[0, 0] == pytest.approx(1.0)
@@ -233,11 +238,14 @@ class TestRankProbGivenScore:
     def test_thirteen_iid_uniform_closed_form(self):
         """No ad cap: 13 iid uniforms give binomial rank chances and
         E[score | rank k] = (m - k + 1) / (m + 1)."""
-        m, s = 13, 0.37
-        table = rank_probs([U01] * m, 0, s)
-        for k in range(1, m + 1):
-            expected = comb(m - 1, k - 1) * (1 - s) ** (k - 1) * s ** (m - k)
-            assert table[k - 1, 0] == pytest.approx(expected, abs=1e-14)
+        m = 13
+        grid = CaseGrid([U01] * m)
+        node = round(0.37 * SIMPSON_INTERVALS)
+        s = grid.s[node]
+        for table in (rank_probs([U01] * m, 0, s)[:, 0], rank_table(grid, 0)[:, node]):
+            for k in range(1, m + 1):
+                expected = comb(m - 1, k - 1) * (1 - s) ** (k - 1) * s ** (m - k)
+                assert table[k - 1] == pytest.approx(expected, abs=1e-14)
         profile = mean_profile([U01] * m, 0)
         np.testing.assert_allclose(profile.marginals, 1 / m, atol=1e-12)
         np.testing.assert_allclose(profile.conditional_means,
@@ -413,6 +421,9 @@ class TestGuideBracket:
     @settings(max_examples=80, deadline=None)
     @given(runs=st.lists(st.tuples(cdf_values, st.integers(1, 6)), max_size=40),
            zeros=st.integers(1, 5), ones=st.integers(1, 5))
+    # two values in one guide bucket, the upper a flat run: after one step
+    # forward, u can equal the node it stands on, and is still short
+    @example(runs=[(0.5, 1), (0.5 + 1e-9, 2)], zeros=1, ones=1)
     def test_matches_searchsorted(self, runs, zeros, ones):
         """Monotone rows with flat runs and plateaus at 0 and 1 bracket every
         u exactly as searchsorted does, at every k/K and next to each node."""
@@ -731,6 +742,7 @@ class TestLeafChecks:
     @given(n=st.sampled_from([1, 8, 9, 16_385, 33_003, 131_073]),
            seed=st.integers(0, 2 ** 32 - 1),
            head=st.lists(st.floats(-1e300, 1e300), max_size=9))
+    @example(n=33_003, seed=0, head=[])  # n // 2, 16,501, is no multiple of 8
     def test_leaf_sums_add_up_to_numpy_sum(self, node_slice, n, seed, head):
         """The leaves cover the nodes in order, and their ``np.sum``s, added
         along numpy's own pairwise split, give the whole row's ``np.sum`` bit
@@ -759,14 +771,18 @@ class TestLeafChecks:
         assert calls == total == list(zip(edges[:-1], edges[1:]))
 
     @settings(max_examples=200, deadline=None)
-    @given(n=st.integers(1, 1500), data=st.data(), tolerance=st.sampled_from([0.0, 0.25]))
-    def test_split_across_leaves(self, n, data, tolerance):
+    @given(n=st.integers(1, 1500), spots=st.tuples(*[st.lists(st.integers(0, 1499), max_size=3)] * 3),
+           tolerance=st.sampled_from([0.0, 0.25]))
+    # the split, 301, lies in the second leaf and the first bin inadmissible
+    # before it, 450, in the third: each counts from the row's start
+    @example(n=500, spots=([450], [300], []), tolerance=0.0)
+    def test_split_across_leaves(self, n, spots, tolerance):
         """With node slices of 200, the split is still the whole-scan
         split wherever the bins inadmissible before it (f above g), after it
         (f below g) or on both sides (NaN) fall."""
         f, g = np.full(n, 0.5), np.full(n, 0.5)
-        for value, other in ((1.0, 0.0), (0.0, 1.0), (np.nan, 0.5)):
-            at = data.draw(st.lists(st.integers(0, n - 1), max_size=3))
+        for (value, other), at in zip(((1.0, 0.0), (0.0, 1.0), (np.nan, 0.5)), spots):
+            at = [i % n for i in at]
             f[at], g[at] = value, other
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(oracle, "NODE_SLICE", 200)
@@ -792,6 +808,15 @@ class TestLeafChecks:
     @example(dists=[U01])
     @example(dists=[ScoreDistribution.uniform(0.0, 0.4), ScoreDistribution.uniform(0.6, 1.0),
                     ScoreDistribution.scaled_beta(0.5, 3.0, 0.3)])
+    # beside U(0, 1), whose nodes are k / SIMPSON_INTERVALS: one uniform's cut
+    # panels start a node before leaf edges, its low just below node
+    # 2 NODE_SLICE and its high just below 3 NODE_SLICE, so each cut panel's
+    # three nodes span two leaves; another's high lies just past node
+    # 5 NODE_SLICE, so its last cut panel starts at a leaf's first node
+    @example(dists=[U01,
+                    ScoreDistribution.uniform((2 * oracle.NODE_SLICE - 2 / 3) / SIMPSON_INTERVALS,
+                                              (3 * oracle.NODE_SLICE - 2 / 3) / SIMPSON_INTERVALS),
+                    ScoreDistribution.uniform(0.1, (5 * oracle.NODE_SLICE + 1 / 3) / SIMPSON_INTERVALS)])
     def test_records_match_whole_row_checks(self, dists):
         """A candidate's quadrature record, from the leaf-wise rank table and
         checks, is byte for byte the one whole-row checks give, on fields of
