@@ -9,6 +9,7 @@ from .engine import (
     CpcStudyConfig,
     ImpressionLog,
     TrialTable,
+    cpc_blocks,
     run_ab_experiment,
     run_cpc_study,
     sample_rank_stats,
@@ -23,13 +24,14 @@ from .estimators import (
 from .metrics import (
     BiasReport,
     CalibrationReport,
+    CpcStats,
     Histogram,
     bias_report,
     build_histogram,
     c_relative,
+    cpc_block_stats,
     cpc_summary,
     rtv_rtc,
-    selection_bias,
 )
 from .oracle import (
     CaseGrid,
@@ -46,12 +48,12 @@ __version__ = "0.1.0"
 __all__ = [
     "AbConfig", "AdSpec", "BucketSpec", "BucketTables", "Context", "CpcStudyConfig",
     "ImpressionLog", "TrialTable",
-    "run_ab_experiment", "run_cpc_study", "sample_rank_stats",
+    "cpc_blocks", "run_ab_experiment", "run_cpc_study", "sample_rank_stats",
     "CountWindow", "PoolHyperParams",
     "fit_pool", "naive_contextual_estimate", "pooled_estimate",
-    "BiasReport", "CalibrationReport", "Histogram",
-    "bias_report", "build_histogram", "c_relative", "cpc_summary",
-    "rtv_rtc", "selection_bias",
+    "BiasReport", "CalibrationReport", "CpcStats", "Histogram",
+    "bias_report", "build_histogram", "c_relative", "cpc_block_stats", "cpc_summary",
+    "rtv_rtc",
     "CaseGrid", "ScoreDistribution", "SplitVerdict", "check_splittable",
     "conditional_mean_profile", "rank_table", "top_rank_decomposition",
     "__version__",

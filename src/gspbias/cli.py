@@ -44,7 +44,14 @@ from .errors import (
     UndefinedCalibration,
     UndefinedRatio,
 )
-from .metrics import bias_report, build_histogram, c_relative, cpc_summary, rtv_rtc
+from .metrics import (
+    bias_report,
+    build_histogram,
+    c_relative,
+    cpc_block_stats,
+    cpc_summary,
+    rtv_rtc,
+)
 from .oracle import (
     CaseGrid,
     check_splittable,
@@ -57,6 +64,7 @@ from .oracle import (
 from .reports import (
     ArtifactSet,
     open_impressions,
+    open_trials,
     record_codes,
     write_csv,
     write_histogram_csv,
@@ -140,55 +148,63 @@ def _load_kernels() -> float:
 # ---------------------------------------------------------------------------
 
 def cmd_simulate_cpc(args, suite: CpcSuite, seed: int, arts: ArtifactSet) -> tuple[int, dict]:
+    """Each setting's trials, one block at a time in the calling thread:
+    each block's rows are appended to the trial logs, and the block is
+    reduced to ``CpcStats`` and merged, so the tables, histograms and bias
+    report come from merged statistics."""
     table_rows = []
     settings_payload = {}
     setting_runs = []  # for the manifest
     kernel_import_seconds = _load_kernels()
-    with worker_map(args.threads) as pmap:  # one pool for every setting
-        for setting in suite.settings:
-            t_setting = time.monotonic()
-            cfg = dataclasses.replace(setting, seed=seed, trials=(
-                setting.trials if args.trials is None else args.trials))
-            trials = run_cpc_study(cfg, pmap)
-            summary = cpc_summary(trials, cfg.true_ctrs, cfg.bids)
-            entry = {**_record(summary), "trials": cfg.trials}
-            mean, ratio = entry["mean_observed_cpc"], entry["ratio"]
-            # an undefined value is an empty cell, as in calibration_table.csv
-            table_rows.append((f"({cfg.name})", summary.expected_cpc,
-                               "" if mean is None else mean, "" if ratio is None else ratio))
-            cpcs = trials.cpc[~trials.degenerate]
-            if cpcs.size:
-                write_histogram_csv(arts.path(f"cpc_hist_{cfg.name}.csv"),
-                                    build_histogram(cpcs, suite.cpc_hist_width))
-            # column k: the bid x estimate at rank k + 1, histogrammed once for
-            # its file and the bias report
-            scores = np.take_along_axis(trials.estimates * cfg.bids, trials.order, axis=1)
-            rank_hists = [build_histogram(col, suite.score_hist_width) for col in scores.T]
-            for rank, hist in enumerate(rank_hists, 1):
-                write_histogram_csv(arts.path(f"ordstat_hist_{cfg.name}_rank{rank}.csv"), hist)
-            if summary.degenerate_trials == cfg.trials:
-                entry["ratio_undefined_reason"] = ("every trial is degenerate (top estimate 0), "
-                                                   "so no price was observed")
-            elif ratio is None:
-                entry["ratio_undefined_reason"] = ("expected CPC is 0 "
-                                                   "(no runner-up, or its true score is 0)")
-            if summary.observed_se is None:  # so is ratio_of_means_se
-                entry["se_undefined_reason"] = (
-                    "standard errors need at least 2 non-degenerate trials, got "
-                    f"{cfg.trials - summary.degenerate_trials}")
-            try:
-                entry.update(_record(bias_report(trials, cfg.true_ctrs, cfg.bids, rank_hists)))
-            except RankUnreachable as exc:
-                entry["per_rank"] = None
-                entry["unavailable_reason"] = str(exc)
-            settings_payload[cfg.name] = entry
-            if args.emit_trials:
-                if args.format in (None, "csv", "both"):
-                    write_trials_csv(arts.path(f"trials_{cfg.name}.csv"), trials)
-                if args.format in ("json", "both"):
-                    write_trials_jsonl(arts.path(f"trials_{cfg.name}.jsonl"), trials)
-            setting_runs.append({"name": cfg.name, "trials": cfg.trials,
-                                 "seconds": round(time.monotonic() - t_setting, 3)})
+    widths = (suite.cpc_hist_width, suite.score_hist_width)
+    for setting in suite.settings:
+        t_setting = time.monotonic()
+        cfg = dataclasses.replace(setting, seed=seed, trials=(
+            setting.trials if args.trials is None else args.trials))
+        with contextlib.ExitStack() as files:
+            sinks = []  # (file, writer) pairs
+            for fmt, suffix, writer in (("csv", "csv", write_trials_csv),
+                                        ("json", "jsonl", write_trials_jsonl)):
+                if args.emit_trials and (args.format or "csv") in (fmt, "both"):
+                    path = arts.path(f"trials_{cfg.name}.{suffix}")
+                    sinks.append((files.enter_context(
+                        open_trials(path, fmt, len(cfg.true_ctrs))), writer))
+
+            def write(block) -> None:
+                for sink, writer in sinks:
+                    writer(sink, block)
+
+            # build_histogram by this module's name, which bench/tracer.py wraps
+            stats = run_cpc_study(cfg, lambda block: cpc_block_stats(
+                block, cfg.true_ctrs, cfg.bids, widths, build_histogram), write)
+        summary = cpc_summary(stats, cfg.true_ctrs, cfg.bids)
+        entry = {**_record(summary), "trials": cfg.trials}
+        mean, ratio = entry["mean_observed_cpc"], entry["ratio"]
+        # an undefined value is an empty cell, as in calibration_table.csv
+        table_rows.append((f"({cfg.name})", summary.expected_cpc,
+                           "" if mean is None else mean, "" if ratio is None else ratio))
+        if stats.cpc_hist is not None:
+            write_histogram_csv(arts.path(f"cpc_hist_{cfg.name}.csv"), stats.cpc_hist)
+        for rank, hist in enumerate(stats.rank_hists, 1):
+            write_histogram_csv(arts.path(f"ordstat_hist_{cfg.name}_rank{rank}.csv"), hist)
+        if summary.degenerate_trials == cfg.trials:
+            entry["ratio_undefined_reason"] = ("every trial is degenerate (top estimate 0), "
+                                               "so no price was observed")
+        elif ratio is None:
+            entry["ratio_undefined_reason"] = ("expected CPC is 0 "
+                                               "(no runner-up, or its true score is 0)")
+        if summary.observed_se is None:  # so is ratio_of_means_se
+            entry["se_undefined_reason"] = (
+                "standard errors need at least 2 non-degenerate trials, got "
+                f"{cfg.trials - summary.degenerate_trials}")
+        try:
+            entry.update(_record(bias_report(stats)))
+        except RankUnreachable as exc:
+            entry["per_rank"] = None
+            entry["unavailable_reason"] = str(exc)
+        settings_payload[cfg.name] = entry
+        setting_runs.append({"name": cfg.name, "trials": cfg.trials,
+                             "seconds": round(time.monotonic() - t_setting, 3)})
     write_csv(arts.path("table2.csv"),
               ["setting", "expected_cpc", "mean_observed_cpc", "ratio"], table_rows)
     write_json(arts.path("bias_report.json"),

@@ -1,7 +1,10 @@
 """Deterministic Monte Carlo drivers for the two studies.
 
 ``run_cpc_study`` repeats one auction between ads whose CTR estimates are
-binomial click proportions, recording the realized price each time.
+binomial click proportions, one fixed block of trials at a time: each
+block is drawn, handed to a caller's writer as a ``TrialTable`` and reduced
+by the caller's reduce, in the calling thread, and the reductions merge in
+block order, so memory does not grow with the trial count.
 ``run_ab_experiment`` serves multi-day synthetic traffic to two buckets that
 differ only in their CTR estimator, one fixed block of accesses at a time:
 each block goes to a caller's writer as an ``ImpressionLog`` and is then
@@ -16,14 +19,14 @@ All randomness is addressed by counter-based streams (see ``rng``): trial t
 of a study and access a of a bucket-day each own a fixed slice of their
 stream, so results are bit-identical for any worker count or chunking, and
 every random quantity is an inverse-CDF transform of those uniforms.  The
-parallel steps run one task per fixed block of BLOCK trials or draws
+Monte Carlo rank sampling runs one task per fixed block of BLOCK draws
 through the ``map`` of the command's ``worker_map``.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Literal
@@ -45,7 +48,7 @@ from .oracle import CaseGrid, CaseSampler, special_kernels
 STREAM_CPC = 0
 STREAM_AB = 1
 STREAM_MC = 2
-BLOCK = 1 << 14  # trials or draws per parallel task, accesses per ab-run block
+BLOCK = 1 << 14  # trials per simulate-cpc block, draws per parallel task, accesses per ab-run block
 # the most impressions an estimate may count: a BinomialInverse table holds
 # about 80 binomial sd of counts, at most about 1.9M entries (15 MB) here
 MAX_IMPRESSIONS = 1 << 31
@@ -180,13 +183,14 @@ def rank_contexts(bids: np.ndarray, est: np.ndarray):
 
 @dataclass
 class TrialTable:
-    """All trials of one setting in columns; row t is trial t."""
+    """Consecutive trials of one setting in columns; row r is trial first + r."""
 
     estimates: np.ndarray = field(repr=False)   # (trials, ads)
     rank: np.ndarray = field(repr=False)        # (trials, ads) 0-based rank of each ad
     order: np.ndarray = field(repr=False)       # (trials, ads) ad indices, best first
     cpc: np.ndarray = field(repr=False)         # (trials,) 0.0 on degenerate trials
     degenerate: np.ndarray = field(repr=False)  # (trials,) excluded from price averages
+    first: int = 0
 
     def __len__(self) -> int:
         return len(self.cpc)
@@ -221,29 +225,44 @@ class BinomialInverse:
         return self.lo + np.searchsorted(self.cdf, np.maximum(u, _PPF_FLOOR), side="left")
 
 
-def _cpc_chunk(config: CpcStudyConfig, inverses, key: np.ndarray, lo: int, hi: int):
-    m = len(config.true_ctrs)
-    blocks = math.ceil(m / rng.DOUBLES_PER_BLOCK)
-    u = rng.unit_uniforms(key, lo, hi - lo, blocks_per_unit=blocks)
-    est = np.empty((hi - lo, m))
-    for j, inverse in enumerate(inverses):
-        est[:, j] = inverse(u[:, j]) / config.impressions[j]
-    return (est, *rank_contexts(np.asarray(config.bids), est))
-
-
-def run_cpc_study(config: CpcStudyConfig, map=map) -> TrialTable:
-    """All trials of one setting, in trial order.
+def cpc_blocks(config: CpcStudyConfig) -> Iterator[TrialTable]:
+    """The setting's trials, one BLOCK at a time, in trial order.
 
     Trial t's draws come from blocks owned by unit t of the stream keyed
     (seed, study, setting), so its result does not depend on the other
-    trials, the chunking, or the thread count.  The trials run one BLOCK
-    at a time through ``map``, a command's ``worker_map``.
+    trials or on the cut into blocks.
     """
     key = rng.stream_key(config.seed, STREAM_CPC, config.setting_index)
     inverses = [BinomialInverse(n, p) for n, p in zip(config.impressions, config.true_ctrs)]
-    chunks = list(map(lambda r: _cpc_chunk(config, inverses, key, *r),
-                      rng.fixed_blocks(0, config.trials, BLOCK)))
-    return TrialTable(*(np.concatenate(col) for col in zip(*chunks)))
+    bids = np.asarray(config.bids)
+    m = len(inverses)
+    blocks = math.ceil(m / rng.DOUBLES_PER_BLOCK)
+    for lo, hi in rng.fixed_blocks(0, config.trials, BLOCK):
+        u = rng.unit_uniforms(key, lo, hi - lo, blocks_per_unit=blocks)
+        est = np.empty((hi - lo, m))
+        for j, inverse in enumerate(inverses):
+            est[:, j] = inverse(u[:, j]) / config.impressions[j]
+        yield TrialTable(est, *rank_contexts(bids, est), first=lo)
+
+
+def run_cpc_study(config: CpcStudyConfig, reduce: Callable[[TrialTable], object],
+                  write: Callable[[TrialTable], object] | None = None):
+    """One setting's trials reduced: ``reduce`` of each block of
+    ``cpc_blocks``, merged in block order by the reductions' ``merge``.
+
+    Each block goes to ``write``, when given, before it is reduced.  The
+    blocks run in turn in the calling thread: a block is many short numpy
+    calls that hold the interpreter lock between them, so worker threads
+    added time and memory and saved none.  Memory holds a block or two and
+    the merged reduction, whatever the trial count.
+    """
+    merged = None
+    for block in cpc_blocks(config):
+        if write is not None:
+            write(block)
+        part = reduce(block)
+        merged = part if merged is None else merged.merge(part)
+    return merged
 
 
 # ---------------------------------------------------------------------------

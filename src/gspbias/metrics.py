@@ -6,6 +6,10 @@ the slot's estimates run hot.  Calibration ratios compare predicted to
 realized clicks on greedy top-slot traffic versus uniformly explored
 traffic; their quotient is one exactly when estimate quality does not
 depend on how the ad earned its display.
+
+simulate-cpc reduces each block of a setting's trials to a ``CpcStats``:
+counts, moments in power-of-two units and lattice histograms, which merge
+block by block in a size that does not grow with the trial count.
 """
 
 from __future__ import annotations
@@ -27,107 +31,6 @@ from .oracle import SplitVerdict, check_splittable
 
 MIN_BIAS_TRIALS = 100
 MAX_HISTOGRAM_BINS = 1 << 20  # bins one histogram may span
-
-
-def _pow2(x: np.ndarray) -> float:
-    """A power of two above every magnitude in x, so that the squares of
-    x / _pow2(x) stay finite.  Division by it is exact, so moments taken
-    over the scaled values and scaled back match the unscaled ones bit for
-    bit wherever those do not overflow."""
-    peak = float(np.max(np.abs(x)))
-    return math.ldexp(1.0, min(math.frexp(peak)[1], 1023)) if 0.0 < peak < math.inf else 1.0
-
-
-def _mean_se(x: np.ndarray) -> tuple[float, float | None]:
-    """The mean of x and its standard error, None below two values; the
-    deviations are taken in units of _pow2(x), so the SE is the unscaled
-    one bit for bit wherever that does not overflow."""
-    c = _pow2(x)
-    se = float((x / c).std(ddof=1) / np.sqrt(len(x))) * c if len(x) > 1 else None
-    return float(x.mean()), se
-
-
-@dataclass(frozen=True)
-class BiasFactor:
-    rank: int
-    value: float
-    se: float
-
-
-def selection_bias(trials: TrialTable, true_ctrs: tuple[float, ...], rank: int) -> BiasFactor:
-    """Multiplicative bias of the rank-k CTR estimate against the true CTR.
-
-    Each trial's rank-k estimate is divided by the true CTR of the ad holding
-    rank k in that trial, then averaged.
-    """
-    n = len(trials)
-    if n < MIN_BIAS_TRIALS:
-        raise RankUnreachable(f"rank {rank} has {n} trials, need >= {MIN_BIAS_TRIALS}")
-    holders = trials.order[:, rank - 1]
-    ratios = trials.estimates[np.arange(n), holders] / np.asarray(true_ctrs)[holders]
-    value, se = _mean_se(ratios)
-    return BiasFactor(rank=rank, value=value, se=se)
-
-
-@dataclass(frozen=True)
-class CpcSummary:
-    """Observed price against the price implied by the true CTRs."""
-
-    expected_cpc: float
-    mean_observed_cpc: float
-    ratio: float
-    observed_se: float | None
-    ratio_of_means: float        # mean runner-up score / mean winner estimate
-    ratio_of_means_se: float | None
-    degenerate_trials: int
-
-
-def cpc_summary(trials: TrialTable, true_ctrs: tuple[float, ...],
-                bids: tuple[float, ...]) -> CpcSummary:
-    """Average realized price over non-degenerate trials, and its true target:
-    the price of the one auction ranked on the true CTRs."""
-    expected = float(rank_contexts(np.asarray(bids), np.asarray([true_ctrs]))[2][0])
-    ok = ~trials.degenerate
-    used = int(ok.sum())
-    degenerate = len(trials) - used
-    if not used:
-        return CpcSummary(expected_cpc=expected, mean_observed_cpc=float("nan"),
-                          ratio=float("nan"), observed_se=None,
-                          ratio_of_means=float("nan"), ratio_of_means_se=None,
-                          degenerate_trials=degenerate)
-    mean_cpc, se = _mean_se(trials.cpc[ok])
-    # numerator/denominator of the per-trial price, averaged separately
-    est, ranking, rows = trials.estimates[ok], trials.order[ok], np.arange(used)
-    top_est = est[rows, ranking[:, 0]]
-    if len(true_ctrs) > 1:
-        runner_score = est[rows, ranking[:, 1]] * np.asarray(bids)[ranking[:, 1]]
-    else:
-        runner_score = np.zeros(used)
-    mx, my = runner_score.mean(), top_est.mean()
-    rom, rom_se = float("nan"), None
-    if my > 0:
-        rom = float(mx / my)
-        if used > 1:
-            # each side in units of its own power of two, which the relative
-            # variances below do not depend on
-            cx, cy = _pow2(runner_score), _pow2(top_est)
-            x, y = runner_score / cx, top_est / cy
-            mx, my = mx / cx, my / cy
-            vx = x.var(ddof=1) / used
-            if mx == 0:
-                # every runner-up score is zero: the delta method's limit as mx -> 0
-                rom_se = float(np.sqrt(vx) / my) * (cx / cy)
-            else:
-                vy = y.var(ddof=1) / used
-                cxy = float(np.cov(x, y, ddof=1)[0, 1]) / used
-                rom_se = abs(rom) * float(
-                    np.sqrt(max(vx / mx ** 2 + vy / my ** 2 - 2 * cxy / (mx * my), 0.0)))
-    return CpcSummary(
-        expected_cpc=expected, mean_observed_cpc=mean_cpc,
-        ratio=mean_cpc / expected if expected > 0 else float("nan"),
-        observed_se=se, ratio_of_means=rom, ratio_of_means_se=rom_se,
-        degenerate_trials=degenerate,
-    )
 
 
 @dataclass(frozen=True)
@@ -215,14 +118,35 @@ def rtv_rtc(tables_a: BucketTables, tables_b: BucketTables, first_day: int) -> R
 
 @dataclass(frozen=True)
 class Histogram:
-    """Counts over half-open bins [edge_i, edge_{i+1}) on a width-aligned lattice."""
+    """Counts over the half-open bins [k w, (k + 1) w) of the lattice of
+    width w = ``bin_width``, one per k from ``lo`` on."""
 
-    edges: np.ndarray
+    lo: int
+    bin_width: float
     counts: np.ndarray
+
+    @property
+    def edges(self) -> np.ndarray:
+        return (self.lo + np.arange(len(self.counts) + 1)) * self.bin_width
 
     @property
     def width(self) -> float:
         return float(self.edges[1] - self.edges[0])
+
+    def merge(self, other: Histogram) -> Histogram:
+        """Both histograms' counts, added bin for bin on their common
+        lattice.  Raises HistogramTooWide when the two span more than
+        MAX_HISTOGRAM_BINS bins together."""
+        lo = min(self.lo, other.lo)
+        hi = max(self.lo + len(self.counts), other.lo + len(other.counts))
+        w = self.bin_width
+        if hi - lo > MAX_HISTOGRAM_BINS:
+            raise HistogramTooWide(f"samples from {lo * w} to {hi * w} at bin width {w} "
+                                   f"span more than {MAX_HISTOGRAM_BINS} bins")
+        counts = np.zeros(hi - lo, dtype=np.int64)
+        for h in (self, other):
+            counts[h.lo - lo:h.lo - lo + len(h.counts)] += h.counts
+        return Histogram(lo, w, counts)
 
 
 def build_histogram(samples, bin_width: float) -> Histogram:
@@ -246,8 +170,7 @@ def build_histogram(samples, bin_width: float) -> Histogram:
                                f"{bin_width} span more than {MAX_HISTOGRAM_BINS} bins")
     k_min, k_max = int(lo), int(hi)
     counts = np.bincount((k - lo).astype(np.int64), minlength=k_max - k_min + 1)
-    edges = (k_min + np.arange(k_max - k_min + 2)) * bin_width
-    return Histogram(edges=edges, counts=counts)
+    return Histogram(lo=k_min, bin_width=bin_width, counts=counts)
 
 
 def align_histograms(h1: Histogram, h2: Histogram) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -280,6 +203,199 @@ def split_histogram_densities(edges, counts_f, counts_g) -> SplitVerdict:
     return check_splittable(dens_f, dens_g, tolerance)
 
 
+def _pow2(peak: float) -> float:
+    """A power of two above ``peak``, so that the squares of values up to
+    it, in its units, stay finite."""
+    return math.ldexp(1.0, min(math.frexp(peak)[1], 1023)) if 0.0 < peak < math.inf else 1.0
+
+
+@dataclass(frozen=True)
+class Moments:
+    """The count of a sample and its mean and sum of squared deviations
+    (M2) in units of ``scale``, a power of two above every magnitude in it,
+    so that the squares stay finite.  Division by it is exact, so the mean
+    and standard error scaled back are the unscaled ones bit for bit
+    wherever those do not overflow."""
+
+    n: int
+    mean: float
+    m2: float
+    scale: float
+
+    @classmethod
+    def of(cls, x: np.ndarray, scale: float) -> Moments:
+        """The moments of x as numpy's ``x.std`` takes them."""
+        if not len(x):
+            return cls(0, 0.0, 0.0, scale)
+        x = x / scale
+        mean = x.mean()
+        x -= mean
+        return cls(len(x), float(mean), float((x * x).sum()), scale)
+
+    def merge(self, other: Moments) -> Moments:
+        """Both samples' moments, ``other``'s values after these (Chan,
+        Golub & LeVeque 1979)."""
+        if not (self.n and other.n):
+            return other if other.n else self
+        n = self.n + other.n
+        delta = other.mean - self.mean
+        return Moments(n, self.mean + delta * other.n / n,
+                       self.m2 + other.m2 + delta * delta * self.n * other.n / n, self.scale)
+
+    def mean_se(self) -> tuple[float, float | None]:
+        """The mean and its standard error, None below two values."""
+        se = (float(np.sqrt(self.m2 / (self.n - 1)) / np.sqrt(self.n)) * self.scale
+              if self.n > 1 else None)
+        return self.mean * self.scale, se
+
+
+@dataclass(frozen=True)
+class CoMoments:
+    """The ``Moments`` of paired samples x and y, and their co-moment ``c``,
+    the sum of the products of their deviations, in units of
+    x.scale * y.scale."""
+
+    x: Moments
+    y: Moments
+    c: float
+
+    @classmethod
+    def of(cls, x: np.ndarray, y: np.ndarray, scale_x: float, scale_y: float) -> CoMoments:
+        """The moments of x and y as their ``std`` takes them, and the
+        co-moment as ``np.cov`` takes it: one product of the centred rows."""
+        if not len(x):
+            return cls(Moments.of(x, scale_x), Moments.of(y, scale_y), 0.0)
+        xy = np.stack([x / scale_x, y / scale_y])
+        mean = xy.mean(axis=1)
+        xy -= mean[:, None]
+        m2 = (xy * xy).sum(axis=1)
+        n = len(x)
+        return cls(Moments(n, float(mean[0]), float(m2[0]), scale_x),
+                   Moments(n, float(mean[1]), float(m2[1]), scale_y),
+                   float(np.dot(xy, xy.T)[0, 1]))
+
+    def merge(self, other: CoMoments) -> CoMoments:
+        """Both samples' moments, ``other``'s pairs after these."""
+        na, nb = self.x.n, other.x.n
+        if not (na and nb):
+            return other if nb else self
+        dx, dy = other.x.mean - self.x.mean, other.y.mean - self.y.mean
+        return CoMoments(self.x.merge(other.x), self.y.merge(other.y),
+                         self.c + other.c + dx * dy * na * nb / (na + nb))
+
+
+@dataclass(frozen=True)
+class CpcStats:
+    """What simulate-cpc reports of a run of one setting's trials, in a
+    size that does not grow with the trial count.  Counts add, moments
+    merge and histogram counts add on their lattice, so two runs of
+    consecutive trials ``merge`` into the statistics of both."""
+
+    trials: int
+    degenerate: int
+    cpc: Moments             # the non-degenerate trials' prices
+    price_parts: CoMoments   # their runner-up scores (x) and winner estimates (y)
+    ratios: tuple[Moments, ...]   # per rank: the estimate over its holder's true CTR
+    scores: tuple[Moments, ...]   # per rank: bid x estimate, grouped by ad
+    cpc_hist: Histogram | None    # None while every trial is degenerate
+    rank_hists: tuple[Histogram, ...]  # per rank: bid x estimate
+
+    def merge(self, other: CpcStats) -> CpcStats:
+        """The statistics of these trials, then ``other``'s."""
+        cpc_hist = self.cpc_hist or other.cpc_hist
+        if self.cpc_hist is not None and other.cpc_hist is not None:
+            cpc_hist = self.cpc_hist.merge(other.cpc_hist)
+        return CpcStats(
+            trials=self.trials + other.trials, degenerate=self.degenerate + other.degenerate,
+            cpc=self.cpc.merge(other.cpc), price_parts=self.price_parts.merge(other.price_parts),
+            ratios=tuple(a.merge(b) for a, b in zip(self.ratios, other.ratios)),
+            scores=tuple(a.merge(b) for a, b in zip(self.scores, other.scores)),
+            cpc_hist=cpc_hist,
+            rank_hists=tuple(a.merge(b) for a, b in zip(self.rank_hists, other.rank_hists)))
+
+
+def cpc_block_stats(trials: TrialTable, true_ctrs: tuple[float, ...], bids: tuple[float, ...],
+                    widths: tuple[float, float], histogram=build_histogram) -> CpcStats:
+    """The ``CpcStats`` of one block of trials, the reduce of
+    ``run_cpc_study``; ``widths`` are the bin widths of the price and score
+    histograms, which ``histogram`` builds.
+
+    Each quantity's moments are taken in units of a power of two that
+    bounds it before any trial is drawn: a winner pays at most its own bid,
+    so the bids bound every price and score, an estimate is k / n <= 1, and
+    1 / min(true_ctrs) bounds every ratio.
+    """
+    n, m = trials.estimates.shape
+    price, ratio = _pow2(max(bids)), _pow2(1.0 / min(true_ctrs))
+    ok = ~trials.degenerate
+    used = int(ok.sum())
+    cpcs = trials.cpc[ok]
+    # column k: the estimate at rank k + 1, and its holder's bid and true CTR
+    ranked = np.take_along_axis(trials.estimates, trials.order, axis=1)
+    bid, ctr = np.asarray(bids)[trials.order], np.asarray(true_ctrs)[trials.order]
+    # numerator/denominator of the per-trial price, averaged separately
+    runner_score = ranked[ok, 1] * bid[ok, 1] if m > 1 else np.zeros(used)
+    # each rank's scores grouped by ad, then in trial order
+    scores = tuple(Moments.of(np.concatenate([trials.estimates[trials.rank[:, i] == k, i] * bids[i]
+                                              for i in range(m)]), price)
+                   for k in range(m))
+    return CpcStats(
+        trials=n, degenerate=n - used, cpc=Moments.of(cpcs, price),
+        price_parts=CoMoments.of(runner_score, ranked[ok, 0], price, _pow2(1.0)),
+        ratios=tuple(Moments.of(col, ratio) for col in (ranked / ctr).T), scores=scores,
+        cpc_hist=histogram(cpcs, widths[0]) if used else None,
+        rank_hists=tuple(histogram(col, widths[1]) for col in (ranked * bid).T))
+
+
+@dataclass(frozen=True)
+class CpcSummary:
+    """Observed price against the price implied by the true CTRs."""
+
+    expected_cpc: float
+    mean_observed_cpc: float
+    ratio: float
+    observed_se: float | None
+    ratio_of_means: float        # mean runner-up score / mean winner estimate
+    ratio_of_means_se: float | None
+    degenerate_trials: int
+
+
+def cpc_summary(stats: CpcStats, true_ctrs: tuple[float, ...],
+                bids: tuple[float, ...]) -> CpcSummary:
+    """Average realized price over non-degenerate trials, and its true target:
+    the price of the one auction ranked on the true CTRs."""
+    expected = float(rank_contexts(np.asarray(bids), np.asarray([true_ctrs]))[2][0])
+    used = stats.cpc.n
+    if not used:
+        return CpcSummary(expected_cpc=expected, mean_observed_cpc=float("nan"),
+                          ratio=float("nan"), observed_se=None,
+                          ratio_of_means=float("nan"), ratio_of_means_se=None,
+                          degenerate_trials=stats.degenerate)
+    mean_cpc, se = stats.cpc.mean_se()
+    # each side in its own units, which the relative variances below do not depend on
+    x, y = stats.price_parts.x, stats.price_parts.y
+    rom, rom_se = float("nan"), None
+    if y.mean > 0:
+        rom = float(x.mean * x.scale / (y.mean * y.scale))
+        if used > 1:
+            vx = x.m2 / (used - 1) / used
+            if x.mean == 0:
+                # every runner-up score is zero: the delta method's limit as mx -> 0
+                rom_se = float(np.sqrt(vx) / y.mean) * (x.scale / y.scale)
+            else:
+                vy = y.m2 / (used - 1) / used
+                # np.cov's normalization: the co-moment times 1 / (n - 1)
+                cxy = stats.price_parts.c * (1 / (used - 1)) / used
+                rom_se = abs(rom) * float(np.sqrt(max(
+                    vx / x.mean ** 2 + vy / y.mean ** 2 - 2 * cxy / (x.mean * y.mean), 0.0)))
+    return CpcSummary(
+        expected_cpc=expected, mean_observed_cpc=mean_cpc,
+        ratio=mean_cpc / expected if expected > 0 else float("nan"),
+        observed_se=se, ratio_of_means=rom, ratio_of_means_se=rom_se,
+        degenerate_trials=stats.degenerate,
+    )
+
+
 @dataclass(frozen=True)
 class RankBiasSummary:
     rank: int
@@ -298,25 +414,25 @@ class BiasReport:
     adjacent_splittable: tuple[bool, ...]   # rank k vs k+1 ordered-score histograms
 
 
-def bias_report(trials: TrialTable, true_ctrs: tuple[float, ...],
-                bids: tuple[float, ...], rank_hists: list[Histogram]) -> BiasReport:
+def bias_report(stats: CpcStats) -> BiasReport:
     """Assemble bias factors, ordered-score moments, and splittability
-    verdicts; ``rank_hists[k]`` is the histogram of rank k + 1's scores."""
-    m = len(true_ctrs)
+    verdicts.  The bias factor at rank k is the mean, over trials, of the
+    rank-k estimate over the true CTR of the ad holding rank k.  Raises
+    RankUnreachable below MIN_BIAS_TRIALS trials."""
+    if stats.trials < MIN_BIAS_TRIALS:
+        raise RankUnreachable(f"rank 1 has {stats.trials} trials, need >= {MIN_BIAS_TRIALS}")
     per_rank = []
-    for rank in range(1, m + 1):
-        factor = selection_bias(trials, true_ctrs, rank)
-        # grouped by ad, then in trial order
-        scores = np.concatenate([trials.estimates[trials.rank[:, i] == rank - 1, i] * bids[i]
-                                 for i in range(m)])
-        mean, se = _mean_se(scores)
+    for rank, (ratios, scores) in enumerate(zip(stats.ratios, stats.scores), 1):
+        factor, factor_se = ratios.mean_se()
+        mean, se = scores.mean_se()
         per_rank.append(RankBiasSummary(
-            rank=rank, bias_factor=factor.value, bias_se=factor.se,
-            conditional_score_mean=mean, conditional_score_se=se, samples=len(scores),
+            rank=rank, bias_factor=factor, bias_se=factor_se,
+            conditional_score_mean=mean, conditional_score_se=se, samples=scores.n,
         ))
+    hists = stats.rank_hists
     splittable = []
-    for k in range(m - 1):
-        edges, c_better, c_worse = align_histograms(rank_hists[k], rank_hists[k + 1])
+    for k in range(len(hists) - 1):
+        edges, c_better, c_worse = align_histograms(hists[k], hists[k + 1])
         # the better rank's scores should sit below the worse rank's density
         # at low scores and above it at high scores, crossing once
         verdict = split_histogram_densities(edges, c_better, c_worse)

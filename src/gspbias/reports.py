@@ -4,10 +4,12 @@ All text files are UTF-8 with LF line endings and a mandatory header row for
 CSV.  Floats are written with shortest round-trip formatting so identical
 runs produce identical bytes.
 
-The trial writers work in columns: each distinct value of a column is
-formatted once (``_text``; a 20,000-trial packaged setting has about 115
-distinct estimates per ad), and ``_write_rows`` joins ``CHUNK_ROWS`` rows of
-that text with the format's fixed separators per write.
+The trial writers append one block of a setting's trials at a time to a
+log opened once per setting and format (``open_trials``).  They work in
+columns: each distinct value of a column is formatted once per block
+(``_text``; a packaged setting's estimates take about 115 distinct values
+per ad), and ``_write_rows`` joins ``CHUNK_ROWS`` rows of that text with
+the format's fixed separators per write.
 
 The impression writers append one block of a bucket's accesses at a time
 to a file opened once per bucket and format (``open_impressions``).  An
@@ -63,7 +65,8 @@ def write_json(path: Path, payload) -> None:
 
 
 def write_histogram_csv(path: Path, hist: Histogram) -> None:
-    rows = ((float(hist.edges[i]), float(hist.edges[i + 1]), int(hist.counts[i]))
+    edges = hist.edges
+    rows = ((float(edges[i]), float(edges[i + 1]), int(hist.counts[i]))
             for i in range(len(hist.counts)))
     write_csv(path, ["bin_left", "bin_right", "count"], rows)
 
@@ -100,35 +103,44 @@ def _write_rows(fh, separators: list[str], columns: list[np.ndarray]) -> None:
         fh.write("".join(block.ravel().tolist()))
 
 
-def write_trials_csv(path: Path, trials: TrialTable) -> None:
-    if not len(trials):
-        raise ValueError("no trials to write")
-    m = trials.estimates.shape[1]
-    header = (["trial", "winner", "cpc", "degenerate"]
-              + [f"estimate_{i}" for i in range(m)]
-              + [f"rank_{i}" for i in range(m)])
-    columns = [_text(np.arange(len(trials)), str), _text(trials.order[:, 0], str),
+def open_trials(path: Path, fmt: str, ads: int):
+    """One setting's trial log, open for the ``fmt`` writer to append blocks
+    of trials to: UTF-8 with LF line endings, and for "csv" its header row
+    written."""
+    fh = open(path, "w", encoding="utf-8", newline="\n")
+    if fmt == "csv":
+        fh.write(",".join(["trial", "winner", "cpc", "degenerate"]
+                          + [f"estimate_{i}" for i in range(ads)]
+                          + [f"rank_{i}" for i in range(ads)]) + "\n")
+    return fh
+
+
+def _trial_numbers(trials: TrialTable) -> np.ndarray:
+    return _text(np.arange(trials.first, trials.first + len(trials)), str)
+
+
+def write_trials_csv(fh, trials: TrialTable) -> None:
+    """Append one CSV row per trial to the log ``fh`` (``open_trials``)."""
+    columns = [_trial_numbers(trials), _text(trials.order[:, 0], str),
                _text(trials.cpc, repr), _text(trials.degenerate.astype(np.int8), str),
                *_text(trials.estimates, repr).T, *_text(trials.rank + 1, str).T]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        _write_rows(fh, ["", *[","] * (len(columns) - 1), "\n"], columns)
+    _write_rows(fh, ["", *[","] * (len(columns) - 1), "\n"], columns)
 
 
-def write_trials_jsonl(path: Path, trials: TrialTable) -> None:
-    # json.dumps(..., sort_keys=True) of each trial's record, whose keys are fixed
+def write_trials_jsonl(fh, trials: TrialTable) -> None:
+    """Append one JSON line per trial to the log ``fh`` (``open_trials``):
+    json.dumps(..., sort_keys=True) of each trial's record, whose keys are
+    fixed."""
     m = trials.estimates.shape[1]
     ranking = _text(trials.order, str)
     columns = [_text(trials.cpc, json.dumps), _text(trials.degenerate, json.dumps),
                *_text(trials.estimates, json.dumps).T, *ranking.T,
-               *_text(trials.rank + 1, str).T, _text(np.arange(len(trials)), str),
-               ranking[:, 0]]
+               *_text(trials.rank + 1, str).T, _trial_numbers(trials), ranking[:, 0]]
     items = [", "] * (m - 1)  # between the m items of a list
     separators = ['{"cpc": ', ', "degenerate": ', ', "estimates": [', *items,
                   '], "ranking": [', *items, '], "ranks": [', *items,
                   '], "trial": ', ', "winner": ', "}\n"]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        _write_rows(fh, separators, columns)
+    _write_rows(fh, separators, columns)
 
 
 IMPRESSION_HEADER = ["day", "bucket", "site", "pos", "ad_id", "mode",

@@ -48,9 +48,12 @@ class Mutant(NamedTuple):
 
 ORACLE, ENGINE, CLI = "src/gspbias/oracle.py", "src/gspbias/engine.py", "src/gspbias/cli.py"
 REPORTS, ESTIMATORS = "src/gspbias/reports.py", "src/gspbias/estimators.py"
+METRICS = "src/gspbias/metrics.py"
 T_ORACLE, T_ENGINE, T_CLI = "tests/test_oracle.py", "tests/test_engine.py", "tests/test_cli.py"
 LEAF_CHECKS = T_ORACLE + "::TestLeafChecks"
 EXACT_UNIFORMS = T_ORACLE + "::TestConditionalScoreMean::test_uniform_fields_match_exact_integrals"
+T_METRICS = "tests/test_metrics.py"
+MERGED_STATS = T_METRICS + "::TestCpcStats::test_merged_statistics_match_whole_table"
 
 MUTANTS = [
     # ab-run formats each record once per bucket-day (line tables)
@@ -155,6 +158,28 @@ MUTANTS = [
            "MC_AGREEMENT_SIGMA = 4.0\n",
            "MC_AGREEMENT_SIGMA = 5.0\n",
            (T_CLI + "::TestMcAgreement", T_CLI + "::TestMassAgreement")),
+    # simulate-cpc reduces each block of trials and merges the reductions in order
+    Mutant("chan-merge-without-delta-term", METRICS,
+           "                       self.m2 + other.m2 + delta * delta * self.n * other.n / n,",
+           "                       self.m2 + other.m2,",
+           (MERGED_STATS, T_METRICS + "::TestCpcStats::test_moments_merge_like_one_sample")),
+    Mutant("co-moment-merge-wrong-sign", METRICS,
+           "                         self.c + other.c + dx * dy * na * nb / (na + nb))",
+           "                         self.c + other.c - dx * dy * na * nb / (na + nb))",
+           (MERGED_STATS,)),
+    Mutant("histogram-merge-drops-last-bin", METRICS,
+           "            counts[h.lo - lo:h.lo - lo + len(h.counts)] += h.counts\n",
+           "            counts[h.lo - lo:h.lo - lo + len(h.counts) - 1] += h.counts[:-1]\n",
+           (T_METRICS + "::TestHistograms::test_merge_equals_one_build", MERGED_STATS)),
+    Mutant("cpc-blocks-out-of-order", ENGINE,
+           "    for lo, hi in rng.fixed_blocks(0, config.trials, BLOCK):\n",
+           "    for lo, hi in rng.fixed_blocks(0, config.trials, BLOCK)[::-1]:\n",
+           (T_ENGINE + "::TestCpcStudy::test_blocks_cut_the_trials_in_order",
+            "tests/test_reports.py::TestTrialWriters::test_block_logs_match_whole_table")),
+    Mutant("histograms-past-the-traced-name", CLI,
+           "block, cfg.true_ctrs, cfg.bids, widths, build_histogram), write)",
+           "block, cfg.true_ctrs, cfg.bids, widths), write)",
+           (T_CLI + "::test_bench_tracer_records_simulate_cpc_spans",)),
 ]
 
 

@@ -18,6 +18,9 @@ from gspbias.engine import (
     BucketTables,
     Context,
     ImpressionLog,
+    TrialTable,
+    cpc_blocks,
+    rank_contexts,
     run_ab_experiment,
     score_ranks,
 )
@@ -28,7 +31,16 @@ from gspbias.errors import (
     UndefinedCalibration,
     UndefinedRatio,
 )
-from gspbias.metrics import CalibrationReport, RelativeMetrics, align_histograms
+from gspbias.metrics import (
+    MIN_BIAS_TRIALS,
+    BiasReport,
+    CalibrationReport,
+    CpcSummary,
+    RankBiasSummary,
+    RelativeMetrics,
+    align_histograms,
+    split_histogram_densities,
+)
 from gspbias import oracle, rng
 from gspbias.oracle import (
     MASS_FLOOR,
@@ -190,6 +202,131 @@ def rtv_rtc_per_access(log_a, log_b) -> RelativeMetrics:
     if cost_a == 0.0:
         raise UndefinedRatio("bucket A has zero clicked cost")
     return RelativeMetrics(rtv=value_b / value_a, rtc=cost_b / cost_a)
+
+
+def cpc_trials(config) -> TrialTable:
+    """All trials of one setting as one table: the blocks that
+    ``run_cpc_study`` reduces, joined in trial order."""
+    blocks = list(cpc_blocks(config))
+    columns = ("estimates", "rank", "order", "cpc", "degenerate")
+    return TrialTable(*(np.concatenate([getattr(b, name) for b in blocks]) for name in columns))
+
+
+# The whole-table metrics that ``metrics.CpcStats`` replaced: the oracle its
+# merged statistics are checked against.
+
+def _pow2(x: np.ndarray) -> float:
+    """A power of two above every magnitude in x, so that the squares of
+    x / _pow2(x) stay finite.  Division by it is exact, so moments taken
+    over the scaled values and scaled back match the unscaled ones bit for
+    bit wherever those do not overflow."""
+    peak = float(np.max(np.abs(x)))
+    return math.ldexp(1.0, min(math.frexp(peak)[1], 1023)) if 0.0 < peak < math.inf else 1.0
+
+
+def _mean_se(x: np.ndarray) -> tuple[float, float | None]:
+    """The mean of x and its standard error, None below two values; the
+    deviations are taken in units of _pow2(x), so the SE is the unscaled
+    one bit for bit wherever that does not overflow."""
+    c = _pow2(x)
+    se = float((x / c).std(ddof=1) / np.sqrt(len(x))) * c if len(x) > 1 else None
+    return float(x.mean()), se
+
+
+@dataclass(frozen=True)
+class BiasFactor:
+    rank: int
+    value: float
+    se: float
+
+
+def selection_bias(trials: TrialTable, true_ctrs: tuple[float, ...], rank: int) -> BiasFactor:
+    """Multiplicative bias of the rank-k CTR estimate against the true CTR.
+
+    Each trial's rank-k estimate is divided by the true CTR of the ad holding
+    rank k in that trial, then averaged.
+    """
+    n = len(trials)
+    if n < MIN_BIAS_TRIALS:
+        raise RankUnreachable(f"rank {rank} has {n} trials, need >= {MIN_BIAS_TRIALS}")
+    holders = trials.order[:, rank - 1]
+    ratios = trials.estimates[np.arange(n), holders] / np.asarray(true_ctrs)[holders]
+    value, se = _mean_se(ratios)
+    return BiasFactor(rank=rank, value=value, se=se)
+
+
+def cpc_summary(trials: TrialTable, true_ctrs: tuple[float, ...],
+                bids: tuple[float, ...]) -> CpcSummary:
+    """Average realized price over non-degenerate trials, and its true target:
+    the price of the one auction ranked on the true CTRs."""
+    expected = float(rank_contexts(np.asarray(bids), np.asarray([true_ctrs]))[2][0])
+    ok = ~trials.degenerate
+    used = int(ok.sum())
+    degenerate = len(trials) - used
+    if not used:
+        return CpcSummary(expected_cpc=expected, mean_observed_cpc=float("nan"),
+                          ratio=float("nan"), observed_se=None,
+                          ratio_of_means=float("nan"), ratio_of_means_se=None,
+                          degenerate_trials=degenerate)
+    mean_cpc, se = _mean_se(trials.cpc[ok])
+    # numerator/denominator of the per-trial price, averaged separately
+    est, ranking, rows = trials.estimates[ok], trials.order[ok], np.arange(used)
+    top_est = est[rows, ranking[:, 0]]
+    if len(true_ctrs) > 1:
+        runner_score = est[rows, ranking[:, 1]] * np.asarray(bids)[ranking[:, 1]]
+    else:
+        runner_score = np.zeros(used)
+    mx, my = runner_score.mean(), top_est.mean()
+    rom, rom_se = float("nan"), None
+    if my > 0:
+        rom = float(mx / my)
+        if used > 1:
+            # each side in units of its own power of two, which the relative
+            # variances below do not depend on
+            cx, cy = _pow2(runner_score), _pow2(top_est)
+            x, y = runner_score / cx, top_est / cy
+            mx, my = mx / cx, my / cy
+            vx = x.var(ddof=1) / used
+            if mx == 0:
+                # every runner-up score is zero: the delta method's limit as mx -> 0
+                rom_se = float(np.sqrt(vx) / my) * (cx / cy)
+            else:
+                vy = y.var(ddof=1) / used
+                cxy = float(np.cov(x, y, ddof=1)[0, 1]) / used
+                rom_se = abs(rom) * float(
+                    np.sqrt(max(vx / mx ** 2 + vy / my ** 2 - 2 * cxy / (mx * my), 0.0)))
+    return CpcSummary(
+        expected_cpc=expected, mean_observed_cpc=mean_cpc,
+        ratio=mean_cpc / expected if expected > 0 else float("nan"),
+        observed_se=se, ratio_of_means=rom, ratio_of_means_se=rom_se,
+        degenerate_trials=degenerate,
+    )
+
+
+def bias_report(trials: TrialTable, true_ctrs: tuple[float, ...],
+                bids: tuple[float, ...], rank_hists) -> BiasReport:
+    """Assemble bias factors, ordered-score moments, and splittability
+    verdicts; ``rank_hists[k]`` is the histogram of rank k + 1's scores."""
+    m = len(true_ctrs)
+    per_rank = []
+    for rank in range(1, m + 1):
+        factor = selection_bias(trials, true_ctrs, rank)
+        # grouped by ad, then in trial order
+        scores = np.concatenate([trials.estimates[trials.rank[:, i] == rank - 1, i] * bids[i]
+                                 for i in range(m)])
+        mean, se = _mean_se(scores)
+        per_rank.append(RankBiasSummary(
+            rank=rank, bias_factor=factor.value, bias_se=factor.se,
+            conditional_score_mean=mean, conditional_score_se=se, samples=len(scores),
+        ))
+    splittable = []
+    for k in range(m - 1):
+        edges, c_better, c_worse = align_histograms(rank_hists[k], rank_hists[k + 1])
+        # the better rank's scores should sit below the worse rank's density
+        # at low scores and above it at high scores, crossing once
+        verdict = split_histogram_densities(edges, c_better, c_worse)
+        splittable.append(verdict.splittable)
+    return BiasReport(per_rank=tuple(per_rank), adjacent_splittable=tuple(splittable))
 
 
 def histogram_overlap(h1, h2) -> float:

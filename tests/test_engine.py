@@ -26,10 +26,10 @@ from gspbias.engine import (
     _PPF_FLOOR,
     BinomialInverse,
     _mc_block,
+    cpc_blocks,
     estimate_matrix,
     rank_contexts,
     run_ab_experiment,
-    run_cpc_study,
     sample_rank_stats,
     score_ranks,
     worker_map,
@@ -42,6 +42,7 @@ from gspbias.oracle import CaseGrid, CaseSampler, ScoreDistribution
 from reference import (
     DegeneratePrice,
     ScoredAd,
+    cpc_trials,
     gsp_price,
     mc_block_trial_major,
     rank_ads,
@@ -65,7 +66,7 @@ def assert_tables_equal(a, b, rows=slice(None)):
 class TestCpcStudy:
     def test_zero_variance_ctrs(self):
         """Certain clicks make every estimate 1 and every price the bid ratio."""
-        trials = run_cpc_study(study(trials=50, ctrs=(1.0, 1.0), n=(10, 10)))
+        trials = cpc_trials(study(trials=50, ctrs=(1.0, 1.0), n=(10, 10)))
         assert len(trials) == 50
         assert (trials.estimates == 1.0).all()
         np.testing.assert_allclose(trials.cpc, 1.0)
@@ -73,7 +74,7 @@ class TestCpcStudy:
         assert (trials.order == [0, 1]).all()  # tie resolved to the lower index
 
     def test_trial_results_are_self_consistent(self):
-        trials = run_cpc_study(study(trials=500))
+        trials = cpc_trials(study(trials=500))
         est, order = trials.estimates, trials.order
         assert est.shape == order.shape == (500, 2)
         assert trials.cpc.shape == trials.degenerate.shape == (500,)
@@ -86,7 +87,7 @@ class TestCpcStudy:
 
     def test_matches_scalar_auction_ops(self):
         """The vectorized study agrees with rank_ads/gsp_price trial by trial."""
-        trials = run_cpc_study(study(trials=200, bids=(1.5, 0.7)))
+        trials = cpc_trials(study(trials=200, bids=(1.5, 0.7)))
         for est, order, cpc, degenerate in zip(trials.estimates.tolist(), trials.order.tolist(),
                                                trials.cpc.tolist(), trials.degenerate.tolist()):
             scored = [ScoredAd.from_bid(i, b, e)
@@ -97,7 +98,7 @@ class TestCpcStudy:
 
     def test_rank_inverts_order(self):
         """Each trial's rank column is the inverse permutation of its order."""
-        trials = run_cpc_study(study(trials=500, ctrs=(0.05, 0.05), n=(200, 200)))
+        trials = cpc_trials(study(trials=500, ctrs=(0.05, 0.05), n=(200, 200)))
         rows = np.arange(500)[:, None]
         assert (trials.rank[rows, trials.order] == [0, 1]).all()
         assert (trials.order[rows, trials.rank] == [0, 1]).all()
@@ -105,8 +106,8 @@ class TestCpcStudy:
 
     def test_trial_stream_is_position_independent(self):
         """Trial t sees the same draws no matter how many trials run."""
-        short = run_cpc_study(study(trials=64))
-        long = run_cpc_study(study(trials=512))
+        short = cpc_trials(study(trials=64))
+        long = cpc_trials(study(trials=512))
         assert_tables_equal(short, long, rows=slice(64))
 
     @pytest.mark.parametrize("bids", [(1.0, -1.0), (math.inf, 1.0), (1.0, math.nan)])
@@ -132,22 +133,27 @@ class TestCpcStudy:
             study(ctrs=ctrs, n=(5000,) * len(ctrs), bids=(1.0,) * len(ctrs))
         assert info.value.field == "true_ctrs"
 
-    def test_thread_count_does_not_change_results(self):
-        """The builtin map and a 3-worker pool give the same bytes, with one
-        block, a block one short, a block and one more, and part of a block."""
-        with worker_map(3) as pool:
-            for trials in (1, BLOCK - 1, BLOCK + 1, 700):
-                cfg = study(trials=trials)
-                assert_tables_equal(run_cpc_study(cfg), run_cpc_study(cfg, pool))
+    @pytest.mark.parametrize("trials", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 700])
+    def test_blocks_cut_the_trials_in_order(self, trials):
+        """Blocks of BLOCK trials, the last one shorter, in trial order and
+        numbered from their first trial: for one trial, a block one short, a
+        whole block, one more, and two and part of a third.  Joined, they
+        begin with the trials of a shorter run, cut into blocks elsewhere."""
+        cfg = study(trials=trials)
+        blocks = list(cpc_blocks(cfg))
+        assert [b.first for b in blocks] == list(range(0, trials, BLOCK))
+        assert [len(b) for b in blocks] == [min(BLOCK, trials - b.first) for b in blocks]
+        short = study(trials=trials - BLOCK // 2 if trials > BLOCK else 1)
+        assert_tables_equal(cpc_trials(short), cpc_trials(cfg), rows=slice(short.trials))
 
     def test_settings_use_distinct_streams(self):
-        a = run_cpc_study(study(trials=50, setting_index=0))
-        b = run_cpc_study(study(trials=50, setting_index=1))
+        a = cpc_trials(study(trials=50, setting_index=0))
+        b = cpc_trials(study(trials=50, setting_index=1))
         assert (a.estimates != b.estimates).any()
 
     def test_degenerate_trials_flagged(self):
         """Tiny impression counts make all-zero estimates likely; they are flagged."""
-        trials = run_cpc_study(study(trials=4000, ctrs=(0.05, 0.05), n=(2, 2)))
+        trials = cpc_trials(study(trials=4000, ctrs=(0.05, 0.05), n=(2, 2)))
         degen = trials.degenerate
         assert degen.any(), "expected some all-zero-estimate trials at n=2"
         top_est = trials.estimates[np.arange(len(trials)), trials.order[:, 0]]
@@ -155,7 +161,7 @@ class TestCpcStudy:
         assert (trials.cpc[degen] == 0.0).all()
 
     def test_mean_binomial_estimates_unbiased(self):
-        trials = run_cpc_study(study(trials=20000))
+        trials = cpc_trials(study(trials=20000))
         est = trials.estimates
         for j, (p, n) in enumerate(zip((0.05, 0.04), (5000, 5000))):
             se = np.sqrt(p * (1 - p) / n / len(trials))
@@ -247,7 +253,7 @@ class TestBinomialInverse:
     def test_study_draws_match_binom_ppf(self):
         """Every trial's estimate is binom.ppf of its own uniform over n."""
         cfg = study(trials=3000, ctrs=(0.05, 0.04), n=(5000, 20000), setting_index=2)
-        trials = run_cpc_study(cfg)
+        trials = cpc_trials(cfg)
         u = rng.unit_uniforms(rng.stream_key(cfg.seed, STREAM_CPC, 2), 0, cfg.trials)
         for j, (n, p) in enumerate(zip(cfg.impressions, cfg.true_ctrs)):
             expected = binom_ppf(np.maximum(u[:, j], _PPF_FLOOR), n, p) / n
@@ -262,20 +268,20 @@ def rank_samples(trials, ad, rank):
 class TestConditionalRankSamples:
     def test_deterministic_ranking_keeps_all_trials(self):
         """Far-apart CTRs at high impression counts pin the ranking."""
-        trials = run_cpc_study(study(trials=2000, ctrs=(0.9, 0.01), n=(20000, 20000)))
+        trials = cpc_trials(study(trials=2000, ctrs=(0.9, 0.01), n=(20000, 20000)))
         assert len(rank_samples(trials, 0, 1)) == len(trials)
         assert len(rank_samples(trials, 0, 2)) == 0
 
     def test_rank_conditioning_orders_means(self):
-        trials = run_cpc_study(study(trials=20000, ctrs=(0.05, 0.05)))
+        trials = cpc_trials(study(trials=20000, ctrs=(0.05, 0.05)))
         win = rank_samples(trials, 0, 1)
         lose = rank_samples(trials, 0, 2)
         assert win.mean() > 0.05 > lose.mean()
 
     def test_nearly_deterministic_ranking_leaves_means_unconditional(self):
         """When estimate spreads don't overlap, conditioning on rank is inert."""
-        trials = run_cpc_study(study(trials=20000, ctrs=(0.05, 0.04),
-                                     n=(20000, 20000), setting_index=8))
+        trials = cpc_trials(study(trials=20000, ctrs=(0.05, 0.04),
+                                  n=(20000, 20000), setting_index=8))
         for ad, rank, target in ((0, 1, 0.05), (1, 2, 0.04)):
             samples = rank_samples(trials, ad, rank)
             se = samples.std(ddof=1) / np.sqrt(len(samples))

@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -14,26 +17,30 @@ from gspbias.engine import (
 )
 from gspbias.errors import HistogramTooWide, RankUnreachable, UndefinedCalibration, UndefinedRatio
 from gspbias.metrics import (
-    _mean_se,
     align_histograms,
-    bias_report,
     MAX_HISTOGRAM_BINS,
+    Moments,
     build_histogram,
     c_relative,
-    cpc_summary,
+    cpc_block_stats,
     rtv_rtc,
-    selection_bias,
 )
+from gspbias import metrics
 from reference import (
+    _mean_se,
     after_day,
+    bias_report,
     c_relative_log_se,
     c_relative_per_access,
+    cpc_summary,
+    cpc_trials,
     histogram_overlap,
     log_from_rows,
     mass_split,
     record_columns,
     run_logged,
     rtv_rtc_per_access,
+    selection_bias,
     symmetry_z,
     tables_from_log,
 )
@@ -42,7 +49,7 @@ from reference import (
 def run_setting(ctrs, n, trials=20000, seed=314, idx=0):
     cfg = CpcStudyConfig(name="x", impressions=(n, n), true_ctrs=ctrs,
                          bids=(1.0, 1.0), trials=trials, seed=seed, setting_index=idx)
-    return run_cpc_study(cfg)
+    return cpc_trials(cfg)
 
 
 def take(trials, rows):
@@ -177,6 +184,80 @@ class TestCpcSummary:
         s = cpc_summary(trials_competitive, (0.05, 0.05), (1.0, 1.0))
         combined = np.sqrt(s.observed_se ** 2 + s.ratio_of_means_se ** 2)
         assert abs(s.ratio_of_means - s.mean_observed_cpc) < 3 * combined
+
+
+# three ads at small impression counts, so that some trials are degenerate
+# and each rank is held by every ad; bids differ, so prices and scores do too
+MERGE_STUDY = CpcStudyConfig(name="m", impressions=(40, 60, 50), true_ctrs=(0.05, 0.04, 0.06),
+                             bids=(1.0, 1.5, 0.8), trials=1, seed=271, setting_index=3)
+MERGE_WIDTHS = (0.01, 0.0005)
+
+
+def assert_close(merged, whole, exact):
+    """Two report values equal, within 1e-12 relative, or to the bit when
+    ``exact``; None and NaN only where the other is the same."""
+    if isinstance(whole, float) and math.isnan(whole):
+        assert math.isnan(merged)
+    elif exact or not isinstance(whole, float):
+        assert merged == whole
+    else:
+        assert merged == pytest.approx(whole, rel=1e-12, abs=0.0)
+
+
+class TestCpcStats:
+    @pytest.mark.parametrize("trials", [1, 99, 100, BLOCK, BLOCK + 1, 40_000])
+    def test_merged_statistics_match_whole_table(self, trials):
+        """Blocks reduced and merged in order give the whole table's summary,
+        bias report and histograms: the floats within 1e-12 relative, and to
+        the bit in one block; the counts and histograms exactly."""
+        cfg = dataclasses.replace(MERGE_STUDY, trials=trials)
+        stats = run_cpc_study(cfg, lambda block: cpc_block_stats(
+            block, cfg.true_ctrs, cfg.bids, MERGE_WIDTHS))
+        table = cpc_trials(cfg)
+        exact = trials <= BLOCK
+        whole = cpc_summary(table, cfg.true_ctrs, cfg.bids)
+        assert whole.degenerate_trials > 0 or trials < BLOCK
+        for name, value in vars(metrics.cpc_summary(stats, cfg.true_ctrs, cfg.bids)).items():
+            assert_close(value, getattr(whole, name), exact)
+        ok = ~table.degenerate
+        hists = [build_histogram(table.cpc[ok], MERGE_WIDTHS[0])] if ok.any() else []
+        ranked = np.take_along_axis(table.estimates * cfg.bids, table.order, axis=1)
+        hists += [build_histogram(col, MERGE_WIDTHS[1]) for col in ranked.T]
+        merged = ([stats.cpc_hist] if stats.cpc_hist is not None else []) + list(stats.rank_hists)
+        assert len(merged) == len(hists)
+        for got, want in zip(merged, hists):
+            np.testing.assert_array_equal(got.edges, want.edges)
+            np.testing.assert_array_equal(got.counts, want.counts)
+        if trials < 100:
+            with pytest.raises(RankUnreachable) as want:
+                bias_report(table, cfg.true_ctrs, cfg.bids, hists[-3:])
+            with pytest.raises(RankUnreachable) as got:
+                metrics.bias_report(stats)
+            assert str(got.value) == str(want.value)
+            return
+        report = metrics.bias_report(stats)
+        want = bias_report(table, cfg.true_ctrs, cfg.bids, hists[-3:])
+        assert report.adjacent_splittable == want.adjacent_splittable
+        for got_rank, want_rank in zip(report.per_rank, want.per_rank, strict=True):
+            for name, value in vars(got_rank).items():
+                assert_close(value, getattr(want_rank, name), exact)
+
+    @pytest.mark.parametrize("cut", [1, 2, 7, 500, 999])
+    def test_moments_merge_like_one_sample(self, cut):
+        """Chan's merge of two parts equals the moments of the whole."""
+        x = np.random.default_rng(cut).gamma(2.0, 0.3, 1000)
+        merged = Moments.of(x[:cut], 4.0).merge(Moments.of(x[cut:], 4.0))
+        whole = Moments.of(x, 4.0)
+        assert merged.n == whole.n
+        assert merged.mean == pytest.approx(whole.mean, rel=1e-13)
+        assert merged.m2 == pytest.approx(whole.m2, rel=1e-12)
+
+    def test_moments_units_leave_the_bits(self):
+        """Moments in any power-of-two units scale back to numpy's own mean
+        and standard error of the values, bit for bit."""
+        x = np.random.default_rng(5).random(777) * 3.0
+        for scale in (1.0, 4.0, 2.0 ** 40):
+            assert Moments.of(x, scale).mean_se() == _mean_se(x)
 
 
 class TestCalibration:
@@ -378,6 +459,25 @@ class TestHistograms:
     def test_span_at_cap_builds(self):
         h = build_histogram([0.0, (MAX_HISTOGRAM_BINS - 0.5) * 0.5], 0.5)
         assert len(h.counts) == MAX_HISTOGRAM_BINS and h.counts.sum() == 2
+
+    @pytest.mark.parametrize("cut", [1, 40, 99])
+    def test_merge_equals_one_build(self, cut):
+        """Histograms of two parts merge into the histogram of the whole, its
+        edges and counts exactly, whichever part reaches further."""
+        samples = np.random.default_rng(cut).normal(0.05, 0.02, 100)
+        parts = build_histogram(samples[:cut], 0.003), build_histogram(samples[cut:], 0.003)
+        whole = build_histogram(samples, 0.003)
+        for merged in (parts[0].merge(parts[1]), parts[1].merge(parts[0])):
+            np.testing.assert_array_equal(merged.edges, whole.edges)
+            np.testing.assert_array_equal(merged.counts, whole.counts)
+
+    def test_merge_beyond_cap_raises(self):
+        """Two histograms within the cap each, but past it together."""
+        h1, h2 = build_histogram([0.0], 0.5), build_histogram([MAX_HISTOGRAM_BINS * 0.5], 0.5)
+        with pytest.raises(HistogramTooWide, match="bin width 0.5"):
+            h1.merge(h2)
+        top = build_histogram([(MAX_HISTOGRAM_BINS - 0.5) * 0.5], 0.5)
+        assert len(h1.merge(top).counts) == MAX_HISTOGRAM_BINS
 
     def test_disjoint_samples_no_overlap(self):
         h1 = build_histogram(np.linspace(0, 0.9, 100), 0.1)

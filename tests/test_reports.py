@@ -17,20 +17,23 @@ from gspbias.engine import (
     BucketSpec,
     BucketTables,
     Context,
+    CpcStudyConfig,
     ImpressionLog,
     TrialTable,
+    cpc_blocks,
     run_ab_experiment,
 )
 from gspbias.reports import (
     IMPRESSION_HEADER,
     open_impressions,
+    open_trials,
     record_codes,
     write_impressions_csv,
     write_impressions_jsonl,
     write_trials_csv,
     write_trials_jsonl,
 )
-from reference import join_blocks, record_columns, take
+from reference import cpc_trials, join_blocks, record_columns, take
 
 
 def reference_csv(path, log):
@@ -290,12 +293,16 @@ def trial_tables(draw):
     )
 
 
-def assert_trial_writers_match_reference(trials):
+def assert_trial_writers_match_reference(trials, blocks=None):
+    """The writers' log of ``blocks``, appended in turn (the whole table as
+    one block by default), equals the per-row reference log of ``trials``."""
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
-        for writer, reference in ((write_trials_csv, reference_trials_csv),
-                                  (write_trials_jsonl, reference_trials_jsonl)):
-            writer(out / "new", trials)
+        for fmt, writer, reference in (("csv", write_trials_csv, reference_trials_csv),
+                                       ("json", write_trials_jsonl, reference_trials_jsonl)):
+            with open_trials(out / "new", fmt, trials.estimates.shape[1]) as fh:
+                for block in blocks or [trials]:
+                    writer(fh, block)
             reference(out / "ref", trials)
             assert (out / "new").read_bytes() == (out / "ref").read_bytes(), writer.__name__
 
@@ -318,3 +325,11 @@ class TestTrialWriters:
                             cpc=values[np.arange(n) % 6],
                             degenerate=np.arange(n) % 7 == 0)
         assert_trial_writers_match_reference(trials)
+
+    @pytest.mark.parametrize("trials", [1, BLOCK, BLOCK + 1, 2 * BLOCK + 5])
+    def test_block_logs_match_whole_table(self, trials):
+        """A study's blocks appended as they are drawn, numbered from each
+        block's first trial, give the log of the whole table."""
+        cfg = CpcStudyConfig(name="t", impressions=(40, 60), true_ctrs=(0.05, 0.04),
+                             bids=(1.0, 1.5), trials=trials, seed=8, setting_index=1)
+        assert_trial_writers_match_reference(cpc_trials(cfg), list(cpc_blocks(cfg)))
