@@ -131,7 +131,7 @@ class Histogram:
 
     @property
     def width(self) -> float:
-        return float(self.edges[1] - self.edges[0])
+        return self.bin_width
 
     def merge(self, other: Histogram) -> Histogram:
         """Both histograms' counts, added bin for bin on their common
@@ -141,12 +141,10 @@ class Histogram:
         hi = max(self.lo + len(self.counts), other.lo + len(other.counts))
         w = self.bin_width
         if hi - lo > MAX_HISTOGRAM_BINS:
-            raise HistogramTooWide(f"samples from {lo * w} to {hi * w} at bin width {w} "
+            raise HistogramTooWide(f"bins from {lo * w} to {hi * w} at bin width {w} "
                                    f"span more than {MAX_HISTOGRAM_BINS} bins")
-        counts = np.zeros(hi - lo, dtype=np.int64)
-        for h in (self, other):
-            counts[h.lo - lo:h.lo - lo + len(h.counts)] += h.counts
-        return Histogram(lo, w, counts)
+        _edges, c1, c2 = align_histograms(self, other)
+        return Histogram(lo, w, c1 + c2)
 
 
 def build_histogram(samples, bin_width: float) -> Histogram:
@@ -177,15 +175,13 @@ def align_histograms(h1: Histogram, h2: Histogram) -> tuple[np.ndarray, np.ndarr
     """Common edges plus zero-padded counts for two same-width histograms."""
     if not np.isclose(h1.width, h2.width, rtol=1e-12, atol=0):
         raise GridMismatch(f"bin widths differ: {h1.width} vs {h2.width}")
-    w = h1.width
-    k1, k2 = round(h1.edges[0] / w), round(h2.edges[0] / w)
-    lo = min(k1, k2)
-    hi = max(k1 + len(h1.counts), k2 + len(h2.counts))
+    lo = min(h1.lo, h2.lo)
+    hi = max(h1.lo + len(h1.counts), h2.lo + len(h2.counts))
     c1 = np.zeros(hi - lo, dtype=np.int64)
     c2 = np.zeros(hi - lo, dtype=np.int64)
-    c1[k1 - lo:k1 - lo + len(h1.counts)] = h1.counts
-    c2[k2 - lo:k2 - lo + len(h2.counts)] = h2.counts
-    return (lo + np.arange(hi - lo + 1)) * w, c1, c2
+    c1[h1.lo - lo:h1.lo - lo + len(h1.counts)] = h1.counts
+    c2[h2.lo - lo:h2.lo - lo + len(h2.counts)] = h2.counts
+    return (lo + np.arange(hi - lo + 1)) * h1.bin_width, c1, c2
 
 
 def split_histogram_densities(edges, counts_f, counts_g) -> SplitVerdict:
@@ -203,10 +199,16 @@ def split_histogram_densities(edges, counts_f, counts_g) -> SplitVerdict:
     return check_splittable(dens_f, dens_g, tolerance)
 
 
-def _pow2(peak: float) -> float:
-    """A power of two above ``peak``, so that the squares of values up to
-    it, in its units, stay finite."""
+def _pow2(x: np.ndarray) -> float:
+    """A power of two above every magnitude in x, so that the squares of
+    x / _pow2(x) stay finite."""
+    peak = float(np.max(np.abs(x)))
     return math.ldexp(1.0, min(math.frexp(peak)[1], 1023)) if 0.0 < peak < math.inf else 1.0
+
+
+def _shift(scale: float, to: float) -> int:
+    """The power of two that takes values in units of ``scale`` to units of ``to``."""
+    return math.frexp(scale)[1] - math.frexp(to)[1]
 
 
 @dataclass(frozen=True)
@@ -214,8 +216,8 @@ class Moments:
     """The count of a sample and its mean and sum of squared deviations
     (M2) in units of ``scale``, a power of two above every magnitude in it,
     so that the squares stay finite.  Division by it is exact, so the mean
-    and standard error scaled back are the unscaled ones bit for bit
-    wherever those do not overflow."""
+    and standard error scaled back are numpy's unscaled ones bit for bit
+    wherever those neither overflow nor fall below the smallest normal."""
 
     n: int
     mean: float
@@ -223,24 +225,35 @@ class Moments:
     scale: float
 
     @classmethod
-    def of(cls, x: np.ndarray, scale: float) -> Moments:
-        """The moments of x as numpy's ``x.std`` takes them."""
+    def of(cls, x: np.ndarray) -> Moments:
+        """The moments of x as numpy's ``x.std`` takes them, in units of
+        ``_pow2(x)``."""
         if not len(x):
-            return cls(0, 0.0, 0.0, scale)
+            return cls(0, 0.0, 0.0, 1.0)
+        scale = _pow2(x)
         x = x / scale
         mean = x.mean()
         x -= mean
         return cls(len(x), float(mean), float((x * x).sum()), scale)
 
+    def in_units(self, scale: float) -> Moments:
+        """These moments in units of ``scale``, a power of two at least
+        ``self.scale``: exact but where a value falls below the smallest
+        normal, and then negligible beside the values of that scale."""
+        k = _shift(self.scale, scale)
+        return Moments(self.n, math.ldexp(self.mean, k), math.ldexp(self.m2, 2 * k), scale)
+
     def merge(self, other: Moments) -> Moments:
         """Both samples' moments, ``other``'s values after these (Chan,
-        Golub & LeVeque 1979)."""
+        Golub & LeVeque 1979), in the larger of the two units."""
         if not (self.n and other.n):
             return other if other.n else self
-        n = self.n + other.n
-        delta = other.mean - self.mean
-        return Moments(n, self.mean + delta * other.n / n,
-                       self.m2 + other.m2 + delta * delta * self.n * other.n / n, self.scale)
+        scale = max(self.scale, other.scale)
+        a, b = self.in_units(scale), other.in_units(scale)
+        n = a.n + b.n
+        delta = b.mean - a.mean
+        return Moments(n, a.mean + delta * b.n / n,
+                       a.m2 + b.m2 + delta * delta * a.n * b.n / n, scale)
 
     def mean_se(self) -> tuple[float, float | None]:
         """The mean and its standard error, None below two values."""
@@ -260,11 +273,12 @@ class CoMoments:
     c: float
 
     @classmethod
-    def of(cls, x: np.ndarray, y: np.ndarray, scale_x: float, scale_y: float) -> CoMoments:
+    def of(cls, x: np.ndarray, y: np.ndarray) -> CoMoments:
         """The moments of x and y as their ``std`` takes them, and the
         co-moment as ``np.cov`` takes it: one product of the centred rows."""
         if not len(x):
-            return cls(Moments.of(x, scale_x), Moments.of(y, scale_y), 0.0)
+            return cls(Moments.of(x), Moments.of(y), 0.0)
+        scale_x, scale_y = _pow2(x), _pow2(y)
         xy = np.stack([x / scale_x, y / scale_y])
         mean = xy.mean(axis=1)
         xy -= mean[:, None]
@@ -274,14 +288,23 @@ class CoMoments:
                    Moments(n, float(mean[1]), float(m2[1]), scale_y),
                    float(np.dot(xy, xy.T)[0, 1]))
 
+    def in_units(self, scale_x: float, scale_y: float) -> CoMoments:
+        """These moments with x in units of ``scale_x`` and y in units of
+        ``scale_y``, as ``Moments.in_units`` takes each side."""
+        k = _shift(self.x.scale, scale_x) + _shift(self.y.scale, scale_y)
+        return CoMoments(self.x.in_units(scale_x), self.y.in_units(scale_y), math.ldexp(self.c, k))
+
     def merge(self, other: CoMoments) -> CoMoments:
-        """Both samples' moments, ``other``'s pairs after these."""
+        """Both samples' moments, ``other``'s pairs after these, each side
+        in the larger of its two units."""
         na, nb = self.x.n, other.x.n
         if not (na and nb):
             return other if nb else self
-        dx, dy = other.x.mean - self.x.mean, other.y.mean - self.y.mean
-        return CoMoments(self.x.merge(other.x), self.y.merge(other.y),
-                         self.c + other.c + dx * dy * na * nb / (na + nb))
+        scale_x, scale_y = max(self.x.scale, other.x.scale), max(self.y.scale, other.y.scale)
+        a, b = self.in_units(scale_x, scale_y), other.in_units(scale_x, scale_y)
+        dx, dy = b.x.mean - a.x.mean, b.y.mean - a.y.mean
+        return CoMoments(a.x.merge(b.x), a.y.merge(b.y),
+                         a.c + b.c + dx * dy * na * nb / (na + nb))
 
 
 @dataclass(frozen=True)
@@ -318,15 +341,10 @@ def cpc_block_stats(trials: TrialTable, true_ctrs: tuple[float, ...], bids: tupl
                     widths: tuple[float, float], histogram=build_histogram) -> CpcStats:
     """The ``CpcStats`` of one block of trials, the reduce of
     ``run_cpc_study``; ``widths`` are the bin widths of the price and score
-    histograms, which ``histogram`` builds.
-
-    Each quantity's moments are taken in units of a power of two that
-    bounds it before any trial is drawn: a winner pays at most its own bid,
-    so the bids bound every price and score, an estimate is k / n <= 1, and
-    1 / min(true_ctrs) bounds every ratio.
-    """
+    histograms, which ``histogram`` builds.  Each quantity's moments are
+    taken in units of a power of two above its largest magnitude in the
+    block, and merge into the larger units."""
     n, m = trials.estimates.shape
-    price, ratio = _pow2(max(bids)), _pow2(1.0 / min(true_ctrs))
     ok = ~trials.degenerate
     used = int(ok.sum())
     cpcs = trials.cpc[ok]
@@ -337,12 +355,12 @@ def cpc_block_stats(trials: TrialTable, true_ctrs: tuple[float, ...], bids: tupl
     runner_score = ranked[ok, 1] * bid[ok, 1] if m > 1 else np.zeros(used)
     # each rank's scores grouped by ad, then in trial order
     scores = tuple(Moments.of(np.concatenate([trials.estimates[trials.rank[:, i] == k, i] * bids[i]
-                                              for i in range(m)]), price)
+                                              for i in range(m)]))
                    for k in range(m))
     return CpcStats(
-        trials=n, degenerate=n - used, cpc=Moments.of(cpcs, price),
-        price_parts=CoMoments.of(runner_score, ranked[ok, 0], price, _pow2(1.0)),
-        ratios=tuple(Moments.of(col, ratio) for col in (ranked / ctr).T), scores=scores,
+        trials=n, degenerate=n - used, cpc=Moments.of(cpcs),
+        price_parts=CoMoments.of(runner_score, ranked[ok, 0]),
+        ratios=tuple(Moments.of(col) for col in (ranked / ctr).T), scores=scores,
         cpc_hist=histogram(cpcs, widths[0]) if used else None,
         rank_hists=tuple(histogram(col, widths[1]) for col in (ranked * bid).T))
 

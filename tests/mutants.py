@@ -160,17 +160,26 @@ MUTANTS = [
            (T_CLI + "::TestMcAgreement", T_CLI + "::TestMassAgreement")),
     # simulate-cpc reduces each block of trials and merges the reductions in order
     Mutant("chan-merge-without-delta-term", METRICS,
-           "                       self.m2 + other.m2 + delta * delta * self.n * other.n / n,",
-           "                       self.m2 + other.m2,",
+           "                       a.m2 + b.m2 + delta * delta * a.n * b.n / n, scale)",
+           "                       a.m2 + b.m2, scale)",
            (MERGED_STATS, T_METRICS + "::TestCpcStats::test_moments_merge_like_one_sample")),
     Mutant("co-moment-merge-wrong-sign", METRICS,
-           "                         self.c + other.c + dx * dy * na * nb / (na + nb))",
-           "                         self.c + other.c - dx * dy * na * nb / (na + nb))",
+           "                         a.c + b.c + dx * dy * na * nb / (na + nb))",
+           "                         a.c + b.c - dx * dy * na * nb / (na + nb))",
            (MERGED_STATS,)),
     Mutant("histogram-merge-drops-last-bin", METRICS,
-           "            counts[h.lo - lo:h.lo - lo + len(h.counts)] += h.counts\n",
-           "            counts[h.lo - lo:h.lo - lo + len(h.counts) - 1] += h.counts[:-1]\n",
+           "        return Histogram(lo, w, c1 + c2)\n",
+           "        return Histogram(lo, w, (c1 + c2)[:-1])\n",
            (T_METRICS + "::TestHistograms::test_merge_equals_one_build", MERGED_STATS)),
+    Mutant("moments-merge-ignores-units", METRICS,
+           "        a, b = self.in_units(scale), other.in_units(scale)\n",
+           "        a, b = self, other\n",
+           (T_METRICS + "::TestCpcStats::test_moments_merge_like_one_sample",
+            T_METRICS + "::TestCpcStats::test_moments_merge_across_magnitudes")),
+    Mutant("co-moment-merge-ignores-units", METRICS,
+           "math.ldexp(self.c, k))",
+           "self.c)",
+           (T_METRICS + "::TestCpcStats::test_moments_merge_like_one_sample",)),
     Mutant("cpc-blocks-out-of-order", ENGINE,
            "    for lo, hi in rng.fixed_blocks(0, config.trials, BLOCK):\n",
            "    for lo, hi in rng.fixed_blocks(0, config.trials, BLOCK)[::-1]:\n",

@@ -19,6 +19,7 @@ from gspbias.errors import HistogramTooWide, RankUnreachable, UndefinedCalibrati
 from gspbias.metrics import (
     align_histograms,
     MAX_HISTOGRAM_BINS,
+    CoMoments,
     Moments,
     build_histogram,
     c_relative,
@@ -188,9 +189,20 @@ class TestCpcSummary:
 
 # three ads at small impression counts, so that some trials are degenerate
 # and each rank is held by every ad; bids differ, so prices and scores do too
-MERGE_STUDY = CpcStudyConfig(name="m", impressions=(40, 60, 50), true_ctrs=(0.05, 0.04, 0.06),
-                             bids=(1.0, 1.5, 0.8), trials=1, seed=271, setting_index=3)
-MERGE_WIDTHS = (0.01, 0.0005)
+# (setting, price and score bin widths) whose blocks merge against the whole
+# table: three ads with degenerate trials, and bids far apart, where prices
+# and the runner-up's scores sit hundreds of binary orders below the top bid
+MERGE_STUDIES = {
+    "three-ads": (CpcStudyConfig(name="m", impressions=(40, 60, 50),
+                                 true_ctrs=(0.05, 0.04, 0.06), bids=(1.0, 1.5, 0.8),
+                                 trials=1, seed=271, setting_index=3), (0.01, 0.0005)),
+    "bids-1e200-1": (CpcStudyConfig(name="w", impressions=(5000, 5000),
+                                    true_ctrs=(0.05, 0.05), bids=(1e200, 1.0),
+                                    trials=1, seed=272, setting_index=0), (0.01, 1e194)),
+    "bids-1e200-1e-200": (CpcStudyConfig(name="v", impressions=(5000, 5000),
+                                         true_ctrs=(0.05, 0.05), bids=(1e200, 1e-200),
+                                         trials=1, seed=273, setting_index=1), (0.01, 1e194)),
+}
 
 
 def assert_close(merged, whole, exact):
@@ -205,24 +217,28 @@ def assert_close(merged, whole, exact):
 
 
 class TestCpcStats:
+    @pytest.mark.parametrize("study", MERGE_STUDIES)
     @pytest.mark.parametrize("trials", [1, 99, 100, BLOCK, BLOCK + 1, 40_000])
-    def test_merged_statistics_match_whole_table(self, trials):
+    def test_merged_statistics_match_whole_table(self, trials, study):
         """Blocks reduced and merged in order give the whole table's summary,
         bias report and histograms: the floats within 1e-12 relative, and to
         the bit in one block; the counts and histograms exactly."""
-        cfg = dataclasses.replace(MERGE_STUDY, trials=trials)
+        cfg, widths = MERGE_STUDIES[study]
+        cfg = dataclasses.replace(cfg, trials=trials)
         stats = run_cpc_study(cfg, lambda block: cpc_block_stats(
-            block, cfg.true_ctrs, cfg.bids, MERGE_WIDTHS))
+            block, cfg.true_ctrs, cfg.bids, widths))
         table = cpc_trials(cfg)
         exact = trials <= BLOCK
         whole = cpc_summary(table, cfg.true_ctrs, cfg.bids)
-        assert whole.degenerate_trials > 0 or trials < BLOCK
+        if study == "three-ads":
+            assert whole.degenerate_trials > 0 or trials < BLOCK
         for name, value in vars(metrics.cpc_summary(stats, cfg.true_ctrs, cfg.bids)).items():
             assert_close(value, getattr(whole, name), exact)
         ok = ~table.degenerate
-        hists = [build_histogram(table.cpc[ok], MERGE_WIDTHS[0])] if ok.any() else []
+        hists = [build_histogram(table.cpc[ok], widths[0])] if ok.any() else []
         ranked = np.take_along_axis(table.estimates * cfg.bids, table.order, axis=1)
-        hists += [build_histogram(col, MERGE_WIDTHS[1]) for col in ranked.T]
+        rank_hists = [build_histogram(col, widths[1]) for col in ranked.T]
+        hists += rank_hists
         merged = ([stats.cpc_hist] if stats.cpc_hist is not None else []) + list(stats.rank_hists)
         assert len(merged) == len(hists)
         for got, want in zip(merged, hists):
@@ -230,13 +246,13 @@ class TestCpcStats:
             np.testing.assert_array_equal(got.counts, want.counts)
         if trials < 100:
             with pytest.raises(RankUnreachable) as want:
-                bias_report(table, cfg.true_ctrs, cfg.bids, hists[-3:])
+                bias_report(table, cfg.true_ctrs, cfg.bids, rank_hists)
             with pytest.raises(RankUnreachable) as got:
                 metrics.bias_report(stats)
             assert str(got.value) == str(want.value)
             return
         report = metrics.bias_report(stats)
-        want = bias_report(table, cfg.true_ctrs, cfg.bids, hists[-3:])
+        want = bias_report(table, cfg.true_ctrs, cfg.bids, rank_hists)
         assert report.adjacent_splittable == want.adjacent_splittable
         for got_rank, want_rank in zip(report.per_rank, want.per_rank, strict=True):
             for name, value in vars(got_rank).items():
@@ -244,20 +260,38 @@ class TestCpcStats:
 
     @pytest.mark.parametrize("cut", [1, 2, 7, 500, 999])
     def test_moments_merge_like_one_sample(self, cut):
-        """Chan's merge of two parts equals the moments of the whole."""
-        x = np.random.default_rng(cut).gamma(2.0, 0.3, 1000)
-        merged = Moments.of(x[:cut], 4.0).merge(Moments.of(x[cut:], 4.0))
-        whole = Moments.of(x, 4.0)
-        assert merged.n == whole.n
-        assert merged.mean == pytest.approx(whole.mean, rel=1e-13)
-        assert merged.m2 == pytest.approx(whole.m2, rel=1e-12)
+        """Chan's merge of two parts of paired samples equals the moments
+        and co-moment of the whole, in the whole's units, though the parts
+        reach different powers of two."""
+        rng = np.random.default_rng(cut)
+        x = rng.gamma(2.0, 0.3, 1000)
+        y = 0.4 * x + rng.gamma(1.0, 0.01, 1000)
+        merged = CoMoments.of(x[:cut], y[:cut]).merge(CoMoments.of(x[cut:], y[cut:]))
+        whole = CoMoments.of(x, y)
+        for got, want in ((merged.x, whole.x), (merged.y, whole.y)):
+            assert (got.n, got.scale) == (want.n, want.scale)
+            assert got.mean == pytest.approx(want.mean, rel=1e-13)
+            assert got.m2 == pytest.approx(want.m2, rel=1e-12)
+        assert merged.c == pytest.approx(whole.c, rel=1e-12)
 
-    def test_moments_units_leave_the_bits(self):
-        """Moments in any power-of-two units scale back to numpy's own mean
-        and standard error of the values, bit for bit."""
-        x = np.random.default_rng(5).random(777) * 3.0
-        for scale in (1.0, 4.0, 2.0 ** 40):
-            assert Moments.of(x, scale).mean_se() == _mean_se(x)
+    @pytest.mark.parametrize("low", [1.0, 1e-200, 0.0])
+    def test_moments_merge_across_magnitudes(self, low):
+        """Parts hundreds of binary orders apart, in either order, merge to
+        the whole sample's mean and standard error."""
+        u = np.random.default_rng(7).random(300)
+        x = np.concatenate([u[:200] * 1e200, u[200:] * low])
+        want = _mean_se(x)
+        for a, b in ((x[:200], x[200:]), (x[200:], x[:200])):
+            mean, se = Moments.of(a).merge(Moments.of(b)).mean_se()
+            assert mean == pytest.approx(want[0], rel=1e-13)
+            assert se == pytest.approx(want[1], rel=1e-12)
+
+    @pytest.mark.parametrize("factor", [1.0, 4.0, 2.0 ** 40, 1e200, 1e-200])
+    def test_moments_units_leave_the_bits(self, factor):
+        """One sample's moments, at any magnitude, scale back to numpy's own
+        mean and standard error of the values, bit for bit."""
+        x = np.random.default_rng(5).random(777) * 3.0 * factor
+        assert Moments.of(x).mean_se() == _mean_se(x)
 
 
 class TestCalibration:
