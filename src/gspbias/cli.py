@@ -31,6 +31,7 @@ import numpy as np
 from . import __version__
 from .config import CpcSuite, LoadedConfig, TheoremSuite, load_config
 from .engine import (
+    BLOCK,
     AbConfig,
     run_ab_experiment,
     run_cpc_study,
@@ -227,9 +228,9 @@ def _verdict(ok: np.ndarray, made: np.ndarray, **fields) -> dict:
 def _mc_agreement(reference, means, std_errors, counts) -> dict:
     """Monte Carlo means against ``reference``, rank by rank: each agrees
     within MC_AGREEMENT_SIGMA standard errors, compared where the reference
-    and the standard error are defined and at least MIN_MC_COUNT draws
-    held the rank."""
-    made = ~np.isnan(reference) & (counts >= MIN_MC_COUNT) & ~np.isnan(std_errors)
+    is defined, the standard error is defined and above 0, and at least
+    MIN_MC_COUNT draws held the rank."""
+    made = ~np.isnan(reference) & (counts >= MIN_MC_COUNT) & (std_errors > 0)
     sigma = np.abs(means[made] - reference[made]) / std_errors[made]
     return _verdict(sigma <= MC_AGREEMENT_SIGMA, made, max_sigma=np.max(sigma, initial=0.0))
 
@@ -305,8 +306,12 @@ def cmd_verify_theorems(args, suite: TheoremSuite, seed: int,
     """Each case: its grid, its Monte Carlo moments, then its candidates'
     checks.  A candidate's quadrature checks depend on its own distribution
     and on its rivals' in the order the rank table folds them in, so they
-    run once per distinct pair of those; grid slices and MC blocks share one
-    worker map, and rank tables are folded in the calling thread."""
+    run once per distinct pair of those.  Beta work alone goes to the worker
+    map: grid slices and safe-cell flags exist only for beta rows, and a
+    case's MC blocks go there only when it has a beta row: a uniform block
+    is short numpy calls that hold the interpreter lock, so it gains little
+    on threads, and its freed arrays stay resident in a helper's own malloc
+    heap.  Rank tables are folded in the calling thread."""
     draws = args.trials if args.trials is not None else suite.mc_draws
     cases_payload = []
     case_runs = []  # for the manifest
@@ -319,7 +324,8 @@ def cmd_verify_theorems(args, suite: TheoremSuite, seed: int,
             # the rows, dropped when the case ends; the draw tables live only in the MC
             grid = CaseGrid(case.dists, pmap)
             t_mc = time.monotonic()
-            mc = sample_rank_stats(grid, draws, seed, case_index=idx, map=pmap)
+            mc_map = pmap if grid.rows else map
+            mc = sample_rank_stats(grid, draws, seed, case_index=idx, map=mc_map)
             grid_mb = round((grid.nbytes + mc.table_bytes) / 2 ** 20, 3)
             t_check = time.monotonic()
             checks = {}
@@ -342,6 +348,9 @@ def cmd_verify_theorems(args, suite: TheoremSuite, seed: int,
             del grid
             case_runs.append({"name": case.name, "exact_draws": mc.exact_draws,
                               "quadrature_candidates": len(checks), "grid_mb": grid_mb,
+                              # a one-task call of the worker map runs in the calling thread
+                              "mc_threads": (min(args.threads, math.ceil(draws / BLOCK))
+                                             if mc_map is pmap else 1),
                               "grid_seconds": round(t_mc - t_grid, 3),
                               "mc_seconds": round(t_check - t_mc, 3),
                               "check_seconds": round(time.monotonic() - t_check, 3),
@@ -480,7 +489,8 @@ def build_parser() -> argparse.ArgumentParser:
         if trials_help is not None:
             sp.add_argument("--trials", type=int, default=None, help=trials_help)
         sp.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                        help="worker threads; never affects output bytes")
+                        help="threads that share the work, the calling thread among "
+                             "them; never affects output bytes")
         if name != "verify-theorems":
             # None until given for simulate-cpc: main rejects it without --emit-trials
             sp.add_argument("--format", choices=("csv", "json", "both"),

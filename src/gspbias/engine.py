@@ -20,12 +20,14 @@ of a study and access a of a bucket-day each own a fixed slice of their
 stream, so results are bit-identical for any worker count or chunking, and
 every random quantity is an inverse-CDF transform of those uniforms.  The
 Monte Carlo rank sampling runs one task per fixed block of BLOCK draws
-through the ``map`` of the command's ``worker_map``.
+through the ``map`` it is given: the command's ``worker_map`` for a case
+with a beta ad, the builtin ``map`` otherwise.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from collections.abc import Callable, Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -67,15 +69,49 @@ _CDF_TOP = 1.0 - 2.0 ** -53  # the largest uniform Generator.random returns
 
 @contextmanager
 def worker_map(threads: int):
-    """The ``map`` that runs a command's parallel steps on ``threads`` workers:
-    the builtin ``map`` for one, a thread pool's ``map``, live until the
-    block exits, for more."""
+    """The ``map`` that runs a command's parallel steps on ``threads`` threads.
+
+    For one thread it is the builtin ``map``.  For more, each call runs its
+    tasks on the calling thread and up to ``threads - 1`` helpers started
+    for that call, no more helpers than tasks beyond the first; each thread
+    takes the next task index until none is left.  The call returns the
+    results in task order, once every thread has stopped, and raises the
+    first exception any of them raised.  So no thread idles between calls,
+    and none outlives its call.
+    """
     if threads <= 1:
         yield map
         return
-    from concurrent.futures import ThreadPoolExecutor  # only a pool needs it, and it loads logging
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        yield pool.map
+
+    def run(fn, *iterables) -> list:
+        tasks = list(zip(*iterables))
+        results = [None] * len(tasks)
+        order = iter(range(len(tasks)))
+        claim = threading.Lock()
+        errors = []
+
+        def work() -> None:
+            while not errors:
+                with claim:
+                    i = next(order, None)
+                if i is None:
+                    return
+                try:
+                    results[i] = fn(*tasks[i])
+                except BaseException as exc:  # re-raised in the caller
+                    errors.append(exc)
+
+        helpers = [threading.Thread(target=work) for _ in range(min(threads, len(tasks)) - 1)]
+        for helper in helpers:
+            helper.start()
+        work()
+        for helper in helpers:
+            helper.join()
+        if errors:
+            raise errors[0]
+        return results
+
+    yield run
 
 
 # ---------------------------------------------------------------------------
@@ -505,7 +541,7 @@ def _mc_block(sampler: CaseSampler, key: np.ndarray, lo: int, hi: int):
     """
     m = len(sampler.grid)
     blocks = math.ceil(m / rng.DOUBLES_PER_BLOCK)
-    # draws before u, so that freeing u frees the top of the worker's malloc
+    # draws before u, so that freeing u frees the top of the drawing thread's malloc
     # heap; the other order leaves 2 MB more resident on an 8-ad field
     draws = np.empty((m, hi - lo))
     u = rng.unit_uniforms(key, lo, hi - lo, blocks_per_unit=blocks)
@@ -533,8 +569,10 @@ def sample_rank_stats(grid: CaseGrid, draws: int, seed: int,
     moments accumulate over BLOCK-draw blocks merged in block order, so the
     result is bit-identical for any thread count.  Scores are drawn through
     a ``CaseSampler`` of the case's ``CaseGrid``, built here, so its draw
-    tables are gone on return; its table slices and the blocks run through
-    ``map``, a command's ``worker_map``.
+    tables are gone on return; its safe-cell flag slices and the blocks run
+    through ``map``: the builtin ``map`` runs them in turn, and a
+    ``worker_map``'s runs each call's tasks on its threads, the calling
+    thread among them, and returns in task order.
     """
     if draws < 1:
         raise InvalidValue("draws", f"must be >= 1, got {draws}")

@@ -44,13 +44,15 @@ on m.
 
 The grid rows and the safe-cell flags are filled a node slice at a time,
 one task per slice, through a ``map`` callable: the builtin ``map`` runs
-the slices in turn, a thread pool's ``map`` runs them on its workers.
-Each slice writes its own part of a preallocated array, so a worker's
-temporaries are slice-sized whatever the grid size, and the kernels are
-elementwise, so the bytes do not depend on the slicing or on the workers.
-The rank table is folded a slice at a time too, but always in the calling
-thread: its fold is many small in-place row operations, and on a pool each
-one's hand-off between threads costs more than the arithmetic it shares.
+the slices in turn, and an ``engine.worker_map``'s runs each call's slices
+on its threads, the calling thread among them.  Each slice writes its own
+part of a preallocated array, so a thread's temporaries are slice-sized
+whatever the grid size, and the kernels are elementwise, so the bytes do
+not depend on the slicing or on the threads.  Only beta distributions have
+rows and flags, so a uniform-only case hands the ``map`` no task.  The rank
+table is folded a slice at a time too, but always in the calling thread:
+its fold is many small in-place row operations, and on more threads each
+one's hand-off between them costs more than the arithmetic it shares.
 
 Every check function takes the case's ``CaseGrid`` and, past the grid
 build, a candidate's ``rank_table`` on it, which the caller builds once;

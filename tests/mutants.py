@@ -189,6 +189,24 @@ MUTANTS = [
            "block, cfg.true_ctrs, cfg.bids, widths, build_histogram), write)",
            "block, cfg.true_ctrs, cfg.bids, widths), write)",
            (T_CLI + "::test_bench_tracer_records_simulate_cpc_spans",)),
+    # --threads N is N working threads, and only beta work goes on them
+    Mutant("worker-map-completion-order", ENGINE,
+           "                    results[i] = fn(*tasks[i])\n",
+           "                    results[results.index(None)] = fn(*tasks[i])\n",
+           (T_ENGINE + "::TestWorkerMap::test_uneven_tasks_come_back_in_task_order",)),
+    Mutant("worker-map-helper-exception-dropped", ENGINE,
+           "                    errors.append(exc)\n",
+           "                    if threading.current_thread() is threading.main_thread():\n"
+           "                        errors.append(exc)\n",
+           (T_ENGINE + "::TestWorkerMap::test_exception_reaches_the_caller",)),
+    Mutant("uniform-blocks-on-the-worker-map", CLI,
+           "            mc_map = pmap if grid.rows else map\n",
+           "            mc_map = pmap\n",
+           (T_CLI + "::test_uniform_field_memory_does_not_grow_with_threads",)),
+    Mutant("zero-standard-error-compared", CLI,
+           "(counts >= MIN_MC_COUNT) & (std_errors > 0)",
+           "(counts >= MIN_MC_COUNT) & ~np.isnan(std_errors)",
+           (T_CLI + "::TestMcAgreement::test_zero_standard_error_is_skipped",)),
 ]
 
 

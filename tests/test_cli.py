@@ -732,6 +732,18 @@ class TestMcAgreement:
         means[0] = np.nextafter(1.5, 2.0)
         assert _mc_agreement(reference, means, errors, counts)["passed"] is False
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_zero_standard_error_is_skipped(self):
+        """A rank whose standard error is 0 has no sigma, so it is skipped
+        like an undercounted one, with no divide warning, whether its mean
+        equals the reference or not."""
+        reference = np.array([1.0, 1.0, 2.0])
+        means = np.array([1.25, 1.0, 3.0])
+        errors = np.array([0.125, 0.0, 0.0])
+        counts = np.array([5000, 5000, 5000])
+        assert _mc_agreement(reference, means, errors, counts) == {
+            "passed": True, "checked": 1, "skipped": 2, "max_sigma": 2.0}
+
 
 class TestMassAgreement:
     def test_compares_where_both_counts_are_large(self):
@@ -961,6 +973,22 @@ def test_cpc_memory_does_not_grow_with_trials(tmp_path):
         shutil.rmtree(out)
     assert rss[1] <= 1.1 * rss[0], rss
 
+
+def test_uniform_field_memory_does_not_grow_with_threads(tmp_path):
+    """An all-uniform 8-ad field's Monte Carlo blocks stay in the calling
+    thread, so at --threads 2 the case peaks within 1 MB of --threads 1: no
+    helper thread keeps freed block arrays resident in a heap of its own."""
+    cfg = write_cfg(tmp_path, WIDE_THEOREMS)
+    cases = []
+    for threads in (1, 2):  # eight MC blocks
+        out = tmp_path / f"t{threads}"
+        proc = run_cli_process("verify-theorems", "--config", cfg, "--out", out,
+                               "--trials", 131072, "--threads", threads)
+        assert proc.returncode == 0, proc.stderr
+        cases += json.loads((out / "manifest.json").read_text())["cases"]
+    peaks = [case["peak_rss_mb"] for case in cases]
+    assert peaks[1] <= peaks[0] + 1.0, peaks
+    assert [case["mc_threads"] for case in cases] == [1, 1]
 
 
 def output_digests(out):
@@ -1208,7 +1236,8 @@ class TestManifestReproducibility:
     def test_theorem_manifest_times_each_case(self, tmp_path):
         """verify-theorems records, per case, its exact-inverse draw count, the
         seconds spent on the grid, the Monte Carlo draws and the checks, how
-        many distinct quadrature checks ran, and the peak RSS so far."""
+        many distinct quadrature checks ran, how many threads drew its Monte
+        Carlo blocks, and the peak RSS so far."""
         # a narrow beta spans few grid cells; draws on its steep flanks take the exact inverse
         dists = "beta:60:60:0.01, uniform:0:1"
         text = SMALL_THEOREMS.replace("beta:2:38", dists)
@@ -1222,6 +1251,9 @@ class TestManifestReproducibility:
         assert [c["exact_draws"] for c in cases] == [0, expected] and expected > 0
         # the iid pair needs one quadrature check, the two distinct ads two
         assert [c["quadrature_candidates"] for c in cases] == [1, 2]
+        # the uniform pair's blocks stay in the calling thread; the beta case's
+        # three blocks run on both threads
+        assert [c["mc_threads"] for c in cases] == [1, 2]
         for c in cases:
             assert min(c["grid_seconds"], c["mc_seconds"], c["check_seconds"]) >= 0.0
             assert isinstance(c["peak_rss_mb"], float) and c["peak_rss_mb"] > 0.0
@@ -1298,7 +1330,8 @@ from gspbias.cli import main
 rc = main(sys.argv[1:]) if len(sys.argv) > 1 else 0
 print(json.dumps({"rc": rc, "scipy": sorted(m for m in sys.modules
                                           if m == "scipy" or m.startswith("scipy.")),
-                  "futures": "concurrent.futures" in sys.modules}))
+                  "futures": "concurrent.futures" in sys.modules,
+                  "logging": "logging" in sys.modules}))
 """
 
 MODULES_PROBE = """
@@ -1360,8 +1393,8 @@ def run_probe(probe, argv):
 class TestImportBoundary:
     """scipy.stats costs about a second to import and no command needs it;
     ab-run, loading the CLI and a verify-theorems run without beta ads need
-    no scipy at all, and only a run that opens a thread pool loads
-    concurrent.futures."""
+    no scipy at all, and no run opens a thread pool, so none loads
+    concurrent.futures or logging."""
 
     @pytest.mark.parametrize("command, cfg, extra", [
         (None, None, ()),
@@ -1377,7 +1410,7 @@ class TestImportBoundary:
         result = run_probe(IMPORT_PROBE, argv)
         assert result["rc"] in (0, 1)
         assert "scipy.stats" not in result["scipy"]
-        assert not result["futures"]  # one thread needs no pool
+        assert not result["futures"] and not result["logging"]
         if command in (None, "ab-run") or cfg is UNIFORM_THEOREMS:
             assert result["scipy"] == []
         else:  # the binomial and beta kernels, without scipy.special's __init__
@@ -1388,19 +1421,23 @@ class TestImportBoundary:
                 "kernel_import_seconds"]
             assert (seconds > 0.0) == (cfg is SMALL_THEOREMS)
 
-    @pytest.mark.parametrize("command, cfg, extra, pool", [
-        ("ab-run", SMALL_AB, (), False),
-        ("simulate-cpc", SMALL_CPC, ("--trials", "200"), False),
-        ("verify-theorems", UNIFORM_THEOREMS, ("--trials", "2000"), True),
+    @pytest.mark.parametrize("command, cfg, extra", [
+        ("ab-run", SMALL_AB, ()),
+        ("simulate-cpc", SMALL_CPC, ("--trials", "200")),
+        ("verify-theorems", SMALL_THEOREMS, ("--trials", "40000")),
     ], ids=["ab-run", "simulate-cpc", "verify-theorems"])
-    def test_thread_pool_loaded_only_for_a_pool(self, tmp_path, command, cfg, extra, pool):
-        """ab-run and simulate-cpc never open a thread pool, so even at
-        --threads 2 they do not load concurrent.futures; a command that
-        opens one does."""
+    def test_thread_pool_loaded_only_for_a_pool(self, tmp_path, command, cfg, extra):
+        """No command opens a thread pool, so even at --threads 2 none loads
+        concurrent.futures or logging: ab-run and simulate-cpc use no
+        threads, and verify-theorems' beta case starts its helper threads
+        with ``threading`` alone."""
         result = run_probe(IMPORT_PROBE, [
             command, "--config", write_cfg(tmp_path, cfg), "--out", tmp_path / "out",
             "--threads", "2", *extra])
-        assert result["rc"] == 0 and result["futures"] is pool
+        assert result["rc"] == 0 and not result["futures"] and not result["logging"]
+        if command == "verify-theorems":
+            runs = json.loads((tmp_path / "out" / "manifest.json").read_text())["cases"]
+            assert [c["mc_threads"] for c in runs] == [1, 2]
 
     def test_scipy_version_without_loading_scipy(self):
         """The manifest's scipy version, read where scipy is not loaded, is

@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+import time
 import warnings
 from types import SimpleNamespace
 
@@ -579,6 +582,77 @@ class TestMcBlock:
             assert got[3] == expected[3]
             exact += got[3]
         assert (exact > 0) == (m >= 3)
+
+
+class TestWorkerMap:
+    """``worker_map(N)`` runs each call's tasks on N threads, the calling
+    thread among them, and returns in task order once every thread stopped."""
+
+    def test_one_thread_is_the_builtin_map(self):
+        with worker_map(1) as pmap:
+            assert pmap is map
+
+    def test_uneven_tasks_come_back_in_task_order(self):
+        """Later tasks finish sooner; each runs once, the calling thread runs
+        some, and no helper is alive after the call."""
+        runs = []
+
+        def task(i, j):
+            time.sleep(0.002 * (8 - i))
+            runs.append((i, threading.current_thread()))
+            return i * j
+
+        with worker_map(3) as pmap:
+            assert pmap(task, range(8), range(10, 18)) == [i * (i + 10) for i in range(8)]
+        assert sorted(i for i, _ in runs) == list(range(8))
+        ran = {thread for _, thread in runs}
+        assert threading.current_thread() in ran and len(ran) <= 3
+        assert not any(thread.is_alive() for thread in ran - {threading.current_thread()})
+
+    def test_contended_tasks_each_run_once(self):
+        """More threads than cores, switching as often as the interpreter can:
+        every task index is claimed once, and its result lands in its slot."""
+        calls = []
+
+        def task(i):
+            calls.append(i)
+            return -i
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with worker_map(4) as pmap:
+                results = pmap(task, range(4000))
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [-i for i in range(4000)] and sorted(calls) == list(range(4000))
+
+    @pytest.mark.parametrize("raiser", ["helper", "caller"])
+    def test_exception_reaches_the_caller(self, raiser):
+        """Two tasks on two threads, one each (a barrier holds the first until
+        the other thread takes the second): the one raised on ``raiser``
+        reaches the caller, after the helper has stopped."""
+        caller = threading.current_thread()
+        barrier = threading.Barrier(2, timeout=30)
+
+        def task(i):
+            barrier.wait()
+            if (threading.current_thread() is caller) == (raiser == "caller"):
+                raise ValueError(raiser)
+            return i
+
+        before = set(threading.enumerate())
+        with worker_map(2) as pmap:
+            with pytest.raises(ValueError, match=raiser):
+                pmap(task, range(2))
+        assert set(threading.enumerate()) == before
+
+    def test_one_task_starts_no_thread(self):
+        before = threading.active_count()
+        with worker_map(4) as pmap:
+            assert pmap(lambda _: (threading.current_thread(), threading.active_count()),
+                        [0]) == [(threading.current_thread(), before)]
+            assert pmap(abs, []) == []
 
 
 class TestSampleRankStats:
