@@ -35,11 +35,11 @@ from .metrics import (
 )
 from .oracle import (
     CaseGrid,
+    RankWalk,
     ScoreDistribution,
     SplitVerdict,
     check_splittable,
     conditional_mean_profile,
-    rank_table,
     top_rank_decomposition,
 )
 
@@ -54,7 +54,7 @@ __all__ = [
     "BiasReport", "CalibrationReport", "CpcStats", "Histogram",
     "bias_report", "build_histogram", "c_relative", "cpc_block_stats", "cpc_summary",
     "rtv_rtc",
-    "CaseGrid", "ScoreDistribution", "SplitVerdict", "check_splittable",
-    "conditional_mean_profile", "rank_table", "top_rank_decomposition",
+    "CaseGrid", "RankWalk", "ScoreDistribution", "SplitVerdict", "check_splittable",
+    "conditional_mean_profile", "top_rank_decomposition",
     "__version__",
 ]

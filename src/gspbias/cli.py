@@ -55,10 +55,12 @@ from .metrics import (
 )
 from .oracle import (
     CaseGrid,
+    DecompositionScan,
+    RankWalk,
+    SplitScan,
     check_splittable,
     conditional_density_profile,
     conditional_mean_profile,
-    rank_table,
     special_kernels,
     top_rank_decomposition,
 )
@@ -247,40 +249,68 @@ def _mass_agreement(reference, counts, draws: int) -> dict:
     return _verdict(sigma <= MC_AGREEMENT_SIGMA, made, max_sigma=np.max(sigma, initial=0.0))
 
 
-def _quadrature_checks(grid: CaseGrid, i: int) -> dict:
-    """Candidate i's quadrature record: its rank masses, conditional means
-    and the verdicts on them.  Its rank table is built once and dies on
-    return, so a case holds one candidate's at a time; the checks read it
-    a leaf at a time."""
-    # the density profile, last, normalizes the table in place
-    table = rank_table(grid, i)
-    profile = conditional_mean_profile(grid, i, table)
-    # rank k against rank k + 1, where both are reachable
-    better, worse = profile.conditional_means[:-1], profile.conditional_means[1:]
-    reached = ~(np.isnan(better) | np.isnan(worse))
-    try:
-        decomposition = top_rank_decomposition(grid, i, table, profile.marginals)
-    except RankUnreachable as exc:
-        decomposition = {"skipped": str(exc)}
-    dens = conditional_density_profile(grid, i, table, profile.marginals)
-    pairs = [{"ranks": (k, k + 1)} for k in range(1, len(grid))]
-    for k, pair in enumerate(pairs):  # ranks k + 1 and k + 2
-        if np.isnan(dens[k]).any() or np.isnan(dens[k + 1]).any():
-            pair["skipped"] = "rank unreachable"
-            continue
-        verdict = check_splittable(dens[k], dens[k + 1], 0.0)
-        pair["splittable"] = verdict.splittable
-        if verdict.splittable:
-            pair["split_at"] = grid.s[verdict.split_index]
-    return _record({
-        "marginals": profile.marginals,
-        "quadrature_means": profile.conditional_means,
-        "mean_inequality": _verdict(
-            better[reached] >= worse[reached] - MEAN_INEQUALITY_SLACK, reached),
-        "decomposition": decomposition,
-        "splittability": {"passed": all(p.get("splittable", True) for p in pairs),
-                          "pairs": pairs},
-    })
+def _quadrature_checks(grid: CaseGrid, candidates: list[int]) -> list[dict]:
+    """Each candidate's quadrature record: its rank masses, conditional
+    means and the verdicts on them, from two walks over the case grid that
+    fold every candidate's rank table a leaf at a time (``RankWalk``), so
+    no table is ever held whole.  Walk 1 sums the rank masses and moments;
+    walk 2, which needs the masses, feeds each leaf's table to the
+    decomposition (ranks 1 and 2), then normalizes it in place to the
+    conditional densities, and scans each adjacent pair of them for a
+    single crossing.  A pair is skipped as unreachable where either density
+    is NaN anywhere, a rank below MASS_FLOOR or an infinite density times a
+    zero chance, and its scan stops at the first leaf that shows it."""
+    profiles = conditional_mean_profile(grid, candidates)
+    decompositions = []
+    for profile in profiles:
+        try:
+            decompositions.append(DecompositionScan(grid, profile.marginals))
+        except RankUnreachable as exc:
+            decompositions.append(str(exc))
+    scans = [[SplitScan() for _ in range(len(grid) - 1)] for _ in candidates]
+    verdicts = [[None] * (len(grid) - 1) for _ in candidates]  # each scan's, so far
+    unreachable = np.zeros((len(candidates), len(grid)), dtype=bool)
+
+    def read(slot: int, lo: int, hi: int, table: np.ndarray):  # walk 2
+        i, decomposition = candidates[slot], decompositions[slot]
+        share = 0.0
+        if isinstance(decomposition, DecompositionScan):
+            share = top_rank_decomposition(grid, i, table, decomposition, lo)
+        dens = conditional_density_profile(grid, i, table, profiles[slot].marginals, lo)
+        unreachable[slot] |= np.isnan(dens).any(axis=1)
+        for k, scan in enumerate(scans[slot]):  # ranks k + 1 and k + 2
+            if not (unreachable[slot, k] or unreachable[slot, k + 1]):
+                verdicts[slot][k] = check_splittable(dens[k], dens[k + 1], 0.0, scan)
+        return share
+
+    residuals = RankWalk(grid, candidates).run(read)
+    records = []
+    for slot, profile in enumerate(profiles):
+        # rank k against rank k + 1, where both are reachable
+        better, worse = profile.conditional_means[:-1], profile.conditional_means[1:]
+        reached = ~(np.isnan(better) | np.isnan(worse))
+        decomposition = decompositions[slot]
+        pairs = [{"ranks": (k, k + 1)} for k in range(1, len(grid))]
+        for k, pair in enumerate(pairs):  # ranks k + 1 and k + 2
+            if unreachable[slot, k] or unreachable[slot, k + 1]:
+                pair["skipped"] = "rank unreachable"
+                continue
+            verdict = verdicts[slot][k]
+            pair["splittable"] = verdict.splittable
+            if verdict.splittable:
+                pair["split_at"] = grid.s[verdict.split_index]
+        records.append(_record({
+            "marginals": profile.marginals,
+            "quadrature_means": profile.conditional_means,
+            "mean_inequality": _verdict(
+                better[reached] >= worse[reached] - MEAN_INEQUALITY_SLACK, reached),
+            "decomposition": (decomposition.result(residuals[slot])
+                              if isinstance(decomposition, DecompositionScan)
+                              else {"skipped": decomposition}),
+            "splittability": {"passed": all(p.get("splittable", True) for p in pairs),
+                              "pairs": pairs},
+        }))
+    return records
 
 
 def _peak_rss() -> dict:
@@ -306,12 +336,15 @@ def cmd_verify_theorems(args, suite: TheoremSuite, seed: int,
     """Each case: its grid, its Monte Carlo moments, then its candidates'
     checks.  A candidate's quadrature checks depend on its own distribution
     and on its rivals' in the order the rank table folds them in, so they
-    run once per distinct pair of those.  Beta work alone goes to the worker
+    run once per distinct pair of those, all of a case's together in its
+    two walks (``_quadrature_checks``).  Beta work alone goes to the worker
     map: grid slices and safe-cell flags exist only for beta rows, and a
     case's MC blocks go there only when it has a beta row: a uniform block
     is short numpy calls that hold the interpreter lock, so it gains little
     on threads, and its freed arrays stay resident in a helper's own malloc
-    heap.  Rank tables are folded in the calling thread."""
+    heap.  The checks run in the calling thread.  A case's manifest entry
+    records the peak RSS right after its Monte Carlo (``mc_peak_rss_mb``)
+    beside the peak after its checks, so it shows which phase set it."""
     draws = args.trials if args.trials is not None else suite.mc_draws
     cases_payload = []
     case_runs = []  # for the manifest
@@ -327,13 +360,13 @@ def cmd_verify_theorems(args, suite: TheoremSuite, seed: int,
             mc_map = pmap if grid.rows else map
             mc = sample_rank_stats(grid, draws, seed, case_index=idx, map=mc_map)
             grid_mb = round((grid.nbytes + mc.table_bytes) / 2 ** 20, 3)
+            mc_peak_rss_mb = _peak_rss()["peak_rss_mb"]
             t_check = time.monotonic()
-            checks = {}
+            keys = [(own, case.dists[:i] + case.dists[i + 1:]) for i, own in enumerate(case.dists)]
+            distinct = list(dict.fromkeys(keys))
+            checks = dict(zip(distinct, _quadrature_checks(grid, [keys.index(k) for k in distinct])))
             candidates = []
-            for i, own in enumerate(case.dists):
-                key = own, case.dists[:i] + case.dists[i + 1:]
-                if key not in checks:
-                    checks[key] = _quadrature_checks(grid, i)
+            for i, key in enumerate(keys):
                 means, errors, counts = mc.means[i], mc.std_errors[i], mc.counts[i]
                 reference = np.array(checks[key]["quadrature_means"], dtype=float)
                 masses = np.array(checks[key]["marginals"], dtype=float)
@@ -354,7 +387,7 @@ def cmd_verify_theorems(args, suite: TheoremSuite, seed: int,
                               "grid_seconds": round(t_mc - t_grid, 3),
                               "mc_seconds": round(t_check - t_mc, 3),
                               "check_seconds": round(time.monotonic() - t_check, 3),
-                              **_peak_rss()})
+                              "mc_peak_rss_mb": mc_peak_rss_mb, **_peak_rss()})
             cases_payload.append({
                 "name": case.name,
                 "dists": list(case.dist_specs),

@@ -2,17 +2,17 @@
 
 When the m scores are drawn independently, the number of rivals that beat
 candidate i at score s is a Poisson-binomial count with success chances
-1 - F_j(s), F_j the rival score CDFs.  ``rank_table`` gives the whole
-distribution P(rank = k | s), k = 1..m, by folding in one rival at a time,
-P_k <- P_k F_j + P_{k-1} (1 - F_j) (Hong 2013, CSDA 59:41-51), instead of
-summing over the C(m-1, k-1) sets of rivals that beat s.  Conditional score
-moments follow by fixed composite-Simpson quadrature against the
-candidate's own density.
+1 - F_j(s), F_j the rival score CDFs.  A candidate's rank table gives the
+whole distribution P(rank = k | s), k = 1..m, by folding in one rival at a
+time, P_k <- P_k F_j + P_{k-1} (1 - F_j) (Hong 2013, CSDA 59:41-51),
+instead of summing over the C(m-1, k-1) sets of rivals that beat s.
+Conditional score moments follow by fixed composite-Simpson quadrature
+against the candidate's own density.
 
 A ``CaseGrid`` holds the Simpson nodes and weights and, in ``rows``, the
 CDF and PDF rows of each distinct beta distribution in the case, keyed by
 the distribution.  A uniform has no rows: its CDF and density are
-evaluated a slice at a time where the fold and the checks read them, with
+evaluated a leaf at a time where the fold and the checks read them, with
 the bits of a whole-row evaluation.  The Monte Carlo draws go through a
 ``CaseSampler``, which holds the draw tables, keyed the same way, and
 lives only while the draws run: ``CaseSampler.draw`` brackets a beta
@@ -29,18 +29,24 @@ step in a few reused rows.  The grid rows themselves come from
 distribution's support; past it a row holds the 1 and 0 the kernels
 return there.
 
-One candidate's rank table costs O(m^2 * grid) operations and is built
-once, then read by the mean profile, the decomposition and, last, the
-density profile, which normalizes it in place.  The fold, the
-normalization and ``check_splittable`` are elementwise, so any cut gives
-their bits: they walk the grid's node slices, NODE_SLICE nodes each.
-numpy's order matters only where sums are made: the mean profile and the
-decomposition sum a leaf at a time along numpy's own pairwise split
-(``_pairwise_sum``), which gives the whole-row ``np.sum`` bit for bit, so
-every check result is what whole rows give.  Their temporaries are a few
-slice-sized rows.  While its checks run, a case holds its beta rows, one
-candidate's table and those rows, O(m * grid) floats, so there is no cap
-on m.
+One candidate's rank table costs O(m^2 * grid) operations, and no table
+is ever held whole: a ``RankWalk`` folds a case's candidates' tables one
+leaf of numpy's own pairwise split (``_pairwise_sum``) at a time, at most
+NODE_SLICE + 1 nodes, reading each rival's CDF slice of the leaf once for
+every candidate and skipping the runs where a rival's CDF is exactly 0 or
+exactly 1.  The checks walk a case twice: walk 1 sums each candidate's
+rank masses and moments (``conditional_mean_profile``); walk 2, which needs
+the masses, feeds each leaf's table to the decomposition
+(``top_rank_decomposition``), then normalizes it in place to the
+conditional densities (``conditional_density_profile``), which
+``check_splittable`` scans a pair of ranks at a time.  The fold, the
+normalization and the scan are elementwise, so any cut gives their bits,
+and the scan carries its state from leaf to leaf in a ``SplitScan``.
+numpy's order matters only where sums are made, and summed a leaf at a
+time along ``_pairwise_sum`` they are the whole-row ``np.sum`` bit for
+bit, so every check result is what whole rows give.  While its checks run,
+a case holds its beta rows and O(m * NODE_SLICE) floats, so there is no
+cap on m.
 
 The grid rows and the safe-cell flags are filled a node slice at a time,
 one task per slice, through a ``map`` callable: the builtin ``map`` runs
@@ -50,14 +56,14 @@ part of a preallocated array, so a thread's temporaries are slice-sized
 whatever the grid size, and the kernels are elementwise, so the bytes do
 not depend on the slicing or on the threads.  Only beta distributions have
 rows and flags, so a uniform-only case hands the ``map`` no task.  The rank
-table is folded a slice at a time too, but always in the calling thread:
-its fold is many small in-place row operations, and on more threads each
+tables are folded a leaf at a time too, but always in the calling thread:
+a fold is many small in-place row operations, and on more threads each
 one's hand-off between them costs more than the arithmetic it shares.
 
-Every check function takes the case's ``CaseGrid`` and, past the grid
-build, a candidate's ``rank_table`` on it, which the caller builds once;
-the density profile and the decomposition also take the rank masses that
-the mean profile computed from that table, so each mass is summed once.
+The check functions take the case's ``CaseGrid`` first.  The density
+profile and the decomposition take a candidate's rank table on a leaf, or
+on the whole grid, and the rank masses its mean profile summed, so each
+mass is summed once.
 
 Quadrature accuracy is ~1e-12 relative for smooth integrands.  A uniform
 candidate's density jumps at its low and high cost nothing, wherever they
@@ -95,7 +101,7 @@ DECOMPOSITION_TOL = 1e-6  # the largest |residual| a passing decomposition may h
 # _CDF_REL_ERR bounds the error of the CDF row values that the estimate allows for.
 _NEWTON_TOL = 1e-9
 _CDF_REL_ERR = 1e-14
-NODE_SLICE = 1 << 14  # grid nodes per task when rows and rank tables are filled
+NODE_SLICE = 1 << 14  # grid nodes per task when rows are filled; a leaf holds one more at most
 # antiderivatives of the quadratics through a Simpson panel's nodes t = 0, 1, 2
 _LAGRANGE_INTEGRALS = (lambda t: t ** 3 / 6.0 - 0.75 * t * t + t,
                        lambda t: t * t - t ** 3 / 3.0,
@@ -211,8 +217,8 @@ class CaseGrid:
     its ``upper`` (the case's grid may run past a beta's scale; there the
     rows hold CDF 1 and PDF 0, the kernels' own values).  Distributions are
     values, so ads with equal distributions read one pair of rows.  A
-    uniform has no entry: ``cumulative`` and ``density`` evaluate its CDF
-    and PDF on the nodes a caller reads, a slice at a time.  The oracle
+    uniform has no entry: ``RankWalk`` evaluates its CDF, and ``density``
+    its PDF, on the nodes a caller reads, a leaf at a time.  The oracle
     functions and the Monte Carlo sampler (``CaseSampler``) read the case
     through it.  ``len(grid)`` is the ad count m, and ``map`` runs the node
     slices of the rows.
@@ -249,15 +255,10 @@ class CaseGrid:
     def __len__(self) -> int:
         return len(self.dists)
 
-    def cumulative(self, j: int, lo: int = 0, hi: int | None = None) -> np.ndarray:
-        """Ad j's CDF at nodes lo..hi-1: a view of a beta's stored row, a
-        uniform's evaluated here on those nodes, with the bits of the whole
-        row, since the uniform CDF is elementwise."""
-        d = self.dists[j]
-        return self.rows[d][0][lo:hi] if d in self.rows else d.cdf(self.s[lo:hi])
-
     def density(self, j: int, lo: int = 0, hi: int | None = None) -> np.ndarray:
-        """Ad j's PDF at nodes lo..hi-1, as ``cumulative`` gives its CDF."""
+        """Ad j's PDF at nodes lo..hi-1: a view of a beta's stored row, a
+        uniform's evaluated here on those nodes, with the bits of the whole
+        row, since the uniform PDF is elementwise."""
         d = self.dists[j]
         return self.rows[d][1][lo:hi] if d in self.rows else d.pdf(self.s[lo:hi])
 
@@ -497,33 +498,93 @@ def _pairwise_sum(leaf, lo: int, hi: int):
     return left + _pairwise_sum(leaf, lo + half, hi)
 
 
-def rank_table(grid: CaseGrid, candidate: int) -> np.ndarray:
-    """P(candidate holds rank k | score s) in row k-1, at the case grid's nodes.
+class RankWalk:
+    """The rank tables of a case's candidates, one ``_pairwise_sum`` leaf at a time.
 
-    Poisson-binomial recursion (Hong 2013): rivals are folded in one at a
-    time, and after j of them row k holds the chance that exactly k of
-    those j beat s, P_k <- P_k F_j + P_{k-1} (1 - F_j), with the rivals'
-    CDFs read through ``CaseGrid.cumulative``.  The fold is elementwise, so
-    the grid's node slices are folded in turn, each into its columns of the
-    one table, and a uniform rival's CDF is evaluated a slice at a time.
+    Row k-1 of a candidate's table holds P(candidate holds rank k | score s).
+    It is the Poisson-binomial recursion (Hong 2013): the rivals are folded
+    in one at a time, in ad order, and after j of them row k holds the
+    chance that exactly k of those j beat s, P_k <- P_k F_j + P_{k-1}
+    (1 - F_j).  Where F_j is exactly 0 that leaves each row the one below
+    it, P_k <- P_{k-1} and P_0 <- 0, and where it is exactly 1 it leaves
+    every row as it is: every table entry is a finite non-negative double,
+    so those are the bits the multiply-adds give there.  So each fold
+    shifts the rows over a rival's leading run of exact 0s, skips its
+    trailing run of exact 1s and multiplies only in between.  A uniform's
+    runs end at the nodes s <= low and s >= high, where its clipped CDF is
+    exactly 0 and 1; a beta's are the leading exact 0s and trailing exact
+    1s of its CDF row, found once per row, so nothing assumes a row is
+    monotone.
+
+    ``run(read)`` reads each rival distribution's CDF on a leaf once for
+    every candidate: a uniform's is evaluated between its runs, a beta's is
+    a view of its row.  It then folds each candidate's table on the leaf in
+    turn, into one buffer that the next candidate overwrites, so no table
+    exists whole and a walk holds O(m * NODE_SLICE) floats.
     """
-    out = np.zeros((len(grid), len(grid.s)))
-    for lo, hi in fixed_blocks(0, len(grid.s), NODE_SLICE):
-        part = out[:, lo:hi]
-        beats, product = np.empty((2, hi - lo))  # 1 - F_j, and each product
-        part[0] = 1.0
+
+    def __init__(self, grid: CaseGrid, candidates: list[int]):
+        self.grid, self.candidates = grid, candidates
+        self.table = np.empty((len(grid), NODE_SLICE + 1))
+        self.beats, self.product = np.empty((2, NODE_SLICE + 1))  # 1 - F_j, and each product
+        s = grid.s
+        self.runs = {}  # rival distribution -> (first node past its 0s, first node of its 1s)
+        self.cdfs = {}  # rival distribution -> (first leaf node past its 0s, CDF up to its 1s)
+        for j, d in enumerate(grid.dists):
+            if d in self.runs or set(candidates) == {j}:  # ad j is no candidate's rival
+                continue
+            if d.kind == "uniform":
+                low, high = d.params
+                self.runs[d] = (int(np.searchsorted(s, low, side="right")),
+                                int(np.searchsorted(s, high, side="left")))
+            else:
+                F = grid.rows[d][0]
+                zeros = _first_false(F == 0.0)
+                self.runs[d] = zeros, max(zeros, len(F) - _first_false(F[::-1] == 1.0))
+
+    def run(self, read):
+        """``read(slot, lo, hi, table)`` for each leaf, in node order, and each
+        candidate ``self.candidates[slot]`` in turn, with ``table`` the
+        candidate's rank table on nodes lo..hi-1; ``read`` may change it.
+        Returns, for each slot, the sum of its ``read`` results over the
+        leaves, added in numpy's pairwise order (``_pairwise_sum``)."""
+
+        def leaf(lo: int, hi: int) -> np.ndarray:
+            for d, (zeros, ones) in self.runs.items():
+                a, b = min(max(zeros, lo), hi), min(max(ones, lo), hi)
+                if d.kind != "uniform":
+                    F = self.grid.rows[d][0][a:b]
+                else:
+                    F = d.cdf(self.grid.s[a:b]) if a < b else np.empty(0)
+                self.cdfs[d] = a - lo, F
+            return np.array([read(slot, lo, hi, self._fold(i, hi - lo))
+                             for slot, i in enumerate(self.candidates)])
+
+        return _pairwise_sum(leaf, 0, len(self.grid.s))
+
+    def _fold(self, candidate: int, n: int) -> np.ndarray:
+        table = self.table[:, :n]
+        table[0] = 1.0
+        table[1:] = 0.0
         seen = 0
-        for j in range(len(grid)):
+        for j, d in enumerate(self.grid.dists):
             if j == candidate:
                 continue
             seen += 1
-            Fj = grid.cumulative(j, lo, hi)
-            np.subtract(1.0, Fj, out=beats)
-            for k in range(seen, 0, -1):  # top down: row k-1 still holds its old value
-                part[k] *= Fj
-                part[k] += np.multiply(part[k - 1], beats, out=product)
-            part[0] *= Fj
-    return out
+            start, F = self.cdfs[d]
+            if start:  # F_j = 0: row k takes row k-1, top down, and row 0 is 0
+                for k in range(seen, 0, -1):
+                    table[k, :start] = table[k - 1, :start]
+                table[0, :start] = 0.0
+            if len(F):  # past them F_j = 1, which leaves every row as it is
+                part = table[:, start:start + len(F)]
+                beats = np.subtract(1.0, F, out=self.beats[:len(F)])
+                product = self.product[:len(F)]
+                for k in range(seen, 0, -1):  # top down: row k-1 still holds its old value
+                    part[k] *= F
+                    part[k] += np.multiply(part[k - 1], beats, out=product)
+                part[0] *= F
+        return table
 
 
 @dataclass(frozen=True)
@@ -534,46 +595,49 @@ class RankProfile:
     conditional_means: np.ndarray  # E[score | rank = k], NaN where unreachable
 
 
-def conditional_mean_profile(grid: CaseGrid, candidate: int, table: np.ndarray) -> RankProfile:
-    """P(rank = k) and E[score | rank = k] for every rank k, by Simpson quadrature,
-    from the candidate's ``rank_table`` on the case grid, a leaf at a time."""
+def conditional_mean_profile(grid: CaseGrid, candidates: list[int]) -> list[RankProfile]:
+    """Each candidate's P(rank = k) and E[score | rank = k] for every rank k,
+    by Simpson quadrature against its density, summed over its rank table a
+    leaf at a time (one ``RankWalk``)."""
 
-    def leaf(lo: int, hi: int) -> np.ndarray:  # row 0 the masses, row 1 the moments
-        w, density = grid.quadrature(candidate, lo, hi)
+    def sums(slot: int, lo: int, hi: int, table: np.ndarray) -> np.ndarray:
+        # row 0 the masses, row 1 the moments
+        w, density = grid.quadrature(candidates[slot], lo, hi)
         # numpy multiplies left to right, so w * density * pk is wd * pk bit for bit
         wd = w * density
         wsd = np.multiply(w, grid.s[lo:hi])
         wsd *= density
         product = np.empty_like(wd)  # each rank's integrand, in turn
-        return np.array([[np.sum(np.multiply(weights, pk, out=product)) for pk in table[:, lo:hi]]
+        return np.array([[np.sum(np.multiply(weights, pk, out=product)) for pk in table]
                          for weights in (wd, wsd)])
 
-    marginals, moments = _pairwise_sum(leaf, 0, len(grid.s))
-    means = np.full(len(table), np.nan)
-    reached = marginals >= MASS_FLOOR
-    means[reached] = moments[reached] / marginals[reached]
-    return RankProfile(marginals=marginals, conditional_means=means)
+    profiles = []
+    for marginals, moments in RankWalk(grid, candidates).run(sums):
+        means = np.full(len(grid), np.nan)
+        reached = marginals >= MASS_FLOOR
+        means[reached] = moments[reached] / marginals[reached]
+        profiles.append(RankProfile(marginals=marginals, conditional_means=means))
+    return profiles
 
 
 def conditional_density_profile(grid: CaseGrid, candidate: int, table: np.ndarray,
-                                marginals: np.ndarray) -> np.ndarray:
-    """Conditional score densities given each rank, at the grid's nodes ``grid.s``.
+                                marginals: np.ndarray, lo: int = 0) -> np.ndarray:
+    """Conditional score densities given each rank, at the nodes from ``lo`` on.
 
-    Row k-1 of the result is the density of the candidate's score
-    conditional on attaining rank k; rows for ranks with negligible mass are
-    NaN.  ``marginals`` are the rank masses of the candidate's
-    ``conditional_mean_profile`` on ``table``, its ``rank_table``, which is
-    normalized in place, a node slice at a time, and returned, so read it
-    for anything else first.
+    ``table`` is the candidate's rank table on nodes lo..lo+n-1, a leaf's or
+    the whole grid's, and ``marginals`` its rank masses from
+    ``conditional_mean_profile``.  The table is normalized in place and
+    returned: row k-1 becomes the density of the candidate's score
+    conditional on attaining rank k, and rows for ranks with negligible mass
+    are NaN.  It is elementwise, so a leaf's rows are the whole rows' bits.
     """
-    for lo, hi in fixed_blocks(0, len(grid.s), NODE_SLICE):
-        density = grid.density(candidate, lo, hi)
-        for pk, mass in zip(table[:, lo:hi], marginals):
-            if mass >= MASS_FLOOR:
-                np.multiply(density, pk, out=pk)
-                pk /= mass
-            else:
-                pk[:] = np.nan
+    density = grid.density(candidate, lo, lo + table.shape[1])
+    for pk, mass in zip(table, marginals):
+        if mass >= MASS_FLOOR:
+            np.multiply(density, pk, out=pk)
+            pk /= mass
+        else:
+            pk[:] = np.nan
     return table
 
 
@@ -585,12 +649,34 @@ class SplitVerdict:
     split_index: int | None
 
 
-def check_splittable(f, g, tolerance: float = 0.0) -> SplitVerdict:
+class SplitScan:
+    """``check_splittable``'s state between the slices of f and g it reads:
+    how many entries it has read, the split so far (one past the last entry
+    inadmissible post-split, f below g) and the first entry inadmissible
+    pre-split (f above g), None until one is read."""
+
+    def __init__(self):
+        self.length, self.split, self.below = 0, 0, None
+
+    @property
+    def verdict(self) -> SplitVerdict:
+        """The verdict on every entry read so far: every entry below the split
+        is admissible pre-split, and at least one entry lies at or above it."""
+        below = self.length if self.below is None else self.below
+        if self.split > min(below, self.length - 1):
+            return SplitVerdict(False, None)
+        return SplitVerdict(True, self.split)
+
+
+def check_splittable(f, g, tolerance: float = 0.0, scan: SplitScan | None = None) -> SplitVerdict:
     """Test whether f crosses g exactly once, from below to above.
 
     Returns the smallest index v with f <= g + tol strictly below v and
     f >= g - tol at and above v, or a negative verdict if no such v exists.
-    f and g are compared NODE_SLICE entries at a time.
+    f and g are compared NODE_SLICE entries at a time.  Given a ``scan``,
+    f and g continue the rows it has read, the verdict is on the joined
+    rows, and the scan reads f and g too, so a walk can test rows a leaf at
+    a time.
     """
     f = np.asarray(f, dtype=float)
     g = np.asarray(g, dtype=float)
@@ -598,22 +684,19 @@ def check_splittable(f, g, tolerance: float = 0.0) -> SplitVerdict:
         raise GridMismatch(f"grids differ in shape: {f.shape} vs {g.shape}")
     if tolerance < 0:
         raise ValueError("tolerance must be >= 0")
-    # the split is one past the last bin inadmissible post-split; every bin
-    # below it must be admissible pre-split, and at least one bin lies above it
-    split, below = 0, len(f)  # and the first bin inadmissible pre-split
+    scan = SplitScan() if scan is None else scan
     for lo, hi in fixed_blocks(0, len(f), NODE_SLICE):
         bound = np.subtract(g[lo:hi], tolerance)
         trailing = _first_false((f[lo:hi] >= bound)[::-1])  # admissible post-split at its end
         if trailing < hi - lo:
-            split = hi - trailing
-        if below == len(f):
+            scan.split = scan.length + hi - trailing
+        if scan.below is None:
             np.add(g[lo:hi], tolerance, out=bound)
             leading = _first_false(f[lo:hi] <= bound)  # admissible pre-split at its start
             if leading < hi - lo:
-                below = lo + leading
-    if split > min(below, len(f) - 1):
-        return SplitVerdict(False, None)
-    return SplitVerdict(True, split)
+                scan.below = scan.length + lo + leading
+    scan.length += len(f)
+    return scan.verdict
 
 
 def _first_false(ok: np.ndarray) -> int:
@@ -645,46 +728,58 @@ class RankDecomposition:
                                                 and self.plus_monotone and self.minus_monotone))
 
 
+class DecompositionScan:
+    """``top_rank_decomposition``'s state between the leaves of one
+    candidate's rank table: alpha = P(rank 1) / P(rank 2), from the rank
+    masses ``marginals``, whether each part has been non-decreasing so far,
+    and the parts at the last node read.  A case whose contrast is not
+    defined, one ad or a rank-2 mass below MASS_FLOOR, raises
+    RankUnreachable."""
+
+    def __init__(self, grid: CaseGrid, marginals: np.ndarray):
+        if len(grid) < 2:
+            raise RankUnreachable("single ad has no adjacent rank")
+        mass1, mass2 = marginals[:2]
+        if mass2 < MASS_FLOOR:
+            raise RankUnreachable(f"rank 2 mass {mass2:.3e} too small for the contrast")
+        self.alpha = mass1 / mass2
+        self.rivals = len(grid) - 1
+        self.monotone = [True, True]
+        self.before = None
+
+    def result(self, residual) -> RankDecomposition:
+        """The decomposition of every leaf read, given the sum of their
+        residual shares in ``_pairwise_sum`` order."""
+        return RankDecomposition(float(residual), *self.monotone)
+
+
 def top_rank_decomposition(grid: CaseGrid, candidate: int, table: np.ndarray,
-                           marginals: np.ndarray) -> RankDecomposition:
-    """Build the two monotone parts and verify their zero-integral property.
+                           scan: DecompositionScan, lo: int = 0):
+    """Build the two monotone parts at the nodes from ``lo`` on, and return
+    these nodes' share of their zero-integral residual.
 
-    With P1, P2 the rank-1 and rank-2 rows of the candidate's rank table
-    ``table``, ``marginals`` their masses from the candidate's
-    ``conditional_mean_profile``, and m ads, the rivals' all-below product
-    is P1 and its leave-one-out sum is sum_l prod_{j != l} F_j =
-    P2 + (m - 1) P1, so plus_part is (1 + alpha (m - 1)) P1 and minus_part
-    is alpha (P2 + (m - 1) P1).  The parts count as non-decreasing where no
-    step falls by more than 1e-12, the round-off of the products.  The
-    parts are built a leaf at a time, each leaf's first step taken from the
-    previous leaf's last node, and their steps and the residual's integrand
-    share the leaf's two rows.
+    With P1, P2 the rank-1 and rank-2 rows of ``table``, the candidate's
+    rank table on nodes lo..lo+n-1, a leaf's or the whole grid's, and m
+    ads, the rivals' all-below product is P1 and its leave-one-out sum is
+    sum_l prod_{j != l} F_j = P2 + (m - 1) P1, so plus_part is
+    (1 + alpha (m - 1)) P1 and minus_part is alpha (P2 + (m - 1) P1).  The
+    parts count as non-decreasing where no step falls by more than 1e-12,
+    the round-off of the products; ``scan`` carries the verdicts and the
+    last node's parts from leaf to leaf, so a leaf's first step is taken
+    from the previous leaf's last node.  The steps and the residual's
+    integrand share the two rows the parts are built in.  Summed in
+    ``_pairwise_sum`` order, the leaves' shares are the whole rows' sum.
     """
-    if len(grid) < 2:
-        raise RankUnreachable("single ad has no adjacent rank")
-    mass1, mass2 = marginals[:2]
-    if mass2 < MASS_FLOOR:
-        raise RankUnreachable(f"rank 2 mass {mass2:.3e} too small for the contrast")
-    alpha = mass1 / mass2
-    rivals = len(grid) - 1
-    monotone = [True, True]
-    before = None  # the parts at the previous leaf's last node
-
-    def leaf(lo: int, hi: int) -> float:  # the leaf's share of the residual
-        nonlocal before
-        p1, p2 = table[:2, lo:hi]
-        minus_part = np.multiply(rivals, p1)
-        plus_part = np.multiply(alpha, minus_part)
-        np.add(p1, plus_part, out=plus_part)  # p1 + alpha * (rivals * p1)
-        np.add(p2, minus_part, out=minus_part)
-        np.multiply(alpha, minus_part, out=minus_part)  # alpha * (p2 + rivals * p1)
-        for q, part in enumerate((plus_part, minus_part)):
-            monotone[q] = bool(monotone[q] and np.all(part[1:] - part[:-1] >= -1e-12)
-                               and (before is None or part[0] - before[q] >= -1e-12))
-        before = plus_part[-1], minus_part[-1]
-        np.subtract(plus_part, minus_part, out=minus_part)
-        weighted = np.multiply(*grid.quadrature(candidate, lo, hi), out=plus_part)
-        return np.sum(np.multiply(weighted, minus_part, out=minus_part))
-
-    residual = float(_pairwise_sum(leaf, 0, len(grid.s)))
-    return RankDecomposition(residual, *monotone)
+    p1, p2 = table[:2]
+    minus_part = np.multiply(scan.rivals, p1)
+    plus_part = np.multiply(scan.alpha, minus_part)
+    np.add(p1, plus_part, out=plus_part)  # p1 + alpha * (rivals * p1)
+    np.add(p2, minus_part, out=minus_part)
+    np.multiply(scan.alpha, minus_part, out=minus_part)  # alpha * (p2 + rivals * p1)
+    for q, part in enumerate((plus_part, minus_part)):
+        scan.monotone[q] = bool(scan.monotone[q] and np.all(part[1:] - part[:-1] >= -1e-12)
+                                and (scan.before is None or part[0] - scan.before[q] >= -1e-12))
+    scan.before = plus_part[-1], minus_part[-1]
+    np.subtract(plus_part, minus_part, out=minus_part)
+    weighted = np.multiply(*grid.quadrature(candidate, lo, lo + len(p1)), out=plus_part)
+    return np.sum(np.multiply(weighted, minus_part, out=minus_part))

@@ -52,6 +52,7 @@ METRICS = "src/gspbias/metrics.py"
 T_ORACLE, T_ENGINE, T_CLI = "tests/test_oracle.py", "tests/test_engine.py", "tests/test_cli.py"
 LEAF_CHECKS = T_ORACLE + "::TestLeafChecks"
 EXACT_UNIFORMS = T_ORACLE + "::TestConditionalScoreMean::test_uniform_fields_match_exact_integrals"
+RUN_FOLD = T_ORACLE + "::TestRankTable::test_run_skipping_fold_matches_whole_rows"
 T_METRICS = "tests/test_metrics.py"
 MERGED_STATS = T_METRICS + "::TestCpcStats::test_merged_statistics_match_whole_table"
 
@@ -98,12 +99,12 @@ MUTANTS = [
            (T_ENGINE + "::TestMcBlock::test_moments_match_the_trial_major_reference",)),
     # the checks walk one rank table in leaf-sized rows
     Mutant("split-below-without-offset", ORACLE,
-           "                below = lo + leading\n",
-           "                below = leading\n",
+           "                scan.below = scan.length + lo + leading\n",
+           "                scan.below = scan.length + leading\n",
            (LEAF_CHECKS + "::test_split_across_leaves",)),
     Mutant("split-trailing-offset", ORACLE,
-           "            split = hi - trailing\n",
-           "            split = hi - lo - trailing\n",
+           "            scan.split = scan.length + hi - trailing\n",
+           "            scan.split = scan.length + hi - lo - trailing\n",
            (LEAF_CHECKS + "::test_split_across_leaves",)),
     Mutant("pairwise-sum-left-fold", ORACLE,
            "    half = n // 2 - (n // 2) % 8\n",
@@ -114,8 +115,8 @@ MUTANTS = [
            "    half = n // 2\n",
            (LEAF_CHECKS + "::test_leaf_sums_add_up_to_numpy_sum",)),
     Mutant("decomposition-edge-step-dropped", ORACLE,
-           "(before is None or part[0] - before[q] >= -1e-12)",
-           "(True or part[0] - before[q] >= -1e-12)",
+           "(scan.before is None or part[0] - scan.before[q] >= -1e-12)",
+           "(True or part[0] - scan.before[q] >= -1e-12)",
            (LEAF_CHECKS + "::test_decomposition_steps_across_leaf_edges",)),
     Mutant("argsort-ties-to-higher-column", ENGINE,
            '        order = np.argsort(-scores, axis=1, kind="stable")\n',
@@ -143,8 +144,8 @@ MUTANTS = [
            (LEAF_CHECKS + "::test_records_match_whole_row_checks",)),
     # a scaled rank row, ties sent the wrong way, the window bound and the MC gate
     Mutant("rank-one-row-scaled", ORACLE,
-           "            part[0] *= Fj\n    return out\n",
-           "            part[0] *= Fj\n        part[0] *= 1.01\n    return out\n",
+           "                part[0] *= F\n        return table\n",
+           "                part[0] *= F\n        table[0] *= 1.01\n        return table\n",
            (T_ORACLE + "::TestNodeSlices::test_rank_table_matches_whole_row_fold",)),
     Mutant("pairwise-ties-to-higher-column", ENGINE,
            "            np.greater(scores[:, j], scores[:, i], out=j_wins)\n",
@@ -207,6 +208,24 @@ MUTANTS = [
            "(counts >= MIN_MC_COUNT) & (std_errors > 0)",
            "(counts >= MIN_MC_COUNT) & ~np.isnan(std_errors)",
            (T_CLI + "::TestMcAgreement::test_zero_standard_error_is_skipped",)),
+    # a case's candidates walk the grid a leaf at a time: rival CDF slices read
+    # once per leaf, runs of exact 0s and 1s skipped, scans carried across leaves
+    Mutant("zero-run-as-identity", ORACLE,
+           "            if start:  # F_j = 0: row k takes row k-1, top down, and row 0 is 0\n",
+           "            if False:  # F_j = 0: row k takes row k-1, top down, and row 0 is 0\n",
+           (RUN_FOLD,)),
+    Mutant("zero-run-ends-a-node-late", ORACLE,
+           'int(np.searchsorted(s, low, side="right"))',
+           'int(np.searchsorted(s, low, side="right")) + 1',
+           (RUN_FOLD,)),
+    Mutant("split-scan-reset-each-call", ORACLE,
+           "    scan = SplitScan() if scan is None else scan\n",
+           "    scan = SplitScan() if scan is None else scan\n    scan.split, scan.below = 0, None\n",
+           (LEAF_CHECKS + "::test_split_across_calls",)),
+    Mutant("cdf-slice-from-previous-leaf", ORACLE,
+           "                self.cdfs[d] = a - lo, F\n",
+           "                self.cdfs.setdefault(d, (a - lo, F))\n",
+           (RUN_FOLD,)),
 ]
 
 

@@ -42,11 +42,13 @@ from gspbias.metrics import (
     split_histogram_densities,
 )
 from gspbias import oracle, rng
+from gspbias.cli import MEAN_INEQUALITY_SLACK, _record, _verdict
 from gspbias.oracle import (
     MASS_FLOOR,
+    DecompositionScan,
     RankDecomposition,
-    RankProfile,
-    SplitVerdict,
+    RankWalk,
+    top_rank_decomposition,
 )
 
 
@@ -410,64 +412,98 @@ def uniform_field_profile(dists, candidate):
     return masses, moments
 
 
-def whole_row_checks(grid) -> dict:
-    """The rank table and the four oracle checks as first written, over
-    whole rows: CDF and density rows evaluated in one call each, the
-    candidate's quadrature weights (``CaseGrid.quadrature``) taken over the
-    whole grid, whole-row temporaries and whole-row ``np.sum``.  Keyed by
-    the names ``gspbias.cli`` calls them by, so that a command's checks can
-    be run through them."""
+def whole_row_records(grid) -> list[dict]:
+    """Each ad's quadrature record as a candidate, in ad order, from the
+    rank table and the four checks as first written, over whole rows: CDF
+    and density rows evaluated in one call each, the candidate's whole
+    table, its quadrature weights (``CaseGrid.quadrature``) taken over the
+    whole grid, whole-row temporaries, whole-row ``np.sum`` and the split
+    from whole prefix and suffix scans.  ``gspbias.cli._quadrature_checks``
+    must give these records byte for byte."""
     F = np.vstack([d.cdf(grid.s) for d in grid.dists])
-
-    def density(candidate):
-        return grid.dists[candidate].pdf(grid.s)
-
-    def quadrature(candidate):
-        return grid.quadrature(candidate, 0, len(grid.s))
-
-    def mean_profile(grid, candidate, table):
-        marginals = np.empty(len(table))
-        means = np.full(len(table), np.nan)
-        w, dens = quadrature(candidate)
+    m = len(grid)
+    records = []
+    for candidate in range(m):
+        table = rank_table_whole_rows(F, candidate)
+        w, dens = grid.quadrature(candidate, 0, len(grid.s))
         wd = w * dens
         wsd = w * grid.s * dens
+        marginals = np.empty(m)
+        means = np.full(m, np.nan)
         for k, pk in enumerate(table):
-            mass = float(np.sum(wd * pk))
-            marginals[k] = mass
-            if mass >= MASS_FLOOR:
-                means[k] = float(np.sum(wsd * pk)) / mass
-        return RankProfile(marginals=marginals, conditional_means=means)
-
-    def decomposition(grid, candidate, table, marginals):
-        if len(grid) < 2:
-            raise RankUnreachable("single ad has no adjacent rank")
-        mass1, mass2 = marginals[:2]
-        if mass2 < MASS_FLOOR:
-            raise RankUnreachable(f"rank 2 mass {mass2:.3e} too small for the contrast")
-        alpha = mass1 / mass2
-        rivals = len(grid) - 1
-        p1, p2 = table[:2]
-        plus_part = p1 + alpha * (rivals * p1)
-        minus_part = alpha * (p2 + rivals * p1)
-        w, dens = quadrature(candidate)
-        residual = float(np.sum(w * dens * (plus_part - minus_part)))
-        return RankDecomposition(residual, bool(np.all(np.diff(plus_part) >= -1e-12)),
-                                 bool(np.all(np.diff(minus_part) >= -1e-12)))
-
-    def density_profile(grid, candidate, table, marginals):
+            marginals[k] = float(np.sum(wd * pk))
+            if marginals[k] >= MASS_FLOOR:
+                means[k] = float(np.sum(wsd * pk)) / marginals[k]
+        try:
+            decomposition = whole_row_decomposition(grid, candidate, table, marginals)
+        except RankUnreachable as exc:
+            decomposition = {"skipped": str(exc)}
+        density = grid.dists[candidate].pdf(grid.s)
         for pk, mass in zip(table, marginals):
-            pk[:] = density(candidate) * pk / mass if mass >= MASS_FLOOR else np.nan
-        return table
+            pk[:] = density * pk / mass if mass >= MASS_FLOOR else np.nan
+        pairs = [{"ranks": (k, k + 1)} for k in range(1, m)]
+        for k, pair in enumerate(pairs):
+            if np.isnan(table[k]).any() or np.isnan(table[k + 1]).any():
+                pair["skipped"] = "rank unreachable"
+                continue
+            split = split_index_by_accumulation(table[k], table[k + 1], 0.0)
+            pair["splittable"] = split is not None
+            if split is not None:
+                pair["split_at"] = grid.s[split]
+        better, worse = means[:-1], means[1:]
+        reached = ~(np.isnan(better) | np.isnan(worse))
+        records.append(_record({
+            "marginals": marginals,
+            "quadrature_means": means,
+            "mean_inequality": _verdict(
+                better[reached] >= worse[reached] - MEAN_INEQUALITY_SLACK, reached),
+            "decomposition": decomposition,
+            "splittability": {"passed": all(p.get("splittable", True) for p in pairs),
+                              "pairs": pairs},
+        }))
+    return records
 
-    def splittable(f, g, tolerance=0.0):
-        split = split_index_by_accumulation(f, g, tolerance)
-        return SplitVerdict(split is not None, split)
 
-    return {"rank_table": lambda grid, candidate: rank_table_whole_rows(F, candidate),
-            "conditional_mean_profile": mean_profile,
-            "top_rank_decomposition": decomposition,
-            "conditional_density_profile": density_profile,
-            "check_splittable": splittable}
+def whole_row_decomposition(grid, candidate, table, marginals) -> RankDecomposition:
+    """``oracle.top_rank_decomposition`` as first written, over whole rows of
+    the candidate's rank table ``table``, with rank masses ``marginals``."""
+    m = len(grid)
+    if m < 2:
+        raise RankUnreachable("single ad has no adjacent rank")
+    if marginals[1] < MASS_FLOOR:
+        raise RankUnreachable(f"rank 2 mass {marginals[1]:.3e} too small for the contrast")
+    alpha = marginals[0] / marginals[1]
+    p1, p2 = table[:2]
+    plus_part = p1 + alpha * ((m - 1) * p1)
+    minus_part = alpha * (p2 + (m - 1) * p1)
+    w, dens = grid.quadrature(candidate, 0, len(grid.s))
+    return RankDecomposition(float(np.sum(w * dens * (plus_part - minus_part))),
+                             bool(np.all(np.diff(plus_part) >= -1e-12)),
+                             bool(np.all(np.diff(minus_part) >= -1e-12)))
+
+
+def cumulative(grid, j, lo=0, hi=None):
+    """Ad j's CDF at nodes lo..hi-1 of the case grid: a view of a beta's
+    stored row, a uniform's evaluated on those nodes."""
+    d = grid.dists[j]
+    return grid.rows[d][0][lo:hi] if d in grid.rows else d.cdf(grid.s[lo:hi])
+
+
+def rank_table(grid, candidate):
+    """The candidate's rank table over the whole grid, joined from the leaf
+    tables a ``RankWalk`` folds."""
+    leaves = []
+    RankWalk(grid, [candidate]).run(lambda slot, lo, hi, table: leaves.append(table.copy()) or 0.0)
+    return np.hstack(leaves)
+
+
+def decomposition_by_leaves(grid, candidate, table, marginals) -> RankDecomposition:
+    """``top_rank_decomposition`` fed the candidate's whole rank table
+    ``table`` a ``_pairwise_sum`` leaf at a time, as a walk feeds it."""
+    scan = DecompositionScan(grid, marginals)
+    residual = oracle._pairwise_sum(lambda lo, hi: top_rank_decomposition(
+        grid, candidate, table[:, lo:hi], scan, lo), 0, len(grid.s))
+    return scan.result(residual)
 
 
 def watch_draw_tables(monkeypatch) -> list:

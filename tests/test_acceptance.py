@@ -21,7 +21,7 @@ from gspbias.engine import (
     sample_rank_stats,
 )
 from gspbias.metrics import build_histogram, c_relative
-from gspbias.oracle import CaseGrid, ScoreDistribution, conditional_mean_profile, rank_table
+from gspbias.oracle import CaseGrid, ScoreDistribution, conditional_mean_profile
 from reference import (
     Ad,
     ScoredAd,
@@ -103,8 +103,8 @@ def test_criterion_3_theorem_verification():
         dists = case.dists
         grid = CaseGrid(dists)
         mc = sample_rank_stats(grid, suite.mc_draws, loaded.seed, case_index=idx)
-        for i in range(len(dists)):
-            qmeans = conditional_mean_profile(grid, i, rank_table(grid, i)).conditional_means
+        for i, profile in enumerate(conditional_mean_profile(grid, list(range(len(dists))))):
+            qmeans = profile.conditional_means
             for k in range(len(dists) - 1):
                 if not (np.isnan(qmeans[k]) or np.isnan(qmeans[k + 1])):
                     monotone_ok &= qmeans[k] >= qmeans[k + 1] - 1e-6
@@ -124,7 +124,7 @@ def test_criterion_3_theorem_verification():
 def test_criterion_4_closed_form_pair():
     dists = [ScoreDistribution.uniform(0, 1), ScoreDistribution.uniform(0, 1)]
     grid = CaseGrid(dists)
-    means = conditional_mean_profile(grid, 0, rank_table(grid, 0)).conditional_means
+    means = conditional_mean_profile(grid, [0])[0].conditional_means
     err = max(abs(means[0] - 2 / 3), abs(means[1] - 1 / 3))
     report("4 uniform-pair-closed-form", err <= 1e-4,
            f"means = ({means[0]:.6f}, {means[1]:.6f}), max err {err:.2e}")

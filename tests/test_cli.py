@@ -639,7 +639,7 @@ class TestVerifyTheorems:
         from gspbias.oracle import SplitVerdict
 
         monkeypatch.setattr(cli_mod, "check_splittable",
-                            lambda f, g, tolerance=0.0: SplitVerdict(False, None))
+                            lambda f, g, tolerance=0.0, scan=None: SplitVerdict(False, None))
         out = tmp_path / "nosplit"
         assert run_cli("verify-theorems", "--config", write_cfg(tmp_path, SMALL_THEOREMS),
                        "--out", out, "--trials", "2000") == 1
@@ -653,49 +653,48 @@ class TestVerifyTheorems:
             assert cand["passed"] is False
 
     def test_one_rank_table_per_candidate(self, tmp_path, monkeypatch):
-        import gspbias.cli as cli_mod
+        """Each walk folds one leaf table per distinct candidate on each leaf."""
         from gspbias import oracle
 
-        real = oracle.rank_table
+        real = oracle.RankWalk._fold
         candidates = []
 
-        def counted(F, candidate):
+        def counted(walk, candidate, n):
             candidates.append(candidate)
-            return real(F, candidate)
+            return real(walk, candidate, n)
 
-        monkeypatch.setattr(oracle, "rank_table", counted)
-        monkeypatch.setattr(cli_mod, "rank_table", counted)
+        monkeypatch.setattr(oracle.RankWalk, "_fold", counted)
         cfg = write_cfg(tmp_path, SMALL_THEOREMS)
         assert run_cli("verify-theorems", "--config", cfg, "--out", tmp_path / "tables",
                        "--trials", "2000") == 0
-        # case pair: its two iid candidates share one table; case solo: candidate 0
-        assert candidates == [0, 0]
+        # case pair: its two iid candidates share one table; case solo: candidate 0;
+        # each case walks its grid's eight leaves twice
+        assert candidates == [0] * 2 * 8 * 2
 
 
     def test_no_draw_table_alive_during_the_checks(self, tmp_path, monkeypatch):
         """Every guide table and safe-cell flag array of a case is gone by the
-        time its first rank table is built."""
+        time its checks start."""
         import gspbias.cli as cli_mod
-        from gspbias import oracle
 
         alive = watch_draw_tables(monkeypatch)
         seen = []
 
-        def checked(F, candidate, real=oracle.rank_table):
+        def checked(grid, candidates, real=cli_mod.conditional_mean_profile):
             seen.append([ref() is None for ref in alive])
-            return real(F, candidate)
+            return real(grid, candidates)
 
-        monkeypatch.setattr(cli_mod, "rank_table", checked)
+        monkeypatch.setattr(cli_mod, "conditional_mean_profile", checked)
         text = SMALL_THEOREMS.replace("dists = beta:2:38", "dists = beta:2:38, beta:3:37:1.2")
         assert run_cli("verify-theorems", "--config", write_cfg(tmp_path, text), "--out",
                        tmp_path / "thm", "--trials", "2000", "--threads", "2") == 0
-        # the pair's one table, then the solo case's two, after its four draw tables
-        assert len(alive) == 4 and seen == [[], [True] * 4, [True] * 4]
+        # the pair's checks, then the solo case's, after its four draw tables
+        assert len(alive) == 4 and seen == [[], [True] * 4]
 
     def test_uniform_density_evaluated_a_leaf_at_a_time(self, monkeypatch):
-        """A uniform candidate's density is evaluated a node slice at a time,
-        once at each node, by the density normalisation: the mean profile and
-        the decomposition read its constant density through
+        """A uniform candidate's density is evaluated a leaf at a time, once
+        at each node, by the density normalisation: the mean profile and the
+        decomposition read its constant density through
         ``CaseGrid.quadrature``.  A beta candidate's is not evaluated at all."""
         from gspbias.oracle import NODE_SLICE, ScoreDistribution
 
@@ -708,12 +707,12 @@ class TestVerifyTheorems:
                             lambda d, s: calls.append((d, s)) or real(d, s))
         for i, d in enumerate(dists):
             calls.clear()
-            _quadrature_checks(grid, i)
+            _quadrature_checks(grid, [i])
             if d.kind == "scaled-beta":
                 assert calls == []
                 continue
             assert {c for c, _ in calls} == {d}
-            assert all(len(s) <= NODE_SLICE for _, s in calls)
+            assert all(len(s) <= NODE_SLICE + 1 for _, s in calls)
             np.testing.assert_array_equal(np.concatenate([s for _, s in calls]), grid.s)
 
 
@@ -766,17 +765,17 @@ class TestMassAgreement:
         from 1/2.  The two ads' rank-1 counts add up to the draws, so their
         noise moves one z up by what it takes off the other, and the run
         exits 1 on the mass agreement alone, whatever the seed."""
-        import gspbias.cli as cli_mod
+        from gspbias.oracle import RankWalk
 
         cfg = write_cfg(tmp_path, SMALL_THEOREMS)
         reports = []
         for scale in (1.0, 1.01):
-            def scaled(grid, candidate, real=cli_mod.rank_table, scale=scale):
-                table = real(grid, candidate)
+            def scaled(walk, candidate, n, real=RankWalk._fold, scale=scale):
+                table = real(walk, candidate, n)
                 table[0] *= scale
                 return table
 
-            monkeypatch.setattr(cli_mod, "rank_table", scaled)
+            monkeypatch.setattr(RankWalk, "_fold", scaled)
             out = tmp_path / str(scale)
             code = run_cli("verify-theorems", "--config", cfg, "--out", out,
                            "--trials", "262144")
@@ -810,8 +809,9 @@ class TestQuadratureDeduplication:
         report = json.loads((out / "theorem_report.json").read_text())
         candidates = {c["name"]: c for c in report["cases"]}["solo"]["candidates"]
         grid = CaseGrid(dists)
-        for i, cand in enumerate(candidates):
-            own = json.loads(json.dumps(_quadrature_checks(grid, i)))
+        records = _quadrature_checks(grid, list(range(len(dists))))
+        for cand, record in zip(candidates, records, strict=True):
+            own = json.loads(json.dumps(record))
             assert {name: cand[name] for name in own} == own
         runs = json.loads((out / "manifest.json").read_text())["cases"]
         assert [c["quadrature_candidates"] for c in runs] == [1, len(set(owners))]
@@ -1237,7 +1237,8 @@ class TestManifestReproducibility:
         """verify-theorems records, per case, its exact-inverse draw count, the
         seconds spent on the grid, the Monte Carlo draws and the checks, how
         many distinct quadrature checks ran, how many threads drew its Monte
-        Carlo blocks, and the peak RSS so far."""
+        Carlo blocks, the peak RSS right after its Monte Carlo and the peak
+        RSS so far, which the checks can only raise."""
         # a narrow beta spans few grid cells; draws on its steep flanks take the exact inverse
         dists = "beta:60:60:0.01, uniform:0:1"
         text = SMALL_THEOREMS.replace("beta:2:38", dists)
@@ -1257,6 +1258,8 @@ class TestManifestReproducibility:
         for c in cases:
             assert min(c["grid_seconds"], c["mc_seconds"], c["check_seconds"]) >= 0.0
             assert isinstance(c["peak_rss_mb"], float) and c["peak_rss_mb"] > 0.0
+            assert isinstance(c["mc_peak_rss_mb"], float)
+            assert 0.0 < c["mc_peak_rss_mb"] <= c["peak_rss_mb"]
 
     def test_theorem_manifest_counts_grid_bytes(self, tmp_path):
         """Each case's grid_mb counts each array its grid and draw tables hold

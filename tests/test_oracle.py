@@ -7,6 +7,7 @@ import tracemalloc
 import warnings
 from collections import defaultdict
 from contextlib import contextmanager
+from functools import partial
 from importlib import resources
 from itertools import combinations
 from math import comb
@@ -33,6 +34,7 @@ from gspbias.oracle import (
     SIMPSON_INTERVALS,
     CaseGrid,
     CaseSampler,
+    DecompositionScan,
     RankDecomposition,
     ScoreDistribution,
     SplitVerdict,
@@ -41,19 +43,22 @@ from gspbias.oracle import (
     check_splittable,
     conditional_density_profile,
     conditional_mean_profile,
-    rank_table,
     top_rank_decomposition,
 )
 from reference import (
+    cumulative,
+    decomposition_by_leaves,
     hermite_draw,
     hermite_safe_cells_whole_rows,
     load_case,
     rank_probs,
+    rank_table,
     rank_table_whole_rows,
     split_index_by_accumulation,
     uniform_field_profile,
     watch_draw_tables,
-    whole_row_checks,
+    whole_row_decomposition,
+    whole_row_records,
 )
 
 U01 = ScoreDistribution.uniform(0.0, 1.0)
@@ -65,14 +70,12 @@ with resources.as_file(resources.files("gspbias") / "configs" / "theorems.cfg") 
 
 def mean_profile(dists, candidate):
     """The candidate's conditional_mean_profile on a grid of its own."""
-    grid = CaseGrid(dists)
-    return conditional_mean_profile(grid, candidate, rank_table(grid, candidate))
+    return conditional_mean_profile(CaseGrid(dists), [candidate])[0]
 
 
 def table_and_marginals(grid, candidate):
-    """The candidate's rank table on the grid and its mean profile's rank masses."""
-    table = rank_table(grid, candidate)
-    return table, conditional_mean_profile(grid, candidate, table).marginals
+    """The candidate's whole rank table on the grid and its mean profile's rank masses."""
+    return rank_table(grid, candidate), conditional_mean_profile(grid, [candidate])[0].marginals
 
 
 def enumerated_rank_prob(F: np.ndarray, candidate: int, rank: int) -> np.ndarray:
@@ -197,8 +200,8 @@ class TestRankProbGivenScore:
 
     These pin the reference fold, ``rank_probs`` (``rank_table_whole_rows``),
     which ``TestRankTable::test_recursion_matches_enumeration`` ties to
-    ``rank_table`` bit for bit; the 13-uniform closed form also reads
-    ``rank_table`` itself."""
+    ``RankWalk``'s leaf tables bit for bit; the 13-uniform closed form also
+    reads those tables, joined (``reference.rank_table``)."""
 
     def test_no_competitors_always_rank_one(self):
         assert rank_probs([U01], 0, 0.3)[0, 0] == pytest.approx(1.0)
@@ -260,6 +263,24 @@ class TestRankProbGivenScore:
         assert marginals[0] == pytest.approx(0.5, abs=1e-9)
 
 
+# fields whose runs of exact CDF 0s and 1s end where the fold must get them
+# right: beside U(0, 1), whose nodes are k / SIMPSON_INTERVALS, uniform ends on
+# nodes (0.125 and 0.375 on leaf edges) and one ulp off them, either side;
+# duplicate ads; and a beta row whose betainc reaches an exact 1 before its scale
+RUN_FIELDS = {
+    "ends-on-nodes": [U01, ScoreDistribution.uniform(0.25, 0.75),
+                      ScoreDistribution.uniform(0.125, 0.375)],
+    "ends-an-ulp-off": [U01,
+                        ScoreDistribution.uniform(np.nextafter(0.25, 0), np.nextafter(0.75, 1)),
+                        ScoreDistribution.uniform(np.nextafter(0.125, 1),
+                                                  np.nextafter(0.375, 0))],
+    "duplicates": [ScoreDistribution.scaled_beta(2, 38), ScoreDistribution.scaled_beta(2, 38),
+                   ScoreDistribution.uniform(0.0, 0.12), ScoreDistribution.uniform(0.0, 0.12)],
+    "beta-exact-one": [U01, ScoreDistribution.scaled_beta(2, 38),
+                       ScoreDistribution.scaled_beta(3, 37, 0.5)],
+}
+
+
 class TestRankTable:
     @settings(max_examples=150, deadline=None)
     @given(dists=st.lists(st.one_of(uniforms, betas), min_size=1, max_size=8),
@@ -270,7 +291,7 @@ class TestRankTable:
         subsets, and the whole table is the whole-row fold's, bit for bit."""
         candidate = data.draw(st.integers(0, len(dists) - 1))
         grid = CaseGrid(dists)
-        F = np.vstack([grid.cumulative(j) for j in range(len(dists))])
+        F = np.vstack([cumulative(grid, j) for j in range(len(dists))])
         whole = rank_table(grid, candidate)
         assert whole.tobytes() == rank_table_whole_rows(F, candidate).tobytes()
         table, F = whole[:, nodes], F[:, nodes]
@@ -279,16 +300,29 @@ class TestRankTable:
                                        enumerated_rank_prob(F, candidate, rank),
                                        rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("dists", RUN_FIELDS.values(), ids=RUN_FIELDS.keys())
+    def test_run_skipping_fold_matches_whole_rows(self, dists):
+        """Shifting the rows over a rival's exact CDF 0s and skipping its
+        exact 1s gives every candidate's table of the whole-row fold bit for
+        bit, signed zeros included, on fields whose runs end on nodes, one
+        ulp off them, at leaf edges and, for a beta, before its scale."""
+        grid = CaseGrid(dists)
+        F = np.vstack([d.cdf(grid.s) for d in dists])
+        for i in range(len(dists)):
+            np.testing.assert_array_equal(rank_table(grid, i).view(np.int64),
+                                          rank_table_whole_rows(F, i).view(np.int64))
+        beta_rows = [grid.rows[d][0][grid.s < d.upper] for d in grid.rows]
+        assert all((row == 1.0).any() for row in beta_rows)
+
     def test_shared_table_matches_own_tables(self):
-        """One table serves all three profiles: the mean profile and the
-        decomposition leave it as built, so each reads the bytes a table of
-        its own would hold, and the density profile normalizes it in place."""
+        """One table serves the decomposition and then the density profile:
+        the decomposition leaves it as built, so the density profile reads
+        the bytes a table of its own would hold, and normalizes it in place."""
         grid = CaseGrid([ScoreDistribution.scaled_beta(2, 38), ScoreDistribution.uniform(0, 0.12),
                          ScoreDistribution.scaled_beta(4, 40, 0.9)])
         for i in range(3):
-            table = rank_table(grid, i)
-            marginals = conditional_mean_profile(grid, i, table).marginals
-            top_rank_decomposition(grid, i, table, marginals)
+            table, marginals = table_and_marginals(grid, i)
+            decomposition_by_leaves(grid, i, table, marginals)
             np.testing.assert_array_equal(table, rank_table(grid, i))
             dens = conditional_density_profile(grid, i, table, marginals)
             assert dens is table
@@ -475,7 +509,7 @@ class TestDrawArithmetic:
         # a uniform rival stretches the case grid past the beta's scale
         sampler = CaseSampler(CaseGrid([ScoreDistribution.uniform(0.0, scale * stretch),
                                         ScoreDistribution.scaled_beta(a, b, scale)]))
-        u = draw_test_uniforms(sampler.grid.cumulative(1), nodes, floats)
+        u = draw_test_uniforms(cumulative(sampler.grid, 1), nodes, floats)
         with warnings.catch_warnings():
             # boost's root finder gives up on some shapes near u = 0, with a
             # warning, in the exact inverse that both sides then call
@@ -569,7 +603,7 @@ class TestCaseGridRows:
         assert list(grid.rows) == ([dists[0]] if beta else [])
         if beta:
             F, f = grid.rows[dists[0]]
-            assert grid.cumulative(0).base is grid.cumulative(1).base is F
+            assert cumulative(grid, 0).base is cumulative(grid, 1).base is F
             assert grid.density(0).base is grid.density(1).base is f
 
     @pytest.mark.parametrize("dists", [
@@ -598,7 +632,7 @@ class TestCaseGridRows:
         assert grid.s[-1] > min(d.upper for d in dists)
         slices = fixed_blocks(0, len(grid.s), oracle.NODE_SLICE)
         for j, d in enumerate(dists):
-            for rows, whole in ((grid.cumulative, d.cdf), (grid.density, d.pdf)):
+            for rows, whole in ((partial(cumulative, grid), d.cdf), (grid.density, d.pdf)):
                 sliced = np.concatenate([rows(j, lo, hi) for lo, hi in slices])
                 assert rows(j).tobytes() == sliced.tobytes() == whole(grid.s).tobytes()
 
@@ -613,7 +647,7 @@ class TestCaseGridRows:
         dists = case.dists
         assert list(grid.rows) == list(sampler.tables) == [dists[1], dists[4]]
         assert dists[1] == dists[3] and dists[0] == dists[2]
-        for rows in (grid.cumulative, grid.density):
+        for rows in (partial(cumulative, grid), grid.density):
             assert rows(1).base is rows(3).base is not rows(4).base
             assert rows(0).base is None and rows(2).base is None  # evaluated, not stored
         # nodes, weights, and two beta CDF rows and PDF rows
@@ -683,7 +717,7 @@ class TestNodeSlices:
         assert list(grid.rows) == list(sampler.tables) == betas
         for j, d in enumerate(dists):
             F, f = d.cdf(s), d.pdf(s)
-            np.testing.assert_array_equal(grid.cumulative(j), F)
+            np.testing.assert_array_equal(cumulative(grid, j), F)
             np.testing.assert_array_equal(grid.density(j), f)
             if d not in betas:
                 continue
@@ -722,8 +756,8 @@ def test_monte_carlo_agrees_with_quadrature_at_sixteen_ads():
     grid = CaseGrid([parse_distribution(spec, "dists") for spec in SIXTEEN_ADS])
     mc = sample_rank_stats(grid, 1 << 18, SIXTEEN_SEED)
     deviations = []
-    for i in range(len(grid)):
-        means = conditional_mean_profile(grid, i, rank_table(grid, i)).conditional_means
+    for i, profile in enumerate(conditional_mean_profile(grid, list(range(len(grid))))):
+        means = profile.conditional_means
         reachable = means[~np.isnan(means)]
         assert np.all(np.diff(reachable) <= 1e-6), i  # E[score | rank] never rises
         for k in np.flatnonzero(mc.counts[i] >= 1000):
@@ -790,18 +824,40 @@ class TestLeafChecks:
         expected = split_index_by_accumulation(f, g, tolerance)
         assert verdict == SplitVerdict(expected is not None, expected)
 
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 1500), spots=st.tuples(*[st.lists(st.integers(0, 1499), max_size=3)] * 3),
+           cuts=st.lists(st.integers(0, 1500), max_size=4), tolerance=st.sampled_from([0.0, 0.25]))
+    # the split, 301, lies in the first call's rows and the first bin
+    # inadmissible before it, 450, in the second's
+    @example(n=500, spots=([450], [300], []), cuts=[400], tolerance=0.0)
+    def test_split_across_calls(self, n, spots, cuts, tolerance):
+        """f and g fed to ``check_splittable`` in pieces, with one
+        ``SplitScan`` across the calls, as a walk feeds its leaves, give the
+        whole scan's split on the joined rows."""
+        f, g = np.full(n, 0.5), np.full(n, 0.5)
+        for (value, other), at in zip(((1.0, 0.0), (0.0, 1.0), (np.nan, 0.5)), spots):
+            at = [i % n for i in at]
+            f[at], g[at] = value, other
+        edges = [0, *sorted(min(cut, n) for cut in cuts), n]
+        scan = oracle.SplitScan()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oracle, "NODE_SLICE", 200)
+            for lo, hi in zip(edges[:-1], edges[1:]):
+                verdict = check_splittable(f[lo:hi], g[lo:hi], tolerance, scan)
+        expected = split_index_by_accumulation(f, g, tolerance)
+        assert verdict == scan.verdict == SplitVerdict(expected is not None, expected)
+
     @pytest.mark.parametrize("drop", [16_384, 16_385, 60_000, 114_688])
     def test_decomposition_steps_across_leaf_edges(self, drop):
         """Both parts fall where a table's rows halve, and the decomposition
         sees the fall whether it lies inside a leaf or at a leaf's first node,
         16,384 and 114,688 here, as the whole-row decomposition does."""
         grid = CaseGrid([U01, U01])
-        table = rank_table(grid, 0)
+        table, marginals = table_and_marginals(grid, 0)
         table[:, drop:] *= 0.5
-        marginals = conditional_mean_profile(grid, 0, table).marginals
-        expected = whole_row_checks(grid)["top_rank_decomposition"](grid, 0, table, marginals)
+        expected = whole_row_decomposition(grid, 0, table, marginals)
         assert not (expected.plus_monotone or expected.minus_monotone)
-        assert top_rank_decomposition(grid, 0, table, marginals) == expected
+        assert decomposition_by_leaves(grid, 0, table, marginals) == expected
 
     @settings(max_examples=25, deadline=None)
     @given(dists=st.lists(st.one_of(uniforms, betas), min_size=1, max_size=9))
@@ -817,20 +873,22 @@ class TestLeafChecks:
                     ScoreDistribution.uniform((2 * oracle.NODE_SLICE - 2 / 3) / SIMPSON_INTERVALS,
                                               (3 * oracle.NODE_SLICE - 2 / 3) / SIMPSON_INTERVALS),
                     ScoreDistribution.uniform(0.1, (5 * oracle.NODE_SLICE + 1 / 3) / SIMPSON_INTERVALS)])
+    @example(dists=RUN_FIELDS["ends-on-nodes"])
+    @example(dists=RUN_FIELDS["ends-an-ulp-off"])
+    @example(dists=RUN_FIELDS["duplicates"])
+    @example(dists=RUN_FIELDS["beta-exact-one"])
     def test_records_match_whole_row_checks(self, dists):
-        """A candidate's quadrature record, from the leaf-wise rank table and
-        checks, is byte for byte the one whole-row checks give, on fields of
-        mixed uniforms and betas with disjoint supports (unreachable ranks,
-        NaN rows) and singular beta ends."""
+        """Every candidate's quadrature record, from the case's two walks over
+        leaf tables, is byte for byte the one whole-row checks give, on fields
+        of mixed uniforms and betas with disjoint supports (unreachable
+        ranks, NaN rows) and singular beta ends."""
         grid = CaseGrid(dists)
-        with warnings.catch_warnings(), pytest.MonkeyPatch.context() as mp:
+        with warnings.catch_warnings():
             # a beta density infinite at a support end meets zero weights and
             # probabilities there, and both sides warn of the NaNs they make
             warnings.simplefilter("ignore", RuntimeWarning)
-            leafwise = [json.dumps(cli._quadrature_checks(grid, i)) for i in range(len(dists))]
-            for name, check in whole_row_checks(grid).items():
-                mp.setattr(cli, name, check)
-            whole = [json.dumps(cli._quadrature_checks(grid, i)) for i in range(len(dists))]
+            leafwise = [json.dumps(r) for r in cli._quadrature_checks(grid, list(range(len(dists))))]
+            whole = [json.dumps(r) for r in whole_row_records(grid)]
         assert leafwise == whole
 
     @pytest.mark.parametrize("specs", [
@@ -838,22 +896,24 @@ class TestLeafChecks:
         ["uniform:0.01:0.08", "beta:2:38", "beta:3:37:1.2", "uniform:0:0.1"],
     ], ids=["uniforms", "mixed"])
     def test_checks_hold_one_table_and_leaf_rows(self, specs):
-        """One candidate's checks allocate its rank table and at most eight
-        leaf-sized rows beside it; a grid stores no row for a uniform."""
+        """A case's checks allocate one leaf-sized rank table, one leaf of
+        each uniform rival's CDF and at most eight more leaf-sized rows, less
+        than one whole rank table; a grid stores no row for a uniform."""
         dists = [parse_distribution(spec, "dists") for spec in specs]
         grid = CaseGrid(dists)
         beta_rows = 2 * len({d for d in dists if d.kind == "scaled-beta"})
         assert grid.nbytes == (2 + beta_rows) * len(grid.s) * 8
-        table = len(dists) * len(grid.s) * 8
+        uniforms = len({d for d in dists if d.kind == "uniform"})
         leaf = (oracle.NODE_SLICE + 1) * 8
-        for i in range(len(dists)):
+        for candidates in ([0], list(range(len(dists)))):
             tracemalloc.start()
             try:
-                cli._quadrature_checks(grid, i)
+                cli._quadrature_checks(grid, candidates)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert table < peak <= table + 8 * leaf, (i, (peak - table) / leaf)
+            assert len(dists) * leaf < peak <= (len(dists) + uniforms + 8) * leaf, peak / leaf
+            assert peak < len(dists) * len(grid.s) * 8
 
 
 class TestConditionalScoreMean:
@@ -902,7 +962,7 @@ class TestConditionalScoreMean:
             cost = h * h / 6.0 / (high - low)
             mass_slack = cost * sum(jump for _, jump in kinks)
             moment_slack = cost * sum((x + 2 * h) * jump for x, jump in kinks)
-            profile = conditional_mean_profile(grid, i, rank_table(grid, i))
+            profile = conditional_mean_profile(grid, [i])[0]
             error = np.abs(profile.marginals - masses)
             assert np.all(error <= 1e-10 * masses + mass_slack), (i, error / masses)
             # where the mass is known to within half of itself, and so bounds the mean
@@ -1004,7 +1064,7 @@ class TestTopRankDecomposition:
     def test_zero_residual_and_monotone_parts(self, dists):
         grid = CaseGrid(dists)
         for i in range(len(dists)):
-            dec = top_rank_decomposition(grid, i, *table_and_marginals(grid, i))
+            dec = decomposition_by_leaves(grid, i, *table_and_marginals(grid, i))
             assert abs(dec.residual) < 1e-6
             assert dec.plus_monotone and dec.minus_monotone and dec.passed
 
@@ -1033,7 +1093,7 @@ class TestTopRankDecomposition:
     def test_single_ad_unsupported(self):
         grid = CaseGrid([U01])
         with pytest.raises(RankUnreachable, match="single ad has no adjacent rank"):
-            top_rank_decomposition(grid, 0, *table_and_marginals(grid, 0))
+            decomposition_by_leaves(grid, 0, *table_and_marginals(grid, 0))
 
 
 class TestConditionalDensityProfile:
