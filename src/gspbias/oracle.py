@@ -510,7 +510,11 @@ class RankWalk:
     every row as it is: every table entry is a finite non-negative double,
     so those are the bits the multiply-adds give there.  So each fold
     shifts the rows over a rival's leading run of exact 0s, skips its
-    trailing run of exact 1s and multiplies only in between.  A uniform's
+    trailing run of exact 1s and multiplies only in between.  For the same
+    reason a fold touches only the rows that can be nonzero on the leaf:
+    the rows above one per rival folded that is below 1 somewhere on the
+    leaf, and below one per rival exactly 0 on the whole leaf, are exactly 0
+    there, and a multiply-add of two zero rows is exactly 0.  A uniform's
     runs end at the nodes s <= low and s >= high, where its clipped CDF is
     exactly 0 and 1; a beta's are the leading exact 0s and trailing exact
     1s of its CDF row, found once per row, so nothing assumes a row is
@@ -566,24 +570,27 @@ class RankWalk:
         table = self.table[:, :n]
         table[0] = 1.0
         table[1:] = 0.0
-        seen = 0
+        low = high = 0  # the rows below low and above high are exactly 0 on the whole leaf
         for j, d in enumerate(self.grid.dists):
             if j == candidate:
                 continue
-            seen += 1
             start, F = self.cdfs[d]
-            if start:  # F_j = 0: row k takes row k-1, top down, and row 0 is 0
-                for k in range(seen, 0, -1):
+            if not (start or len(F)):  # F_j = 1 on the whole leaf changes no row
+                continue
+            high += 1
+            if start:  # F_j = 0: row k takes row k-1, top down, and row low is 0
+                for k in range(high, low, -1):
                     table[k, :start] = table[k - 1, :start]
-                table[0, :start] = 0.0
+                table[low, :start] = 0.0
+                low += start == n
             if len(F):  # past them F_j = 1, which leaves every row as it is
                 part = table[:, start:start + len(F)]
                 beats = np.subtract(1.0, F, out=self.beats[:len(F)])
                 product = self.product[:len(F)]
-                for k in range(seen, 0, -1):  # top down: row k-1 still holds its old value
+                for k in range(high, low, -1):  # top down: row k-1 still holds its old value
                     part[k] *= F
                     part[k] += np.multiply(part[k - 1], beats, out=product)
-                part[0] *= F
+                part[low] *= F  # row low - 1 is 0
         return table
 
 

@@ -144,8 +144,9 @@ MUTANTS = [
            (LEAF_CHECKS + "::test_records_match_whole_row_checks",)),
     # a scaled rank row, ties sent the wrong way, the window bound and the MC gate
     Mutant("rank-one-row-scaled", ORACLE,
-           "                part[0] *= F\n        return table\n",
-           "                part[0] *= F\n        table[0] *= 1.01\n        return table\n",
+           "                part[low] *= F  # row low - 1 is 0\n        return table\n",
+           "                part[low] *= F  # row low - 1 is 0\n        table[0] *= 1.01\n"
+           "        return table\n",
            (T_ORACLE + "::TestNodeSlices::test_rank_table_matches_whole_row_fold",)),
     Mutant("pairwise-ties-to-higher-column", ENGINE,
            "            np.greater(scores[:, j], scores[:, i], out=j_wins)\n",
@@ -209,10 +210,15 @@ MUTANTS = [
            "(counts >= MIN_MC_COUNT) & ~np.isnan(std_errors)",
            (T_CLI + "::TestMcAgreement::test_zero_standard_error_is_skipped",)),
     # a case's candidates walk the grid a leaf at a time: rival CDF slices read
-    # once per leaf, runs of exact 0s and 1s skipped, scans carried across leaves
+    # once per leaf, runs of exact 0s and 1s and rows of exact 0s skipped, scans
+    # carried across leaves
     Mutant("zero-run-as-identity", ORACLE,
-           "            if start:  # F_j = 0: row k takes row k-1, top down, and row 0 is 0\n",
-           "            if False:  # F_j = 0: row k takes row k-1, top down, and row 0 is 0\n",
+           "            if start:  # F_j = 0: row k takes row k-1, top down, and row low is 0\n",
+           "            if False:  # F_j = 0: row k takes row k-1, top down, and row low is 0\n",
+           (RUN_FOLD,)),
+    Mutant("zero-rows-raised-by-a-part-leaf-run", ORACLE,
+           "                low += start == n\n",
+           "                low += start > 0\n",
            (RUN_FOLD,)),
     Mutant("zero-run-ends-a-node-late", ORACLE,
            'int(np.searchsorted(s, low, side="right"))',

@@ -34,7 +34,6 @@ from gspbias.oracle import (
     SIMPSON_INTERVALS,
     CaseGrid,
     CaseSampler,
-    DecompositionScan,
     RankDecomposition,
     ScoreDistribution,
     SplitVerdict,
@@ -43,7 +42,6 @@ from gspbias.oracle import (
     check_splittable,
     conditional_density_profile,
     conditional_mean_profile,
-    top_rank_decomposition,
 )
 from reference import (
     cumulative,
