@@ -227,26 +227,43 @@ def _verdict(ok: np.ndarray, made: np.ndarray, **fields) -> dict:
             **fields}
 
 
+def _skips(**checks) -> tuple[np.ndarray, dict]:
+    """Where every check holds, the comparisons to make, and for each check,
+    by name, how many comparisons it was the first, in the order given, to
+    rule out."""
+    made, skipped = True, {}
+    for reason, ok in checks.items():
+        skipped[reason] = int(np.count_nonzero(made & ~ok))
+        made = made & ok
+    return made, skipped
+
+
 def _mc_agreement(reference, means, std_errors, counts) -> dict:
     """Monte Carlo means against ``reference``, rank by rank: each agrees
     within MC_AGREEMENT_SIGMA standard errors, compared where the reference
-    is defined, the standard error is defined and above 0, and at least
-    MIN_MC_COUNT draws held the rank."""
-    made = ~np.isnan(reference) & (counts >= MIN_MC_COUNT) & (std_errors > 0)
+    is defined, at least MIN_MC_COUNT draws held the rank, and the standard
+    error is defined and above 0; ``skip_reasons`` counts the ranks each of
+    those rules out first."""
+    made, skipped = _skips(no_reference=~np.isnan(reference), few_draws=counts >= MIN_MC_COUNT,
+                           no_standard_error=std_errors > 0)
     sigma = np.abs(means[made] - reference[made]) / std_errors[made]
-    return _verdict(sigma <= MC_AGREEMENT_SIGMA, made, max_sigma=np.max(sigma, initial=0.0))
+    return _verdict(sigma <= MC_AGREEMENT_SIGMA, made, skip_reasons=skipped,
+                    max_sigma=np.max(sigma, initial=0.0))
 
 
 def _mass_agreement(reference, counts, draws: int) -> dict:
     """Monte Carlo rank counts against the rank masses ``reference``, rank
     by rank: z = (count / N - p) / sqrt(p (1 - p) / N) within
-    MC_AGREEMENT_SIGMA, for N draws, compared where N p and N (1 - p) are
-    both at least MIN_MC_COUNT.  A scale error in a rank-table row cancels
-    in the conditional means and densities, but not here."""
-    made = (draws * reference >= MIN_MC_COUNT) & (draws * (1.0 - reference) >= MIN_MC_COUNT)
+    MC_AGREEMENT_SIGMA, for N draws, compared where N p (else the rank is
+    too rare) and N (1 - p) (else too common) are both at least
+    MIN_MC_COUNT.  A scale error in a rank-table row cancels in the
+    conditional means and densities, but not here."""
+    made, skipped = _skips(too_rare=draws * reference >= MIN_MC_COUNT,
+                           too_common=draws * (1.0 - reference) >= MIN_MC_COUNT)
     p = reference[made]
     sigma = np.abs(counts[made] / draws - p) / np.sqrt(p * (1.0 - p) / draws)
-    return _verdict(sigma <= MC_AGREEMENT_SIGMA, made, max_sigma=np.max(sigma, initial=0.0))
+    return _verdict(sigma <= MC_AGREEMENT_SIGMA, made, skip_reasons=skipped,
+                    max_sigma=np.max(sigma, initial=0.0))
 
 
 def _quadrature_checks(grid: CaseGrid, candidates: list[int]) -> list[dict]:

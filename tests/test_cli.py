@@ -727,7 +727,9 @@ class TestMcAgreement:
         errors = np.array([0.125, 0.25, 0.1, 0.1, nan])
         counts = np.array([1000, 5000, 5000, 999, 5000])
         assert _mc_agreement(reference, means, errors, counts) == {
-            "passed": True, "checked": 2, "skipped": 3, "max_sigma": 4.0}
+            "passed": True, "checked": 2, "skipped": 3,
+            "skip_reasons": {"no_reference": 1, "few_draws": 1, "no_standard_error": 1},
+            "max_sigma": 4.0}
         means[0] = np.nextafter(1.5, 2.0)
         assert _mc_agreement(reference, means, errors, counts)["passed"] is False
 
@@ -741,7 +743,9 @@ class TestMcAgreement:
         errors = np.array([0.125, 0.0, 0.0])
         counts = np.array([5000, 5000, 5000])
         assert _mc_agreement(reference, means, errors, counts) == {
-            "passed": True, "checked": 1, "skipped": 2, "max_sigma": 2.0}
+            "passed": True, "checked": 1, "skipped": 2,
+            "skip_reasons": {"no_reference": 0, "few_draws": 0, "no_standard_error": 2},
+            "max_sigma": 2.0}
 
 
 class TestMassAgreement:
@@ -754,7 +758,8 @@ class TestMassAgreement:
         counts = np.array([8448, 2048, 900, 10, 16000])
         # 8448 / 2^14 = 0.5 + 4 * sqrt(0.25 / 2^14), exactly
         assert _mass_agreement(reference, counts, 1 << 14) == {
-            "passed": True, "checked": 2, "skipped": 3, "max_sigma": 4.0}
+            "passed": True, "checked": 2, "skipped": 3,
+            "skip_reasons": {"too_rare": 2, "too_common": 1}, "max_sigma": 4.0}
         counts[0] += 1
         assert _mass_agreement(reference, counts, 1 << 14)["passed"] is False
 
@@ -1125,7 +1130,7 @@ class TestTheoremOutputBytes:
                        "--out", out, "--threads", threads) == 0
         assert output_digests(out) == {
             "theorem_report.json":
-                "64803aeabb7c8611d80e4929ea65f4cbb746acaa6a9b5e6fbbfa24d4630c692b",
+                "9c25a7e96d516559d4249de30e0421b2596be5556d68f31ff82d37c604041856",
         }
 
     @pytest.mark.parametrize("threads", [1, 2])
@@ -1138,7 +1143,7 @@ class TestTheoremOutputBytes:
                        "--out", out, "--threads", threads) == 0
         assert output_digests(out) == {
             "theorem_report.json":
-                "748b0f730ef83fd6be98b6edd27fd8332cc3e4ade5100bedf58797abf7695b88",
+                "5306568add26227f53a30c5432cd3ad41d7b70e36ab8bea73791a5154ad0beec",
         }
 
     @pytest.mark.parametrize("threads", [1, 2])
@@ -1150,7 +1155,7 @@ class TestTheoremOutputBytes:
                        "--out", out, "--threads", threads) == 0
         assert output_digests(out) == {
             "theorem_report.json":
-                "d3ad29c6076a65bf77f8f7b47785b338c3c8b9b2ab9b42a82a5a02dcc4e4f360",
+                "424d3ff76c2b092ab131e319cbf545b5235128b77c5410dc180615cdec4d5cd4",
         }
 
     @pytest.mark.parametrize("threads", [1, 2])
@@ -1162,7 +1167,7 @@ class TestTheoremOutputBytes:
                        "--out", out, "--threads", threads) == 0
         assert output_digests(out) == {
             "theorem_report.json":
-                "45dea0b0472e11ea19965d93531e394af9a44017370a4117ef61a63d362883c7",
+                "316998639995db4d0c0ea56f2e0271919d5f532f8af68de526a02bd87192fd6d",
         }
 
     @pytest.mark.parametrize("threads", [1, 2])
@@ -1173,7 +1178,7 @@ class TestTheoremOutputBytes:
                        "--threads", threads) == 0
         assert output_digests(out) == {
             "theorem_report.json":
-                "41fd6fe7fa07a152db6e0f346ed066cfc323742345e047672e7c667c11644799",
+                "9a67c7af4f6ea03dd75f0e3e9a3ab598b2d267c381bce57b46291e1e52dc281b",
         }
 
     def test_packaged_cases_without_monte_carlo_moments(self, tmp_path):
@@ -1188,7 +1193,7 @@ class TestTheoremOutputBytes:
             for cand in case["candidates"]:
                 del cand["mc_means"], cand["mc_std_errors"], cand["mc_agreement"]["max_sigma"]
         digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
-        assert digest == "338d08268bb673c69044179b21c8966eafcaa8107a9abd382c595639acc745e5"
+        assert digest == "998fbb53b118488e5d2958fabdf6e05bbcd09fd9354697a22eb4274f5a0655c0"
 
 
 class TestManifestReproducibility:
