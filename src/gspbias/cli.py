@@ -285,7 +285,6 @@ def _quadrature_checks(grid: CaseGrid, candidates: list[int]) -> list[dict]:
         except RankUnreachable as exc:
             decompositions.append(str(exc))
     scans = [[SplitScan() for _ in range(len(grid) - 1)] for _ in candidates]
-    verdicts = [[None] * (len(grid) - 1) for _ in candidates]  # each scan's, so far
     unreachable = np.zeros((len(candidates), len(grid)), dtype=bool)
 
     def read(slot: int, lo: int, hi: int, table: np.ndarray):  # walk 2
@@ -297,7 +296,7 @@ def _quadrature_checks(grid: CaseGrid, candidates: list[int]) -> list[dict]:
         unreachable[slot] |= np.isnan(dens).any(axis=1)
         for k, scan in enumerate(scans[slot]):  # ranks k + 1 and k + 2
             if not (unreachable[slot, k] or unreachable[slot, k + 1]):
-                verdicts[slot][k] = check_splittable(dens[k], dens[k + 1], 0.0, scan)
+                check_splittable(dens[k], dens[k + 1], 0.0, scan)
         return share
 
     residuals = RankWalk(grid, candidates).run(read)
@@ -312,7 +311,7 @@ def _quadrature_checks(grid: CaseGrid, candidates: list[int]) -> list[dict]:
             if unreachable[slot, k] or unreachable[slot, k + 1]:
                 pair["skipped"] = "rank unreachable"
                 continue
-            verdict = verdicts[slot][k]
+            verdict = scans[slot][k].verdict
             pair["splittable"] = verdict.splittable
             if verdict.splittable:
                 pair["split_at"] = grid.s[verdict.split_index]
@@ -368,50 +367,50 @@ def cmd_verify_theorems(args, suite: TheoremSuite, seed: int,
     kernel_import_seconds = 0.0
     if any(d.kind == "scaled-beta" for case in suite.cases for d in case.dists):
         kernel_import_seconds = _load_kernels()
-    with worker_map(args.threads) as pmap:
-        for idx, case in enumerate(suite.cases):
-            t_grid = time.monotonic()
-            # the rows, dropped when the case ends; the draw tables live only in the MC
-            grid = CaseGrid(case.dists, pmap)
-            t_mc = time.monotonic()
-            mc_map = pmap if grid.rows else map
-            mc = sample_rank_stats(grid, draws, seed, case_index=idx, map=mc_map)
-            grid_mb = round((grid.nbytes + mc.table_bytes) / 2 ** 20, 3)
-            mc_peak_rss_mb = _peak_rss()["peak_rss_mb"]
-            t_check = time.monotonic()
-            keys = [(own, case.dists[:i] + case.dists[i + 1:]) for i, own in enumerate(case.dists)]
-            distinct = list(dict.fromkeys(keys))
-            checks = dict(zip(distinct, _quadrature_checks(grid, [keys.index(k) for k in distinct])))
-            candidates = []
-            for i, key in enumerate(keys):
-                means, errors, counts = mc.means[i], mc.std_errors[i], mc.counts[i]
-                reference = np.array(checks[key]["quadrature_means"], dtype=float)
-                masses = np.array(checks[key]["marginals"], dtype=float)
-                candidate = _record({
-                    "candidate": i, **checks[key], "mc_means": means, "mc_std_errors": errors,
-                    "mc_counts": counts,
-                    "mc_agreement": _mc_agreement(reference, means, errors, counts),
-                    "mass_agreement": _mass_agreement(masses, counts, draws)})
-                # it passes when each of its verdicts does; a skipped one has no "passed"
-                candidates.append({**candidate, "passed": all(
-                    v.get("passed", True) for v in candidate.values() if isinstance(v, dict))})
-            del grid
-            case_runs.append({"name": case.name, "exact_draws": mc.exact_draws,
-                              "quadrature_candidates": len(checks), "grid_mb": grid_mb,
-                              # a one-task call of the worker map runs in the calling thread
-                              "mc_threads": (min(args.threads, math.ceil(draws / BLOCK))
-                                             if mc_map is pmap else 1),
-                              "grid_seconds": round(t_mc - t_grid, 3),
-                              "mc_seconds": round(t_check - t_mc, 3),
-                              "check_seconds": round(time.monotonic() - t_check, 3),
-                              "mc_peak_rss_mb": mc_peak_rss_mb, **_peak_rss()})
-            cases_payload.append({
-                "name": case.name,
-                "dists": list(case.dist_specs),
-                "ads": len(candidates),
-                "passed": all(c["passed"] for c in candidates),
-                "candidates": candidates,
-            })
+    pmap = worker_map(args.threads)
+    for idx, case in enumerate(suite.cases):
+        t_grid = time.monotonic()
+        # the rows, dropped when the case ends; the draw tables live only in the MC
+        grid = CaseGrid(case.dists, pmap)
+        t_mc = time.monotonic()
+        mc_map = pmap if grid.rows else map
+        mc = sample_rank_stats(grid, draws, seed, case_index=idx, map=mc_map)
+        grid_mb = round((grid.nbytes + mc.table_bytes) / 2 ** 20, 3)
+        mc_peak_rss_mb = _peak_rss()["peak_rss_mb"]
+        t_check = time.monotonic()
+        keys = [(own, case.dists[:i] + case.dists[i + 1:]) for i, own in enumerate(case.dists)]
+        distinct = list(dict.fromkeys(keys))
+        checks = dict(zip(distinct, _quadrature_checks(grid, [keys.index(k) for k in distinct])))
+        candidates = []
+        for i, key in enumerate(keys):
+            means, errors, counts = mc.means[i], mc.std_errors[i], mc.counts[i]
+            reference = np.array(checks[key]["quadrature_means"], dtype=float)
+            masses = np.array(checks[key]["marginals"], dtype=float)
+            candidate = _record({
+                "candidate": i, **checks[key], "mc_means": means, "mc_std_errors": errors,
+                "mc_counts": counts,
+                "mc_agreement": _mc_agreement(reference, means, errors, counts),
+                "mass_agreement": _mass_agreement(masses, counts, draws)})
+            # it passes when each of its verdicts does; a skipped one has no "passed"
+            candidates.append({**candidate, "passed": all(
+                v.get("passed", True) for v in candidate.values() if isinstance(v, dict))})
+        del grid
+        case_runs.append({"name": case.name, "exact_draws": mc.exact_draws,
+                          "quadrature_candidates": len(checks), "grid_mb": grid_mb,
+                          # a one-task call of the worker map runs in the calling thread
+                          "mc_threads": (min(args.threads, math.ceil(draws / BLOCK))
+                                         if mc_map is pmap else 1),
+                          "grid_seconds": round(t_mc - t_grid, 3),
+                          "mc_seconds": round(t_check - t_mc, 3),
+                          "check_seconds": round(time.monotonic() - t_check, 3),
+                          "mc_peak_rss_mb": mc_peak_rss_mb, **_peak_rss()})
+        cases_payload.append({
+            "name": case.name,
+            "dists": list(case.dist_specs),
+            "ads": len(candidates),
+            "passed": all(c["passed"] for c in candidates),
+            "candidates": candidates,
+        })
     all_pass = all(case["passed"] for case in cases_payload)
     comparisons = sum(c[name]["checked"] for case in cases_payload for c in case["candidates"]
                       for name in ("mc_agreement", "mass_agreement"))

@@ -29,7 +29,6 @@ from __future__ import annotations
 import math
 import threading
 from collections.abc import Callable, Iterator
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Literal
 
@@ -67,7 +66,6 @@ _PPF_FLOOR = 1e-300
 _CDF_TOP = 1.0 - 2.0 ** -53  # the largest uniform Generator.random returns
 
 
-@contextmanager
 def worker_map(threads: int):
     """The ``map`` that runs a command's parallel steps on ``threads`` threads.
 
@@ -77,11 +75,11 @@ def worker_map(threads: int):
     takes the next task index until none is left.  The call returns the
     results in task order, once every thread has stopped, and raises the
     first exception any of them raised.  So no thread idles between calls,
-    and none outlives its call.
+    and none outlives its call: the map holds nothing between calls, and
+    needs no closing.
     """
     if threads <= 1:
-        yield map
-        return
+        return map
 
     def run(fn, *iterables) -> list:
         tasks = list(zip(*iterables))
@@ -111,7 +109,7 @@ def worker_map(threads: int):
             raise errors[0]
         return results
 
-    yield run
+    return run
 
 
 # ---------------------------------------------------------------------------

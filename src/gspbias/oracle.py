@@ -9,61 +9,51 @@ instead of summing over the C(m-1, k-1) sets of rivals that beat s.
 Conditional score moments follow by fixed composite-Simpson quadrature
 against the candidate's own density.
 
-A ``CaseGrid`` holds the Simpson nodes and weights and, in ``rows``, the
-CDF and PDF rows of each distinct beta distribution in the case, keyed by
-the distribution.  A uniform has no rows: its CDF and density are
-evaluated a leaf at a time where the fold and the checks read them, with
-the bits of a whole-row evaluation.  The Monte Carlo draws go through a
-``CaseSampler``, which holds the draw tables, keyed the same way, and
-lives only while the draws run: ``CaseSampler.draw`` brackets a beta
-uniform in the ad's CDF row through a guide table of the row (Chen & Asau
-1974), with no sort of the uniforms, and takes one Newton step on the
-cubic Hermite interpolant of that cell's CDF and PDF node values (Hörmann
-& Leydold 2003, ACM TOMACS 13(4)), so a draw evaluates no special
-function.  Which cells may keep that step is decided once per beta
-distribution, when the sampler is built; the rest take the exact inverse,
-``_beta_ppf``.  A draw call takes a contiguous row of one ad's uniforms,
-gathers each node value it needs once, with intp indices, and works the
-step in a few reused rows.  The grid rows themselves come from
-``betainc`` and ``_beta_pdf``, called only at the nodes inside the
-distribution's support; past it a row holds the 1 and 0 the kernels
-return there.
+A ``CaseGrid`` holds what the case's readers share, each found once: the
+Simpson nodes, step ``h`` and weights; in ``rows``, the CDF and PDF rows
+of each distinct beta distribution, keyed by the distribution; and in
+``runs``, where each distinct distribution's CDF is exactly 0 and exactly
+1.  A uniform has no rows: ``CaseGrid.cdf`` and ``CaseGrid.density``
+evaluate it on the nodes a reader asks for, with the bits of a whole row.
+The Monte Carlo draws go through a ``CaseSampler``, which holds the draw
+tables, keyed the same way, and lives only while the draws run:
+``CaseSampler.draw`` brackets a beta uniform in the ad's CDF row through
+a guide table of the row (Chen & Asau 1974) and takes one Newton step on
+the cubic Hermite interpolant of that cell's CDF and PDF node values
+(Hörmann & Leydold 2003, ACM TOMACS 13(4)), so a draw evaluates no
+special function.  The cells that may keep that step are flagged once per
+beta distribution, from the grid's step and runs; the rest take the exact
+inverse, ``_beta_ppf``.  The grid rows come from ``betainc`` and
+``_beta_pdf``, called only at the nodes inside the distribution's
+support; past it a row holds the 1 and 0 the kernels return there.
 
 One candidate's rank table costs O(m^2 * grid) operations, and no table
 is ever held whole: a ``RankWalk`` folds a case's candidates' tables one
 leaf of numpy's own pairwise split (``_pairwise_sum``) at a time, at most
 NODE_SLICE + 1 nodes, reading each rival's CDF slice of the leaf once for
-every candidate and skipping the runs where a rival's CDF is exactly 0 or
-exactly 1.  The checks walk a case twice: walk 1 sums each candidate's
-rank masses and moments (``conditional_mean_profile``); walk 2, which needs
-the masses, feeds each leaf's table to the decomposition
+every candidate and skipping the grid's runs.  The checks take the case's
+``CaseGrid`` first and walk it twice: walk 1 sums each candidate's rank
+masses and moments (``conditional_mean_profile``); walk 2, which needs the
+masses, feeds each leaf's table to the decomposition
 (``top_rank_decomposition``), then normalizes it in place to the
 conditional densities (``conditional_density_profile``), which
-``check_splittable`` scans a pair of ranks at a time.  The fold, the
-normalization and the scan are elementwise, so any cut gives their bits,
-and the scan carries its state from leaf to leaf in a ``SplitScan``.
-numpy's order matters only where sums are made, and summed a leaf at a
-time along ``_pairwise_sum`` they are the whole-row ``np.sum`` bit for
-bit, so every check result is what whole rows give.  While its checks run,
-a case holds its beta rows and O(m * NODE_SLICE) floats, so there is no
-cap on m.
+``check_splittable`` scans a pair of ranks at a time, carrying its state
+from leaf to leaf in a ``SplitScan``.  The fold, the normalization and the
+scan are elementwise, so any cut gives their bits, and sums made a leaf at
+a time along ``_pairwise_sum`` are the whole-row ``np.sum`` bit for bit,
+so every check result is what whole rows give.  While its checks run, a
+case holds its beta rows and O(m * NODE_SLICE) floats, so there is no cap
+on m.
 
 The grid rows and the safe-cell flags are filled a node slice at a time,
 one task per slice, through a ``map`` callable: the builtin ``map`` runs
-the slices in turn, and an ``engine.worker_map``'s runs each call's slices
+the slices in turn, and an ``engine.worker_map`` runs each call's slices
 on its threads, the calling thread among them.  Each slice writes its own
-part of a preallocated array, so a thread's temporaries are slice-sized
-whatever the grid size, and the kernels are elementwise, so the bytes do
-not depend on the slicing or on the threads.  Only beta distributions have
-rows and flags, so a uniform-only case hands the ``map`` no task.  The rank
-tables are folded a leaf at a time too, but always in the calling thread:
-a fold is many small in-place row operations, and on more threads each
-one's hand-off between them costs more than the arithmetic it shares.
-
-The check functions take the case's ``CaseGrid`` first.  The density
-profile and the decomposition take a candidate's rank table on a leaf, or
-on the whole grid, and the rank masses its mean profile summed, so each
-mass is summed once.
+part of a preallocated array and the kernels are elementwise, so a
+thread's temporaries are slice-sized and the bytes do not depend on the
+slicing or on the threads.  The rank tables are folded in the calling
+thread: a fold is many small in-place row operations, whose hand-off
+between threads costs more than the arithmetic it shares.
 
 Quadrature accuracy is ~1e-12 relative for smooth integrands.  A uniform
 candidate's density jumps at its low and high cost nothing, wherever they
@@ -160,7 +150,7 @@ class ScoreDistribution:
         if len(self.params) != {"uniform": 2, "scaled-beta": 3}.get(self.kind):
             raise ValueError("a distribution is uniform (low, high) or scaled-beta "
                              f"(a, b, scale), got {self.kind!r} with {len(self.params)} params")
-        if self.kind == "uniform" and not 0.0 <= self.params[0] < self.params[1] < math.inf:
+        if self.kind == "uniform" and not 0.0 <= self.params[0] < self.upper < math.inf:
             raise ValueError("uniform support must satisfy 0 <= low < high < inf, "
                              "got [{}, {}]".format(*self.params))
         if self.kind == "scaled-beta" and not all(0.0 < x < math.inf for x in self.params):
@@ -210,31 +200,32 @@ class ScoreDistribution:
 
 
 class CaseGrid:
-    """The Simpson grid of one case, with each beta distribution's CDF and PDF rows on it.
+    """The Simpson grid of one case, and how each of its distributions sits on it.
 
-    ``rows`` maps each distinct beta distribution of the case to its (CDF,
-    PDF) rows, evaluated once, when the grid is built, at the nodes up to
-    its ``upper`` (the case's grid may run past a beta's scale; there the
-    rows hold CDF 1 and PDF 0, the kernels' own values).  Distributions are
-    values, so ads with equal distributions read one pair of rows.  A
-    uniform has no entry: ``RankWalk`` evaluates its CDF, and ``density``
-    its PDF, on the nodes a caller reads, a leaf at a time.  The oracle
-    functions and the Monte Carlo sampler (``CaseSampler``) read the case
-    through it.  ``len(grid)`` is the ad count m, and ``map`` runs the node
+    It holds the nodes ``s``, the step ``h`` and the Simpson weights ``w``.
+    ``rows`` maps each distinct beta distribution to its (CDF, PDF) rows,
+    evaluated once at the nodes up to its ``upper`` (past a beta's scale
+    they hold CDF 1 and PDF 0, the kernels' own values).  ``runs`` maps each
+    distinct distribution to the first node past its CDF's exact 0s and the
+    first node of its exact 1s: a uniform's from its clip formula, a beta's
+    from a scan of its row, so nothing assumes a row is monotone.  A uniform
+    has no rows: ``cdf`` and ``density`` evaluate it on the nodes a caller
+    reads.  ``len(grid)`` is the ad count m, and ``map`` runs the node
     slices of the rows.
     """
 
     def __init__(self, dists: list[ScoreDistribution], map=map):
         self.dists = dists
         upper = max(d.upper for d in dists)
+        self.h = upper / SIMPSON_INTERVALS  # the step, linspace's own, bit for bit
         self.s = np.linspace(0.0, upper, SIMPSON_INTERVALS + 1)
         w = np.ones_like(self.s)
         w[1:-1:2] = 4.0
         w[2:-1:2] = 2.0
-        self.w = w * ((upper / SIMPSON_INTERVALS) / 3.0)
-        # in order of first appearance
+        self.w = w * (self.h / 3.0)
+        distinct = dict.fromkeys(dists)  # in order of first appearance
         self.rows = {d: (np.empty(len(self.s)), np.empty(len(self.s)))
-                     for d in dict.fromkeys(dists) if d.kind == "scaled-beta"}
+                     for d in distinct if d.kind == "scaled-beta"}
 
         def fill(task: tuple[ScoreDistribution, int, int]) -> None:
             d, lo, hi = task  # nodes lo..hi-1 of d's rows
@@ -251,6 +242,15 @@ class CaseGrid:
 
         list(map(fill, [(d, lo, hi) for d in self.rows
                         for lo, hi in fixed_blocks(0, len(self.s), NODE_SLICE)]))
+        self.runs = {}  # d -> (first node past its CDF's exact 0s, first node of its exact 1s)
+        for d in distinct:
+            if d in self.rows:  # scanned, so nothing assumes the row is monotone
+                F = self.rows[d][0]
+                zeros = _first_false(F == 0.0)
+                self.runs[d] = zeros, max(zeros, len(F) - _first_false(F[::-1] == 1.0))
+            else:  # the clipped CDF is exactly 0 at s <= low and exactly 1 at s >= high
+                self.runs[d] = (int(np.searchsorted(self.s, d.params[0], side="right")),
+                                int(np.searchsorted(self.s, d.upper, side="left")))
 
     def __len__(self) -> int:
         return len(self.dists)
@@ -261,6 +261,14 @@ class CaseGrid:
         row, since the uniform PDF is elementwise."""
         d = self.dists[j]
         return self.rows[d][1][lo:hi] if d in self.rows else d.pdf(self.s[lo:hi])
+
+    def cdf(self, d: ScoreDistribution, lo: int, hi: int) -> np.ndarray:
+        """Distribution d's CDF at nodes lo..hi-1: a view of a beta's stored
+        row, a uniform's evaluated here on those nodes (none when lo >= hi),
+        with the bits of the whole row."""
+        if d in self.rows:
+            return self.rows[d][0][lo:hi]
+        return d.cdf(self.s[lo:hi]) if lo < hi else np.empty(0)
 
     def quadrature(self, j: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray | float]:
         """Weights and density at nodes lo..hi-1 whose products integrate
@@ -277,7 +285,7 @@ class CaseGrid:
         if d.kind != "uniform":
             return self.w[lo:hi], self.density(j, lo, hi)
         low, high = d.params
-        s, h = self.s, self.s[1]
+        s, h = self.s, self.h
         # nodes first..last, both even, bound the panels inside [low, high]
         first = int(np.searchsorted(s, low, side="left"))
         first += first % 2
@@ -320,8 +328,8 @@ class CaseSampler:
 
     def __init__(self, grid: CaseGrid, map=map):
         self.grid = grid
-        self.tables = {d: (_hermite_safe_cells(d.params, grid.s, F, f, map), _guide_table(F))
-                       for d, (F, f) in grid.rows.items()}
+        self.tables = {d: (_hermite_safe_cells(grid, d, map), _guide_table(F))
+                       for d, (F, _f) in grid.rows.items()}
 
     @property
     def nbytes(self) -> int:
@@ -348,7 +356,7 @@ class CaseSampler:
         grid, dist = self.grid, self.grid.dists[j]
         if dist not in self.tables:
             return dist.ppf(u), 0
-        (F, f), (safe, guide), h = grid.rows[dist], self.tables[dist], grid.s[1]
+        (F, f), (safe, guide), h = grid.rows[dist], self.tables[dist], grid.h
         i = _bracket(F, guide, u)  # the cell between nodes i-1 and i
         # "clip" clips nothing, every index being a node; with it, take
         # writes straight into its out row
@@ -428,12 +436,11 @@ def _bracket(F: np.ndarray, guide: np.ndarray, u: np.ndarray) -> np.ndarray:
     return i
 
 
-def _hermite_safe_cells(params: tuple, s: np.ndarray, F: np.ndarray,
-                        f: np.ndarray, map=map) -> np.ndarray:
-    """safe[i]: a draw in the cell between nodes i-1 and i may keep its Hermite step.
+def _hermite_safe_cells(grid: CaseGrid, d: ScoreDistribution, map=map) -> np.ndarray:
+    """safe[i]: a draw of beta d in the cell between nodes i-1 and i may keep its Hermite step.
 
-    A cell is safe when its CDF node values lie strictly inside (0, 1), so
-    it is not an outermost cell; its density is positive and finite at both
+    A cell is safe when it lies between the runs of exact CDF 0s and 1s that
+    ``grid.runs`` holds, so it is not an outermost cell; its density is positive and finite at both
     nodes, which also excludes the singular ends when a < 1 or b < 1; and
     its estimated error, in score units, is at most _NEWTON_TOL * scale.
     With h the cell width and f0 the smaller node density, the estimate sums
@@ -445,12 +452,11 @@ def _hermite_safe_cells(params: tuple, s: np.ndarray, F: np.ndarray,
     psi'' + 3 psi psi' + psi^3.  The cells are flagged a node slice at a
     time through ``map``, each slice reading one node before its first cell.
     """
-    a, b, scale = params
+    a, b, scale = d.params
+    s, f = grid.s, grid.rows[d][1]
     safe = np.zeros(len(s), dtype=bool)
-    # nodes first..last hold 0 < F < 1; only the cells between them can be safe
-    first = int(np.searchsorted(F, 0.0, side="right"))
-    last = int(np.searchsorted(F, 1.0, side="left")) - 1
-    h4 = (s[1] / scale) ** 4 * scale  # h^4 / scale^3
+    zeros, ones = grid.runs[d]  # only the cells from node zeros to node ones - 1 can be safe
+    h4 = (grid.h / scale) ** 4 * scale  # h^4 / scale^3
 
     def flag(cells: tuple[int, int]) -> None:  # cells lo..hi-1, from nodes lo-1..hi-1
         lo, hi = cells
@@ -471,7 +477,7 @@ def _hermite_safe_cells(params: tuple, s: np.ndarray, F: np.ndarray,
         # a zero or infinite node density leaves err infinite or NaN: never safe
         safe[lo:hi] = err <= _NEWTON_TOL * scale
 
-    list(map(flag, fixed_blocks(first + 1, last + 1, NODE_SLICE)))
+    list(map(flag, fixed_blocks(zeros + 1, ones, NODE_SLICE)))
     return safe
 
 
@@ -514,37 +520,24 @@ class RankWalk:
     reason a fold touches only the rows that can be nonzero on the leaf:
     the rows above one per rival folded that is below 1 somewhere on the
     leaf, and below one per rival exactly 0 on the whole leaf, are exactly 0
-    there, and a multiply-add of two zero rows is exactly 0.  A uniform's
-    runs end at the nodes s <= low and s >= high, where its clipped CDF is
-    exactly 0 and 1; a beta's are the leading exact 0s and trailing exact
-    1s of its CDF row, found once per row, so nothing assumes a row is
-    monotone.
+    there, and a multiply-add of two zero rows is exactly 0.  The runs are
+    the grid's (``CaseGrid.runs``), found once per distribution.
 
-    ``run(read)`` reads each rival distribution's CDF on a leaf once for
-    every candidate: a uniform's is evaluated between its runs, a beta's is
-    a view of its row.  It then folds each candidate's table on the leaf in
-    turn, into one buffer that the next candidate overwrites, so no table
-    exists whole and a walk holds O(m * NODE_SLICE) floats.
+    ``run(read)`` reads each rival distribution's CDF slice between its runs
+    on a leaf once for every candidate, through ``CaseGrid.cdf``.  It then
+    folds each candidate's table on the leaf in turn, into one buffer that
+    the next candidate overwrites, so no table exists whole and a walk
+    holds O(m * NODE_SLICE) floats.
     """
 
     def __init__(self, grid: CaseGrid, candidates: list[int]):
         self.grid, self.candidates = grid, candidates
         self.table = np.empty((len(grid), NODE_SLICE + 1))
         self.beats, self.product = np.empty((2, NODE_SLICE + 1))  # 1 - F_j, and each product
-        s = grid.s
-        self.runs = {}  # rival distribution -> (first node past its 0s, first node of its 1s)
+        # the distributions some candidate folds in, in order of first appearance
+        self.rivals = list(dict.fromkeys(d for j, d in enumerate(grid.dists)
+                                         if set(candidates) != {j}))
         self.cdfs = {}  # rival distribution -> (first leaf node past its 0s, CDF up to its 1s)
-        for j, d in enumerate(grid.dists):
-            if d in self.runs or set(candidates) == {j}:  # ad j is no candidate's rival
-                continue
-            if d.kind == "uniform":
-                low, high = d.params
-                self.runs[d] = (int(np.searchsorted(s, low, side="right")),
-                                int(np.searchsorted(s, high, side="left")))
-            else:
-                F = grid.rows[d][0]
-                zeros = _first_false(F == 0.0)
-                self.runs[d] = zeros, max(zeros, len(F) - _first_false(F[::-1] == 1.0))
 
     def run(self, read):
         """``read(slot, lo, hi, table)`` for each leaf, in node order, and each
@@ -554,13 +547,10 @@ class RankWalk:
         leaves, added in numpy's pairwise order (``_pairwise_sum``)."""
 
         def leaf(lo: int, hi: int) -> np.ndarray:
-            for d, (zeros, ones) in self.runs.items():
+            for d in self.rivals:
+                zeros, ones = self.grid.runs[d]
                 a, b = min(max(zeros, lo), hi), min(max(ones, lo), hi)
-                if d.kind != "uniform":
-                    F = self.grid.rows[d][0][a:b]
-                else:
-                    F = d.cdf(self.grid.s[a:b]) if a < b else np.empty(0)
-                self.cdfs[d] = a - lo, F
+                self.cdfs[d] = a - lo, self.grid.cdf(d, a, b)
             return np.array([read(slot, lo, hi, self._fold(i, hi - lo))
                              for slot, i in enumerate(self.candidates)])
 

@@ -202,8 +202,8 @@ MUTANTS = [
            "                        errors.append(exc)\n",
            (T_ENGINE + "::TestWorkerMap::test_exception_reaches_the_caller",)),
     Mutant("uniform-blocks-on-the-worker-map", CLI,
-           "            mc_map = pmap if grid.rows else map\n",
-           "            mc_map = pmap\n",
+           "        mc_map = pmap if grid.rows else map\n",
+           "        mc_map = pmap\n",
            (T_CLI + "::test_uniform_field_memory_does_not_grow_with_threads",)),
     Mutant("zero-standard-error-compared", CLI,
            "no_standard_error=std_errors > 0)",
@@ -221,17 +221,27 @@ MUTANTS = [
            "                low += start > 0\n",
            (RUN_FOLD,)),
     Mutant("zero-run-ends-a-node-late", ORACLE,
-           'int(np.searchsorted(s, low, side="right"))',
-           'int(np.searchsorted(s, low, side="right")) + 1',
+           'int(np.searchsorted(self.s, d.params[0], side="right"))',
+           'int(np.searchsorted(self.s, d.params[0], side="right")) + 1',
            (RUN_FOLD,)),
     Mutant("split-scan-reset-each-call", ORACLE,
            "    scan = SplitScan() if scan is None else scan\n",
            "    scan = SplitScan() if scan is None else scan\n    scan.split, scan.below = 0, None\n",
            (LEAF_CHECKS + "::test_split_across_calls",)),
     Mutant("cdf-slice-from-previous-leaf", ORACLE,
-           "                self.cdfs[d] = a - lo, F\n",
-           "                self.cdfs.setdefault(d, (a - lo, F))\n",
+           "                self.cdfs[d] = a - lo, self.grid.cdf(d, a, b)\n",
+           "                self.cdfs.setdefault(d, (a - lo, self.grid.cdf(d, a, b)))\n",
            (RUN_FOLD,)),
+    # the case grid states each fact of its geometry once: the step, and each
+    # CDF's runs of exact 0s and 1s, which the fold and the safe cells read
+    Mutant("beta-ones-run-a-node-late", ORACLE,
+           "max(zeros, len(F) - _first_false(F[::-1] == 1.0))",
+           "max(zeros, len(F) - _first_false(F[::-1] == 1.0) + 1)",
+           (T_ORACLE + "::TestRankTable::test_grid_runs_bound_the_exact_zeros_and_ones",)),
+    Mutant("step-over-intervals-plus-one", ORACLE,
+           "        self.h = upper / SIMPSON_INTERVALS",
+           "        self.h = upper / (SIMPSON_INTERVALS + 1)",
+           (EXACT_UNIFORMS, T_ORACLE + "::TestDrawArithmetic::test_matches_the_reference_formula")),
 ]
 
 

@@ -589,8 +589,7 @@ class TestWorkerMap:
     thread among them, and returns in task order once every thread stopped."""
 
     def test_one_thread_is_the_builtin_map(self):
-        with worker_map(1) as pmap:
-            assert pmap is map
+        assert worker_map(1) is map
 
     def test_uneven_tasks_come_back_in_task_order(self):
         """Later tasks finish sooner; each runs once, the calling thread runs
@@ -602,8 +601,7 @@ class TestWorkerMap:
             runs.append((i, threading.current_thread()))
             return i * j
 
-        with worker_map(3) as pmap:
-            assert pmap(task, range(8), range(10, 18)) == [i * (i + 10) for i in range(8)]
+        assert worker_map(3)(task, range(8), range(10, 18)) == [i * (i + 10) for i in range(8)]
         assert sorted(i for i, _ in runs) == list(range(8))
         ran = {thread for _, thread in runs}
         assert threading.current_thread() in ran and len(ran) <= 3
@@ -621,8 +619,7 @@ class TestWorkerMap:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            with worker_map(4) as pmap:
-                results = pmap(task, range(4000))
+            results = worker_map(4)(task, range(4000))
         finally:
             sys.setswitchinterval(interval)
         assert results == [-i for i in range(4000)] and sorted(calls) == list(range(4000))
@@ -642,25 +639,23 @@ class TestWorkerMap:
             return i
 
         before = set(threading.enumerate())
-        with worker_map(2) as pmap:
-            with pytest.raises(ValueError, match=raiser):
-                pmap(task, range(2))
+        with pytest.raises(ValueError, match=raiser):
+            worker_map(2)(task, range(2))
         assert set(threading.enumerate()) == before
 
     def test_one_task_starts_no_thread(self):
         before = threading.active_count()
-        with worker_map(4) as pmap:
-            assert pmap(lambda _: (threading.current_thread(), threading.active_count()),
-                        [0]) == [(threading.current_thread(), before)]
-            assert pmap(abs, []) == []
+        pmap = worker_map(4)
+        assert pmap(lambda _: (threading.current_thread(), threading.active_count()),
+                    [0]) == [(threading.current_thread(), before)]
+        assert pmap(abs, []) == []
 
 
 class TestSampleRankStats:
     def test_block_accumulation_thread_invariant(self):
         grid = CaseGrid([ScoreDistribution.uniform(0, 1)] * 3)
         one = sample_rank_stats(grid, 200_000, seed=5)
-        with worker_map(4) as pool:
-            four = sample_rank_stats(grid, 200_000, seed=5, map=pool)
+        four = sample_rank_stats(grid, 200_000, seed=5, map=worker_map(4))
         np.testing.assert_array_equal(one.means, four.means)
         np.testing.assert_array_equal(one.counts, four.counts)
         np.testing.assert_array_equal(one.std_errors, four.std_errors)
@@ -672,8 +667,8 @@ class TestSampleRankStats:
                  ScoreDistribution.uniform(0, 0.1)]
         runs = [sample_rank_stats(CaseGrid(dists), 100_000, seed=5)]
         for threads in (4, 2):
-            with worker_map(threads) as pool:
-                runs.append(sample_rank_stats(CaseGrid(dists, pool), 100_000, seed=5, map=pool))
+            pool = worker_map(threads)
+            runs.append(sample_rank_stats(CaseGrid(dists, pool), 100_000, seed=5, map=pool))
         for other in runs[1:]:
             np.testing.assert_array_equal(runs[0].means, other.means)
             np.testing.assert_array_equal(runs[0].counts, other.counts)
@@ -691,8 +686,8 @@ class TestSampleRankStats:
         expected = sum(sampler.draw(0, u[lo:lo + BLOCK])[1] for lo in range(0, 100_000, BLOCK))
         assert expected > 0
         assert sample_rank_stats(grid, 100_000, seed=5).exact_draws == expected
-        with worker_map(3) as pool:
-            assert sample_rank_stats(grid, 100_000, seed=5, map=pool).exact_draws == expected
+        assert sample_rank_stats(grid, 100_000, seed=5,
+                                 map=worker_map(3)).exact_draws == expected
         assert sample_rank_stats(CaseGrid(dists[1:]), 1000, seed=5).exact_draws == 0
 
     def test_no_draws_is_rejected(self):

@@ -312,6 +312,19 @@ class TestRankTable:
         beta_rows = [grid.rows[d][0][grid.s < d.upper] for d in grid.rows]
         assert all((row == 1.0).any() for row in beta_rows)
 
+    @pytest.mark.parametrize("dists", RUN_FIELDS.values(), ids=RUN_FIELDS.keys())
+    def test_grid_runs_bound_the_exact_zeros_and_ones(self, dists):
+        """Each distribution's runs are the first node whose CDF is not exactly
+        0 and one past the last node whose CDF is not exactly 1.  The fold
+        cannot show a ones run that ends late, since multiplying by an exact 1
+        changes no bit, so the runs are checked here, on the whole rows."""
+        grid = CaseGrid(dists)
+        assert list(grid.runs) == list(dict.fromkeys(dists))
+        for d, (zeros, ones) in grid.runs.items():
+            F = d.cdf(grid.s)
+            assert zeros == np.flatnonzero(F != 0.0)[0]
+            assert ones == np.flatnonzero(F != 1.0)[-1] + 1
+
     def test_shared_table_matches_own_tables(self):
         """One table serves the decomposition and then the density profile:
         the decomposition leaves it as built, so the density profile reads
@@ -672,8 +685,7 @@ class TestCaseGridRows:
         grid = CaseGrid(dists)
         for threads in (1, 2):
             alive.clear()
-            with worker_map(threads) as map:
-                stats = sample_rank_stats(grid, 40_000, seed=3, map=map)
+            stats = sample_rank_stats(grid, 40_000, seed=3, map=worker_map(threads))
             assert len(alive) == 2 and all(ref() is None for ref in alive)
             assert stats.table_bytes == len(grid.s) + SIMPSON_INTERVALS * 4
 
@@ -690,8 +702,7 @@ def contended_workers(threads):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        with worker_map(threads) as map:
-            yield map
+        yield worker_map(threads)
     finally:
         sys.setswitchinterval(interval)
 
