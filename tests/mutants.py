@@ -54,6 +54,7 @@ LEAF_CHECKS = T_ORACLE + "::TestLeafChecks"
 EXACT_UNIFORMS = T_ORACLE + "::TestConditionalScoreMean::test_uniform_fields_match_exact_integrals"
 RUN_FOLD = T_ORACLE + "::TestRankTable::test_run_skipping_fold_matches_whole_rows"
 T_METRICS = "tests/test_metrics.py"
+T_METAMORPHIC = "tests/test_metamorphic.py"
 MERGED_STATS = T_METRICS + "::TestCpcStats::test_merged_statistics_match_whole_table"
 
 MUTANTS = [
@@ -232,6 +233,24 @@ MUTANTS = [
            "                self.cdfs[d] = a - lo, self.grid.cdf(d, a, b)\n",
            "                self.cdfs.setdefault(d, (a - lo, self.grid.cdf(d, a, b)))\n",
            (RUN_FOLD,)),
+    # simulate-cpc and ab-run move as their inputs' symmetries say
+    Mutant("ranks-with-an-absolute-tie-margin", ENGINE,
+           "            np.greater(scores[:, j], scores[:, i], out=j_wins)\n",
+           "            np.greater(scores[:, j], scores[:, i] + 1e-15, out=j_wins)\n",
+           (T_METAMORPHIC + "::test_simulate_cpc_power_of_two_scale",)),
+    Mutant("cpc-stream-keyed-by-trial-count", ENGINE,
+           "rng.stream_key(config.seed, STREAM_CPC, config.setting_index)",
+           "rng.stream_key(config.seed, STREAM_CPC, config.setting_index, config.trials)",
+           (T_METAMORPHIC + "::test_simulate_cpc_trial_log_prefix",)),
+    Mutant("reserve-price-in-currency-units", ENGINE,
+           "    cpc = np.where(degenerate, 0.0, runner_score / np.where(degenerate, 1.0, top_est))\n",
+           "    cpc = np.where(degenerate, 0.0, np.maximum(\n"
+           "        runner_score / np.where(degenerate, 1.0, top_est), 1e-6))\n",
+           (T_METAMORPHIC + "::test_ab_run_power_of_two_scale",)),
+    Mutant("ab-stream-keyed-by-day-count", ENGINE,
+           "ESTIMATOR_CODES[bucket.estimator], day)",
+           "ESTIMATOR_CODES[bucket.estimator], day, config.days)",
+           (T_METAMORPHIC + "::test_ab_run_impression_log_prefix",)),
     # the case grid states each fact of its geometry once: the step, and each
     # CDF's runs of exact 0s and 1s, which the fold and the safe cells read
     Mutant("beta-ones-run-a-node-late", ORACLE,

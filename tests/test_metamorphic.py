@@ -1,5 +1,7 @@
-"""Metamorphic relations of verify-theorems: how its report must move when
-the config moves by a symmetry of the problem.
+"""Metamorphic relations: how each command's outputs must move when its
+config moves by a symmetry of the problem.
+
+verify-theorems:
 
 - **Power-of-two scale.** Multiplying every support by 2^k is exact in
   floating point, so every score-valued field (quadrature and Monte Carlo
@@ -12,9 +14,23 @@ the config moves by a symmetry of the problem.
   1e-12 relative, and no quadrature verdict may move.  The Monte Carlo
   fields are not covered: each ad takes its uniform column by position, so
   reversing the ads gives other draws.
+
+simulate-cpc and ab-run:
+
+- **Power-of-two scale.** Bids and both histogram widths times 2^k scale
+  simulate-cpc's prices, scores and bin edges by 2^k bit for bit and
+  leave its ratios, bias factors and counts as they were; every bid times
+  2^k leaves ab-run's calibration and relative-value reports byte for
+  byte, since their ratios' numerators and denominators scale alike.
+- **Prefixes.** Trial t reads unit t of its setting's stream, and day d's
+  traffic reads only days up to d, so a shorter run writes a prefix of a
+  longer run's trial and impression logs.
 """
 
+import csv
 import json
+import re
+from importlib import resources
 
 import pytest
 
@@ -131,3 +147,124 @@ def test_relabelling(tmp_path):
         for cand in mine:
             assert cand["mean_inequality"]["passed"] and cand["splittability"]["passed"]
             assert cand["decomposition"]["passed"]
+
+
+def packaged(name: str) -> str:
+    """A packaged config's text."""
+    return resources.files("gspbias").joinpath("configs", name).read_text(encoding="utf-8")
+
+
+def run_command(tmp_path, command: str, text: str, *flags: str) -> "Path":
+    """``command`` on the config ``text`` at one thread; its output directory."""
+    cfg = tmp_path / f"run{len(list(tmp_path.iterdir()))}.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    out = cfg.with_suffix("")
+    assert main([command, "--config", str(cfg), "--out", str(out), "--threads", "1",
+                 *flags]) == 0
+    return out
+
+
+def times(factor: float, *keys: str):
+    """A substitution for ``re.sub`` that multiplies the number after each
+    of ``keys`` by ``factor``."""
+    def scale(match):
+        return f"{match[1]}{float(match[2]) * factor!r}"
+    return re.compile(rf"^((?:{'|'.join(keys)}) *= *)([0-9.e+-]+)", re.M), scale
+
+
+# bias_report.json's fields in price or score units (ratio_of_means is the
+# mean runner-up score over the mean winner estimate); every other field is
+# a count, a ratio of like units or a verdict
+CPC_SCALED = {"expected_cpc", "mean_observed_cpc", "observed_se", "ratio_of_means",
+              "ratio_of_means_se", "conditional_score_mean", "conditional_score_se"}
+
+
+def assert_scaled(mine, theirs, factor: float, key=None):
+    """``theirs`` is ``mine`` with every CPC_SCALED number times ``factor``."""
+    if isinstance(mine, dict):
+        assert mine.keys() == theirs.keys()
+        for k in mine:
+            assert_scaled(mine[k], theirs[k], factor, k)
+    elif isinstance(mine, list):
+        assert len(mine) == len(theirs), key
+        for a, b in zip(mine, theirs):
+            assert_scaled(a, b, factor, key)
+    elif key in CPC_SCALED:
+        assert mine * factor == theirs, key
+    else:
+        assert mine == theirs, key
+
+
+def read_csv(path) -> list:
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.reader(fh))
+
+
+@pytest.mark.parametrize("k", [40, -40])
+def test_simulate_cpc_power_of_two_scale(tmp_path, k):
+    """At 40,000 trials, so over several blocks, bids and both histogram
+    widths times 2^k scale every price, score and bin edge exactly, and
+    leave every ratio, bias factor and count as it was."""
+    factor = 2.0 ** k
+    text = packaged("table2.cfg")
+    base = run_command(tmp_path, "simulate-cpc", text, "--trials", "40000")
+    moved = run_command(tmp_path, "simulate-cpc",
+                        re.sub(*times(factor, "bids", "cpc_hist_width", "score_hist_width"),
+                               text), "--trials", "40000")
+    mine, theirs = (json.loads((out / "bias_report.json").read_text()) for out in (base, moved))
+    assert_scaled(mine, theirs, factor)
+    for path in base.glob("*.csv"):
+        rows, their_rows = read_csv(path), read_csv(moved / path.name)
+        assert rows[0] == their_rows[0] and len(rows) == len(their_rows), path.name
+        scaled_columns = {"expected_cpc", "mean_observed_cpc", "bin_left", "bin_right"}
+        for row, their_row in zip(rows[1:], their_rows[1:]):
+            for name, a, b in zip(rows[0], row, their_row):
+                if name in scaled_columns:
+                    assert float(a) * factor == float(b), (path.name, name)
+                else:
+                    assert a == b, (path.name, name)
+
+
+def test_simulate_cpc_trial_log_prefix(tmp_path):
+    """Every setting's trial log at 20,000 trials is the first 20,000 rows
+    of its log at 40,000."""
+    text = packaged("table2.cfg")
+    short, long = (run_command(tmp_path, "simulate-cpc", text, "--trials", str(n),
+                               "--emit-trials") for n in (20000, 40000))
+    logs = sorted(path.name for path in short.glob("trials_*.csv"))
+    assert len(logs) == 6
+    for name in logs:
+        head = (short / name).read_text().splitlines(keepends=True)
+        assert len(head) == 20001
+        assert head == (long / name).read_text().splitlines(keepends=True)[:20001], name
+
+
+AB_REPORTS = ("calibration_report.json", "rtv_rtc.json")
+
+
+@pytest.mark.parametrize("k", [30, -30])
+def test_ab_run_power_of_two_scale(tmp_path, k):
+    """Every bid times 2^k leaves the calibration and relative-value
+    reports byte for byte, at 3,000 accesses a day."""
+    text = re.sub(r"^traffic_per_day *=.*$", "traffic_per_day = 3000", packaged("ab.cfg"),
+                  flags=re.M)
+    base = run_command(tmp_path, "ab-run", text)
+    moved = run_command(tmp_path, "ab-run", re.sub(*times(2.0 ** k, "bid"), text))
+    for name in AB_REPORTS:
+        assert (base / name).read_bytes() == (moved / name).read_bytes(), name
+
+
+def test_ab_run_impression_log_prefix(tmp_path):
+    """At 3,000 accesses a day, both buckets' impression logs over 20 days
+    are a prefix of their logs over 28, with the same burn-in and window."""
+    text = re.sub(r"^traffic_per_day *=.*$", "traffic_per_day = 3000", packaged("ab.cfg"),
+                  flags=re.M)
+    short, long = (run_command(tmp_path, "ab-run", re.sub(r"^days *=.*$", f"days = {days}",
+                                                          text, flags=re.M))
+                   for days in (20, 28))
+    logs = sorted(path.name for path in short.glob("impressions_*.csv"))
+    assert logs == ["impressions_A.csv", "impressions_B.csv"]
+    for name in logs:
+        head = (short / name).read_bytes()
+        assert len(head.splitlines()) == 20 * 3000 + 1
+        assert (long / name).read_bytes().startswith(head), name
