@@ -211,6 +211,10 @@ def _load_theorems(parser) -> tuple[TheoremSuite, int | None]:
             if dist.kind == "scaled-beta" and min(dist.params[:2]) < 1.0:
                 raise ConfigError(f"{sec.name}.dists",
                                   f"beta shapes must be >= 1, got {spec!r}")
+            # past these the grid step underflows or the draws' squares overflow
+            if not 2.0 ** -256 <= dist.upper <= 2.0 ** 256:
+                raise ConfigError(f"{sec.name}.dists", "a support's upper end must lie in "
+                                  f"[2^-256, 2^256], got {spec!r}")
             dists.append(dist)
         cases.append(TheoremCase(name=name, dist_specs=specs, dists=tuple(dists)))
     if not cases:

@@ -371,6 +371,34 @@ class TestConfigLoading:
         assert "case.solo.dists" in proc.stderr and "Traceback" not in proc.stderr
         assert not (out / "theorem_report.json").exists()
 
+    @pytest.mark.parametrize("dists", ["uniform:0:1e300, beta:2:38:1e300",
+                                       "beta:2:38:1e-300, uniform:0:1e-300",
+                                       "uniform:0:1e-300, uniform:0:1e-300"])
+    def test_support_a_double_grid_cannot_hold_rejected(self, tmp_path, dists):
+        """An upper end past 2^256 overflows the draws' squares, and one below
+        2^-256 underflows the grid: config load names the case, exit 3."""
+        bad = SMALL_THEOREMS.replace("dists = beta:2:38", f"dists = {dists}")
+        out = tmp_path / "out"
+        proc = run_cli_process("verify-theorems", "--config", write_cfg(tmp_path, bad),
+                               "--out", out, "--trials", "1000", "--threads", "1")
+        assert proc.returncode == 3
+        assert "case.solo.dists" in proc.stderr and dists.split(",")[0] in proc.stderr
+        assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+        assert not (out / "theorem_report.json").exists()
+
+    @pytest.mark.parametrize("upper", ["1.1e77", "8.7e-78"])
+    def test_support_ends_near_the_limits_run_clean(self, tmp_path, upper):
+        """Just inside [2^-256, 2^256], a uniform and a beta make all 8 of
+        their Monte Carlo comparisons, with no warning."""
+        text = SMALL_THEOREMS.replace("dists = beta:2:38",
+                                      f"dists = uniform:0:{upper}, beta:2:38:{upper}")
+        text = text[:text.index("[case.pair]")] + text[text.index("[case.solo]"):]
+        out = tmp_path / "out"
+        proc = run_cli_process("verify-theorems", "--config", write_cfg(tmp_path, text),
+                               "--out", out, "--trials", "65536", "--threads", "1")
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert json.loads((out / "theorem_report.json").read_text())["mc_comparisons"] == 8
+
     def test_packaged_defaults_parse(self):
         from importlib import resources
         for name, command in (("table2.cfg", "simulate-cpc"),
