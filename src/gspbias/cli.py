@@ -276,7 +276,9 @@ def _quadrature_checks(grid: CaseGrid, candidates: list[int]) -> list[dict]:
     conditional densities, and scans each adjacent pair of them for a
     single crossing.  A pair is skipped as unreachable where either density
     is NaN anywhere, a rank below MASS_FLOOR or an infinite density times a
-    zero chance, and its scan stops at the first leaf that shows it."""
+    zero chance, and its scan stops at the first leaf that shows it.  The
+    mean inequality's slack is MEAN_INEQUALITY_SLACK in the case's units,
+    times 2^floor(log2(U - L)) for the grid's span [L, U]."""
     profiles = conditional_mean_profile(grid, candidates)
     decompositions = []
     for profile in profiles:
@@ -300,6 +302,7 @@ def _quadrature_checks(grid: CaseGrid, candidates: list[int]) -> list[dict]:
         return share
 
     residuals = RankWalk(grid, candidates).run(read)
+    slack = math.ldexp(MEAN_INEQUALITY_SLACK, math.frexp(grid.s[-1] - grid.s[0])[1] - 1)
     records = []
     for slot, profile in enumerate(profiles):
         # rank k against rank k + 1, where both are reachable
@@ -307,19 +310,18 @@ def _quadrature_checks(grid: CaseGrid, candidates: list[int]) -> list[dict]:
         reached = ~(np.isnan(better) | np.isnan(worse))
         decomposition = decompositions[slot]
         pairs = [{"ranks": (k, k + 1)} for k in range(1, len(grid))]
-        for k, pair in enumerate(pairs):  # ranks k + 1 and k + 2
+        for k, (pair, scan) in enumerate(zip(pairs, scans[slot])):  # ranks k + 1 and k + 2
             if unreachable[slot, k] or unreachable[slot, k + 1]:
                 pair["skipped"] = "rank unreachable"
-                continue
-            verdict = scans[slot][k].verdict
-            pair["splittable"] = verdict.splittable
-            if verdict.splittable:
-                pair["split_at"] = grid.s[verdict.split_index]
+            elif scan.verdict.splittable:
+                pair.update(splittable=True, split_at=grid.s[scan.verdict.split_index])
+            else:
+                pair["splittable"] = False
         records.append(_record({
             "marginals": profile.marginals,
             "quadrature_means": profile.conditional_means,
             "mean_inequality": _verdict(
-                better[reached] >= worse[reached] - MEAN_INEQUALITY_SLACK, reached),
+                better[reached] >= worse[reached] - slack, reached),
             "decomposition": (decomposition.result(residuals[slot])
                               if isinstance(decomposition, DecompositionScan)
                               else {"skipped": decomposition}),

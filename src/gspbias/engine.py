@@ -74,9 +74,8 @@ def worker_map(threads: int):
     for that call, no more helpers than tasks beyond the first; each thread
     takes the next task index until none is left.  The call returns the
     results in task order, once every thread has stopped, and raises the
-    first exception any of them raised.  So no thread idles between calls,
-    and none outlives its call: the map holds nothing between calls, and
-    needs no closing.
+    first exception any of them raised.  No thread idles between calls or
+    outlives its call, so the map holds nothing that needs closing.
     """
     if threads <= 1:
         return map
@@ -527,8 +526,8 @@ class RankSampleStats:
 
 
 def _mc_block(sampler: CaseSampler, key: np.ndarray, lo: int, hi: int):
-    """Counts, sums and sums of squares of one block's draws, (ads, ranks) each,
-    and the number of draws that took the exact inverse CDF.
+    """Counts, sums and sums of squares about ``sampler.low`` of one block's
+    draws, (ads, ranks) each, and how many draws took the exact inverse CDF.
 
     The block is ad-major: ad j's uniforms are copied once into row j of
     one array, each row is drawn whole and replaced by its draws, and the
@@ -554,6 +553,7 @@ def _mc_block(sampler: CaseSampler, key: np.ndarray, lo: int, hi: int):
     code = code.ravel()
     count = np.bincount(code, minlength=m * m)
     total = np.bincount(code, weights=draws.ravel(), minlength=m * m)
+    draws -= sampler.low
     np.square(draws, out=draws)
     total_sq = np.bincount(code, weights=draws.ravel(), minlength=m * m)
     return count.reshape(m, m), total.reshape(m, m), total_sq.reshape(m, m), exact
@@ -565,12 +565,13 @@ def sample_rank_stats(grid: CaseGrid, draws: int, seed: int,
 
     Draw t owns unit t of the stream keyed (seed, sampling, case); partial
     moments accumulate over BLOCK-draw blocks merged in block order, so the
-    result is bit-identical for any thread count.  Scores are drawn through
-    a ``CaseSampler`` of the case's ``CaseGrid``, built here, so its draw
-    tables are gone on return; its safe-cell flag slices and the blocks run
-    through ``map``: the builtin ``map`` runs them in turn, and a
-    ``worker_map``'s runs each call's tasks on its threads, the calling
-    thread among them, and returns in task order.
+    result is bit-identical for any thread count.  The variance is
+    (sum (x - c)^2 - n (mean - c)^2) / (n - 1), c the ad's lower end
+    (``CaseSampler.low``), which does not cancel when the mean is far above
+    the spread; where c is 0 these are the plain squares' bits.  Scores are
+    drawn through a ``CaseSampler`` of the case's ``CaseGrid``, built here,
+    so its draw tables are gone on return; its safe-cell flag slices and the
+    blocks run through ``map``, the builtin or a ``worker_map``.
     """
     if draws < 1:
         raise InvalidValue("draws", f"must be >= 1, got {draws}")
@@ -580,9 +581,8 @@ def sample_rank_stats(grid: CaseGrid, draws: int, seed: int,
     count, total, total_sq, exact = (sum(p) for p in zip(*parts))
     with np.errstate(divide="ignore", invalid="ignore"):
         means = np.where(count > 0, total / np.maximum(count, 1), np.nan)
-        variance = np.where(count > 1,
-                            (total_sq - count * means ** 2) / np.maximum(count - 1, 1),
-                            np.nan)
+        variance = np.where(count > 1, (total_sq - count * (means - sampler.low) ** 2)
+                            / np.maximum(count - 1, 1), np.nan)
         # where count < 2 the variance is NaN, and np.maximum and sqrt keep it NaN
         std_errors = np.sqrt(np.maximum(variance, 0.0) / np.maximum(count, 1))
     return RankSampleStats(counts=count, means=means, std_errors=std_errors,

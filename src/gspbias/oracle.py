@@ -166,6 +166,11 @@ class ScoreDistribution:
         return cls("scaled-beta", (a, b, scale))
 
     @property
+    def lower(self) -> float:
+        """The bottom of the support: a uniform's low, a beta's 0."""
+        return self.params[0] if self.kind == "uniform" else 0.0
+
+    @property
     def upper(self) -> float:
         """The top of the support: a uniform's high, a beta's scale."""
         return self.params[-1]
@@ -202,23 +207,23 @@ class ScoreDistribution:
 class CaseGrid:
     """The Simpson grid of one case, and how each of its distributions sits on it.
 
-    It holds the nodes ``s``, the step ``h`` and the Simpson weights ``w``.
+    Its nodes ``s`` span the case's supports, from the smallest lower end
+    to the largest upper end, at the step ``h``, with Simpson weights ``w``.
     ``rows`` maps each distinct beta distribution to its (CDF, PDF) rows,
-    evaluated once at the nodes up to its ``upper`` (past a beta's scale
-    they hold CDF 1 and PDF 0, the kernels' own values).  ``runs`` maps each
-    distinct distribution to the first node past its CDF's exact 0s and the
-    first node of its exact 1s: a uniform's from its clip formula, a beta's
-    from a scan of its row, so nothing assumes a row is monotone.  A uniform
-    has no rows: ``cdf`` and ``density`` evaluate it on the nodes a caller
-    reads.  ``len(grid)`` is the ad count m, and ``map`` runs the node
-    slices of the rows.
+    filled through ``map`` at the nodes up to its ``upper`` (past a beta's
+    scale they hold CDF 1 and PDF 0, the kernels' own values).  ``runs``
+    maps each distinct distribution to the first node past its CDF's exact
+    0s and the first node of its exact 1s: a uniform's from its clip
+    formula, a beta's from a scan of its row, so nothing assumes a row is
+    monotone.  A uniform has no rows: ``cdf`` and ``density`` evaluate it
+    on the nodes a caller reads.  ``len(grid)`` is the ad count m.
     """
 
     def __init__(self, dists: list[ScoreDistribution], map=map):
         self.dists = dists
-        upper = max(d.upper for d in dists)
-        self.h = upper / SIMPSON_INTERVALS  # the step, linspace's own, bit for bit
-        self.s = np.linspace(0.0, upper, SIMPSON_INTERVALS + 1)
+        lower, upper = min(d.lower for d in dists), max(d.upper for d in dists)
+        self.h = (upper - lower) / SIMPSON_INTERVALS  # the step, linspace's own, bit for bit
+        self.s = np.linspace(lower, upper, SIMPSON_INTERVALS + 1)
         w = np.ones_like(self.s)
         w[1:-1:2] = 4.0
         w[2:-1:2] = 2.0
@@ -249,7 +254,7 @@ class CaseGrid:
                 zeros = _first_false(F == 0.0)
                 self.runs[d] = zeros, max(zeros, len(F) - _first_false(F[::-1] == 1.0))
             else:  # the clipped CDF is exactly 0 at s <= low and exactly 1 at s >= high
-                self.runs[d] = (int(np.searchsorted(self.s, d.params[0], side="right")),
+                self.runs[d] = (int(np.searchsorted(self.s, d.lower, side="right")),
                                 int(np.searchsorted(self.s, d.upper, side="left")))
 
     def __len__(self) -> int:
@@ -319,7 +324,8 @@ class CaseGrid:
 class CaseSampler:
     """A case grid's Monte Carlo draw path: ``tables`` maps each beta
     distribution of the grid's ``rows`` to its (safe-cell flags, guide
-    table), one flag per grid cell and a guide table of its CDF row.
+    table), one flag per grid cell and a guide table of its CDF row, and
+    ``low`` each ad's lower end, a column, about which draws are squared.
 
     The safe-cell flags are built a node slice at a time through ``map`` and
     each guide table in one serial pass; they live as long as the sampler,
@@ -328,6 +334,7 @@ class CaseSampler:
 
     def __init__(self, grid: CaseGrid, map=map):
         self.grid = grid
+        self.low = np.array([[d.lower] for d in grid.dists])
         self.tables = {d: (_hermite_safe_cells(grid, d, map), _guide_table(F))
                        for d, (F, _f) in grid.rows.items()}
 

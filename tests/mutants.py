@@ -55,6 +55,7 @@ EXACT_UNIFORMS = T_ORACLE + "::TestConditionalScoreMean::test_uniform_fields_mat
 RUN_FOLD = T_ORACLE + "::TestRankTable::test_run_skipping_fold_matches_whole_rows"
 T_METRICS = "tests/test_metrics.py"
 T_METAMORPHIC = "tests/test_metamorphic.py"
+FAR_FROM_ZERO = T_CLI + "::TestVerifyTheorems::test_supports_far_from_zero"
 MERGED_STATS = T_METRICS + "::TestCpcStats::test_merged_statistics_match_whole_table"
 
 MUTANTS = [
@@ -222,8 +223,8 @@ MUTANTS = [
            "                low += start > 0\n",
            (RUN_FOLD,)),
     Mutant("zero-run-ends-a-node-late", ORACLE,
-           'int(np.searchsorted(self.s, d.params[0], side="right"))',
-           'int(np.searchsorted(self.s, d.params[0], side="right")) + 1',
+           'int(np.searchsorted(self.s, d.lower, side="right"))',
+           'int(np.searchsorted(self.s, d.lower, side="right")) + 1',
            (RUN_FOLD,)),
     Mutant("split-scan-reset-each-call", ORACLE,
            "    scan = SplitScan() if scan is None else scan\n",
@@ -258,9 +259,19 @@ MUTANTS = [
            "max(zeros, len(F) - _first_false(F[::-1] == 1.0) + 1)",
            (T_ORACLE + "::TestRankTable::test_grid_runs_bound_the_exact_zeros_and_ones",)),
     Mutant("step-over-intervals-plus-one", ORACLE,
-           "        self.h = upper / SIMPSON_INTERVALS",
-           "        self.h = upper / (SIMPSON_INTERVALS + 1)",
+           "        self.h = (upper - lower) / SIMPSON_INTERVALS",
+           "        self.h = (upper - lower) / (SIMPSON_INTERVALS + 1)",
            (EXACT_UNIFORMS, T_ORACLE + "::TestDrawArithmetic::test_matches_the_reference_formula")),
+    # verify-theorems is right wherever the supports sit: the grid spans them, and
+    # the Monte Carlo squares are taken about each ad's lower end
+    Mutant("grid-from-zero", ORACLE,
+           "lower, upper = min(d.lower for d in dists), max(d.upper for d in dists)",
+           "lower, upper = 0.0, max(d.upper for d in dists)",
+           (FAR_FROM_ZERO, T_METAMORPHIC + "::test_shift")),
+    Mutant("mc-squares-about-zero", ORACLE,
+           "        self.low = np.array([[d.lower] for d in grid.dists])\n",
+           "        self.low = np.zeros((len(grid), 1))\n",
+           (FAR_FROM_ZERO, T_METAMORPHIC + "::test_shift")),
 ]
 
 

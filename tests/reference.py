@@ -592,7 +592,8 @@ def hermite_draw(sampler, j, u):
 def mc_block_trial_major(sampler, key, lo, hi):
     """``engine._mc_block`` as first written: draws in a (draws, ads) array,
     one strided column per ad, from ``hermite_draw``; returns the (ads,
-    ranks) counts, sums and sums of squares and the exact-inverse count."""
+    ranks) counts, sums and sums of squares about each ad's lower end, and
+    the exact-inverse count."""
     m = len(sampler.grid)
     u = rng.unit_uniforms(key, lo, hi - lo, blocks_per_unit=math.ceil(m / rng.DOUBLES_PER_BLOCK))
     draws = np.empty((hi - lo, m))
@@ -603,7 +604,8 @@ def mc_block_trial_major(sampler, key, lo, hi):
     code = (score_ranks(draws) + np.arange(0, m * m, m)).ravel()
     count = np.bincount(code, minlength=m * m)
     total = np.bincount(code, weights=draws.ravel(), minlength=m * m)
-    total_sq = np.bincount(code, weights=np.square(draws).ravel(), minlength=m * m)
+    low = np.array([d.lower for d in sampler.grid.dists])
+    total_sq = np.bincount(code, weights=np.square(draws - low).ravel(), minlength=m * m)
     return count.reshape(m, m), total.reshape(m, m), total_sq.reshape(m, m), exact
 
 

@@ -617,6 +617,34 @@ class TestVerifyTheorems:
         assert solo["mean_inequality"] == {"passed": True, "checked": 0, "skipped": 0}
         assert "skipped" in solo["decomposition"]
 
+    def test_supports_far_from_zero(self, tmp_path):
+        """Narrow supports far from 0, each a valid config that once read as
+        a failed theorem: the grid spans the case's supports, not [0, upper],
+        and the Monte Carlo squares are taken about each ad's lower end.  At
+        262,144 draws every field passes, the iid pairs' rank masses are
+        within 1e-9 of 1/2, and their standard errors within 1% of the exact
+        width * sqrt(1 / (18 n)) for n draws at the rank (the largest and the
+        smallest of two uniforms both have variance width^2 / 18)."""
+        fields = {"three_at_100": "uniform:100:100.001, uniform:100.0004:100.0014, "
+                                  "uniform:100.0008:100.0012",
+                  "pair_at_1000": "uniform:1000:1000.01, uniform:1000.005:1000.015",
+                  "iid_at_1e6": "uniform:1000000:1000000.01, uniform:1000000:1000000.01",
+                  "iid_at_1000": "uniform:1000:1001, uniform:1000:1001"}
+        text = SMALL_THEOREMS[:SMALL_THEOREMS.index("[case.pair]")].replace("seed = 5", "seed = 7")
+        text += "".join(f"[case.{name}]\ndists = {dists}\n" for name, dists in fields.items())
+        out = tmp_path / "far"
+        proc = run_cli_process("verify-theorems", "--config", write_cfg(tmp_path, text),
+                               "--out", out, "--trials", "262144", "--threads", "1")
+        assert proc.returncode == 0 and proc.stderr == ""
+        report = json.loads((out / "theorem_report.json").read_text())
+        assert report["passed"] is True
+        cases = {case["name"]: case for case in report["cases"]}
+        for name, width in (("iid_at_1e6", 0.01), ("iid_at_1000", 1.0)):
+            for cand in cases[name]["candidates"]:
+                np.testing.assert_allclose(cand["marginals"], 0.5, rtol=0, atol=1e-9)
+                exact = width * np.sqrt(1.0 / (18.0 * np.array(cand["mc_counts"])))
+                np.testing.assert_allclose(cand["mc_std_errors"], exact, rtol=0.01)
+
     def test_single_ad_case(self, tmp_path):
         """A one-ad case has no adjacent rank: its decomposition is skipped with
         the oracle's reason and it has no splittability pairs."""
@@ -1171,7 +1199,7 @@ class TestTheoremOutputBytes:
                        "--out", out, "--threads", threads) == 0
         assert output_digests(out) == {
             "theorem_report.json":
-                "5306568add26227f53a30c5432cd3ad41d7b70e36ab8bea73791a5154ad0beec",
+                "4cad0b578763b9c1bbdc61fadb21352b2cb18a0fe8b11b0c15a2ee1bb4e07130",
         }
 
     @pytest.mark.parametrize("threads", [1, 2])
@@ -1183,7 +1211,7 @@ class TestTheoremOutputBytes:
                        "--out", out, "--threads", threads) == 0
         assert output_digests(out) == {
             "theorem_report.json":
-                "424d3ff76c2b092ab131e319cbf545b5235128b77c5410dc180615cdec4d5cd4",
+                "9a506ad5dd7dbed5d6da87db29bdc981a255b3ed258325b9fbb846865f306e63",
         }
 
     @pytest.mark.parametrize("threads", [1, 2])
@@ -1195,7 +1223,7 @@ class TestTheoremOutputBytes:
                        "--out", out, "--threads", threads) == 0
         assert output_digests(out) == {
             "theorem_report.json":
-                "316998639995db4d0c0ea56f2e0271919d5f532f8af68de526a02bd87192fd6d",
+                "b4d9255a84f6a87333615d1ec43163d75221cd05a3294b280ed436a580ba3a67",
         }
 
     @pytest.mark.parametrize("threads", [1, 2])
@@ -1206,7 +1234,7 @@ class TestTheoremOutputBytes:
                        "--threads", threads) == 0
         assert output_digests(out) == {
             "theorem_report.json":
-                "9a67c7af4f6ea03dd75f0e3e9a3ab598b2d267c381bce57b46291e1e52dc281b",
+                "0d2903170c775e29e952d342ca7f3274bb3b0c041da1f90c06795572588adabf",
         }
 
     def test_packaged_cases_without_monte_carlo_moments(self, tmp_path):

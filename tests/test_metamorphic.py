@@ -8,6 +8,11 @@ verify-theorems:
   means, Monte Carlo standard errors, split points) scales by 2^k bit for
   bit, and every other field (rank masses, decomposition residuals, counts,
   sigmas and verdicts) is unchanged.
+- **Shift.** Adding c to every uniform support adds c to every quadrature
+  and Monte Carlo mean, and leaves the rank masses, standard errors,
+  counts and verdicts as they were, within what c's own rounding allows:
+  the case's grid spans its supports, and the draws' squares are taken
+  about each ad's lower end.
 - **Relabelling.** Reversing a case's ads reverses its candidates'
   quadrature fields.  They are not equal bit for bit, because the rank
   tables fold the rivals in another order, so they are compared within
@@ -32,6 +37,7 @@ import json
 import re
 from importlib import resources
 
+import numpy as np
 import pytest
 
 from gspbias.cli import main
@@ -107,6 +113,54 @@ def test_power_of_two_scale(tmp_path, k):
                 if "split_at" in pair:
                     assert pair.pop("split_at") * factor == their_pair.pop("split_at")
         assert case == other
+
+
+# uniform fields whose supports sit a few grid steps apart once shifted:
+# an iid pair, two and three staggered supports, and four wider ones
+SHIFT_FIELDS = {
+    "iid": ["uniform:0:0.01", "uniform:0:0.01"],
+    "pair": ["uniform:0:0.01", "uniform:0.005:0.015"],
+    "staggered": ["uniform:0:0.001", "uniform:0.0004:0.0014", "uniform:0.0008:0.0012"],
+    "wide": ["uniform:0:0.1", "uniform:0.01:0.08", "uniform:0:0.12", "uniform:0.02:0.1"],
+}
+VERDICTS = ("mean_inequality", "mc_agreement", "mass_agreement")
+
+
+def shifted_spec(spec: str, c: float) -> str:
+    """A uniform spec with both ends moved up by c."""
+    kind, low, high = spec.split(":")
+    return f"{kind}:{float(low) + c!r}:{float(high) + c!r}"
+
+
+@pytest.mark.parametrize("c", [100.0, 1000.0, 1e6])
+def test_shift(tmp_path, c):
+    """At 65,536 draws, every support moved up by c moves every quadrature
+    and Monte Carlo mean up by c, within 64 ulps of c, and leaves the rank
+    masses within 1e-6, the standard errors within 1e-3 relative (the
+    shifted means carry c's rounding into the squares' differences), the
+    counts, the residuals within 1e-12 and every verdict as they were."""
+    base = run_report(tmp_path, SHIFT_FIELDS, 1 << 16)
+    moved = run_report(tmp_path, {name: [shifted_spec(s, c) for s in specs]
+                                  for name, specs in SHIFT_FIELDS.items()}, 1 << 16)
+    assert base["passed"] is moved["passed"] is True
+    assert base["mc_comparisons"] == moved["mc_comparisons"]
+    ulps = c * 2.0 ** -46
+    for case, other in zip(base["cases"], moved["cases"], strict=True):
+        for mine, theirs in zip(case["candidates"], other["candidates"], strict=True):
+            for name in ("quadrature_means", "mc_means"):
+                np.testing.assert_allclose(np.array(theirs[name], dtype=float) - c,
+                                           np.array(mine[name], dtype=float), rtol=0, atol=ulps)
+            np.testing.assert_allclose(theirs["marginals"], mine["marginals"], rtol=0, atol=1e-6)
+            np.testing.assert_allclose(np.array(theirs["mc_std_errors"], dtype=float),
+                                       np.array(mine["mc_std_errors"], dtype=float), rtol=1e-3)
+            assert theirs["mc_counts"] == mine["mc_counts"]
+            assert abs(theirs["decomposition"]["residual"]
+                       - mine["decomposition"]["residual"]) <= 1e-12
+            assert theirs["decomposition"]["passed"] is mine["decomposition"]["passed"] is True
+            for name in VERDICTS:
+                assert {**theirs[name], "max_sigma": None} == {**mine[name], "max_sigma": None}
+            assert ([p.get("splittable") for p in theirs["splittability"]["pairs"]]
+                    == [p.get("splittable") for p in mine["splittability"]["pairs"]])
 
 
 def quadrature(candidates: list) -> list:
