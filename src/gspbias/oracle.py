@@ -150,7 +150,7 @@ class ScoreDistribution:
         if len(self.params) != {"uniform": 2, "scaled-beta": 3}.get(self.kind):
             raise ValueError("a distribution is uniform (low, high) or scaled-beta "
                              f"(a, b, scale), got {self.kind!r} with {len(self.params)} params")
-        if self.kind == "uniform" and not 0.0 <= self.params[0] < self.upper < math.inf:
+        if self.kind == "uniform" and not 0.0 <= self.params[0] < self.params[1] < math.inf:
             raise ValueError("uniform support must satisfy 0 <= low < high < inf, "
                              "got [{}, {}]".format(*self.params))
         if self.kind == "scaled-beta" and not all(0.0 < x < math.inf for x in self.params):
@@ -446,9 +446,9 @@ def _bracket(F: np.ndarray, guide: np.ndarray, u: np.ndarray) -> np.ndarray:
 def _hermite_safe_cells(grid: CaseGrid, d: ScoreDistribution, map=map) -> np.ndarray:
     """safe[i]: a draw of beta d in the cell between nodes i-1 and i may keep its Hermite step.
 
-    A cell is safe when it lies between the runs of exact CDF 0s and 1s that
-    ``grid.runs`` holds, so it is not an outermost cell; its density is positive and finite at both
-    nodes, which also excludes the singular ends when a < 1 or b < 1; and
+    A cell is safe when it lies between d's exact-0 and exact-1 CDF runs
+    (``grid.runs``), so it is no outermost cell; its density is positive
+    and finite at both nodes, so not at a singular end (a < 1 or b < 1); and
     its estimated error, in score units, is at most _NEWTON_TOL * scale.
     With h the cell width and f0 the smaller node density, the estimate sums
     the Hermite remainder h^4/384 max|f'''| / f0; the Newton term, a linear
