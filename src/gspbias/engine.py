@@ -44,14 +44,15 @@ from .estimators import (
     naive_contextual_estimate,
     pooled_estimate,
 )
-from .oracle import CaseGrid, CaseSampler, special_kernels
+from .oracle import CaseGrid, CaseSampler, _bracket, _guide_table, special_kernels
 
 STREAM_CPC = 0
 STREAM_AB = 1
 STREAM_MC = 2
 BLOCK = 1 << 14  # trials per simulate-cpc block, draws per parallel task, accesses per ab-run block
 # the most impressions an estimate may count: a BinomialInverse table holds
-# about 80 binomial sd of counts, at most about 1.9M entries (15 MB) here
+# about 80 binomial sd of counts, at most about 1.9M entries (15 MB) here,
+# and its guide table 2^21 buckets (8 MB)
 MAX_IMPRESSIONS = 1 << 31
 
 # binom.ppf maps u = 0 to -1, so u is clamped just above zero.  BinomialInverse
@@ -236,7 +237,9 @@ class BinomialInverse:
     ``binom.ppf`` inverts.  The table covers only the counts a uniform in
     [_PPF_FLOOR, 1) can map to: it starts at mean +- 40 sd and widens until
     cdf(lo - 1) < _PPF_FLOOR and cdf(hi) >= the largest uniform, so its
-    size grows as sqrt(n), not n.
+    size grows as sqrt(n), not n.  A draw brackets its uniform in the table
+    through the table's guide table, ``guide``, as verify-theorems' beta
+    draws do (``oracle._bracket``).
     """
 
     def __init__(self, n: int, p: float):
@@ -252,10 +255,16 @@ class BinomialInverse:
             margin *= 2.0
         self.lo = lo
         self.cdf = cdf(np.arange(lo, hi + 1, dtype=float), n, p)
+        self.guide = _guide_table(self.cdf)
 
     def __call__(self, u: np.ndarray) -> np.ndarray:
-        """The smallest count k with cdf(k) >= u, for uniforms u in [0, 1)."""
-        return self.lo + np.searchsorted(self.cdf, np.maximum(u, _PPF_FLOOR), side="left")
+        """The smallest count k with cdf(k) >= u, for uniforms u in [0, 1).
+
+        That is the first entry above the double just below u, which
+        ``_bracket`` finds; its u is below _CDF_TOP <= cdf[-1], as it needs.
+        """
+        below = np.nextafter(np.maximum(np.atleast_1d(u), _PPF_FLOOR), 0.0)
+        return (self.lo + _bracket(self.cdf, self.guide, below)).reshape(np.shape(u))
 
 
 def cpc_blocks(config: CpcStudyConfig) -> Iterator[TrialTable]:

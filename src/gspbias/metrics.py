@@ -129,10 +129,6 @@ class Histogram:
     def edges(self) -> np.ndarray:
         return (self.lo + np.arange(len(self.counts) + 1)) * self.bin_width
 
-    @property
-    def width(self) -> float:
-        return self.bin_width
-
     def merge(self, other: Histogram) -> Histogram:
         """Both histograms' counts, added bin for bin on their common
         lattice.  Raises HistogramTooWide when the two span more than
@@ -173,8 +169,8 @@ def build_histogram(samples, bin_width: float) -> Histogram:
 
 def align_histograms(h1: Histogram, h2: Histogram) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Common edges plus zero-padded counts for two same-width histograms."""
-    if not np.isclose(h1.width, h2.width, rtol=1e-12, atol=0):
-        raise GridMismatch(f"bin widths differ: {h1.width} vs {h2.width}")
+    if not np.isclose(h1.bin_width, h2.bin_width, rtol=1e-12, atol=0):
+        raise GridMismatch(f"bin widths differ: {h1.bin_width} vs {h2.bin_width}")
     lo = min(h1.lo, h2.lo)
     hi = max(h1.lo + len(h1.counts), h2.lo + len(h2.counts))
     c1 = np.zeros(hi - lo, dtype=np.int64)

@@ -411,12 +411,13 @@ class CaseSampler:
 
 
 def _guide_table(F: np.ndarray) -> np.ndarray:
-    """guide[b]: how many entries of the CDF row F are <= b / K, b = 0..K-1.
+    """guide[b]: how many entries of the CDF table F are <= b / K, b = 0..K-1.
 
-    K is SIMPSON_INTERVALS, a power of 2, so F * K and u * K are exact and
-    F <= b / K holds exactly when ceil(F * K) <= b.
+    K is the least power of 2 >= len(F) - 1, one bucket per cell of F: 2^17
+    on a grid row of 2^17 + 1 nodes.  K is a power of 2, so F * K and u * K
+    are exact and F <= b / K holds exactly when ceil(F * K) <= b.
     """
-    K = SIMPSON_INTERVALS
+    K = 1 << (len(F) - 2).bit_length()
     keys = np.ceil(F * K).astype(np.intp)
     return np.cumsum(np.bincount(keys, minlength=K + 1)[:K], dtype=np.int32)
 
@@ -424,15 +425,16 @@ def _guide_table(F: np.ndarray) -> np.ndarray:
 def _bracket(F: np.ndarray, guide: np.ndarray, u: np.ndarray) -> np.ndarray:
     """``np.searchsorted(F, u, side="right")`` for u in [0, 1), exactly.
 
-    F is a non-decreasing CDF row whose last entry exceeds every u, and
-    guide its ``_guide_table``.  u's bucket floor(u * K) gives a start at
-    most the answer (the entries <= floor(u * K) / K <= u); one step
-    forward settles almost every draw (over 99% on the packaged betas), and
-    the draws still short, where more than one node of F shares u's bucket,
-    take ``np.searchsorted``.  The indices are intp, which numpy gathers
-    without converting them, and every gather writes into one reused row.
+    F is a non-decreasing CDF table whose last entry exceeds every u, and
+    guide its ``_guide_table``, whose length is its bucket count K.  u's
+    bucket floor(u * K) gives a start at most the answer (the entries <=
+    floor(u * K) / K <= u); one step forward settles almost every draw (over
+    99% on the packaged betas), and the draws still short, where more than
+    one entry of F shares u's bucket, take ``np.searchsorted``.  The indices
+    are intp, which numpy gathers without converting them, and every gather
+    writes into one reused row.
     """
-    node = np.multiply(u, SIMPSON_INTERVALS)
+    node = np.multiply(u, len(guide))
     i = node.astype(np.intp)
     i[:] = guide.take(i, mode="clip")  # "clip" clips nothing: every index is in range
     ahead = np.less_equal(F.take(i, out=node, mode="clip"), u)
@@ -677,10 +679,11 @@ def check_splittable(f, g, tolerance: float = 0.0, scan: SplitScan | None = None
 
     Returns the smallest index v with f <= g + tol strictly below v and
     f >= g - tol at and above v, or a negative verdict if no such v exists.
-    f and g are compared NODE_SLICE entries at a time.  Given a ``scan``,
-    f and g continue the rows it has read, the verdict is on the joined
-    rows, and the scan reads f and g too, so a walk can test rows a leaf at
-    a time.
+    f and g are compared whole, in one pass; a walk's leaf holds at most
+    NODE_SLICE + 1 entries and a histogram ``metrics.MAX_HISTOGRAM_BINS``.
+    Given a ``scan``, f and g continue the rows it has read, the verdict is
+    on the joined rows, and the scan reads f and g too, so a walk can test
+    rows a leaf at a time.
     """
     f = np.asarray(f, dtype=float)
     g = np.asarray(g, dtype=float)
@@ -689,16 +692,15 @@ def check_splittable(f, g, tolerance: float = 0.0, scan: SplitScan | None = None
     if tolerance < 0:
         raise ValueError("tolerance must be >= 0")
     scan = SplitScan() if scan is None else scan
-    for lo, hi in fixed_blocks(0, len(f), NODE_SLICE):
-        bound = np.subtract(g[lo:hi], tolerance)
-        trailing = _first_false((f[lo:hi] >= bound)[::-1])  # admissible post-split at its end
-        if trailing < hi - lo:
-            scan.split = scan.length + hi - trailing
-        if scan.below is None:
-            np.add(g[lo:hi], tolerance, out=bound)
-            leading = _first_false(f[lo:hi] <= bound)  # admissible pre-split at its start
-            if leading < hi - lo:
-                scan.below = scan.length + lo + leading
+    bound = np.subtract(g, tolerance)
+    trailing = _first_false((f >= bound)[::-1])  # admissible post-split at its end
+    if trailing < len(f):
+        scan.split = scan.length + len(f) - trailing
+    if scan.below is None:
+        np.add(g, tolerance, out=bound)
+        leading = _first_false(f <= bound)  # admissible pre-split at its start
+        if leading < len(f):
+            scan.below = scan.length + leading
     scan.length += len(f)
     return scan.verdict
 

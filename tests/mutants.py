@@ -101,12 +101,12 @@ MUTANTS = [
            (T_ENGINE + "::TestMcBlock::test_moments_match_the_trial_major_reference",)),
     # the checks walk one rank table in leaf-sized rows
     Mutant("split-below-without-offset", ORACLE,
-           "                scan.below = scan.length + lo + leading\n",
-           "                scan.below = scan.length + leading\n",
+           "            scan.below = scan.length + leading\n",
+           "            scan.below = leading\n",
            (LEAF_CHECKS + "::test_split_across_leaves",)),
     Mutant("split-trailing-offset", ORACLE,
-           "            scan.split = scan.length + hi - trailing\n",
-           "            scan.split = scan.length + hi - lo - trailing\n",
+           "        scan.split = scan.length + len(f) - trailing\n",
+           "        scan.split = len(f) - trailing\n",
            (LEAF_CHECKS + "::test_split_across_leaves",)),
     Mutant("pairwise-sum-left-fold", ORACLE,
            "    half = n // 2 - (n // 2) % 8\n",
@@ -272,6 +272,25 @@ MUTANTS = [
            "        self.low = np.array([[d.lower] for d in grid.dists])\n",
            "        self.low = np.zeros((len(grid), 1))\n",
            (FAR_FROM_ZERO, T_METAMORPHIC + "::test_shift")),
+    # both samplers bracket u through a guide table whose bucket count is its own
+    Mutant("binomial-bracket-without-nextafter", ENGINE,
+           "np.nextafter(np.maximum(np.atleast_1d(u), _PPF_FLOOR), 0.0)",
+           "np.maximum(np.atleast_1d(u), _PPF_FLOOR)",
+           (T_ENGINE + "::TestBinomialInverse::test_bracket_matches_searchsorted",)),
+    Mutant("guide-table-floor", ORACLE,
+           "    keys = np.ceil(F * K).astype(np.intp)\n",
+           "    keys = np.floor(F * K).astype(np.intp)\n",
+           (T_ORACLE + "::TestGuideBracket::test_guide_counts_nodes_at_or_below_each_bucket",
+            T_ENGINE + "::TestBinomialInverse::test_bracket_matches_searchsorted")),
+    # verify-theorems moves as its inputs' symmetries say
+    Mutant("newton-tolerance-in-absolute-units", ORACLE,
+           "        safe[lo:hi] = err <= _NEWTON_TOL * scale\n",
+           "        safe[lo:hi] = err <= _NEWTON_TOL\n",
+           (T_METAMORPHIC + "::test_power_of_two_scale",)),
+    Mutant("zero-shift-clears-row-zero", ORACLE,
+           "                table[low, :start] = 0.0\n",
+           "                table[0, :start] = 0.0\n",
+           (T_METAMORPHIC + "::test_relabelling",)),
 ]
 
 

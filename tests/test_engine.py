@@ -26,6 +26,7 @@ from gspbias.engine import (
     STREAM_MC,
     _PAIRWISE_MAX_ADS,
     _PAIRWISE_ROW_FACTOR,
+    _CDF_TOP,
     _PPF_FLOOR,
     BinomialInverse,
     _mc_block,
@@ -234,6 +235,21 @@ class TestBinomialInverse:
         assert (_ufuncs._binom_cdf(k[above] - 1, n, p) < u[above]).all()
         checked = ppf_is_reference(u, k, n, p)
         np.testing.assert_array_equal(k[checked], binom_ppf(u[checked], n, p))
+
+    # the packaged settings, both one-impression tables and a billion impressions
+    @pytest.mark.parametrize("n, p", [(n, p) for n in (5000, 20000) for p in (0.05, 0.045, 0.04)]
+                             + [(1, 0.0), (1, 1.0), (10 ** 9, 0.05)])
+    def test_bracket_matches_searchsorted(self, n, p):
+        """The guide-table bracket finds searchsorted's first entry >= u at
+        every table entry and both of its neighbours, and at 0, the smallest
+        double, _PPF_FLOOR and _CDF_TOP."""
+        inverse = BinomialInverse(n, p)
+        cdf = inverse.cdf
+        u = np.concatenate([[0.0, 5e-324, _PPF_FLOOR, _CDF_TOP], cdf, np.nextafter(cdf, 0.0),
+                            np.nextafter(cdf, 1.0)])
+        u = u[u <= _CDF_TOP]
+        expected = inverse.lo + np.searchsorted(cdf, np.maximum(u, _PPF_FLOOR), side="left")
+        np.testing.assert_array_equal(inverse(u), expected)
 
     def test_floor_and_top(self):
         """u = 0 is read as _PPF_FLOOR; at the largest uniform, where the CDF

@@ -483,7 +483,9 @@ class TestGuideBracket:
                                       np.searchsorted(F, u, side="right"))
 
     def test_guide_counts_nodes_at_or_below_each_bucket(self):
-        F = np.array([0.0, 0.0, 0.5 / K, 1.0 / K, 1.0 / K, 3.5 / K, 0.5, 1.0])
+        # padded with ones to a grid row's K + 1 entries, so the table has K buckets
+        F = np.ones(K + 1)
+        F[:8] = [0.0, 0.0, 0.5 / K, 1.0 / K, 1.0 / K, 3.5 / K, 0.5, 1.0]
         guide = _guide_table(F)
         assert guide.dtype == np.int32 and len(guide) == K
         np.testing.assert_array_equal(guide[:5], [2, 5, 5, 5, 6])
@@ -820,16 +822,17 @@ class TestLeafChecks:
     # before it, 450, in the third: each counts from the row's start
     @example(n=500, spots=([450], [300], []), tolerance=0.0)
     def test_split_across_leaves(self, n, spots, tolerance):
-        """With node slices of 200, the split is still the whole-scan
-        split wherever the bins inadmissible before it (f above g), after it
-        (f below g) or on both sides (NaN) fall."""
+        """Fed in leaves of 200 with one ``SplitScan``, as walk 2 feeds its
+        leaves, f and g give the whole-scan split wherever the bins
+        inadmissible before it (f above g), after it (f below g) or on both
+        sides (NaN) fall."""
         f, g = np.full(n, 0.5), np.full(n, 0.5)
         for (value, other), at in zip(((1.0, 0.0), (0.0, 1.0), (np.nan, 0.5)), spots):
             at = [i % n for i in at]
             f[at], g[at] = value, other
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(oracle, "NODE_SLICE", 200)
-            verdict = check_splittable(f, g, tolerance)
+        scan = oracle.SplitScan()
+        for lo, hi in fixed_blocks(0, n, 200):
+            verdict = check_splittable(f[lo:hi], g[lo:hi], tolerance, scan)
         expected = split_index_by_accumulation(f, g, tolerance)
         assert verdict == SplitVerdict(expected is not None, expected)
 
@@ -849,10 +852,8 @@ class TestLeafChecks:
             f[at], g[at] = value, other
         edges = [0, *sorted(min(cut, n) for cut in cuts), n]
         scan = oracle.SplitScan()
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(oracle, "NODE_SLICE", 200)
-            for lo, hi in zip(edges[:-1], edges[1:]):
-                verdict = check_splittable(f[lo:hi], g[lo:hi], tolerance, scan)
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            verdict = check_splittable(f[lo:hi], g[lo:hi], tolerance, scan)
         expected = split_index_by_accumulation(f, g, tolerance)
         assert verdict == scan.verdict == SplitVerdict(expected is not None, expected)
 
