@@ -50,9 +50,8 @@ STREAM_CPC = 0
 STREAM_AB = 1
 STREAM_MC = 2
 BLOCK = 1 << 14  # trials per simulate-cpc block, draws per parallel task, accesses per ab-run block
-# the most impressions an estimate may count: a BinomialInverse table holds
-# about 80 binomial sd of counts, at most about 1.9M entries (15 MB) here,
-# and its guide table 2^21 buckets (8 MB)
+# the most impressions an estimate may count: a BinomialInverse table holds about 80
+# binomial sd of counts, at most about 1.9M entries (15 MB) here, and 2^21 guide buckets (8 MB)
 MAX_IMPRESSIONS = 1 << 31
 
 # binom.ppf maps u = 0 to -1, so u is clamped just above zero.  BinomialInverse
@@ -237,9 +236,8 @@ class BinomialInverse:
     ``binom.ppf`` inverts.  The table covers only the counts a uniform in
     [_PPF_FLOOR, 1) can map to: it starts at mean +- 40 sd and widens until
     cdf(lo - 1) < _PPF_FLOOR and cdf(hi) >= the largest uniform, so its
-    size grows as sqrt(n), not n.  A draw brackets its uniform in the table
-    through the table's guide table, ``guide``, as verify-theorems' beta
-    draws do (``oracle._bracket``).
+    size grows as sqrt(n), not n.  Draws bracket u in it through its guide
+    table ``guide``, as verify-theorems' beta draws do (``oracle._bracket``).
     """
 
     def __init__(self, n: int, p: float):
@@ -258,11 +256,8 @@ class BinomialInverse:
         self.guide = _guide_table(self.cdf)
 
     def __call__(self, u: np.ndarray) -> np.ndarray:
-        """The smallest count k with cdf(k) >= u, for uniforms u in [0, 1).
-
-        That is the first entry above the double just below u, which
-        ``_bracket`` finds; its u is below _CDF_TOP <= cdf[-1], as it needs.
-        """
+        """The smallest count k with cdf(k) >= u, for uniforms u in [0, 1): the first entry
+        above the double below u, which is below _CDF_TOP <= cdf[-1], as _bracket needs."""
         below = np.nextafter(np.maximum(np.atleast_1d(u), _PPF_FLOOR), 0.0)
         return (self.lo + _bracket(self.cdf, self.guide, below)).reshape(np.shape(u))
 

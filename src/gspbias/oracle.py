@@ -413,9 +413,8 @@ class CaseSampler:
 def _guide_table(F: np.ndarray) -> np.ndarray:
     """guide[b]: how many entries of the CDF table F are <= b / K, b = 0..K-1.
 
-    K is the least power of 2 >= len(F) - 1, one bucket per cell of F: 2^17
-    on a grid row of 2^17 + 1 nodes.  K is a power of 2, so F * K and u * K
-    are exact and F <= b / K holds exactly when ceil(F * K) <= b.
+    K is the least power of 2 >= len(F) - 1, 2^17 on a grid row, so F * K and
+    u * K are exact and F <= b / K holds exactly when ceil(F * K) <= b.
     """
     K = 1 << (len(F) - 2).bit_length()
     keys = np.ceil(F * K).astype(np.intp)
@@ -426,13 +425,12 @@ def _bracket(F: np.ndarray, guide: np.ndarray, u: np.ndarray) -> np.ndarray:
     """``np.searchsorted(F, u, side="right")`` for u in [0, 1), exactly.
 
     F is a non-decreasing CDF table whose last entry exceeds every u, and
-    guide its ``_guide_table``, whose length is its bucket count K.  u's
-    bucket floor(u * K) gives a start at most the answer (the entries <=
-    floor(u * K) / K <= u); one step forward settles almost every draw (over
-    99% on the packaged betas), and the draws still short, where more than
-    one entry of F shares u's bucket, take ``np.searchsorted``.  The indices
-    are intp, which numpy gathers without converting them, and every gather
-    writes into one reused row.
+    guide its ``_guide_table``, of K buckets.  u's bucket floor(u * K) gives
+    a start at most the answer (the entries <= floor(u * K) / K <= u); one
+    step forward settles almost every draw (over 99% on the packaged betas),
+    and the draws still short, where more than one entry of F shares u's
+    bucket, take ``np.searchsorted``.  The indices are intp, which numpy
+    gathers without converting them, and every gather writes into one reused row.
     """
     node = np.multiply(u, len(guide))
     i = node.astype(np.intp)
@@ -679,8 +677,7 @@ def check_splittable(f, g, tolerance: float = 0.0, scan: SplitScan | None = None
 
     Returns the smallest index v with f <= g + tol strictly below v and
     f >= g - tol at and above v, or a negative verdict if no such v exists.
-    f and g are compared whole, in one pass; a walk's leaf holds at most
-    NODE_SLICE + 1 entries and a histogram ``metrics.MAX_HISTOGRAM_BINS``.
+    f and g are compared whole: a leaf or a histogram, each of bounded size.
     Given a ``scan``, f and g continue the rows it has read, the verdict is
     on the joined rows, and the scan reads f and g too, so a walk can test
     rows a leaf at a time.
